@@ -26,8 +26,10 @@ _BASE = ord("a") - 1
 
 def diff_apply(word: str, patch: str) -> str:
     """Port of ``Diff.apply`` (Diff.java:103): execute the patch
-    commands from the END of the word; out-of-range = no-op result
-    semantics (the reference swallows the index error)."""
+    commands from the END of the word. A command whose position is out
+    of range stops the patch and keeps the edits made so far, as the
+    reference does when ``StringBuilder`` throws and it swallows the
+    index error."""
     if not patch:
         return word
     buf = list(word)
@@ -48,11 +50,13 @@ def diff_apply(word: str, patch: str) -> str:
             elif cmd == "D":
                 o = pos
                 pos -= par_num - 1
-                if pos < 0:
+                if pos < 0 or pos > len(buf) or pos > o + 1:
                     raise IndexError
                 del buf[pos:o + 1]
             elif cmd == "I":
                 pos += 1
+                if pos < 0 or pos > len(buf):
+                    raise IndexError
                 buf.insert(pos, param)
             pos -= 1
     except IndexError:

@@ -17,7 +17,8 @@ Planet model: the SPHERE PlanetModel (``spatial3d/geom/PlanetModel
 (ellipsoid scaling of z); the scaling slot is `z_scaling` below —
 chord pruning stays valid for z_scaling <= 1 because scaling only
 shrinks coordinate deltas — but the shipped exact predicate (arc
-distance) is the spherical one, documented as such.
+distance) is the spherical one, so the query functions refuse an index
+built with any other z_scaling.
 """
 
 from __future__ import annotations
@@ -92,6 +93,18 @@ def build_point3d_index(source, out_dir: str, *, batch_size: int = 8192,
     return {"n_points": int(n)}
 
 
+def _require_sphere(index_dir: str) -> None:
+    """Raise ValueError unless the index was built with z_scaling 1.0:
+    the query predicates are spherical and would silently answer wrong
+    on an ellipsoid index."""
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        z = json.load(f)["z_scaling"]
+    if z != 1.0:
+        raise ValueError(
+            f"geo3d index {index_dir!r} was built with z_scaling={z}; "
+            "distance and box queries support only z_scaling=1.0")
+
+
 def _pruned_read(index_dir: str, cx: float, cy: float,
                  cz: float, chord: float) -> pa.Table:
     return pq.read_table(
@@ -106,6 +119,7 @@ def points_within_distance(index_dir: str, lat: float, lon: float,
     """Geo3DPoint.newDistanceQuery role: doc_ids with arc distance to
     (lat, lon) <= radius (radians), ascending. Candidates come from the
     chord-bound row-group pruning; the exact arc predicate decides."""
+    _require_sphere(index_dir)
     cx, cy, cz = (float(v) for v in latlon_to_xyz(lat, lon))
     chord = 2.0 * math.sin(min(radius_rad, math.pi) / 2.0)
     t = _pruned_read(index_dir, cx, cy, cz, chord)
@@ -122,6 +136,7 @@ def points_in_latlon_box(index_dir: str, min_lat: float, max_lat: float,
     """Geo3DPoint.newBoxQuery role (GeoBBox shape): doc_ids whose
     lat/lon (recovered exactly from the unit vector) fall inside the
     closed box. z row-group stats prune the latitude band."""
+    _require_sphere(index_dir)
     zlo = math.sin(math.radians(min_lat))
     zhi = math.sin(math.radians(max_lat))
     t = pq.read_table(

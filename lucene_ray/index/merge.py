@@ -545,9 +545,10 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
         # RIGHT-SIZE the read blocks: Ray's sort-based groupby cost is
         # dominated by block COUNT, not bytes (measured at sf0.1: 288
         # per-row-group blocks -> 13.7s shuffle; the same 230 MB in 32
-        # blocks -> ~1s). Target ~64 MB decoded per block (disk bytes
-        # x2 for Arrow decode), floored at cluster parallelism — the
-        # ratio holds at 100 TB where blocks are naturally large.
+        # blocks -> ~1s). Target ~128 MB decoded per block, about 64 MB
+        # on disk (disk bytes x2 for Arrow decode), floored at cluster
+        # parallelism — the ratio holds at 100 TB where blocks are
+        # naturally large.
         in_bytes = sum(os.path.getsize(p) for p in all_paths)
         n_blocks = max(cpus, (in_bytes * 2) // (128 << 20) + 1)
         ds = ray.data.read_parquet(all_paths,

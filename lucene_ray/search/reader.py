@@ -11,6 +11,12 @@ of hash-bucketed shards; a ``_BUCKETS.json`` sidecar records the bucket
 function so a term routes to exactly one shard. Per-doc arrays
 (doc_id, doc_len, norm — ~13 bytes/doc) stay resident per segment;
 stored fields are read lazily with docID predicate pushdown.
+
+A lookup runs read → select → materialize: read the pruned row groups
+as one Arrow table, keep the wanted rows with one vectorized Arrow step
+on the term column, and only then build Python values and
+``PackedPostings`` from the kept rows. The searcher prefetches a
+query's terms segment by segment on the calling thread.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codecs.postings import PackedPostings
@@ -92,9 +99,8 @@ class TermSortedFile:
     def read_rgs(self, rgs: list[int], columns=None) -> pa.Table | None:
         if not rgs:
             return None
-        # use_threads=False: these are small point reads already fanned
-        # out across our own I/O pool; Arrow's internal pool only adds
-        # contention (~5x slower per call when oversubscribed)
+        # use_threads=False: these are small point reads; Arrow's
+        # internal pool costs more per call than it saves on them
         return self.pf.read_row_groups(rgs, columns=columns,
                                        use_threads=False)
 
@@ -169,32 +175,48 @@ class _ShardedPostings:
         return out
 
 
-def _row_to_postings(t: pa.Table, i: int) -> PackedPostings:
-    has_pos = "positions" in t.column_names
-    return PackedPostings(
-        doc_count=t.column("doc_count")[i].as_py(),
-        ttf=t.column("ttf")[i].as_py(),
-        docs=t.column("docs")[i].as_py(),
-        freqs=t.column("freqs")[i].as_py(),
-        block_last_docs=np.asarray(t.column("block_last_docs")[i].as_py(),
-                                   dtype=np.int32),
-        imp_freqs=np.asarray(t.column("imp_freqs")[i].as_py(), dtype=np.int32),
-        imp_norms=np.asarray(t.column("imp_norms")[i].as_py(), dtype=np.uint8),
-        imp_offsets=np.asarray(t.column("imp_offsets")[i].as_py(),
-                               dtype=np.int64),
-        chunk_doc_counts=np.asarray(t.column("chunk_doc_counts")[i].as_py(),
-                                    dtype=np.int32),
-        positions=(t.column("positions")[i].as_py() or b"") if has_pos else b"",
-        chunk_occ_counts=np.asarray(
-            t.column("chunk_occ_counts")[i].as_py() or [],
-            dtype=np.int64) if has_pos else np.empty(0, np.int64),
-        docs_bb=(np.asarray(t.column("docs_bb")[i].as_py() or [],
-                            dtype=np.int32)
-                 if "docs_bb" in t.column_names else np.empty(0, np.int32)),
-        freqs_bb=(np.asarray(t.column("freqs_bb")[i].as_py() or [],
-                             dtype=np.int32)
-                  if "freqs_bb" in t.column_names else np.empty(0, np.int32)),
-    )
+def _select_terms(t: pa.Table, terms) -> pa.Table:
+    """Rows of ``t`` whose term is in ``terms`` (one Arrow filter)."""
+    col = t.column("term")
+    return t.filter(pc.is_in(col, value_set=pa.array(terms, col.type)))
+
+
+def _select_range(t: pa.Table, lo: str | None, hi: str | None) -> list[str]:
+    """Terms of ``t`` in [lo, hi] (inclusive; None = unbounded). Arrow
+    compares UTF-8 bytes, which orders like Python's code points."""
+    col = t.column("term")
+    if lo is not None:
+        col = col.filter(pc.greater_equal(col, lo))
+    if hi is not None:
+        col = col.filter(pc.less_equal(col, hi))
+    return col.to_pylist()
+
+
+_LIST_DTYPES = {"block_last_docs": np.int32, "imp_freqs": np.int32,
+                "imp_norms": np.uint8, "imp_offsets": np.int64,
+                "chunk_doc_counts": np.int32, "chunk_occ_counts": np.int64,
+                "docs_bb": np.int32, "freqs_bb": np.int32}
+
+
+def _rows_to_postings(t: pa.Table) -> list[PackedPostings]:
+    """One PackedPostings per row of an already-selected table: each
+    list column becomes flat numpy values once, sliced per row by its
+    offsets. A column missing from the file reads as empty."""
+    n, names = len(t), t.column_names
+    cols = {f: t.column(f).to_pylist() for f in ("doc_count", "ttf")}
+    for f in ("docs", "freqs", "positions"):
+        cols[f] = ([v or b"" for v in t.column(f).to_pylist()]
+                   if f in names else [b""] * n)
+    for f, dtype in _LIST_DTYPES.items():
+        if f not in names:
+            cols[f] = [np.empty(0, dtype)] * n
+            continue
+        a = t.column(f).combine_chunks()
+        vals = np.asarray(a.values.to_numpy(), dtype=dtype)
+        off = a.offsets.to_numpy()
+        cols[f] = [vals[off[i]:off[i + 1]] for i in range(n)]
+    return [PackedPostings(*row)
+            for row in zip(*(cols[f] for f in PackedPostings._fields))]
 
 
 class SegmentReader:
@@ -292,11 +314,8 @@ class SegmentReader:
         for f in self._postings.files():
             rgs = f.rgs_for_range(lo, hi)
             t = f.read_rgs(rgs, columns=["term"])
-            if t is None:
-                continue
-            for x in t.column("term").to_pylist():
-                if (lo is None or x >= lo) and (hi is None or x <= hi):
-                    out.append(x)
+            if t is not None:
+                out.extend(_select_range(t, lo, hi))
         return sorted(out)
 
     def ensure_terms(self, terms) -> None:
@@ -327,15 +346,16 @@ class SegmentReader:
             t = f.read_rgs(rgs)
             if t is None:
                 continue
+            # counters measure Parquet reads, before the selection
             self.rg_reads += len(rgs)
             self.rows_loaded += len(t)
-            col = t.column("term").to_pylist()
-            want = set(shard_terms)
-            for i, term in enumerate(col):
-                if term in want:
-                    self._cache[term] = _row_to_postings(t, i)
-                    self._df[term] = t.column("df")[i].as_py()
-                    found.add(term)
+            t = _select_terms(t, shard_terms)
+            for term, df, p in zip(t.column("term").to_pylist(),
+                                   t.column("df").to_pylist(),
+                                   _rows_to_postings(t)):
+                self._cache[term] = p
+                self._df[term] = df
+                found.add(term)
         for t in missing:
             if t not in found:
                 self._absent.add(t)
@@ -653,12 +673,11 @@ class IndexReader:
                                    columns=["term", "df", "ttf"])
                     if t is None:
                         continue
-                    want = set(sub)
-                    for term, df, ttf in zip(t.column("term").to_pylist(),
-                                             t.column("df").to_pylist(),
-                                             t.column("ttf").to_pylist()):
-                        if term in want:
-                            self._ts_cache[term] = (df, ttf)
+                    t = _select_terms(t, sub)
+                    self._ts_cache.update(zip(
+                        t.column("term").to_pylist(),
+                        zip(t.column("df").to_pylist(),
+                            t.column("ttf").to_pylist())))
             else:
                 # no global stats dir: sum per-segment stats from the
                 # (pruned) postings rows themselves
@@ -712,12 +731,11 @@ class IndexReader:
             for f in files:
                 t = f.read_rgs(f.rgs_for_range(lo, hi), columns=["term"])
                 if t is not None:
-                    terms.update(t.column("term").to_pylist())
+                    terms.update(_select_range(t, lo, hi))
         else:
             for sr in self.segments():
                 terms.update(sr.terms_in_range(lo, hi))
-        out = sorted(t for t in terms
-                     if (lo is None or t >= lo) and (hi is None or t <= hi))
+        out = sorted(terms)
         self._vocab_cache[key] = out
         if len(self._vocab_cache) > 16:
             self._vocab_cache.popitem(last=False)

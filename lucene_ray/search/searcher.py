@@ -323,32 +323,13 @@ class Searcher:
         raise TypeError(f"unknown query type {type(q)}")
 
     # -- public API ---------------------------------------------------------
-    _ex = None  # lazily-created shared I/O pool (parquet reads drop the GIL)
-
     def _prefetch(self, terms: list[str]) -> None:
-        """Load all query terms' posting rows across segments with one
-        batched row-group-pruned read per shard, segments in parallel
-        (I/O overlap, not a shuffle). Warm segments are skipped."""
-        if not terms:
-            return
-        jobs = []
-        readers = self.reader._readers
-        for info in self.reader.segment_infos:
-            sr = readers.get(info.seg_id)
-            if sr is not None and all(
-                    t in sr._cache or t in sr._absent for t in terms):
-                continue
-            jobs.append(info.seg_id)
-        if not jobs:
-            return
-        if len(jobs) == 1:
-            self.reader.segment(jobs[0]).ensure_terms(terms)
-            return
-        if Searcher._ex is None:
-            from concurrent.futures import ThreadPoolExecutor
-            Searcher._ex = ThreadPoolExecutor(max_workers=16)
-        list(Searcher._ex.map(
-            lambda sid: self.reader.segment(sid).ensure_terms(terms), jobs))
+        """Load all query terms' posting rows, segment by segment, with
+        one batched row-group-pruned read per shard. Warm segments
+        return without a read."""
+        if terms:
+            for sr in self.reader.segments():
+                sr.ensure_terms(terms)
 
     def search(self, q: Query, k: int = 10, *, threshold_cb=None,
                publish_cb=None) -> TopDocs:

@@ -84,3 +84,19 @@ def test_wgs84_scaling_slot(ray_session, tmp_path_factory):
     t = pq.read_table(os.path.join(out, "pts")).sort_by("doc_id")
     assert abs(t.column("z").to_numpy()[0] - WGS84_Z_SCALING) < 1e-15
     assert t.column("z").to_numpy()[1] == 0.0
+
+
+def test_queries_reject_ellipsoid_index(ray_session, tmp_path_factory):
+    # the exact predicates are spherical: an index built with another
+    # z_scaling must be refused, not answered on the wrong planet model
+    src = str(tmp_path_factory.mktemp("g3de") / "pts.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array([0, 1], pa.int64()),
+        "lat": pa.array([45.0, 0.0], pa.float64()),
+        "lon": pa.array([0.0, 0.0], pa.float64())}), src)
+    out = str(tmp_path_factory.mktemp("g3dei"))
+    build_point3d_index(src, out, z_scaling=WGS84_Z_SCALING)
+    with pytest.raises(ValueError, match="z_scaling"):
+        points_within_distance(out, 45.0, 0.0, 0.1)
+    with pytest.raises(ValueError, match="z_scaling"):
+        points_in_latlon_box(out, 0.0, 50.0, -10.0, 10.0)

@@ -24,6 +24,21 @@ def test_diff_command_kinds():
     assert diff_apply("x", diff_exec("x", "y")) == "y"
 
 
+def test_diff_insert_out_of_range_stops_patch():
+    # Diff.apply: StringBuilder.insert throws past the end or before the
+    # start, and the patch stops with the edits made so far. '-_' moves
+    # the cursor forward (param below 'a'), '-c' moves it before index 0
+    assert diff_apply("ab", "-_Ix") == "ab"
+    assert diff_apply("ab", "-cIx") == "ab"
+    assert diff_apply("ab", "Rz-cIx") == "az"
+
+
+def test_diff_delete_out_of_range_stops_patch():
+    # StringBuilder.delete throws when start > length or start > end;
+    # the following skip + replace must not run
+    assert diff_apply("abc", "D_-cRz") == "abc"
+
+
 def test_diff_roundtrip_randomized():
     rng = random.Random(3)
     for _ in range(500):
