@@ -69,14 +69,12 @@ def delete_by_query(index_dir: str, query) -> int:
     from ..search.searcher import Searcher
     reader = IndexReader(index_dir)
     s = Searcher(reader)
-    q = s.rewrite(query)
-    from ..search.query import query_terms
-    s._prefetch(sorted(set(query_terms(q))))
+    w = s.weight(query)
     per_seg: dict[str, np.ndarray] = {}
     n = 0
     for info in reader.segment_infos:
         sr = reader.segment(info.seg_id)
-        docs = s._match_docs(sr, q)
+        docs = w.matches(sr)
         if len(docs):
             per_seg[info.seg_id] = docs
             n += len(docs)

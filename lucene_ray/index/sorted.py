@@ -103,10 +103,11 @@ def sorted_search(index_dir: str, query, k: int,
     (TopFieldCollector.create(sort == indexSort) semantics): segments
     are visited in docID (== field) order and evaluation STOPS as soon
     as k matching docs are collected — later segments are never
-    opened. Returns ``(table(id_col, field), scan_stats)``.
+    matched. Returns ``(table(id_col, field), scan_stats)``.
 
-    The per-segment match uses the standard boolean machinery
-    (term / boolean queries — the common filtered-sort shape)."""
+    Any query works: the per-segment match is its weight's ``matches``
+    (``Searcher.weight`` loads the query's posting rows in every
+    segment up front, one batched read each)."""
     from ..search import IndexReader, Searcher
 
     sort = read_index_sort(index_dir)
@@ -117,18 +118,15 @@ def sorted_search(index_dir: str, query, k: int,
     segs = sorted(m.segments, key=lambda x: x.min_doc)
     want_cols = [f"orig_{sort['id_col']}", sort["field"]]
     stats = {"segments_opened": 0, "total_segments": len(segs)}
-    prep = s._prepare(s.rewrite(query))
-    if prep[0] != "bool":
-        raise TypeError("sorted_search supports term/boolean queries")
-    plan = prep[1]
+    w = s.weight(query)
     hits: list[int] = []
     for info in segs:
         if len(hits) >= k:
             break
         stats["segments_opened"] += 1
         sr = s.reader.segment(info.seg_id)
-        docs, _ = s._match_and_score(sr, plan, scoring=False)
-        if docs is None or len(docs) == 0:
+        docs = w.matches(sr)
+        if len(docs) == 0:
             continue
         hits.extend(np.sort(np.asarray(docs))[:k - len(hits)].tolist())
     if not hits:

@@ -108,9 +108,9 @@ def term_automaton_docs(searcher, q: TermAutomatonQuery) -> np.ndarray:
     in constant-score contexts)."""
     if not q._finished:
         q.finish()
-    searcher._prefetch(q.terms)
     out = []
     for sr in searcher.reader.segments():
+        sr.ensure_terms(q.terms)
         per_term = {}
         cand = None
         for t in q.terms:

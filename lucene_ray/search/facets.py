@@ -21,20 +21,23 @@ from .query import BooleanQuery, Query, TermQuery
 from .searcher import Searcher
 
 
+def _segment_matches(searcher: Searcher, q: Query):
+    """(segment, sorted matching docIDs) for each segment ``q`` matches."""
+    w = searcher.weight(q)
+    for sr in searcher.reader.segments():
+        docs = w.matches(sr)
+        if len(docs):
+            yield sr, np.sort(docs)
+
+
 def facet_counts(searcher: Searcher, q: Query, col: str,
                  top_n: int | None = None) -> pa.Table:
     """(value, count) over docs matching ``q``, counted from the stored
     ``col`` — count desc, ties by value asc (FacetResult ordering)."""
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     total: Counter = Counter()
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
+    for sr, docs in _segment_matches(searcher, q):
         # per-segment partial count (combiner): only (value, n) leaves
-        vals = sr.stored(np.sort(docs), col)
+        vals = sr.stored(docs, col)
         total.update(v for v in vals if v is not None)
     items = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
     if top_n is not None:
@@ -71,16 +74,9 @@ def drill_sideways(searcher: Searcher, base: Query,
 
     Returns a flat (dim, value, count) table, per-dim FacetResult
     ordering (count desc, value asc)."""
-    q = searcher.rewrite(base)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     cols = list(selections)
     counts: dict[str, Counter] = {c: Counter() for c in cols}
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
-        docs = np.sort(docs)
+    for sr, docs in _segment_matches(searcher, base):
         vals = {c: np.asarray(sr.stored(docs, c), dtype=object)
                 for c in cols}
         masks = {c: vals[c] == selections[c] for c in cols}
@@ -184,15 +180,9 @@ def range_facet_counts(searcher: Searcher, q: Query, col: str,
     ``(label, lo, hi)`` (half-open [lo, hi); None = unbounded), the
     count of matching docs whose ``col`` value falls inside. Ranges may
     overlap — each counts independently; output keeps declared order."""
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     counts = np.zeros(len(ranges), dtype=np.int64)
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
-        got = sr.stored(np.sort(docs), col)  # segment-local pushdown
+    for sr, docs in _segment_matches(searcher, q):
+        got = sr.stored(docs, col)  # segment-local pushdown
         vals = np.array([float(v) for v in got if v is not None],
                         dtype=np.float64)
         for i, (_label, lo, hi) in enumerate(ranges):
@@ -217,15 +207,8 @@ def taxonomy_facet_counts(searcher: Searcher, q: Query,
     ``path_cols`` stored values; every PREFIX of the path gets a
     count (getTopChildren at each level). Output: ('/'-joined path,
     count), path asc — dimension rollups first."""
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     total: Counter = Counter()
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
-        docs = np.sort(docs)
+    for sr, docs in _segment_matches(searcher, q):
         cols = [sr.stored(docs, c) for c in path_cols]
         # per-segment partial counts of every path prefix (combiner)
         for parts in zip(*cols):
@@ -249,15 +232,9 @@ def facet_counts_multi(searcher: Searcher, q: Query,
     is a LIST column; every element of a matching doc's set counts
     once (docs may carry any number of labels). Output:
     (value, count), count desc then value asc — FacetResult order."""
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     total: Counter = Counter()
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
-        for vals in sr.stored(np.sort(docs), col):
+    for sr, docs in _segment_matches(searcher, q):
+        for vals in sr.stored(docs, col):
             if vals is None:
                 continue
             for v in vals:
@@ -280,15 +257,8 @@ def taxonomy_facet_sum_associations(searcher: Searcher, q: Query,
     column here, the IntAssociationFacetField payload in the
     reference) to every prefix of its category path. Output:
     ('/'-joined path, sum), path asc."""
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     total: Counter = Counter()
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
-        docs = np.sort(docs)
+    for sr, docs in _segment_matches(searcher, q):
         cols = [sr.stored(docs, c) for c in path_cols]
         vals = sr.stored(docs, value_col)
         for parts, v in zip(zip(*cols), vals):
@@ -320,15 +290,8 @@ def sampled_facet_counts(searcher: Searcher, q: Query, col: str,
     (value, sampled_count), value asc."""
     import hashlib as _hl
 
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
     total: Counter = Counter()
-    for sr in searcher.reader.segments():
-        docs = searcher._match_docs(sr, q)
-        if len(docs) == 0:
-            continue
-        docs = np.sort(docs)
+    for sr, docs in _segment_matches(searcher, q):
         keep = np.array([
             int(_hl.md5(f"{salt}:{d}".encode()).hexdigest()[:8], 16)
             % 100 < pct
@@ -356,13 +319,10 @@ def diversified_topk(searcher: Searcher, q: Query, col: str,
     which is exactly "rank-within-key <= cap then global top-k".
     Keys come from the stored ``col`` (the reference uses a
     NumericDocValues key source). Returns (doc_id, rank)."""
-    q = searcher.rewrite(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
-    prep = searcher._prepare(q)
+    w = searcher.weight(q)
     parts_d, parts_s, keys = [], [], []
     for sr in searcher.reader.segments():
-        d, s = searcher._eval(sr, prep, k, -np.inf, top=False)
+        d, s = w.scores(sr, k, -np.inf, False)
         if d is None or len(d) == 0:
             continue
         parts_d.append(np.asarray(d, dtype=np.int64))

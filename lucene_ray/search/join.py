@@ -27,10 +27,7 @@ def block_join_parents(searcher: Searcher, child_query: Query,
     """(parent docIDs sorted, combined scores float32) for parents with
     >= 1 matching child. score_mode: 'none' | 'total' | 'max' | 'avg'."""
     assert score_mode in ("none", "total", "max", "avg")
-    q = searcher.rewrite(child_query)
-    prep = searcher._prepare(q)
-    from .query import query_terms
-    searcher._prefetch(sorted(set(query_terms(q))))
+    w = searcher.weight(child_query)
     # join GLOBALLY (docIDs are global, segments doc-ordered): a block
     # may straddle a segment boundary, so the nearest-parent-above
     # lookup runs over the concatenated parent set
@@ -39,12 +36,10 @@ def block_join_parents(searcher: Searcher, child_query: Query,
         parents = sr.numeric_range_docs(parent_col, 1, 1)
         if len(parents):
             p_parts.append(parents)
-        cdocs, cscores = searcher._eval(sr, prep, 10, -np.inf)
+        cdocs, cscores = w.scores(sr, 10, -np.inf, False)
         if cdocs is not None and len(cdocs):
             c_parts.append(cdocs)
-            s_parts.append(cscores.astype(np.float64)
-                           if cscores is not None
-                           else np.zeros(len(cdocs)))
+            s_parts.append(cscores.astype(np.float64))
     if not p_parts or not c_parts:
         return np.empty(0, np.int64), np.empty(0, np.float32)
     # segments from streaming builds may interleave doc ranges; the

@@ -6,9 +6,11 @@ per-field BM25 stats/norms); boolean/dismax trees combine the COMPLETE
 per-leaf (docs, scores) on global docIDs — the BooleanWeight-over-
 fields analog (``index/FieldInfos.java`` gives the reference per-field
 postings inside one segment; here each field is its own index sharing
-docIDs). Combination semantics mirror ``Searcher._eval_nested``:
-scores sum in double, FILTER matches without scoring, minShouldMatch
-gates SHOULD, DisMax = max + tie_breaker * rest.
+docIDs). Trees combine in ``searcher._combine_bool`` /
+``_combine_dismax``, the combiners of the single-field nested-boolean
+and dismax weights: scores sum in double, FILTER matches without
+scoring, minShouldMatch gates SHOULD, DisMax = max + tie_breaker *
+rest.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from .query import (
     Query,
 )
 from .reader import IndexReader
-from .searcher import Searcher, TopDocs, _top_k
+from .searcher import (
+    Searcher,
+    TopDocs,
+    _combine_bool,
+    _combine_dismax,
+    _top_k,
+)
 
 
 class MultiFieldSearcher:
@@ -52,12 +60,12 @@ class MultiFieldSearcher:
             q = replace(q, field=None)
         return s.eval_complete(q)
 
-    def _eval(self, q: Query):
+    def _evaluate(self, q: Query):
         if isinstance(q, BoostQuery):
-            d, s = self._eval(q.inner)
+            d, s = self._evaluate(q.inner)
             return d, s * np.float64(q.boost)
         if isinstance(q, ConstantScoreQuery):
-            d, _ = self._eval(q.inner)
+            d, _ = self._evaluate(q.inner)
             return d, np.full(len(d), np.float64(q.boost))
         if isinstance(q, MatchAllDocsQuery):
             parts = [sr.doc_ids.astype(np.int64)
@@ -67,78 +75,26 @@ class MultiFieldSearcher:
                     else np.empty(0, np.int64))
             return docs, np.full(len(docs), np.float64(q.boost))
         if isinstance(q, DisjunctionMaxQuery):
-            per = [self._eval(s) for s in q.disjuncts]
-            per = [(d, s) for d, s in per if len(d)]
-            if not per:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-            cand = np.unique(np.concatenate([d for d, _ in per]))
-            mx = np.full(len(cand), -np.inf)
-            total = np.zeros(len(cand), np.float64)
-            for d, s in per:
-                pos = np.searchsorted(cand, d)
-                np.maximum.at(mx, pos, s)
-                total[pos] += s
-            return cand, mx + q.tie_breaker * (total - mx)
+            return _combine_dismax([self._evaluate(s) for s in q.disjuncts],
+                                   q.tie_breaker)
         if isinstance(q, BooleanQuery):
-            return self._eval_bool(q)
+            return _combine_bool(
+                [self._evaluate(c) for c in q.must],
+                [self._evaluate(c)[0] for c in q.filter],
+                [self._evaluate(c) for c in q.should], q.min_should_match,
+                (self._evaluate(c)[0] for c in q.must_not))
         return self._leaf(q)
-
-    def _eval_bool(self, q: BooleanQuery):
-        empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-        m_parts = [self._eval(c) for c in q.must]
-        f_parts = [self._eval(c)[0] for c in q.filter]
-        cand = None
-        for d, _ in m_parts:
-            cand = d if cand is None else cand[np.isin(cand, d,
-                                                       assume_unique=True)]
-        for d in f_parts:
-            cand = d if cand is None else cand[np.isin(cand, d,
-                                                       assume_unique=True)]
-        s_parts = [self._eval(c) for c in q.should]
-        msm = q.min_should_match
-        if cand is None:
-            if not s_parts:
-                return empty
-            msm = max(msm, 1)
-            parts = [d for d, _ in s_parts if len(d)]
-            if not parts:
-                return empty
-            cand = np.unique(np.concatenate(parts))
-        if len(cand) == 0:
-            return empty
-        sums = np.zeros(len(cand), np.float64)
-        counts = np.zeros(len(cand), np.int64)
-        for d, s in m_parts + s_parts:
-            idx = np.searchsorted(cand, d)
-            ok = (idx < len(cand)) & \
-                (cand[np.minimum(idx, len(cand) - 1)] == d)
-            sums[idx[ok]] += s[ok]
-        for d, _ in s_parts:
-            idx = np.searchsorted(cand, d)
-            ok = (idx < len(cand)) & \
-                (cand[np.minimum(idx, len(cand) - 1)] == d)
-            counts[idx[ok]] += 1
-        if s_parts and msm > 0:
-            keep = counts >= msm
-            cand, sums = cand[keep], sums[keep]
-        for c in q.must_not:
-            if len(cand) == 0:
-                break
-            d, _ = self._eval(c)
-            keep = ~np.isin(cand, d, assume_unique=True)
-            cand, sums = cand[keep], sums[keep]
-        return cand, sums
 
     # -- public API ----------------------------------------------------------
     def search(self, q: Query, k: int = 10) -> TopDocs:
-        docs, scores = self._eval(q)
+        docs, scores = self._evaluate(q)
         if len(docs) == 0:
             return TopDocs(np.empty(0, np.int64), np.empty(0, np.float32))
         sc = scores if self.exact64 else scores.astype(np.float32)
         return _top_k(docs, sc, k)
 
     def match_docs(self, q: Query) -> np.ndarray:
-        docs, _ = self._eval(q)
+        docs, _ = self._evaluate(q)
         return docs
 
     def count(self, q: Query) -> int:

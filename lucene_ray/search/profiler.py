@@ -22,7 +22,15 @@ import time
 import numpy as np
 import pyarrow as pa
 
-from .query import BooleanQuery, BoostQuery, ConstantScoreQuery, Query
+from .query import (
+    BooleanQuery,
+    BoostQuery,
+    ConstantScoreQuery,
+    CoveringQuery,
+    DisjunctionMaxQuery,
+    FunctionScoreQuery,
+    Query,
+)
 
 
 def _children(q: Query):
@@ -30,9 +38,12 @@ def _children(q: Query):
         for name in ("must", "should", "must_not", "filter"):
             for i, c in enumerate(getattr(q, name)):
                 yield f"{name}[{i}]", c
-    elif isinstance(q, (BoostQuery, ConstantScoreQuery)):
+    elif isinstance(q, (BoostQuery, ConstantScoreQuery, FunctionScoreQuery)):
         yield "inner", q.inner
-    elif hasattr(q, "queries"):  # CoveringQuery / DisjunctionMax
+    elif isinstance(q, DisjunctionMaxQuery):
+        for i, c in enumerate(q.disjuncts):
+            yield f"disjuncts[{i}]", c
+    elif isinstance(q, CoveringQuery):
         for i, c in enumerate(q.queries):
             yield f"queries[{i}]", c
 

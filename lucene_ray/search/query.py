@@ -634,7 +634,7 @@ def query_terms(q: Query) -> list[str]:
             for sub in group:
                 out.extend(query_terms(sub))
         return out
-    if isinstance(q, (ConstantScoreQuery, BoostQuery)):
+    if isinstance(q, (ConstantScoreQuery, BoostQuery, FunctionScoreQuery)):
         return query_terms(q.inner)
     if isinstance(q, DisjunctionMaxQuery):
         out = []

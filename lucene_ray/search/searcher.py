@@ -16,10 +16,20 @@ Mirrors the reference query path (SURVEY.md §3.3):
 - scores: float32 per term, summed in double, cast to float
   (DisjunctionSumScorer semantics); every pruned path is bit-identical
   to the exhaustive evaluation
+
+Every entry point (search, collect, eval_complete, count, match_docs,
+explain, the facet/join/sort/delete helpers) goes through
+``Searcher.weight(q)``: rewrite, global term stats once per query node,
+one batched postings read per segment, then one weight object per node
+(``_WEIGHTS`` maps each rewritten query class to its weight class).
+A weight's ``scores(sr, k, threshold, top)`` and ``matches(sr)`` run
+per segment; only the top-level weight of ``search`` may prune.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +64,6 @@ from .query import (
     query_terms,
 )
 from .reader import IndexReader, SegmentReader
-from ..codecs.postings import unpack_postings
 
 _MULTI_TERM = (PrefixQuery, WildcardQuery, RegexpQuery, TermRangeQuery,
                FuzzyQuery)
@@ -219,14 +228,9 @@ class Searcher:
             return DisjunctionMaxQuery(
                 tuple(self.rewrite(s, boost) for s in q.disjuncts),
                 q.tie_breaker)
-        if isinstance(q, MatchAllDocsQuery):
-            return MatchAllDocsQuery(q.boost * boost)
-        if isinstance(q, NumericRangeQuery):
-            from dataclasses import replace as _rep
-            return _rep(q, boost=q.boost * boost)
-        if isinstance(q, DocValuesTermsQuery):
-            from dataclasses import replace as _rep
-            return _rep(q, boost=q.boost * boost)
+        if isinstance(q, (MatchAllDocsQuery, NumericRangeQuery,
+                          DocValuesTermsQuery)):
+            return replace(q, boost=q.boost * boost)
         if isinstance(q, PhraseQuery):
             if len(q.terms) == 1:
                 return TermQuery(q.terms[0], q.boost * boost)
@@ -323,13 +327,18 @@ class Searcher:
         raise TypeError(f"unknown query type {type(q)}")
 
     # -- public API ---------------------------------------------------------
-    def _prefetch(self, terms: list[str]) -> None:
-        """Load all query terms' posting rows, segment by segment, with
-        one batched row-group-pruned read per shard. Warm segments
-        return without a read."""
+    def weight(self, q: Query) -> "_Weight":
+        """``IndexSearcher.createWeight`` (SURVEY §3.3 steps 2-3): rewrite,
+        gather the global term stats once per query node, then load every
+        query term's posting rows with one batched read per segment.
+        The returned weight scores or matches one segment at a time."""
+        q = self.rewrite(q)
+        w = _create_weight(self, q)
+        terms = sorted(set(query_terms(q)))
         if terms:
             for sr in self.reader.segments():
                 sr.ensure_terms(terms)
+        return w
 
     def search(self, q: Query, k: int = 10, *, threshold_cb=None,
                publish_cb=None) -> TopDocs:
@@ -338,11 +347,7 @@ class Searcher:
         before each segment the external floor is folded in; after each
         segment the local k-th score is published, so concurrent workers
         prune with each other's progress."""
-        q = self.rewrite(q)
-        if isinstance(q, FunctionScoreQuery):
-            return self._function_score_topk(q, k)
-        prep = self._prepare(q)
-        self._prefetch(sorted(set(query_terms(q))))
+        w = self.weight(q)
         parts = []
         threshold = -np.inf
         for sr in self.reader.segments():
@@ -350,7 +355,7 @@ class Searcher:
                 ext = threshold_cb()
                 if ext is not None and ext > threshold:
                     threshold = float(ext)
-            docs, scores = self._eval(sr, prep, k, threshold, top=True)
+            docs, scores = w.scores(sr, k, threshold, True)
             if docs is None or len(docs) == 0:
                 continue
             td = _top_k(docs, scores, k)
@@ -388,11 +393,9 @@ class Searcher:
         (sr, docs, scores) feed ``collector.collect_segment``; returns
         ``collector.result()``. Built-ins (top-k, count, facets) are
         specializations of this surface."""
-        q = self.rewrite(q)
-        prep = self._prepare(q)
-        self._prefetch(sorted(set(query_terms(q))))
+        w = self.weight(q)
         for sr in self.reader.segments():
-            docs, scores = self._eval(sr, prep, 10, -np.inf)
+            docs, scores = w.scores(sr, 10, -np.inf, False)
             if docs is not None and len(docs):
                 collector.collect_segment(sr, docs, scores)
         return collector.result()
@@ -424,12 +427,10 @@ class Searcher:
         """COMPLETE (docs, scores float64) across all segments, unpruned
         — the building block cross-field/cross-index combiners use
         (docs sorted ascending, scores aligned)."""
-        q = self.rewrite(q)
-        prep = self._prepare(q)
-        self._prefetch(sorted(set(query_terms(q))))
+        w = self.weight(q)
         parts_d, parts_s = [], []
         for sr in self.reader.segments():
-            d, s = self._eval(sr, prep, 10, -np.inf, top=False)
+            d, s = w.scores(sr, 10, -np.inf, False)
             if d is not None and len(d):
                 parts_d.append(d)
                 parts_s.append(s.astype(np.float64))
@@ -460,25 +461,6 @@ class Searcher:
                     missing[j] = False
         return vals
 
-    def _function_score_topk(self, q: FunctionScoreQuery, k: int) -> TopDocs:
-        """FunctionScoreQuery evaluation: complete inner (docs, scores),
-        doc-value fetch for the expression's columns, one vectorized
-        expression eval, top-k (ties -> lower docID). Unpruned by
-        design — expression scores are opaque to block-max bounds."""
-        from .expressions import compile_expression
-
-        expr = compile_expression(q.expression)
-        docs, scores = self.eval_complete(q.inner)
-        if len(docs) == 0:
-            return TopDocs(np.empty(0, np.int64), np.empty(0, np.float64))
-        variables = {"_score": scores}
-        for col in sorted(expr.variables - {"_score"}):
-            variables[col] = self.doc_values(docs, col)
-        new = np.broadcast_to(
-            np.asarray(expr(variables) * q.boost, np.float64),
-            docs.shape).copy()  # constant expressions yield 0-d
-        return _top_k(docs, new, k)
-
     def explain(self, q: Query, doc_id: int) -> dict:
         """``IndexSearcher.explain(Query, doc)`` role: an Explanation
         tree ``{value, description, details: [...]}`` whose root value
@@ -486,8 +468,6 @@ class Searcher:
         the doc doesn't match). Term clauses break down into the
         exact64 BM25 factors (idf, tf, dl, avgdl) the way
         ``BM25Similarity.explain`` does."""
-        import math
-
         q = self.rewrite(q)
         if isinstance(q, TermQuery):
             docs, scores = self.eval_complete(q)
@@ -525,7 +505,7 @@ class Searcher:
                 ],
             }
         if isinstance(q, ConstantScoreQuery):
-            if len(self._seg_match([doc_id], q)) == 0:
+            if doc_id not in self.match_docs(q):
                 return {"value": 0.0, "description": "no match",
                         "details": []}
             return {"value": float(q.boost),
@@ -534,8 +514,7 @@ class Searcher:
         if isinstance(q, BooleanQuery):
             details = []
             total = 0.0
-            matched = self._seg_match([doc_id], q)
-            if len(matched) == 0:
+            if doc_id not in self.match_docs(q):
                 return {"value": 0.0,
                         "description": "no match (boolean)", "details": []}
             for group, name in ((q.must, "must"), (q.should, "should")):
@@ -558,316 +537,36 @@ class Searcher:
         return {"value": float(scores[pos]),
                 "description": type(q).__name__, "details": []}
 
-    def _seg_match(self, ids, q: Query) -> np.ndarray:
-        """Of ``ids``, those matching q (helper for explain)."""
-        ids = np.asarray(ids, dtype=np.int64)
-        out = []
-        for sr in self.reader.segments():
-            d = self._match_docs(sr, q)
-            out.append(ids[np.isin(ids, d)])
-        return np.unique(np.concatenate(out)) if out else \
-            np.empty(0, np.int64)
-
     def count(self, q: Query) -> int:
-        q = self.rewrite(q)
-        self._prefetch(sorted(set(query_terms(q))))
-        total = 0
-        for sr in self.reader.segments():
-            docs = self._match_docs(sr, q)
-            total += len(docs)
-        return total
+        w = self.weight(q)
+        return sum(len(w.matches(sr)) for sr in self.reader.segments())
 
     def match_docs(self, q: Query) -> np.ndarray:
         """All matching global docIDs, sorted (match-only, no scores)."""
-        q = self.rewrite(q)
-        self._prefetch(sorted(set(query_terms(q))))
-        out = []
-        for sr in self.reader.segments():
-            docs = self._match_docs(sr, q)
-            if len(docs):
-                out.append(docs)
+        w = self.weight(q)
+        out = [d for d in (w.matches(sr) for sr in self.reader.segments())
+               if len(d)]
         return np.sort(np.concatenate(out)) if out else np.empty(0, np.int64)
-
-    # -- generalized per-segment evaluation ---------------------------------
-    def _prepare(self, q: Query):
-        if isinstance(q, BooleanQuery) and any(
-                not isinstance(c, TermQuery)
-                for c in (*q.must, *q.should, *q.must_not, *q.filter)):
-            # nested boolean (query-parser groups): generic recursive
-            # evaluation — children return COMPLETE (docs, scores)
-            return ("nbool",
-                    [self._prepare(c) for c in q.must],
-                    [self._prepare(c) for c in q.should],
-                    [self._prepare(c) for c in q.must_not],
-                    [self._prepare(c) for c in q.filter],
-                    q.min_should_match)
-        if isinstance(q, (TermQuery, BooleanQuery)):
-            return ("bool", self._plan(q))
-        if isinstance(q, ConstantScoreQuery):
-            return ("const", self._prepare(q.inner), np.float64(q.boost))
-        if isinstance(q, MatchAllDocsQuery):
-            return ("matchall", np.float64(q.boost))
-        if isinstance(q, NumericRangeQuery):
-            return ("numrange", q)
-        if isinstance(q, DocValuesTermsQuery):
-            return ("dvterms", q)
-        if isinstance(q, DisjunctionMaxQuery):
-            return ("dismax", [self._prepare(s) for s in q.disjuncts],
-                    float(q.tie_breaker))
-        if isinstance(q, CoveringQuery):
-            from .expressions import compile_expression
-            return ("covering", [self._prepare(s) for s in q.queries],
-                    compile_expression(q.min_match))
-        if isinstance(q, (PhraseQuery, SpanNearQuery)):
-            stats = self.reader.term_stats(list(q.terms))
-            n = self.reader.doc_count
-            # idf summed in double then cast (BM25Similarity.idfExplain)
-            idf_sum = 0.0
-            dfs = []
-            for t in q.terms:
-                df = stats[t][0]
-                dfs.append(df)
-                if df > 0:
-                    idf_sum += float(bm25.idf(df, n))
-            weight = np.float32(np.float32(q.boost) * np.float32(idf_sum))
-            if isinstance(q, SpanNearQuery):
-                return ("span", q.terms, weight, dfs, q.slop, q.in_order)
-            return ("phrase", q.terms, weight, dfs, q.slop)
-        if isinstance(q, MultiPhraseQuery):
-            # idf over every alternative in every slot
-            # (MultiPhraseWeight collects all TermStatistics)
-            flat = [t for alts in q.positions for t in alts]
-            stats = self.reader.term_stats(flat)
-            n = self.reader.doc_count
-            idf_sum = 0.0
-            dfs = []
-            for t in flat:
-                df = stats[t][0]
-                dfs.append(df)
-                if df > 0:
-                    idf_sum += float(bm25.idf(df, n))
-            weight = np.float32(np.float32(q.boost) * np.float32(idf_sum))
-            return ("mphrase", q.positions, weight, dfs, 0)
-        raise TypeError(f"unpreparable query {type(q)}")
-
-    def _eval(self, sr: SegmentReader, prep, k: int, threshold: float,
-              top: bool = False):
-        kind = prep[0]
-        if kind == "bool":
-            return self._match_and_score(sr, prep[1], scoring=True,
-                                         k=k, threshold=threshold, top=top)
-        if kind == "const":
-            inner = prep[1]
-            if inner[0] == "bool":  # match-only, skip inner scoring
-                docs, _ = self._match_and_score(sr, inner[1], scoring=False)
-            else:
-                docs, _ = self._eval(sr, inner, k, -np.inf)
-            if docs is None:
-                return None, None
-            dt = np.float64 if self.exact64 else np.float32
-            return docs, np.full(len(docs), prep[2], dtype=dt)
-        if kind == "matchall":
-            docs = sr.live_doc_ids()
-            dt = np.float64 if self.exact64 else np.float32
-            return docs, np.full(len(docs), prep[1], dtype=dt)
-        if kind in ("phrase", "span", "mphrase"):
-            if kind == "span":
-                docs, freqs = self._span_freqs(sr, prep[1], prep[4],
-                                               prep[5])
-            elif kind == "mphrase":
-                docs, freqs = self._mphrase_freqs(sr, prep[1])
-            else:
-                docs, freqs = self._phrase_freqs(sr, prep[1], prep[4])
-            if docs is None or len(docs) == 0:
-                return None, None
-            weight = prep[2]
-            if self.exact64:
-                # exact64 phrase: summed-idf weight in double, exact dl
-                import math
-                n = self.reader.doc_count
-                idf_sum = sum(math.log(1 + (n - df + 0.5) / (df + 0.5))
-                              for df in prep[3] if df > 0)
-                dl = sr.doc_lens_for(docs).astype(np.float64)
-                tf = freqs.astype(np.float64)
-                scores = idf_sum * tf / (
-                    tf + self.k1 * (1 - self.b + self.b * dl / self.avgdl64))
-                return docs, scores
-            norms = sr.norms_for(docs)
-            scores = bm25.score_freqs(freqs, norms, weight, self.cache)
-            return docs, scores
-        if kind == "numrange":
-            nq = prep[1]
-            docs = sr.numeric_range_docs(nq.column, nq.lower, nq.upper,
-                                         nq.include_lower, nq.include_upper)
-            docs, = self._live(sr, docs)
-            dt = np.float64 if self.exact64 else np.float32
-            return docs, np.full(len(docs), nq.boost, dtype=dt)
-        if kind == "dvterms":
-            dq = prep[1]
-            docs = sr.dv_terms_docs(dq.column, dq.values)
-            docs, = self._live(sr, docs)
-            dt = np.float64 if self.exact64 else np.float32
-            return docs, np.full(len(docs), dq.boost, dtype=dt)
-        if kind == "nbool":
-            return self._eval_nested(sr, prep, k)
-        if kind == "dismax":
-            per = [self._eval(sr, p, k, -np.inf) for p in prep[1]]
-            per = [(d, s) for d, s in per if d is not None and len(d)]
-            if not per:
-                return None, None
-            cand = np.unique(np.concatenate([d for d, _ in per]))
-            mx = np.full(len(cand), -np.inf)
-            total = np.zeros(len(cand), dtype=np.float64)
-            cnt = np.zeros(len(cand), dtype=np.int64)
-            for d, s in per:
-                pos = np.searchsorted(cand, d)
-                s64 = s.astype(np.float64)
-                np.maximum.at(mx, pos, s64)
-                total[pos] += s64
-                cnt[pos] += 1
-            tb = prep[2]
-            scores = mx + tb * (total - mx)
-            dt = np.float64 if self.exact64 else np.float32
-            return cand, scores.astype(dt)
-        if kind == "covering":
-            # CoveringScorer: candidates = union of sub matches; keep
-            # docs whose match COUNT >= max(1, minMatch(doc)); score =
-            # sum of the matching subs' scores (complete, unpruned —
-            # the per-doc minimum defeats block-max bounds).
-            per = [self._eval(sr, p, k, -np.inf) for p in prep[1]]
-            per = [(d, s) for d, s in per if d is not None and len(d)]
-            if not per:
-                return None, None
-            cand = np.unique(np.concatenate([d for d, _ in per]))
-            total = np.zeros(len(cand), dtype=np.float64)
-            cnt = np.zeros(len(cand), dtype=np.int64)
-            for d, s in per:
-                pos = np.searchsorted(cand, d)
-                total[pos] += s.astype(np.float64)
-                cnt[pos] += 1
-            expr = prep[2]
-            variables = {}
-            for col in sorted(expr.variables):
-                got = sr.stored(cand, col)
-                variables[col] = np.array(
-                    [float(v) if v is not None else 0.0 for v in got],
-                    dtype=np.float64)
-            need = np.broadcast_to(
-                np.asarray(expr(variables), np.float64), cand.shape)
-            keep = cnt >= np.maximum(1, np.floor(need)).astype(np.int64)
-            if not keep.any():
-                return None, None
-            dt = np.float64 if self.exact64 else np.float32
-            return cand[keep], total[keep].astype(dt)
-        raise AssertionError(kind)
-
-    def _eval_nested(self, sr: SegmentReader, prep, k: int):
-        """Generic boolean combiner over arbitrary sub-queries
-        (BooleanWeight over non-term clauses): children are evaluated
-        unpruned, scores sum in double (DisjunctionSumScorer), FILTER
-        matches without scoring, minShouldMatch gates SHOULD."""
-        _, musts, shoulds, must_nots, filters, msm = prep
-
-        def ev(p):
-            d, s = self._eval(sr, p, k, -np.inf)
-            if d is None or len(d) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-            s = (np.zeros(len(d), np.float64) if s is None
-                 else s.astype(np.float64))
-            if not np.all(d[:-1] <= d[1:]):
-                order = np.argsort(d, kind="stable")
-                d, s = d[order], s[order]
-            return d, s
-
-        m_parts = [ev(p) for p in musts]
-        f_parts = [ev(p)[0] for p in filters]
-        cand = None
-        for d, _ in m_parts:
-            cand = d if cand is None else cand[np.isin(cand, d,
-                                                       assume_unique=True)]
-        for d in f_parts:
-            cand = d if cand is None else cand[np.isin(cand, d,
-                                                       assume_unique=True)]
-        s_parts = [ev(p) for p in shoulds]
-        eff_msm = msm
-        if cand is None:
-            if not s_parts:
-                return None, None
-            eff_msm = max(msm, 1)
-            parts = [d for d, _ in s_parts if len(d)]
-            if not parts:
-                return None, None
-            cand = np.unique(np.concatenate(parts))
-        if len(cand) == 0:
-            return None, None
-        sums = np.zeros(len(cand), np.float64)
-        counts = np.zeros(len(cand), np.int64)
-        for d, s in m_parts:
-            idx = np.searchsorted(cand, d)
-            ok = (idx < len(cand)) & (cand[np.minimum(idx, len(cand) - 1)] == d)
-            sums[idx[ok]] += s[ok]
-        for d, s in s_parts:
-            idx = np.searchsorted(cand, d)
-            ok = (idx < len(cand)) & (cand[np.minimum(idx, len(cand) - 1)] == d)
-            sums[idx[ok]] += s[ok]
-            counts[idx[ok]] += 1
-        if s_parts and eff_msm > 0:
-            keep = counts >= eff_msm
-            cand, sums = cand[keep], sums[keep]
-        for p in must_nots:
-            if len(cand) == 0:
-                break
-            d, _ = ev(p)
-            keep = ~np.isin(cand, d, assume_unique=True)
-            cand, sums = cand[keep], sums[keep]
-        if len(cand) == 0:
-            return None, None
-        return cand, (sums if self.exact64 else sums.astype(np.float32))
 
     def _phrase_freqs(self, sr: SegmentReader, terms: tuple, slop: int = 0):
         """(docs, phrase_freq) for a phrase in one segment.
 
-        slop == 0 — vectorized ExactPhraseMatcher: occurrences become
-        keys ``doc_ord * 2^32 + (pos - i)``; intersecting the key sets
-        across terms leaves one key per phrase start.
+        slop == 0 — vectorized ExactPhraseMatcher (``_exact_phrase``).
         slop > 0 — SloppyPhraseMatcher pq walk per candidate doc."""
         if slop > 0:
             return self._sloppy_freqs(sr, terms, slop)
-        per_term = []
-        for t in terms:
-            got = sr.get_positions(t)
-            if got is None:
-                return None, None
-            per_term.append(got)
-        # candidate docs = conjunction (live only)
-        cand, = self._live(sr, per_term[0][0])
-        for docs, _f, _p in per_term[1:]:
-            cand = cand[np.isin(cand, docs, assume_unique=True)]
-            if len(cand) == 0:
-                return None, None
-        keys = None
-        off = len(terms)  # keeps (pos - i + off) >= 0 within the ord block
-        for i, (docs, freqs, pos) in enumerate(per_term):
-            occ_doc = np.repeat(docs, freqs)
-            sel = np.isin(occ_doc, cand)
-            k = (np.searchsorted(cand, occ_doc[sel]).astype(np.int64) << 32) \
-                + (pos[sel] - i + off)
-            keys = k if keys is None else keys[np.isin(keys, k,
-                                                       assume_unique=True)]
-            if len(keys) == 0:
-                return None, None
-        doc_ord = (keys >> 32).astype(np.int64)
-        pfreq = np.bincount(doc_ord, minlength=len(cand))
-        hit = pfreq > 0
-        return cand[hit], pfreq[hit].astype(np.int32)
+        got = self._phrase_cand(sr, terms)
+        if got is None:
+            return None, None
+        per_term, cand = got
+        return self._exact_phrase(cand, [(np.repeat(docs, freqs), pos)
+                                         for docs, freqs, pos in per_term])
 
     def _mphrase_freqs(self, sr: SegmentReader, positions: tuple):
         """(docs, phrase_freq) for a MultiPhraseQuery in one segment:
         each slot's occurrence set is the UNION of its alternatives'
         (doc, pos) pairs (MultiPhraseQuery.UnionPostingsEnum role), then
-        the exact-phrase key intersection runs unchanged — occurrences
-        become ``doc_ord * 2^32 + (pos - slot)`` keys whose cross-slot
-        intersection leaves one key per phrase start."""
+        the exact-phrase key intersection runs unchanged."""
         slot_occ = []
         for alts in positions:
             docs_l, pos_l = [], []
@@ -887,13 +586,21 @@ class Searcher:
             cand = cand[np.isin(cand, od)]
             if len(cand) == 0:
                 return None, None
+        return self._exact_phrase(cand, slot_occ)
+
+    @staticmethod
+    def _exact_phrase(cand: np.ndarray, slot_occ: list):
+        """Exact-phrase freqs of the ``cand`` docs from each slot's
+        occurrences (occ_doc, pos): occurrences become keys
+        ``doc_ord * 2^32 + (pos - slot)``; intersecting the key sets
+        across slots leaves one key per phrase start."""
         keys = None
-        off = len(slot_occ)
+        off = len(slot_occ)  # keeps (pos - i + off) >= 0 within the ord block
         for i, (od, op) in enumerate(slot_occ):
             sel = np.isin(od, cand)
             k = (np.searchsorted(cand, od[sel]).astype(np.int64) << 32) \
                 + (op[sel] - i + off)
-            k = np.unique(k)  # alternatives can't collide, but be safe
+            k = np.unique(k)  # assume_unique below relies on it
             keys = k if keys is None else keys[np.isin(keys, k,
                                                        assume_unique=True)]
             if len(keys) == 0:
@@ -902,6 +609,47 @@ class Searcher:
         pfreq = np.bincount(doc_ord, minlength=len(cand))
         hit = pfreq > 0
         return cand[hit], pfreq[hit].astype(np.int32)
+
+    def _phrase_cand(self, sr: SegmentReader, terms: tuple):
+        """(per-term positional postings, live docs holding every term),
+        or None when a term is absent or no doc holds them all."""
+        per_term = []
+        for t in terms:
+            got = sr.get_positions(t)
+            if got is None:
+                return None
+            per_term.append(got)
+        cand, = self._live(sr, per_term[0][0])
+        for docs, _f, _p in per_term[1:]:
+            cand = cand[np.isin(cand, docs, assume_unique=True)]
+        return (per_term, cand) if len(cand) else None
+
+    @staticmethod
+    def _per_doc_freqs(per_term: list, cand: np.ndarray, shift: int,
+                       freq_of):
+        """Cut each slot's occurrences in the ``cand`` docs (positions
+        minus ``shift * slot``) into per-doc position arrays; keep the
+        docs where ``freq_of(slots)`` is positive."""
+        slot_pos: list[np.ndarray] = []
+        slot_bounds: list[np.ndarray] = []
+        for i, (docs, freqs, pos) in enumerate(per_term):
+            occ_doc = np.repeat(docs, freqs)
+            sel = np.isin(occ_doc, cand)
+            slot_pos.append(pos[sel] - i * shift)
+            # occ_doc is sorted (docs sorted, repeat preserves order)
+            slot_bounds.append(np.searchsorted(occ_doc[sel], cand))
+        out_docs, out_freqs = [], []
+        for j in range(len(cand)):
+            slots = [p[b[j]:(b[j + 1] if j + 1 < len(cand) else len(p))]
+                     for p, b in zip(slot_pos, slot_bounds)]
+            freq = freq_of(slots)
+            if freq > 0:
+                out_docs.append(cand[j])
+                out_freqs.append(freq)
+        if not out_docs:
+            return None, None
+        return (np.asarray(out_docs, dtype=np.int64),
+                np.asarray(out_freqs, dtype=np.float64))
 
     def _sloppy_freqs(self, sr: SegmentReader, terms: tuple, slop: int):
         """SloppyPhraseMatcher analog (search/SloppyPhraseMatcher.java,
@@ -915,48 +663,15 @@ class Searcher:
         use the same walk with a distinct-source check per state (the
         reference's repeats machinery, SloppyPhraseMatcher.java:180-260,
         is approximated)."""
-        per_term = []
-        for t in terms:
-            got = sr.get_positions(t)
-            if got is None:
-                return None, None
-            per_term.append(got)
-        cand, = self._live(sr, per_term[0][0])
-        for docs, _f, _p in per_term[1:]:
-            cand = cand[np.isin(cand, docs, assume_unique=True)]
-            if len(cand) == 0:
-                return None, None
-        n = len(terms)
-        has_repeats = len(set(terms)) < n
-        # per slot: occurrences restricted to cand docs, grouped by doc
-        slot_pos: list[np.ndarray] = []
-        slot_bounds: list[np.ndarray] = []
-        for i, (docs, freqs, pos) in enumerate(per_term):
-            occ_doc = np.repeat(docs, freqs)
-            sel = np.isin(occ_doc, cand)
-            od = occ_doc[sel]
-            ap = pos[sel] - i  # adjusted position
-            slot_pos.append(ap)
-            # od is sorted (docs sorted, repeat preserves order)
-            slot_bounds.append(np.searchsorted(od, cand))
-        rpt_grp = self._repeat_groups(terms)
-        out_docs, out_freqs = [], []
-        for j in range(len(cand)):
-            slots = []
-            for i in range(n):
-                lo = slot_bounds[i][j]
-                hi = slot_bounds[i][j + 1] if j + 1 < len(cand) \
-                    else len(slot_pos[i])
-                slots.append(slot_pos[i][lo:hi])
-            freq = self._sloppy_freq_doc(slots, rpt_grp, slop,
-                                         has_repeats)
-            if freq > 0:
-                out_docs.append(cand[j])
-                out_freqs.append(freq)
-        if not out_docs:
+        got = self._phrase_cand(sr, terms)
+        if got is None:
             return None, None
-        return (np.asarray(out_docs, dtype=np.int64),
-                np.asarray(out_freqs, dtype=np.float64))
+        rpt_grp = self._repeat_groups(terms)
+        has_repeats = len(set(terms)) < len(terms)
+        return self._per_doc_freqs(
+            *got, 1,
+            lambda slots: self._sloppy_freq_doc(slots, rpt_grp, slop,
+                                                has_repeats))
 
     @staticmethod
     def _repeat_groups(terms: tuple) -> list[int]:
@@ -1090,48 +805,19 @@ class Searcher:
         its first position strictly after the previous clause's).
         freq accumulates sloppyWeight(gaps) per minimal window
         (SpanScorer analog)."""
-        per_term = []
-        for t in terms:
-            got = sr.get_positions(t)
-            if got is None:
-                return None, None
-            per_term.append(got)
-        cand, = self._live(sr, per_term[0][0])
-        for docs, _f, _p in per_term[1:]:
-            cand = cand[np.isin(cand, docs, assume_unique=True)]
-            if len(cand) == 0:
-                return None, None
+        got = self._phrase_cand(sr, terms)
+        if got is None:
+            return None, None
         n = len(terms)
         has_repeats = len(set(terms)) < n
         rpt_grp = self._repeat_groups(terms)
-        slot_pos: list[np.ndarray] = []
-        slot_bounds: list[np.ndarray] = []
-        for i, (docs, freqs, pos) in enumerate(per_term):
-            occ_doc = np.repeat(docs, freqs)
-            sel = np.isin(occ_doc, cand)
-            slot_pos.append(pos[sel])  # RAW positions (no offset shift)
-            slot_bounds.append(np.searchsorted(occ_doc[sel], cand))
-        out_docs, out_freqs = [], []
-        for j in range(len(cand)):
-            slots = []
-            for i in range(n):
-                lo = slot_bounds[i][j]
-                hi = slot_bounds[i][j + 1] if j + 1 < len(cand) \
-                    else len(slot_pos[i])
-                slots.append(slot_pos[i][lo:hi])
+
+        def freq_of(slots):
             if in_order:
-                freq = self._ordered_span_freq(slots, slop)
-            else:
-                freq = self._sloppy_freq_doc(
-                    slots, rpt_grp, slop, has_repeats,
-                    offsets=[0] * n, span_offset=n - 1)
-            if freq > 0:
-                out_docs.append(cand[j])
-                out_freqs.append(freq)
-        if not out_docs:
-            return None, None
-        return (np.asarray(out_docs, dtype=np.int64),
-                np.asarray(out_freqs, dtype=np.float64))
+                return self._ordered_span_freq(slots, slop)
+            return self._sloppy_freq_doc(slots, rpt_grp, slop, has_repeats,
+                                         offsets=[0] * n, span_offset=n - 1)
+        return self._per_doc_freqs(*got, 0, freq_of)  # RAW positions
 
     @staticmethod
     def _ordered_span_freq(slots, slop: int) -> float:
@@ -1201,48 +887,6 @@ class Searcher:
         dfs(0, set(), 10**15, -10**15)
         return best
 
-    def _match_docs(self, sr: SegmentReader, q: Query) -> np.ndarray:
-        if isinstance(q, FunctionScoreQuery):
-            return self._match_docs(sr, q.inner)
-        if isinstance(q, CoveringQuery):
-            docs, _ = self._eval(sr, self._prepare(q), 10, -np.inf)
-            return docs if docs is not None else np.empty(0, np.int64)
-        if isinstance(q, (TermQuery, BooleanQuery)):
-            prep = self._prepare(q)
-            if prep[0] == "nbool":
-                docs, _ = self._eval_nested(sr, prep, 10)
-                return docs if docs is not None else np.empty(0, np.int64)
-            docs, _ = self._match_and_score(sr, prep[1], scoring=False)
-            return docs if docs is not None else np.empty(0, np.int64)
-        if isinstance(q, ConstantScoreQuery):
-            return self._match_docs(sr, q.inner)
-        if isinstance(q, MatchAllDocsQuery):
-            return sr.live_doc_ids()
-        if isinstance(q, NumericRangeQuery):
-            docs = sr.numeric_range_docs(q.column, q.lower, q.upper,
-                                         q.include_lower, q.include_upper)
-            docs, = self._live(sr, docs)
-            return docs
-        if isinstance(q, DocValuesTermsQuery):
-            docs = sr.dv_terms_docs(q.column, q.values)
-            docs, = self._live(sr, docs)
-            return docs
-        if isinstance(q, DisjunctionMaxQuery):
-            parts = [self._match_docs(sr, s) for s in q.disjuncts]
-            parts = [p for p in parts if len(p)]
-            return (np.unique(np.concatenate(parts))
-                    if parts else np.empty(0, np.int64))
-        if isinstance(q, PhraseQuery):
-            docs, _ = self._phrase_freqs(sr, q.terms, q.slop)
-            return docs if docs is not None else np.empty(0, np.int64)
-        if isinstance(q, MultiPhraseQuery):
-            docs, _ = self._mphrase_freqs(sr, q.positions)
-            return docs if docs is not None else np.empty(0, np.int64)
-        if isinstance(q, SpanNearQuery):
-            docs, _ = self._span_freqs(sr, q.terms, q.slop, q.in_order)
-            return docs if docs is not None else np.empty(0, np.int64)
-        raise TypeError(f"unmatchable query {type(q)}")
-
     # -- per-segment --------------------------------------------------------
     @staticmethod
     def _live(sr: SegmentReader, docs: np.ndarray, *arrs):
@@ -1253,13 +897,6 @@ class Searcher:
         if m is None:
             return (docs, *arrs)
         return (docs[m], *[a[m] for a in arrs])
-
-    def _decode_scored(self, sr: SegmentReader, t: _TermPlan):
-        p = sr.get_postings(t.term)
-        if p is None:
-            return None, None, None
-        docs, freqs = unpack_postings(p)
-        return p, docs, freqs
 
     def _match_and_score(self, sr: SegmentReader, plan: dict, *, scoring: bool,
                          k: int = 10, threshold: float = -np.inf,
@@ -1638,3 +1275,344 @@ class Searcher:
         if not out_docs:
             return None, None, None
         return np.concatenate(out_docs), np.concatenate(out_sums), None
+
+
+# -- combiners over complete (docs, scores) on one doc space ----------------
+# Shared by the nested-boolean and dismax weights and by
+# ``MultiFieldSearcher``; sums run in double in clause order, so every
+# caller gets bit-identical scores.
+
+def _combine_bool(m_parts, f_parts, s_parts, msm, must_nots):
+    """BooleanWeight over non-term clauses: MUST and FILTER intersect,
+    scores sum MUST then SHOULD (DisjunctionSumScorer), minShouldMatch
+    gates SHOULD, MUST_NOT excludes. ``m_parts``/``s_parts`` are
+    (docs sorted, float64 scores); ``f_parts`` and the lazily consumed
+    ``must_nots`` are doc arrays. Returns (docs, float64 sums)."""
+    empty = (np.empty(0, np.int64), np.empty(0, np.float64))
+    cand = None
+    for d in [d for d, _ in m_parts] + list(f_parts):
+        cand = d if cand is None else cand[np.isin(cand, d,
+                                                   assume_unique=True)]
+    if cand is None:
+        parts = [d for d, _ in s_parts if len(d)]
+        if not parts:
+            return empty
+        msm = max(msm, 1)
+        cand = np.unique(np.concatenate(parts))
+    if len(cand) == 0:
+        return empty
+    sums = np.zeros(len(cand), np.float64)
+    counts = np.zeros(len(cand), np.int64)
+    for i, (d, s) in enumerate(m_parts + s_parts):
+        idx = np.searchsorted(cand, d)
+        ok = (idx < len(cand)) & (cand[np.minimum(idx, len(cand) - 1)] == d)
+        sums[idx[ok]] += s[ok]
+        if i >= len(m_parts):
+            counts[idx[ok]] += 1
+    if s_parts and msm > 0:
+        keep = counts >= msm
+        cand, sums = cand[keep], sums[keep]
+    for d in must_nots:
+        if len(cand) == 0:
+            break
+        keep = ~np.isin(cand, d, assume_unique=True)
+        cand, sums = cand[keep], sums[keep]
+    return cand, sums
+
+
+def _combine_dismax(per, tie_breaker: float):
+    """DisjunctionMaxQuery: max + tie_breaker * (sum - max) over the
+    parts that matched, in double. Returns (docs, float64 scores)."""
+    per = [(d, s) for d, s in per if d is not None and len(d)]
+    if not per:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    cand = np.unique(np.concatenate([d for d, _ in per]))
+    mx = np.full(len(cand), -np.inf)
+    total = np.zeros(len(cand), dtype=np.float64)
+    for d, s in per:
+        pos = np.searchsorted(cand, d)
+        s64 = s.astype(np.float64)
+        np.maximum.at(mx, pos, s64)
+        total[pos] += s64
+    return cand, mx + tie_breaker * (total - mx)
+
+
+# -- weights (Weight/Scorer, SURVEY §3.3 steps 3 and 5) ----------------------
+
+class _Weight:
+    """One rewritten query node. Global statistics are gathered when
+    the weight is created; ``scores``/``matches`` then run per segment.
+    Sub-weights are always asked for COMPLETE, unpruned results: only
+    the top-level weight may prune against ``threshold``."""
+
+    def __init__(self, s: Searcher):
+        self.s = s
+        self.dt = np.float64 if s.exact64 else np.float32
+
+    def scores(self, sr: SegmentReader, k: int, threshold: float,
+               top: bool):
+        """(docs, scores) of one segment, or (None, None)."""
+        raise NotImplementedError
+
+    def matches(self, sr: SegmentReader) -> np.ndarray:
+        """The segment's matching docIDs (match-only)."""
+        docs, _ = self.scores(sr, 10, -np.inf, False)
+        return docs if docs is not None else np.empty(0, np.int64)
+
+
+class _TermBoolWeight(_Weight):
+    """A term, or a boolean of term clauses: the pruned kernels."""
+
+    def __init__(self, s, q):
+        super().__init__(s)
+        self.plan = s._plan(q)
+
+    def scores(self, sr, k, threshold, top):
+        return self.s._match_and_score(sr, self.plan, scoring=True, k=k,
+                                       threshold=threshold, top=top)
+
+    def matches(self, sr):
+        return self.s._match_and_score(sr, self.plan, scoring=False)[0]
+
+
+class _NestedBoolWeight(_Weight):
+    """A boolean with non-term clauses (query-parser groups): children
+    run unpruned and combine in ``_combine_bool``."""
+
+    def __init__(self, s, q):
+        super().__init__(s)
+        self.must = [_create_weight(s, c) for c in q.must]
+        self.should = [_create_weight(s, c) for c in q.should]
+        self.must_not = [_create_weight(s, c) for c in q.must_not]
+        self.filter = [_create_weight(s, c) for c in q.filter]
+        self.msm = q.min_should_match
+
+    def scores(self, sr, k, threshold, top):
+        def ev(w):
+            d, sc = w.scores(sr, k, -np.inf, False)
+            if d is None or len(d) == 0:
+                return np.empty(0, np.int64), np.empty(0, np.float64)
+            sc = sc.astype(np.float64)
+            if not np.all(d[:-1] <= d[1:]):
+                order = np.argsort(d, kind="stable")
+                d, sc = d[order], sc[order]
+            return d, sc
+
+        m_parts = [ev(w) for w in self.must]
+        f_parts = [ev(w)[0] for w in self.filter]
+        s_parts = [ev(w) for w in self.should]
+        cand, sums = _combine_bool(m_parts, f_parts, s_parts, self.msm,
+                                   (ev(w)[0] for w in self.must_not))
+        if len(cand) == 0:
+            return None, None
+        return cand, sums.astype(self.dt)
+
+
+class _ConstWeight(_Weight):
+    """ConstantScoreQuery: the inner query's matches, scored ``boost``."""
+
+    def __init__(self, s, q):
+        super().__init__(s)
+        self.inner = _create_weight(s, q.inner)
+        self.boost = np.float64(q.boost)
+
+    def scores(self, sr, k, threshold, top):
+        docs = self.inner.matches(sr)
+        if len(docs) == 0:
+            return None, None
+        return docs, np.full(len(docs), self.boost, dtype=self.dt)
+
+    def matches(self, sr):
+        return self.inner.matches(sr)
+
+
+class _DocSetWeight(_Weight):
+    """Match-all, numeric range and doc-values terms: a doc set read
+    from the segment, every live doc scored ``boost``."""
+
+    def __init__(self, s, q):
+        super().__init__(s)
+        self.q = q
+
+    def scores(self, sr, k, threshold, top):
+        docs = self.matches(sr)
+        return docs, np.full(len(docs), self.q.boost, dtype=self.dt)
+
+    def matches(self, sr):
+        q = self.q
+        if isinstance(q, MatchAllDocsQuery):
+            return sr.live_doc_ids()
+        if isinstance(q, NumericRangeQuery):
+            docs = sr.numeric_range_docs(q.column, q.lower, q.upper,
+                                         q.include_lower, q.include_upper)
+        else:
+            docs = sr.dv_terms_docs(q.column, q.values)
+        docs, = Searcher._live(sr, docs)
+        return docs
+
+
+class _DisMaxWeight(_Weight):
+    """DisjunctionMaxQuery over complete disjunct results."""
+
+    def __init__(self, s, q):
+        super().__init__(s)
+        self.subs = [_create_weight(s, c) for c in q.disjuncts]
+        self.tie_breaker = float(q.tie_breaker)
+
+    def scores(self, sr, k, threshold, top):
+        cand, sc = _combine_dismax(
+            [w.scores(sr, k, -np.inf, False) for w in self.subs],
+            self.tie_breaker)
+        if len(cand) == 0:
+            return None, None
+        return cand, sc.astype(self.dt)
+
+    def matches(self, sr):
+        parts = [d for d in (w.matches(sr) for w in self.subs) if len(d)]
+        return (np.unique(np.concatenate(parts)) if parts
+                else np.empty(0, np.int64))
+
+
+class _CoveringWeight(_Weight):
+    """CoveringScorer: candidates = union of sub matches; keep docs whose
+    match COUNT >= max(1, minMatch(doc)); score = sum of the matching
+    subs' scores (complete, unpruned — the per-doc minimum defeats
+    block-max bounds)."""
+
+    def __init__(self, s, q):
+        from .expressions import compile_expression
+        super().__init__(s)
+        self.subs = [_create_weight(s, c) for c in q.queries]
+        self.expr = compile_expression(q.min_match)
+
+    def scores(self, sr, k, threshold, top):
+        per = [w.scores(sr, k, -np.inf, False) for w in self.subs]
+        per = [(d, s) for d, s in per if d is not None and len(d)]
+        if not per:
+            return None, None
+        cand = np.unique(np.concatenate([d for d, _ in per]))
+        total = np.zeros(len(cand), dtype=np.float64)
+        cnt = np.zeros(len(cand), dtype=np.int64)
+        for d, s in per:
+            pos = np.searchsorted(cand, d)
+            total[pos] += s.astype(np.float64)
+            cnt[pos] += 1
+        variables = {}
+        for col in sorted(self.expr.variables):
+            got = sr.stored(cand, col)
+            variables[col] = np.array(
+                [float(v) if v is not None else 0.0 for v in got],
+                dtype=np.float64)
+        need = np.broadcast_to(
+            np.asarray(self.expr(variables), np.float64), cand.shape)
+        keep = cnt >= np.maximum(1, np.floor(need)).astype(np.int64)
+        if not keep.any():
+            return None, None
+        return cand[keep], total[keep].astype(self.dt)
+
+
+class _PhraseWeight(_Weight):
+    """Phrase, span-near and multi-phrase: a positional freq kernel per
+    segment, BM25-scored with the idf summed over every term (every
+    alternative of a multi-phrase slot — MultiPhraseWeight collects all
+    TermStatistics). Both idf sums are computed here, once."""
+
+    def __init__(self, s, q):
+        super().__init__(s)
+        if isinstance(q, MultiPhraseQuery):
+            terms = [t for alts in q.positions for t in alts]
+            self.freqs = lambda sr: s._mphrase_freqs(sr, q.positions)
+        elif isinstance(q, SpanNearQuery):
+            terms = list(q.terms)
+            self.freqs = lambda sr: s._span_freqs(sr, q.terms, q.slop,
+                                                  q.in_order)
+        else:
+            terms = list(q.terms)
+            self.freqs = lambda sr: s._phrase_freqs(sr, q.terms, q.slop)
+        stats = s.reader.term_stats(terms)
+        n = s.reader.doc_count
+        dfs = [stats[t][0] for t in terms if stats[t][0] > 0]
+        # idf summed in double then cast (BM25Similarity.idfExplain)
+        idf_sum = 0.0
+        for df in dfs:
+            idf_sum += float(bm25.idf(df, n))
+        self.weight = np.float32(np.float32(q.boost) * np.float32(idf_sum))
+        # exact64: the same sum over double-precision idfs
+        self.idf64 = sum(math.log(1 + (n - df + 0.5) / (df + 0.5))
+                         for df in dfs)
+
+    def scores(self, sr, k, threshold, top):
+        docs, freqs = self.freqs(sr)
+        if docs is None or len(docs) == 0:
+            return None, None
+        s = self.s
+        if s.exact64:
+            dl = sr.doc_lens_for(docs).astype(np.float64)
+            tf = freqs.astype(np.float64)
+            return docs, self.idf64 * tf / (
+                tf + s.k1 * (1 - s.b + s.b * dl / s.avgdl64))
+        return docs, bm25.score_freqs(freqs, sr.norms_for(docs),
+                                      self.weight, s.cache)
+
+    def matches(self, sr):
+        docs, _ = self.freqs(sr)
+        return docs if docs is not None else np.empty(0, np.int64)
+
+
+class _FunctionScoreWeight(_Weight):
+    """FunctionScoreQuery: the inner query's complete scores, rescored
+    per segment by the compiled expression over the segment's stored
+    numeric columns (missing values are NaN). Unpruned by design —
+    expression scores are opaque to block-max bounds."""
+
+    def __init__(self, s, q):
+        from .expressions import compile_expression
+        super().__init__(s)
+        self.inner = _create_weight(s, q.inner)
+        self.expr = compile_expression(q.expression)
+        self.boost = q.boost
+
+    def scores(self, sr, k, threshold, top):
+        docs, sc = self.inner.scores(sr, k, -np.inf, False)
+        if docs is None or len(docs) == 0:
+            return None, None
+        variables = {"_score": sc.astype(np.float64)}
+        for col in sorted(self.expr.variables - {"_score"}):
+            variables[col] = np.array(
+                [np.nan if v is None else float(v)
+                 for v in sr.stored(docs, col)], dtype=np.float64)
+        new = np.broadcast_to(  # constant expressions yield 0-d
+            np.asarray(self.expr(variables) * self.boost, np.float64),
+            docs.shape)
+        return docs, new.astype(self.dt)
+
+    def matches(self, sr):
+        return self.inner.matches(sr)
+
+
+_WEIGHTS = {
+    TermQuery: _TermBoolWeight,
+    BooleanQuery: _TermBoolWeight,
+    ConstantScoreQuery: _ConstWeight,
+    MatchAllDocsQuery: _DocSetWeight,
+    NumericRangeQuery: _DocSetWeight,
+    DocValuesTermsQuery: _DocSetWeight,
+    DisjunctionMaxQuery: _DisMaxWeight,
+    CoveringQuery: _CoveringWeight,
+    PhraseQuery: _PhraseWeight,
+    SpanNearQuery: _PhraseWeight,
+    MultiPhraseQuery: _PhraseWeight,
+    FunctionScoreQuery: _FunctionScoreWeight,
+}
+
+
+def _create_weight(s: Searcher, q: Query) -> _Weight:
+    """The weight of one rewritten query node."""
+    cls = _WEIGHTS.get(type(q))
+    if cls is None:
+        raise TypeError(f"unsupported query {type(q)}")
+    if cls is _TermBoolWeight and isinstance(q, BooleanQuery) and any(
+            not isinstance(c, TermQuery)
+            for c in (*q.must, *q.should, *q.must_not, *q.filter)):
+        cls = _NestedBoolWeight
+    return cls(s, q)

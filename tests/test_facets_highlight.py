@@ -87,6 +87,19 @@ def test_highlight_topk(facet_index):
             .strip(".") in texts[r["doc_id"]] + ""
 
 
+def test_highlight_topk_function_score(facet_index):
+    """A function-score query highlights its inner query's terms."""
+    from lucene_ray.search import FunctionScoreQuery
+    s = Searcher(IndexReader(facet_index[0]))
+    want = highlight_topk(s, TermQuery("data"), k=5)
+    got = highlight_topk(s, FunctionScoreQuery(TermQuery("data"), "_score"),
+                         k=5)
+    assert got.column("doc_id").to_pylist() == \
+        want.column("doc_id").to_pylist()
+    assert got.column("snippet").to_pylist() == \
+        want.column("snippet").to_pylist()
+
+
 def test_custom_collector(facet_index):
     """Collector protocol: a histogram-of-scores collector."""
     out, texts, langs, sources = facet_index

@@ -92,19 +92,22 @@ def test_sorted_search_early_terminates(sorted_idx, corpus):
     """Filtered sort-by-field top-k: first k matches in field order,
     later segments never opened (TopFieldCollector early termination)."""
     from lucene_ray.index.sorted import sorted_search
-    from lucene_ray.search import TermQuery
+    from lucene_ray.search import DisjunctionMaxQuery, TermQuery
     _, t = corpus
     df = t.to_pandas()
-    df["has"] = df["text"].str.contains(r"\bw000\b", regex=True)
-    want = (df[df["has"]].sort_values(["n_chars", "doc_id"])
-            .head(10)["doc_id"].tolist())
-    got, stats = sorted_search(sorted_idx, TermQuery("w000"), 10)
-    assert got.column("doc_id").to_pylist() == want
-    # w000 is common enough that the first segment or two satisfy k
-    assert stats["segments_opened"] < stats["total_segments"], stats
-    # field values ride along and are ascending
-    vals = got.column("n_chars").to_pylist()
-    assert vals == sorted(vals)
+    dismax = DisjunctionMaxQuery((TermQuery("w000"), TermQuery("w001")))
+    for q, pattern in ((TermQuery("w000"), r"\bw000\b"),
+                       (dismax, r"\bw00[01]\b")):
+        df["has"] = df["text"].str.contains(pattern, regex=True)
+        want = (df[df["has"]].sort_values(["n_chars", "doc_id"])
+                .head(10)["doc_id"].tolist())
+        got, stats = sorted_search(sorted_idx, q, 10)
+        assert got.column("doc_id").to_pylist() == want
+        # w000 is common enough that the first segment or two satisfy k
+        assert stats["segments_opened"] < stats["total_segments"], stats
+        # field values ride along and are ascending
+        vals = got.column("n_chars").to_pylist()
+        assert vals == sorted(vals)
 
 
 def test_search_over_sorted_index(sorted_idx):

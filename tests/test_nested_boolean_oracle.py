@@ -1,6 +1,6 @@
 """Randomized NESTED boolean trees vs a recursive brute-force float32
-oracle — hardens the generic combiner (`Searcher._eval_nested`) and the
-cross-field `MultiFieldSearcher` combiner the parser feeds."""
+oracle — hardens the nested-boolean weight (`_combine_bool`, shared
+with the cross-field `MultiFieldSearcher` the parser feeds)."""
 
 import numpy as np
 import pyarrow as pa

@@ -399,6 +399,15 @@ def test_profiler_breakdown(sbx_corpus, monkeypatch, tmp_path):
     full = profile_query(s, q)
     assert full.column_names == ["node", "type", "n_matches", "wall_ns"]
     assert all(w >= 0 for w in full.column("wall_ns").to_pylist())
+    # a DisMax tree profiles its disjuncts too
+    from lucene_ray.search import DisjunctionMaxQuery
+    dm = profile_query(s, DisjunctionMaxQuery((TermQuery("data"),
+                                               TermQuery("merge"))))
+    dm_rows = dict(zip(dm.column("node").to_pylist(),
+                       dm.column("n_matches").to_pylist()))
+    assert dm_rows == {"root": sum(("data" in tk or "merge" in tk)
+                                   for tk in toks),
+                       "root.disjuncts[0]": nd, "root.disjuncts[1]": nm}
 
 
 def test_jaro_winkler_matches_duckdb():
