@@ -982,7 +982,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "bigram_surprisal_top20",
     ]
     assert len(_FIRST) == 50, len(_FIRST)
-    out = {name: q.pop(name) for name in _FIRST if name in q}
+    assert set(_FIRST) <= q.keys(), sorted(set(_FIRST) - q.keys())
+    out = {name: q.pop(name) for name in _FIRST}
     out.update(q)
     return out
 

@@ -565,35 +565,6 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
     return out
 
 
-def decode_selected_blocks(p: PackedPostings,
-                           sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(docs, freqs) of the selected blocks only (indices ascending).
-
-    The skip-data path: block doc bases come from block_last_docs, so no
-    preceding blocks need decoding (Lucene90SkipReader role)."""
-    sizes = np.asarray(_block_sizes(p.chunk_doc_counts), dtype=np.int64)
-    blast = np.asarray(p.block_last_docs, dtype=np.int64)
-    counts = np.asarray(p.chunk_doc_counts, dtype=np.int64)
-    blocks_per_chunk = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-    chunk_first = np.concatenate([[0], np.cumsum(blocks_per_chunk)[:-1]])
-    bases = np.empty(len(sizes), dtype=np.int64)
-    if len(sizes):
-        bases[0] = 0
-        bases[1:] = blast[:-1]
-        bases[chunk_first] = 0
-    deltas = _unpack_values(p.docs, sizes, sel=sel,
-                            layout=stream_layout(p, "docs")).astype(np.int64)
-    freqs = _unpack_values(p.freqs, sizes, sel=sel,
-                           layout=stream_layout(p, "freqs")).astype(np.int32)
-    sel_sizes = sizes[sel]
-    boffs = np.concatenate([[0], np.cumsum(sel_sizes)])
-    gcs = np.cumsum(deltas)
-    block_sums = np.add.reduceat(deltas, boffs[:-1]) if len(sel) else deltas
-    carry = np.concatenate([[0], np.cumsum(block_sums[:-1])])
-    docs = gcs - np.repeat(carry, sel_sizes) + np.repeat(bases[sel], sel_sizes)
-    return docs, freqs
-
-
 # --- positional postings (PhraseQuery support) -----------------------------
 # Layout per term: all occurrences ordered by (doc, position), positions
 # delta-encoded with a reset (absolute value) at each posting/doc

@@ -17,7 +17,7 @@ import pyarrow as pa
 
 from ..index import build_index
 from ..search import BooleanQuery, IndexReader, Searcher, TermQuery
-from ..search.postings_io import lookup_postings
+from ..search.postings_io import lookup
 
 _CACHE_ROOT = "/tmp/lucene_ray_cache"
 
@@ -113,9 +113,9 @@ def bm25_topk(doc_path: str, terms: list[str], kind: str = "term",
             in_seg = sr.doc_ids[pos_c] == td.doc_ids  # exact membership
             if not in_seg.any():
                 continue
-            p = sr.get_postings(terms[0])
-            if p is not None:
-                tfs[in_seg] = lookup_postings(p, td.doc_ids[in_seg])
+            dec = sr.get_decoded(terms[0])
+            if dec is not None:
+                tfs[in_seg] = lookup(dec, td.doc_ids[in_seg])
             dls[in_seg] = sr.doc_lens_for(td.doc_ids[in_seg])
         return pa.table({"doc_id": pa.array(td.doc_ids, pa.int64()),
                          "tf": pa.array(tfs, pa.int64()),
@@ -1439,7 +1439,6 @@ def synonym_blended_topk(doc_path: str, terms: list[str],
     :315 applies the per-term boost to the FREQUENCY, not the score).
     Scored exact64 BM25 on the combined freq; (doc_id, rank) on the
     quantized grid."""
-    from ..codecs.postings import unpack_postings
     from ..search.bm25 import B, K1
 
     if boosts is None:
@@ -1458,10 +1457,10 @@ def synonym_blended_topk(doc_path: str, terms: list[str],
     for sr in reader.segments():
         ds, fs = [], []
         for t, boost in zip(terms, boosts):
-            p = sr.get_postings(t)
-            if p is None:
+            dec = sr.get_decoded(t)
+            if dec is None:
                 continue
-            d, f = unpack_postings(p)
+            d, f, _ = dec
             ds.append(d)
             fs.append(f.astype(np.float64) * boost)
         if not ds:
@@ -1517,7 +1516,6 @@ def combined_field_topk(doc_path: str, terms: list[str],
     collection sumTTF = sum weight_f * sumTTF_f, docCount = max over
     fields (:354-371). Runs over a derived (text, title) two-field
     index of the documents table."""
-    from ..codecs.postings import unpack_postings
     from ..index.multi_field import build_multi_field_index
     from ..search.bm25 import B, K1
 
@@ -1551,10 +1549,10 @@ def combined_field_topk(doc_path: str, terms: list[str],
     for f, w in weights.items():
         for sr in readers[f].segments():
             for t in terms:
-                p = sr.get_postings(t)
-                if p is None:
+                dec = sr.get_decoded(t)
+                if dec is None:
                     continue
-                d, fr = unpack_postings(p)
+                d, fr, _ = dec
                 ds.append(d)
                 fs.append(fr.astype(np.float64) * w)
     if not ds:
@@ -1754,7 +1752,6 @@ def fuzzy_like_this_topk(doc_path: str, query_terms: list[str],
     desc, term asc on ties — ScoreTermQueue order) form a SHOULD query
     whose term clauses score with ARTIFICIAL df=ttf=1 stats (:262-270),
     here exact64 BM25 with df=1. (doc_id, rank) on the quantized grid."""
-    from ..codecs.postings import unpack_postings
     from ..search.bm25 import B, K1
     from ..search.query import FuzzyQuery, _edit_distance, expand_terms, \
         expansion_range
@@ -1797,10 +1794,10 @@ def fuzzy_like_this_topk(doc_path: str, query_terms: list[str],
     for sr in reader.segments():
         ds, ss = [], []
         for tscore, v in kept:
-            p = sr.get_postings(v)
-            if p is None:
+            dec = sr.get_decoded(v)
+            if dec is None:
                 continue
-            d, f = unpack_postings(p)
+            d, f, _ = dec
             dl = sr.doc_lens_for(d).astype(np.float64)
             f = f.astype(np.float64)
             ss.append(tscore * idf1 * f /
@@ -1862,7 +1859,6 @@ def search_quality(doc_path: str, query_terms: list[str],
     (docs whose tf >= ``rel_tf``). INTEGER metric components per query
     — (n_rel_ret, n_ret, n_rel, first_rel_rank) — so p@k = n_rel_ret/
     n_ret, recall = n_rel_ret/n_rel, RR = 1/first_rel_rank are exact."""
-    from ..codecs.postings import unpack_postings
     from ..search.bm25 import B, K1
 
     reader = IndexReader(cached_index(doc_path))
@@ -1872,10 +1868,10 @@ def search_quality(doc_path: str, query_terms: list[str],
     for qt in query_terms:
         ds, fs = [], []
         for sr in reader.segments():
-            p = sr.get_postings(qt)
-            if p is None:
+            dec = sr.get_decoded(qt)
+            if dec is None:
                 continue
-            d, f = unpack_postings(p)
+            d, f, _ = dec
             if sr.deleted is not None and len(sr.deleted):
                 keep = ~np.isin(d, sr.deleted)
                 d, f = d[keep], f[keep]
@@ -1891,10 +1887,10 @@ def search_quality(doc_path: str, query_terms: list[str],
         # doc lens per posting doc (segment-routed, same deleted mask)
         dls = []
         for sr in reader.segments():
-            pp = sr.get_postings(qt)
-            if pp is None:
+            dec = sr.get_decoded(qt)
+            if dec is None:
                 continue
-            d, _ = unpack_postings(pp)
+            d = dec.docs
             if sr.deleted is not None and len(sr.deleted):
                 d = d[~np.isin(d, sr.deleted)]
             dls.append(sr.doc_lens_for(d).astype(np.float64))

@@ -1,112 +1,55 @@
-"""Block-selective posting decode — the skip-list / ImpactsDISI analog.
+"""Query-time postings access over a term's decoded arrays.
 
-The packed layout (codecs/postings.py) is sequential blocks of
-``[u8 width][ceil(n*width/8) bytes]``. Scanning only the 1-byte width
-headers yields every block's byte offset without decoding, so a lookup
-of sparse candidate docIDs (conjunction leapfrog, MaxScore non-essential
-terms) decodes *only* the 128-doc blocks that can contain a target —
-the vectorized equivalent of ``Lucene90SkipReader`` +
-``ImpactsDISI.advanceTarget`` block skipping.
+A segment reader decodes each resident term once (``SegmentReader.
+get_decoded``) into ascending docIDs, their freqs and the flat offset of
+every 128-doc block; scorers then slice those arrays instead of
+bit-unpacking FOR blocks per query. ``select_blocks`` is the skip-list /
+``ImpactsDISI.advanceTarget`` role (only the blocks a pruning decision
+kept); ``lookup`` is the conjunction leapfrog / exclusion probe.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..codecs.postings import (BLOCK_SIZE, PackedPostings, _block_sizes,
-                               _unpack_block, stream_layout)
+from ..codecs.postings import PackedPostings, _block_sizes, unpack_postings
 
 
-def block_layout(p: PackedPostings):
-    """(sizes, docs_offsets, freqs_offsets, base_docs, doc_starts)
+class DecodedPostings(NamedTuple):
+    """One term's postings in one segment, decoded and read-only."""
 
-    base_docs[b]  = docID base to add to block b's delta-cumsum
-                    (0 at a chunk start — its first delta is absolute).
-    doc_starts[b] = index of block b's first posting in the flat list.
-
-    Offsets come from the pack-time per-block byte lengths (one cumsum)
-    when present; legacy packings fall back to a header scan inside
-    ``stream_layout``.
-    """
-    sizes = np.asarray(_block_sizes(p.chunk_doc_counts), dtype=np.int64)
-    nblocks = len(sizes)
-
-    # chunk-start flags
-    counts = np.asarray(p.chunk_doc_counts, dtype=np.int64)
-    blocks_per_chunk = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-    chunk_first_block = np.concatenate([[0], np.cumsum(blocks_per_chunk)[:-1]])
-    is_chunk_start = np.zeros(nblocks, dtype=bool)
-    is_chunk_start[chunk_first_block] = True
-
-    base_docs = np.empty(nblocks, dtype=np.int64)
-    base_docs[0] = 0
-    blast = np.asarray(p.block_last_docs, dtype=np.int64)
-    base_docs[1:] = blast[:-1]
-    base_docs[is_chunk_start] = 0
-
-    doc_starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    doffs, _ = stream_layout(p, "docs")
-    foffs, _ = stream_layout(p, "freqs")
-    return sizes, doffs, foffs, base_docs, doc_starts
+    docs: np.ndarray  # int64, ascending
+    freqs: np.ndarray  # int32, aligned with docs
+    block_starts: np.ndarray  # int64[nblocks+1], block b's slice bounds
 
 
-def decode_block(p: PackedPostings, b: int, layout) -> tuple[np.ndarray, np.ndarray]:
-    """(docs, freqs) of one block."""
-    sizes, doffs, foffs, bases, _ = layout
-    n = int(sizes[b])
-    deltas, _ = _unpack_block(memoryview(p.docs), int(doffs[b]), n)
-    docs = np.cumsum(deltas.astype(np.int64)) + bases[b]
-    freqs, _ = _unpack_block(memoryview(p.freqs), int(foffs[b]), n)
-    return docs, freqs.astype(np.int32)
+def decode(p: PackedPostings) -> DecodedPostings:
+    """Decode every block of ``p`` once; the arrays come back read-only
+    so a cached copy cannot be changed by a caller."""
+    docs, freqs = unpack_postings(p)
+    starts = np.zeros(len(p.block_last_docs) + 1, dtype=np.int64)
+    np.cumsum(_block_sizes(p.chunk_doc_counts), out=starts[1:])
+    for a in (docs, freqs, starts):
+        a.flags.writeable = False
+    return DecodedPostings(docs, freqs, starts)
 
 
-def lookup_postings(p: PackedPostings, targets: np.ndarray,
-                    layout=None) -> np.ndarray:
-    """freq per (sorted, unique) target docID; 0 where the doc is absent.
+def select_blocks(dec: DecodedPostings,
+                  sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(docs, freqs) of the selected blocks (indices ascending)."""
+    sel = np.asarray(sel, dtype=np.int64)
+    lo = dec.block_starts[sel]
+    lens = dec.block_starts[sel + 1] - lo
+    out_starts = np.cumsum(lens) - lens
+    idx = np.arange(int(lens.sum())) + np.repeat(lo - out_starts, lens)
+    return dec.docs[idx], dec.freqs[idx]
 
-    Decodes only blocks whose [first, last] doc range intersects a
-    target (binary search on block_last_docs = the skip data); all
-    needed blocks are decoded in one batched width-grouped pass.
-    """
-    from ..codecs.postings import _block_sizes, _unpack_values, stream_layout
 
-    blast = np.asarray(p.block_last_docs, dtype=np.int64)
-    bidx = np.searchsorted(blast, targets)
-    out = np.zeros(len(targets), dtype=np.int32)
-    valid = bidx < len(blast)
-    if not valid.any():
-        return out
-    need = np.unique(bidx[valid])
-    sizes = np.asarray(_block_sizes(p.chunk_doc_counts), dtype=np.int64)
-
-    # block doc bases (0 at chunk starts, else previous block's last doc)
-    counts = np.asarray(p.chunk_doc_counts, dtype=np.int64)
-    blocks_per_chunk = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-    chunk_first = np.concatenate([[0], np.cumsum(blocks_per_chunk)[:-1]])
-    bases = np.empty(len(sizes), dtype=np.int64)
-    bases[0] = 0
-    bases[1:] = blast[:-1]
-    bases[chunk_first] = 0
-
-    deltas = _unpack_values(p.docs, sizes, sel=need,
-                            layout=stream_layout(p, "docs")).astype(np.int64)
-    freqs = _unpack_values(p.freqs, sizes, sel=need,
-                           layout=stream_layout(p, "freqs")).astype(np.int32)
-    sel_sizes = sizes[need]
-    boffs = np.concatenate([[0], np.cumsum(sel_sizes)])
-    # segmented cumsum: global cumsum minus per-block carry, plus bases
-    gcs = np.cumsum(deltas)
-    block_sums = np.add.reduceat(deltas, boffs[:-1])
-    carry = np.concatenate([[0], np.cumsum(block_sums[:-1])])
-    docs = gcs - np.repeat(carry, sel_sizes) + np.repeat(bases[need], sel_sizes)
-
-    # map each valid target to its block's slice and binary-search it
-    t = targets[valid]
-    # docs is globally sorted (selected blocks are in doc order and
-    # disjoint), so one global searchsorted suffices
-    pos = np.searchsorted(docs, t)
-    ok = (pos < len(docs)) & (docs[np.minimum(pos, len(docs) - 1)] == t)
-    vals = np.zeros(len(t), dtype=np.int32)
-    vals[ok] = freqs[np.minimum(pos, len(docs) - 1)][ok]
-    out[valid] = vals
-    return out
+def lookup(dec: DecodedPostings, targets: np.ndarray) -> np.ndarray:
+    """freq per target docID; 0 where the doc is absent."""
+    docs = dec.docs
+    pos = np.minimum(np.searchsorted(docs, targets), len(docs) - 1)
+    hit = docs[pos] == targets
+    return np.where(hit, dec.freqs[pos], np.int32(0))

@@ -17,6 +17,11 @@ as one Arrow table, keep the wanted rows with one vectorized Arrow step
 on the term column, and only then build Python values and
 ``PackedPostings`` from the kept rows. The searcher prefetches a
 query's terms segment by segment on the calling thread.
+
+A resident term is decoded once, on first use (``get_decoded``): its
+docIDs, freqs and block offsets stay next to the packed row as
+read-only arrays, and leave the postings cache together with it, so
+scorers slice arrays instead of bit-unpacking blocks on every query.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import pyarrow.parquet as pq
 
 from ..codecs.postings import PackedPostings
 from ..index.manifest import IndexManifest, read_manifest
+from .postings_io import DecodedPostings, decode
 
 _POSTINGS_COLS = ["term", "df", "doc_count", "ttf", "docs", "freqs",
                   "block_last_docs", "docs_bb", "freqs_bb",
@@ -236,15 +242,14 @@ class SegmentReader:
         self._contiguous = bool(
             n and self.doc_ids[-1] - self.doc_ids[0] == n - 1)
         self._base = int(self.doc_ids[0]) if n else 0
-        # LRUQueryCache analog: term -> PackedPostings for loaded terms
+        # LRUQueryCache analog: term -> PackedPostings for loaded terms;
+        # _decoded holds the decoded arrays of resident terms only
         self._cache: "OrderedDict[str, PackedPostings]" = OrderedDict()
+        self._decoded: dict[str, DecodedPostings] = {}
         self._cache_size = cache_size
         self._df: dict[str, int] = {}
         self._absent: set[str] = set()
         self._dv_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        # decoded-postings LRU (page-cache role): hot terms skip the
-        # bit-unpack on repeat queries; bounded per segment
-        self._decoded: "OrderedDict[str, tuple]" = OrderedDict()
         # live docs (Lucene90LiveDocsFormat analog): sorted deleted docIDs
         self.deleted: np.ndarray | None = None
         if del_gen >= 0:
@@ -362,6 +367,7 @@ class SegmentReader:
         while len(self._cache) > self._cache_size:
             k, _ = self._cache.popitem(last=False)
             self._df.pop(k, None)
+            self._decoded.pop(k, None)
 
     def get_postings(self, term: str) -> PackedPostings | None:
         cached = self._cache.get(term)
@@ -373,34 +379,31 @@ class SegmentReader:
         self.ensure_terms([term])
         return self._cache.get(term)
 
-    def get_decoded(self, term: str):
-        """(docs int64, freqs int32) fully decoded, LRU-cached — the OS
-        page-cache role for hot postings. None if the term is absent."""
-        got = self._decoded.get(term)
-        if got is not None:
-            self._decoded.move_to_end(term)
-            return got
+    def get_decoded(self, term: str) -> DecodedPostings | None:
+        """The term's decoded (docs, freqs, block_starts), decoded on
+        first use and kept while the term stays in the postings cache —
+        the OS page-cache role for resident postings. None if absent."""
         p = self.get_postings(term)
         if p is None:
             return None
-        from ..codecs.postings import unpack_postings
-        d, f = unpack_postings(p)
-        self._decoded[term] = (d, f)
-        if len(self._decoded) > 16:
-            self._decoded.popitem(last=False)
-        return d, f
+        got = self._decoded.get(term)
+        if got is None:
+            got = decode(p)
+            if term in self._cache:
+                self._decoded[term] = got
+        return got
 
     def get_positions(self, term: str):
         """(docs, freqs, flat positions) or None. Requires an index built
         with ``index_positions=True``."""
-        from ..codecs.postings import unpack_positions, unpack_postings
+        from ..codecs.postings import unpack_positions
         p = self.get_postings(term)
         if p is None:
             return None
         if not len(p.positions):
             raise ValueError(
                 "index was built without positions (index_positions=True)")
-        docs, freqs = unpack_postings(p)
+        docs, freqs, _ = self.get_decoded(term)
         pos = unpack_positions(p.positions, p.chunk_occ_counts, freqs)
         return docs, freqs, pos
 

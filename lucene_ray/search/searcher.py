@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bm25
-from .postings_io import lookup_postings
+from .postings_io import lookup, select_blocks
 from .query import (
     MAX_CLAUSE_COUNT,
     BooleanQuery,
@@ -481,10 +481,10 @@ class Searcher:
             idf_v = math.log(1 + (n - df + 0.5) / (df + 0.5))
             tf = dl = None
             for sr in self.reader.segments():
-                p = sr.get_postings(q.term)
-                if p is None:
+                dec = sr.get_decoded(q.term)
+                if dec is None:
                     continue
-                got = lookup_postings(p, np.array([doc_id]))
+                got = lookup(dec, np.array([doc_id]))
                 if got[0] > 0:
                     tf = int(got[0])
                     dl = float(sr.doc_lens_for(
@@ -938,11 +938,10 @@ class Searcher:
         for t in plan["must_not"]:
             if len(cand) == 0:
                 break
-            p = sr.get_postings(t.term)
-            if p is None:
+            dec = sr.get_decoded(t.term)
+            if dec is None:
                 continue
-            freqs = lookup_postings(p, cand)
-            keep = freqs == 0
+            keep = lookup(dec, cand) == 0
             cand = cand[keep]
             if sums is not None:
                 sums = sums[keep]
@@ -956,15 +955,15 @@ class Searcher:
                           k: int, threshold: float):
         """Single-term top-k with per-block impact pruning (ImpactsDISI):
         score the highest-bound blocks first to establish a threshold,
-        then decode only blocks whose impact bound can still compete."""
-        from ..codecs.postings import decode_selected_blocks
+        then score only blocks whose impact bound can still compete."""
         p = sr.get_postings(t.term)
         if p is None:
             return None, None
+        dec = sr.get_decoded(t.term)
         bounds = self._block_ubs(sr, p, t.term, t.weight)
         nblocks = len(bounds)
         if nblocks <= 8:
-            docs, freqs = self._live(sr, *sr.get_decoded(t.term))
+            docs, freqs = self._live(sr, dec.docs, dec.freqs)
             return docs, bm25.score_freqs(freqs, sr.norms_for(docs), t.weight,
                                           self.cache).astype(np.float64)
         # process blocks in bound-descending batches; after each batch the
@@ -986,7 +985,7 @@ class Searcher:
             if np.isfinite(theta):
                 take = take[bounds[take] >= np.float32(theta)]
             if len(take):
-                d, f = self._live(sr, *decode_selected_blocks(p, np.sort(take)))
+                d, f = self._live(sr, *select_blocks(dec, np.sort(take)))
                 sc = bm25.score_freqs(f, sr.norms_for(d), t.weight, self.cache)
                 docs_parts.append(d)
                 score_parts.append(sc)
@@ -1011,7 +1010,7 @@ class Searcher:
 
         With a live threshold at the top level, lead blocks whose
         block-max bound plus every other scoring term's global max
-        cannot reach it are never decoded (BlockMaxConjunctionScorer,
+        cannot reach it are never scored (BlockMaxConjunctionScorer,
         wired per ``Boolean2ScorerSupplier.java:202-247``)."""
         must, flt, should = plan["must"], plan["filter"], plan["should"]
         required = [(t, True) for t in must] + [(t, False) for t in flt]
@@ -1026,7 +1025,8 @@ class Searcher:
         t0, s0, p0 = loaded[order[0]]
         prune = (top and scoring and not self.exact64
                  and np.isfinite(threshold) and plan["msm"] <= 1)
-        cand = None
+        dec0 = sr.get_decoded(t0.term)
+        cand, freqs0 = dec0.docs, dec0.freqs
         if prune and len(p0.imp_freqs):
             lead_ub = self._block_ubs(
                 sr, p0, t0.term,
@@ -1048,18 +1048,15 @@ class Searcher:
                                            np.float32(-np.inf)))
             keep = lead_ub + rest >= theta_low
             if not keep.all():
-                from ..codecs.postings import decode_selected_blocks
                 sel = np.nonzero(keep)[0]
                 if len(sel) == 0:
                     return None, None, None
-                cand, freqs0 = self._live(
-                    sr, *decode_selected_blocks(p0, sel))
-        if cand is None:
-            cand, freqs0 = self._live(sr, *sr.get_decoded(t0.term))
+                cand, freqs0 = select_blocks(dec0, sel)
+        cand, freqs0 = self._live(sr, cand, freqs0)
         term_freqs: dict[int, np.ndarray] = {order[0]: freqs0}
         for oi in order[1:]:
-            t, scores_q, p = loaded[oi]
-            f = lookup_postings(p, cand)
+            t = loaded[oi][0]
+            f = lookup(sr.get_decoded(t.term), cand)
             keep = f > 0
             cand = cand[keep]
             term_freqs = {i: ff[keep] for i, ff in term_freqs.items()}
@@ -1085,10 +1082,10 @@ class Searcher:
         # applies minimumNumberShouldMatch even alongside MUST clauses)
         n_should = np.zeros(len(cand), dtype=np.int64)
         for t in should:
-            p = sr.get_postings(t.term)
-            if p is None:
+            dec = sr.get_decoded(t.term)
+            if dec is None:
                 continue
-            f = lookup_postings(p, cand)
+            f = lookup(dec, cand)
             hit = f > 0
             n_should += hit.astype(np.int64)
             if scoring and self._scores_term(t) and hit.any():
@@ -1131,9 +1128,8 @@ class Searcher:
             if res is not NotImplemented:
                 return res
 
-        # exhaustive path: every term fully decoded (hot terms come
-        # from the decoded-postings LRU)
-        decoded = [self._live(sr, *sr.get_decoded(t.term))
+        # exhaustive path: every term's full decoded arrays
+        decoded = [self._live(sr, *sr.get_decoded(t.term)[:2])
                    for t, _p in postings]
 
         if sr._contiguous:
@@ -1212,7 +1208,7 @@ class Searcher:
                 # exhaustive accumulate — let the caller run that instead
                 return NotImplemented
         order = np.argsort(-wb, kind="stable")
-        from ..codecs.postings import decode_selected_blocks
+        decs = [sr.get_decoded(t.term) for t, _p in postings]
         theta = threshold
         out_docs, out_sums = [], []
         n_collected = 0
@@ -1232,13 +1228,13 @@ class Searcher:
                 his = edges[sel]
                 los = win_lo[sel]
                 per = []
-                for (t, p), bl in zip(postings, blasts):
+                for dec, bl in zip(decs, blasts):
                     bidx = np.unique(np.searchsorted(bl, his))
                     bidx = bidx[bidx < len(bl)]
                     if len(bidx) == 0:
                         per.append(None)
                         continue
-                    d, f = decode_selected_blocks(p, bidx)
+                    d, f = select_blocks(dec, bidx)
                     pos = np.minimum(np.searchsorted(his, d), len(his) - 1)
                     ok = (d <= his[pos]) & (d >= los[pos])
                     d, f = self._live(sr, d[ok], f[ok])

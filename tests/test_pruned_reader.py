@@ -224,3 +224,155 @@ def test_vocab_range_matches_full_scan(wide_vocab_index, lo, hi):
     assert sr.terms_in_range(lo, hi) == [
         t for t in sr.terms()
         if (lo is None or t >= lo) and (hi is None or t <= hi)]
+
+
+# -- decoded postings: slicing helpers and the per-segment cache --------------
+
+CHUNK_SIZES = [(1,), (127,), (128,), (129,), (300,),
+               (1, 127, 128, 129, 300), (300, 1, 129)]
+
+
+def _multi_chunk(sizes, seed):
+    """concat_postings of one packed chunk per size over disjoint,
+    increasing doc ranges; returns (packed, source docs, source freqs)."""
+    from lucene_ray.codecs.postings import concat_postings, pack_postings
+    rng = np.random.default_rng(seed)
+    chunks, docs, freqs, base = [], [], [], 0
+    for n in sizes:
+        d = base + np.sort(rng.choice(3 * n + 5, n, replace=False))
+        f = rng.integers(1, 40, n)
+        chunks.append(pack_postings(d, f, rng.integers(1, 255, n)))
+        docs.append(d)
+        freqs.append(f)
+        base = int(d[-1]) + 1 + int(rng.integers(0, 50))
+    return concat_postings(chunks), np.concatenate(docs), \
+        np.concatenate(freqs)
+
+
+@pytest.mark.parametrize("sizes", CHUNK_SIZES)
+def test_select_blocks_and_lookup_match_reference(sizes):
+    from lucene_ray.codecs.postings import _block_sizes, unpack_postings
+    from lucene_ray.search.postings_io import decode, lookup, select_blocks
+    p, src_docs, src_freqs = _multi_chunk(sizes, seed=sum(sizes))
+    ref_docs, ref_freqs = unpack_postings(p)
+    np.testing.assert_array_equal(ref_docs, src_docs)
+    np.testing.assert_array_equal(ref_freqs, src_freqs)
+    starts = np.concatenate([[0], np.cumsum(_block_sizes(p.chunk_doc_counts))])
+    dec = decode(p)
+    assert dec.docs.dtype == np.int64 and dec.freqs.dtype == np.int32
+    np.testing.assert_array_equal(dec.block_starts, starts)
+    nblocks = len(starts) - 1
+    rng = np.random.default_rng(nblocks)
+    sels = [np.arange(nblocks), np.array([0]), np.array([nblocks - 1])]
+    sels += [np.sort(rng.choice(nblocks, int(rng.integers(1, nblocks + 1)),
+                                replace=False)) for _ in range(8)]
+    for sel in sels:
+        want_d = np.concatenate([ref_docs[starts[b]:starts[b + 1]]
+                                 for b in sel])
+        want_f = np.concatenate([ref_freqs[starts[b]:starts[b + 1]]
+                                 for b in sel])
+        got_d, got_f = select_blocks(dec, sel)
+        np.testing.assert_array_equal(got_d, want_d)
+        np.testing.assert_array_equal(got_f, want_f)
+    # targets: every posting, the gaps between them, and both ends
+    targets = np.unique(np.concatenate(
+        [ref_docs, ref_docs + 1, ref_docs - 1, [-5, ref_docs[-1] + 1000]]))
+    want = dict(zip(ref_docs.tolist(), ref_freqs.tolist()))
+    got = lookup(dec, targets)
+    assert got.dtype == np.int32
+    assert got.tolist() == [want.get(t, 0) for t in targets.tolist()]
+
+
+@pytest.fixture(scope="module")
+def merged_generations(ray_session, tmp_path_factory):
+    """Zipf corpus in 5 segments of 700 docs (chunks end in tails),
+    merged into multi-chunk postings, then ~10% of docs deleted.
+    Returns (index dir, merged generation, deleted generation, terms
+    by descending df)."""
+    from lucene_ray.index.deletes import apply_deletes
+    rng = np.random.default_rng(23)
+    vocab = [f"z{i:03d}" for i in range(300)]
+    p = 1.0 / np.arange(1, len(vocab) + 1) ** 1.1
+    texts = [" ".join(rng.choice(vocab, int(rng.integers(8, 60)),
+                                 p=p / p.sum()))
+             for _ in range(3500)]
+    t = pa.table({"doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+                  "text": pa.array(texts, pa.string())})
+    d = tmp_path_factory.mktemp("decoded")
+    path = str(d / "docs.parquet")
+    pq.write_table(t, path)
+    out = str(d / "idx")
+    build_index(path, out, batch_size=700)
+    merged = merge_segments(out).generation
+    reader = IndexReader(out)
+    assert any(len(sr.get_postings(vocab[0]).chunk_doc_counts) > 1
+               for sr in reader.segments())
+    per_seg = {}
+    for sr, info in zip(reader.segments(), reader.segment_infos):
+        ids = sr.doc_ids.astype(np.int64)
+        per_seg[info.seg_id] = ids[rng.random(len(ids)) < 0.1]
+    deleted = apply_deletes(out, per_seg).generation
+    return out, merged, deleted, vocab
+
+
+def _decoded_queries(vocab):
+    head, mid, tail = vocab[:4], vocab[20:24], vocab[150:154]
+    T = TermQuery
+    return [
+        T(head[0]), T(mid[0]), T(tail[0]),
+        BooleanQuery(must=(T(head[0]), T(head[1]))),
+        BooleanQuery(must=(T(head[1]), T(mid[1]), T(head[2]))),
+        BooleanQuery(should=(T(head[0]), T(head[3]), T(mid[2]))),
+        BooleanQuery(should=tuple(T(x) for x in head + tail)),
+        BooleanQuery(should=(T(head[0]), T(mid[0])),
+                     must_not=(T(head[2]),)),
+        BooleanQuery(must=(T(head[1]),), must_not=(T(mid[3]),)),
+        BooleanQuery(must=(T(head[0]),),
+                     should=(T(mid[0]), T(mid[1]))),
+        BooleanQuery(should=(T(head[1]), T(head[2]), T(mid[0])),
+                     min_should_match=2),
+        BooleanQuery(must=(T(head[3]),),
+                     should=(T(head[0]), T(mid[2]), T(tail[1])),
+                     min_should_match=1),
+    ]
+
+
+@pytest.mark.parametrize("similarity", ["lucene", "bm25_exact64"])
+@pytest.mark.parametrize("gen", ["merged", "deleted"])
+def test_search_matches_exhaustive_on_decoded_postings(
+        merged_generations, gen, similarity):
+    out, merged, deleted, vocab = merged_generations
+    reader = IndexReader(out, generation=merged if gen == "merged"
+                         else deleted)
+    s = Searcher(reader, similarity=similarity)
+    for q in _decoded_queries(vocab):
+        docs, scores = s.eval_complete(q)
+        assert len(docs), q
+        s32 = np.asarray(scores).astype(np.float32)
+        for k in (10, 100):
+            order = np.lexsort((docs, -s32.astype(np.float64)))[:k]
+            td = s.search(q, k)
+            np.testing.assert_array_equal(
+                np.asarray(td.doc_ids, np.int64),
+                np.asarray(docs)[order].astype(np.int64), err_msg=str(q))
+            np.testing.assert_array_equal(
+                np.asarray(td.scores).astype(np.float32), s32[order],
+                err_msg=str(q))
+
+
+def test_decoded_arrays_leave_the_cache_with_their_term(merged_generations):
+    from lucene_ray.search.reader import SegmentReader
+    out, merged, _, vocab = merged_generations
+    info = IndexReader(out, generation=merged).segment_infos[0]
+    sr = SegmentReader(f"{out}/segments/{info.seg_id}", cache_size=2)
+    a, b, c = vocab[0], vocab[1], vocab[2]
+    dec_a = sr.get_decoded(a)
+    assert sr.get_decoded(a) is dec_a  # decoded once, then reused
+    sr.get_decoded(b)
+    assert set(sr._decoded) == {a, b}
+    sr.get_decoded(c)  # loads a 3rd term: a is least recently used
+    assert list(sr._cache) == [b, c] and set(sr._decoded) == {b, c}
+    for arr in (dec_a.docs, dec_a.freqs, dec_a.block_starts):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert sr.get_decoded("zz_absent") is None
