@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+import pyarrow as pa
 
 BLOCK_SIZE = 128
 MAX_IMPACTS_PER_BLOCK = 8
@@ -93,21 +94,6 @@ def _unpack_block(buf: memoryview, pos: int, n: int) -> tuple[np.ndarray, int]:
     full[:, 32 - width:] = bits
     vals = np.packbits(full, axis=1).view(">u4").reshape(n).astype(np.uint32)
     return vals, pos + nbytes
-
-
-def _pack_values(vals: np.ndarray, fmt: str = "for128") -> bytes:
-    """Pack an array in BLOCK_SIZE blocks, each at its own width."""
-    return _pack_values_bb(vals, fmt)[0]
-
-
-def _pack_values_bb(vals: np.ndarray,
-                    fmt: str = "for128") -> tuple[bytes, np.ndarray]:
-    """(packed bytes, per-block byte lengths incl. header)."""
-    out = []
-    for i in range(0, len(vals), BLOCK_SIZE):
-        out.append(_pack_block(vals[i:i + BLOCK_SIZE], fmt))
-    return b"".join(out), np.fromiter((len(b) for b in out),
-                                      dtype=np.int32, count=len(out))
 
 
 def _block_sizes(chunk_doc_counts) -> list[int]:
@@ -212,6 +198,73 @@ def _unpack_values(buf: bytes, sizes: list[int],
     return out
 
 
+# --- flat pack: every block of a stream in one vectorized pass -------------
+
+# minimal width w with max value <= 2^w - 1: searchsorted over thresholds
+_WIDTH_THRESHOLDS = (np.left_shift(np.int64(1), np.arange(33, dtype=np.int64))
+                     - 1).astype(np.int64)
+
+
+def _widths_of(maxv: np.ndarray) -> np.ndarray:
+    return np.searchsorted(_WIDTH_THRESHOLDS, maxv.astype(np.int64),
+                           side="left").astype(np.uint8)
+
+
+def _offsets(lens) -> np.ndarray:
+    """Exclusive prefix sum with the total appended: int64[len+1]."""
+    out = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=out[1:])
+    return out
+
+
+def _blocks_of(bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """128-value block layout of the ranges ``bounds[j]:bounds[j+1]``,
+    each blocked on its own (full blocks + its tail): (block starts,
+    block sizes, first block of each range int64[nranges+1])."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    nblocks = (np.diff(bounds) + BLOCK_SIZE - 1) // BLOCK_SIZE
+    first = _offsets(nblocks)
+    rng = np.repeat(np.arange(len(nblocks)), nblocks)
+    bstart = bounds[rng] + BLOCK_SIZE * (np.arange(first[-1]) - first[rng])
+    bsize = np.minimum(bstart + BLOCK_SIZE, bounds[rng + 1]) - bstart
+    return bstart, bsize, first
+
+
+def _pack_stream(vals: np.ndarray, bstart: np.ndarray, bsize: np.ndarray,
+                 fmt: str = "for128") -> tuple[np.ndarray, np.ndarray]:
+    """Pack every block of one stream into one buffer, byte-identical to
+    ``_pack_block`` per block. Returns (uint8 bytes, int64 byte offset
+    of each block [nblocks+1]). ``for128`` runs without a Python loop
+    over blocks: each value's low ``w`` bits are gathered MSB first from
+    one ``unpackbits`` matrix, scattered to just after their block's
+    width byte, and packed once."""
+    if fmt != "for128":
+        # registered formats encode per block (self-describing tags)
+        blocks = [_pack_block(vals[s:s + n], fmt)
+                  for s, n in zip(bstart.tolist(), bsize.tolist())]
+        return (np.frombuffer(b"".join(blocks), dtype=np.uint8),
+                _offsets(np.fromiter(map(len, blocks), np.int64, len(blocks))))
+    if len(bstart) == 0:
+        return np.empty(0, np.uint8), np.zeros(1, np.int64)
+    widths = _widths_of(np.maximum.reduceat(vals, bstart))
+    nbits = bsize * widths
+    offs = _offsets(1 + (nbits + 7) // 8)
+    top = int(widths.max())
+    bits = np.unpackbits(vals.astype(">u4").view(np.uint8)) \
+        .reshape(len(vals), 32)[:, 32 - top:]
+    low = np.arange(top) >= (top - np.repeat(widths, bsize))[:, None]
+    # payload bits of block b: [(offs[b] + 1) * 8, + nbits[b])
+    first = (offs[:-1] + 1) * 8
+    edge = np.zeros(offs[-1] * 8 + 1, dtype=np.int8)
+    edge[first] += 1
+    edge[first + nbits] -= 1
+    out = np.zeros(offs[-1] * 8, dtype=np.uint8)
+    out[np.cumsum(edge[:-1], dtype=np.int8).view(bool)] = bits[low]
+    packed = np.packbits(out)
+    packed[offs[:-1]] = widths
+    return packed, offs
+
+
 # --- impacts ---------------------------------------------------------------
 
 def _skyline(freqs: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,71 +302,134 @@ def _skyline(freqs: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return fu.astype(np.int32), nu.astype(np.uint8)
 
 
+def _impacts(F: np.ndarray, Nrm: np.ndarray, bstart: np.ndarray,
+             bsize: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Skylines of every block at once: one global lexsort and a
+    block-partitioned strict cummax. Only the blocks left with more
+    than MAX_IMPACTS_PER_BLOCK pairs are rebuilt, with the capped
+    :func:`_skyline`. Returns (freqs, norms, offsets int64[nblocks+1])."""
+    block_of_el = np.repeat(np.arange(len(bstart)), bsize)
+    order = np.lexsort((-F, Nrm, block_of_el))
+    bo, no, fo = block_of_el[order], Nrm[order], F[order]
+    first = np.ones(len(bo), dtype=bool)
+    first[1:] = (bo[1:] != bo[:-1]) | (no[1:] != no[:-1])
+    bo, no, fo = bo[first], no[first], fo[first]
+    key = (bo.astype(np.int64) << 32) | fo  # block-partitioned cummax
+    cm = np.maximum.accumulate(key)
+    keep = np.ones(len(key), dtype=bool)
+    keep[1:] = key[1:] > cm[:-1]
+    bo, no, fo = bo[keep], no[keep], fo[keep]
+    sizes = np.bincount(bo, minlength=len(bstart))
+    big = np.nonzero(sizes > MAX_IMPACTS_PER_BLOCK)[0]
+    if len(big) == 0:
+        return fo, no, _offsets(sizes)
+    capped = [_skyline(F[s:s + n], Nrm[s:s + n])
+              for s, n in zip(bstart[big].tolist(), bsize[big].tolist())]
+    new_sizes = sizes.copy()
+    new_sizes[big] = [len(f) for f, _ in capped]
+    new_off = _offsets(new_sizes)
+    small = np.repeat(sizes <= MAX_IMPACTS_PER_BLOCK, sizes)
+    dst = (np.arange(len(fo))
+           + np.repeat(new_off[:-1] - _offsets(sizes)[:-1], sizes))[small]
+    f_out = np.empty(new_off[-1], dtype=fo.dtype)
+    n_out = np.empty(new_off[-1], dtype=no.dtype)
+    f_out[dst], n_out[dst] = fo[small], no[small]
+    for b, (f, n) in zip(big.tolist(), capped):
+        f_out[new_off[b]:new_off[b + 1]] = f
+        n_out[new_off[b]:new_off[b + 1]] = n
+    return f_out, n_out, new_off
+
+
 def compute_impacts(freqs: np.ndarray, norms: np.ndarray):
     """Per-128-block impact skylines over aligned (freq, norm) arrays.
 
     Returns (imp_freqs, imp_norms, imp_offsets) flattened per block.
     """
-    nblocks = (len(freqs) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    fs, ns, offs = [], [], [0]
-    for b in range(nblocks):
-        sl = slice(b * BLOCK_SIZE, (b + 1) * BLOCK_SIZE)
-        f, n = _skyline(np.asarray(freqs[sl]), np.asarray(norms[sl]))
-        fs.append(f)
-        ns.append(n)
-        offs.append(offs[-1] + len(f))
-    return (
-        np.concatenate(fs) if fs else np.empty(0, np.int32),
-        np.concatenate(ns) if ns else np.empty(0, np.uint8),
-        np.asarray(offs, dtype=np.int32),
-    )
+    F = np.asarray(freqs, dtype=np.int64)
+    bstart, bsize, _ = _blocks_of([0, len(F)])
+    f, n, off = _impacts(F, np.asarray(norms, dtype=np.uint8), bstart, bsize)
+    return f.astype(np.int32), n, off.astype(np.int32)
 
 
 # --- public pack/unpack ----------------------------------------------------
 
-def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
-                  norms: np.ndarray,
-                  postings_format: str = "for128") -> PackedPostings:
-    """Pack one term's postings (one chunk).
+class _Flat(NamedTuple):
+    """Many terms packed into flat per-block buffers."""
 
-    ``doc_ids`` must be strictly increasing int32/int64; ``freqs`` >= 1;
-    ``norms`` are the posting docs' norm bytes (for impacts).
-    """
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    freqs = np.asarray(freqs, dtype=np.int64)
-    if len(doc_ids) == 0:
+    first_block: np.ndarray  # int64[n_terms+1], first block of each term
+    docs: np.ndarray  # uint8, every docs block of every term
+    docs_offs: np.ndarray  # int64[nblocks+1], byte offset of each block
+    freqs: np.ndarray
+    freqs_offs: np.ndarray
+    block_last: np.ndarray  # int32[nblocks]
+    imp_f: np.ndarray
+    imp_n: np.ndarray  # uint8
+    imp_off: np.ndarray  # int64[nblocks+1]
+
+
+def _pack_flat(D: np.ndarray, F: np.ndarray, norms, tb: np.ndarray,
+               postings_format: str) -> _Flat:
+    counts = np.diff(tb)
+    if (counts <= 0).any():
         raise ValueError("empty posting")
     # block_last_docs is int32 and each chunk's first delta is stored as
     # uint32; a docID >= 2^31 would silently wrap and corrupt skip data
-    if doc_ids[-1] >= 2**31 or doc_ids[0] < 0:
-        raise ValueError(f"docID out of int32 range: {doc_ids[-1]}")
-    deltas = np.empty(len(doc_ids), dtype=np.uint32)
-    deltas[0] = doc_ids[0]
-    if len(doc_ids) > 1:
-        d = np.diff(doc_ids)
-        if (d <= 0).any():
-            raise ValueError("docs out of order")  # Lucene90PostingsWriter.java:231
-        deltas[1:] = d
-    nblocks = (len(doc_ids) + BLOCK_SIZE - 1) // BLOCK_SIZE
-    block_last = doc_ids[np.minimum(
-        np.arange(1, nblocks + 1) * BLOCK_SIZE - 1, len(doc_ids) - 1)].astype(np.int32)
-    imp_f, imp_n, imp_off = compute_impacts(freqs, np.asarray(norms))
-    docs_buf, docs_bb = _pack_values_bb(deltas, postings_format)
-    freqs_buf, freqs_bb = _pack_values_bb(freqs.astype(np.uint32),
-                                          postings_format)
-    return PackedPostings(
+    if len(D) and (D[tb[1:] - 1].max() >= 2**31 or D[tb[:-1]].min() < 0):
+        raise ValueError("docID out of int32 range")
+    delta = D.copy()
+    delta[1:] -= D[:-1]
+    starts = tb[:-1]
+    delta[starts] = D[starts]  # first delta of each term is absolute
+    ok = delta > 0
+    ok[starts] = delta[starts] >= 0
+    if not ok.all():
+        raise ValueError("docs out of order")  # Lucene90PostingsWriter.java:231
+    bstart, bsize, first = _blocks_of(tb)
+    docs, docs_offs = _pack_stream(delta.astype(np.uint32), bstart, bsize,
+                                   postings_format)
+    freqs, freqs_offs = _pack_stream(F.astype(np.uint32), bstart, bsize,
+                                     postings_format)
+    imp_f, imp_n, imp_off = _impacts(
+        F, np.ascontiguousarray(norms, dtype=np.uint8), bstart, bsize)
+    return _Flat(first, docs, docs_offs, freqs, freqs_offs,
+                 D[bstart + bsize - 1].astype(np.int32), imp_f, imp_n, imp_off)
+
+
+def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
+                  norms: np.ndarray, postings_format: str = "for128",
+                  positions: np.ndarray | None = None) -> PackedPostings:
+    """Pack one term's postings (one chunk): the kernel of
+    :func:`pack_postings_many` over a single term.
+
+    ``doc_ids`` must be strictly increasing int32/int64; ``freqs`` >= 1;
+    ``norms`` are the posting docs' norm bytes (for impacts).
+    ``positions``: optional absolute positions, ``freqs[i]`` of them per
+    posting, in doc order.
+    """
+    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    freqs = np.asarray(freqs, dtype=np.int64)
+    f = _pack_flat(doc_ids, freqs, norms, np.array([0, len(doc_ids)]),
+                   postings_format)
+    p = PackedPostings(
         doc_count=len(doc_ids),
         ttf=int(freqs.sum()),
-        docs=docs_buf,
-        freqs=freqs_buf,
-        docs_bb=docs_bb,
-        freqs_bb=freqs_bb,
-        block_last_docs=block_last,
-        imp_freqs=imp_f,
-        imp_norms=imp_n,
-        imp_offsets=imp_off,
+        docs=f.docs.tobytes(),
+        freqs=f.freqs.tobytes(),
+        docs_bb=np.diff(f.docs_offs).astype(np.int32),
+        freqs_bb=np.diff(f.freqs_offs).astype(np.int32),
+        block_last_docs=f.block_last,
+        imp_freqs=f.imp_f.astype(np.int32),
+        imp_norms=f.imp_n,
+        imp_offsets=f.imp_off.astype(np.int32),
         chunk_doc_counts=np.array([len(doc_ids)], dtype=np.int32),
     )
+    if positions is None:
+        return p
+    n_pos = len(positions)
+    bufs = pack_positions_many(positions, np.array([0, n_pos]),
+                               _offsets(freqs)[:-1])
+    return p._replace(positions=bufs[0].as_py(),
+                      chunk_occ_counts=np.array([n_pos], np.int64))
 
 
 def unpack_postings(p: PackedPostings) -> tuple[np.ndarray, np.ndarray]:
@@ -394,175 +510,99 @@ def repack_postings(p: PackedPostings, norms_lookup) -> PackedPostings:
     (TieredMergePolicy 'forceMerge' analog).
     """
     docs, freqs = unpack_postings(p)
-    norms = norms_lookup(docs)
-    out = pack_postings(docs, freqs, norms)
-    if len(p.positions):
-        flat = unpack_positions(p.positions, p.chunk_occ_counts, freqs)
-        group_starts = np.concatenate([[0], np.cumsum(freqs)[:-1]])
-        bufs = pack_positions_many(flat, np.array([0, len(flat)]),
-                                   group_starts.astype(np.int64))
-        out = out._replace(positions=bufs[0],
-                           chunk_occ_counts=np.array([len(flat)], np.int64))
-    return out
+    return pack_postings(docs, freqs, norms_lookup(docs), positions=(
+        unpack_positions(p.positions, p.chunk_occ_counts, freqs)
+        if len(p.positions) else None))
 
 
 # --- batch pack (vectorized across terms) ----------------------------------
 
-# minimal width w with max value <= 2^w - 1: searchsorted over thresholds
-_WIDTH_THRESHOLDS = (np.left_shift(np.int64(1), np.arange(33, dtype=np.int64))
-                     - 1).astype(np.int64)
+POSTINGS_SCHEMA = pa.schema([
+    ("term", pa.large_string()),
+    ("df", pa.int64()),
+    ("ttf", pa.int64()),
+    ("doc_count", pa.int64()),
+    ("docs", pa.large_binary()),
+    ("freqs", pa.large_binary()),
+    ("block_last_docs", pa.large_list(pa.int32())),
+    ("docs_bb", pa.large_list(pa.int32())),   # per-block byte lengths
+    ("freqs_bb", pa.large_list(pa.int32())),  # (skip-pointer analog)
+    ("imp_freqs", pa.large_list(pa.int32())),
+    ("imp_norms", pa.large_list(pa.int32())),
+    ("imp_offsets", pa.large_list(pa.int32())),
+    ("chunk_doc_counts", pa.large_list(pa.int32())),
+    ("positions", pa.large_binary()),          # empty unless index_positions
+    ("chunk_occ_counts", pa.large_list(pa.int64())),
+])
 
 
-def _widths_of(maxv: np.ndarray) -> np.ndarray:
-    return np.searchsorted(_WIDTH_THRESHOLDS, maxv.astype(np.int64),
-                           side="left").astype(np.uint8)
+def _binary(data: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    """large_binary array over one buffer: row i = data[offsets[i]:offsets[i+1]]."""
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(offsets) - 1,
+        [None, pa.py_buffer(np.ascontiguousarray(offsets, dtype=np.int64)),
+         pa.py_buffer(np.ascontiguousarray(data))])
 
 
 def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
                        norms: np.ndarray, term_bounds: np.ndarray,
-                       postings_format: str = "for128") -> dict:
-    """Pack MANY terms' postings in one vectorized pass.
+                       postings_format: str = "for128", terms=None,
+                       positions: np.ndarray | None = None) -> pa.Table:
+    """Pack MANY terms' postings in one vectorized pass -> a postings
+    table (``POSTINGS_SCHEMA``, one row per term).
 
     ``doc_ids``/``freqs``/``norms`` are the per-term posting arrays
     concatenated (term j occupies ``term_bounds[j]:term_bounds[j+1]``,
-    docs strictly increasing within each term). Bit-packing runs once
-    per (width x full-block) group instead of once per block; impact
-    skylines are computed with one global lexsort + segmented cummax.
-
-    Returns a dict of per-term column lists identical to looping
-    :func:`pack_postings` (tested equivalent).
+    docs strictly increasing within each term). Each stream is packed
+    in one pass over all blocks (full and tail), impact skylines with
+    one global lexsort + segmented cummax, and every column is built
+    from the flat buffers and offsets. ``terms`` fills the term column
+    (null when omitted); ``positions`` (as in :func:`pack_postings`, all
+    terms concatenated) fills ``positions``/``chunk_occ_counts``.
+    Rows are byte-identical to :func:`pack_postings` per term (tested).
     """
     D = np.ascontiguousarray(doc_ids, dtype=np.int64)
     F = np.ascontiguousarray(freqs, dtype=np.int64)
-    Nrm = np.ascontiguousarray(norms, dtype=np.uint8)
     tb = np.ascontiguousarray(term_bounds, dtype=np.int64)
-    n_terms = len(tb) - 1
-    counts = np.diff(tb)
-    if (counts <= 0).any():
-        raise ValueError("empty posting")
-    if len(D) and (D[tb[1:] - 1].max() >= 2**31 or D[tb[:-1]].min() < 0):
-        raise ValueError("docID out of int32 range")
-
-    delta = D.copy()
-    delta[1:] -= D[:-1]
-    starts = tb[:-1]
-    delta[starts] = D[starts]  # first delta of each term is absolute
-    ok = delta > 0
-    ok[starts] = delta[starts] >= 0
-    if not ok.all():
-        raise ValueError("docs out of order")
-    delta_u = delta.astype(np.uint32)
-
-    nblocks = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-    total_blocks = int(nblocks.sum())
-    term_of_block = np.repeat(np.arange(n_terms), nblocks)
-    bcs = np.concatenate([[0], np.cumsum(nblocks)])  # block index per term
-    block_ord = np.arange(total_blocks) - bcs[term_of_block]
-    bstart = tb[term_of_block] + BLOCK_SIZE * block_ord
-    bend = np.minimum(bstart + BLOCK_SIZE, tb[term_of_block + 1])
-    bsize = (bend - bstart).astype(np.int64)
-
-    def pack_stream(vals: np.ndarray) -> list[bytes]:
-        if postings_format != "for128":
-            # registered formats encode per block (self-describing tags)
-            return [_pack_block(vals[bstart[b]:bend[b]], postings_format)
-                    for b in range(total_blocks)]
-        maxv = np.maximum.reduceat(vals, bstart)
-        widths = _widths_of(maxv)
-        out: list[bytes] = [b""] * total_blocks
-        arange_b = np.arange(BLOCK_SIZE)
-        for w in np.unique(widths):
-            idx = np.nonzero(widths == w)[0]
-            if w == 0:
-                zero = b"\x00"
-                for b in idx:
-                    out[b] = zero
-                continue
-            full = idx[bsize[idx] == BLOCK_SIZE]
-            if len(full):
-                gather = vals[bstart[full][:, None] + arange_b[None, :]]
-                bits = np.unpackbits(
-                    gather.astype(">u4").view(np.uint8)
-                    .reshape(len(full), BLOCK_SIZE, 4), axis=2)
-                sel = bits.reshape(len(full), BLOCK_SIZE, 32)[:, :, 32 - w:]
-                packed = np.packbits(sel.reshape(len(full), BLOCK_SIZE * w),
-                                     axis=1)
-                wb = bytes([w])
-                pb = packed.tobytes()
-                row = packed.shape[1]
-                for i, b in enumerate(full):
-                    out[b] = wb + pb[i * row:(i + 1) * row]
-            for b in idx[bsize[idx] != BLOCK_SIZE]:
-                out[b] = _pack_block(vals[bstart[b]:bend[b]])
-        return out
-
-    docs_blocks = pack_stream(delta_u)
-    freqs_blocks = pack_stream(F.astype(np.uint32))
-    block_last = D[bend - 1].astype(np.int32)
-
-    # --- impacts: global lexsort + segmented strict cummax -----------------
-    block_of_el = np.repeat(np.arange(total_blocks), bsize)
-    order = np.lexsort((-F, Nrm, block_of_el))
-    bo = block_of_el[order]
-    no = Nrm[order]
-    fo = F[order]
-    first = np.ones(len(bo), dtype=bool)
-    first[1:] = (bo[1:] != bo[:-1]) | (no[1:] != no[:-1])
-    bo, no, fo = bo[first], no[first], fo[first]
-    key = (bo.astype(np.int64) << 32) | fo  # block-partitioned cummax
-    cm = np.maximum.accumulate(key)
-    keep = np.ones(len(key), dtype=bool)
-    keep[1:] = key[1:] > cm[:-1]
-    bo, no, fo = bo[keep], no[keep], fo[keep]
-    off = np.searchsorted(bo, np.arange(total_blocks + 1))
-    sizes_imp = np.diff(off)
-    if (sizes_imp > MAX_IMPACTS_PER_BLOCK).any():
-        # rare: rebuild only oversized blocks with the capped skyline
-        pieces_f, pieces_n, new_off = [], [], [0]
-        for b in range(total_blocks):
-            bf, bn = fo[off[b]:off[b + 1]], no[off[b]:off[b + 1]]
-            if len(bf) > MAX_IMPACTS_PER_BLOCK:
-                bf, bn = _skyline(F[bstart[b]:bend[b]], Nrm[bstart[b]:bend[b]])
-            pieces_f.append(bf)
-            pieces_n.append(bn)
-            new_off.append(new_off[-1] + len(bf))
-        fo = np.concatenate(pieces_f)
-        no = np.concatenate(pieces_n)
-        off = np.asarray(new_off, dtype=np.int64)
-
-    # --- per-term assembly -------------------------------------------------
-    ttfs = np.add.reduceat(F, tb[:-1])
-    n_out = n_terms
-    out = {
-        "term": None,  # caller fills
-        "df": counts.tolist(),
-        "ttf": ttfs.tolist(),
-        "doc_count": counts.tolist(),
-        "docs": [], "freqs": [], "block_last_docs": [],
-        "docs_bb": [], "freqs_bb": [],
-        "imp_freqs": [], "imp_norms": [], "imp_offsets": [],
-        "chunk_doc_counts": [np.array([c], dtype=np.int32) for c in counts],
-        "positions": [b""] * n_out,
-        "chunk_occ_counts": [np.empty(0, np.int64)] * n_out,
+    f = _pack_flat(D, F, norms, tb, postings_format)
+    n = len(tb) - 1
+    fb = f.first_block
+    reps = np.diff(fb) + 1  # imp_offsets has nblocks+1 entries per term
+    at = np.arange(fb[-1] + n) - np.repeat(np.arange(n), reps)
+    occ = _offsets(F)  # positions: occurrence bounds
+    lists = {  # name -> (offsets, values)
+        "block_last_docs": (fb, f.block_last),
+        "docs_bb": (fb, np.diff(f.docs_offs)),
+        "freqs_bb": (fb, np.diff(f.freqs_offs)),
+        "imp_freqs": (f.imp_off[fb], f.imp_f),
+        "imp_norms": (f.imp_off[fb], f.imp_n),
+        "imp_offsets": (fb + np.arange(n + 1),
+                        f.imp_off[at] - np.repeat(f.imp_off[fb[:-1]], reps)),
+        "chunk_doc_counts": (np.arange(n + 1), np.diff(tb)),
+        "chunk_occ_counts": ((np.zeros(n + 1, np.int64), np.empty(0))
+                             if positions is None else
+                             (np.arange(n + 1), np.diff(occ[tb]))),
     }
-    fo32 = fo.astype(np.int32)
-    no32 = no.astype(np.int32)
-    docs_bl = np.fromiter((len(b) for b in docs_blocks),
-                          dtype=np.int32, count=total_blocks)
-    freqs_bl = np.fromiter((len(b) for b in freqs_blocks),
-                           dtype=np.int32, count=total_blocks)
-    for j in range(n_terms):
-        b0, b1 = bcs[j], bcs[j + 1]
-        out["docs"].append(b"".join(docs_blocks[b0:b1]))
-        out["freqs"].append(b"".join(freqs_blocks[b0:b1]))
-        out["block_last_docs"].append(block_last[b0:b1])
-        out["docs_bb"].append(docs_bl[b0:b1])
-        out["freqs_bb"].append(freqs_bl[b0:b1])
-        o0, o1 = off[b0], off[b1]
-        out["imp_freqs"].append(fo32[o0:o1])
-        out["imp_norms"].append(no32[o0:o1])
-        out["imp_offsets"].append((off[b0:b1 + 1] - o0).astype(np.int32))
-    return out
+    counts = pa.array(np.diff(tb))
+    cols = {
+        "term": (pa.nulls(n, pa.large_string()) if terms is None
+                 else pa.array(terms, pa.large_string())),
+        "df": counts,
+        "ttf": pa.array(np.diff(occ[tb])),
+        "doc_count": counts,
+        "docs": _binary(f.docs, f.docs_offs[fb]),
+        "freqs": _binary(f.freqs, f.freqs_offs[fb]),
+        "positions": (_binary(np.empty(0, np.uint8), np.zeros(n + 1))
+                      if positions is None else
+                      pack_positions_many(positions, occ[tb], occ[:-1])),
+    }
+    for name, (offs, vals) in lists.items():
+        typ = POSTINGS_SCHEMA.field(name).type.value_type
+        cols[name] = pa.LargeListArray.from_arrays(
+            pa.array(offs, pa.int64()),
+            pa.array(np.asarray(vals).astype(f"i{typ.byte_width}"), typ))
+    return pa.Table.from_arrays([cols[k] for k in POSTINGS_SCHEMA.names],
+                                schema=POSTINGS_SCHEMA)
 
 
 # --- positional postings (PhraseQuery support) -----------------------------
@@ -574,8 +614,8 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
 
 
 def pack_positions_many(pos_flat: np.ndarray, occ_bounds: np.ndarray,
-                        group_starts: np.ndarray) -> list[bytes]:
-    """Pack many terms' position streams.
+                        group_starts: np.ndarray) -> pa.Array:
+    """Pack many terms' position streams -> large_binary, one per term.
 
     ``pos_flat``: all occurrences' positions (grouped by term, then doc,
     ascending within doc). ``occ_bounds``: per-term occurrence ranges
@@ -588,11 +628,9 @@ def pack_positions_many(pos_flat: np.ndarray, occ_bounds: np.ndarray,
     delta[group_starts] = P[group_starts]
     if (delta < 0).any():
         raise ValueError("positions out of order")
-    vals = delta.astype(np.uint32)
-    out = []
-    for j in range(len(occ_bounds) - 1):
-        out.append(_pack_values(vals[occ_bounds[j]:occ_bounds[j + 1]]))
-    return out
+    bstart, bsize, first = _blocks_of(occ_bounds)
+    data, offs = _pack_stream(delta.astype(np.uint32), bstart, bsize)
+    return _binary(data, offs[first])
 
 
 def unpack_positions(buf: bytes, chunk_occ_counts: np.ndarray,

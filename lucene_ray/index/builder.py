@@ -3,15 +3,19 @@
 Architecture (SURVEY.md §3.1): the reference's DWPT model — N indexing
 threads each building an independent in-RAM segment, flushed when the
 RAM budget is hit (``DocumentsWriterPerThread.java:210-242``,
-``FlushByRamOrCountsPolicy.java:31-104``) — maps to a stateful
-actor-pool ``map_batches`` stage: each *batch* becomes one immutable
-segment (tokenize -> invert -> pack -> flush to Parquet), so worker RAM
-is bounded by ``batch_size`` regardless of corpus size, and the
-streaming executor provides the stall/backpressure control
-(``DocumentsWriterStallControl.java:50-61``) for free.
+``FlushByRamOrCountsPolicy.java:31-104``) — maps to a task-compute
+``map_batches`` stage: each *batch* becomes one immutable segment
+(tokenize -> invert -> pack -> flush to Parquet), so worker RAM is
+bounded by ``batch_size`` regardless of corpus size, and the streaming
+executor provides the stall/backpressure control
+(``DocumentsWriterStallControl.java:50-61``) for free. Tasks rather than
+a fixed actor pool: the segments build on the warm task workers that
+also run the read, the term-stats job and the merge, with no actor
+processes to start and import first. The pack is one vectorized pass
+per stream over every block of the segment.
 
 docIDs are data-derived (a monotone int64 ``id_col``), never
-positional, so results are invariant to batch boundaries, actor
+positional, so results are invariant to batch boundaries, task
 scheduling, and partition counts — the docBase-prefix-sum determinism
 requirement of SURVEY.md §7.
 
@@ -37,8 +41,7 @@ import ray.data
 
 from ..analysis import StandardAnalyzer, int_to_byte4_array
 from ..analysis.arrow_tokenize import _tokenize_batch_arrow
-from ..codecs import pack_postings
-from ..codecs.postings import pack_postings_many
+from ..codecs.postings import POSTINGS_SCHEMA, pack_postings_many
 from .manifest import IndexManifest, SegmentInfo, write_manifest
 
 def _parquet_files(source) -> list[str]:
@@ -52,26 +55,6 @@ def _parquet_files(source) -> list[str]:
     return [source]
 
 
-POSTINGS_SCHEMA = pa.schema([
-    ("term", pa.large_string()),
-    ("df", pa.int64()),
-    ("ttf", pa.int64()),
-    ("doc_count", pa.int64()),
-    ("docs", pa.large_binary()),
-    ("freqs", pa.large_binary()),
-    ("block_last_docs", pa.large_list(pa.int32())),
-    ("docs_bb", pa.large_list(pa.int32())),   # per-block byte lengths
-    ("freqs_bb", pa.large_list(pa.int32())),  # (skip-pointer analog)
-    ("imp_freqs", pa.large_list(pa.int32())),
-    ("imp_norms", pa.large_list(pa.int32())),
-    ("imp_offsets", pa.large_list(pa.int32())),
-    ("chunk_doc_counts", pa.large_list(pa.int32())),
-    ("positions", pa.large_binary()),          # empty unless index_positions
-    ("chunk_occ_counts", pa.large_list(pa.int64())),
-])
-
-_ROW_KEYS = tuple(POSTINGS_SCHEMA.names)
-
 # Terms per Parquet row group in postings files. Small row groups give
 # the reader fine-grained min/max term pruning (the FST/block-tree term
 # index analog): a query term materializes at most one row group.
@@ -79,11 +62,11 @@ POSTINGS_ROW_GROUP = 256
 
 
 class SegmentIndexer:
-    """Stateful map_batches stage: one batch in -> one segment flushed.
+    """One batch in -> one segment flushed.
 
-    Analyzer tables are built once per actor (``__init__``), mirroring
-    the reference's per-thread analyzer reuse (``analysis/Analyzer.java``
-    ReuseStrategy). The returned batch is small segment *metadata* only.
+    ``build_index`` constructs one per batch (``_index_segment``);
+    subclasses and multi-field builds reuse one instance across batches.
+    The returned batch is small segment *metadata* only.
     """
 
     def __init__(self, out_dir: str, text_col: str, id_col: str,
@@ -185,11 +168,16 @@ class SegmentIndexer:
             doc_idx = np.repeat(np.arange(n_docs, dtype=np.int64), doc_lens)
         norms = int_to_byte4_array(doc_lens)
 
-        # vectorized invert: one sort over (term, doc) keys gives the
-        # tf triplets; pack every term in one batch pass
-        n_terms = 0
-        if len(codes):
-            key = codes * n_docs + doc_idx
+        # vectorized invert: codes are remapped to term rank first, so one
+        # sort over (term, doc) keys gives the tf triplets in term-dict
+        # order; every term is packed in one batch pass
+        n_terms = len(uniques)
+        if n_terms:
+            term_order = np.argsort(uniques)  # UTF-8 byte order == str order
+            terms = uniques[term_order]
+            rank = np.empty(n_terms, dtype=np.int64)
+            rank[term_order] = np.arange(n_terms)
+            key = rank[codes] * n_docs + doc_idx
             if self.index_positions:
                 order = np.lexsort((positions, key))
                 key_s = key[order]
@@ -201,47 +189,17 @@ class SegmentIndexer:
                 tf = np.diff(np.append(grp_starts, len(key_s)))
             else:
                 uk, tf = np.unique(key, return_counts=True)
-            t_codes = uk // n_docs
+            t_rank = uk // n_docs
             d_idx = (uk % n_docs).astype(np.int64)
-            bounds = np.searchsorted(t_codes, np.arange(len(uniques) + 1))
-            term_order = np.argsort(uniques)  # UTF-8 byte order == str order
-            n_terms = len(uniques)
-            # reorder triplets so terms are sorted (term dict order)
-            seg_starts = bounds[term_order]
-            seg_ends = bounds[term_order + 1]
-            seg_lens = seg_ends - seg_starts
-            gather = np.concatenate(
-                [np.arange(s, e) for s, e in zip(seg_starts, seg_ends)]) \
-                if n_terms else np.empty(0, np.int64)
-            lpos = d_idx[gather]
-            rows = pack_postings_many(
-                doc_ids[lpos], tf[gather], norms[lpos],
-                np.concatenate([[0], np.cumsum(seg_lens)]),
-                postings_format=self.postings_format)
-            rows["term"] = uniques[term_order].tolist()
-            if self.index_positions:
-                from ..codecs.postings import pack_positions_many
-                # occurrence slices per (sorted) term, concatenated
-                occ_bnd = np.append(grp_starts, len(key_s))
-                tf_g = tf[gather]
-                flat_parts = [pos_s[occ_bnd[g]:occ_bnd[g + 1]] for g in gather]
-                pos_flat = (np.concatenate(flat_parts) if flat_parts
-                            else np.empty(0, np.int64))
-                occ_counts_per_term = np.concatenate(
-                    [[0], np.cumsum([tf[bounds[c]:bounds[c + 1]].sum()
-                                     for c in term_order])]).astype(np.int64)
-                g_starts = np.concatenate(
-                    [[0], np.cumsum(tf_g)[:-1]]).astype(np.int64)
-                bufs = pack_positions_many(pos_flat, occ_counts_per_term,
-                                           g_starts)
-                rows["positions"] = bufs
-                rows["chunk_occ_counts"] = [
-                    np.array([occ_counts_per_term[j + 1]
-                              - occ_counts_per_term[j]], dtype=np.int64)
-                    for j in range(n_terms)]
+            term_list = terms.tolist()
+            postings_table = pack_postings_many(
+                doc_ids[d_idx], tf, norms[d_idx],
+                np.searchsorted(t_rank, np.arange(n_terms + 1)),
+                postings_format=self.postings_format, terms=term_list,
+                positions=pos_s if self.index_positions else None)
         else:
-            rows = {k: [] for k in _ROW_KEYS}
-        postings_table = pa.Table.from_pydict(rows, schema=POSTINGS_SCHEMA)
+            term_list = []
+            postings_table = POSTINGS_SCHEMA.empty_table()
 
         doc_cols = {
             "doc_id": pa.array(doc_ids, type=pa.int64()),
@@ -275,10 +233,10 @@ class SegmentIndexer:
             # (doc, term, tf), doc-sorted so a single-doc read touches
             # one row-group slice (written even when empty, so readers
             # can distinguish "no terms" from "not enabled")
-            if len(codes):
+            if n_terms:
                 cols = {
                     "doc_id": pa.array(doc_ids[d_idx], pa.int64()),
-                    "term": pa.array(uniques[t_codes].tolist(),
+                    "term": pa.array(terms[t_rank].tolist(),
                                      pa.large_string()),
                     "tf": pa.array(tf, pa.int64()),
                 }
@@ -309,8 +267,8 @@ class SegmentIndexer:
         # term-membership fingerprint: readers skip this segment's
         # postings entirely for absent terms (FST-presence role)
         from ..util import term_hash64
-        np.sort(term_hash64(rows["term"] if rows.get("term") else [])) \
-            .tofile(os.path.join(seg_dir, "postings.termset"))
+        np.sort(term_hash64(term_list)).tofile(
+            os.path.join(seg_dir, "postings.termset"))
         pq.write_table(docs_table, os.path.join(seg_dir, "docs.parquet"))
 
         return pa.table({
@@ -323,6 +281,13 @@ class SegmentIndexer:
             "lineage": [lineage],
             "field_doc_count": [int((doc_lens > 0).sum())],
         })
+
+
+def _index_segment(batch: pa.Table, **kw) -> pa.Table:
+    """The build stage's task function: one batch -> one segment. A
+    ``SegmentIndexer`` costs microseconds to construct, so each call
+    builds its own."""
+    return SegmentIndexer(**kw)(batch)
 
 
 def build_index(
@@ -381,11 +346,6 @@ def build_index(
         # data-derived); merge then uses its sort-repack fallback
         ds = source
 
-    if concurrency is None:
-        # fixed actor pool sized to the cluster (DWPT pool analog), one
-        # slot left free for read tasks
-        from ..util import default_concurrency
-        concurrency = default_concurrency()
     fn_kwargs = dict(out_dir=out_dir, text_col=text_col, id_col=id_col,
                      stored_cols=stored_cols, stop_words=stop_words,
                      index_positions=index_positions, analyzer=analyzer,
@@ -393,9 +353,11 @@ def build_index(
                      postings_format=postings_format,
                      term_vectors=term_vectors,
                      term_vector_offsets=term_vector_offsets)
+    # task compute: segments build on the same warm task workers as the
+    # read, the term-stats job and the merge; ``concurrency`` caps them
     meta = ds.map_batches(
-        SegmentIndexer,
-        fn_constructor_kwargs=fn_kwargs,
+        _index_segment,
+        fn_kwargs=fn_kwargs,
         batch_format="pyarrow",
         concurrency=concurrency,
         zero_copy_batch=True,

@@ -37,13 +37,14 @@ import ray
 import ray.data
 
 from ..codecs.postings import (
+    POSTINGS_SCHEMA,
     PackedPostings,
     concat_postings,
     pack_postings,
     repack_postings,
+    unpack_positions,
     unpack_postings,
 )
-from .builder import POSTINGS_SCHEMA
 from .manifest import IndexManifest, SegmentInfo, read_manifest, write_manifest
 
 
@@ -127,7 +128,6 @@ def _merge_one_term(rows: list[dict], norms_data) -> PackedPostings:
             docs_parts.append(d)
             freqs_parts.append(f)
             if has_pos:
-                from ..codecs.postings import unpack_positions
                 flat = unpack_positions(p.positions, p.chunk_occ_counts, f)
                 offs = np.concatenate([[0], np.cumsum(f)])
                 pos_slices.extend(flat[offs[i]:offs[i + 1]]
@@ -137,16 +137,9 @@ def _merge_one_term(rows: list[dict], norms_data) -> PackedPostings:
         order = np.argsort(docs, kind="stable")
         docs, freqs = docs[order], freqs[order]
         norms = norms_all[np.searchsorted(doc_ids_all, docs)]
-        out = pack_postings(docs, freqs, norms)
-        if has_pos:
-            from ..codecs.postings import pack_positions_many
-            flat = np.concatenate([pos_slices[i] for i in order])
-            g_starts = np.concatenate([[0], np.cumsum(freqs)[:-1]])
-            bufs = pack_positions_many(flat, np.array([0, len(flat)]),
-                                       g_starts.astype(np.int64))
-            out = out._replace(positions=bufs[0],
-                               chunk_occ_counts=np.array([len(flat)], np.int64))
-        return out
+        return pack_postings(docs, freqs, norms, positions=(
+            np.concatenate([pos_slices[i] for i in order])
+            if has_pos else None))
 
 
 def _drop_docs(p: PackedPostings, deleted: np.ndarray,
@@ -161,23 +154,14 @@ def _drop_docs(p: PackedPostings, deleted: np.ndarray,
         return p
     if not keep.any():
         return None
-    has_pos = len(p.positions) > 0
-    if has_pos:
-        from ..codecs.postings import pack_positions_many, unpack_positions
+    flat = None
+    if len(p.positions):
         flat = unpack_positions(p.positions, p.chunk_occ_counts, freqs)
         offs = np.concatenate([[0], np.cumsum(freqs)])
         flat = np.concatenate([flat[offs[i]:offs[i + 1]]
-                               for i in np.nonzero(keep)[0]]) \
-            if keep.any() else np.empty(0, np.int64)
+                               for i in np.nonzero(keep)[0]])
     docs, freqs = docs[keep], freqs[keep]
-    out = pack_postings(docs, freqs, norms_lookup(docs))
-    if has_pos:
-        g_starts = np.concatenate([[0], np.cumsum(freqs)[:-1]])
-        bufs = pack_positions_many(flat, np.array([0, len(flat)]),
-                                   g_starts.astype(np.int64))
-        out = out._replace(positions=bufs[0],
-                           chunk_occ_counts=np.array([len(flat)], np.int64))
-    return out
+    return pack_postings(docs, freqs, norms_lookup(docs), positions=flat)
 
 
 def _col(group: pa.Table, name: str) -> pa.Array:
@@ -217,7 +201,6 @@ def _merge_bucket_vec(group: pa.Table,
     neq = pc.not_equal(terms.slice(1), terms.slice(0, n - 1)) \
         .to_numpy(zero_copy_only=False)
     starts = np.concatenate([[0], np.nonzero(neq)[0] + 1]).astype(np.int64)
-    ends = np.concatenate([starts[1:], [n]])
     nt = len(starts)
     bounds = np.append(starts, n)
 
@@ -272,24 +255,21 @@ def _merge_bucket_vec(group: pa.Table,
             pa.array(offs[bounds], pa.int64()),
             vals.cast(vt) if vals.type != vt else vals)
 
-    # imp_offsets rebase: merged = [0] ++ cumsum(within-row diffs)
+    # imp_offsets rebase: merged = [0] ++ cumsum(within-row diffs), as
+    # one segmented cumsum over the whole bucket
     io_offs, io_vals_arr = _list_parts(_col(group, "imp_offsets"))
     io_vals = io_vals_arr.to_numpy(zero_copy_only=False).astype(np.int64)
     d = np.diff(io_vals)
     valid = np.ones(len(d), dtype=bool)
     valid[io_offs[1:-1] - 1] = False  # diffs crossing row boundaries
-    parts_vals = []
-    parts_offs = np.empty(nt + 1, dtype=np.int64)
-    parts_offs[0] = 0
-    for i in range(nt):
-        lo, hi = io_offs[starts[i]], io_offs[ends[i]]
-        dd = d[lo:hi - 1][valid[lo:hi - 1]]
-        merged = np.concatenate([[0], np.cumsum(dd)]).astype(np.int32)
-        parts_vals.append(merged)
-        parts_offs[i + 1] = parts_offs[i] + len(merged)
+    cs = np.concatenate([[0], np.cumsum(d[valid])])
+    row_nb = np.diff(io_offs) - 1  # blocks per row
+    tbs = np.concatenate([[0], np.cumsum(np.add.reduceat(row_nb, starts))])
+    term_of = np.repeat(np.arange(nt), np.diff(tbs) + 1)
+    at = np.arange(tbs[-1] + nt) - term_of  # [0] ++ the term's blocks
     out["imp_offsets"] = pa.LargeListArray.from_arrays(
-        pa.array(parts_offs, pa.int64()),
-        pa.array(np.concatenate(parts_vals), pa.int32()))
+        pa.array(tbs + np.arange(nt + 1), pa.int64()),
+        pa.array((cs[at] - cs[tbs[term_of]]).astype(np.int32), pa.int32()))
 
     t = pa.Table.from_pydict({k: out[k] for k in _MERGED_COLS},
                              schema=POSTINGS_SCHEMA)

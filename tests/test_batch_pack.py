@@ -1,9 +1,14 @@
-"""pack_postings_many must be bit-identical to per-term pack_postings."""
+"""pack_postings_many must be bit-identical to per-term pack_postings,
+and both to a per-block ``_pack_block`` / ``_skyline`` reference."""
 
 import numpy as np
 import pytest
 
 from lucene_ray.codecs.postings import (
+    BLOCK_SIZE,
+    MAX_IMPACTS_PER_BLOCK,
+    _pack_block,
+    _skyline,
     pack_postings,
     pack_postings_many,
     unpack_postings,
@@ -28,14 +33,94 @@ def _rand_terms(rng, n_terms, skew=False):
             np.asarray(bounds))
 
 
-@pytest.mark.parametrize("skew", [False, True])
+def _terms(postings):
+    """[(docs, freqs, norms), ...] -> the concatenated batch inputs."""
+    D, F, N = (np.concatenate([np.asarray(p[i]) for p in postings])
+               for i in range(3))
+    bounds = np.concatenate([[0], np.cumsum([len(p[0]) for p in postings])])
+    return D.astype(np.int64), F.astype(np.int64), N.astype(np.uint8), bounds
+
+
+def _edge_terms(rng, case):
+    def run(n, first=0, fmax=4):
+        docs = first + np.cumsum(rng.integers(1, 9, n)) - 1
+        return (docs, rng.integers(1, fmax, n),
+                rng.integers(0, 256, n).astype(np.uint8))
+    if case == "doc0":
+        # doc 0 alone: its docs block packs at width 0
+        return _terms([(np.array([0]), np.array([1]),
+                        np.array([7], np.uint8)), run(3)])
+    if case in ("tails", "vint"):
+        return _terms([run(1), run(127), run(129), run(128 + 127),
+                       run(3 * 128 + 1)])
+    if case == "exact128":
+        return _terms([run(128), run(256), run(128, first=5)])
+    if case == "width32":
+        t = run(200)
+        f = t[1].copy()
+        f[[0, 150]] = [2**31, 2**32 - 1]
+        return _terms([(t[0], f, t[2]), run(5)])
+    if case == "many_impacts":
+        # freq rises as the norm rises: every (freq, norm) pair is
+        # competitive, so blocks hold far more than MAX_IMPACTS_PER_BLOCK
+        n = 3 * 128 + 40
+        docs = np.arange(n) * 3
+        norms = (np.arange(n) % 200).astype(np.uint8)
+        return _terms([run(50), (docs, norms.astype(np.int64) + 1, norms),
+                       run(300, fmax=50)])
+    raise ValueError(case)
+
+
+CASES = {
+    False: "for128", True: "for128", "doc0": "for128", "tails": "for128",
+    "exact128": "for128", "width32": "for128", "many_impacts": "for128",
+    "vint": "vint",
+}
+
+
+def _reference_row(docs, freqs, norms, fmt):
+    """One term packed block by block with the scalar kernels."""
+    docs = np.asarray(docs, np.int64)
+    deltas = np.diff(docs, prepend=0).astype(np.uint32)
+    blocks = range(0, len(docs), BLOCK_SIZE)
+    d_blocks = [_pack_block(deltas[i:i + BLOCK_SIZE], fmt) for i in blocks]
+    f_blocks = [_pack_block(np.asarray(freqs[i:i + BLOCK_SIZE], np.uint32),
+                            fmt) for i in blocks]
+    sky = [_skyline(np.asarray(freqs[i:i + BLOCK_SIZE], np.int64),
+                    np.asarray(norms[i:i + BLOCK_SIZE])) for i in blocks]
+    return {
+        "docs": b"".join(d_blocks), "freqs": b"".join(f_blocks),
+        "docs_bb": [len(b) for b in d_blocks],
+        "freqs_bb": [len(b) for b in f_blocks],
+        "block_last_docs": docs[np.minimum(
+            np.arange(1, len(d_blocks) + 1) * BLOCK_SIZE, len(docs)) - 1]
+        .tolist(),
+        "imp_freqs": np.concatenate([f for f, _ in sky]).tolist(),
+        "imp_norms": np.concatenate([n for _, n in sky]).tolist(),
+        "imp_offsets": np.concatenate(
+            [[0], np.cumsum([len(f) for f, _ in sky])]).tolist(),
+        "chunk_doc_counts": [len(docs)],
+    }
+
+
+@pytest.mark.parametrize("skew", list(CASES))
 def test_batch_equals_scalar(skew):
     rng = np.random.default_rng(17)
-    D, F, N, tb = _rand_terms(rng, 60, skew)
-    many = pack_postings_many(D, F, N, tb)
+    if isinstance(skew, bool):
+        D, F, N, tb = _rand_terms(rng, 60, skew)
+    else:
+        D, F, N, tb = _edge_terms(rng, skew)
+    fmt = CASES[skew]
+    many = pack_postings_many(D, F, N, tb, postings_format=fmt).to_pydict()
+    assert len(many["docs"]) == len(tb) - 1
     for j in range(len(tb) - 1):
         lo, hi = tb[j], tb[j + 1]
-        p = pack_postings(D[lo:hi], F[lo:hi], N[lo:hi])
+        ref = _reference_row(D[lo:hi], F[lo:hi], N[lo:hi], fmt)
+        for col, want in ref.items():
+            assert many[col][j] == want, (col, j)
+        if skew == "many_impacts" and j == 1:  # every block is oversized
+            assert len(np.unique(N[lo:lo + BLOCK_SIZE])) > MAX_IMPACTS_PER_BLOCK
+        p = pack_postings(D[lo:hi], F[lo:hi], N[lo:hi], postings_format=fmt)
         assert many["docs"][j] == p.docs, j
         assert many["freqs"][j] == p.freqs, j
         assert many["df"][j] == p.doc_count
@@ -45,6 +130,7 @@ def test_batch_equals_scalar(skew):
         np.testing.assert_array_equal(many["imp_norms"][j],
                                       p.imp_norms.astype(np.int32))
         np.testing.assert_array_equal(many["imp_offsets"][j], p.imp_offsets)
+        np.testing.assert_array_equal(many["docs_bb"][j], p.docs_bb)
         # roundtrip through the batch-packed bytes
         p2 = PackedPostings(
             doc_count=many["df"][j], ttf=many["ttf"][j], docs=many["docs"][j],
@@ -56,6 +142,8 @@ def test_batch_equals_scalar(skew):
             chunk_doc_counts=np.asarray(many["chunk_doc_counts"][j]))
         d2, f2 = unpack_postings(p2)
         np.testing.assert_array_equal(d2, D[lo:hi])
+        if skew == "width32":  # decoded freqs are int32
+            f2 = f2.astype(np.uint32)
         np.testing.assert_array_equal(f2, F[lo:hi])
 
 

@@ -89,7 +89,7 @@ def test_batch_pack_emits_lengths():
         N.append(norms)
         tb.append(tb[-1] + len(docs))
     D, F, N = map(np.concatenate, (D, F, N))
-    many = pack_postings_many(D, F, N, np.asarray(tb))
+    many = pack_postings_many(D, F, N, np.asarray(tb)).to_pydict()
     for j in range(20):
         lo, hi = tb[j], tb[j + 1]
         p = pack_postings(D[lo:hi], F[lo:hi], N[lo:hi])
