@@ -9,7 +9,8 @@ Subpackages:
   codecs    — delta+FOR packed posting blocks, block-max impacts
   index     — segment build (map_batches), merge (groupby-on-term),
               manifest/checkpoint, collection stats
-  search    — BM25 scoring, boolean queries, top-k with block-max pruning
+  search    — BM25 scoring, boolean queries, top-k (block-max pruning
+              for single terms, exhaustive boolean accumulation)
   pipelines — training-data ops: dedup, similarity search, text analysis
 """
 

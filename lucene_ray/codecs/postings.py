@@ -376,6 +376,10 @@ def _pack_flat(D: np.ndarray, F: np.ndarray, norms, tb: np.ndarray,
     # uint32; a docID >= 2^31 would silently wrap and corrupt skip data
     if len(D) and (D[tb[1:] - 1].max() >= 2**31 or D[tb[:-1]].min() < 0):
         raise ValueError("docID out of int32 range")
+    # freqs read back as int32 (unpack_postings, imp_freqs): 2^31 and up
+    # would pack at width 32 and come back negative
+    if len(F) and F.max() >= 2**31:
+        raise ValueError(f"term frequency {int(F.max())} out of int32 range")
     delta = D.copy()
     delta[1:] -= D[:-1]
     starts = tb[:-1]

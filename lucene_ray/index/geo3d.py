@@ -34,6 +34,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..util import stage_pool
+
 # WGS84 polar flattening (PlanetModel.WGS84: zScaling = b/a)
 WGS84_Z_SCALING = 0.996647189328169
 
@@ -84,7 +86,7 @@ def build_point3d_index(source, out_dir: str, *, batch_size: int = 8192,
     os.makedirs(out_dir, exist_ok=True)
     pts = (ds.map_batches(_ToXYZ, fn_constructor_args=(z_scaling,),
                           batch_format="pyarrow", batch_size=batch_size,
-                          concurrency=(1, 8))
+                          concurrency=stage_pool())
            .sort(["x", "doc_id"]))
     n = pts.count()
     pts.write_parquet(os.path.join(out_dir, "pts"), row_group_size=1024)

@@ -28,6 +28,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..util import stage_pool
+
 LEAF_SIZE = 512  # BKDConfig.DEFAULT_MAX_POINTS_IN_LEAF_NODE
 
 
@@ -107,7 +109,7 @@ def build_point_index(source, out_dir: str, *, dims: tuple,
         ray.data.read_parquet(source, columns=cols)
     metas = ds.map_batches(
         PointSegmentWriter, batch_format="pyarrow",
-        batch_size=batch_size, concurrency=(1, 8),
+        batch_size=batch_size, concurrency=stage_pool(),
         fn_constructor_kwargs={"out_dir": out_dir, "dims": dims,
                                "id_col": id_col,
                                "leaf_size": leaf_size}).take_all()

@@ -38,6 +38,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..util import stage_pool
+
 
 # --- geometry --------------------------------------------------------------
 
@@ -173,7 +175,7 @@ class _Tessellate:
 
 def build_shape_index(source, out_dir: str, *,
                       batch_size: int = 4096,
-                      concurrency=(1, 8)) -> dict:
+                      concurrency=None) -> dict:
     """``source``: parquet path or Dataset with (doc_id:int64,
     vertices:list<list<float [x, y]>>). Writes ``tris.parquet`` sorted
     by minx (row-group stats = BKD inner nodes), ``rings.parquet``
@@ -186,7 +188,7 @@ def build_shape_index(source, out_dir: str, *,
     # the triangle set
     tris = (ds.map_batches(_Tessellate, batch_format="pyarrow",
                            batch_size=batch_size,
-                           concurrency=concurrency)
+                           concurrency=stage_pool(concurrency))
             .sort(["minx", "doc_id"]))
     n_tris = tris.count()
     tris.write_parquet(os.path.join(out_dir, "tris"),

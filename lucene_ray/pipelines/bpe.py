@@ -35,6 +35,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..util import stage_pool
+
 EOW = "</w>"
 
 
@@ -195,10 +197,11 @@ class _BpeCounter:
 
 
 def bpe_token_counts(path: str, merges, *,
-                     concurrency=(1, 8)) -> ray.data.Dataset:
+                     concurrency=None) -> ray.data.Dataset:
     """(doc_id, n_bpe_tokens) under a learned merge list — merges ship
     once via ray.put, never per batch."""
     ref = ray.put(list(merges))
     return (ray.data.read_parquet(path, columns=["doc_id", "text"])
             .map_batches(_BpeCounter, fn_constructor_args=(ref,),
-                         batch_format="pyarrow", concurrency=concurrency))
+                         batch_format="pyarrow",
+                         concurrency=stage_pool(concurrency)))

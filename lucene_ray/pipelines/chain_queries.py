@@ -24,6 +24,7 @@ import ray.data
 from ..analysis.minhash import MinHashFilter
 from ..analysis.pathtok import PathHierarchyTokenizer
 from ..analysis.stemmer import EdgeNGramFilter, ShingleFilter
+from ..util import stage_pool
 
 
 def _split_ws(col: pa.ChunkedArray):
@@ -122,4 +123,4 @@ class _MinHashSigCount:
 def minhash_sig_counts(path: str) -> ray.data.Dataset:
     return ray.data.read_parquet(path, columns=["doc_id", "text"]) \
         .map_batches(_MinHashSigCount, batch_format="pyarrow",
-                     concurrency=(1, 8))
+                     concurrency=stage_pool())

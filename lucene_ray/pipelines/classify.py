@@ -40,6 +40,7 @@ import ray.data
 
 from ..analysis.analyzer import StandardAnalyzer
 from ..analysis.arrow_tokenize import _tokenize_batch_arrow
+from ..util import stage_pool
 
 
 class NBModel(NamedTuple):
@@ -133,7 +134,7 @@ def train_naive_bayes(doc_path: str, class_col: str = "lang",
     # (cls, term, tf) restricted to the kept vocab: <= C * top_v rows
     refs = (ct.map_batches(_VocabFilter, batch_format="pyarrow",
                            fn_constructor_args=(vref,),
-                           concurrency=(1, 8))
+                           concurrency=stage_pool())
             .to_arrow_refs())
     tbl = pa.concat_tables([ray.get(r) for r in refs],
                            promote_options="default")

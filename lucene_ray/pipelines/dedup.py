@@ -27,7 +27,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min
 
 from ..analysis import StandardAnalyzer
-from ..util import cached_callable
+from ..util import cached_callable, stage_pool
 from .text_analysis import read_documents
 
 # deterministic 61-bit Mersenne prime universe for minhash permutations
@@ -410,7 +410,7 @@ def winnowing_fingerprints(path: str, k: int = 5,
     word run share a fingerprint, the winnowing guarantee)."""
     return (read_documents(path)
             .map_batches(_Winnow, fn_constructor_args=(k, w),
-                         batch_format="pyarrow", concurrency=(1, 8)))
+                         batch_format="pyarrow", concurrency=stage_pool()))
 
 
 def jaccard_verify(path: str, pairs: list[tuple[int, int]],

@@ -50,6 +50,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..util import stage_pool
+
 DEFAULT_M = 16
 DEFAULT_EF_CONSTRUCTION = 100
 DEFAULT_EF_SEARCH = 100
@@ -602,7 +604,7 @@ def build_hnsw_index(path: str, out_dir: str, *, m: int = DEFAULT_M,
     ds = ray.data.read_parquet(path, columns=["vec_id", "embedding"])
     metas = ds.map_batches(
         HnswSegmentBuilder, batch_format="pyarrow",
-        batch_size=segment_size, concurrency=(1, 8),
+        batch_size=segment_size, concurrency=stage_pool(),
         fn_constructor_kwargs={"out_dir": out_dir, "m": m,
                                "ef_construction": ef_construction}
     ).take_all()

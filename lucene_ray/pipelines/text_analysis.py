@@ -19,7 +19,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from ..analysis import StandardAnalyzer, int_to_byte4_array
-from ..util import cached_callable
+from ..util import cached_callable, stage_pool
 
 
 def read_documents(path: str, columns=("doc_id", "text")) -> ray.data.Dataset:
@@ -491,11 +491,12 @@ class _Chunker:
 
 
 def chunk_windows(path: str, window: int = 50, overlap: int = 10,
-                  concurrency=(1, 8)) -> "ray.data.Dataset":
+                  concurrency=None) -> "ray.data.Dataset":
     """(doc_id, chunk_start, chunk_text) token windows with overlap —
     streaming flat-map over (doc_id, text) only."""
     import ray.data
     return (ray.data.read_parquet(path, columns=["doc_id", "text"])
             .map_batches(_Chunker,
                          fn_constructor_args=(window, window - overlap),
-                         batch_format="pyarrow", concurrency=concurrency))
+                         batch_format="pyarrow",
+                         concurrency=stage_pool(concurrency)))

@@ -35,6 +35,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..util import stage_pool
+
 # the 33-word reference English stop list
 # (lucene/analysis/common/src/java/org/apache/lucene/analysis/en/
 #  EnglishAnalyzer.java:43-54)
@@ -170,7 +172,7 @@ class GopherQuality:
 
 def gopher_quality(path: str) -> ray.data.Dataset:
     return _read_docs(path).map_batches(GopherQuality, batch_format="pyarrow",
-                                        concurrency=(1, 8))
+                                        concurrency=stage_pool())
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def contamination(path: str, width: int = 8,
     ref = ray.put(gram_list)
     return _read_docs(path).map_batches(
         ContaminationScreen, batch_format="pyarrow",
-        fn_constructor_args=(ref, width), concurrency=(1, 8))
+        fn_constructor_args=(ref, width), concurrency=stage_pool())
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ def fingerprint_clusters(path: str) -> ray.data.Dataset:
 
     return (_read_docs(path).map_batches(_Fingerprint,
                                          batch_format="pyarrow",
-                                         concurrency=(1, 8))
+                                         concurrency=stage_pool())
             .groupby("fp")
             .aggregate(Count(alias_name="n_docs"),
                        Min("doc_id", alias_name="min_doc")))
@@ -377,7 +379,7 @@ def surprisal_topk(path: str, k: int = 20,
     from ray.data.aggregate import Sum
 
     tt = (_read_docs(path).map_batches(_TermCounts, batch_format="pyarrow",
-                                       concurrency=(1, 8))
+                                       concurrency=stage_pool())
           .groupby("term").aggregate(Sum("n", alias_name="ttf"))
           .materialize())
     # total mass over ALL terms (distributed aggregate, no driver vocab)
@@ -415,7 +417,7 @@ def surprisal_topk(path: str, k: int = 20,
             })
 
     got = (_read_docs(path).map_batches(Score, batch_format="pyarrow",
-                                        concurrency=(1, 8))
+                                        concurrency=stage_pool())
            .sort(["surprisal", "doc_id"], descending=[True, False])
            .limit(k).to_pandas())
     return pa.table({
@@ -536,7 +538,7 @@ def bigram_surprisal_topk(path: str, k: int = 20,
     from ray.data.aggregate import Sum
 
     cb = (_read_docs(path).map_batches(_BigramCounts, batch_format="pyarrow",
-                                       concurrency=(1, 8))
+                                       concurrency=stage_pool())
           .groupby("bigram").aggregate(Sum("n", alias_name="c"))
           .materialize())
 
@@ -596,7 +598,7 @@ def bigram_surprisal_topk(path: str, k: int = 20,
             })
 
     got = (_read_docs(path).map_batches(Score, batch_format="pyarrow",
-                                        concurrency=(1, 8))
+                                        concurrency=stage_pool())
            .filter(lambda r: bool(r["has"]))
            .sort(["skey", "doc_id"], descending=[True, False])
            .limit(k).to_pandas())

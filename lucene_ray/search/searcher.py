@@ -2,20 +2,21 @@
 
 Mirrors the reference query path (SURVEY.md §3.3):
 - global stats computed once per query (TermStates / CollectionStatistics)
-- per-segment scorers: conjunction leads with the rarest term,
-  block-skips the others (ConjunctionDISI leapfrog) and prunes lead
-  blocks against the live threshold (BlockMaxConjunctionScorer);
-  disjunctions run doc-at-a-time block-max WAND over merged block
-  windows (WANDScorer/ImpactsDISI role) with an adaptive dense
-  fallback when bounds cannot prune
+- per-segment scorers over each term's decoded doc/freq arrays: a
+  top-level single-term query scores blocks in impact-bound order and
+  skips those that cannot beat the live threshold (ImpactsDISI role);
+  conjunctions lead with the rarest term and look the others up
+  (ConjunctionDISI leapfrog); disjunctions accumulate every clause
+  exhaustively, into segment-length arrays or a sorted union of their
+  docs by a Σdf-against-segment-size rule (``_DENSE_OR_RATIO``)
 - tombstoned docs are masked at every candidate-formation point, so
   pruning thresholds never rise from deleted docs
 - top-k ties break toward the lower global docID (HitQueue.java:78-81);
   cross-segment merge = sort by (-score, doc_id) (TopDocs.merge);
   a shared min-competitive exchange threads cross-worker floors in
 - scores: float32 per term, summed in double, cast to float
-  (DisjunctionSumScorer semantics); every pruned path is bit-identical
-  to the exhaustive evaluation
+  (DisjunctionSumScorer semantics); the pruned term path is
+  bit-identical to the exhaustive evaluation
 
 Every entry point (search, collect, eval_complete, count, match_docs,
 explain, the facet/join/sort/delete helpers) goes through
@@ -23,7 +24,8 @@ explain, the facet/join/sort/delete helpers) goes through
 one batched postings read per segment, then one weight object per node
 (``_WEIGHTS`` maps each rewritten query class to its weight class).
 A weight's ``scores(sr, k, threshold, top)`` and ``matches(sr)`` run
-per segment; only the top-level weight of ``search`` may prune.
+per segment; only the top-level single-term weight of ``search``
+prunes.
 """
 
 from __future__ import annotations
@@ -67,6 +69,16 @@ from .reader import IndexReader, SegmentReader
 
 _MULTI_TERM = (PrefixQuery, WildcardQuery, RegexpQuery, TermRangeQuery,
                FuzzyQuery)
+
+# An OR accumulates into dense segment-length arrays when its clauses'
+# summed per-segment doc counts times this ratio reach the segment size,
+# and into a sorted union of their docs otherwise: the dense path costs
+# O(segment) to zero and scan, the sorted one O(Σdf log Σdf). Measured
+# on one 262,144-doc segment and on perfbench's 4,096 + 1,024-doc
+# segments (hot, mid and tail term pools): at 1, hot ORs on the large
+# segment took the sorted path and ran 1.5x slower; at 8 and at 32
+# every pool ran within noise of the faster of the two accumulators.
+_DENSE_OR_RATIO = 8
 
 
 class TopDocs(NamedTuple):
@@ -916,23 +928,13 @@ class Searcher:
             return docs, scores.astype(np.float32)
 
         if must or plan["filter"]:
-            cand, sums, match_counts = self._conjunction(
-                sr, plan, scoring, threshold=threshold, top=top)
-            if cand is None or len(cand) == 0:
-                return empty
+            cand, sums = self._conjunction(sr, plan, scoring)
+        elif should:
+            cand, sums = self._disjunction(sr, plan, scoring)
         else:
-            if not should:
-                return empty
-            cand, sums, match_counts = self._disjunction(sr, plan, scoring,
-                                                         k, threshold, top)
-            if cand is None or len(cand) == 0:
-                return empty
-            msm = max(plan["msm"], 1)
-            if msm > 1:
-                keep = match_counts >= msm
-                cand = cand[keep]
-                if sums is not None:
-                    sums = sums[keep]
+            return empty
+        if cand is None or len(cand) == 0:
+            return empty
 
         # MUST_NOT exclusion (ReqExclScorer)
         for t in plan["must_not"]:
@@ -1004,14 +1006,9 @@ class Searcher:
         scores = np.concatenate(score_parts)
         return docs, scores.astype(np.float64)
 
-    def _conjunction(self, sr: SegmentReader, plan: dict, scoring: bool,
-                     threshold: float = -np.inf, top: bool = False):
-        """Lead with the rarest required term; block-skip the rest.
-
-        With a live threshold at the top level, lead blocks whose
-        block-max bound plus every other scoring term's global max
-        cannot reach it are never scored (BlockMaxConjunctionScorer,
-        wired per ``Boolean2ScorerSupplier.java:202-247``)."""
+    def _conjunction(self, sr: SegmentReader, plan: dict, scoring: bool):
+        """Lead with the rarest required term; look the rest up in their
+        decoded arrays (ConjunctionDISI leapfrog role)."""
         must, flt, should = plan["must"], plan["filter"], plan["should"]
         required = [(t, True) for t in must] + [(t, False) for t in flt]
         # postings for required terms; any missing -> empty
@@ -1019,40 +1016,11 @@ class Searcher:
         for t, scores_q in required:
             p = sr.get_postings(t.term)
             if p is None:
-                return None, None, None
+                return None, None
             loaded.append((t, scores_q, p))
         order = sorted(range(len(loaded)), key=lambda i: loaded[i][2].doc_count)
-        t0, s0, p0 = loaded[order[0]]
-        prune = (top and scoring and not self.exact64
-                 and np.isfinite(threshold) and plan["msm"] <= 1)
-        dec0 = sr.get_decoded(t0.term)
-        cand, freqs0 = dec0.docs, dec0.freqs
-        if prune and len(p0.imp_freqs):
-            lead_ub = self._block_ubs(
-                sr, p0, t0.term,
-                t0.weight if s0 else np.float32(0)).astype(np.float64)
-            rest = 0.0
-            for i, (t, scores_q, p) in enumerate(loaded):
-                if i == order[0] or not scores_q or not self._scores_term(t):
-                    continue
-                ub = self._block_ubs(sr, p, t.term, t.weight)
-                rest += float(ub.max()) if len(ub) else 0.0
-            for t in should:  # optional clauses add score on matches
-                if not self._scores_term(t):
-                    continue
-                p = sr.get_postings(t.term)
-                if p is not None and len(p.imp_freqs):
-                    rest += float(self._block_ubs(sr, p, t.term,
-                                                  t.weight).max())
-            theta_low = float(np.nextafter(np.float32(threshold),
-                                           np.float32(-np.inf)))
-            keep = lead_ub + rest >= theta_low
-            if not keep.all():
-                sel = np.nonzero(keep)[0]
-                if len(sel) == 0:
-                    return None, None, None
-                cand, freqs0 = select_blocks(dec0, sel)
-        cand, freqs0 = self._live(sr, cand, freqs0)
+        dec0 = sr.get_decoded(loaded[order[0]][0].term)
+        cand, freqs0 = self._live(sr, dec0.docs, dec0.freqs)
         term_freqs: dict[int, np.ndarray] = {order[0]: freqs0}
         for oi in order[1:]:
             t = loaded[oi][0]
@@ -1062,13 +1030,13 @@ class Searcher:
             term_freqs = {i: ff[keep] for i, ff in term_freqs.items()}
             term_freqs[oi] = f[keep]
             if len(cand) == 0:
-                return cand, np.empty(0, np.float64), None
+                return cand, np.empty(0, np.float64)
         # required = MUST + FILTER (Boolean2ScorerSupplier): this path
         # always has >=1 required clause, so SHOULD clauses stay purely
         # optional (ReqOptSumScorer) unless minShouldMatch asks otherwise
         msm = plan["msm"]
         if not scoring and (msm <= 0 or not should):
-            return cand, None, None
+            return cand, None
         norms = self._norm_data(sr, cand) if scoring else None
         sums = np.zeros(len(cand), dtype=np.float64) if scoring else None
         if scoring:
@@ -1095,182 +1063,52 @@ class Searcher:
             cand = cand[keep]
             if sums is not None:
                 sums = sums[keep]
-        return cand, sums, None
+        return cand, sums
 
-    def _disjunction(self, sr: SegmentReader, plan: dict, scoring: bool,
-                     k: int, threshold: float, top: bool = False):
-        """MaxScore-style static pruning from block-max impact bounds."""
-        should = plan["should"]
-        postings = []
-        for t in should:
-            p = sr.get_postings(t.term)
-            if p is not None:
-                postings.append((t, p))
+    def _disjunction(self, sr: SegmentReader, plan: dict, scoring: bool):
+        """Exhaustive OR (DisjunctionSumScorer) with minShouldMatch. Both
+        accumulators add each clause's float64 contribution per doc in
+        clause order, so they give bit-identical scores."""
+        postings = [(t, p) for t in plan["should"]
+                    if (p := sr.get_postings(t.term)) is not None]
         if not postings:
-            return None, None, None
-
-        msm = max(plan["msm"], 1)
-        # float32 impact bounds are not safe upper bounds for float64
-        # exact-dl scores; disable pruning in exact64 mode. Pruning is
-        # only sound when this disjunction IS the top-level collector:
-        # sub-query evaluations (DisMax disjuncts, ConstantScore inners)
-        # must return COMPLETE (docs, scores) sets, so top gates prune.
-        # MUST_NOT exclusion happens AFTER this returns, so a
-        # self-raised threshold would be tainted by soon-excluded docs:
-        # only prune when there is no exclusion clause
-        prune = (top and scoring and msm == 1 and len(postings) > 1
-                 and not plan["must_not"] and not self.exact64)
-        if prune:
-            # doc-at-a-time block-max WAND over merged block windows;
-            # returns NotImplemented when the bounds can't prune (the
-            # equal-hot-terms adversary) -> dense exhaustive path below
-            res = self._wand_topk(sr, postings, k, threshold)
-            if res is not NotImplemented:
-                return res
-
-        # exhaustive path: every term's full decoded arrays
+            return None, None
         decoded = [self._live(sr, *sr.get_decoded(t.term)[:2])
                    for t, _p in postings]
-
-        if sr._contiguous:
-            # dense per-doc accumulators (a term's docs are unique, so
-            # fancy-indexed += is exact); accumulation in clause order
-            # keeps scores bit-identical to every other path. Sums
-            # accumulate directly into a dense n-length array (no
-            # candidate position map): same adds in the same order per
-            # doc, one less gather per clause
-            n = len(sr)
-            base = sr._base
+        scored = [scoring and self._scores_term(t) for t, _p in postings]
+        if (sr._contiguous and sum(p.doc_count for _t, p in postings)
+                * _DENSE_OR_RATIO >= len(sr)):
+            # dense segment-length accumulators (a term's docs are
+            # unique, so fancy-indexed += is exact)
+            n, base = len(sr), sr._base
             cnt = np.zeros(n, dtype=np.int32)
-            idxs = []
-            for docs, _f in decoded:
+            sums_full = np.zeros(n, dtype=np.float64) if scoring else None
+            for (t, _p), (docs, freqs), sc in zip(postings, decoded, scored):
                 idx = docs - base
-                idxs.append(idx)
                 cnt[idx] += 1
+                if sc:
+                    sums_full[idx] += self._contrib(
+                        t, freqs, self._norm_data(sr, docs))
             cand_idx = np.nonzero(cnt)[0]
-            cand = cand_idx + base
-            counts = cnt[cand_idx].astype(np.int64)
-            sums = None
-            if scoring:
-                sums_full = np.zeros(n, dtype=np.float64)
-                for (t, p), (docs, freqs), idx in zip(postings, decoded,
-                                                      idxs):
-                    if self._scores_term(t):
-                        sums_full[idx] += self._contrib(
-                            t, freqs, self._norm_data(sr, docs))
-                sums = sums_full[cand_idx]
-            return cand, sums, counts
-
-        cand = np.unique(np.concatenate([d for d, _ in decoded]))
-        counts = np.zeros(len(cand), dtype=np.int64)
-        sums = np.zeros(len(cand), dtype=np.float64) if scoring else None
-        norms_cand = self._norm_data(sr, cand) if scoring else None
-        for (t, p), (docs, freqs) in zip(postings, decoded):
-            pos = np.searchsorted(cand, docs)
-            counts[pos] += 1
-            if scoring and self._scores_term(t):
-                sums[pos] += self._contrib(t, freqs, norms_cand[pos])
-        return cand, sums, counts
-
-    def _wand_topk(self, sr: SegmentReader, postings: list, k: int,
-                   threshold: float):
-        """Doc-at-a-time block-max WAND (``search/WANDScorer.java:30-120``
-        role, window formulation): merge every term's block boundaries
-        into disjoint doc WINDOWS; a window's bound is the sum of the
-        covering blocks' impact bounds, so equal-global-bound hot terms
-        still prune wherever their *block* maxima dip. Windows process
-        in bound-descending geometric batches; after each batch the k-th
-        collected float32 score raises the threshold. Scores accumulate
-        per doc in clause order -> bit-identical to the exhaustive path.
-        """
-        blasts, ubs = [], []
-        for t, p in postings:
-            ub = self._block_ubs(sr, p, t.term, t.weight)
-            blasts.append(np.asarray(p.block_last_docs, dtype=np.int64))
-            ubs.append(ub.astype(np.float64))
-        edges = np.unique(np.concatenate(blasts))
-        m = len(edges)
-        wb = np.zeros(m, dtype=np.float64)
-        for bl, ub in zip(blasts, ubs):
-            idx = np.searchsorted(bl, edges)
-            valid = idx < len(bl)
-            wb[valid] += ub[np.minimum(idx, len(ub) - 1)][valid] \
-                if len(ub) else 0.0
-        win_lo = np.empty(m, dtype=np.int64)
-        win_lo[0] = -(2**62)
-        win_lo[1:] = edges[:-1] + 1
-        if np.isfinite(threshold):
-            tl = float(np.nextafter(np.float32(threshold),
-                                    np.float32(-np.inf)))
-            if (wb >= tl).mean() > 0.6:
-                # bounds barely exceed the threshold (equal-hot-term
-                # adversary): batch machinery costs more than the dense
-                # exhaustive accumulate — let the caller run that instead
-                return NotImplemented
-        order = np.argsort(-wb, kind="stable")
-        decs = [sr.get_decoded(t.term) for t, _p in postings]
-        theta = threshold
-        out_docs, out_sums = [], []
-        n_collected = 0
-        i = 0
-        batch = max(32, (8 * k) // 128 + 1)
-        while i < m:
-            theta_low = (float(np.nextafter(np.float32(theta),
-                                            np.float32(-np.inf)))
-                         if np.isfinite(theta) else -np.inf)
-            if wb[order[i]] < theta_low:
-                break  # descending order: nothing below can compete
-            take = order[i:i + batch]
-            if np.isfinite(theta):
-                take = take[wb[take] >= theta_low]
-            if len(take):
-                sel = np.sort(take)
-                his = edges[sel]
-                los = win_lo[sel]
-                per = []
-                for dec, bl in zip(decs, blasts):
-                    bidx = np.unique(np.searchsorted(bl, his))
-                    bidx = bidx[bidx < len(bl)]
-                    if len(bidx) == 0:
-                        per.append(None)
-                        continue
-                    d, f = select_blocks(dec, bidx)
-                    pos = np.minimum(np.searchsorted(his, d), len(his) - 1)
-                    ok = (d <= his[pos]) & (d >= los[pos])
-                    d, f = self._live(sr, d[ok], f[ok])
-                    per.append((d, f) if len(d) else None)
-                parts = [pr[0] for pr in per if pr]
-                if parts:
-                    cand = np.unique(np.concatenate(parts))
-                    sums = np.zeros(len(cand), dtype=np.float64)
-                    norms_cand = self._norm_data(sr, cand)
-                    for (t, p), pr in zip(postings, per):
-                        if pr is None or not self._scores_term(t):
-                            continue
-                        d, f = pr
-                        pos = np.searchsorted(cand, d)
-                        sums[pos] += self._contrib(t, f, norms_cand[pos])
-                    out_docs.append(cand)
-                    out_sums.append(sums)
-                    n_collected += len(cand)
-                    if n_collected >= k:
-                        allsc = np.concatenate(out_sums).astype(np.float32)
-                        kth = float(np.partition(allsc, len(allsc) - k)
-                                    [len(allsc) - k])
-                        theta = max(theta, kth)
-            i += batch
-            # once a threshold exists, check whether it actually prunes;
-            # if most remaining windows survive, sweep them in ONE batch
-            if np.isfinite(theta) and i < m:
-                tl = float(np.nextafter(np.float32(theta),
-                                        np.float32(-np.inf)))
-                if (wb[order[i:]] >= tl).mean() > 0.6:
-                    batch = m
-                    continue
-            batch = min(batch * 4, 4096)
-        if not out_docs:
-            return None, None, None
-        return np.concatenate(out_docs), np.concatenate(out_sums), None
+            cand, counts = cand_idx + base, cnt[cand_idx]
+            sums = sums_full[cand_idx] if scoring else None
+        else:
+            # sorted union: cost follows the postings, not the segment
+            cand = np.unique(np.concatenate([d for d, _ in decoded]))
+            counts = np.zeros(len(cand), dtype=np.int32)
+            sums = np.zeros(len(cand), dtype=np.float64) if scoring else None
+            norms_cand = self._norm_data(sr, cand) if scoring else None
+            for (t, _p), (docs, freqs), sc in zip(postings, decoded, scored):
+                pos = np.searchsorted(cand, docs)
+                counts[pos] += 1
+                if sc:
+                    sums[pos] += self._contrib(t, freqs, norms_cand[pos])
+        if plan["msm"] > 1:
+            keep = counts >= plan["msm"]
+            cand = cand[keep]
+            if sums is not None:
+                sums = sums[keep]
+        return cand, sums
 
 
 # -- combiners over complete (docs, scores) on one doc space ----------------
@@ -1357,7 +1195,7 @@ class _Weight:
 
 
 class _TermBoolWeight(_Weight):
-    """A term, or a boolean of term clauses: the pruned kernels."""
+    """A term, or a boolean of term clauses: the term kernels."""
 
     def __init__(self, s, q):
         super().__init__(s)

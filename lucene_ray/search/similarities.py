@@ -19,8 +19,9 @@ Each similarity is a stateless float64 scorer over vectorized
 the exact-doc-length (exhaustive, unpruned) evaluation path — the same
 rails the ``bm25_exact64`` oracle mode uses — so results are
 deterministic and ANSI-SQL-expressible. BM25-specific impact pruning
-(WAND, block-max) stays off for custom models: their score bounds are
-not tf-monotone in general (LMDirichlet contributions clamp at 0).
+(the single-term block-max skip) stays off for custom models: their
+score bounds are not tf-monotone in general (LMDirichlet contributions
+clamp at 0).
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ from datetime import datetime, timezone
 import numpy as np
 import pyarrow as pa
 
+from ..util import stage_pool
+
 _CRLF = b"\r\n"
 
 
@@ -159,7 +161,7 @@ class _WarcExtract:
         })
 
 
-def read_warc(paths, *, concurrency=(1, 8)):
+def read_warc(paths, *, concurrency=None):
     """WARC file paths -> streaming ``ray.data.Dataset`` of
     (url:string, warc_ts:timestamp, html:binary) — the input_hint
     table shape, ready for ``webtext.extract_pages_text`` /
@@ -168,4 +170,4 @@ def read_warc(paths, *, concurrency=(1, 8)):
 
     ds = ray.data.read_binary_files(paths)
     return ds.map_batches(_WarcExtract, batch_format="pyarrow",
-                          batch_size=1, concurrency=concurrency)
+                          batch_size=1, concurrency=stage_pool(concurrency))

@@ -36,13 +36,23 @@ def default_concurrency() -> int:
     Fixed pools also ramp ~2x faster than autoscaling (1, n) pools on
     short jobs. ``build_index`` does not use it: its segment stage runs
     as tasks, sized by Ray Data unless the caller passes
-    ``concurrency``. ``LUCENE_RAY_POOL`` overrides the size."""
+    ``concurrency``; ``stage_pool`` uses it as the cap of the other
+    stateful stages' autoscaling pools. ``LUCENE_RAY_POOL`` overrides
+    the size."""
     import os
     override = os.environ.get("LUCENE_RAY_POOL")
     if override:
         return max(1, int(override))
     cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
     return max(1, min(cpus - 1, int(cpus * 0.8)))
+
+
+def stage_pool(concurrency=None):
+    """``concurrency=`` for a stateful (actor-pool) ``map_batches`` stage:
+    the caller's override when given, else a pool that autoscales from
+    1 to ``default_concurrency()`` actors, so it grows with the cluster
+    while stages that run side by side each reserve only one CPU."""
+    return (1, default_concurrency()) if concurrency is None else concurrency
 
 
 def term_hash64(terms) -> "np.ndarray":

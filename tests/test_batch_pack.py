@@ -55,10 +55,13 @@ def _edge_terms(rng, case):
                        run(3 * 128 + 1)])
     if case == "exact128":
         return _terms([run(128), run(256), run(128, first=5)])
-    if case == "width32":
+    if case in ("width31", "width32"):
+        # width32: freqs past int32, which the int32 readers cannot
+        # return, so packing must refuse them
         t = run(200)
         f = t[1].copy()
-        f[[0, 150]] = [2**31, 2**32 - 1]
+        f[[0, 150]] = ([2**31 - 1, 2**30] if case == "width31"
+                       else [2**31, 2**32 - 1])
         return _terms([(t[0], f, t[2]), run(5)])
     if case == "many_impacts":
         # freq rises as the norm rises: every (freq, norm) pair is
@@ -73,8 +76,8 @@ def _edge_terms(rng, case):
 
 CASES = {
     False: "for128", True: "for128", "doc0": "for128", "tails": "for128",
-    "exact128": "for128", "width32": "for128", "many_impacts": "for128",
-    "vint": "vint",
+    "exact128": "for128", "width31": "for128", "width32": "for128",
+    "many_impacts": "for128", "vint": "vint",
 }
 
 
@@ -111,6 +114,14 @@ def test_batch_equals_scalar(skew):
     else:
         D, F, N, tb = _edge_terms(rng, skew)
     fmt = CASES[skew]
+    if skew == "width32":
+        with pytest.raises(ValueError, match="frequency 4294967295 out of"):
+            pack_postings_many(D, F, N, tb, postings_format=fmt)
+        F[150] = 1  # 2^31 alone is already out of range
+        with pytest.raises(ValueError, match="frequency 2147483648 out of"):
+            pack_postings(D[:tb[1]], F[:tb[1]], N[:tb[1]],
+                          postings_format=fmt)
+        return
     many = pack_postings_many(D, F, N, tb, postings_format=fmt).to_pydict()
     assert len(many["docs"]) == len(tb) - 1
     for j in range(len(tb) - 1):
@@ -142,8 +153,6 @@ def test_batch_equals_scalar(skew):
             chunk_doc_counts=np.asarray(many["chunk_doc_counts"][j]))
         d2, f2 = unpack_postings(p2)
         np.testing.assert_array_equal(d2, D[lo:hi])
-        if skew == "width32":  # decoded freqs are int32
-            f2 = f2.astype(np.uint32)
         np.testing.assert_array_equal(f2, F[lo:hi])
 
 

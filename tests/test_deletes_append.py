@@ -140,9 +140,9 @@ def test_merge_reclaims_tombstones(base_index):
 
 
 def test_pruned_paths_identical_with_tombstones(base_index):
-    """Block-max WAND / single-term pruning with tombstones: thresholds
-    must never rise from deleted docs — pruned top-k stays bit-identical
-    to the complete evaluation."""
+    """Single-term block-max pruning and the exhaustive OR with
+    tombstones: thresholds must never rise from deleted docs, and
+    ``search`` top-k stays bit-identical to the complete evaluation."""
     import numpy as np
 
     from lucene_ray.search import or_query

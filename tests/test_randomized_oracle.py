@@ -13,6 +13,7 @@ from lucene_ray.analysis import ENGLISH_STOP_WORDS, StandardAnalyzer, int_to_byt
 from lucene_ray.analysis.smallfloat import LENGTH_TABLE
 from lucene_ray.index import build_index
 from lucene_ray.search import BooleanQuery, IndexReader, Searcher, TermQuery
+from lucene_ray.search.searcher import _DENSE_OR_RATIO
 
 K1, B = 1.2, 0.75
 
@@ -75,20 +76,42 @@ class Oracle:
         return hits[:k]
 
 
-@pytest.mark.parametrize("seed", [101, 202, 303])
-def test_random_corpora_and_queries(ray_session, tmp_path_factory, seed):
-    rng = np.random.default_rng(seed)
-    n_docs = int(rng.integers(150, 400))
-    vocab_n = int(rng.integers(30, 300))
-    vocab = [f"t{i}" for i in range(vocab_n)] + ["the", "and", "of"]
+def _long_tail_texts(rng):
+    """40 head words each in about half the docs and 600 tail words
+    each in a handful, so a SHOULD-only query over tail words has a
+    summed df far below the segment size and one with a head word
+    does not: both OR accumulators run."""
+    head = [f"h{i}" for i in range(40)]
+    tail = [f"r{i}" for i in range(600)]
     texts = []
-    for i in range(n_docs):
-        if rng.random() < 0.03:
-            texts.append("")  # empty docs exercise field_doc_count
-            continue
-        n = int(rng.integers(1, 120))
-        texts.append(" ".join(rng.choice(vocab, n)))
-    stop = ENGLISH_STOP_WORDS if rng.random() < 0.5 else frozenset()
+    for _ in range(int(rng.integers(300, 400))):
+        words = [w for w in head if rng.random() < 0.5]
+        words += list(rng.choice(tail, int(rng.integers(1, 8))))
+        rng.shuffle(words)
+        texts.append(" ".join(words))
+    return texts
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303, "longtail"])
+def test_random_corpora_and_queries(ray_session, tmp_path_factory, seed):
+    long_tail = seed == "longtail"
+    rng = np.random.default_rng(404 if long_tail else seed)
+    if long_tail:
+        texts = _long_tail_texts(rng)
+        n_docs = len(texts)
+        stop = frozenset()
+    else:
+        n_docs = int(rng.integers(150, 400))
+        vocab_n = int(rng.integers(30, 300))
+        vocab = [f"t{i}" for i in range(vocab_n)] + ["the", "and", "of"]
+        texts = []
+        for i in range(n_docs):
+            if rng.random() < 0.03:
+                texts.append("")  # empty docs exercise field_doc_count
+                continue
+            n = int(rng.integers(1, 120))
+            texts.append(" ".join(rng.choice(vocab, n)))
+        stop = ENGLISH_STOP_WORDS if rng.random() < 0.5 else frozenset()
 
     t = pa.table({"doc_id": pa.array(np.arange(n_docs, dtype=np.int64)),
                   "text": pa.array(texts, pa.string())})
@@ -104,8 +127,12 @@ def test_random_corpora_and_queries(ray_session, tmp_path_factory, seed):
     present = sorted(oracle.df)
     if not present:
         pytest.skip("degenerate corpus")
+    # which OR accumulator each SHOULD-only query should take per
+    # segment, from the oracle's own per-segment doc counts
+    segments = [sr.doc_ids for sr in s.reader.segments()]
+    or_sides = set()
 
-    for _ in range(25):
+    for _ in range(60 if long_tail else 25):
         def pick(n):
             return [TermQuery(str(rng.choice(present)),
                               boost=float(rng.choice([1.0, 1.0, 2.0, 0.5])))
@@ -117,18 +144,33 @@ def test_random_corpora_and_queries(ray_session, tmp_path_factory, seed):
             filter=tuple(pick(int(rng.integers(0, 2)))),
             min_should_match=int(rng.integers(0, 2)),
         )
+        if long_tail and rng.random() < 0.7:
+            q = BooleanQuery(should=q.should + tuple(pick(1)),
+                             must_not=q.must_not,
+                             min_should_match=int(rng.integers(0, 3)))
         if not (q.must or q.should or q.filter):
             continue
+        if q.should and not (q.must or q.filter):
+            for ids in segments:
+                seg_df = sum(sum(1 for i in ids
+                                 if tq.term in oracle.docs[i][0])
+                             for tq in q.should)
+                contiguous = ids[-1] - ids[0] == len(ids) - 1
+                or_sides.add(contiguous
+                             and seg_df * _DENSE_OR_RATIO >= len(ids))
         k = int(rng.choice([1, 7, 40]))
         got = s.search(q, k=k)
         want = oracle.search(q, k)
         assert got.doc_ids.tolist() == [d for _, d in want], q
         assert got.scores.tolist() == [float(x) for x, _ in want], q
+    if long_tail:
+        assert or_sides == {True, False}
 
 
 def test_tie_heavy_corpus_pruned_path(ray_session, tmp_path_factory):
     """Thousands of identical docs -> identical scores; top-k must be the
-    lowest docIDs even through the block-max pruned single-term path."""
+    lowest docIDs through the block-max pruned single-term path and
+    through the exhaustive OR."""
     n = 6000  # > 8 blocks per segment so pruning engages
     texts = ["alpha beta gamma"] * n
     t = pa.table({"doc_id": pa.array(np.arange(n, dtype=np.int64)),
