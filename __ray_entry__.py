@@ -176,7 +176,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pyarrow.parquet as pq
         from lucene_ray.analysis.thai import ThaiAnalyzer
         from lucene_ray.index import build_index
-        from lucene_ray.index.manifest import read_manifest
+        from lucene_ray.index.manifest import FORMAT_VERSION, read_manifest
         p = "/tmp/lucene_ray_cache/th_docs.parquet"
         if not os.path.exists(p):
             os.makedirs(os.path.dirname(p), exist_ok=True)
@@ -189,7 +189,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pq.write_table(pa.table({
                 "doc_id": pa.array(range(256), pa.int64()),
                 "text": pa.array(texts, pa.string())}), p)
-        idx = "/tmp/lucene_ray_cache/th_idx"
+        idx = f"/tmp/lucene_ray_cache/v{FORMAT_VERSION}/th_idx"
         if not os.path.exists(os.path.join(idx, "manifest_0.json")):
             build_index(p, idx, analyzer=ThaiAnalyzer(), batch_size=64)
         gen = read_manifest(idx).generation
@@ -207,7 +207,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         import pyarrow.parquet as pq
         from lucene_ray.analysis.japanese import JapaneseAnalyzer
         from lucene_ray.index import build_index
-        from lucene_ray.index.manifest import read_manifest
+        from lucene_ray.index.manifest import FORMAT_VERSION, read_manifest
         p = "/tmp/lucene_ray_cache/ja_docs.parquet"
         if not os.path.exists(p):
             os.makedirs(os.path.dirname(p), exist_ok=True)
@@ -220,7 +220,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
             pq.write_table(pa.table({
                 "doc_id": pa.array(range(256), pa.int64()),
                 "text": pa.array(texts, pa.string())}), p)
-        idx = "/tmp/lucene_ray_cache/ja_idx"
+        idx = f"/tmp/lucene_ray_cache/v{FORMAT_VERSION}/ja_idx"
         if not os.path.exists(os.path.join(idx, "manifest_0.json")):
             build_index(p, idx, analyzer=JapaneseAnalyzer(),
                         batch_size=64)

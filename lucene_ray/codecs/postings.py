@@ -46,15 +46,15 @@ class PackedPostings(NamedTuple):
     imp_norms: np.ndarray  # uint8
     imp_offsets: np.ndarray  # int32[nblocks+1] prefix offsets into imp_*
     chunk_doc_counts: np.ndarray  # int32[nchunks], docs per chunk
+    # pack-time per-block byte lengths (incl. the header byte) of the
+    # docs/freqs streams, one per block — readers compute every block's
+    # byte offset with one cumsum instead of a per-block header scan
+    # (Lucene90SkipWriter stores the analogous file pointers at write
+    # time); ``stream_layout`` raises when they miss a block
+    docs_bb: np.ndarray  # int32[nblocks]
+    freqs_bb: np.ndarray  # int32[nblocks]
     positions: bytes = b""  # packed position deltas (reset per posting)
     chunk_occ_counts: np.ndarray = np.empty(0, np.int64)  # occurrences/chunk
-    # pack-time per-block byte lengths (incl. the header byte) of the
-    # docs/freqs streams — lets readers compute every block's byte
-    # offset with one cumsum instead of a per-block header scan
-    # (Lucene90SkipWriter stores the analogous file pointers at write
-    # time). Empty = unknown (legacy data) -> header-scan fallback.
-    docs_bb: np.ndarray = np.empty(0, np.int32)
-    freqs_bb: np.ndarray = np.empty(0, np.int32)
 
 
 # --- bit packing -----------------------------------------------------------
@@ -108,7 +108,8 @@ def _block_sizes(chunk_doc_counts) -> list[int]:
 
 
 def _scan_block_offsets(buf: bytes, sizes) -> tuple[np.ndarray, np.ndarray]:
-    """(byte_offset_of_block, width_of_block) via header-only scan."""
+    """(byte_offset_of_block, width_of_block) via header-only scan — for
+    the positions stream, which stores no pack-time block lengths."""
     n = len(sizes)
     offs = np.empty(n + 1, dtype=np.int64)
     widths = np.empty(n, dtype=np.int64)
@@ -130,21 +131,18 @@ def _scan_block_offsets(buf: bytes, sizes) -> tuple[np.ndarray, np.ndarray]:
 def stream_layout(p: "PackedPostings",
                   stream: str) -> tuple[np.ndarray, np.ndarray]:
     """(byte_offsets int64[n+1], widths int64[n]) of the ``docs`` or
-    ``freqs`` stream. O(blocks) vectorized when pack-time byte lengths
-    are present (one cumsum + one header gather); header-scan fallback
-    for legacy packings."""
+    ``freqs`` stream from the pack-time block byte lengths: one cumsum
+    and one header gather. Raises if the lengths do not cover every
+    block."""
     buf = p.docs if stream == "docs" else p.freqs
     bb = p.docs_bb if stream == "docs" else p.freqs_bb
-    sizes = np.asarray(_block_sizes(p.chunk_doc_counts), dtype=np.int64)
-    n = len(sizes)
-    if len(bb) == n and n > 0:
-        offs = np.empty(n + 1, dtype=np.int64)
-        offs[0] = 0
-        np.cumsum(np.asarray(bb, dtype=np.int64), out=offs[1:])
-        hdr = np.frombuffer(buf, dtype=np.uint8)[offs[:-1]].astype(np.int64)
-        widths = np.where(hdr > 32, -1, hdr)
-        return offs, widths
-    return _scan_block_offsets(buf, sizes)
+    n = len(_block_sizes(p.chunk_doc_counts))
+    if len(bb) != n:
+        raise ValueError(f"{stream} stream has {len(bb)} block lengths "
+                         f"for {n} blocks")
+    offs = _offsets(np.asarray(bb, dtype=np.int64))
+    hdr = np.frombuffer(buf, dtype=np.uint8)[offs[:-1]].astype(np.int64)
+    return offs, np.where(hdr > 32, -1, hdr)
 
 
 def _unpack_values(buf: bytes, sizes: list[int],
@@ -494,15 +492,10 @@ def concat_postings(chunks: list[PackedPostings]) -> PackedPostings:
         imp_norms=np.concatenate([c.imp_norms for c in chunks]),
         imp_offsets=np.concatenate(off_parts).astype(np.int32),
         chunk_doc_counts=np.concatenate([c.chunk_doc_counts for c in chunks]),
-        # block byte lengths concatenate directly (they are per-block,
-        # not cumulative); drop to the scan fallback if any chunk lacks
-        # them (legacy data)
-        docs_bb=(np.concatenate([c.docs_bb for c in chunks])
-                 if all(len(c.docs_bb) for c in chunks)
-                 else np.empty(0, np.int32)),
-        freqs_bb=(np.concatenate([c.freqs_bb for c in chunks])
-                  if all(len(c.freqs_bb) for c in chunks)
-                  else np.empty(0, np.int32)),
+        # block byte lengths are per block, not cumulative: they
+        # concatenate directly
+        docs_bb=np.concatenate([c.docs_bb for c in chunks]),
+        freqs_bb=np.concatenate([c.freqs_bb for c in chunks]),
     )
 
 

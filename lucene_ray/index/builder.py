@@ -42,7 +42,7 @@ import ray.data
 from ..analysis import StandardAnalyzer, int_to_byte4_array
 from ..analysis.arrow_tokenize import _tokenize_batch_arrow
 from ..codecs.postings import POSTINGS_SCHEMA, pack_postings_many
-from .manifest import IndexManifest, SegmentInfo, write_manifest
+from .manifest import IndexManifest, SegmentInfo, new_stats_dir, write_manifest
 
 def _parquet_files(source) -> list[str]:
     if isinstance(source, (list, tuple)):
@@ -300,7 +300,6 @@ def build_index(
     stop_words: frozenset = frozenset(),
     batch_size: int = 4096,
     concurrency=None,
-    compute_term_stats: bool = True,
     index_positions: bool = False,
     analyzer=None,
     mode: str = "create_or_append",
@@ -403,10 +402,9 @@ def build_index(
         segments=segments,
         field_doc_count=sum(s.field_doc_count for s in segments),
     )
+    # stats first, manifest last: a committed generation has its stats
+    compute_global_term_stats(out_dir, manifest)
     write_manifest(out_dir, manifest)
-
-    if compute_term_stats:
-        compute_global_term_stats(out_dir, manifest)
     return manifest
 
 
@@ -444,8 +442,8 @@ def compute_global_term_stats(index_dir: str, manifest: IndexManifest) -> None:
     level scales with the cluster."""
     paths = [os.path.join(index_dir, "segments", s.seg_id, "postings.parquet")
              for s in manifest.segments]
-    out = os.path.join(index_dir, "global", f"term_stats_gen{manifest.generation}")
-    os.makedirs(out, exist_ok=True)
+    out = new_stats_dir(index_dir, manifest.generation)
+    os.makedirs(out)
     cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
     n_parts = min(cpus, max(1, len(paths) // 2))
     chunk = max(1, (len(paths) + cpus - 1) // cpus)

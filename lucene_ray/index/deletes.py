@@ -23,14 +23,21 @@ import pyarrow.parquet as pq
 
 import ray
 
-from .manifest import IndexManifest, read_manifest, write_manifest
+from .manifest import (
+    IndexManifest,
+    new_stats_dir,
+    read_manifest,
+    write_manifest,
+)
 
 
 def _link_stats(index_dir: str, old_gen: int, new_gen: int) -> None:
+    """Give generation ``new_gen`` the global term stats of ``old_gen``
+    (a commit that leaves every segment's postings as they were)."""
     src = os.path.join(index_dir, "global", f"term_stats_gen{old_gen}")
-    dst = os.path.join(index_dir, "global", f"term_stats_gen{new_gen}")
-    if os.path.isdir(src) and not os.path.exists(dst):
-        os.symlink(os.path.abspath(src), dst)
+    if not os.path.isfile(os.path.join(src, "_META.json")):
+        raise FileNotFoundError(f"{src}: no global term stats")
+    os.symlink(os.path.abspath(src), new_stats_dir(index_dir, new_gen))
 
 
 def apply_deletes(index_dir: str,
@@ -57,8 +64,8 @@ def apply_deletes(index_dir: str,
         pq.write_table(pa.table({"doc_id": pa.array(dels, pa.int64())}), path)
         new_segs.append(replace(s, del_gen=gen, del_count=len(dels)))
     nm = replace(m, generation=gen, segments=new_segs)
-    write_manifest(index_dir, nm)
     _link_stats(index_dir, m.generation, gen)
+    write_manifest(index_dir, nm)
     return nm
 
 

@@ -43,7 +43,7 @@ def update_numeric_dv(index_dir: str, col: str,
             continue
         rows = {"doc_id": ud[mask], "col": [col] * int(mask.sum()),
                 "value": uv[mask]}
-        old_gen = getattr(s, "dvu_gen", -1)
+        old_gen = s.dvu_gen
         if old_gen >= 0:
             old = pq.read_table(os.path.join(
                 index_dir, "segments", s.seg_id,
@@ -75,6 +75,6 @@ def update_numeric_dv(index_dir: str, col: str,
     if not touched:
         return m
     nm = replace(m, generation=gen, segments=new_segs)
-    write_manifest(index_dir, nm)
     _link_stats(index_dir, m.generation, gen)
+    write_manifest(index_dir, nm)
     return nm

@@ -27,11 +27,14 @@ from __future__ import annotations
 
 import os
 import shutil
+from dataclasses import replace
 
+from .deletes import _link_stats
 from .manifest import (
     IndexManifest,
     SegmentInfo,
     latest_generation,
+    new_stats_dir,
     read_manifest,
     write_manifest,
 )
@@ -114,7 +117,7 @@ def add_indexes(target_dir: str, *source_dirs: str,
             new_segs.append(s)
             add_docs += s.num_docs
             add_len += s.sum_doc_len
-            add_fdc += getattr(s, "field_doc_count", s.num_docs)
+            add_fdc += s.field_doc_count
     m = IndexManifest(
         generation=tgt.generation + 1,
         num_docs=tgt.num_docs + add_docs,
@@ -124,6 +127,8 @@ def add_indexes(target_dir: str, *source_dirs: str,
         segments=sorted(new_segs, key=lambda s: (s.min_doc, s.seg_id)),
         field_doc_count=tgt.field_doc_count + add_fdc,
     )
+    from .builder import compute_global_term_stats
+    compute_global_term_stats(target_dir, m)
     write_manifest(target_dir, m)
     return m
 
@@ -150,17 +155,9 @@ def rollback(index_dir: str, generation: int) -> IndexManifest:
     working."""
     if generation not in snapshots(index_dir):
         raise ValueError(f"no committed generation {generation}")
-    old = read_manifest(index_dir, generation)
-    head = latest_generation(index_dir)
-    m = IndexManifest(
-        generation=head + 1,
-        num_docs=old.num_docs,
-        sum_doc_len=old.sum_doc_len,
-        field=old.field,
-        stop_words=old.stop_words,
-        segments=old.segments,
-        field_doc_count=old.field_doc_count,
-    )
+    m = replace(read_manifest(index_dir, generation),
+                generation=latest_generation(index_dir) + 1)
+    _link_stats(index_dir, generation, m.generation)
     write_manifest(index_dir, m)
     return m
 
@@ -226,18 +223,13 @@ def split_index(index_dir: str, out_dirs: list[str],
             field=src.field,
             stop_words=src.stop_words,
             segments=sorted(segs, key=lambda s: (s.min_doc, s.seg_id)),
-            field_doc_count=sum(
-                getattr(s, "field_doc_count", s.num_docs) for s in segs),
+            field_doc_count=sum(s.field_doc_count for s in segs),
         )
         os.makedirs(os.path.join(out, "segments"), exist_ok=True)
         # global stats ride along (stale re tombstones, as documented)
-        src_stats = os.path.join(index_dir, "global",
-                                 f"term_stats_gen{src.generation}")
-        if os.path.isdir(src_stats):
-            dst_stats = os.path.join(out, "global", "term_stats_gen0")
-            if not os.path.isdir(dst_stats):
-                os.makedirs(os.path.join(out, "global"), exist_ok=True)
-                shutil.copytree(src_stats, dst_stats)
+        shutil.copytree(os.path.join(index_dir, "global",
+                                     f"term_stats_gen{src.generation}"),
+                        new_stats_dir(out, 0))
         write_manifest(out, m)
         if per_seg_dels:
             m = apply_deletes(out, per_seg_dels)

@@ -7,13 +7,25 @@ write ``pending_manifest_N.json``, fsync, atomic rename to
 Each segment entry records its input lineage (source file/row-range or
 doc range + row count) so an interrupted build can skip finished
 segments on resume.
+
+The manifest names the on-disk format (``format_version``). Every index
+is rebuilt from its data, so a reader knows exactly one format and
+refuses any other, the way the reference refuses a codec version it
+does not know (``CodecUtil.checkHeader``) instead of guessing.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass, field
+
+# Version 1: term-sorted postings rows with pack-time block byte lengths
+# (docs_bb/freqs_bb), a term-hash termset next to every postings file,
+# _BUCKETS.json in every sharded postings dir, and global/
+# term_stats_gen{N} (with _META.json) for every committed generation N.
+FORMAT_VERSION = 1
 
 
 @dataclass
@@ -39,11 +51,6 @@ class SegmentInfo:
     def live_docs(self) -> int:
         return self.num_docs - self.del_count
 
-    @property
-    def paths(self):
-        return (f"segments/{self.seg_id}/postings.parquet",
-                f"segments/{self.seg_id}/docs.parquet")
-
 
 @dataclass
 class IndexManifest:
@@ -54,6 +61,7 @@ class IndexManifest:
     stop_words: list[str]
     segments: list[SegmentInfo] = field(default_factory=list)
     field_doc_count: int = 0
+    format_version: int = FORMAT_VERSION
 
     @property
     def num_deleted(self) -> int:
@@ -74,12 +82,6 @@ class IndexManifest:
         d = asdict(self)
         return json.dumps(d, indent=1, sort_keys=True)
 
-    @staticmethod
-    def from_json(s: str) -> "IndexManifest":
-        d = json.loads(s)
-        d["segments"] = [SegmentInfo(**x) for x in d["segments"]]
-        return IndexManifest(**d)
-
 
 def write_manifest(index_dir: str, m: IndexManifest) -> str:
     """Two-phase commit: pending file + fsync + atomic rename."""
@@ -92,6 +94,21 @@ def write_manifest(index_dir: str, m: IndexManifest) -> str:
         os.fsync(f.fileno())
     os.rename(pending, final)
     return final
+
+
+def new_stats_dir(index_dir: str, generation: int) -> str:
+    """Path of ``global/term_stats_gen{generation}``, cleared for a commit
+    about to write it. A commit writes its stats before its manifest, so
+    one left there by a commit that crashed in between belongs to no
+    generation: it may hold another segment set's sums, or be a link to
+    an earlier generation's directory that writing through would corrupt."""
+    path = os.path.join(index_dir, "global", f"term_stats_gen{generation}")
+    if os.path.islink(path):
+        os.unlink(path)
+    elif os.path.isdir(path):
+        shutil.rmtree(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    return path
 
 
 def latest_generation(index_dir: str) -> int:
@@ -112,4 +129,11 @@ def read_manifest(index_dir: str, generation: int | None = None) -> IndexManifes
     if gen < 0:
         raise FileNotFoundError(f"no manifest in {index_dir}")
     with open(os.path.join(index_dir, f"manifest_{gen}.json")) as f:
-        return IndexManifest.from_json(f.read())
+        d = json.load(f)
+    if d.get("format_version") != FORMAT_VERSION:
+        raise ValueError(
+            f"{index_dir} generation {gen}: index format version "
+            f"{d.get('format_version')} is not {FORMAT_VERSION}; "
+            "rebuild the index from its data")
+    d["segments"] = [SegmentInfo(**x) for x in d["segments"]]
+    return IndexManifest(**d)

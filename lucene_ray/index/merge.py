@@ -78,11 +78,10 @@ def _row_to_packed(r: dict) -> PackedPostings:
         imp_norms=np.asarray(r["imp_norms"], dtype=np.uint8),
         imp_offsets=np.asarray(r["imp_offsets"], dtype=np.int64),
         chunk_doc_counts=np.asarray(r["chunk_doc_counts"], dtype=np.int32),
-        positions=r.get("positions") or b"",
-        chunk_occ_counts=np.asarray(r.get("chunk_occ_counts") or [],
-                                    dtype=np.int64),
-        docs_bb=np.asarray(r.get("docs_bb") or [], dtype=np.int32),
-        freqs_bb=np.asarray(r.get("freqs_bb") or [], dtype=np.int32),
+        positions=r["positions"],
+        chunk_occ_counts=np.asarray(r["chunk_occ_counts"], dtype=np.int64),
+        docs_bb=np.asarray(r["docs_bb"], dtype=np.int32),
+        freqs_bb=np.asarray(r["freqs_bb"], dtype=np.int32),
     )
 
 
@@ -232,7 +231,6 @@ def _merge_bucket_vec(group: pa.Table,
             pa.large_binary(), nt,
             [None, pa.py_buffer(new_offs.tobytes()), data])
 
-    bb_ok = True
     for name, vt in (("block_last_docs", pa.int32()),
                      ("imp_freqs", pa.int32()),
                      ("imp_norms", pa.int32()),
@@ -241,16 +239,6 @@ def _merge_bucket_vec(group: pa.Table,
                      ("docs_bb", pa.int32()),
                      ("freqs_bb", pa.int32())):
         offs, vals = _list_parts(_col(group, name))
-        if name in ("docs_bb", "freqs_bb"):
-            # legacy rows lack pack-time lengths; a term mixing them
-            # would produce a wrong-length concat — emit empty instead
-            lens = offs[1:] - offs[:-1]
-            bl_lens = blo[1:] - blo[:-1]
-            if not (lens == bl_lens).all():
-                bb_ok = False
-            if not bb_ok:
-                out[name] = pa.array([[]] * nt, pa.large_list(vt))
-                continue
         out[name] = pa.LargeListArray.from_arrays(
             pa.array(offs[bounds], pa.int64()),
             vals.cast(vt) if vals.type != vt else vals)
@@ -294,19 +282,9 @@ def _merge_bucket(group: pa.Table, norms_data, repack: bool,
     group = group.sort_by([("term", "ascending"), ("okey", "ascending")])
     if (deleted is None or len(deleted) == 0) and not repack \
             and group.num_rows > 0:
-        for c in ("docs_bb", "freqs_bb"):
-            if c not in group.column_names:
-                group = group.append_column(
-                    c, pa.array([[]] * len(group),
-                                pa.large_list(pa.int32())))
-        g2 = group.combine_chunks()
-        t = _merge_bucket_vec(g2, with_okey)
+        t = _merge_bucket_vec(group.combine_chunks(), with_okey)
         if t is not None:
             return t
-    for c in ("docs_bb", "freqs_bb"):  # legacy segments lack these
-        if c not in group.column_names:
-            group = group.append_column(
-                c, pa.array([[]] * len(group), pa.large_list(pa.int32())))
     rows = group.select(list(_MERGED_COLS) + ["okey"]).to_pylist()
     out = {k: [] for k in _MERGED_COLS}
     okeys = []
@@ -424,17 +402,15 @@ def _max_global_df(index_dir: str, generation: int) -> int:
     """Largest per-term doc freq, read from the global term-stats
     PARQUET COLUMN STATISTICS only (no data scan — the BKD/blocktree
     stats role; reference reads the same df from the terms dict,
-    ``index/TermStates.java``). 0 when no stats exist yet."""
+    ``index/TermStates.java``)."""
     import glob as _glob
     d = os.path.join(index_dir, "global", f"term_stats_gen{generation}")
     mx = 0
     for p in _glob.glob(os.path.join(d, "part-*.parquet")):
         md = pq.ParquetFile(p).metadata
-        names = {md.schema.column(i).name: i for i in range(md.num_columns)}
-        if "df" not in names:
-            return 0
+        df = md.schema.names.index("df")
         for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(names["df"]).statistics
+            st = md.row_group(rg).column(df).statistics
             if st is not None and st.has_min_max:
                 mx = max(mx, int(st.max))
     return mx
@@ -503,7 +479,7 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
             norms_refs[gi], stats_ref = _merge_group_docs.remote(
                 index_dir, [s.seg_id for s in g], [s.del_gen for s in g],
                 seg_dir,
-                [getattr(s, "dvu_gen", -1) for s in g])
+                [s.dvu_gen for s in g])
             group_meta.append((gi, g, seg_id, seg_dir, stats_ref))
         group_meta = [(gi, g, seg_id, seg_dir, tuple(ray.get(ref)))
                       for gi, g, seg_id, seg_dir, ref in group_meta]
@@ -648,15 +624,13 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
         segments=sorted(new_segments, key=lambda s: s.min_doc),
         field_doc_count=sum(s.field_doc_count for s in new_segments),
     )
-    write_manifest(index_dir, new_manifest)
-    if m.num_deleted > 0 and os.path.isdir(os.path.join(index_dir, "global")):
+    if m.num_deleted > 0:
         # a reclaiming merge changed df/ttf: rebuild global stats
         from .builder import compute_global_term_stats
         compute_global_term_stats(index_dir, new_manifest)
     else:
         # stats are per-corpus, not per-segment-layout: link previous gen
-        src = os.path.join(index_dir, "global", f"term_stats_gen{m.generation}")
-        dst = os.path.join(index_dir, "global", f"term_stats_gen{gen}")
-        if os.path.isdir(src) and not os.path.exists(dst):
-            os.symlink(os.path.abspath(src), dst)
+        from .deletes import _link_stats
+        _link_stats(index_dir, m.generation, gen)
+    write_manifest(index_dir, new_manifest)
     return new_manifest

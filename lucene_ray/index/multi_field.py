@@ -147,8 +147,8 @@ def build_multi_field_index(
                 field=f, stop_words=sorted(stop_words),
                 segments=segments,
                 field_doc_count=sum(s.field_doc_count for s in segments))
-            write_manifest(fdir, manifest)
             compute_global_term_stats(fdir, manifest)
+            write_manifest(fdir, manifest)
             manifests[f] = manifest
     meta = {"fields": list(fields.keys()), "default_field": next(iter(fields))}
     with open(os.path.join(out_dir, "multi_field.json"), "w") as fh:

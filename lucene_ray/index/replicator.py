@@ -48,13 +48,18 @@ def _segment_files(index_dir: str, m: IndexManifest) -> list[str]:
     out = []
     for s in m.segments:
         seg_dir = f"segments/{s.seg_id}"
-        out.extend(s.paths)
-        ts = f"{seg_dir}/postings.termset"
-        if os.path.exists(os.path.join(index_dir, ts)):
-            out.append(ts)
+        postings = f"{seg_dir}/postings.parquet"
+        if os.path.isdir(os.path.join(index_dir, postings)):
+            # a merged segment: part-N.parquet shards, their
+            # _part-N.termset sidecars and _BUCKETS.json
+            out.extend(f"{postings}/{name}" for name in sorted(
+                os.listdir(os.path.join(index_dir, postings))))
+        else:
+            out += [postings, f"{seg_dir}/postings.termset"]
+        out.append(f"{seg_dir}/docs.parquet")
         if s.del_gen >= 0:
             out.append(f"{seg_dir}/deletes_gen{s.del_gen}.parquet")
-        if getattr(s, "dvu_gen", -1) >= 0:
+        if s.dvu_gen >= 0:
             out.append(f"{seg_dir}/dv_updates_gen{s.dvu_gen}.parquet")
         # auxiliary per-segment sidecars (doc values, term vectors...)
         # are content-addressed next to the postings; pick up whatever
@@ -63,13 +68,12 @@ def _segment_files(index_dir: str, m: IndexManifest) -> list[str]:
         if os.path.isdir(abs_seg):
             for name in sorted(os.listdir(abs_seg)):
                 rel = f"{seg_dir}/{name}"
-                if rel not in out and not name.startswith("pending_"):
+                if rel not in out and rel != postings \
+                        and not name.startswith("pending_"):
                     out.append(rel)
     g = f"global/term_stats_gen{m.generation}"
-    abs_g = os.path.join(index_dir, g)
-    if os.path.isdir(abs_g):
-        for name in sorted(os.listdir(abs_g)):
-            out.append(f"{g}/{name}")
+    out.extend(f"{g}/{name}"
+               for name in sorted(os.listdir(os.path.join(index_dir, g))))
     return out
 
 

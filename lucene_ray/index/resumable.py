@@ -95,7 +95,6 @@ def build_index_resumable(
     stop_words: frozenset = frozenset(),
     rows_per_shard: int = 4096,
     concurrency=None,
-    compute_term_stats: bool = True,
     fail_after_shards: int | None = None,  # test hook (F5 fault injection)
 ) -> IndexManifest:
     files = _parquet_files(source)
@@ -157,8 +156,7 @@ def build_index_resumable(
     )
     complete = len(segments) == len(shards)
     if complete or fail_after_shards is None:
+        from .builder import compute_global_term_stats
+        compute_global_term_stats(out_dir, manifest)
         write_manifest(out_dir, manifest)
-        if compute_term_stats and complete:
-            from .builder import compute_global_term_stats
-            compute_global_term_stats(out_dir, manifest)
     return manifest

@@ -7,11 +7,15 @@ Checks per segment:
 - block_last_docs match decoded block boundaries
 - impacts dominate every (freq, norm) pair in their block
 - docs table sorted by doc_id, unique
-Manifest-level: segment doc ranges disjoint; counts sum to manifest.
+- every postings file has its termset sidecar, equal to its vocabulary;
+  a sharded postings dir has its ``_BUCKETS.json``
+Manifest-level: segment doc ranges disjoint; counts sum to manifest;
+the generation's global term stats (``_META.json`` and its parts) exist.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -102,19 +106,25 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
         # term-membership fingerprints cover the shard vocabularies
         from ..search.reader import _ShardedPostings
         from ..util import term_hash64
-        sp = _ShardedPostings(os.path.join(seg_dir, "postings.parquet"))
-        for name in sp._paths:
-            ts = sp.termset(name)
-            if ts is None:
-                continue
-            f = sp._file(name)
-            terms = f.pf.read(columns=["term"]).column("term").to_pylist()
-            h = np.sort(term_hash64(terms))
-            if not np.array_equal(h, ts):
-                errors.append(f"{s.seg_id}/{name or 'postings'}: "
-                              "termset fingerprint mismatch")
+        postings = os.path.join(seg_dir, "postings.parquet")
+        if os.path.isdir(postings) and not os.path.isfile(
+                os.path.join(postings, "_BUCKETS.json")):
+            errors.append(f"{s.seg_id}: missing postings _BUCKETS.json")
+        else:
+            sp = _ShardedPostings(postings)
+            for name in sp._paths:
+                if not os.path.isfile(sp.termset_path(name)):
+                    errors.append(f"{s.seg_id}/{name or 'postings'}: "
+                                  "missing termset")
+                    continue
+                terms = sp._file(name).pf.read(columns=["term"]) \
+                    .column("term").to_pylist()
+                if not np.array_equal(np.sort(term_hash64(terms)),
+                                      sp.termset(name)):
+                    errors.append(f"{s.seg_id}/{name or 'postings'}: "
+                                  "termset fingerprint mismatch")
 
-        ds = ray.data.read_parquet(os.path.join(seg_dir, "postings.parquet"))
+        ds = ray.data.read_parquet(postings)
         err_ds = ds.map_batches(
             _check_postings_batch, batch_format="pyarrow",
             fn_kwargs={"min_doc": s.min_doc, "max_doc": s.max_doc})
@@ -126,6 +136,16 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
         errors.append("manifest sum_doc_len != sum of segments")
     if tot_fdc != m.field_doc_count:
         errors.append("manifest field_doc_count != sum of segments")
+    stats = os.path.join(index_dir, "global",
+                         f"term_stats_gen{m.generation}")
+    try:
+        with open(os.path.join(stats, "_META.json")) as f:
+            n_parts = int(json.load(f)["n_parts"])
+        errors.extend(f"{stats}: missing part-{r:05d}.parquet"
+                      for r in range(n_parts) if not os.path.isfile(
+                          os.path.join(stats, f"part-{r:05d}.parquet")))
+    except FileNotFoundError:
+        errors.append(f"{stats}: missing _META.json")
 
     # index sort (CheckIndex.testSort role): when the index records a
     # sort, stored rows must actually be ordered by (field, orig id)

@@ -16,10 +16,13 @@ import numpy as np
 import pyarrow as pa
 
 from ..index import build_index
+from ..index.manifest import FORMAT_VERSION
 from ..search import BooleanQuery, IndexReader, Searcher, TermQuery
 from ..search.postings_io import lookup
 
-_CACHE_ROOT = "/tmp/lucene_ray_cache"
+# keyed by on-disk format: an index cached by code that wrote another
+# format is rebuilt, not opened (readers refuse other versions)
+_CACHE_ROOT = f"/tmp/lucene_ray_cache/v{FORMAT_VERSION}"
 
 
 def cached_index(doc_path: str, *, batch_size: int = 2048) -> str:

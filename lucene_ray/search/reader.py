@@ -8,7 +8,10 @@ row-group min/max stats play the role of the reference's FST/block-tree
 term index (``codecs/lucene90/blocktree/Lucene90BlockTreeTermsReader
 .java``; SURVEY.md §1.2). Merged segments store postings as a directory
 of hash-bucketed shards; a ``_BUCKETS.json`` sidecar records the bucket
-function so a term routes to exactly one shard. Per-doc arrays
+function so a term routes to exactly one shard. Every postings file has
+a termset sidecar and every generation its global term stats: the
+reader knows one format (``index.manifest.FORMAT_VERSION``) and raises
+on a file that lacks a part of it. Per-doc arrays
 (doc_id, doc_len, norm — ~13 bytes/doc) stay resident per segment;
 stored fields are read lazily with docID predicate pushdown.
 
@@ -39,21 +42,16 @@ import pyarrow.parquet as pq
 
 from ..codecs.postings import PackedPostings
 from ..index.manifest import IndexManifest, read_manifest
+from ..util import term_hash64
 from .postings_io import DecodedPostings, decode
-
-_POSTINGS_COLS = ["term", "df", "doc_count", "ttf", "docs", "freqs",
-                  "block_last_docs", "docs_bb", "freqs_bb",
-                  "imp_freqs", "imp_norms", "imp_offsets",
-                  "chunk_doc_counts", "positions", "chunk_occ_counts"]
-
 
 class TermSortedFile:
     """A term-sorted Parquet file with row-group min/max pruning.
 
     One instance per physical file; ``rgs_for_terms`` /
     ``rgs_for_range`` map lookups to the (few) row groups whose term
-    statistics can contain them. Files without statistics degrade to
-    full scans (old indexes) — correct, just unpruned.
+    statistics can contain them. Every row group of a non-empty file
+    carries term min/max statistics; opening a file without them raises.
     """
 
     def __init__(self, path: str):
@@ -61,27 +59,23 @@ class TermSortedFile:
         self.pf = pq.ParquetFile(path)
         md = self.pf.metadata
         self.num_rows = md.num_rows
-        names = self.pf.schema_arrow.names
-        ti = names.index("term")
-        mins: list[str] | None = []
-        maxs: list[str] = []
-        for i in range(md.num_row_groups):
+        ti = self.pf.schema_arrow.names.index("term")
+        self.rg_mins: list[str] = []
+        self.rg_maxs: list[str] = []
+        # an empty file is one row group of 0 rows, without statistics
+        for i in range(md.num_row_groups if self.num_rows else 0):
             st = md.row_group(i).column(ti).statistics
             if st is None or not st.has_min_max:
-                mins = None
-                break
-            mins.append(st.min)
-            maxs.append(st.max)
-        self.rg_mins = mins  # None -> no stats, read everything
-        self.rg_maxs = maxs if mins is not None else []
+                raise ValueError(
+                    f"{path}: row group {i} has no term statistics")
+            self.rg_mins.append(st.min)
+            self.rg_maxs.append(st.max)
 
     @property
     def num_row_groups(self) -> int:
         return self.pf.metadata.num_row_groups
 
     def rgs_for_terms(self, terms) -> list[int]:
-        if self.rg_mins is None:
-            return list(range(self.num_row_groups))
         out = set()
         for t in terms:
             i = bisect.bisect_right(self.rg_mins, t) - 1
@@ -91,8 +85,6 @@ class TermSortedFile:
 
     def rgs_for_range(self, lo: str | None, hi: str | None) -> list[int]:
         """Row groups overlapping [lo, hi] (inclusive; None = unbounded)."""
-        if self.rg_mins is None:
-            return list(range(self.num_row_groups))
         out = []
         for i in range(len(self.rg_mins)):
             if hi is not None and self.rg_mins[i] > hi:
@@ -112,52 +104,45 @@ class TermSortedFile:
 
 
 class _ShardedPostings:
-    """postings.parquet as a file OR a directory of bucketed shards."""
+    """postings.parquet as one file (``postings.termset`` beside it) OR
+    a directory of term-hash bucketed shards (``part-N.parquet`` with
+    ``_part-N.termset``, bucket count in ``_BUCKETS.json``)."""
 
     def __init__(self, path: str):
         self.is_dir = os.path.isdir(path)
-        self.n_buckets: int | None = None
+        self.n_buckets = 1
         if self.is_dir:
-            meta = os.path.join(path, "_BUCKETS.json")
-            if os.path.isfile(meta):
-                with open(meta) as f:
-                    self.n_buckets = int(json.load(f)["n_buckets"])
-            self._paths = {}
-            for f in sorted(os.listdir(path)):
-                if f.endswith(".parquet"):
-                    self._paths[f] = os.path.join(path, f)
+            with open(os.path.join(path, "_BUCKETS.json")) as f:
+                self.n_buckets = int(json.load(f)["n_buckets"])
+            self._paths = {f: os.path.join(path, f)
+                           for f in sorted(os.listdir(path))
+                           if f.endswith(".parquet")}
         else:
             self._paths = {"": path}
-        self._open: dict[str, TermSortedFile | None] = {}
-        self._termsets: dict[str, np.ndarray | None] = {}
+        self._open: dict[str, TermSortedFile] = {}
+        self._termsets: dict[str, np.ndarray] = {}
 
-    def termset(self, name: str) -> np.ndarray | None:
+    def termset_path(self, name: str) -> str:
+        p = self._paths[name]
+        if not self.is_dir:
+            return os.path.join(os.path.dirname(p), "postings.termset")
+        return os.path.join(os.path.dirname(p),
+                            "_" + name[:-len(".parquet")] + ".termset")
+
+    def termset(self, name: str) -> np.ndarray:
         """Sorted 64-bit term-hash fingerprint for a shard (the
         term-dictionary presence check) — lets absent terms skip the
-        shard without opening its Parquet file. None if no sidecar."""
-        got = self._termsets.get(name, False)
-        if got is not False:
-            return got
-        p = self._paths.get(name)
-        ts = None
-        if p is not None:
-            side = (os.path.join(os.path.dirname(p),
-                                 "_" + os.path.basename(p)
-                                 [:-len(".parquet")] + ".termset")
-                    if self.is_dir
-                    else os.path.join(os.path.dirname(p), "postings.termset"))
-            if os.path.isfile(side):
-                ts = np.fromfile(side, dtype=np.uint64)
-        self._termsets[name] = ts
+        shard without opening its Parquet file."""
+        ts = self._termsets.get(name)
+        if ts is None:
+            ts = self._termsets[name] = np.fromfile(
+                self.termset_path(name), dtype=np.uint64)
         return ts
 
-    def _file(self, name: str) -> TermSortedFile | None:
-        got = self._open.get(name, False)
-        if got is not False:
-            return got
-        p = self._paths.get(name)
-        f = TermSortedFile(p) if p else None
-        self._open[name] = f
+    def _file(self, name: str) -> TermSortedFile:
+        f = self._open.get(name)
+        if f is None:
+            f = self._open[name] = TermSortedFile(self._paths[name])
         return f
 
     def files(self):
@@ -169,15 +154,15 @@ class _ShardedPostings:
         return sum(f.num_rows for f in self.files())
 
     def route(self, terms) -> dict[str, list[str]]:
-        """shard-file name -> the subset of terms that can live there."""
+        """shard-file name -> the subset of terms that can live there (a
+        bucket that received no terms at merge time has no file)."""
         if not self.is_dir:
             return {"": list(terms)}
-        if self.n_buckets is None:  # legacy dir: any shard may hold any term
-            return {name: list(terms) for name in self._paths}
         out: dict[str, list[str]] = {}
         for t in terms:
-            b = zlib.crc32(t.encode()) % self.n_buckets
-            out.setdefault(f"part-{b:05d}.parquet", []).append(t)
+            name = f"part-{zlib.crc32(t.encode()) % self.n_buckets:05d}.parquet"
+            if name in self._paths:
+                out.setdefault(name, []).append(t)
         return out
 
 
@@ -207,16 +192,11 @@ _LIST_DTYPES = {"block_last_docs": np.int32, "imp_freqs": np.int32,
 def _rows_to_postings(t: pa.Table) -> list[PackedPostings]:
     """One PackedPostings per row of an already-selected table: each
     list column becomes flat numpy values once, sliced per row by its
-    offsets. A column missing from the file reads as empty."""
-    n, names = len(t), t.column_names
-    cols = {f: t.column(f).to_pylist() for f in ("doc_count", "ttf")}
-    for f in ("docs", "freqs", "positions"):
-        cols[f] = ([v or b"" for v in t.column(f).to_pylist()]
-                   if f in names else [b""] * n)
+    offsets."""
+    n = len(t)
+    cols = {f: t.column(f).to_pylist()
+            for f in ("doc_count", "ttf", "docs", "freqs", "positions")}
     for f, dtype in _LIST_DTYPES.items():
-        if f not in names:
-            cols[f] = [np.empty(0, dtype)] * n
-            continue
         a = t.column(f).combine_chunks()
         vals = np.asarray(a.values.to_numpy(), dtype=dtype)
         off = a.offsets.to_numpy()
@@ -313,16 +293,6 @@ class SegmentReader:
             out.extend(t.column("term").to_pylist())
         return iter(sorted(out))
 
-    def terms_in_range(self, lo: str | None, hi: str | None) -> list[str]:
-        """Sorted terms in [lo, hi] (term column only, row-group pruned)."""
-        out: list[str] = []
-        for f in self._postings.files():
-            rgs = f.rgs_for_range(lo, hi)
-            t = f.read_rgs(rgs, columns=["term"])
-            if t is not None:
-                out.extend(_select_range(t, lo, hi))
-        return sorted(out)
-
     def ensure_terms(self, terms) -> None:
         """Load the given terms' posting rows (row-group pruned, one
         batched read per shard). Terms not in the segment are recorded
@@ -334,19 +304,14 @@ class SegmentReader:
         found = set()
         for name, shard_terms in self._postings.route(missing).items():
             ts = self._postings.termset(name)
-            if ts is not None and len(shard_terms):
-                from ..util import term_hash64
-                h = term_hash64(shard_terms)
-                pos = np.minimum(np.searchsorted(ts, h),
-                                 max(len(ts) - 1, 0))
-                member = (ts[pos] == h) if len(ts) else \
-                    np.zeros(len(h), dtype=bool)
-                shard_terms = [t for t, m in zip(shard_terms, member) if m]
-                if not shard_terms:
-                    continue  # shard never opened for absent terms
-            f = self._postings._file(name)
-            if f is None:
+            if not len(ts):
                 continue
+            h = term_hash64(shard_terms)
+            member = ts[np.minimum(np.searchsorted(ts, h), len(ts) - 1)] == h
+            shard_terms = [t for t, m in zip(shard_terms, member) if m]
+            if not shard_terms:
+                continue  # shard never opened for absent terms
+            f = self._postings._file(name)
             rgs = f.rgs_for_terms(shard_terms)
             t = f.read_rgs(rgs)
             if t is None:
@@ -569,7 +534,6 @@ class IndexReader:
         self._readers: dict[str, SegmentReader] = {}
         self._ts_cache: dict[str, tuple[int, int]] = {}
         self._stats_files: list[TermSortedFile] | None = None
-        self._stats_parts: int | None = None
         self._vocab_cache: "OrderedDict[tuple, list[str]]" = OrderedDict()
 
     @property
@@ -621,7 +585,7 @@ class IndexReader:
             for info in self.segment_infos:
                 if info.seg_id == seg_id:
                     del_gen = info.del_gen
-                    dvu_gen = getattr(info, "dvu_gen", -1)
+                    dvu_gen = info.dvu_gen
                     break
             r = SegmentReader(os.path.join(self.index_dir, "segments", seg_id),
                               del_gen=del_gen, dvu_gen=dvu_gen)
@@ -633,65 +597,40 @@ class IndexReader:
             yield self.segment(info.seg_id)
 
     # -- global term statistics (TermStates.build analog) -------------------
-    def _stats_dir(self) -> str | None:
-        gen = self.manifest.generation
-        path = os.path.join(self.index_dir, "global", f"term_stats_gen{gen}")
-        return path if os.path.isdir(path) else None
-
-    def _open_stats(self):
+    def _open_stats(self) -> list[TermSortedFile]:
+        """The generation's global (term, df, ttf) parts; a term lives in
+        part ``crc32(term) % n_parts`` (``n_parts`` from ``_META.json``)."""
         if self._stats_files is None:
-            d = self._stats_dir()
-            files = []
-            n_parts = None
-            if d:
-                meta = os.path.join(d, "_META.json")
-                if os.path.isfile(meta):
-                    with open(meta) as f:
-                        n_parts = int(json.load(f)["n_parts"])
-                files = [TermSortedFile(os.path.join(d, f))
-                         for f in sorted(os.listdir(d))
-                         if f.endswith(".parquet")]
-            self._stats_files = files
-            self._stats_parts = n_parts
-        return self._stats_files, self._stats_parts
+            d = os.path.join(self.index_dir, "global",
+                             f"term_stats_gen{self.manifest.generation}")
+            with open(os.path.join(d, "_META.json")) as f:
+                n_parts = int(json.load(f)["n_parts"])
+            self._stats_files = [
+                TermSortedFile(os.path.join(d, f"part-{r:05d}.parquet"))
+                for r in range(n_parts)]
+        return self._stats_files
 
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
         """Global (df, ttf) per term, incrementally cached: only the
         asked-for terms' row groups are read (never the whole vocab)."""
         missing = [t for t in dict.fromkeys(terms) if t not in self._ts_cache]
         if missing:
-            files, n_parts = self._open_stats()
-            if files:
-                by_file: dict[int, list[str]] = {}
-                if n_parts and len(files) == n_parts:
-                    for t in missing:
-                        by_file.setdefault(
-                            zlib.crc32(t.encode()) % n_parts, []).append(t)
-                else:
-                    for i in range(len(files)):
-                        by_file[i] = missing
-                for i, sub in by_file.items():
-                    f = files[i]
-                    t = f.read_rgs(f.rgs_for_terms(sub),
-                                   columns=["term", "df", "ttf"])
-                    if t is None:
-                        continue
-                    t = _select_terms(t, sub)
-                    self._ts_cache.update(zip(
-                        t.column("term").to_pylist(),
-                        zip(t.column("df").to_pylist(),
-                            t.column("ttf").to_pylist())))
-            else:
-                # no global stats dir: sum per-segment stats from the
-                # (pruned) postings rows themselves
-                for sr in self.segments():
-                    sr.ensure_terms(missing)
-                    for term in missing:
-                        p = sr._cache.get(term)
-                        if p is not None:
-                            d0, f0 = self._ts_cache.get(term, (0, 0))
-                            self._ts_cache[term] = (d0 + p.doc_count,
-                                                    f0 + p.ttf)
+            files = self._open_stats()
+            by_file: dict[int, list[str]] = {}
+            for t in missing:
+                by_file.setdefault(
+                    zlib.crc32(t.encode()) % len(files), []).append(t)
+            for i, sub in by_file.items():
+                f = files[i]
+                t = f.read_rgs(f.rgs_for_terms(sub),
+                               columns=["term", "df", "ttf"])
+                if t is None:
+                    continue
+                t = _select_terms(t, sub)
+                self._ts_cache.update(zip(
+                    t.column("term").to_pylist(),
+                    zip(t.column("df").to_pylist(),
+                        t.column("ttf").to_pylist())))
             for t in missing:
                 self._ts_cache.setdefault(t, (0, 0))
         return {t: self._ts_cache.get(t, (0, 0)) for t in terms}
@@ -699,24 +638,12 @@ class IndexReader:
     def all_term_stats(self) -> dict[str, tuple[int, int]]:
         """FULL vocabulary (df, ttf) — a deliberate whole-vocab scan for
         tools/benchmarks, never on the query path."""
-        files, _ = self._open_stats()
         stats: dict[str, tuple[int, int]] = {}
-        if files:
-            for f in files:
-                t = f.pf.read(columns=["term", "df", "ttf"])
-                for term, df, ttf in zip(t.column("term").to_pylist(),
-                                         t.column("df").to_pylist(),
-                                         t.column("ttf").to_pylist()):
-                    stats[term] = (df, ttf)
-        else:
-            for sr in self.segments():
-                for f in sr._postings.files():
-                    t = f.pf.read(columns=["term", "df", "ttf"])
-                    for term, df, ttf in zip(t.column("term").to_pylist(),
-                                             t.column("df").to_pylist(),
-                                             t.column("ttf").to_pylist()):
-                        d0, f0 = stats.get(term, (0, 0))
-                        stats[term] = (d0 + df, f0 + ttf)
+        for f in self._open_stats():
+            t = f.pf.read(columns=["term", "df", "ttf"])
+            stats.update(zip(t.column("term").to_pylist(),
+                             zip(t.column("df").to_pylist(),
+                                 t.column("ttf").to_pylist())))
         return stats
 
     def vocab(self, lo: str | None = None, hi: str | None = None) -> list[str]:
@@ -728,16 +655,11 @@ class IndexReader:
         if got is not None:
             self._vocab_cache.move_to_end(key)
             return got
-        files, _ = self._open_stats()
         terms: set[str] = set()
-        if files:
-            for f in files:
-                t = f.read_rgs(f.rgs_for_range(lo, hi), columns=["term"])
-                if t is not None:
-                    terms.update(_select_range(t, lo, hi))
-        else:
-            for sr in self.segments():
-                terms.update(sr.terms_in_range(lo, hi))
+        for f in self._open_stats():
+            t = f.read_rgs(f.rgs_for_range(lo, hi), columns=["term"])
+            if t is not None:
+                terms.update(_select_range(t, lo, hi))
         out = sorted(terms)
         self._vocab_cache[key] = out
         if len(self._vocab_cache) > 16:

@@ -150,7 +150,9 @@ def test_batch_equals_scalar(skew):
             imp_freqs=np.asarray(many["imp_freqs"][j]),
             imp_norms=np.asarray(many["imp_norms"][j], dtype=np.uint8),
             imp_offsets=np.asarray(many["imp_offsets"][j]),
-            chunk_doc_counts=np.asarray(many["chunk_doc_counts"][j]))
+            chunk_doc_counts=np.asarray(many["chunk_doc_counts"][j]),
+            docs_bb=np.asarray(many["docs_bb"][j], dtype=np.int32),
+            freqs_bb=np.asarray(many["freqs_bb"][j], dtype=np.int32))
         d2, f2 = unpack_postings(p2)
         np.testing.assert_array_equal(d2, D[lo:hi])
         np.testing.assert_array_equal(f2, F[lo:hi])

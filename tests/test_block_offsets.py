@@ -1,7 +1,6 @@
 """Pack-time block byte lengths: stream_layout must equal the header
-scan, for single chunks, giant terms, batch packs, and concats — and
-readers must decode identically whether the lengths are present or not
-(legacy fallback).
+scan, for single chunks, giant terms, batch packs, and concats — and a
+posting whose lengths do not cover its blocks is refused, not scanned.
 
 Reference role: ``Lucene90SkipWriter`` records posting-file pointers at
 write time so readers never scan block headers
@@ -43,14 +42,16 @@ def test_layout_matches_scan(n):
         soffs, swidths = _scan_block_offsets(buf, sizes)
         np.testing.assert_array_equal(offs, soffs)
         np.testing.assert_array_equal(widths, swidths)
-    # legacy fallback: stripping the lengths must not change decode
-    legacy = p._replace(docs_bb=np.empty(0, np.int32),
-                        freqs_bb=np.empty(0, np.int32))
     d1, f1 = unpack_postings(p)
-    d2, f2 = unpack_postings(legacy)
-    np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_array_equal(f1, f2)
     np.testing.assert_array_equal(d1, docs)
+    np.testing.assert_array_equal(f1, freqs)
+    # a row without pack-time lengths is not this format: refused
+    for stream in ("docs", "freqs"):
+        stripped = p._replace(**{f"{stream}_bb": np.empty(0, np.int32)})
+        with pytest.raises(ValueError, match="block lengths"):
+            stream_layout(stripped, stream)
+        with pytest.raises(ValueError, match="block lengths"):
+            unpack_postings(stripped)
 
 
 def test_concat_preserves_lengths():
@@ -69,14 +70,13 @@ def test_concat_preserves_lengths():
     soffs, swidths = _scan_block_offsets(c.docs, sizes)
     np.testing.assert_array_equal(offs, soffs)
     np.testing.assert_array_equal(widths, swidths)
-    # one chunk without lengths -> whole concat falls back (empty)
+    # one chunk without lengths -> the concat's lengths miss its blocks
+    # and decoding it raises instead of scanning headers
     chunks[2] = chunks[2]._replace(docs_bb=np.empty(0, np.int32))
     c2 = concat_postings(chunks)
-    assert len(c2.docs_bb) == 0
-    d1, f1 = unpack_postings(c)
-    d2, f2 = unpack_postings(c2)
-    np.testing.assert_array_equal(d1, d2)
-    np.testing.assert_array_equal(f1, f2)
+    assert len(c2.docs_bb) < len(sizes)
+    with pytest.raises(ValueError, match="block lengths"):
+        unpack_postings(c2)
 
 
 def test_batch_pack_emits_lengths():

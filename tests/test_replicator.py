@@ -100,3 +100,39 @@ def test_gc_drops_unreferenced(src, tmp_path):
                                              for r in removed]
     assert not os.path.exists(junk)
     assert _topdocs(dst) == _topdocs(src_idx)
+
+
+def test_replicate_merged_index_with_deletes(ray_session, tmp_path):
+    """A merged segment's postings.parquet is a directory of term-hash
+    shards: the revision lists its part files, their termsets and
+    _BUCKETS.json, so the replica validates and ranks like the source."""
+    from lucene_ray.index.deletes import apply_deletes
+    from lucene_ray.index.merge import merge_segments
+    from lucene_ray.index.validate import validate_index
+    from lucene_ray.search import or_query
+    from lucene_ray.sources import write_pages
+
+    paths = write_pages(str(tmp_path / "pages"), 600, seed=3)
+    src_idx = str(tmp_path / "src_idx")
+    build_index(paths, src_idx, batch_size=200)
+    merge_segments(src_idx, segs_per_tier=4)
+    seg = IndexReader(src_idx).segment_infos[0]
+    apply_deletes(src_idx, {seg.seg_id: np.arange(seg.min_doc,
+                                                  seg.min_doc + 60, 7)})
+    dst = str(tmp_path / "replica")
+    stats = replicate(src_idx, dst)
+    assert stats["generation"] == 2
+    assert validate_index(dst) == []
+
+    reader = IndexReader(src_idx)
+    assert any(sr._postings.is_dir for sr in reader.segments())
+    by_df = sorted(reader.all_term_stats().items(), key=lambda kv: -kv[1][0])
+    terms = [t for t, _ in by_df[:3] + by_df[200:202]]
+    queries = [TermQuery(t) for t in terms] + [or_query(terms[2:])]
+    src_s, dst_s = Searcher(reader), Searcher(IndexReader(dst))
+    for q in queries:
+        want, got = src_s.search(q, k=10), dst_s.search(q, k=10)
+        assert len(want.doc_ids) == 10
+        np.testing.assert_array_equal(got.doc_ids, want.doc_ids)
+        np.testing.assert_array_equal(got.scores.astype(np.float32),
+                                      want.scores.astype(np.float32))
