@@ -98,8 +98,8 @@ def run_queries(index_dir: str) -> dict[str, float]:
         "query_p95_ms": lat_ms[int(len(lat_ms) * 0.95) - 1],
         "query_mean_ms": statistics.mean(lat_ms),
     }
-    # distributed serving path: QueryWorker pool + shared min-competitive
-    # floor (the multi-node analog) over the same query mix
+    # distributed serving path: QueryWorker pool over doc-range slices
+    # (the multi-node analog) over the same query mix
     from lucene_ray.search.distributed import RaySearcher
     rs = RaySearcher(index_dir, num_workers=8)
     rs.search(queries[0], k=10)  # warm worker pools
@@ -196,8 +196,8 @@ def hot_or_corpus(n_docs: int = 1_000_000) -> str:
 
 def run_hot_or_bench() -> dict[str, float]:
     """The r2 hot-OR ceiling (201 ms single-thread dense path): fan the
-    same query out through RaySearcher's doc-range slices + shared
-    min-competitive floor; results must be bit-identical to local."""
+    same query out through RaySearcher's doc-range slices; results
+    must be bit-identical to local."""
     import statistics as st
 
     import numpy as np

@@ -63,13 +63,14 @@ def _segment_files(index_dir: str, m: IndexManifest) -> list[str]:
             out.append(f"{seg_dir}/dv_updates_gen{s.dvu_gen}.parquet")
         # auxiliary per-segment sidecars (doc values, term vectors...)
         # are content-addressed next to the postings; pick up whatever
-        # exists that the generations above didn't enumerate
+        # exists that the lines above didn't enumerate, except other
+        # generations' deletes / doc-value updates and unfinished writes
         abs_seg = os.path.join(index_dir, seg_dir)
         if os.path.isdir(abs_seg):
             for name in sorted(os.listdir(abs_seg)):
                 rel = f"{seg_dir}/{name}"
-                if rel not in out and rel != postings \
-                        and not name.startswith("pending_"):
+                if rel not in out and rel != postings and not name.startswith(
+                        ("pending_", "deletes_gen", "dv_updates_gen")):
                     out.append(rel)
     g = f"global/term_stats_gen{m.generation}"
     out.extend(f"{g}/{name}"

@@ -6,7 +6,9 @@ merged by ``TopDocs.merge``): each ``QueryWorker`` actor owns a doc-range
 slice of segments (reader + postings resident after warmup), the driver
 broadcasts the query and merges per-slice top-k with the global
 (score desc, docID asc) order. Global term stats ride with the query so
-scoring is identical to a single-node search.
+scoring is identical to a single-node search. Workers share no state
+while a query runs: each prunes against the threshold its own segments
+raise, so a query costs one RPC per worker.
 """
 
 from __future__ import annotations
@@ -18,35 +20,6 @@ import ray
 from .query import Query
 from .reader import IndexReader
 from .searcher import Searcher, TopDocs, merge_top_docs
-
-
-@ray.remote(num_cpus=0)
-class MaxScoreAccumulator:
-    """Shared min-competitive score exchange
-    (``search/MaxScoreAccumulator.java:24``): each worker publishes its
-    local k-th score per query; every worker's per-segment threshold
-    starts from the global maximum published so far. Keyed by query id
-    so interleaved queries don't cross-talk."""
-
-    def __init__(self):
-        self._v: dict[int, float] = {}
-        self._next = 0
-
-    def begin(self) -> int:
-        qid = self._next
-        self._next += 1
-        self._v[qid] = -float("inf")
-        if len(self._v) > 256:  # drop oldest finished queries
-            for key in sorted(self._v)[:-128]:
-                del self._v[key]
-        return qid
-
-    def update(self, qid: int, x: float) -> None:
-        if x > self._v.get(qid, -float("inf")):
-            self._v[qid] = x
-
-    def get(self, qid: int) -> float:
-        return self._v.get(qid, -float("inf"))
 
 
 @ray.remote
@@ -64,32 +37,8 @@ class QueryWorker:
         self.searcher.reader.term_stats([])
         return n
 
-    def search(self, q: Query, k: int, acc=None, qid: int = -1):
-        cbs = {}
-        if acc is not None:
-            # NON-BLOCKING floor fetch: the callback fires once per
-            # segment, and a blocking actor RPC per segment dominated
-            # dense queries (the hot-OR adversary: +60ms on a 40ms
-            # search). Keep one in-flight get and consume it when ready
-            # — a one-segment-stale floor is always safe (thresholds
-            # are monotone; a lower floor only prunes less).
-            state = {"fut": None, "v": None}
-
-            def _thr():
-                if state["fut"] is None:
-                    state["fut"] = acc.get.remote(qid)
-                    return state["v"]
-                done, _ = ray.wait([state["fut"]], timeout=0)
-                if done:
-                    state["v"] = ray.get(done[0])
-                    state["fut"] = acc.get.remote(qid)
-                return state["v"]
-
-            cbs = {
-                "threshold_cb": _thr,
-                "publish_cb": lambda v: acc.update.remote(qid, v),
-            }
-        td = self.searcher.search(q, k, **cbs)
+    def search(self, q: Query, k: int):
+        td = self.searcher.search(q, k)
         return td.doc_ids, td.scores
 
     def count(self, q: Query) -> int:
@@ -100,8 +49,7 @@ class RaySearcher:
     """Driver-side facade over the worker pool."""
 
     def __init__(self, index_dir: str, num_workers: int | None = None,
-                 similarity: str = "lucene", generation: int | None = None,
-                 share_min_competitive: bool = True):
+                 similarity: str = "lucene", generation: int | None = None):
         from ..index.manifest import read_manifest
         m = read_manifest(index_dir, generation)
         segs = sorted(m.segments, key=lambda s: s.min_doc)
@@ -122,34 +70,20 @@ class RaySearcher:
         self.workers = [
             QueryWorker.remote(index_dir, sl, similarity, m.generation)
             for sl in slices if sl]
-        # shared k-th-score floor across workers (skip for single worker
-        # or exact64, where pruning is off anyway)
-        self.acc = None
-        if share_min_competitive and len(self.workers) > 1 \
-                and similarity != "bm25_exact64":
-            self.acc = MaxScoreAccumulator.remote()
         ray.get([w.warm.remote() for w in self.workers])
 
     def search(self, q: Query, k: int = 10) -> TopDocs:
-        qid = ray.get(self.acc.begin.remote()) if self.acc else -1
-        parts = ray.get([w.search.remote(q, k, self.acc, qid)
-                         for w in self.workers])
-        tds = [TopDocs(np.asarray(d, dtype=np.int64), np.asarray(s))
-               for d, s in parts if len(d)]
-        return merge_top_docs(tds, k)
+        return self.search_batch([q], k)[0]
 
     def count(self, q: Query) -> int:
         return sum(ray.get([w.count.remote(q) for w in self.workers]))
 
     def search_batch(self, queries: list[Query], k: int = 10) -> list[TopDocs]:
-        qids = (ray.get([self.acc.begin.remote() for _ in queries])
-                if self.acc else [-1] * len(queries))
-        futs = [[w.search.remote(q, k, self.acc, qid) for w in self.workers]
-                for q, qid in zip(queries, qids)]
+        futs = [[w.search.remote(q, k) for w in self.workers]
+                for q in queries]
         out = []
         for row in futs:
-            parts = ray.get(row)
             tds = [TopDocs(np.asarray(d, dtype=np.int64), np.asarray(s))
-                   for d, s in parts if len(d)]
+                   for d, s in ray.get(row) if len(d)]
             out.append(merge_top_docs(tds, k))
         return out

@@ -322,7 +322,7 @@ def diversified_topk(searcher: Searcher, q: Query, col: str,
     w = searcher.weight(q)
     parts_d, parts_s, keys = [], [], []
     for sr in searcher.reader.segments():
-        d, s = w.scores(sr, k, -np.inf, False)
+        d, s = w.scores(sr)
         if d is None or len(d) == 0:
             continue
         parts_d.append(np.asarray(d, dtype=np.int64))

@@ -36,7 +36,7 @@ def block_join_parents(searcher: Searcher, child_query: Query,
         parents = sr.numeric_range_docs(parent_col, 1, 1)
         if len(parents):
             p_parts.append(parents)
-        cdocs, cscores = w.scores(sr, 10, -np.inf, False)
+        cdocs, cscores = w.scores(sr)
         if cdocs is not None and len(cdocs):
             c_parts.append(cdocs)
             s_parts.append(cscores.astype(np.float64))

@@ -50,8 +50,11 @@ class TermSortedFile:
 
     One instance per physical file; ``rgs_for_terms`` /
     ``rgs_for_range`` map lookups to the (few) row groups whose term
-    statistics can contain them. Every row group of a non-empty file
-    carries term min/max statistics; opening a file without them raises.
+    bounds can contain them. Parquet drops a string statistic over
+    4,096 bytes (pyarrow reports ``''`` or no statistics), so an empty
+    or missing bound is never trusted: it is taken from the neighbouring
+    row groups, which the sort order bounds. A lookup may then read one
+    extra row group, but it never misses.
     """
 
     def __init__(self, path: str):
@@ -60,16 +63,26 @@ class TermSortedFile:
         md = self.pf.metadata
         self.num_rows = md.num_rows
         ti = self.pf.schema_arrow.names.index("term")
-        self.rg_mins: list[str] = []
-        self.rg_maxs: list[str] = []
         # an empty file is one row group of 0 rows, without statistics
-        for i in range(md.num_row_groups if self.num_rows else 0):
-            st = md.row_group(i).column(ti).statistics
-            if st is None or not st.has_min_max:
-                raise ValueError(
-                    f"{path}: row group {i} has no term statistics")
-            self.rg_mins.append(st.min)
-            self.rg_maxs.append(st.max)
+        stats = [md.row_group(i).column(ti).statistics
+                 for i in range(md.num_row_groups if self.num_rows else 0)]
+        mins = [st.min if st is not None and st.has_min_max else ""
+                for st in stats]
+        maxs = [st.max if st is not None and st.has_min_max else ""
+                for st in stats]
+        # rg_mins[i] <= every term of row group i <= rg_maxs[i], both
+        # non-decreasing; None is an open upper bound
+        self.rg_mins: list[str] = []
+        for i, lo in enumerate(mins):
+            if not lo and i:
+                lo = maxs[i - 1] or self.rg_mins[i - 1]
+            self.rg_mins.append(lo)
+        self.rg_maxs: list[str | None] = [None] * len(maxs)
+        for i in reversed(range(len(maxs))):
+            hi = maxs[i]
+            if not hi and i + 1 < len(maxs):
+                hi = mins[i + 1] or self.rg_maxs[i + 1]
+            self.rg_maxs[i] = hi or None
 
     @property
     def num_row_groups(self) -> int:
@@ -78,18 +91,21 @@ class TermSortedFile:
     def rgs_for_terms(self, terms) -> list[int]:
         out = set()
         for t in terms:
+            # the candidates are a run ending at the last min <= t
             i = bisect.bisect_right(self.rg_mins, t) - 1
-            if i >= 0 and t <= self.rg_maxs[i]:
+            while i >= 0 and (self.rg_maxs[i] is None
+                              or t <= self.rg_maxs[i]):
                 out.add(i)
+                i -= 1
         return sorted(out)
 
     def rgs_for_range(self, lo: str | None, hi: str | None) -> list[int]:
         """Row groups overlapping [lo, hi] (inclusive; None = unbounded)."""
         out = []
-        for i in range(len(self.rg_mins)):
-            if hi is not None and self.rg_mins[i] > hi:
+        for i, (mn, mx) in enumerate(zip(self.rg_mins, self.rg_maxs)):
+            if hi is not None and mn > hi:
                 continue
-            if lo is not None and self.rg_maxs[i] < lo:
+            if lo is not None and mx is not None and mx < lo:
                 continue
             out.append(i)
         return out

@@ -12,8 +12,7 @@ Mirrors the reference query path (SURVEY.md §3.3):
 - tombstoned docs are masked at every candidate-formation point, so
   pruning thresholds never rise from deleted docs
 - top-k ties break toward the lower global docID (HitQueue.java:78-81);
-  cross-segment merge = sort by (-score, doc_id) (TopDocs.merge);
-  a shared min-competitive exchange threads cross-worker floors in
+  cross-segment merge = sort by (-score, doc_id) (TopDocs.merge)
 - scores: float32 per term, summed in double, cast to float
   (DisjunctionSumScorer semantics); the pruned term path is
   bit-identical to the exhaustive evaluation
@@ -23,9 +22,9 @@ explain, the facet/join/sort/delete helpers) goes through
 ``Searcher.weight(q)``: rewrite, global term stats once per query node,
 one batched postings read per segment, then one weight object per node
 (``_WEIGHTS`` maps each rewritten query class to its weight class).
-A weight's ``scores(sr, k, threshold, top)`` and ``matches(sr)`` run
-per segment; only the top-level single-term weight of ``search``
-prunes.
+A weight's ``scores(sr)`` and ``matches(sr)`` run per segment;
+``search`` asks the top-level weight for ``top(sr, k, threshold)``
+instead, which only a single-term weight overrides to prune.
 """
 
 from __future__ import annotations
@@ -354,11 +353,11 @@ class Searcher:
 
     def search(self, q: Query, k: int = 10, *, threshold_cb=None,
                publish_cb=None) -> TopDocs:
-        """Top-k search. ``threshold_cb``/``publish_cb`` plug a shared
-        min-competitive score exchange (MaxScoreAccumulator.java:24):
-        before each segment the external floor is folded in; after each
-        segment the local k-th score is published, so concurrent workers
-        prune with each other's progress."""
+        """Top-k search. The k-th best score so far is carried from
+        segment to segment as the pruning threshold. ``threshold_cb``
+        (called before each segment; a higher value it returns raises
+        the threshold) and ``publish_cb`` (called with each new
+        threshold) let a caller observe or feed that threshold."""
         w = self.weight(q)
         parts = []
         threshold = -np.inf
@@ -367,7 +366,7 @@ class Searcher:
                 ext = threshold_cb()
                 if ext is not None and ext > threshold:
                     threshold = float(ext)
-            docs, scores = w.scores(sr, k, threshold, True)
+            docs, scores = w.top(sr, k, threshold)
             if docs is None or len(docs) == 0:
                 continue
             td = _top_k(docs, scores, k)
@@ -407,7 +406,7 @@ class Searcher:
         specializations of this surface."""
         w = self.weight(q)
         for sr in self.reader.segments():
-            docs, scores = w.scores(sr, 10, -np.inf, False)
+            docs, scores = w.scores(sr)
             if docs is not None and len(docs):
                 collector.collect_segment(sr, docs, scores)
         return collector.result()
@@ -442,7 +441,7 @@ class Searcher:
         w = self.weight(q)
         parts_d, parts_s = [], []
         for sr in self.reader.segments():
-            d, s = w.scores(sr, 10, -np.inf, False)
+            d, s = w.scores(sr)
             if d is not None and len(d):
                 parts_d.append(d)
                 parts_s.append(s.astype(np.float64))
@@ -910,26 +909,12 @@ class Searcher:
             return (docs, *arrs)
         return (docs[m], *[a[m] for a in arrs])
 
-    def _match_and_score(self, sr: SegmentReader, plan: dict, *, scoring: bool,
-                         k: int = 10, threshold: float = -np.inf,
-                         top: bool = False):
-        must, should = plan["must"], plan["should"]
+    def _match_and_score(self, sr: SegmentReader, plan: dict, *,
+                         scoring: bool):
         empty = (np.empty(0, np.int64), np.empty(0, np.float32))
-
-        # top-level single-term query: per-block impact pruning is safe
-        # (only the final top-k is consumed, pruned blocks are strictly
-        # below the threshold)
-        if (top and scoring and not self.exact64 and len(must) == 1
-                and not plan["filter"] and not plan["should"]
-                and not plan["must_not"] and self._scores_term(must[0])):
-            docs, scores = self._term_topk_pruned(sr, must[0], k, threshold)
-            if docs is None or len(docs) == 0:
-                return empty
-            return docs, scores.astype(np.float32)
-
-        if must or plan["filter"]:
+        if plan["must"] or plan["filter"]:
             cand, sums = self._conjunction(sr, plan, scoring)
-        elif should:
+        elif plan["should"]:
             cand, sums = self._disjunction(sr, plan, scoring)
         else:
             return empty
@@ -1175,23 +1160,27 @@ def _combine_dismax(per, tie_breaker: float):
 
 class _Weight:
     """One rewritten query node. Global statistics are gathered when
-    the weight is created; ``scores``/``matches`` then run per segment.
-    Sub-weights are always asked for COMPLETE, unpruned results: only
-    the top-level weight may prune against ``threshold``."""
+    the weight is created; ``scores``/``matches`` then run per segment
+    and return COMPLETE, unpruned results. Only ``top``, which
+    ``Searcher.search`` calls on the top-level weight, may prune."""
 
     def __init__(self, s: Searcher):
         self.s = s
         self.dt = np.float64 if s.exact64 else np.float32
 
-    def scores(self, sr: SegmentReader, k: int, threshold: float,
-               top: bool):
+    def scores(self, sr: SegmentReader):
         """(docs, scores) of one segment, or (None, None)."""
         raise NotImplementedError
 
     def matches(self, sr: SegmentReader) -> np.ndarray:
         """The segment's matching docIDs (match-only)."""
-        docs, _ = self.scores(sr, 10, -np.inf, False)
+        docs, _ = self.scores(sr)
         return docs if docs is not None else np.empty(0, np.int64)
+
+    def top(self, sr: SegmentReader, k: int, threshold: float):
+        """``scores(sr)``, of which a weight may drop docs that cannot
+        enter a top k whose k-th score is already ``threshold``."""
+        return self.scores(sr)
 
 
 class _TermBoolWeight(_Weight):
@@ -1199,11 +1188,22 @@ class _TermBoolWeight(_Weight):
 
     def __init__(self, s, q):
         super().__init__(s)
-        self.plan = s._plan(q)
+        self.plan = p = s._plan(q)
+        self.term = (p["must"][0] if len(p["must"]) == 1 and not s.exact64
+                     and not (p["filter"] or p["should"] or p["must_not"])
+                     and s._scores_term(p["must"][0]) else None)
 
-    def scores(self, sr, k, threshold, top):
-        return self.s._match_and_score(sr, self.plan, scoring=True, k=k,
-                                       threshold=threshold, top=top)
+    def scores(self, sr):
+        return self.s._match_and_score(sr, self.plan, scoring=True)
+
+    def top(self, sr, k, threshold):
+        if self.term is None:
+            return self.scores(sr)
+        # a single scoring term: per-block impact pruning is safe (only
+        # the final top-k is consumed, pruned blocks are strictly below
+        # the threshold)
+        docs, scores = self.s._term_topk_pruned(sr, self.term, k, threshold)
+        return docs, (None if docs is None else scores.astype(np.float32))
 
     def matches(self, sr):
         return self.s._match_and_score(sr, self.plan, scoring=False)[0]
@@ -1221,9 +1221,9 @@ class _NestedBoolWeight(_Weight):
         self.filter = [_create_weight(s, c) for c in q.filter]
         self.msm = q.min_should_match
 
-    def scores(self, sr, k, threshold, top):
+    def scores(self, sr):
         def ev(w):
-            d, sc = w.scores(sr, k, -np.inf, False)
+            d, sc = w.scores(sr)
             if d is None or len(d) == 0:
                 return np.empty(0, np.int64), np.empty(0, np.float64)
             sc = sc.astype(np.float64)
@@ -1250,7 +1250,7 @@ class _ConstWeight(_Weight):
         self.inner = _create_weight(s, q.inner)
         self.boost = np.float64(q.boost)
 
-    def scores(self, sr, k, threshold, top):
+    def scores(self, sr):
         docs = self.inner.matches(sr)
         if len(docs) == 0:
             return None, None
@@ -1268,7 +1268,7 @@ class _DocSetWeight(_Weight):
         super().__init__(s)
         self.q = q
 
-    def scores(self, sr, k, threshold, top):
+    def scores(self, sr):
         docs = self.matches(sr)
         return docs, np.full(len(docs), self.q.boost, dtype=self.dt)
 
@@ -1293,9 +1293,9 @@ class _DisMaxWeight(_Weight):
         self.subs = [_create_weight(s, c) for c in q.disjuncts]
         self.tie_breaker = float(q.tie_breaker)
 
-    def scores(self, sr, k, threshold, top):
+    def scores(self, sr):
         cand, sc = _combine_dismax(
-            [w.scores(sr, k, -np.inf, False) for w in self.subs],
+            [w.scores(sr) for w in self.subs],
             self.tie_breaker)
         if len(cand) == 0:
             return None, None
@@ -1319,8 +1319,8 @@ class _CoveringWeight(_Weight):
         self.subs = [_create_weight(s, c) for c in q.queries]
         self.expr = compile_expression(q.min_match)
 
-    def scores(self, sr, k, threshold, top):
-        per = [w.scores(sr, k, -np.inf, False) for w in self.subs]
+    def scores(self, sr):
+        per = [w.scores(sr) for w in self.subs]
         per = [(d, s) for d, s in per if d is not None and len(d)]
         if not per:
             return None, None
@@ -1375,7 +1375,7 @@ class _PhraseWeight(_Weight):
         self.idf64 = sum(math.log(1 + (n - df + 0.5) / (df + 0.5))
                          for df in dfs)
 
-    def scores(self, sr, k, threshold, top):
+    def scores(self, sr):
         docs, freqs = self.freqs(sr)
         if docs is None or len(docs) == 0:
             return None, None
@@ -1406,8 +1406,8 @@ class _FunctionScoreWeight(_Weight):
         self.expr = compile_expression(q.expression)
         self.boost = q.boost
 
-    def scores(self, sr, k, threshold, top):
-        docs, sc = self.inner.scores(sr, k, -np.inf, False)
+    def scores(self, sr):
+        docs, sc = self.inner.scores(sr)
         if docs is None or len(docs) == 0:
             return None, None
         variables = {"_score": sc.astype(np.float64)}

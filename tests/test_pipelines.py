@@ -183,6 +183,61 @@ def test_distributed_searcher_matches_local(ray_session, small_pages,
     assert local.count(TermQuery(terms[0])) == dist.count(TermQuery(terms[0]))
 
 
+def test_distributed_pruned_term_path_matches_local(ray_session,
+                                                    tmp_path_factory):
+    """Head terms with more than 1,024 postings (over 8 blocks) in every
+    segment, so a single-term query takes the impact-pruned kernel, and
+    2 segments per worker, so each worker carries a threshold from one
+    segment to the next: RaySearcher.search, search_batch and a local
+    Searcher give the same ids and float32 score bits for term, AND and
+    OR queries. A local search fed the true k-th score through
+    ``threshold_cb`` (and observed through ``publish_cb``) gives the
+    same result too."""
+    from lucene_ray.index import build_index
+    from lucene_ray.search import (IndexReader, Searcher, TermQuery,
+                                   and_query, or_query)
+    from lucene_ray.search.distributed import RaySearcher
+    from lucene_ray.sources import write_pages
+    d = tmp_path_factory.mktemp("dist_pruned")
+    paths = write_pages(str(d / "pages"), n_rows=6000, n_parts=4, seed=42,
+                        n_terms=2000)
+    out = str(d / "idx")
+    build_index(paths, out, batch_size=1500)
+    reader = IndexReader(out)
+    assert len(reader.segment_infos) == 4
+    by_df = sorted(reader.all_term_stats().items(), key=lambda kv: -kv[1][0])
+    head = [t for t, _ in by_df[:6]]
+    for sr in reader.segments():
+        for t in head:
+            assert sr.get_postings(t).doc_count > 1024
+    local = Searcher(reader)
+    dist = RaySearcher(out, num_workers=2)
+    assert len(dist.workers) == 2
+    queries = ([TermQuery(t) for t in head]
+               + [and_query(head[i:i + 2]) for i in range(0, 6, 2)]
+               + [or_query(head[i:i + 3]) for i in range(0, 6, 3)])
+
+    def bits(td):
+        return td.doc_ids.tolist(), \
+            np.asarray(td.scores, np.float32).view(np.uint32).tolist()
+
+    for k in (10, 100):
+        batch = dist.search_batch(queries, k)
+        for q, b in zip(queries, batch):
+            td = local.search(q, k)
+            want = bits(td)
+            assert len(want[0]) == k
+            assert bits(dist.search(q, k)) == want
+            assert bits(b) == want
+            kth = float(td.scores[-1])
+            assert bits(local.search(q, k, threshold_cb=lambda: kth)) == want
+            published = []
+            assert bits(local.search(q, k,
+                                     publish_cb=published.append)) == want
+            assert published and published == sorted(set(published))
+            assert published[-1] <= kth
+
+
 def test_knn_merge_is_block_count_independent(ray_session, tmp_path_factory):
     """The top-k reduce is a groupby(qid): the driver-materialized result
     is exactly nq*k rows whether the corpus is 1 block or 40, and the

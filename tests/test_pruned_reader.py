@@ -378,3 +378,67 @@ def test_decoded_arrays_leave_the_cache_with_their_term(merged_generations):
         with pytest.raises(ValueError):
             arr[0] = 1
     assert sr.get_decoded("zz_absent") is None
+
+
+# -- terms too long for Parquet statistics ------------------------------------
+# Parquet drops a string statistic over 4,096 bytes: a row group that
+# ends with such a term reports max '', one that starts with it min '',
+# one with it at both ends no statistics at all.
+
+def _long(prefix):
+    return prefix + "x" * (5000 - len(prefix))
+
+
+@pytest.mark.parametrize("where", ["start", "end", "both"])
+def test_long_term_bounds_in_term_sorted_file(tmp_path, where):
+    from lucene_ray.search.reader import TermSortedFile
+    terms = [f"t{i:02d}" for i in range(8)]  # row groups of 2 terms
+    pos = {"start": [4], "end": [3], "both": [4, 5]}[where]
+    for i in pos:
+        terms[i] = _long(terms[i])
+    path = str(tmp_path / "terms.parquet")
+    pq.write_table(pa.table({"term": terms}), path, row_group_size=2)
+    st = pq.ParquetFile(path).metadata.row_group(pos[0] // 2) \
+        .column(0).statistics
+    # the file really carries a dropped bound (else the test shows nothing)
+    assert st is None or not st.has_min_max or "" in (st.min, st.max)
+    f = TermSortedFile(path)
+    assert f.rg_mins == sorted(f.rg_mins)
+    for i, t in enumerate(terms):
+        assert i // 2 in f.rgs_for_terms([t]), t
+        assert i // 2 in f.rgs_for_range(t, t), t
+    assert f.rgs_for_terms(["t00", "t07"]) == [0, 3]
+
+
+def test_long_keyword_terms_are_found(ray_session, tmp_path):
+    """A keyword index whose sorted terms put a 5,000-char term at the
+    start, the end and both ends of postings row groups, and at both
+    ends of the global term-stats file: each long term and each term
+    beside it is found by term_stats, get_postings and a TermQuery."""
+    from lucene_ray.analysis import KeywordAnalyzer
+    n = 4 * POSTINGS_ROW_GROUP
+    terms = [f"k{i:04d}" for i in range(n)]
+    r = POSTINGS_ROW_GROUP
+    for i in (0, r - 1, r, 2 * r, 3 * r - 1, n - 1):
+        terms[i] = _long(terms[i])
+    values = terms + terms  # df 2 per term
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(2 * n, dtype=np.int64)),
+        "text": pa.array(values, pa.string())}), path)
+    out = str(tmp_path / "idx")
+    build_index(path, out, batch_size=2 * n, analyzer=KeywordAnalyzer())
+    reader = IndexReader(out)
+    assert len(reader.segment_infos) == 1
+    sr = next(reader.segments())
+    checked = sorted({j for i in (0, r - 1, r, 2 * r, 3 * r - 1, n - 1)
+                      for j in (i - 1, i, i + 1) if 0 <= j < n})
+    want = [terms[j] for j in checked]
+    stats = reader.term_stats(want)
+    s = Searcher(reader)
+    for t in want:
+        assert stats[t] == (2, 2), t[:8]
+        p = sr.get_postings(t)
+        assert p is not None and p.doc_count == 2, t[:8]
+        assert s.count(TermQuery(t)) == 2, t[:8]
+        assert len(s.search(TermQuery(t), k=10).doc_ids) == 2, t[:8]

@@ -136,3 +136,29 @@ def test_replicate_merged_index_with_deletes(ray_session, tmp_path):
         np.testing.assert_array_equal(got.doc_ids, want.doc_ids)
         np.testing.assert_array_equal(got.scores.astype(np.float32),
                                       want.scores.astype(np.float32))
+
+
+def test_revision_lists_only_its_generations_deletes(ray_session, tmp_path):
+    """Each generation's revision names the deletes file its manifest
+    points at and no later generation's."""
+    from lucene_ray.index.deletes import apply_deletes
+    p = str(tmp_path / "part.parquet")
+    _write_docs(p, 0, 100, seed=5)
+    idx = str(tmp_path / "idx")
+    build_index(p, idx, batch_size=100)
+    seg = IndexReader(idx).segment_infos[0].seg_id
+    apply_deletes(idx, {seg: np.array([3])})
+    apply_deletes(idx, {seg: np.array([5])})
+
+    def deletes_files(gen):
+        return [f for f in current_revision(idx, gen).files
+                if "deletes_gen" in f]
+
+    assert deletes_files(0) == []
+    assert deletes_files(1) == [f"segments/{seg}/deletes_gen1.parquet"]
+    assert deletes_files(2) == [f"segments/{seg}/deletes_gen2.parquet"]
+    dst = str(tmp_path / "replica")
+    replicate(idx, dst, generation=1)
+    assert sorted(os.listdir(os.path.join(dst, "segments", seg))) == sorted(
+        os.path.basename(f) for f in current_revision(idx, 1).files
+        if f.startswith(f"segments/{seg}/"))
