@@ -30,8 +30,9 @@ class PackedPostings(NamedTuple):
 
     A *chunk* is an independently delta-packed run of docIDs (its first
     delta is the absolute first docID), so chunks from disjoint doc
-    ranges can be concatenated without repacking — the segment-merge
-    fast path and the hot-term salting path both rely on this.
+    ranges can be concatenated without repacking: the merge's concat
+    kernel (``index/merge.py``) joins the source segments' chunks of a
+    term in doc order, and its re-pack kernel writes one chunk per term.
 
     ``positions``/``chunk_occ_counts`` are empty unless the index was
     built with positions (the .pos stream for PhraseQuery).
@@ -76,26 +77,6 @@ def _pack_block(vals: np.ndarray, fmt: str = "for128") -> bytes:
     return bytes([width]) + packed.tobytes()
 
 
-def _unpack_block(buf: memoryview, pos: int, n: int) -> tuple[np.ndarray, int]:
-    width = buf[pos]
-    pos += 1
-    if width > 32:  # registered-format tag: [len u16][payload]
-        from .registry import get_decoder
-        nbytes = buf[pos] | (buf[pos + 1] << 8)
-        pos += 2
-        vals = get_decoder(width)(bytes(buf[pos:pos + nbytes]), n)
-        return vals, pos + nbytes
-    if width == 0:
-        return np.zeros(n, dtype=np.uint32), pos
-    nbytes = (n * width + 7) // 8
-    bits = np.unpackbits(np.frombuffer(buf[pos:pos + nbytes], dtype=np.uint8),
-                         count=n * width).reshape(n, width)
-    full = np.zeros((n, 32), dtype=np.uint8)
-    full[:, 32 - width:] = bits
-    vals = np.packbits(full, axis=1).view(">u4").reshape(n).astype(np.uint32)
-    return vals, pos + nbytes
-
-
 def _block_sizes(chunk_doc_counts) -> list[int]:
     """Block layout of a (possibly multi-chunk) posting: each chunk is
     blocked independently (full 128s + its own tail)."""
@@ -131,68 +112,68 @@ def _scan_block_offsets(buf: bytes, sizes) -> tuple[np.ndarray, np.ndarray]:
 def stream_layout(p: "PackedPostings",
                   stream: str) -> tuple[np.ndarray, np.ndarray]:
     """(byte_offsets int64[n+1], widths int64[n]) of the ``docs`` or
-    ``freqs`` stream from the pack-time block byte lengths: one cumsum
-    and one header gather. Raises if the lengths do not cover every
-    block."""
-    buf = p.docs if stream == "docs" else p.freqs
-    bb = p.docs_bb if stream == "docs" else p.freqs_bb
-    n = len(_block_sizes(p.chunk_doc_counts))
-    if len(bb) != n:
+    ``freqs`` stream of one posting (see :func:`_bb_layout`)."""
+    return _bb_layout(p.docs if stream == "docs" else p.freqs,
+                      p.docs_bb if stream == "docs" else p.freqs_bb,
+                      len(_block_sizes(p.chunk_doc_counts)), stream)
+
+
+def _bb_layout(buf, bb, nblocks: int,
+               stream: str) -> tuple[np.ndarray, np.ndarray]:
+    """Block layout of a packed stream from its pack-time block byte
+    lengths: one cumsum and one header gather. Raises if the lengths do
+    not cover every block."""
+    if len(bb) != nblocks:
         raise ValueError(f"{stream} stream has {len(bb)} block lengths "
-                         f"for {n} blocks")
+                         f"for {nblocks} blocks")
     offs = _offsets(np.asarray(bb, dtype=np.int64))
     hdr = np.frombuffer(buf, dtype=np.uint8)[offs[:-1]].astype(np.int64)
     return offs, np.where(hdr > 32, -1, hdr)
 
 
-def _unpack_values(buf: bytes, sizes: list[int],
-                   sel: np.ndarray | None = None,
+def _undelta(deltas: np.ndarray, counts) -> np.ndarray:
+    """Absolute int64 values of consecutive delta runs (``counts[j]``
+    values each) whose first delta is absolute: one cumsum, rebased per
+    run. Chunks of docIDs and per-posting position runs are such runs."""
+    counts = np.asarray(counts, dtype=np.int64)
+    cs = np.cumsum(deltas, dtype=np.int64)
+    base = np.zeros(len(counts), dtype=np.int64)
+    base[1:] = cs[np.cumsum(counts)[:-1] - 1]
+    return cs - np.repeat(base, counts)
+
+
+def _unpack_values(buf: bytes, sizes,
                    layout: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> np.ndarray:
-    """Decode blocks (all, or the selected subset in index order),
-    concatenated. Full 128-value blocks are decoded per-width in single
-    unpackbits/packbits calls — ~20x less Python overhead than a
-    per-block loop."""
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
+    """Decode every block of a stream, concatenated. ``for128`` blocks,
+    full and tail alike, decode in one vectorized pass: value ``i`` of a
+    width-``w`` block at byte ``o`` starts at bit ``(o + 1) * 8 + i * w``,
+    so one unaligned big-endian 8-byte window per value, shifted left
+    past the bits before it and right to its width, is the value.
+    Registered-format (tagged) blocks decode per block."""
+    sizes = np.asarray(sizes, dtype=np.int64)
     offs, widths = layout if layout is not None \
-        else _scan_block_offsets(buf, sizes_arr)
-    if sel is None:
-        sel = np.arange(len(sizes_arr))
-    else:
-        sel = np.asarray(sel, dtype=np.int64)
-    sel_sizes = sizes_arr[sel]
-    out_offs = np.concatenate([[0], np.cumsum(sel_sizes)])
-    out = np.empty(int(sel_sizes.sum()), dtype=np.uint32)
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    sel_widths = widths[sel]
-    # registered-format blocks (width tag -1) decode via the per-block
-    # path; the vectorized gather below is FOR-width-specific
-    full_mask = (sel_sizes == BLOCK_SIZE) & (sel_widths >= 0)
-    for w in np.unique(sel_widths):
-        grp = np.nonzero((sel_widths == w) & full_mask)[0]
-        if len(grp) == 0:
-            continue
-        if w == 0:
-            for gi in grp:
-                out[out_offs[gi]:out_offs[gi + 1]] = 0
-            continue
-        nbytes = (BLOCK_SIZE * int(w) + 7) // 8
-        starts = offs[sel[grp]] + 1
-        gather = raw[starts[:, None] + np.arange(nbytes)[None, :]]
-        bits = np.unpackbits(gather, axis=1)[:, :BLOCK_SIZE * int(w)]
-        bits = bits.reshape(len(grp), BLOCK_SIZE, int(w))
-        full = np.zeros((len(grp), BLOCK_SIZE, 32), dtype=np.uint8)
-        full[:, :, 32 - int(w):] = bits
-        vals = np.packbits(full.reshape(len(grp), -1), axis=1) \
-            .view(">u4").astype(np.uint32).reshape(len(grp), BLOCK_SIZE)
-        # vectorized scatter into the (non-contiguous) output slots
-        out[out_offs[grp][:, None] + np.arange(BLOCK_SIZE)[None, :]] = vals
-    # tails (and any non-full selected blocks): scalar path
-    mv = memoryview(buf)
-    for gi in np.nonzero(~full_mask)[0]:
-        b = sel[gi]
-        vals, _ = _unpack_block(mv, int(offs[b]), int(sizes_arr[b]))
-        out[out_offs[gi]:out_offs[gi + 1]] = vals
+        else _scan_block_offsets(buf, sizes)
+    w = np.maximum(widths, 0)  # tagged blocks decode as zeros first
+    wv = np.repeat(w, sizes)
+    first = _offsets(sizes)
+    bit = np.repeat((offs[:-1] + 1) * 8 - first[:-1] * w, sizes) \
+        + np.arange(first[-1]) * wv
+    nb = len(buf)
+    padded = np.zeros(nb + 8, dtype=np.uint8)
+    padded[:nb] = np.frombuffer(buf, dtype=np.uint8)
+    window = np.ndarray((nb + 1,), dtype=">u8", buffer=padded, strides=(1,))
+    # a shift by 64 gives 0 in numpy, so width-0 values come out 0
+    out = ((window[bit >> 3] << (bit & 7).astype(np.uint64))
+           >> (np.uint64(64) - wv.astype(np.uint64))).astype(np.uint32)
+    tagged = np.nonzero(widths < 0)[0]
+    if len(tagged):
+        from .registry import get_decoder
+        for b in tagged.tolist():
+            o = int(offs[b])
+            n = int(padded[o + 1]) | (int(padded[o + 2]) << 8)
+            out[first[b]:first[b + 1]] = get_decoder(int(padded[o]))(
+                bytes(buf[o + 3:o + 3 + n]), int(sizes[b]))
     return out
 
 
@@ -437,79 +418,10 @@ def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
 def unpack_postings(p: PackedPostings) -> tuple[np.ndarray, np.ndarray]:
     """Decode a (possibly multi-chunk) posting -> (doc_ids int64, freqs int32)."""
     sizes = _block_sizes(p.chunk_doc_counts)
-    deltas = _unpack_values(p.docs, sizes,
-                            layout=stream_layout(p, "docs")).astype(np.int64)
+    deltas = _unpack_values(p.docs, sizes, layout=stream_layout(p, "docs"))
     freqs = _unpack_values(p.freqs, sizes,
                            layout=stream_layout(p, "freqs")).astype(np.int32)
-    # per-chunk cumsum: each chunk's first delta is absolute
-    counts = np.asarray(p.chunk_doc_counts, dtype=np.int64)
-    docs = np.cumsum(deltas)
-    if len(counts) > 1:
-        # Each chunk's deltas sum to its last absolute docID, so the global
-        # cumsum over-counts chunk j by sum(last_doc of chunks < j).
-        blocks_per_chunk = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-        last_block_idx = np.cumsum(blocks_per_chunk) - 1
-        chunk_last = np.asarray(p.block_last_docs, dtype=np.int64)[last_block_idx]
-        corr = np.concatenate([[0], np.cumsum(chunk_last[:-1])])
-        docs = docs - np.repeat(corr, counts)
-    return docs, freqs
-
-
-def concat_postings(chunks: list[PackedPostings]) -> PackedPostings:
-    """Concatenate postings of the SAME term over disjoint, increasing doc
-    ranges (segment merge fast path — no unpack/repack).
-
-    Callers must pass chunks ordered by doc range; validated via
-    block_last_docs monotonicity.
-    """
-    if len(chunks) == 1:
-        return chunks[0]
-    last = -1
-    for c in chunks:
-        first_block_last = int(c.block_last_docs[0])
-        if first_block_last <= last:
-            raise ValueError("merge chunks out of doc order / overlapping")
-        last = int(c.block_last_docs[-1])
-    off_parts = [np.asarray(chunks[0].imp_offsets, dtype=np.int64)]
-    base = int(chunks[0].imp_offsets[-1])
-    for c in chunks[1:]:
-        off_parts.append(np.asarray(c.imp_offsets[1:], dtype=np.int64) + base)
-        base += int(c.imp_offsets[-1])
-    has_pos = any(len(c.positions) for c in chunks)
-    return PackedPostings(
-        positions=b"".join(c.positions for c in chunks) if has_pos else b"",
-        chunk_occ_counts=(np.concatenate(
-            [np.atleast_1d(np.asarray(c.chunk_occ_counts, dtype=np.int64))
-             if len(np.atleast_1d(c.chunk_occ_counts)) else
-             np.array([c.ttf], dtype=np.int64) for c in chunks])
-            if has_pos else np.empty(0, np.int64)),
-        doc_count=sum(c.doc_count for c in chunks),
-        ttf=sum(c.ttf for c in chunks),
-        docs=b"".join(c.docs for c in chunks),
-        freqs=b"".join(c.freqs for c in chunks),
-        block_last_docs=np.concatenate([c.block_last_docs for c in chunks]),
-        imp_freqs=np.concatenate([c.imp_freqs for c in chunks]),
-        imp_norms=np.concatenate([c.imp_norms for c in chunks]),
-        imp_offsets=np.concatenate(off_parts).astype(np.int32),
-        chunk_doc_counts=np.concatenate([c.chunk_doc_counts for c in chunks]),
-        # block byte lengths are per block, not cumulative: they
-        # concatenate directly
-        docs_bb=np.concatenate([c.docs_bb for c in chunks]),
-        freqs_bb=np.concatenate([c.freqs_bb for c in chunks]),
-    )
-
-
-def repack_postings(p: PackedPostings, norms_lookup) -> PackedPostings:
-    """Optimize path: re-block a multi-chunk posting into full 128-doc
-    blocks (recomputing impacts from per-doc norms).
-
-    ``norms_lookup(doc_ids) -> uint8 norms`` supplies the norm bytes
-    (TieredMergePolicy 'forceMerge' analog).
-    """
-    docs, freqs = unpack_postings(p)
-    return pack_postings(docs, freqs, norms_lookup(docs), positions=(
-        unpack_positions(p.positions, p.chunk_occ_counts, freqs)
-        if len(p.positions) else None))
+    return _undelta(deltas, p.chunk_doc_counts), freqs
 
 
 # --- batch pack (vectorized across terms) ----------------------------------
@@ -638,16 +550,5 @@ def unpack_positions(buf: bytes, chunk_occ_counts: np.ndarray,
     ``freqs``: the term's per-posting freqs (posting boundaries = delta
     resets). Returns absolute positions, flat (slice by cumsum(freqs)).
     """
-    sizes = _block_sizes(chunk_occ_counts)
-    delta = _unpack_values(buf, sizes).astype(np.int64)
-    freqs = np.asarray(freqs, dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(freqs)[:-1]])
-    group_last = np.add.reduceat(delta, starts)
-    corr = np.concatenate([[0], np.cumsum(group_last[:-1])])
-    return np.cumsum(delta) - np.repeat(corr, freqs)
-
-
-def concat_position_chunks(bufs: list[bytes],
-                           occ_counts: list[int]) -> tuple[bytes, np.ndarray]:
-    """Merge path: concatenate per-chunk packed position streams."""
-    return b"".join(bufs), np.asarray(occ_counts, dtype=np.int64)
+    return _undelta(_unpack_values(buf, _block_sizes(chunk_occ_counts)),
+                    freqs)

@@ -342,7 +342,7 @@ def build_index(
     else:
         # pre-built Dataset: batch boundaries may interleave, so segments
         # can overlap in doc range — queries stay correct (docIDs are
-        # data-derived); merge then uses its sort-repack fallback
+        # data-derived); merge re-packs a group whose ranges overlap
         ds = source
 
     fn_kwargs = dict(out_dir=out_dir, text_col=text_col, id_col=id_col,

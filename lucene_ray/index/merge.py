@@ -6,23 +6,30 @@ selects groups of small segments; ``SegmentMerger`` k-way merges posting
 lists per term with docBase remapping (``SegmentMerger.java:104-158``).
 
 Ray-native design:
-- docIDs are already global (data-derived), so merging one term across
-  doc-disjoint segments is an ordered *chunk concat* of packed blocks —
-  no re-encode. Overlapping-range chunks (builds from pre-batched
-  Datasets) fall back to decode + sort + repack using broadcast norms.
-- ALL merge groups run in ONE Ray Data job: segments are read with
-  (group_id, seg_ord) columns, rows get a term-hash ``bucket``, and a
-  single ``groupby((group_id, bucket)).map_groups`` reduces whole
-  buckets of terms per call (amortizing per-group overhead over the
-  vocabulary) and writes its output shard directly into the new
-  segment's directory — no driver materialization.
+- ALL merge groups run in ONE Ray Data job: every input segment's
+  postings are read once with their file path, each row is routed to
+  (merge group, segment order) by the segment it came from, gets a
+  term-hash ``bucket``, and a single ``groupby((group_id, bucket))
+  .map_groups`` reduces whole buckets of terms per call (amortizing
+  per-group overhead over the vocabulary) and writes its output shard
+  directly into the new segment's directory — no driver
+  materialization.
+- Two bucket kernels, picked per group by a rule over manifest fields:
+  - concat (``_merge_bucket_vec``): docIDs are global (data-derived),
+    so a term's chunks from live, doc-disjoint segments are joined in
+    doc order zero-copy — no decode, no re-encode;
+  - re-pack (``_repack_bucket``): when a group has tombstones, when its
+    segments' ``[min_doc, max_doc]`` ranges overlap (builds from an
+    unsorted Dataset), or under ``repack=True`` (forceMerge(1) analog),
+    the whole bucket is decoded in one pass per stream, tombstoned
+    postings and their positions are dropped, postings are sorted by
+    (term, doc) and packed into full 128-doc ``for128`` blocks with
+    fresh impacts from the group's norms.
 - Term-frequency skew (Zipf head): ``salt_buckets > 1`` keys the first
-  shuffle on (term, seg-order-bucket) so a hot term's chunks land on
-  many reducers; a second groupby concatenates partials in order
-  (salted repartition per the north rule; sub-runs stay doc-sorted
-  because salting follows segment order).
-- ``repack=True`` re-blocks into full 128-doc blocks and recomputes
-  impacts from norms (forceMerge(1) analog).
+  shuffle on (term, segment-order bucket) so a hot term's chunks land on
+  many reducers; a second groupby merges the partials (salted
+  repartition per the north rule; sub-runs stay doc-sorted because
+  salting follows segment order, and re-packed groups re-sort anyway).
 """
 
 from __future__ import annotations
@@ -38,12 +45,12 @@ import ray.data
 
 from ..codecs.postings import (
     POSTINGS_SCHEMA,
-    PackedPostings,
-    concat_postings,
-    pack_postings,
-    repack_postings,
-    unpack_positions,
-    unpack_postings,
+    _bb_layout,
+    _blocks_of,
+    _offsets,
+    _undelta,
+    _unpack_values,
+    pack_postings_many,
 )
 from .manifest import IndexManifest, SegmentInfo, read_manifest, write_manifest
 
@@ -70,99 +77,6 @@ def plan_merges(segments: list[SegmentInfo], segs_per_tier: int = 10,
     return groups
 
 
-def _row_to_packed(r: dict) -> PackedPostings:
-    return PackedPostings(
-        doc_count=r["doc_count"], ttf=r["ttf"], docs=r["docs"], freqs=r["freqs"],
-        block_last_docs=np.asarray(r["block_last_docs"], dtype=np.int32),
-        imp_freqs=np.asarray(r["imp_freqs"], dtype=np.int32),
-        imp_norms=np.asarray(r["imp_norms"], dtype=np.uint8),
-        imp_offsets=np.asarray(r["imp_offsets"], dtype=np.int64),
-        chunk_doc_counts=np.asarray(r["chunk_doc_counts"], dtype=np.int32),
-        positions=r["positions"],
-        chunk_occ_counts=np.asarray(r["chunk_occ_counts"], dtype=np.int64),
-        docs_bb=np.asarray(r["docs_bb"], dtype=np.int32),
-        freqs_bb=np.asarray(r["freqs_bb"], dtype=np.int32),
-    )
-
-
-def _packed_to_cols(term: str, p: PackedPostings, rows: dict) -> None:
-    rows["term"].append(term)
-    rows["df"].append(p.doc_count)
-    rows["ttf"].append(p.ttf)
-    rows["doc_count"].append(p.doc_count)
-    rows["docs"].append(p.docs)
-    rows["freqs"].append(p.freqs)
-    rows["block_last_docs"].append(np.asarray(p.block_last_docs, dtype=np.int32))
-    rows["docs_bb"].append(np.asarray(p.docs_bb, dtype=np.int32))
-    rows["freqs_bb"].append(np.asarray(p.freqs_bb, dtype=np.int32))
-    rows["imp_freqs"].append(np.asarray(p.imp_freqs, dtype=np.int32))
-    rows["imp_norms"].append(np.asarray(p.imp_norms).astype(np.int32))
-    rows["imp_offsets"].append(np.asarray(p.imp_offsets, dtype=np.int32))
-    rows["chunk_doc_counts"].append(np.asarray(p.chunk_doc_counts, dtype=np.int32))
-    rows["positions"].append(p.positions)
-    rows["chunk_occ_counts"].append(np.asarray(p.chunk_occ_counts, dtype=np.int64))
-
-
-_MERGED_COLS = ("term", "df", "ttf", "doc_count", "docs", "freqs",
-                "block_last_docs", "docs_bb", "freqs_bb",
-                "imp_freqs", "imp_norms", "imp_offsets",
-                "chunk_doc_counts", "positions", "chunk_occ_counts")
-
-
-def _merge_one_term(rows: list[dict], norms_data) -> PackedPostings:
-    """All chunk rows of one term (sorted by doc-order key) -> one merged
-    posting. Fast path: ordered concat of packed blocks. Fallback on
-    overlapping doc ranges: decode + sort + repack from norms."""
-    packed = [_row_to_packed(r) for r in rows]
-    try:
-        return concat_postings(packed)
-    except ValueError:
-        if norms_data is None:
-            raise
-        doc_ids_all, norms_all = norms_data
-        has_pos = any(len(p.positions) for p in packed)
-        docs_parts, freqs_parts, pos_slices = [], [], []
-        for p in packed:
-            d, f = unpack_postings(p)
-            docs_parts.append(d)
-            freqs_parts.append(f)
-            if has_pos:
-                flat = unpack_positions(p.positions, p.chunk_occ_counts, f)
-                offs = np.concatenate([[0], np.cumsum(f)])
-                pos_slices.extend(flat[offs[i]:offs[i + 1]]
-                                  for i in range(len(f)))
-        docs = np.concatenate(docs_parts)
-        freqs = np.concatenate(freqs_parts)
-        order = np.argsort(docs, kind="stable")
-        docs, freqs = docs[order], freqs[order]
-        norms = norms_all[np.searchsorted(doc_ids_all, docs)]
-        return pack_postings(docs, freqs, norms, positions=(
-            np.concatenate([pos_slices[i] for i in order])
-            if has_pos else None))
-
-
-def _drop_docs(p: PackedPostings, deleted: np.ndarray,
-               norms_lookup) -> PackedPostings | None:
-    """Remove tombstoned docs from a merged posting (decode -> filter ->
-    repack with fresh impacts). None if every posting doc was deleted."""
-    docs, freqs = unpack_postings(p)
-    pos = np.searchsorted(deleted, docs)
-    pos = np.minimum(pos, len(deleted) - 1)
-    keep = deleted[pos] != docs
-    if keep.all():
-        return p
-    if not keep.any():
-        return None
-    flat = None
-    if len(p.positions):
-        flat = unpack_positions(p.positions, p.chunk_occ_counts, freqs)
-        offs = np.concatenate([[0], np.cumsum(freqs)])
-        flat = np.concatenate([flat[offs[i]:offs[i + 1]]
-                               for i in np.nonzero(keep)[0]])
-    docs, freqs = docs[keep], freqs[keep]
-    return pack_postings(docs, freqs, norms_lookup(docs), positions=flat)
-
-
 def _col(group: pa.Table, name: str) -> pa.Array:
     a = group.column(name)
     if isinstance(a, pa.ChunkedArray):
@@ -184,36 +98,34 @@ def _list_parts(arr: pa.Array) -> tuple[np.ndarray, pa.Array]:
             arr.values)
 
 
-def _merge_bucket_vec(group: pa.Table,
-                      with_okey: bool) -> pa.Table | None:
-    """Vectorized merge of a whole (term, okey)-sorted bucket: every
-    per-term payload (packed docs/freqs/positions bytes, block lists,
-    impacts) is a CONTIGUOUS slice of the sorted column buffers, so the
-    merged columns are rebuilt zero-copy from new offsets — no per-row
-    Python objects at all (the ordered-concat fast path of
-    ``concat_postings``, applied to 10k terms at once). Returns None
-    when any term's chunks have overlapping doc ranges (the decode+
-    repack fallback path handles those)."""
+def _list_values(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """(row offsets int64[n+1] from 0, flat int64 values) of a list
+    column."""
+    offs, vals = _list_parts(arr)
+    flat = vals.to_numpy(zero_copy_only=False)[offs[0]:offs[-1]]
+    return offs - offs[0], flat.astype(np.int64)
+
+
+def _term_starts(terms: pa.Array) -> np.ndarray:
+    """First row of each term in a term-sorted bucket: int64[nterms]."""
     import pyarrow.compute as pc
-    n = group.num_rows
-    terms = _col(group, "term")
+    n = len(terms)
     neq = pc.not_equal(terms.slice(1), terms.slice(0, n - 1)) \
         .to_numpy(zero_copy_only=False)
-    starts = np.concatenate([[0], np.nonzero(neq)[0] + 1]).astype(np.int64)
+    return np.concatenate([[0], np.nonzero(neq)[0] + 1]).astype(np.int64)
+
+
+def _merge_bucket_vec(group: pa.Table) -> pa.Table:
+    """Concat kernel over a whole (term, okey)-sorted bucket of live,
+    doc-disjoint chunks: every per-term payload (packed docs/freqs/
+    positions bytes, block lists, impacts) is a CONTIGUOUS slice of the
+    sorted column buffers, so the merged columns are rebuilt zero-copy
+    from new offsets — no per-row Python objects at all."""
+    n = group.num_rows
+    terms = _col(group, "term")
+    starts = _term_starts(terms)
     nt = len(starts)
     bounds = np.append(starts, n)
-
-    # doc-order validation: each row's first block_last must exceed the
-    # previous row's last block_last within the same term
-    blo, blv_arr = _list_parts(_col(group, "block_last_docs"))
-    blv = blv_arr.to_numpy(zero_copy_only=False)
-    row_first = blv[blo[:-1]]
-    row_last = blv[blo[1:] - 1]
-    ok = np.ones(n, dtype=bool)
-    ok[1:] = row_first[1:] > row_last[:-1]
-    ok[starts] = True
-    if not ok.all():
-        return None  # at least one overlapping term -> slow path
 
     out: dict = {}
     out["term"] = terms.take(pa.array(starts))
@@ -259,61 +171,122 @@ def _merge_bucket_vec(group: pa.Table,
         pa.array(tbs + np.arange(nt + 1), pa.int64()),
         pa.array((cs[at] - cs[tbs[term_of]]).astype(np.int32), pa.int32()))
 
-    t = pa.Table.from_pydict({k: out[k] for k in _MERGED_COLS},
-                             schema=POSTINGS_SCHEMA)
-    if with_okey:
-        okey_np = _col(group, "okey").to_numpy()
-        t = t.append_column("okey", pa.array(okey_np[starts], pa.int64()))
-    return t
+    return pa.Table.from_pydict({k: out[k] for k in POSTINGS_SCHEMA.names},
+                                schema=POSTINGS_SCHEMA)
+
+
+# Postings per ``pack_postings_many`` call of the re-pack kernel. Slices
+# end on term boundaries (a hotter term is packed alone), so the
+# packer's per-posting bit matrices stay bounded whatever the bucket.
+REPACK_SLICE_POSTINGS = 1 << 18
+
+
+def _decode_stream(group: pa.Table, name: str, sizes: np.ndarray,
+                   bb: np.ndarray | None = None) -> np.ndarray:
+    """Every block of one packed column of the bucket in one
+    ``_unpack_values`` call: the rows' bytes are one contiguous buffer.
+    ``bb`` (pack-time block byte lengths) gives the layout; without it
+    (positions) block headers are scanned."""
+    offs, data = _bin_bufs(_col(group, name))
+    buf = np.frombuffer(data, dtype=np.uint8)[offs[0]:offs[-1]]
+    return _unpack_values(buf, sizes, layout=None if bb is None
+                          else _bb_layout(buf, bb, len(sizes), name))
+
+
+def _repack_bucket(group: pa.Table, norms_data,
+                   deleted: np.ndarray | None) -> pa.Table:
+    """Re-pack kernel over a whole term-sorted bucket: decode every row
+    (one ``_unpack_values`` call per stream), drop tombstoned postings
+    and their position runs, sort by (term, doc) and pack with the
+    build's ``pack_postings_many``: one ``for128`` chunk per term, full
+    128-doc blocks, impacts from the group's norms. Terms left without
+    postings vanish."""
+    terms = _col(group, "term")
+    starts = _term_starts(terms)
+    # every chunk of every row is blocked on its own (full 128s + tail)
+    chunk_offs, chunk_counts = _list_values(_col(group, "chunk_doc_counts"))
+    _, sizes, _ = _blocks_of(_offsets(chunk_counts))
+    docs = _undelta(_decode_stream(
+        group, "docs", sizes, _list_values(_col(group, "docs_bb"))[1]),
+        chunk_counts)
+    freqs = _decode_stream(
+        group, "freqs", sizes, _list_values(_col(group, "freqs_bb"))[1]) \
+        .astype(np.int64)
+    # term of every posting: rows per term, postings per row
+    row_term = np.repeat(np.arange(len(starts)),
+                         np.diff(np.append(starts, group.num_rows)))
+    term_id = np.repeat(row_term,
+                        np.diff(_offsets(chunk_counts)[chunk_offs]))
+    occ = _offsets(freqs)
+    pos = None
+    pos_offs, _ = _bin_bufs(_col(group, "positions"))
+    if pos_offs[-1] > pos_offs[0]:
+        _, occ_counts = _list_values(_col(group, "chunk_occ_counts"))
+        _, psizes, _ = _blocks_of(_offsets(occ_counts))
+        deltas = _decode_stream(group, "positions", psizes)
+        if len(deltas) != occ[-1]:
+            raise ValueError(f"positions stream has {len(deltas)} values "
+                             f"for {occ[-1]} occurrences")
+        pos = _undelta(deltas, freqs)  # delta resets at every posting
+
+    keep = np.arange(len(docs))  # postings kept, in output order
+    if deleted is not None and len(deleted):
+        i = np.minimum(np.searchsorted(deleted, docs), len(deleted) - 1)
+        keep = keep[deleted[i] != docs]
+    key = (term_id[keep] << 32) | docs[keep]
+    if (np.diff(key) <= 0).any():
+        keep = keep[np.argsort(key, kind="stable")]
+    D, F, T = docs[keep], freqs[keep], term_id[keep]
+    if len(D) == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    tb = np.concatenate([[0], np.flatnonzero(np.diff(T)) + 1, [len(T)]])
+    names = terms.take(pa.array(starts[T[tb[:-1]]])).to_pylist()
+    doc_ids_all, norms_all = norms_data
+    N = norms_all[np.searchsorted(doc_ids_all, D)]
+    if pos is not None:
+        # each kept posting's position run, in the kept order
+        new_occ = _offsets(F)
+        pos = pos[np.repeat(occ[keep] - new_occ[:-1], F)
+                  + np.arange(new_occ[-1])]
+
+    tables = []
+    lo, nt = 0, len(tb) - 1
+    while lo < nt:
+        hi = max(lo + 1, int(np.searchsorted(
+            tb, tb[lo] + REPACK_SLICE_POSTINGS, side="right")) - 1)
+        a, b = tb[lo], tb[hi]
+        tables.append(pack_postings_many(
+            D[a:b], F[a:b], N[a:b], tb[lo:hi + 1] - a, terms=names[lo:hi],
+            positions=None if pos is None
+            else pos[new_occ[a]:new_occ[b]]))
+        lo = hi
+    return pa.concat_tables(tables)
 
 
 def _merge_bucket(group: pa.Table, norms_data, repack: bool,
-                  with_okey: bool = False, deleted: np.ndarray | None = None) -> pa.Table:
-    """Merge a whole bucket of terms -> merged posting rows (one/term).
+                  deleted: np.ndarray | None = None) -> pa.Table:
+    """Merge a whole bucket of terms -> merged posting rows (one/term)
+    with the kernel the group's rule picked.
 
     Chunk order within a term comes from the data itself: ``okey`` =
     first block's last docID, which orders doc-disjoint chunks without
-    any per-file bookkeeping. ``with_okey`` keeps each term's first okey
-    (partial rows must stay orderable for the second salted level).
+    any per-file bookkeeping (the re-pack kernel sorts by doc anyway)."""
+    group = group.sort_by([("term", "ascending"), ("okey", "ascending")]) \
+        .combine_chunks()
+    if repack:
+        return _repack_bucket(group, norms_data, deleted)
+    return _merge_bucket_vec(group)
 
-    The common case (no tombstones, no repack, doc-disjoint chunks)
-    takes the fully vectorized zero-copy path above; tombstoned /
-    repack / overlapping buckets take the per-term object path."""
-    group = group.sort_by([("term", "ascending"), ("okey", "ascending")])
-    if (deleted is None or len(deleted) == 0) and not repack \
-            and group.num_rows > 0:
-        t = _merge_bucket_vec(group.combine_chunks(), with_okey)
-        if t is not None:
-            return t
-    rows = group.select(list(_MERGED_COLS) + ["okey"]).to_pylist()
-    out = {k: [] for k in _MERGED_COLS}
-    okeys = []
-    if norms_data is not None:
-        doc_ids_all, norms_all = norms_data
 
-        def norms_lookup(d):
-            return norms_all[np.searchsorted(doc_ids_all, d)]
-    i = 0
-    while i < len(rows):
-        j = i
-        term = rows[i]["term"]
-        while j < len(rows) and rows[j]["term"] == term:
-            j += 1
-        merged = _merge_one_term(rows[i:j], norms_data)
-        if deleted is not None and len(deleted):
-            merged = _drop_docs(merged, deleted, norms_lookup)
-            if merged is None:  # all docs tombstoned -> term vanishes
-                i = j
-                continue
-        if repack and norms_data is not None:
-            merged = repack_postings(merged, norms_lookup)
-        _packed_to_cols(term, merged, out)
-        okeys.append(rows[i]["okey"])
-        i = j
-    t = pa.Table.from_pydict(out, schema=POSTINGS_SCHEMA)
-    if with_okey:
-        t = t.append_column("okey", pa.array(okeys, pa.int64()))
-    return t
+def _needs_repack(g: list[SegmentInfo]) -> bool:
+    """The concat kernel is exact only for live, doc-disjoint segments:
+    a group with tombstones, or whose ``[min_doc, max_doc]`` ranges
+    overlap (a build from an unsorted Dataset), is re-packed."""
+    if any(s.del_count for s in g):
+        return True
+    g = sorted(g, key=lambda s: s.min_doc)
+    reach = np.maximum.accumulate([s.max_doc for s in g])
+    return bool(any(s.min_doc <= r for s, r in zip(g[1:], reach)))
 
 
 @ray.remote(num_returns=2)
@@ -381,10 +354,10 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
         int(live_table.column("doc_id")[0].as_py()) if len(live_table) else 0,
         int(live_table.column("doc_id")[-1].as_py()) if len(live_table) else 0,
     )
-    # norms keep ALL docs (repack of a partial chunk may reference a doc
-    # deleted elsewhere in the group)
-    norms = (docs_table.column("doc_id").to_numpy(),
-             docs_table.column("norm").to_numpy().astype(np.uint8),
+    # norms of the live docs: the re-pack kernel drops tombstoned
+    # postings before it looks norms up
+    norms = (live_table.column("doc_id").to_numpy(),
+             live_table.column("norm").to_numpy().astype(np.uint8),
              deleted)
     return norms, live_stats
 
@@ -484,9 +457,9 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
         group_meta = [(gi, g, seg_id, seg_dir, tuple(ray.get(ref)))
                       for gi, g, seg_id, seg_dir, ref in group_meta]
 
-        # ONE read over every input segment's postings; group & order are
-        # derived from the data (okey = first block's last docID), so no
-        # per-file datasets / unions are needed. postings.parquet may be
+        # ONE read over every input segment's postings, each row tagged
+        # with its file path, which routes it to (group, segment order):
+        # groups need not be disjoint doc ranges. postings.parquet may be
         # a directory of reducer shards (a previously-merged segment).
         def _expand(path: str) -> list[str]:
             if os.path.isdir(path):
@@ -494,10 +467,20 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
                               if f.endswith(".parquet"))
             return [path]
 
-        all_paths = [f
-                     for _, g, _, _, _ in group_meta for s in g
-                     for f in _expand(os.path.join(
-                         index_dir, "segments", s.seg_id, "postings.parquet"))]
+        files = [(f, gi, si)
+                 for gi, g, _, _, _ in group_meta for si, s in enumerate(g)
+                 for f in _expand(os.path.abspath(os.path.join(
+                     index_dir, "segments", s.seg_id, "postings.parquet")))]
+        all_paths = pa.array([f for f, _, _ in files], pa.string())
+        path_group = np.array([gi for _, gi, _ in files], dtype=np.int64)
+        # salt = segment-order bucket of the file within its group
+        path_salt = np.array(
+            [si // max(1, -(-len(group_meta[gi][1]) // salt_buckets))
+             for _, gi, si in files], dtype=np.uint64)
+        # the kernel rule, over manifest fields: re-pack a group with
+        # tombstones, with overlapping segment doc ranges, or on request
+        repack_groups = {gi for gi, g, _, _, _ in group_meta
+                         if repack or _needs_repack(g)}
         # RIGHT-SIZE the read blocks: Ray's sort-based groupby cost is
         # dominated by block COUNT, not bytes (measured at sf0.1: 288
         # per-row-group blocks -> 13.7s shuffle; the same 230 MB in 32
@@ -505,59 +488,46 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
         # on disk (disk bytes x2 for Arrow decode), floored at cluster
         # parallelism — the ratio holds at 100 TB where blocks are
         # naturally large.
-        in_bytes = sum(os.path.getsize(p) for p in all_paths)
+        in_bytes = sum(os.path.getsize(f) for f, _, _ in files)
         n_blocks = max(cpus, (in_bytes * 2) // (128 << 20) + 1)
-        ds = ray.data.read_parquet(all_paths,
+        ds = ray.data.read_parquet(all_paths.to_pylist(), include_paths=True,
                                    override_num_blocks=int(n_blocks))
-
-        group_max_docs = np.array(
-            [g[-1].max_doc for _, g, _, _, _ in group_meta], dtype=np.int64)
-        # per-group segment boundaries for salting (seg index from okey)
-        seg_bounds = {gi: np.array([s.max_doc for s in g], dtype=np.int64)
-                      for gi, g, _, _, _ in group_meta}
-        seg_per_salt = {gi: max(1, (len(g) + salt_buckets - 1) // salt_buckets)
-                        for gi, g, _, _, _ in group_meta}
         seg_dirs = {gi: seg_dir for gi, _, _, seg_dir, _ in group_meta}
 
         def add_keys(t: pa.Table, salted: bool) -> pa.Table:
             import pyarrow.compute as pc
-            if "okey" not in t.column_names:
-                okey = pc.list_element(t.column("block_last_docs"), 0) \
-                    .cast(pa.int64())
-                t = t.append_column("okey", okey)
-            if "group_id" not in t.column_names:
-                ok = t.column("okey").to_numpy()
-                gid = np.searchsorted(group_max_docs, ok)
-                t = t.append_column("group_id", pa.array(gid, pa.int64()))
+            if "path" in t.column_names:  # a source row: route by file
+                fi = pc.index_in(t.column("path"), value_set=all_paths) \
+                    .to_numpy(zero_copy_only=False)
+                t = t.drop_columns(["path"]).append_column(
+                    "group_id", pa.array(path_group[fi], pa.int64()))
+                salt = path_salt[fi]  # only source rows are salted
+            # okey orders a term's doc-disjoint chunks for the concat
+            # kernel; a partial row's first block is its first chunk's
+            okey = pc.list_element(t.column("block_last_docs"), 0) \
+                .cast(pa.int64())
             from ..util import crc32_batch
             th = crc32_batch(t.column("term")).astype(np.uint64)
             if salted:
-                # vectorized salt: per-group searchsorted of okey against
-                # segment boundaries, then mix into the term hash (the
+                # mix the source file's salt into the term hash (the
                 # level-1 bucket is internal to the two-level shuffle, so
                 # any deterministic term+salt hash works; only the final
                 # unsalted pass must match the reader's crc32 routing)
-                ok = t.column("okey").to_numpy()
-                gids = t.column("group_id").to_numpy()
-                salt = np.empty(len(ok), dtype=np.uint64)
-                for g in np.unique(gids):
-                    m = gids == g
-                    si = np.searchsorted(seg_bounds[int(g)], ok[m])
-                    salt[m] = (si // seg_per_salt[int(g)]).astype(np.uint64)
                 th = (th * np.uint64(0x9E3779B97F4A7C15)) ^ \
                     (salt * np.uint64(0xC2B2AE3D27D4EB4F) + np.uint64(1))
             b = pa.array((th % np.uint64(n_buckets)).astype(np.int64),
                          pa.int64())
-            if "bucket" in t.column_names:
-                t = t.drop_columns(["bucket"])
-            return t.append_column("bucket", b)
+            return t.append_column("okey", okey).append_column("bucket", b)
+
+        def merge(group: pa.Table) -> tuple[int, pa.Table]:
+            gid = group.column("group_id")[0].as_py()
+            ids_all, norms_all, deleted = ray.get(norms_refs[gid])
+            return gid, _merge_bucket(group, (ids_all, norms_all),
+                                      gid in repack_groups, deleted)
 
         def reduce_write(group: pa.Table) -> pa.Table:
-            gid = group.column("group_id")[0].as_py()
+            gid, merged = merge(group)
             bucket = group.column("bucket")[0].as_py()
-            ids_all, norms_all, deleted = ray.get(norms_refs[gid])
-            merged = _merge_bucket(group, (ids_all, norms_all), repack,
-                                   deleted=deleted)
             out_path = os.path.join(seg_dirs[gid], "postings.parquet",
                                     f"part-{bucket:05d}.parquet")
             from .builder import POSTINGS_ROW_GROUP
@@ -573,10 +543,7 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
                              "n_terms": pa.array([len(merged)], pa.int64())})
 
         def reduce_partial(group: pa.Table) -> pa.Table:
-            gid = group.column("group_id")[0].as_py()
-            ids_all, norms_all, _deleted = ray.get(norms_refs[gid])
-            merged = _merge_bucket(group, (ids_all, norms_all), False,
-                                   with_okey=True)
+            gid, merged = merge(group)
             gids = pa.array([gid] * len(merged), pa.int64())
             return merged.append_column("group_id", gids)
 

@@ -96,7 +96,11 @@ def payload_postings(index_dir: str, term: str):
         rgs = []
         for i in range(f.metadata.num_row_groups):
             st = f.metadata.row_group(i).column(0).statistics
-            if st is None or (st.min <= term <= st.max):
+            # Parquet drops a string bound over 4,096 bytes (pyarrow
+            # reports ''): an empty or missing bound never prunes
+            lo, hi = (st.min, st.max) if st is not None and st.has_min_max \
+                else ("", "")
+            if (not lo or lo <= term) and (not hi or term <= hi):
                 rgs.append(i)
         if not rgs:
             continue

@@ -24,16 +24,16 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..codecs.postings import BLOCK_SIZE, unpack_postings
+from ..codecs.postings import _block_sizes, unpack_postings
+from ..search.reader import _rows_to_postings
 from .manifest import read_manifest
-from .merge import _row_to_packed
 
 
 def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Table:
     errors = []
-    for r in batch.to_pylist():
+    for r, p in zip(batch.select(["term", "df", "ttf"]).to_pylist(),
+                    _rows_to_postings(batch)):
         term = r["term"]
-        p = _row_to_packed(r)
         docs, freqs = unpack_postings(p)
         if len(docs) != r["df"]:
             errors.append(f"{term}: df {r['df']} != {len(docs)}")
@@ -47,7 +47,6 @@ def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Tab
         if (freqs < 1).any():
             errors.append(f"{term}: freq < 1")
         # block boundaries (per chunk layout)
-        from ..codecs.postings import _block_sizes
         sizes = _block_sizes(p.chunk_doc_counts)
         ends = np.cumsum(sizes) - 1
         if not np.array_equal(docs[ends], np.asarray(p.block_last_docs, dtype=np.int64)):

@@ -9,17 +9,19 @@ Lucene90SkipWriter.java:76).
 """
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from lucene_ray.codecs.postings import (
     _block_sizes,
     _scan_block_offsets,
-    concat_postings,
     pack_postings,
     pack_postings_many,
     stream_layout,
     unpack_postings,
 )
+from lucene_ray.index.merge import _merge_bucket_vec
+from lucene_ray.search.reader import _rows_to_postings
 
 
 def _rand_posting(rng, n, start=0):
@@ -62,8 +64,14 @@ def test_concat_preserves_lengths():
         docs, freqs, norms = _rand_posting(rng, int(rng.integers(1, 700)),
                                            start)
         start = int(docs[-1]) + 1
-        chunks.append(pack_postings(docs, freqs, norms))
-    c = concat_postings(chunks)
+        chunks.append(pack_postings_many(docs, freqs, norms, [0, len(docs)],
+                                         terms=["t"]))
+    rows = pa.concat_tables(chunks).combine_chunks()
+
+    def concat(rows):  # the merge's concat kernel, one term
+        return _rows_to_postings(_merge_bucket_vec(rows))[0]
+
+    c = concat(rows)
     sizes = np.asarray(_block_sizes(c.chunk_doc_counts), dtype=np.int64)
     assert len(c.docs_bb) == len(sizes)
     offs, widths = stream_layout(c, "docs")
@@ -72,8 +80,11 @@ def test_concat_preserves_lengths():
     np.testing.assert_array_equal(widths, swidths)
     # one chunk without lengths -> the concat's lengths miss its blocks
     # and decoding it raises instead of scanning headers
-    chunks[2] = chunks[2]._replace(docs_bb=np.empty(0, np.int32))
-    c2 = concat_postings(chunks)
+    bb = rows.column("docs_bb").to_pylist()
+    bb[2] = []
+    rows = rows.set_column(rows.column_names.index("docs_bb"), "docs_bb",
+                           pa.array(bb, rows.schema.field("docs_bb").type))
+    c2 = concat(rows)
     assert len(c2.docs_bb) < len(sizes)
     with pytest.raises(ValueError, match="block lengths"):
         unpack_postings(c2)

@@ -100,3 +100,21 @@ def test_payload_check(payload_index):
                   if w == "data" and 5.0 in v)
     assert docs.tolist() == want
     assert len(payload_check(out, "data", 99.0)) == 0
+
+
+def test_payload_postings_long_term_row_group(tmp_path):
+    """A row group ending with a term over 4,096 bytes has no usable
+    max statistic (pyarrow reports ''): it must be read, not pruned."""
+    from lucene_ray.index.payload_index import payload_postings
+    terms = ["a", "b" + "x" * 4999, "c", "d"]
+    pq.write_table(pa.table({
+        "term": pa.array(terms, pa.string()),
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "payloads": pa.array([[1.0], [2.0], [3.0], [4.0]],
+                             pa.list_(pa.float32()))}),
+        str(tmp_path / "part-0.parquet"), row_group_size=2)
+    for i, term in enumerate(terms):
+        docs, pays = payload_postings(str(tmp_path), term)
+        assert docs.tolist() == [i + 1]
+        assert [list(p) for p in pays] == [[float(i + 1)]]
+    assert payload_postings(str(tmp_path), "e")[0].tolist() == []

@@ -2,6 +2,7 @@
 pattern, SURVEY.md §5.2 / FIXTURES.md F3)."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,21 @@ from lucene_ray.codecs import (
     pack_postings,
     unpack_postings,
 )
-from lucene_ray.codecs.postings import concat_postings, repack_postings
+from lucene_ray.codecs.postings import pack_postings_many
+from lucene_ray.index.merge import _merge_bucket_vec, _repack_bucket
+from lucene_ray.search.reader import _rows_to_postings
+
+
+def _chunk_rows(parts):
+    """One postings-table row per (docs, freqs, norms) chunk of term "t"."""
+    return pa.concat_tables(
+        pack_postings_many(d, f, n, [0, len(d)], terms=["t"])
+        for d, f, n in parts).combine_chunks()
+
+
+def _concat(parts):
+    """The chunks of one term joined by the merge's concat kernel."""
+    return _rows_to_postings(_merge_bucket_vec(_chunk_rows(parts)))[0]
 
 
 def make_postings(rng, n, max_gap=1000, heavy_tail=False):
@@ -93,46 +108,36 @@ def test_impacts_dominate_all_pairs():
 def test_concat_chunks_roundtrip():
     rng = np.random.default_rng(11)
     base = 0
-    chunks, all_docs, all_freqs = [], [], []
+    parts = []
     for i in range(4):
         n = int(rng.integers(1, 700))
         docs, freqs, norms = make_postings(rng, n)
         docs = docs + base
         base = int(docs[-1]) + 1 + int(rng.integers(1, 100))
-        chunks.append(pack_postings(docs, freqs, norms))
-        all_docs.append(docs)
-        all_freqs.append(freqs)
-    merged = concat_postings(chunks)
+        parts.append((docs, freqs, norms))
+    merged = _concat(parts)
     d2, f2 = unpack_postings(merged)
-    np.testing.assert_array_equal(d2, np.concatenate(all_docs))
-    np.testing.assert_array_equal(f2, np.concatenate(all_freqs))
-    assert merged.ttf == sum(c.ttf for c in chunks)
+    np.testing.assert_array_equal(d2, np.concatenate([d for d, _, _ in parts]))
+    np.testing.assert_array_equal(f2, np.concatenate([f for _, f, _ in parts]))
+    assert merged.ttf == sum(int(f.sum()) for _, f, _ in parts)
     # impacts survive concat with correct offsets
     assert merged.imp_offsets[-1] == len(merged.imp_freqs)
-
-
-def test_concat_out_of_order_rejected():
-    rng = np.random.default_rng(3)
-    d1, f1, n1 = make_postings(rng, 10)
-    p1 = pack_postings(d1 + 1000, f1, n1)
-    p2 = pack_postings(d1, f1, n1)
-    with pytest.raises(ValueError):
-        concat_postings([p1, p2])
 
 
 def test_repack_reblocks():
     rng = np.random.default_rng(5)
     norm_table = rng.integers(0, 256, size=1 << 21).astype(np.uint8)
-    chunks = []
+    parts = []
     base = 0
     for i in range(3):
         docs, freqs, _ = make_postings(rng, 200)
         docs = docs + base
         base = int(docs[-1]) + 7
-        chunks.append(pack_postings(docs, freqs, norm_table[docs]))
-    merged = concat_postings(chunks)
-    repacked = repack_postings(merged, lambda d: norm_table[d])
-    d_m, f_m = unpack_postings(merged)
+        parts.append((docs, freqs, norm_table[docs]))
+    rows = _chunk_rows(parts)
+    repacked = _rows_to_postings(_repack_bucket(
+        rows, (np.arange(len(norm_table)), norm_table), None))[0]
+    d_m, f_m = unpack_postings(_concat(parts))
     d_r, f_r = unpack_postings(repacked)
     np.testing.assert_array_equal(d_m, d_r)
     np.testing.assert_array_equal(f_m, f_r)

@@ -9,11 +9,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.codecs.postings import (
-    concat_postings,
     pack_postings,
+    pack_postings_many,
     unpack_postings,
 )
 from lucene_ray.codecs.registry import register_postings_format
+from lucene_ray.index.merge import _merge_bucket_vec
+from lucene_ray.search.reader import _rows_to_postings
 
 
 def _rand_posting(seed, fmt):
@@ -34,14 +36,18 @@ def test_roundtrip(fmt):
 
 def test_cross_format_chunk_concat():
     """Chunks encoded with DIFFERENT formats concatenate and decode —
-    the merge fast path works across per-field format choices."""
-    d1, f1, p1 = _rand_posting(2, "for128")
-    rng = np.random.default_rng(3)
+    the merge's concat kernel works across per-field format choices."""
+    rng = np.random.default_rng(2)
+    d1 = np.unique(rng.integers(0, 500_000, 700)).astype(np.int64)
+    f1 = rng.integers(1, 300, len(d1)).astype(np.int64)
     d2 = np.unique(rng.integers(600_000, 900_000, 500)).astype(np.int64)
     f2 = rng.integers(1, 50, len(d2)).astype(np.int64)
-    p2 = pack_postings(d2, f2, np.full(len(d2), 7, np.uint8),
-                       postings_format="vint")
-    c = concat_postings([p1, p2])
+    rows = pa.concat_tables(
+        pack_postings_many(d, f, np.full(len(d), 7, np.uint8), [0, len(d)],
+                           postings_format=fmt, terms=["t"])
+        for d, f, fmt in ((d1, f1, "for128"), (d2, f2, "vint")))
+    c = _rows_to_postings(_merge_bucket_vec(rows.combine_chunks()))[0]
+    assert len(c.chunk_doc_counts) == 2
     d, f = unpack_postings(c)
     assert (d == np.concatenate([d1, d2])).all()
     assert (f == np.concatenate([f1, f2])).all()

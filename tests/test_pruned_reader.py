@@ -235,20 +235,26 @@ CHUNK_SIZES = [(1,), (127,), (128,), (129,), (300,),
 
 
 def _multi_chunk(sizes, seed):
-    """concat_postings of one packed chunk per size over disjoint,
-    increasing doc ranges; returns (packed, source docs, source freqs)."""
-    from lucene_ray.codecs.postings import concat_postings, pack_postings
+    """One packed chunk per size over disjoint, increasing doc ranges,
+    joined by the merge's concat kernel; returns (packed, source docs,
+    source freqs)."""
+    import pyarrow as pa
+    from lucene_ray.codecs.postings import pack_postings_many
+    from lucene_ray.index.merge import _merge_bucket_vec
+    from lucene_ray.search.reader import _rows_to_postings
     rng = np.random.default_rng(seed)
     chunks, docs, freqs, base = [], [], [], 0
     for n in sizes:
         d = base + np.sort(rng.choice(3 * n + 5, n, replace=False))
         f = rng.integers(1, 40, n)
-        chunks.append(pack_postings(d, f, rng.integers(1, 255, n)))
+        chunks.append(pack_postings_many(d, f, rng.integers(1, 255, n),
+                                         [0, n], terms=["t"]))
         docs.append(d)
         freqs.append(f)
         base = int(d[-1]) + 1 + int(rng.integers(0, 50))
-    return concat_postings(chunks), np.concatenate(docs), \
-        np.concatenate(freqs)
+    rows = pa.concat_tables(chunks).combine_chunks()
+    return _rows_to_postings(_merge_bucket_vec(rows))[0], \
+        np.concatenate(docs), np.concatenate(freqs)
 
 
 @pytest.mark.parametrize("sizes", CHUNK_SIZES)
