@@ -42,7 +42,14 @@ import ray.data
 from ..analysis import StandardAnalyzer, int_to_byte4_array
 from ..analysis.arrow_tokenize import _tokenize_batch_arrow
 from ..codecs.postings import POSTINGS_SCHEMA, pack_postings_many
-from .manifest import IndexManifest, SegmentInfo, new_stats_dir, write_manifest
+from .manifest import (
+    IndexManifest,
+    SegmentInfo,
+    latest_generation,
+    new_stats_dir,
+    read_manifest,
+    write_manifest,
+)
 
 def _parquet_files(source) -> list[str]:
     if isinstance(source, (list, tuple)):
@@ -64,9 +71,9 @@ POSTINGS_ROW_GROUP = 256
 class SegmentIndexer:
     """One batch in -> one segment flushed.
 
-    ``build_index`` constructs one per batch (``_index_segment``);
-    subclasses and multi-field builds reuse one instance across batches.
-    The returned batch is small segment *metadata* only.
+    The build stage (``_index_segment``) constructs one per batch, as
+    it does the resumable and multi-field builds' indexers. The returned
+    batch is small segment *metadata* only.
     """
 
     def __init__(self, out_dir: str, text_col: str, id_col: str,
@@ -283,11 +290,108 @@ class SegmentIndexer:
         })
 
 
-def _index_segment(batch: pa.Table, **kw) -> pa.Table:
-    """The build stage's task function: one batch -> one segment. A
-    ``SegmentIndexer`` costs microseconds to construct, so each call
-    builds its own."""
-    return SegmentIndexer(**kw)(batch)
+def _index_segment(batch: pa.Table, indexer=SegmentIndexer, **kw) -> pa.Table:
+    """The build stage's task function: one batch -> the segment(s) of
+    ``indexer(**kw)``. An indexer costs microseconds to construct, so
+    each call builds its own."""
+    return indexer(**kw)(batch)
+
+
+def _segment_rows(source, cols: list, batch_size: int, concurrency,
+                  **fn_kwargs) -> list[dict]:
+    """Run the build stage over ``source`` (a Parquet path / file list or
+    a ``ray.data.Dataset``) and return its metadata rows, one per
+    segment written."""
+    batch_kwargs: dict = {"batch_size": batch_size}
+    if isinstance(source, (str, os.PathLike)) or (
+            isinstance(source, (list, tuple)) and source and isinstance(source[0], str)):
+        # one batch == one contiguous read block: size blocks to batch_size
+        # at the read and disable batch coalescing, so every segment is a
+        # contiguous doc range no matter how tasks are scheduled (batch
+        # coalescing would interleave blocks from parallel read tasks and
+        # produce overlapping segments)
+        files = _parquet_files(source)
+        total_rows = sum(pq.read_metadata(f).num_rows for f in files)
+        nblocks = max(1, -(-total_rows // batch_size))
+        ds = ray.data.read_parquet(files, columns=list(dict.fromkeys(cols)),
+                                   override_num_blocks=nblocks)
+        batch_kwargs = {"batch_size": None}
+    else:
+        # pre-built Dataset: batch boundaries may interleave, so segments
+        # can overlap in doc range — queries stay correct (docIDs are
+        # data-derived); merge re-packs a group whose ranges overlap
+        ds = source
+    # task compute: segments build on the same warm task workers as the
+    # read, the term-stats job and the merge; ``concurrency`` caps them
+    meta = ds.map_batches(
+        _index_segment,
+        fn_kwargs=fn_kwargs,
+        batch_format="pyarrow",
+        concurrency=concurrency,
+        zero_copy_batch=True,
+        **batch_kwargs,
+    )
+    return meta.take_all()  # tiny: one row per segment
+
+
+def _next_generation(out_dir: str, rows, *, field: str,
+                     stop_words: frozenset, mode: str = "create_or_append",
+                     allow_doc_overlap: bool = False) -> IndexManifest:
+    """The manifest of the generation after ``out_dir``'s head that adds
+    the segments of ``rows`` (build metadata rows, not yet committed).
+
+    "create_or_append" keeps the head's segments; "create" starts a
+    fresh chain. An append must match the index's field and stop words
+    and may not list a segment already in the chain; its docID ranges
+    may not overlap the chain's unless ``allow_doc_overlap``."""
+    segments = sorted((SegmentInfo.from_row(r) for r in rows),
+                      key=lambda s: s.min_doc)
+    prev_gen = latest_generation(out_dir)
+    if mode == "create_or_append" and prev_gen >= 0:
+        prev = read_manifest(out_dir, prev_gen)
+        if prev.field != field or prev.stop_words != sorted(stop_words):
+            raise ValueError(
+                "append with different field/stop_words than the index "
+                f"({prev.field!r}/{len(prev.stop_words)} stop words)")
+        old_ids = {s.seg_id for s in prev.segments}
+        for s in segments:
+            if s.seg_id in old_ids:
+                raise ValueError(
+                    f"append would duplicate segment {s.seg_id} "
+                    "(same docs already indexed)")
+            if allow_doc_overlap:
+                continue
+            for o in prev.segments:
+                if s.min_doc <= o.max_doc and o.min_doc <= s.max_doc:
+                    raise ValueError(
+                        f"appended docID range [{s.min_doc},{s.max_doc}]"
+                        f" overlaps existing segment {o.seg_id}; use "
+                        "update_by_key or allow_doc_overlap=True")
+        segments = sorted(prev.segments + segments, key=lambda s: s.min_doc)
+    return IndexManifest(generation=prev_gen + 1, field=field,
+                         stop_words=sorted(stop_words), segments=segments)
+
+
+def commit(index_dir: str, manifest: IndexManifest,
+           stats_of: int | None = None) -> IndexManifest:
+    """Commit ``manifest``: its generation's global term stats first,
+    the manifest last, so a committed generation always has its stats
+    (the two-phase commit of ``IndexWriter.java:4020``). Every writer
+    commits through here. ``stats_of`` names an earlier generation
+    whose stats this one shares, for a commit that leaves every
+    segment's postings as they were (deletes, doc-values updates, a
+    merge that reclaims no tombstones, a rollback); otherwise the stats
+    are computed over the manifest's segments."""
+    if stats_of is None:
+        compute_global_term_stats(index_dir, manifest)
+    else:
+        src = os.path.join(index_dir, "global", f"term_stats_gen{stats_of}")
+        if not os.path.isfile(os.path.join(src, "_META.json")):
+            raise FileNotFoundError(f"{src}: no global term stats")
+        os.symlink(os.path.abspath(src),
+                   new_stats_dir(index_dir, manifest.generation))
+    write_manifest(index_dir, manifest)
+    return manifest
 
 
 def build_index(
@@ -321,91 +425,20 @@ def build_index(
     chain like addDocuments+commit, ``index/IndexWriter.java:1468,4020``)
     or "create" (start a fresh chain ignoring prior segments). Appends
     whose doc-id range overlaps existing segments are rejected unless
-    ``allow_doc_overlap`` (docIDs are the caller's primary key).
+    ``allow_doc_overlap`` (docIDs are the caller's primary key); an
+    append that repeats a segment already in the chain always is.
     """
-    batch_kwargs: dict = {"batch_size": batch_size}
-    if isinstance(source, (str, os.PathLike)) or (
-            isinstance(source, (list, tuple)) and source and isinstance(source[0], str)):
-        cols = list(dict.fromkeys(
-            [id_col, text_col, *stored_cols, *doc_value_cols]))
-        # one batch == one contiguous read block: size blocks to batch_size
-        # at the read and disable batch coalescing, so every segment is a
-        # contiguous doc range no matter how tasks are scheduled (batch
-        # coalescing would interleave blocks from parallel read tasks and
-        # produce overlapping segments)
-        files = _parquet_files(source)
-        total_rows = sum(pq.read_metadata(f).num_rows for f in files)
-        nblocks = max(1, -(-total_rows // batch_size))
-        ds = ray.data.read_parquet(files, columns=cols,
-                                   override_num_blocks=nblocks)
-        batch_kwargs = {"batch_size": None}
-    else:
-        # pre-built Dataset: batch boundaries may interleave, so segments
-        # can overlap in doc range — queries stay correct (docIDs are
-        # data-derived); merge re-packs a group whose ranges overlap
-        ds = source
-
-    fn_kwargs = dict(out_dir=out_dir, text_col=text_col, id_col=id_col,
-                     stored_cols=stored_cols, stop_words=stop_words,
-                     index_positions=index_positions, analyzer=analyzer,
-                     doc_value_cols=doc_value_cols,
-                     postings_format=postings_format,
-                     term_vectors=term_vectors,
-                     term_vector_offsets=term_vector_offsets)
-    # task compute: segments build on the same warm task workers as the
-    # read, the term-stats job and the merge; ``concurrency`` caps them
-    meta = ds.map_batches(
-        _index_segment,
-        fn_kwargs=fn_kwargs,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        zero_copy_batch=True,
-        **batch_kwargs,
-    )
-    seg_rows = meta.take_all()  # tiny: one row per segment
-
-    segments = [SegmentInfo(
-        seg_id=r["seg_id"], num_docs=int(r["num_docs"]), min_doc=int(r["min_doc"]),
-        max_doc=int(r["max_doc"]), sum_doc_len=int(r["sum_doc_len"]),
-        num_terms=int(r["num_terms"]), lineage=r["lineage"],
-        field_doc_count=int(r["field_doc_count"])) for r in seg_rows]
-    segments.sort(key=lambda s: s.min_doc)
-
-    from .manifest import latest_generation, read_manifest
-    prev_gen = latest_generation(out_dir)
-    if mode == "create_or_append" and prev_gen >= 0:
-        prev = read_manifest(out_dir, prev_gen)
-        if prev.field != text_col or prev.stop_words != sorted(stop_words):
-            raise ValueError(
-                "append with different field/stop_words than the index "
-                f"({prev.field!r}/{len(prev.stop_words)} stop words)")
-        if not allow_doc_overlap:
-            old_ids = {s.seg_id for s in prev.segments}
-            for s in segments:
-                if s.seg_id in old_ids:
-                    raise ValueError(
-                        f"append would duplicate segment {s.seg_id} "
-                        "(same docs already indexed)")
-                for o in prev.segments:
-                    if s.min_doc <= o.max_doc and o.min_doc <= s.max_doc:
-                        raise ValueError(
-                            f"appended docID range [{s.min_doc},{s.max_doc}]"
-                            f" overlaps existing segment {o.seg_id}; use "
-                            "update_by_key or allow_doc_overlap=True")
-        segments = sorted(prev.segments + segments, key=lambda s: s.min_doc)
-    manifest = IndexManifest(
-        generation=prev_gen + 1,
-        num_docs=sum(s.num_docs for s in segments),
-        sum_doc_len=sum(s.sum_doc_len for s in segments),
-        field=text_col,
-        stop_words=sorted(stop_words),
-        segments=segments,
-        field_doc_count=sum(s.field_doc_count for s in segments),
-    )
-    # stats first, manifest last: a committed generation has its stats
-    compute_global_term_stats(out_dir, manifest)
-    write_manifest(out_dir, manifest)
-    return manifest
+    rows = _segment_rows(
+        source, [id_col, text_col, *stored_cols, *doc_value_cols],
+        batch_size, concurrency,
+        out_dir=out_dir, text_col=text_col, id_col=id_col,
+        stored_cols=stored_cols, stop_words=stop_words,
+        index_positions=index_positions, analyzer=analyzer,
+        doc_value_cols=doc_value_cols, postings_format=postings_format,
+        term_vectors=term_vectors, term_vector_offsets=term_vector_offsets)
+    return commit(out_dir, _next_generation(
+        out_dir, rows, field=text_col, stop_words=stop_words, mode=mode,
+        allow_doc_overlap=allow_doc_overlap))
 
 
 @ray.remote

@@ -23,21 +23,8 @@ import pyarrow.parquet as pq
 
 import ray
 
-from .manifest import (
-    IndexManifest,
-    new_stats_dir,
-    read_manifest,
-    write_manifest,
-)
-
-
-def _link_stats(index_dir: str, old_gen: int, new_gen: int) -> None:
-    """Give generation ``new_gen`` the global term stats of ``old_gen``
-    (a commit that leaves every segment's postings as they were)."""
-    src = os.path.join(index_dir, "global", f"term_stats_gen{old_gen}")
-    if not os.path.isfile(os.path.join(src, "_META.json")):
-        raise FileNotFoundError(f"{src}: no global term stats")
-    os.symlink(os.path.abspath(src), new_stats_dir(index_dir, new_gen))
+from .builder import build_index, commit
+from .manifest import IndexManifest, read_manifest
 
 
 def apply_deletes(index_dir: str,
@@ -63,10 +50,8 @@ def apply_deletes(index_dir: str,
                             f"deletes_gen{gen}.parquet")
         pq.write_table(pa.table({"doc_id": pa.array(dels, pa.int64())}), path)
         new_segs.append(replace(s, del_gen=gen, del_count=len(dels)))
-    nm = replace(m, generation=gen, segments=new_segs)
-    _link_stats(index_dir, m.generation, gen)
-    write_manifest(index_dir, nm)
-    return nm
+    return commit(index_dir, replace(m, generation=gen, segments=new_segs),
+                  stats_of=m.generation)
 
 
 def delete_by_query(index_dir: str, query) -> int:
@@ -124,7 +109,6 @@ def update_by_key(index_dir: str, source, key_col: str,
     batch's keys, then append the new docs as fresh segments. The new
     docs' ``key_col`` must be among ``stored_cols``."""
     import ray.data
-    from .builder import build_index
     if isinstance(source, (str, os.PathLike)):
         keys_ds = ray.data.read_parquet(str(source), columns=[key_col])
     else:

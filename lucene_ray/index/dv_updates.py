@@ -21,8 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .deletes import _link_stats
-from .manifest import IndexManifest, read_manifest, write_manifest
+from .builder import commit
+from .manifest import IndexManifest, read_manifest
 
 
 def update_numeric_dv(index_dir: str, col: str,
@@ -74,7 +74,5 @@ def update_numeric_dv(index_dir: str, col: str,
         touched = True
     if not touched:
         return m
-    nm = replace(m, generation=gen, segments=new_segs)
-    _link_stats(index_dir, m.generation, gen)
-    write_manifest(index_dir, nm)
-    return nm
+    return commit(index_dir, replace(m, generation=gen, segments=new_segs),
+                  stats_of=m.generation)

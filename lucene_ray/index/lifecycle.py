@@ -29,7 +29,7 @@ import os
 import shutil
 from dataclasses import replace
 
-from .deletes import _link_stats
+from .builder import commit
 from .manifest import (
     IndexManifest,
     SegmentInfo,
@@ -38,6 +38,23 @@ from .manifest import (
     read_manifest,
     write_manifest,
 )
+
+
+def _copy_segment(src_seg: str, dst_seg: str, copy: bool) -> None:
+    """Copy a segment directory, or hard-link it file by file (so the
+    target survives deletion or moves of the source index; a file that
+    cannot be linked, e.g. across devices, is copied). A segment already
+    in the target is left as it is."""
+    if os.path.isdir(dst_seg):
+        return
+
+    def _link(a, b):
+        try:
+            os.link(a, b)
+        except OSError:
+            shutil.copy2(a, b)
+    shutil.copytree(src_seg, dst_seg,
+                    copy_function=shutil.copy2 if copy else _link)
 
 
 class SearcherManager:
@@ -84,9 +101,6 @@ def add_indexes(target_dir: str, *source_dirs: str,
     tgt = read_manifest(target_dir)
     seen = [(s.min_doc, s.max_doc) for s in tgt.segments]
     new_segs: list[SegmentInfo] = list(tgt.segments)
-    add_docs = 0
-    add_len = 0
-    add_fdc = 0
     for src_dir in source_dirs:
         src = read_manifest(src_dir)
         if src.field != tgt.field:
@@ -99,38 +113,14 @@ def add_indexes(target_dir: str, *source_dirs: str,
                         f"doc range [{s.min_doc},{s.max_doc}] of segment "
                         f"{s.seg_id} overlaps an existing segment")
             seen.append((s.min_doc, s.max_doc))
-            src_seg = os.path.join(src_dir, "segments", s.seg_id)
-            dst_seg = os.path.join(target_dir, "segments", s.seg_id)
-            if not os.path.isdir(dst_seg):
-                if copy:
-                    shutil.copytree(src_seg, dst_seg)
-                else:
-                    # hard-link per file (copytree with os.link) so the
-                    # grafted target survives deletion/moves of the
-                    # source index; falls back to copy across devices
-                    def _link(s, d):
-                        try:
-                            os.link(s, d)
-                        except OSError:
-                            shutil.copy2(s, d)
-                    shutil.copytree(src_seg, dst_seg, copy_function=_link)
+            _copy_segment(os.path.join(src_dir, "segments", s.seg_id),
+                          os.path.join(target_dir, "segments", s.seg_id),
+                          copy)
             new_segs.append(s)
-            add_docs += s.num_docs
-            add_len += s.sum_doc_len
-            add_fdc += s.field_doc_count
-    m = IndexManifest(
-        generation=tgt.generation + 1,
-        num_docs=tgt.num_docs + add_docs,
-        sum_doc_len=tgt.sum_doc_len + add_len,
-        field=tgt.field,
+    return commit(target_dir, IndexManifest(
+        generation=tgt.generation + 1, field=tgt.field,
         stop_words=tgt.stop_words,
-        segments=sorted(new_segs, key=lambda s: (s.min_doc, s.seg_id)),
-        field_doc_count=tgt.field_doc_count + add_fdc,
-    )
-    from .builder import compute_global_term_stats
-    compute_global_term_stats(target_dir, m)
-    write_manifest(target_dir, m)
-    return m
+        segments=sorted(new_segs, key=lambda s: (s.min_doc, s.seg_id))))
 
 
 def snapshots(index_dir: str) -> list[int]:
@@ -157,9 +147,7 @@ def rollback(index_dir: str, generation: int) -> IndexManifest:
         raise ValueError(f"no committed generation {generation}")
     m = replace(read_manifest(index_dir, generation),
                 generation=latest_generation(index_dir) + 1)
-    _link_stats(index_dir, generation, m.generation)
-    write_manifest(index_dir, m)
-    return m
+    return commit(index_dir, m, stats_of=generation)
 
 
 def split_index(index_dir: str, out_dirs: list[str],
@@ -194,17 +182,8 @@ def split_index(index_dir: str, out_dirs: list[str],
             if s.max_doc < lo or s.min_doc >= hi:
                 continue  # fully outside
             src_seg = os.path.join(index_dir, "segments", s.seg_id)
-            dst_seg = os.path.join(out, "segments", s.seg_id)
-            if not os.path.isdir(dst_seg):
-                if copy:
-                    shutil.copytree(src_seg, dst_seg)
-                else:
-                    def _link(a, b):
-                        try:
-                            os.link(a, b)
-                        except OSError:
-                            shutil.copy2(a, b)
-                    shutil.copytree(src_seg, dst_seg, copy_function=_link)
+            _copy_segment(src_seg, os.path.join(out, "segments", s.seg_id),
+                          copy)
             segs.append(s)
             if s.min_doc >= lo and s.max_doc < hi:
                 continue  # fully inside: no fake deletes
@@ -217,14 +196,8 @@ def split_index(index_dir: str, out_dirs: list[str],
             if len(bad):
                 per_seg_dels[s.seg_id] = bad
         m = IndexManifest(
-            generation=0,
-            num_docs=sum(s.num_docs for s in segs),
-            sum_doc_len=sum(s.sum_doc_len for s in segs),
-            field=src.field,
-            stop_words=src.stop_words,
-            segments=sorted(segs, key=lambda s: (s.min_doc, s.seg_id)),
-            field_doc_count=sum(s.field_doc_count for s in segs),
-        )
+            generation=0, field=src.field, stop_words=src.stop_words,
+            segments=sorted(segs, key=lambda s: (s.min_doc, s.seg_id)))
         os.makedirs(os.path.join(out, "segments"), exist_ok=True)
         # global stats ride along (stale re tombstones, as documented)
         shutil.copytree(os.path.join(index_dir, "global",

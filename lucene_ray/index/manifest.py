@@ -21,11 +21,13 @@ import os
 import shutil
 from dataclasses import asdict, dataclass, field
 
-# Version 1: term-sorted postings rows with pack-time block byte lengths
+# Version 2: term-sorted postings rows with pack-time block byte lengths
 # (docs_bb/freqs_bb), a term-hash termset next to every postings file,
 # _BUCKETS.json in every sharded postings dir, and global/
 # term_stats_gen{N} (with _META.json) for every committed generation N.
-FORMAT_VERSION = 1
+# The manifest stores no collection totals: num_docs, sum_doc_len and
+# field_doc_count are sums over its segments (version 1 stored them).
+FORMAT_VERSION = 2
 
 
 @dataclass
@@ -51,17 +53,38 @@ class SegmentInfo:
     def live_docs(self) -> int:
         return self.num_docs - self.del_count
 
+    @classmethod
+    def from_row(cls, row) -> "SegmentInfo":
+        """A new segment's entry from its build metadata row: a build
+        stage's output row, or a resumable build's ``lineage.json``."""
+        return cls(seg_id=row["seg_id"], lineage=row["lineage"],
+                   **{k: int(row[k]) for k in (
+                       "num_docs", "min_doc", "max_doc", "sum_doc_len",
+                       "num_terms", "field_doc_count")})
+
 
 @dataclass
 class IndexManifest:
+    """One committed generation. Collection totals are not stored: like
+    ``IndexSearcher.collectionStatistics`` they are summed over the
+    segments, so no writer can commit totals that disagree with them."""
     generation: int
-    num_docs: int
-    sum_doc_len: int
     field: str
     stop_words: list[str]
     segments: list[SegmentInfo] = field(default_factory=list)
-    field_doc_count: int = 0
     format_version: int = FORMAT_VERSION
+
+    @property
+    def num_docs(self) -> int:
+        return sum(s.num_docs for s in self.segments)
+
+    @property
+    def sum_doc_len(self) -> int:
+        return sum(s.sum_doc_len for s in self.segments)
+
+    @property
+    def field_doc_count(self) -> int:
+        return sum(s.field_doc_count for s in self.segments)
 
     @property
     def num_deleted(self) -> int:

@@ -52,7 +52,8 @@ from ..codecs.postings import (
     _unpack_values,
     pack_postings_many,
 )
-from .manifest import IndexManifest, SegmentInfo, read_manifest, write_manifest
+from .builder import commit
+from .manifest import IndexManifest, SegmentInfo, read_manifest
 
 
 def plan_merges(segments: list[SegmentInfo], segs_per_tier: int = 10,
@@ -580,24 +581,10 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
                 field_doc_count=fdc_live,
             ))
 
-    # totals recomputed: merged groups reclaimed their tombstones, so
-    # their live counts replace the pre-merge (maxDoc-like) contributions
-    new_manifest = IndexManifest(
-        generation=gen,
-        num_docs=sum(s.num_docs for s in new_segments),
-        sum_doc_len=sum(s.sum_doc_len for s in new_segments),
-        field=m.field,
-        stop_words=m.stop_words,
-        segments=sorted(new_segments, key=lambda s: s.min_doc),
-        field_doc_count=sum(s.field_doc_count for s in new_segments),
-    )
-    if m.num_deleted > 0:
-        # a reclaiming merge changed df/ttf: rebuild global stats
-        from .builder import compute_global_term_stats
-        compute_global_term_stats(index_dir, new_manifest)
-    else:
-        # stats are per-corpus, not per-segment-layout: link previous gen
-        from .deletes import _link_stats
-        _link_stats(index_dir, m.generation, gen)
-    write_manifest(index_dir, new_manifest)
-    return new_manifest
+    # a reclaiming merge changed df/ttf: its stats are recomputed;
+    # otherwise stats are per-corpus, not per-segment-layout, and the
+    # previous generation's are linked
+    return commit(index_dir, IndexManifest(
+        generation=gen, field=m.field, stop_words=m.stop_words,
+        segments=sorted(new_segments, key=lambda s: s.min_doc)),
+        stats_of=None if m.num_deleted > 0 else m.generation)

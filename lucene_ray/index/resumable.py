@@ -27,9 +27,14 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from ..util import default_concurrency
-from .builder import SegmentIndexer, _parquet_files
-from .manifest import IndexManifest, SegmentInfo, latest_generation, write_manifest
+from .builder import (
+    SegmentIndexer,
+    _index_segment,
+    _next_generation,
+    _parquet_files,
+    commit,
+)
+from .manifest import IndexManifest
 
 
 @dataclass
@@ -70,16 +75,12 @@ class ShardIndexer(SegmentIndexer):
             meta = meta.set_column(
                 meta.schema.get_field_index("lineage"), "lineage",
                 pa.array([shard.lineage], pa.string()))
-            seg_dir = os.path.join(self.out_dir, "segments",
-                                   meta.column("seg_id")[0].as_py())
+            row = meta.to_pylist()[0]
+            seg_dir = os.path.join(self.out_dir, "segments", row["seg_id"])
             with open(os.path.join(seg_dir, "lineage.json"), "w") as fh:
-                json.dump({"lineage": shard.lineage, "path": shard.path,
+                json.dump({**row, "path": shard.path,
                            "row_start": shard.row_start,
-                           "row_end": shard.row_end,
-                           **{k: meta.column(k)[0].as_py()
-                              for k in ("num_docs", "min_doc", "max_doc",
-                                        "sum_doc_len", "num_terms",
-                                        "field_doc_count")}}, fh)
+                           "row_end": shard.row_end}, fh)
             open(os.path.join(seg_dir, "_COMPLETE"), "w").close()
             metas.append(meta)
         return pa.concat_tables(metas)
@@ -100,9 +101,10 @@ def build_index_resumable(
     files = _parquet_files(source)
     shards = plan_shards(files, rows_per_shard)
 
-    # scan completed segments from a previous (interrupted) run
+    # completed segments of a previous (interrupted) run: their
+    # lineage.json holds the segment's metadata row
     seg_root = os.path.join(out_dir, "segments")
-    done: dict[str, SegmentInfo] = {}
+    done: dict[str, dict] = {}
     if os.path.isdir(seg_root):
         for name in os.listdir(seg_root):
             seg_dir = os.path.join(seg_root, name)
@@ -113,50 +115,28 @@ def build_index_resumable(
                     rec = json.load(fh)
             except (OSError, json.JSONDecodeError):
                 continue
-            done[rec["lineage"]] = SegmentInfo(
-                seg_id=name, num_docs=rec["num_docs"], min_doc=rec["min_doc"],
-                max_doc=rec["max_doc"], sum_doc_len=rec["sum_doc_len"],
-                num_terms=rec["num_terms"], lineage=rec["lineage"],
-                field_doc_count=rec["field_doc_count"])
+            done[rec["lineage"]] = rec
 
     todo = [s for s in shards if s.lineage not in done]
     if fail_after_shards is not None:
         todo = todo[:fail_after_shards]
 
-    segments = list(done.values())
+    rows = list(done.values())
     if todo:
-        if concurrency is None:
-            concurrency = default_concurrency()
         ds = ray.data.from_items([{
             "path": s.path, "row_start": s.row_start, "row_end": s.row_end}
             for s in todo])
-        meta = ds.map_batches(
-            ShardIndexer,
-            fn_constructor_kwargs=dict(
-                out_dir=out_dir, text_col=text_col, id_col=id_col,
-                stored_cols=stored_cols, stop_words=stop_words),
-            batch_format="pyarrow", batch_size=1, concurrency=concurrency)
-        for r in meta.take_all():
-            segments.append(SegmentInfo(
-                seg_id=r["seg_id"], num_docs=int(r["num_docs"]),
-                min_doc=int(r["min_doc"]), max_doc=int(r["max_doc"]),
-                sum_doc_len=int(r["sum_doc_len"]),
-                num_terms=int(r["num_terms"]), lineage=r["lineage"],
-                field_doc_count=int(r["field_doc_count"])))
+        rows += ds.map_batches(
+            _index_segment,
+            fn_kwargs=dict(
+                indexer=ShardIndexer, out_dir=out_dir, text_col=text_col,
+                id_col=id_col, stored_cols=stored_cols,
+                stop_words=stop_words),
+            batch_format="pyarrow", batch_size=1,
+            concurrency=concurrency).take_all()
 
-    segments.sort(key=lambda s: s.min_doc)
-    manifest = IndexManifest(
-        generation=latest_generation(out_dir) + 1,
-        num_docs=sum(s.num_docs for s in segments),
-        sum_doc_len=sum(s.sum_doc_len for s in segments),
-        field=text_col,
-        stop_words=sorted(stop_words),
-        segments=segments,
-        field_doc_count=sum(s.field_doc_count for s in segments),
-    )
-    complete = len(segments) == len(shards)
-    if complete or fail_after_shards is None:
-        from .builder import compute_global_term_stats
-        compute_global_term_stats(out_dir, manifest)
-        write_manifest(out_dir, manifest)
+    manifest = _next_generation(out_dir, rows, field=text_col,
+                                stop_words=stop_words, mode="create")
+    if len(rows) == len(shards) or fail_after_shards is None:
+        commit(out_dir, manifest)
     return manifest

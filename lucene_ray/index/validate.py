@@ -9,8 +9,13 @@ Checks per segment:
 - docs table sorted by doc_id, unique
 - every postings file has its termset sidecar, equal to its vocabulary;
   a sharded postings dir has its ``_BUCKETS.json``
-Manifest-level: segment doc ranges disjoint; counts sum to manifest;
-the generation's global term stats (``_META.json`` and its parts) exist.
+- docs table row count and doc lengths match the segment's entry
+- live-docs (tombstone) files exist and name docs of the segment
+Index-level: no docID is live in two segments (segment doc RANGES may
+overlap: a build from a Dataset allows it); the generation's global
+term stats (``_META.json`` and its parts) exist; a recorded index sort
+holds. Collection totals are sums over the segments, so there is no
+manifest total to check.
 """
 
 from __future__ import annotations
@@ -68,16 +73,9 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
     m = read_manifest(index_dir, generation)
     errors: list[str] = []
 
-    prev_max = -1
-    tot_docs = tot_dl = tot_fdc = 0
-    for s in sorted(m.segments, key=lambda x: x.min_doc):
-        if s.min_doc <= prev_max:
-            errors.append(f"{s.seg_id}: doc range overlaps previous segment")
-        prev_max = s.max_doc
-        tot_docs += s.num_docs
-        tot_dl += s.sum_doc_len
-        tot_fdc += s.field_doc_count
-
+    live: list[np.ndarray] = []  # per segment (in order): live docIDs
+    segs = sorted(m.segments, key=lambda x: x.min_doc)
+    for s in segs:
         seg_dir = os.path.join(index_dir, "segments", s.seg_id)
         d = pq.read_table(os.path.join(seg_dir, "docs.parquet"))
         doc_ids = d.column("doc_id").to_numpy()
@@ -101,6 +99,8 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
                     errors.append(f"{s.seg_id}: deletes not sorted/unique")
                 if len(dels) and not np.isin(dels, doc_ids).all():
                     errors.append(f"{s.seg_id}: deleted docID not in segment")
+                doc_ids = np.setdiff1d(doc_ids, dels)
+        live.append(doc_ids)
 
         # term-membership fingerprints cover the shard vocabularies
         from ..search.reader import _ShardedPostings
@@ -129,12 +129,21 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
             fn_kwargs={"min_doc": s.min_doc, "max_doc": s.max_doc})
         errors.extend(r["error"] for r in err_ds.take_all())
 
-    if tot_docs != m.num_docs:
-        errors.append("manifest num_docs != sum of segments")
-    if tot_dl != m.sum_doc_len:
-        errors.append("manifest sum_doc_len != sum of segments")
-    if tot_fdc != m.field_doc_count:
-        errors.append("manifest field_doc_count != sum of segments")
+    # docIDs are the caller's primary key: each is live in one segment
+    ids = np.concatenate(live) if live else np.empty(0, np.int64)
+    owner = np.repeat(np.arange(len(live)), [len(d) for d in live])
+    order = np.argsort(ids, kind="stable")
+    ids, owner = ids[order], owner[order]
+    dup = np.nonzero((ids[1:] == ids[:-1])
+                     & (owner[1:] != owner[:-1]))[0]
+    pairs, first, count = np.unique(
+        owner[dup] * len(segs) + owner[dup + 1],
+        return_index=True, return_counts=True)
+    for p, i, c in zip(pairs.tolist(), first.tolist(), count.tolist()):
+        errors.append(f"doc {ids[dup[i]]} is live in both "
+                      f"{segs[p // len(segs)].seg_id} and "
+                      f"{segs[p % len(segs)].seg_id} ({c} such docs)")
+
     stats = os.path.join(index_dir, "global",
                          f"term_stats_gen{m.generation}")
     try:

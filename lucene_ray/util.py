@@ -29,16 +29,15 @@ def cached_callable(cls, **kwargs):
 
 def default_concurrency() -> int:
     """Fixed actor-pool size ~80% of cluster CPUs for the stages that
-    keep per-actor state (multi-field and resumable builds, multimodal
-    and monitor pipelines): the remaining slots feed the upstream
-    read/split stage (a pool equal to num_cpus deadlocks the streaming
-    executor; leaving just one slot serializes reads and caps scaling).
-    Fixed pools also ramp ~2x faster than autoscaling (1, n) pools on
-    short jobs. ``build_index`` does not use it: its segment stage runs
-    as tasks, sized by Ray Data unless the caller passes
-    ``concurrency``; ``stage_pool`` uses it as the cap of the other
-    stateful stages' autoscaling pools. ``LUCENE_RAY_POOL`` overrides
-    the size."""
+    keep per-actor state (the multimodal and monitor pipelines): the
+    remaining slots feed the upstream read/split stage (a pool equal to
+    num_cpus deadlocks the streaming executor; leaving just one slot
+    serializes reads and caps scaling). Fixed pools also ramp ~2x
+    faster than autoscaling (1, n) pools on short jobs. The index
+    builds do not use it: their segment stages run as tasks, sized by
+    Ray Data unless the caller passes ``concurrency``; ``stage_pool``
+    uses it as the cap of the other stateful stages' autoscaling pools.
+    ``LUCENE_RAY_POOL`` overrides the size."""
     import os
     override = os.environ.get("LUCENE_RAY_POOL")
     if override:

@@ -1,12 +1,23 @@
 """build_index's task-compute stage writes the same segments as calling
-SegmentIndexer directly, one batch at a time, in doc order."""
+SegmentIndexer directly, one batch at a time, in doc order; the
+resumable and multi-field builds commit the same generation."""
 
 import os
 
+import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_ray.index import SegmentIndexer, build_index
+from lucene_ray.index import (
+    SegmentIndexer,
+    build_index,
+    latest_generation,
+    read_manifest,
+)
+from lucene_ray.index.multi_field import build_multi_field_index
+from lucene_ray.index.resumable import build_index_resumable
+from lucene_ray.search import IndexReader, Searcher, TermQuery
 from lucene_ray.sources import write_pages
 
 BATCH = 300
@@ -51,3 +62,58 @@ def test_build_matches_direct_segment_indexer(ray_session, pages, tmp_path,
                       "rb") as a, open(os.path.join(
                           _files(ref, sid), "postings.termset"), "rb") as b:
                 assert a.read() == b.read()
+
+
+def _committed(index_dir):
+    """What a generation-0 commit holds, apart from segment names:
+    totals, per-segment counts, the global term stats table, and the
+    top-10 ids and float32 score bits of the 20 highest-df terms."""
+    m = read_manifest(index_dir)
+    assert m.generation == 0
+    stats = os.path.join(index_dir, "global", "term_stats_gen0")
+    table = pa.concat_tables(
+        pq.read_table(os.path.join(stats, f))
+        for f in sorted(os.listdir(stats)) if f.endswith(".parquet"))
+    table = table.sort_by("term")
+    df = table.column("df").to_numpy()
+    terms = table.column("term").to_numpy(zero_copy_only=False)
+    s = Searcher(IndexReader(index_dir))
+    top = [s.search(TermQuery(t), 10) for t in terms[np.argsort(
+        -df, kind="stable")[:20]]]
+    return ((m.num_docs, m.sum_doc_len, m.field_doc_count),
+            [(g.num_docs, g.min_doc, g.max_doc, g.sum_doc_len, g.num_terms,
+              g.field_doc_count) for g in m.segments],
+            table,
+            [(td.doc_ids.tolist(),
+              td.scores.astype(np.float32).view(np.uint32).tolist())
+             for td in top])
+
+
+def test_every_builder_commits_the_same_generation(ray_session, pages,
+                                                   tmp_path):
+    """Over one corpus, build_index, the resumable build (straight
+    through, and resumed after an interrupted run) and the multi-field
+    build (per field) commit equal totals, segment counts, global term
+    stats and results."""
+    mf = str(tmp_path / "mf")
+    build_multi_field_index(pages, mf, {"text": None, "url": None},
+                            batch_size=BATCH)
+    res = str(tmp_path / "res")
+    build_index_resumable(pages, res, rows_per_shard=BATCH)
+    resumed = str(tmp_path / "resumed")
+    build_index_resumable(pages, resumed, rows_per_shard=BATCH,
+                          fail_after_shards=2)
+    assert latest_generation(resumed) == -1
+    build_index_resumable(pages, resumed, rows_per_shard=BATCH)
+    for field, others in (("text", [os.path.join(mf, "fields", "text"),
+                                    res, resumed]),
+                          ("url", [os.path.join(mf, "fields", "url")])):
+        ref = str(tmp_path / f"ref_{field}")
+        build_index(pages, ref, text_col=field, batch_size=BATCH)
+        totals, segs, table, top = _committed(ref)
+        assert len(segs) == 4
+        for d in others:
+            got = _committed(d)
+            assert got[:2] == (totals, segs), d
+            assert got[2].equals(table), d
+            assert got[3] == top, d

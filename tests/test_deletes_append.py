@@ -18,6 +18,7 @@ from lucene_ray.index.deletes import (
 )
 from lucene_ray.index.manifest import read_manifest
 from lucene_ray.index.merge import merge_segments
+from lucene_ray.index.validate import validate_index
 from lucene_ray.search import (
     IndexReader,
     MatchAllDocsQuery,
@@ -70,6 +71,28 @@ def test_append_overlap_rejected(base_index):
     with pytest.raises(ValueError, match="overlap"):
         build_index(p2, out, batch_size=100, stored_cols=("url",),
                     allow_doc_overlap=False)
+
+
+def test_overlap_append_of_live_doc_ids_is_reported(base_index):
+    """``allow_doc_overlap=True`` accepts an append of docIDs the index
+    already holds; ``validate_index`` reports them live in two segments
+    until the old copies are deleted. An append that repeats a segment
+    already in the chain is refused even so."""
+    out, d = base_index
+    assert validate_index(out) == []
+    p2 = _write_corpus(d, ["dup text"] * 10, 100,  # doc_ids 100..109 exist
+                       [f"u{i}" for i in range(10)])
+    build_index(p2, out, batch_size=100, stored_cols=("url",),
+                allow_doc_overlap=True)
+    errs = validate_index(out)
+    assert len(errs) == 1 and errs[0].startswith("doc 100 is live in both") \
+        and errs[0].endswith("(10 such docs)"), errs
+    with pytest.raises(ValueError, match="duplicate segment"):
+        build_index(p2, out, batch_size=100, stored_cols=("url",),
+                    allow_doc_overlap=True)
+    assert delete_by_key(out, "url", [f"http://site/{i}"
+                                      for i in range(100, 110)]) == 10
+    assert validate_index(out) == []
 
 
 def test_create_mode_replaces(base_index):

@@ -233,10 +233,9 @@ def test_merge_overlapping_segments(unsorted_setup, tmp_path_factory, tier):
     assert len(m.segments) == (1 if tier == 100 else 3)
     s = Searcher(IndexReader(out))
     assert [_bits(s.search(q, 10)) for q in qs] == before
-    # the merged segments may still overlap each other (the build
-    # allows it); nothing else is reported
-    errs = validate_index(out)
-    assert all("doc range overlaps" in e for e in errs), errs
+    # the merged segments may still overlap each other in doc range
+    # (the build allows it); no docID is live in two of them
+    assert validate_index(out) == []
 
 
 def _corpus(tmp_path, n, seed, vocab_size):

@@ -3,14 +3,18 @@ reference ``index/FieldInfos.java`` per-field postings). Per-field
 analyzers (Standard vs Keyword), per-field BM25 stats, boolean trees
 across fields, and the query parser's field syntax end-to-end."""
 
+import json
+import os
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
 from lucene_ray.analysis import KeywordAnalyzer
+from lucene_ray.index import build_index, latest_generation
 from lucene_ray.index.multi_field import build_multi_field_index
-from lucene_ray.search import BooleanQuery, TermQuery
+from lucene_ray.search import BooleanQuery, IndexReader, Searcher, TermQuery
 from lucene_ray.search.multi_field import MultiFieldSearcher
 from lucene_ray.search.query import PhraseQuery
 from lucene_ray.search.queryparser import parse_query
@@ -103,24 +107,51 @@ def test_phrase_in_field(mf_index):
     assert set(s.match_docs(q).tolist()) == want
 
 
+def _bits(td):
+    return td.scores.astype(np.float32).view(np.uint32).tolist()
+
+
 def test_one_pass_equals_sequential(ray_session, mf_index, tmp_path_factory):
-    """one_pass=True must produce identical search results to N
-    sequential column-pruned builds."""
-    out, bodies, titles, langs = mf_index  # built one_pass=True (default)
+    """The one-pass build equals N sequential ``build_index`` runs, one
+    per field: the same segments, the same ids and float32 score bits
+    for every term of every field, and the same cross-field matches."""
+    out, bodies, titles, langs = mf_index
+    src = os.path.join(os.path.dirname(out), "docs.parquet")
     d2 = str(tmp_path_factory.mktemp("mf_seq"))
-    src = pq.read_table  # noqa: F841  (import kept local below)
-    import os
-    # rebuild sequentially from the same parquet
-    src_path = os.path.join(os.path.dirname(out), "docs.parquet")
-    build_multi_field_index(
-        src_path, d2,
-        fields={"body": None, "title": None, "lang": KeywordAnalyzer()},
-        batch_size=100, index_positions=True, one_pass=False)
-    a = MultiFieldSearcher(out)
-    b = MultiFieldSearcher(d2)
+    fields = {"body": None, "title": None, "lang": KeywordAnalyzer()}
+    for f, analyzer in fields.items():
+        ref = os.path.join(d2, "fields", f)
+        m = build_index(src, ref, text_col=f, batch_size=100,
+                        index_positions=True, analyzer=analyzer)
+        r = IndexReader(os.path.join(out, "fields", f))
+        assert r.manifest.segments == m.segments
+        a, b = Searcher(r), Searcher(IndexReader(ref))
+        for t in sorted(r.all_term_stats()):
+            ta, tb = a.search(TermQuery(t), 20), b.search(TermQuery(t), 20)
+            assert ta.doc_ids.tolist() == tb.doc_ids.tolist()
+            assert _bits(ta) == _bits(tb)
+    with open(os.path.join(d2, "multi_field.json"), "w") as fh:
+        json.dump({"fields": list(fields), "default_field": "body"}, fh)
+    a, b = MultiFieldSearcher(out), MultiFieldSearcher(d2)
     q = parse_query('lang:de AND (data OR title:beta)', default_field="body")
     assert a.match_docs(q).tolist() == b.match_docs(q).tolist()
-    ta = a.search(TermQuery("data"), k=20)
-    tb = b.search(TermQuery("data"), k=20)
-    assert ta.doc_ids.tolist() == tb.doc_ids.tolist()
-    assert ta.scores.tolist() == tb.scores.tolist()
+
+
+def test_append_of_the_same_corpus_is_refused(ray_session, tmp_path):
+    """Appending a corpus the index already holds is refused, as
+    ``build_index`` refuses it, before any field commits."""
+    n = 200
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+        "body": pa.array([f"data w{i % 7}" for i in range(n)]),
+        "title": pa.array([f"t{i % 3}" for i in range(n)]),
+    }), path)
+    out = str(tmp_path / "mfidx")
+    fields = {"body": None, "title": None}
+    build_multi_field_index(path, out, fields, batch_size=50)
+    with pytest.raises(ValueError, match="duplicate segment"):
+        build_multi_field_index(path, out, fields, batch_size=50)
+    for f in fields:
+        assert latest_generation(os.path.join(out, "fields", f)) == 0
+    assert MultiFieldSearcher(out).count(TermQuery("data")) == n
