@@ -19,11 +19,12 @@ positional, so results are invariant to batch boundaries, task
 scheduling, and partition counts — the docBase-prefix-sum determinism
 requirement of SURVEY.md §7.
 
-Scale notes (100 TB): the only all-to-all exchange is the *term-stats*
-aggregate, which moves pre-aggregated (term, df, ttf) rows (a partial
-aggregate per segment, combiner pattern). Posting payloads never
-shuffle at build time; they are written partition-local, one directory
-per segment -> resumable output.
+Scale notes (100 TB): nothing shuffles. A segment writes its postings
+as ``POSTINGS_BUCKETS`` term-sorted parts, a term in part
+``bucket_of(term)`` of every segment, so the global term stats are one
+task per part that sums part b of every segment, and a merge is one
+task per (group, part). Posting payloads are written partition-local,
+one directory per segment -> resumable output.
 """
 
 from __future__ import annotations
@@ -42,12 +43,17 @@ import ray.data
 from ..analysis import StandardAnalyzer, int_to_byte4_array
 from ..analysis.arrow_tokenize import _tokenize_batch_arrow
 from ..codecs.postings import POSTINGS_SCHEMA, pack_postings_many
+from ..util import term_hash64
 from .manifest import (
+    POSTINGS_BUCKETS,
     IndexManifest,
     SegmentInfo,
+    bucket_of,
     latest_generation,
     new_stats_dir,
+    part_path,
     read_manifest,
+    termset_path,
     write_manifest,
 )
 
@@ -66,6 +72,16 @@ def _parquet_files(source) -> list[str]:
 # the reader fine-grained min/max term pruning (the FST/block-tree term
 # index analog): a query term materializes at most one row group.
 POSTINGS_ROW_GROUP = 256
+
+
+def write_postings_part(postings_dir: str, b: int, table: pa.Table) -> None:
+    """Write part ``b`` of a postings directory: its term-sorted rows and
+    the sorted term-hash fingerprint beside them, with which readers
+    skip the part for absent terms (the FST-presence role)."""
+    pq.write_table(table, part_path(postings_dir, b),
+                   row_group_size=POSTINGS_ROW_GROUP)
+    np.sort(term_hash64(table.column("term").to_pylist())) \
+        .tofile(termset_path(postings_dir, b))
 
 
 class SegmentIndexer:
@@ -177,10 +193,17 @@ class SegmentIndexer:
 
         # vectorized invert: codes are remapped to term rank first, so one
         # sort over (term, doc) keys gives the tf triplets in term-dict
-        # order; every term is packed in one batch pass
+        # order; every term is packed in one batch pass. The order is
+        # (part, term): each postings part is one slice of the table
         n_terms = len(uniques)
+        part_starts = np.zeros(POSTINGS_BUCKETS + 1, np.int64)
         if n_terms:
             term_order = np.argsort(uniques)  # UTF-8 byte order == str order
+            part = bucket_of(uniques[term_order])
+            by_part = np.argsort(part, kind="stable")
+            term_order = term_order[by_part]
+            part_starts = np.searchsorted(part[by_part],
+                                          np.arange(POSTINGS_BUCKETS + 1))
             terms = uniques[term_order]
             rank = np.empty(n_terms, dtype=np.int64)
             rank[term_order] = np.arange(n_terms)
@@ -198,14 +221,12 @@ class SegmentIndexer:
                 uk, tf = np.unique(key, return_counts=True)
             t_rank = uk // n_docs
             d_idx = (uk % n_docs).astype(np.int64)
-            term_list = terms.tolist()
             postings_table = pack_postings_many(
                 doc_ids[d_idx], tf, norms[d_idx],
                 np.searchsorted(t_rank, np.arange(n_terms + 1)),
-                postings_format=self.postings_format, terms=term_list,
+                postings_format=self.postings_format, terms=terms.tolist(),
                 positions=pos_s if self.index_positions else None)
         else:
-            term_list = []
             postings_table = POSTINGS_SCHEMA.empty_table()
 
         doc_cols = {
@@ -223,9 +244,11 @@ class SegmentIndexer:
             f"{min_doc}:{max_doc}:{len(doc_ids)}".encode()).hexdigest()[:12]
         seg_id = self._seg_override or f"seg-{min_doc:012d}-{max_doc:012d}-{lineage}"
         seg_dir = os.path.join(self.out_dir, "segments", seg_id)
-        os.makedirs(seg_dir, exist_ok=True)
-        pq.write_table(postings_table, os.path.join(seg_dir, "postings.parquet"),
-                       row_group_size=POSTINGS_ROW_GROUP)
+        postings_dir = os.path.join(seg_dir, "postings.parquet")
+        os.makedirs(postings_dir, exist_ok=True)
+        for b in range(POSTINGS_BUCKETS):
+            write_postings_part(postings_dir, b, postings_table.slice(
+                part_starts[b], part_starts[b + 1] - part_starts[b]))
         # value-sorted doc-values sidecars (BKD/SortedNumericDocValues
         # role): numeric range filters read only the covering row groups
         for c in self.doc_value_cols:
@@ -271,11 +294,6 @@ class SegmentIndexer:
                 tv = pa.table(cols)
             pq.write_table(tv, os.path.join(seg_dir, "tv.parquet"),
                            row_group_size=4096)
-        # term-membership fingerprint: readers skip this segment's
-        # postings entirely for absent terms (FST-presence role)
-        from ..util import term_hash64
-        np.sort(term_hash64(term_list)).tofile(
-            os.path.join(seg_dir, "postings.termset"))
         pq.write_table(docs_table, os.path.join(seg_dir, "docs.parquet"))
 
         return pa.table({
@@ -386,7 +404,8 @@ def commit(index_dir: str, manifest: IndexManifest,
         compute_global_term_stats(index_dir, manifest)
     else:
         src = os.path.join(index_dir, "global", f"term_stats_gen{stats_of}")
-        if not os.path.isfile(os.path.join(src, "_META.json")):
+        if not all(os.path.isfile(part_path(src, b))
+                   for b in range(POSTINGS_BUCKETS)):
             raise FileNotFoundError(f"{src}: no global term stats")
         os.symlink(os.path.abspath(src),
                    new_stats_dir(index_dir, manifest.generation))
@@ -442,58 +461,24 @@ def build_index(
 
 
 @ray.remote
-def _stats_leaf(paths: list[str], n_parts: int) -> list[pa.Table]:
-    """Map-side combine: read a chunk of segment stats columns, aggregate
-    locally, hash-partition by term (the combiner + partial-shuffle leg
-    of the term aggregate, SURVEY.md §2.5)."""
-    import pandas as pd
+def _sum_stats_part(paths: list[str], out_path: str) -> None:
+    """One part of the global (term, df, ttf): the sums over that part
+    of every segment, term-sorted."""
     t = pa.concat_tables(
         pq.read_table(p, columns=["term", "df", "ttf"]) for p in paths)
     g = t.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
-    g = g.rename_columns(["term", "df", "ttf"])
-    if n_parts == 1:
-        return g  # num_returns=1: return the table itself, not a list
-    from ..util import crc32_batch
-    h = crc32_batch(g.column("term")).astype(np.int64) % n_parts
-    return [g.filter(pa.array(h == r)) for r in range(n_parts)]
-
-
-@ray.remote
-def _stats_reduce(out_path: str, *parts: pa.Table) -> int:
-    t = pa.concat_tables(parts)
-    g = t.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
     g = g.rename_columns(["term", "df", "ttf"]).sort_by("term")
     pq.write_table(g, out_path, row_group_size=4096)
-    return len(g)
 
 
 def compute_global_term_stats(index_dir: str, manifest: IndexManifest) -> None:
-    """Global per-term (df, ttf) via an explicit map-combine + hash
-    shuffle tree (leaf tasks aggregate chunks of per-segment stats
-    locally, reducers own term-hash partitions). ~10x faster than a
-    generic sort-based groupby for this pre-aggregated shape, and each
-    level scales with the cluster."""
-    paths = [os.path.join(index_dir, "segments", s.seg_id, "postings.parquet")
-             for s in manifest.segments]
+    """Global per-term (df, ttf), one task per part: a term lives in the
+    same part of every segment, so part b of the stats sums part b of
+    the segments, with no shuffle."""
+    dirs = [os.path.join(index_dir, "segments", s.seg_id, "postings.parquet")
+            for s in manifest.segments]
     out = new_stats_dir(index_dir, manifest.generation)
     os.makedirs(out)
-    cpus = max(1, int(ray.cluster_resources().get("CPU", 4)))
-    n_parts = min(cpus, max(1, len(paths) // 2))
-    chunk = max(1, (len(paths) + cpus - 1) // cpus)
-    leaves = [
-        _stats_leaf.options(num_returns=n_parts).remote(
-            paths[i:i + chunk], n_parts)
-        for i in range(0, len(paths), chunk)
-    ]
-    if n_parts == 1:
-        leaves = [[leaf] for leaf in leaves]
-    reducers = [
-        _stats_reduce.remote(os.path.join(out, f"part-{r:05d}.parquet"),
-                             *[leaf[r] for leaf in leaves])
-        for r in range(n_parts)
-    ]
-    ray.get(reducers)
-    # record the bucket function so readers can route a term to its part
-    import json
-    with open(os.path.join(out, "_META.json"), "w") as f:
-        json.dump({"n_parts": n_parts, "hash": "crc32"}, f)
+    ray.get([_sum_stats_part.remote([part_path(d, b) for d in dirs],
+                                    part_path(out, b))
+             for b in range(POSTINGS_BUCKETS)])

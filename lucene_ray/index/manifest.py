@@ -19,15 +19,40 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import zlib
 from dataclasses import asdict, dataclass, field
 
-# Version 2: term-sorted postings rows with pack-time block byte lengths
-# (docs_bb/freqs_bb), a term-hash termset next to every postings file,
-# _BUCKETS.json in every sharded postings dir, and global/
-# term_stats_gen{N} (with _META.json) for every committed generation N.
-# The manifest stores no collection totals: num_docs, sum_doc_len and
-# field_doc_count are sums over its segments (version 1 stored them).
-FORMAT_VERSION = 2
+import numpy as np
+
+# Version 3: every segment's postings are POSTINGS_BUCKETS term-sorted
+# parts, postings.parquet/part-NNNNN.parquet, each with its
+# _part-NNNNN.termset (term-hash fingerprint); a term lives in part
+# bucket_of(term). Every committed generation N has global/
+# term_stats_gen{N}, the same POSTINGS_BUCKETS parts of (term, df, ttf).
+# Rows carry pack-time block byte lengths (docs_bb/freqs_bb). The
+# manifest stores no collection totals: num_docs, sum_doc_len and
+# field_doc_count are sums over its segments.
+FORMAT_VERSION = 3
+
+# Parts per postings or term-stats directory: a format constant, so no
+# file count depends on the cluster that wrote it, and a merge reads
+# part b of each source segment to write part b.
+POSTINGS_BUCKETS = 8
+
+
+def bucket_of(terms) -> np.ndarray:
+    """The part (int64) of each term: ``crc32(utf-8) % POSTINGS_BUCKETS``."""
+    h = np.fromiter((zlib.crc32(t.encode()) for t in terms), np.int64,
+                    len(terms))
+    return h % POSTINGS_BUCKETS
+
+
+def part_path(bucketed_dir: str, b: int) -> str:
+    return os.path.join(bucketed_dir, f"part-{b:05d}.parquet")
+
+
+def termset_path(bucketed_dir: str, b: int) -> str:
+    return os.path.join(bucketed_dir, f"_part-{b:05d}.termset")
 
 
 @dataclass

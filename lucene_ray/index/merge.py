@@ -1,35 +1,32 @@
-"""Segment merge: the groupby-on-term shuffle.
+"""Segment merge: one task per (merge group, postings part), no shuffle.
 
 Reference semantics (SURVEY.md §3.2): ``TieredMergePolicy.findMerges``
 (segsPerTier=10, merged-size cap — ``TieredMergePolicy.java:89-95,317``)
 selects groups of small segments; ``SegmentMerger`` k-way merges posting
 lists per term with docBase remapping (``SegmentMerger.java:104-158``).
 
-Ray-native design:
-- ALL merge groups run in ONE Ray Data job: every input segment's
-  postings are read once with their file path, each row is routed to
-  (merge group, segment order) by the segment it came from, gets a
-  term-hash ``bucket``, and a single ``groupby((group_id, bucket))
-  .map_groups`` reduces whole buckets of terms per call (amortizing
-  per-group overhead over the vocabulary) and writes its output shard
-  directly into the new segment's directory — no driver
-  materialization.
-- Two bucket kernels, picked per group by a rule over manifest fields:
+Ray-native design: every segment's postings are ``POSTINGS_BUCKETS``
+term-sorted parts, a term in part ``bucket_of(term)`` of every segment
+(``index/manifest.py``), so part b of a merged segment needs only part b
+of its sources — like ``SegmentMerger``, which merges term dictionaries
+that are already sorted, the merge exchanges nothing. All groups run at
+once:
+- per group, one task writes the merged docs table (tombstones
+  reclaimed, pending doc-values updates folded in) and leaves the
+  group's norms in the object store;
+- per (group, part), one task reads part b of each source segment in
+  doc order, stable-sorts the rows by term and writes part b with one
+  of two kernels, picked per group by a rule over manifest fields:
   - concat (``_merge_bucket_vec``): docIDs are global (data-derived),
     so a term's chunks from live, doc-disjoint segments are joined in
     doc order zero-copy — no decode, no re-encode;
   - re-pack (``_repack_bucket``): when a group has tombstones, when its
     segments' ``[min_doc, max_doc]`` ranges overlap (builds from an
     unsorted Dataset), or under ``repack=True`` (forceMerge(1) analog),
-    the whole bucket is decoded in one pass per stream, tombstoned
+    the whole part is decoded in one pass per stream, tombstoned
     postings and their positions are dropped, postings are sorted by
     (term, doc) and packed into full 128-doc ``for128`` blocks with
     fresh impacts from the group's norms.
-- Term-frequency skew (Zipf head): ``salt_buckets > 1`` keys the first
-  shuffle on (term, segment-order bucket) so a hot term's chunks land on
-  many reducers; a second groupby merges the partials (salted
-  repartition per the north rule; sub-runs stay doc-sorted because
-  salting follows segment order, and re-packed groups re-sort anyway).
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
-import ray.data
 
 from ..codecs.postings import (
     POSTINGS_SCHEMA,
@@ -52,8 +48,14 @@ from ..codecs.postings import (
     _unpack_values,
     pack_postings_many,
 )
-from .builder import commit
-from .manifest import IndexManifest, SegmentInfo, read_manifest
+from .builder import commit, write_postings_part
+from .manifest import (
+    POSTINGS_BUCKETS,
+    IndexManifest,
+    SegmentInfo,
+    part_path,
+    read_manifest,
+)
 
 
 def plan_merges(segments: list[SegmentInfo], segs_per_tier: int = 10,
@@ -117,8 +119,8 @@ def _term_starts(terms: pa.Array) -> np.ndarray:
 
 
 def _merge_bucket_vec(group: pa.Table) -> pa.Table:
-    """Concat kernel over a whole (term, okey)-sorted bucket of live,
-    doc-disjoint chunks: every per-term payload (packed docs/freqs/
+    """Concat kernel over a whole bucket of live, doc-disjoint chunks,
+    sorted by term and then doc: every per-term payload (packed docs/freqs/
     positions bytes, block lists, impacts) is a CONTIGUOUS slice of the
     sorted column buffers, so the merged columns are rebuilt zero-copy
     from new offsets — no per-row Python objects at all."""
@@ -269,11 +271,12 @@ def _merge_bucket(group: pa.Table, norms_data, repack: bool,
     """Merge a whole bucket of terms -> merged posting rows (one/term)
     with the kernel the group's rule picked.
 
-    Chunk order within a term comes from the data itself: ``okey`` =
-    first block's last docID, which orders doc-disjoint chunks without
-    any per-file bookkeeping (the re-pack kernel sorts by doc anyway)."""
-    group = group.sort_by([("term", "ascending"), ("okey", "ascending")]) \
-        .combine_chunks()
+    ``group`` holds the source segments' rows in segment doc order, so
+    a stable sort by term leaves a term's doc-disjoint chunks in doc
+    order (the re-pack kernel sorts by doc anyway)."""
+    if group.num_rows == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    group = group.sort_by("term").combine_chunks()
     if repack:
         return _repack_bucket(group, norms_data, deleted)
     return _merge_bucket_vec(group)
@@ -363,63 +366,27 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
     return norms, live_stats
 
 
-# A term whose merged posting payload exceeds this many bytes is "hot":
-# its chunks would all land on ONE reducer of the term-hash shuffle, so
-# the merge engages the two-level salted exchange automatically. ~12
-# bytes/posting is the measured packed docs+freqs+positions rate on the
-# bench corpus; 64 MB keeps any single reducer's per-term buffer small.
-HOT_TERM_PAYLOAD_BYTES = 64 << 20
-EST_BYTES_PER_POSTING = 12
-
-
-def _max_global_df(index_dir: str, generation: int) -> int:
-    """Largest per-term doc freq, read from the global term-stats
-    PARQUET COLUMN STATISTICS only (no data scan — the BKD/blocktree
-    stats role; reference reads the same df from the terms dict,
-    ``index/TermStates.java``)."""
-    import glob as _glob
-    d = os.path.join(index_dir, "global", f"term_stats_gen{generation}")
-    mx = 0
-    for p in _glob.glob(os.path.join(d, "part-*.parquet")):
-        md = pq.ParquetFile(p).metadata
-        df = md.schema.names.index("df")
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(df).statistics
-            if st is not None and st.has_min_max:
-                mx = max(mx, int(st.max))
-    return mx
-
-
-def auto_salt_buckets(index_dir: str, m, groups) -> int:
-    """Derive the salted-shuffle level from the Zipf head: if the
-    hottest term's estimated merged payload exceeds
-    ``HOT_TERM_PAYLOAD_BYTES``, split each group's segments across
-    enough level-1 buckets that every partial stays under it."""
-    if not groups:
-        return 1
-    max_df = _max_global_df(index_dir, m.generation)
-    payload = max_df * EST_BYTES_PER_POSTING
-    if payload <= HOT_TERM_PAYLOAD_BYTES:
-        return 1
-    want = -(-payload // HOT_TERM_PAYLOAD_BYTES)  # ceil
-    return int(min(max(len(g) for g in groups), want))
+@ray.remote
+def _merge_part(src_dirs: list[str], b: int, postings_dir: str, norms,
+                repack: bool) -> int:
+    """Part ``b`` of a merged segment from part b of each source postings
+    dir (in doc order); ``norms`` is the docs leg's tuple, needed by the
+    re-pack kernel only. Returns the part's term count."""
+    group = pa.concat_tables(pq.read_table(part_path(d, b)) for d in src_dirs)
+    ids, norms_all, deleted = norms or (None, None, None)
+    merged = _merge_bucket(group, (ids, norms_all), repack, deleted)
+    write_postings_part(postings_dir, b, merged)
+    return len(merged)
 
 
 def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
                    max_merged_docs: int = 10_000_000,
-                   salt_buckets: int | None = None,
                    repack: bool = False, min_group: int = 2) -> IndexManifest:
-    """One round of tiered merging (single distributed job over all
-    groups); returns the new manifest generation.
-
-    ``salt_buckets=None`` (default) auto-detects Zipf-head skew from the
-    global df stats and engages the two-level salted shuffle only when a
-    term's merged payload would overload one reducer; pass an int to
-    force a level."""
+    """One round of tiered merging; returns the new manifest generation.
+    Every group's tasks run at once: one for its docs table, one per
+    postings part."""
     m = read_manifest(index_dir)
     groups = plan_merges(m.segments, segs_per_tier, max_merged_docs)
-    if salt_buckets is None:
-        salt_buckets = auto_salt_buckets(index_dir, m, groups)
     # singleton segments with tombstones still merge (reclaim deletes)
     merge_jobs = [g for g in groups
                   if len(g) >= min_group or any(s.del_count for s in g)]
@@ -428,158 +395,42 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
                     for s in g]
     gen = m.generation + 1
 
-    if merge_jobs:
-        cpus = int(ray.cluster_resources().get("CPU", 4))
-        n_buckets = max(8, 2 * cpus)
-
-        # per-group output dirs, merged docs tables, broadcast norms
-        group_meta = []
-        norms_refs = {}
-        for gi, g in enumerate(sorted(merge_jobs, key=lambda g: g[0].min_doc)):
-            g = sorted(g, key=lambda s: s.min_doc)
-            seg_id = (f"merged-{g[0].min_doc:012d}-{g[-1].max_doc:012d}-g{gen}")
-            seg_dir = os.path.join(index_dir, "segments", seg_id)
-            os.makedirs(os.path.join(seg_dir, "postings.parquet"), exist_ok=True)
-            # record the shard hash fn: readers route a term straight to
-            # its part file instead of probing every shard
-            import json as _json
-            with open(os.path.join(seg_dir, "postings.parquet",
-                                   "_BUCKETS.json"), "w") as bf:
-                _json.dump({"n_buckets": n_buckets, "hash": "crc32"}, bf)
-            # docs-table leg runs as one Ray task per group (read +
-            # concat + tombstone filter + write, off the driver); the
-            # norms tuple STAYS in the object store — only its ref and
-            # the tiny live stats come back
-            norms_refs[gi], stats_ref = _merge_group_docs.remote(
-                index_dir, [s.seg_id for s in g], [s.del_gen for s in g],
-                seg_dir,
-                [s.dvu_gen for s in g])
-            group_meta.append((gi, g, seg_id, seg_dir, stats_ref))
-        group_meta = [(gi, g, seg_id, seg_dir, tuple(ray.get(ref)))
-                      for gi, g, seg_id, seg_dir, ref in group_meta]
-
-        # ONE read over every input segment's postings, each row tagged
-        # with its file path, which routes it to (group, segment order):
-        # groups need not be disjoint doc ranges. postings.parquet may be
-        # a directory of reducer shards (a previously-merged segment).
-        def _expand(path: str) -> list[str]:
-            if os.path.isdir(path):
-                return sorted(os.path.join(path, f) for f in os.listdir(path)
-                              if f.endswith(".parquet"))
-            return [path]
-
-        files = [(f, gi, si)
-                 for gi, g, _, _, _ in group_meta for si, s in enumerate(g)
-                 for f in _expand(os.path.abspath(os.path.join(
-                     index_dir, "segments", s.seg_id, "postings.parquet")))]
-        all_paths = pa.array([f for f, _, _ in files], pa.string())
-        path_group = np.array([gi for _, gi, _ in files], dtype=np.int64)
-        # salt = segment-order bucket of the file within its group
-        path_salt = np.array(
-            [si // max(1, -(-len(group_meta[gi][1]) // salt_buckets))
-             for _, gi, si in files], dtype=np.uint64)
+    pending = []
+    for g in sorted(merge_jobs, key=lambda g: g[0].min_doc):
+        g = sorted(g, key=lambda s: s.min_doc)
+        seg_id = (f"merged-{g[0].min_doc:012d}-{g[-1].max_doc:012d}-g{gen}")
+        seg_dir = os.path.join(index_dir, "segments", seg_id)
+        postings_dir = os.path.join(seg_dir, "postings.parquet")
+        os.makedirs(postings_dir, exist_ok=True)
+        # the docs leg keeps the norms in the object store; only their
+        # ref and the tiny live stats reach the driver
+        norms, live = _merge_group_docs.remote(
+            index_dir, [s.seg_id for s in g], [s.del_gen for s in g],
+            seg_dir, [s.dvu_gen for s in g])
         # the kernel rule, over manifest fields: re-pack a group with
         # tombstones, with overlapping segment doc ranges, or on request
-        repack_groups = {gi for gi, g, _, _, _ in group_meta
-                         if repack or _needs_repack(g)}
-        # RIGHT-SIZE the read blocks: Ray's sort-based groupby cost is
-        # dominated by block COUNT, not bytes (measured at sf0.1: 288
-        # per-row-group blocks -> 13.7s shuffle; the same 230 MB in 32
-        # blocks -> ~1s). Target ~128 MB decoded per block, about 64 MB
-        # on disk (disk bytes x2 for Arrow decode), floored at cluster
-        # parallelism — the ratio holds at 100 TB where blocks are
-        # naturally large.
-        in_bytes = sum(os.path.getsize(f) for f, _, _ in files)
-        n_blocks = max(cpus, (in_bytes * 2) // (128 << 20) + 1)
-        ds = ray.data.read_parquet(all_paths.to_pylist(), include_paths=True,
-                                   override_num_blocks=int(n_blocks))
-        seg_dirs = {gi: seg_dir for gi, _, _, seg_dir, _ in group_meta}
+        rp = repack or _needs_repack(g)
+        src = [os.path.join(index_dir, "segments", s.seg_id,
+                            "postings.parquet") for s in g]
+        # only the re-pack kernel reads norms: a concat group's part
+        # tasks run without waiting for the docs leg
+        parts = [_merge_part.remote(src, b, postings_dir,
+                                    norms if rp else None, rp)
+                 for b in range(POSTINGS_BUCKETS)]
+        pending.append((g, seg_id, live, parts))
 
-        def add_keys(t: pa.Table, salted: bool) -> pa.Table:
-            import pyarrow.compute as pc
-            if "path" in t.column_names:  # a source row: route by file
-                fi = pc.index_in(t.column("path"), value_set=all_paths) \
-                    .to_numpy(zero_copy_only=False)
-                t = t.drop_columns(["path"]).append_column(
-                    "group_id", pa.array(path_group[fi], pa.int64()))
-                salt = path_salt[fi]  # only source rows are salted
-            # okey orders a term's doc-disjoint chunks for the concat
-            # kernel; a partial row's first block is its first chunk's
-            okey = pc.list_element(t.column("block_last_docs"), 0) \
-                .cast(pa.int64())
-            from ..util import crc32_batch
-            th = crc32_batch(t.column("term")).astype(np.uint64)
-            if salted:
-                # mix the source file's salt into the term hash (the
-                # level-1 bucket is internal to the two-level shuffle, so
-                # any deterministic term+salt hash works; only the final
-                # unsalted pass must match the reader's crc32 routing)
-                th = (th * np.uint64(0x9E3779B97F4A7C15)) ^ \
-                    (salt * np.uint64(0xC2B2AE3D27D4EB4F) + np.uint64(1))
-            b = pa.array((th % np.uint64(n_buckets)).astype(np.int64),
-                         pa.int64())
-            return t.append_column("okey", okey).append_column("bucket", b)
-
-        def merge(group: pa.Table) -> tuple[int, pa.Table]:
-            gid = group.column("group_id")[0].as_py()
-            ids_all, norms_all, deleted = ray.get(norms_refs[gid])
-            return gid, _merge_bucket(group, (ids_all, norms_all),
-                                      gid in repack_groups, deleted)
-
-        def reduce_write(group: pa.Table) -> pa.Table:
-            gid, merged = merge(group)
-            bucket = group.column("bucket")[0].as_py()
-            out_path = os.path.join(seg_dirs[gid], "postings.parquet",
-                                    f"part-{bucket:05d}.parquet")
-            from .builder import POSTINGS_ROW_GROUP
-            pq.write_table(merged, out_path,
-                           row_group_size=POSTINGS_ROW_GROUP)
-            from ..util import term_hash64
-            side = os.path.join(os.path.dirname(out_path),
-                                "_" + os.path.basename(out_path)
-                                [:-len(".parquet")] + ".termset")
-            np.sort(term_hash64(merged.column("term").to_pylist())) \
-                .tofile(side)
-            return pa.table({"group_id": pa.array([gid], pa.int64()),
-                             "n_terms": pa.array([len(merged)], pa.int64())})
-
-        def reduce_partial(group: pa.Table) -> pa.Table:
-            gid, merged = merge(group)
-            gids = pa.array([gid] * len(merged), pa.int64())
-            return merged.append_column("group_id", gids)
-
-        if salt_buckets > 1:
-            l1 = ds.map_batches(add_keys, batch_format="pyarrow",
-                                fn_kwargs={"salted": True})
-            partial = l1.groupby(["group_id", "bucket"]).map_groups(
-                reduce_partial, batch_format="pyarrow")
-            l2 = partial.map_batches(add_keys, batch_format="pyarrow",
-                                     fn_kwargs={"salted": False})
-            meta = l2.groupby(["group_id", "bucket"]).map_groups(
-                reduce_write, batch_format="pyarrow")
-        else:
-            l1 = ds.map_batches(add_keys, batch_format="pyarrow",
-                                fn_kwargs={"salted": False})
-            meta = l1.groupby(["group_id", "bucket"]).map_groups(
-                reduce_write, batch_format="pyarrow")
-
-        term_counts: dict[int, int] = {}
-        for r in meta.take_all():
-            term_counts[r["group_id"]] = term_counts.get(r["group_id"], 0) \
-                + int(r["n_terms"])
-
-        for gi, g, seg_id, seg_dir, live in group_meta:
-            n_live, sum_dl_live, fdc_live, min_live, max_live = live
-            new_segments.append(SegmentInfo(
-                seg_id=seg_id,
-                num_docs=n_live,  # tombstones reclaimed by this merge
-                min_doc=min_live,
-                max_doc=max_live,
-                sum_doc_len=sum_dl_live,
-                num_terms=term_counts.get(gi, 0),
-                lineage="+".join(s.lineage for s in g)[:120],
-                field_doc_count=fdc_live,
-            ))
+    for g, seg_id, live, parts in pending:
+        n_live, sum_dl_live, fdc_live, min_live, max_live = ray.get(live)
+        new_segments.append(SegmentInfo(
+            seg_id=seg_id,
+            num_docs=n_live,  # tombstones reclaimed by this merge
+            min_doc=min_live,
+            max_doc=max_live,
+            sum_doc_len=sum_dl_live,
+            num_terms=sum(ray.get(parts)),
+            lineage="+".join(s.lineage for s in g)[:120],
+            field_doc_count=fdc_live,
+        ))
 
     # a reclaiming merge changed df/ttf: its stats are recomputed;
     # otherwise stats are per-corpus, not per-segment-layout, and the

@@ -29,7 +29,14 @@ import os
 import shutil
 from dataclasses import dataclass, field
 
-from .manifest import IndexManifest, latest_generation, read_manifest
+from .manifest import (
+    POSTINGS_BUCKETS,
+    IndexManifest,
+    latest_generation,
+    part_path,
+    read_manifest,
+    termset_path,
+)
 
 
 @dataclass
@@ -49,13 +56,8 @@ def _segment_files(index_dir: str, m: IndexManifest) -> list[str]:
     for s in m.segments:
         seg_dir = f"segments/{s.seg_id}"
         postings = f"{seg_dir}/postings.parquet"
-        if os.path.isdir(os.path.join(index_dir, postings)):
-            # a merged segment: part-N.parquet shards, their
-            # _part-N.termset sidecars and _BUCKETS.json
-            out.extend(f"{postings}/{name}" for name in sorted(
-                os.listdir(os.path.join(index_dir, postings))))
-        else:
-            out += [postings, f"{seg_dir}/postings.termset"]
+        for b in range(POSTINGS_BUCKETS):
+            out += [part_path(postings, b), termset_path(postings, b)]
         out.append(f"{seg_dir}/docs.parquet")
         if s.del_gen >= 0:
             out.append(f"{seg_dir}/deletes_gen{s.del_gen}.parquet")
@@ -73,8 +75,7 @@ def _segment_files(index_dir: str, m: IndexManifest) -> list[str]:
                         ("pending_", "deletes_gen", "dv_updates_gen")):
                     out.append(rel)
     g = f"global/term_stats_gen{m.generation}"
-    out.extend(f"{g}/{name}"
-               for name in sorted(os.listdir(os.path.join(index_dir, g))))
+    out.extend(part_path(g, b) for b in range(POSTINGS_BUCKETS))
     return out
 
 

@@ -101,8 +101,10 @@ def build_index_resumable(
     files = _parquet_files(source)
     shards = plan_shards(files, rows_per_shard)
 
-    # completed segments of a previous (interrupted) run: their
-    # lineage.json holds the segment's metadata row
+    # completed segments of a previous (interrupted) run of this shard
+    # plan: their lineage.json holds the segment's metadata row. A shard
+    # planned with another rows_per_shard covers other rows
+    planned = {s.lineage for s in shards}
     seg_root = os.path.join(out_dir, "segments")
     done: dict[str, dict] = {}
     if os.path.isdir(seg_root):
@@ -115,7 +117,8 @@ def build_index_resumable(
                     rec = json.load(fh)
             except (OSError, json.JSONDecodeError):
                 continue
-            done[rec["lineage"]] = rec
+            if rec["lineage"] in planned:
+                done[rec["lineage"]] = rec
 
     todo = [s for s in shards if s.lineage not in done]
     if fail_after_shards is not None:

@@ -7,20 +7,20 @@ Checks per segment:
 - block_last_docs match decoded block boundaries
 - impacts dominate every (freq, norm) pair in their block
 - docs table sorted by doc_id, unique
-- every postings file has its termset sidecar, equal to its vocabulary;
-  a sharded postings dir has its ``_BUCKETS.json``
+- all ``POSTINGS_BUCKETS`` postings parts exist, each with its termset
+  sidecar equal to its vocabulary, and every row is in its term's part
+  (``bucket_of``): a row in another part is one no reader can find
 - docs table row count and doc lengths match the segment's entry
 - live-docs (tombstone) files exist and name docs of the segment
 Index-level: no docID is live in two segments (segment doc RANGES may
 overlap: a build from a Dataset allows it); the generation's global
-term stats (``_META.json`` and its parts) exist; a recorded index sort
-holds. Collection totals are sums over the segments, so there is no
-manifest total to check.
+term stats have all their parts, every row in its term's part; a
+recorded index sort holds. Collection totals are sums over the
+segments, so there is no manifest total to check.
 """
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -31,7 +31,14 @@ import ray.data
 
 from ..codecs.postings import _block_sizes, unpack_postings
 from ..search.reader import _rows_to_postings
-from .manifest import read_manifest
+from ..util import term_hash64
+from .manifest import (
+    POSTINGS_BUCKETS,
+    bucket_of,
+    part_path,
+    read_manifest,
+    termset_path,
+)
 
 
 def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Table:
@@ -68,6 +75,31 @@ def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Tab
     return pa.table({"error": pa.array(errors, type=pa.string())})
 
 
+def _check_parts(d: str, name: str, termsets: bool) -> list[str]:
+    """A bucketed dir (a segment's postings, a generation's term stats)
+    has every part, each row in its term's part; with ``termsets`` each
+    part's fingerprint equals its vocabulary."""
+    errors = []
+    for b in range(POSTINGS_BUCKETS):
+        part = f"{name}/part-{b:05d}"
+        if not os.path.isfile(part_path(d, b)):
+            errors.append(f"{part}: missing part")
+            continue
+        terms = pq.read_table(part_path(d, b), columns=["term"]) \
+            .column("term").to_pylist()
+        stray = int((bucket_of(terms) != b).sum())
+        if stray:
+            errors.append(f"{part}: {stray} terms of another part")
+        if not termsets:
+            continue
+        if not os.path.isfile(termset_path(d, b)):
+            errors.append(f"{part}: missing termset")
+        elif not np.array_equal(np.sort(term_hash64(terms)), np.fromfile(
+                termset_path(d, b), dtype=np.uint64)):
+            errors.append(f"{part}: termset fingerprint mismatch")
+    return errors
+
+
 def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
     """Returns a list of invariant violations (empty == healthy)."""
     m = read_manifest(index_dir, generation)
@@ -102,27 +134,8 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
                 doc_ids = np.setdiff1d(doc_ids, dels)
         live.append(doc_ids)
 
-        # term-membership fingerprints cover the shard vocabularies
-        from ..search.reader import _ShardedPostings
-        from ..util import term_hash64
         postings = os.path.join(seg_dir, "postings.parquet")
-        if os.path.isdir(postings) and not os.path.isfile(
-                os.path.join(postings, "_BUCKETS.json")):
-            errors.append(f"{s.seg_id}: missing postings _BUCKETS.json")
-        else:
-            sp = _ShardedPostings(postings)
-            for name in sp._paths:
-                if not os.path.isfile(sp.termset_path(name)):
-                    errors.append(f"{s.seg_id}/{name or 'postings'}: "
-                                  "missing termset")
-                    continue
-                terms = sp._file(name).pf.read(columns=["term"]) \
-                    .column("term").to_pylist()
-                if not np.array_equal(np.sort(term_hash64(terms)),
-                                      sp.termset(name)):
-                    errors.append(f"{s.seg_id}/{name or 'postings'}: "
-                                  "termset fingerprint mismatch")
-
+        errors.extend(_check_parts(postings, s.seg_id, termsets=True))
         ds = ray.data.read_parquet(postings)
         err_ds = ds.map_batches(
             _check_postings_batch, batch_format="pyarrow",
@@ -144,16 +157,9 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
                       f"{segs[p // len(segs)].seg_id} and "
                       f"{segs[p % len(segs)].seg_id} ({c} such docs)")
 
-    stats = os.path.join(index_dir, "global",
-                         f"term_stats_gen{m.generation}")
-    try:
-        with open(os.path.join(stats, "_META.json")) as f:
-            n_parts = int(json.load(f)["n_parts"])
-        errors.extend(f"{stats}: missing part-{r:05d}.parquet"
-                      for r in range(n_parts) if not os.path.isfile(
-                          os.path.join(stats, f"part-{r:05d}.parquet")))
-    except FileNotFoundError:
-        errors.append(f"{stats}: missing _META.json")
+    stats = f"term_stats_gen{m.generation}"
+    errors.extend(_check_parts(os.path.join(index_dir, "global", stats),
+                               stats, termsets=False))
 
     # index sort (CheckIndex.testSort role): when the index records a
     # sort, stored rows must actually be ordered by (field, orig id)

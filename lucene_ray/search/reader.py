@@ -1,17 +1,17 @@
 """Index readers: point-in-time snapshot over one manifest generation
 (DirectoryReader analog, ``index/StandardDirectoryReader.java``).
 
-Postings are read TERM-PRUNED: segment postings files are written
-term-sorted with small Parquet row groups, so a query reads only the
-row groups whose [min,max] term statistics cover its terms — the
-row-group min/max stats play the role of the reference's FST/block-tree
-term index (``codecs/lucene90/blocktree/Lucene90BlockTreeTermsReader
-.java``; SURVEY.md §1.2). Merged segments store postings as a directory
-of hash-bucketed shards; a ``_BUCKETS.json`` sidecar records the bucket
-function so a term routes to exactly one shard. Every postings file has
-a termset sidecar and every generation its global term stats: the
-reader knows one format (``index.manifest.FORMAT_VERSION``) and raises
-on a file that lacks a part of it. Per-doc arrays
+Postings are read TERM-PRUNED: every segment's postings are
+``POSTINGS_BUCKETS`` term-sorted Parquet parts with small row groups,
+and a term lives in part ``bucket_of(term)``, so a query reads, per
+term, only the row groups of one part whose [min,max] term statistics
+cover it — the row-group min/max stats play the role of the
+reference's FST/block-tree term index (``codecs/lucene90/blocktree/
+Lucene90BlockTreeTermsReader.java``; SURVEY.md §1.2). Every part has a
+termset sidecar and every generation its global term stats, in parts
+bucketed the same way: the reader knows one format
+(``index.manifest.FORMAT_VERSION``) and raises on a file that lacks a
+part of it. Per-doc arrays
 (doc_id, doc_len, norm — ~13 bytes/doc) stay resident per segment;
 stored fields are read lazily with docID predicate pushdown.
 
@@ -30,9 +30,7 @@ scorers slice arrays instead of bit-unpacking blocks on every query.
 from __future__ import annotations
 
 import bisect
-import json
 import os
-import zlib
 from collections import OrderedDict
 
 import numpy as np
@@ -41,7 +39,14 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from ..codecs.postings import PackedPostings
-from ..index.manifest import IndexManifest, read_manifest
+from ..index.manifest import (
+    POSTINGS_BUCKETS,
+    IndexManifest,
+    bucket_of,
+    part_path,
+    read_manifest,
+    termset_path,
+)
 from ..util import term_hash64
 from .postings_io import DecodedPostings, decode
 
@@ -120,65 +125,44 @@ class TermSortedFile:
 
 
 class _ShardedPostings:
-    """postings.parquet as one file (``postings.termset`` beside it) OR
-    a directory of term-hash bucketed shards (``part-N.parquet`` with
-    ``_part-N.termset``, bucket count in ``_BUCKETS.json``)."""
+    """A segment's postings.parquet: ``POSTINGS_BUCKETS`` term-sorted
+    parts (``part-N.parquet``, each with its ``_part-N.termset``), a
+    term in part ``bucket_of(term)``; parts open on first use."""
 
     def __init__(self, path: str):
-        self.is_dir = os.path.isdir(path)
-        self.n_buckets = 1
-        if self.is_dir:
-            with open(os.path.join(path, "_BUCKETS.json")) as f:
-                self.n_buckets = int(json.load(f)["n_buckets"])
-            self._paths = {f: os.path.join(path, f)
-                           for f in sorted(os.listdir(path))
-                           if f.endswith(".parquet")}
-        else:
-            self._paths = {"": path}
-        self._open: dict[str, TermSortedFile] = {}
-        self._termsets: dict[str, np.ndarray] = {}
+        self.path = path
+        self._open: dict[int, TermSortedFile] = {}
+        self._termsets: dict[int, np.ndarray] = {}
 
-    def termset_path(self, name: str) -> str:
-        p = self._paths[name]
-        if not self.is_dir:
-            return os.path.join(os.path.dirname(p), "postings.termset")
-        return os.path.join(os.path.dirname(p),
-                            "_" + name[:-len(".parquet")] + ".termset")
-
-    def termset(self, name: str) -> np.ndarray:
-        """Sorted 64-bit term-hash fingerprint for a shard (the
+    def termset(self, b: int) -> np.ndarray:
+        """Sorted 64-bit term-hash fingerprint of part ``b`` (the
         term-dictionary presence check) — lets absent terms skip the
-        shard without opening its Parquet file."""
-        ts = self._termsets.get(name)
+        part without opening its Parquet file."""
+        ts = self._termsets.get(b)
         if ts is None:
-            ts = self._termsets[name] = np.fromfile(
-                self.termset_path(name), dtype=np.uint64)
+            ts = self._termsets[b] = np.fromfile(
+                termset_path(self.path, b), dtype=np.uint64)
         return ts
 
-    def _file(self, name: str) -> TermSortedFile:
-        f = self._open.get(name)
+    def _file(self, b: int) -> TermSortedFile:
+        f = self._open.get(b)
         if f is None:
-            f = self._open[name] = TermSortedFile(self._paths[name])
+            f = self._open[b] = TermSortedFile(part_path(self.path, b))
         return f
 
     def files(self):
-        for name in self._paths:
-            yield self._file(name)
+        for b in range(POSTINGS_BUCKETS):
+            yield self._file(b)
 
     @property
     def num_rows(self) -> int:
         return sum(f.num_rows for f in self.files())
 
-    def route(self, terms) -> dict[str, list[str]]:
-        """shard-file name -> the subset of terms that can live there (a
-        bucket that received no terms at merge time has no file)."""
-        if not self.is_dir:
-            return {"": list(terms)}
-        out: dict[str, list[str]] = {}
-        for t in terms:
-            name = f"part-{zlib.crc32(t.encode()) % self.n_buckets:05d}.parquet"
-            if name in self._paths:
-                out.setdefault(name, []).append(t)
+    def route(self, terms) -> dict[int, list[str]]:
+        """part -> the subset of ``terms`` that can live there."""
+        out: dict[int, list[str]] = {}
+        for t, b in zip(terms, bucket_of(terms).tolist()):
+            out.setdefault(b, []).append(t)
         return out
 
 
@@ -311,31 +295,31 @@ class SegmentReader:
 
     def ensure_terms(self, terms) -> None:
         """Load the given terms' posting rows (row-group pruned, one
-        batched read per shard). Terms not in the segment are recorded
+        batched read per part). Terms not in the segment are recorded
         as absent; everything loaded lands in the LRU cache."""
         missing = [t for t in dict.fromkeys(terms)
                    if t not in self._cache and t not in self._absent]
         if not missing:
             return
         found = set()
-        for name, shard_terms in self._postings.route(missing).items():
-            ts = self._postings.termset(name)
+        for b, part_terms in self._postings.route(missing).items():
+            ts = self._postings.termset(b)
             if not len(ts):
                 continue
-            h = term_hash64(shard_terms)
+            h = term_hash64(part_terms)
             member = ts[np.minimum(np.searchsorted(ts, h), len(ts) - 1)] == h
-            shard_terms = [t for t, m in zip(shard_terms, member) if m]
-            if not shard_terms:
-                continue  # shard never opened for absent terms
-            f = self._postings._file(name)
-            rgs = f.rgs_for_terms(shard_terms)
+            part_terms = [t for t, m in zip(part_terms, member) if m]
+            if not part_terms:
+                continue  # part never opened for absent terms
+            f = self._postings._file(b)
+            rgs = f.rgs_for_terms(part_terms)
             t = f.read_rgs(rgs)
             if t is None:
                 continue
             # counters measure Parquet reads, before the selection
             self.rg_reads += len(rgs)
             self.rows_loaded += len(t)
-            t = _select_terms(t, shard_terms)
+            t = _select_terms(t, part_terms)
             for term, df, p in zip(t.column("term").to_pylist(),
                                    t.column("df").to_pylist(),
                                    _rows_to_postings(t)):
@@ -615,15 +599,12 @@ class IndexReader:
     # -- global term statistics (TermStates.build analog) -------------------
     def _open_stats(self) -> list[TermSortedFile]:
         """The generation's global (term, df, ttf) parts; a term lives in
-        part ``crc32(term) % n_parts`` (``n_parts`` from ``_META.json``)."""
+        part ``bucket_of(term)``, as in every segment."""
         if self._stats_files is None:
             d = os.path.join(self.index_dir, "global",
                              f"term_stats_gen{self.manifest.generation}")
-            with open(os.path.join(d, "_META.json")) as f:
-                n_parts = int(json.load(f)["n_parts"])
-            self._stats_files = [
-                TermSortedFile(os.path.join(d, f"part-{r:05d}.parquet"))
-                for r in range(n_parts)]
+            self._stats_files = [TermSortedFile(part_path(d, b))
+                                 for b in range(POSTINGS_BUCKETS)]
         return self._stats_files
 
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
@@ -633,9 +614,8 @@ class IndexReader:
         if missing:
             files = self._open_stats()
             by_file: dict[int, list[str]] = {}
-            for t in missing:
-                by_file.setdefault(
-                    zlib.crc32(t.encode()) % len(files), []).append(t)
+            for t, b in zip(missing, bucket_of(missing).tolist()):
+                by_file.setdefault(b, []).append(t)
             for i, sub in by_file.items():
                 f = files[i]
                 t = f.read_rgs(f.rgs_for_terms(sub),

@@ -93,8 +93,7 @@ def crc32_batch(arr) -> "np.ndarray":
     that still has a j-th byte (strings sorted by length so the active
     set is a suffix — numpy slicing, no masks). Cost is
     O(max_len) numpy passes instead of O(n_rows) Python calls; this is
-    the shuffle-key kernel for the term-partitioned merge and hash
-    routing (the FST-hash role, blocktree term routing analog).
+    the hash kernel of the dedup shingles.
     """
     import numpy as np
     import pyarrow as pa

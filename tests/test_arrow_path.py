@@ -75,7 +75,10 @@ def test_indexes_identical_between_paths(ray_session, small_pages, tmp_path_fact
     segs_a = sorted(os.listdir(os.path.join(outs[True], "segments")))
     segs_b = sorted(os.listdir(os.path.join(out_py, "segments")))
     assert segs_a == segs_b  # deterministic ids -> same doc ranges
+    from lucene_ray.index.manifest import POSTINGS_BUCKETS, part_path
     for s in segs_a:
-        ta = pq.read_table(os.path.join(outs[True], "segments", s, "postings.parquet"))
-        tb = pq.read_table(os.path.join(out_py, "segments", s, "postings.parquet"))
-        assert ta.equals(tb), s
+        for b in range(POSTINGS_BUCKETS):
+            ta, tb = (pq.read_table(part_path(os.path.join(
+                d, "segments", s, "postings.parquet"), b))
+                for d in (outs[True], out_py))
+            assert ta.equals(tb), (s, b)

@@ -20,7 +20,14 @@ from lucene_ray.index.lifecycle import (
     snapshots,
     split_index,
 )
-from lucene_ray.index.manifest import FORMAT_VERSION, read_manifest
+from lucene_ray.index.builder import write_postings_part
+from lucene_ray.index.manifest import (
+    FORMAT_VERSION,
+    POSTINGS_BUCKETS,
+    part_path,
+    read_manifest,
+    termset_path,
+)
 from lucene_ray.index.merge import merge_segments
 from lucene_ray.index.validate import validate_index
 from lucene_ray.search import IndexReader, Searcher, TermQuery, or_query
@@ -48,8 +55,12 @@ def _build(tmp_path, name, start, n, seed, batch_size):
     return out
 
 
-def _stats_meta(idx, gen):
-    return os.path.join(idx, "global", f"term_stats_gen{gen}", "_META.json")
+def _stats_dir(idx, gen):
+    return os.path.join(idx, "global", f"term_stats_gen{gen}")
+
+
+def _postings_dir(idx, seg_id):
+    return os.path.join(idx, "segments", seg_id, "postings.parquet")
 
 
 def _segment_sums(reader):
@@ -97,17 +108,41 @@ def test_validate_reports_missing_sidecars(ray_session, tmp_path):
     assert validate_index(idx) == []
     seg = next(s.seg_id for s in read_manifest(idx).segments
                if s.seg_id.startswith("merged-"))
-    shards = os.path.join(idx, "segments", seg, "postings.parquet")
-    termset = sorted(f for f in os.listdir(shards)
-                     if f.endswith(".termset"))[0]
-    os.remove(os.path.join(shards, termset))
+    os.remove(termset_path(_postings_dir(idx, seg), 0))
     errs = validate_index(idx)
-    assert len(errs) == 1 and "missing termset" in errs[0], errs
-    os.remove(os.path.join(shards, "_BUCKETS.json"))
-    assert any("missing postings _BUCKETS.json" in e
-               for e in validate_index(idx))
-    os.remove(_stats_meta(idx, read_manifest(idx).generation))
-    assert any("missing _META.json" in e for e in validate_index(idx))
+    assert errs == [f"{seg}/part-00000: missing termset"], errs
+    gen = read_manifest(idx).generation
+    os.remove(part_path(_stats_dir(idx, gen), 3))
+    errs = validate_index(idx)
+    assert errs[1:] == [f"term_stats_gen{gen}/part-00003: missing part"], errs
+
+
+def test_validate_reports_a_missing_part_once(ray_session, tmp_path):
+    idx = _build(tmp_path, "idx", 0, 300, seed=2, batch_size=60)
+    seg = read_manifest(idx).segments[1].seg_id
+    os.remove(part_path(_postings_dir(idx, seg), 5))
+    assert validate_index(idx) == [f"{seg}/part-00005: missing part"]
+
+
+def test_validate_reports_a_row_in_the_wrong_part_once(ray_session,
+                                                       tmp_path):
+    """A row written into another part than its term's, with that part's
+    termset matching: no reader finds the term, and validation says so
+    once."""
+    idx = _build(tmp_path, "idx", 0, 300, seed=2, batch_size=60)
+    seg = read_manifest(idx).segments[0].seg_id
+    d = _postings_dir(idx, seg)
+    src = next(b for b in range(POSTINGS_BUCKETS)
+               if pq.read_metadata(part_path(d, b)).num_rows)
+    dst = (src + 1) % POSTINGS_BUCKETS
+    a, b = (pq.read_table(part_path(d, i)) for i in (src, dst))
+    term = a.column("term")[0].as_py()
+    write_postings_part(d, src, a.slice(1))
+    write_postings_part(d, dst, pa.concat_tables([b, a.slice(0, 1)])
+                        .sort_by("term"))
+    assert IndexReader(idx).segment(seg).get_postings(term) is None
+    assert validate_index(idx) == [
+        f"{seg}/part-{dst:05d}: 1 terms of another part"]
 
 
 def test_every_writer_commits_term_stats(ray_session, tmp_path):
@@ -142,7 +177,8 @@ def test_every_writer_commits_term_stats(ray_session, tmp_path):
     split_index(a, parts, [150])
     for idx in (a, *parts):
         for gen in snapshots(idx):
-            assert os.path.isfile(_stats_meta(idx, gen)), (idx, gen)
+            assert all(os.path.isfile(part_path(_stats_dir(idx, gen), b))
+                       for b in range(POSTINGS_BUCKETS)), (idx, gen)
             assert validate_index(idx, gen) == [], (idx, gen)
 
 

@@ -1,11 +1,10 @@
 """Golden layout: the bytes a fixed build + merge writes must not move.
 
 A seeded 1,024-doc corpus is built at batch 256 (4 segments) and merged
-with ``segs_per_tier=4`` (one merged segment). Each built segment's
-``postings.parquet`` table and the merged segment's postings (its
-reducer shards concatenated and sorted by term, so the digest does not
-depend on the shard count, which follows the CPU count) are hashed as
-Arrow IPC after ``combine_chunks()``. A code change that alters any
+with ``segs_per_tier=4`` (one merged segment). Each segment's postings,
+built or merged, are read as one table (its parts concatenated and
+sorted by term, so the digest does not depend on how terms are split
+into parts) and hashed as Arrow IPC after ``combine_chunks()``. A code change that alters any
 postings byte (packing, impacts, column layout, term order) fails here;
 an intentional format change updates the digests in the same change.
 """
@@ -38,6 +37,11 @@ def _digest(table: pa.Table) -> str:
     return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()
 
 
+def _postings(seg_dir: str) -> pa.Table:
+    return pq.read_table(os.path.join(seg_dir, "postings.parquet")) \
+        .sort_by("term")
+
+
 def _layout_digests(corpus_dir: str, index_dir: str):
     from lucene_ray.index import build_index
     from lucene_ray.index.merge import merge_segments
@@ -45,16 +49,11 @@ def _layout_digests(corpus_dir: str, index_dir: str):
     paths = write_pages(corpus_dir, 1024, seed=20261018, n_terms=3000)
     built = build_index(paths, index_dir, batch_size=256)
     seg_root = os.path.join(index_dir, "segments")
-    digests = {s.seg_id: _digest(pq.read_table(
-        os.path.join(seg_root, s.seg_id, "postings.parquet")))
-        for s in built.segments}
+    digests = {s.seg_id: _digest(_postings(os.path.join(seg_root, s.seg_id)))
+               for s in built.segments}
     merged = merge_segments(index_dir, segs_per_tier=4)
     (seg,) = merged.segments
-    shards = os.path.join(seg_root, seg.seg_id, "postings.parquet")
-    table = pa.concat_tables(
-        pq.read_table(os.path.join(shards, f))
-        for f in sorted(os.listdir(shards)) if f.endswith(".parquet"))
-    return digests, _digest(table.sort_by("term"))
+    return digests, _digest(_postings(os.path.join(seg_root, seg.seg_id)))
 
 
 def test_postings_layout_is_golden(ray_session, tmp_path):

@@ -1,6 +1,5 @@
 """Segment merge: results identical pre/post merge (FIXTURES.md F4b),
-index invariants hold (CheckIndex pattern), salted path equivalent,
-and the re-pack kernel (tombstones, overlapping segments, positions,
+index invariants hold (CheckIndex pattern), and the re-pack kernel (tombstones, overlapping segments, positions,
 registered formats) equal to a fresh pack of the same postings."""
 
 import os
@@ -68,85 +67,6 @@ def test_merge_preserves_results(merged_setup):
 
     errs = validate_index(out)
     assert errs == []
-
-
-def test_merge_salted_equivalent(merged_setup, tmp_path_factory):
-    out, _ = merged_setup
-    r = IndexReader(out, generation=0)
-    qs = _queries(r)
-    base = _snapshot(Searcher(r), qs)
-
-    import shutil, os
-    out2 = str(tmp_path_factory.mktemp("idx_salted"))
-    shutil.copytree(out, out2, dirs_exist_ok=True)
-    # drop newer generations so the salted merge starts from gen 0
-    for f in os.listdir(out2):
-        if f.startswith("manifest_") and f != "manifest_0.json":
-            os.remove(os.path.join(out2, f))
-    merge_segments(out2, segs_per_tier=8, salt_buckets=3)
-    after = _snapshot(Searcher(IndexReader(out2)), qs)
-    assert base == after
-    assert validate_index(out2) == []
-
-
-def test_merge_auto_salt_engages(merged_setup, tmp_path_factory, monkeypatch):
-    """Zipf-head detection: with the hot-term payload threshold lowered
-    to less than any term's estimated payload, salt_buckets=None derives
-    a salted two-level shuffle AUTOMATICALLY from the global df column
-    stats, and its output is identical to the unsalted merge."""
-    import os
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    from lucene_ray.index import merge as merge_mod
-    from lucene_ray.index.manifest import read_manifest
-
-    out, _ = merged_setup
-    r = IndexReader(out, generation=0)
-    qs = _queries(r)
-    base = _snapshot(Searcher(r), qs)
-
-    dirs = []
-    for tag in ("auto", "flat"):
-        d = str(tmp_path_factory.mktemp(f"idx_autosalt_{tag}"))
-        shutil.copytree(out, d, dirs_exist_ok=True)
-        for f in os.listdir(d):
-            if f.startswith("manifest_") and f != "manifest_0.json":
-                os.remove(os.path.join(d, f))
-        dirs.append(d)
-    out_a, out_b = dirs
-
-    ma = read_manifest(out_a)
-    groups = plan_merges(ma.segments, 8, 10_000_000)
-    # this corpus has no 64MB-payload term: auto stays single-level
-    assert merge_mod.auto_salt_buckets(out_a, ma, groups) == 1
-    # lower the threshold below the hottest term's payload: engages
-    monkeypatch.setattr(merge_mod, "HOT_TERM_PAYLOAD_BYTES", 64)
-    assert merge_mod.auto_salt_buckets(out_a, ma, groups) > 1
-
-    merge_segments(out_a, segs_per_tier=8)                  # auto (salted)
-    merge_segments(out_b, segs_per_tier=8, salt_buckets=1)  # forced flat
-
-    assert _snapshot(Searcher(IndexReader(out_a)), qs) == base
-    assert validate_index(out_a) == []
-
-    # merged postings identical to the unsalted run, term by term
-    for d in (out_a, out_b):
-        assert read_manifest(d).generation == 1
-    seg_a = read_manifest(out_a).segments
-    seg_b = read_manifest(out_b).segments
-    assert [s.seg_id for s in seg_a] == [s.seg_id for s in seg_b]
-    for sa in seg_a:
-        pa_dir = os.path.join(out_a, "segments", sa.seg_id,
-                              "postings.parquet")
-        pb_dir = os.path.join(out_b, "segments", sa.seg_id,
-                              "postings.parquet")
-        if not os.path.isdir(pa_dir):
-            continue  # group too small to merge: untouched segment
-        ta = pq.read_table(pa_dir).sort_by("term")
-        tb = pq.read_table(pb_dir).sort_by("term")
-        assert ta.equals(tb)
 
 
 def test_merge_repack_equivalent(merged_setup, tmp_path_factory):
@@ -348,9 +268,6 @@ def test_repack_kernel_equals_fresh_pack(case, monkeypatch):
         tables.append(t)
         srcs.append(src)
     group = pa.concat_tables(tables)
-    group = group.append_column("okey", pa.array(
-        [r[0] for r in group.column("block_last_docs").to_pylist()],
-        pa.int64()))
     deleted = None
     if case in ("tombstones", "positions"):
         # every doc of one term, and a tenth of the rest

@@ -12,6 +12,7 @@ from lucene_ray.codecs.postings import PackedPostings
 from lucene_ray.index import build_index
 from lucene_ray.index.merge import merge_segments
 from lucene_ray.index.builder import POSTINGS_ROW_GROUP
+from lucene_ray.index.manifest import bucket_of
 from lucene_ray.search import (
     BooleanQuery,
     IndexReader,
@@ -78,17 +79,14 @@ def test_pruning_after_merge_bucket_routing(ray_session, wide_vocab_index,
     merge_segments(d)
     reader = IndexReader(d)
     segs = list(reader.segments())
-    assert any(sr._postings.is_dir for sr in segs)  # merged shards exist
-    assert all(sr._postings.n_buckets for sr in segs
-               if sr._postings.is_dir)  # _BUCKETS.json routing present
+    assert any(i.seg_id.startswith("merged-") for i in reader.segment_infos)
     s = Searcher(reader)
     q = BooleanQuery(must=(TermQuery("w00042"), TermQuery("anchor")))
     assert s.count(q) == _brute_count(texts, ["w00042", "anchor"], "and")
-    total_rows = sum(sr.rows_loaded for sr in reader.segments())
-    # bucket routing: each term touches ONE shard's row group(s) per seg
-    n_files = sum(len(sr._postings._paths) for sr in segs)
-    assert total_rows <= 2 * POSTINGS_ROW_GROUP * len(segs), \
-        (total_rows, n_files)
+    # bucket routing: each term reads ONE row group of ONE part per seg
+    assert sum(sr.rg_reads for sr in segs) <= 2 * len(segs)
+    total_rows = sum(sr.rows_loaded for sr in segs)
+    assert total_rows <= 2 * POSTINGS_ROW_GROUP * len(segs), total_rows
 
 
 def test_vocab_range_pruned_expansion(wide_vocab_index):
@@ -159,19 +157,20 @@ def _assert_postings_equal(got, want):
 
 
 def _row_group_edges(reader):
-    """A postings file of the first segment with >= 3 row groups, its
+    """Part 0 of the first segment's postings (>= 3 row groups), its
     full-file table, and the first and last term of its row group 1."""
     sr = next(reader.segments())
-    f = next(sr._postings.files())
+    f = sr._postings._file(0)
     assert f.num_row_groups >= 3
     return sr, f, pq.read_table(f.path), f.rg_mins[1], f.rg_maxs[1]
 
 
-def _absent_in_range(f, rg):
-    """A term that is not in the file but inside row group rg's
-    [min, max] (term ids are fixed-width, so min + "~" sorts before
-    the next term)."""
-    t = f.rg_mins[rg] + "~"
+def _absent_in_range(f, rg, b):
+    """A term of part ``b`` that is not in the file but inside row group
+    rg's [min, max] (term ids are fixed-width, so min + "~" + digits
+    sorts before the next term)."""
+    t = next(t for t in (f"{f.rg_mins[rg]}~{i}" for i in range(1000))
+             if bucket_of([t])[0] == b)
     assert f.rg_mins[rg] < t < f.rg_maxs[rg]
     return t
 
@@ -180,13 +179,13 @@ def _absent_in_range(f, rg):
 def test_selected_rows_match_full_read(wide_vocab_index, exact_termset):
     out, _ = wide_vocab_index
     sr, f, full, first, last = _row_group_edges(IndexReader(out))
-    absent = _absent_in_range(f, 1)
+    absent = _absent_in_range(f, 1, 0)
     if not exact_termset:
         # a fingerprint false positive (64-bit hash collision): the
         # termset admits the absent term, the row group is read, and
         # the Arrow selection must still drop it
-        ts = sr._postings.termset("")
-        sr._postings._termsets[""] = np.sort(
+        ts = sr._postings.termset(0)
+        sr._postings._termsets[0] = np.sort(
             np.append(ts, term_hash64([absent])))
     batch = [first, absent, last, first, last, absent]
     sr.ensure_terms(batch)
@@ -206,10 +205,11 @@ def test_term_stats_batch_matches_full_scan(wide_vocab_index):
     out, _ = wide_vocab_index
     reader = IndexReader(out)
     files = reader._open_stats()
-    f = max(files, key=lambda x: x.num_row_groups)
+    b = max(range(len(files)), key=lambda i: files[i].num_row_groups)
+    f = files[b]
     rg = f.num_row_groups // 2
     first, last = f.rg_mins[rg], f.rg_maxs[rg]
-    absent = _absent_in_range(f, rg)
+    absent = _absent_in_range(f, rg, b)
     batch = [first, absent, last, last, "anchor", absent, "zz_missing"]
     got = reader.term_stats(batch)
     full = reader.all_term_stats()

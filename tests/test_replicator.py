@@ -103,9 +103,9 @@ def test_gc_drops_unreferenced(src, tmp_path):
 
 
 def test_replicate_merged_index_with_deletes(ray_session, tmp_path):
-    """A merged segment's postings.parquet is a directory of term-hash
-    shards: the revision lists its part files, their termsets and
-    _BUCKETS.json, so the replica validates and ranks like the source."""
+    """A segment's postings.parquet is a directory of term-hash parts:
+    the revision lists every part file and its termset, so the replica
+    of a merged, tombstoned index validates and ranks like the source."""
     from lucene_ray.index.deletes import apply_deletes
     from lucene_ray.index.merge import merge_segments
     from lucene_ray.index.validate import validate_index
@@ -125,7 +125,7 @@ def test_replicate_merged_index_with_deletes(ray_session, tmp_path):
     assert validate_index(dst) == []
 
     reader = IndexReader(src_idx)
-    assert any(sr._postings.is_dir for sr in reader.segments())
+    assert reader.segment_infos[0].seg_id.startswith("merged-")
     by_df = sorted(reader.all_term_stats().items(), key=lambda kv: -kv[1][0])
     terms = [t for t, _ in by_df[:3] + by_df[200:202]]
     queries = [TermQuery(t) for t in terms] + [or_query(terms[2:])]
@@ -159,6 +159,9 @@ def test_revision_lists_only_its_generations_deletes(ray_session, tmp_path):
     assert deletes_files(2) == [f"segments/{seg}/deletes_gen2.parquet"]
     dst = str(tmp_path / "replica")
     replicate(idx, dst, generation=1)
-    assert sorted(os.listdir(os.path.join(dst, "segments", seg))) == sorted(
-        os.path.basename(f) for f in current_revision(idx, 1).files
-        if f.startswith(f"segments/{seg}/"))
+    copied = sorted(
+        os.path.relpath(os.path.join(root, name), dst).replace(os.sep, "/")
+        for root, _, names in os.walk(os.path.join(dst, "segments", seg))
+        for name in names)
+    assert copied == sorted(f for f in current_revision(idx, 1).files
+                            if f.startswith(f"segments/{seg}/"))

@@ -79,3 +79,18 @@ def test_resume_noop_when_complete(ray_session, small_pages, tmp_path_factory):
     for d in os.listdir(seg_root):
         assert os.path.getmtime(os.path.join(seg_root, d, "_COMPLETE")) == mtimes[d]
     assert m2.num_docs == m1.num_docs
+
+
+def test_rerun_with_another_shard_size_reuses_no_shard(ray_session, tmp_path):
+    """Shards planned with another ``rows_per_shard`` cover other rows: a
+    re-run must build its own plan's shards, not list the old ones too."""
+    from lucene_ray.index.validate import validate_index
+    from lucene_ray.sources import write_pages
+    paths = write_pages(str(tmp_path / "pages"), 1000, seed=5)
+    out = str(tmp_path / "idx")
+    assert len(build_index_resumable(paths, out,
+                                     rows_per_shard=500).segments) == 2
+    m = build_index_resumable(paths, out, rows_per_shard=250)
+    assert len(m.segments) == 4
+    assert m.num_docs == 1000
+    assert validate_index(out) == []
