@@ -463,9 +463,11 @@ def build_index(
 @ray.remote
 def _sum_stats_part(paths: list[str], out_path: str) -> None:
     """One part of the global (term, df, ttf): the sums over that part
-    of every segment, term-sorted."""
-    t = pa.concat_tables(
-        pq.read_table(p, columns=["term", "df", "ttf"]) for p in paths)
+    of every segment, term-sorted (empty for a generation with no
+    segments)."""
+    cols = ["term", "df", "ttf"]
+    t = pa.concat_tables([pq.read_table(p, columns=cols) for p in paths]
+                         or [POSTINGS_SCHEMA.empty_table().select(cols)])
     g = t.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
     g = g.rename_columns(["term", "df", "ttf"]).sort_by("term")
     pq.write_table(g, out_path, row_group_size=4096)

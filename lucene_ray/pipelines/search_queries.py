@@ -18,7 +18,7 @@ import pyarrow as pa
 from ..index import build_index
 from ..index.manifest import FORMAT_VERSION
 from ..search import BooleanQuery, IndexReader, Searcher, TermQuery
-from ..search.postings_io import lookup
+from ..search.bm25 import idf64, score64
 
 # keyed by on-disk format: an index cached by code that wrote another
 # format is rebuilt, not opened (readers refuse other versions)
@@ -105,24 +105,13 @@ def bm25_topk(doc_path: str, terms: list[str], kind: str = "term",
         return _quantized_rank_table(docs, scores, k)
     td = s.search(_query(kind, terms), k=k)
     ranks = np.arange(1, len(td.doc_ids) + 1, dtype=np.int64)
-    if kind == "term" and len(terms) == 1:
-        tfs = np.zeros(len(td.doc_ids), dtype=np.int64)
-        dls = np.zeros(len(td.doc_ids), dtype=np.int64)
-        for sr in reader.segments():
-            if len(sr.doc_ids) == 0:
-                continue
-            pos = np.searchsorted(sr.doc_ids, td.doc_ids)
-            pos_c = np.minimum(pos, len(sr.doc_ids) - 1)
-            in_seg = sr.doc_ids[pos_c] == td.doc_ids  # exact membership
-            if not in_seg.any():
-                continue
-            dec = sr.get_decoded(terms[0])
-            if dec is not None:
-                tfs[in_seg] = lookup(dec, td.doc_ids[in_seg])
-            dls[in_seg] = sr.doc_lens_for(td.doc_ids[in_seg])
+    if len(terms) == 1:
+        docs, freqs = reader.live_postings(terms[0])
+        tfs = freqs[np.searchsorted(docs, td.doc_ids)]
         return pa.table({"doc_id": pa.array(td.doc_ids, pa.int64()),
                          "tf": pa.array(tfs, pa.int64()),
-                         "dl": pa.array(dls, pa.int64()),
+                         "dl": pa.array(reader.doc_lens(td.doc_ids),
+                                        pa.int64()),
                          "rank": pa.array(ranks, pa.int64())})
     return pa.table({"doc_id": pa.array(td.doc_ids, pa.int64()),
                      "rank": pa.array(ranks, pa.int64())})
@@ -1442,47 +1431,28 @@ def synonym_blended_topk(doc_path: str, terms: list[str],
     :315 applies the per-term boost to the FREQUENCY, not the score).
     Scored exact64 BM25 on the combined freq; (doc_id, rank) on the
     quantized grid."""
-    from ..search.bm25 import B, K1
-
     if boosts is None:
         boosts = [1.0] * len(terms)
     reader = IndexReader(cached_index(doc_path))
     stats = reader.term_stats(list(terms))
-    dfs = [stats[t][0] for t in terms if stats.get(t, (0, 0))[0] > 0]
-    if not dfs:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    df_b = max(dfs)
+    df_b = max(stats[t][0] for t in terms)
+    docs, freqs = _weighted_freq_sum(
+        [(*reader.live_postings(t), b) for t, b in zip(terms, boosts)])
     n = reader.doc_count
-    avgdl = reader.sum_total_term_freq / float(n)
-    idf = np.log(1 + (n - df_b + 0.5) / (df_b + 0.5))
-    parts_d, parts_s = [], []
-    for sr in reader.segments():
-        ds, fs = [], []
-        for t, boost in zip(terms, boosts):
-            dec = sr.get_decoded(t)
-            if dec is None:
-                continue
-            d, f, _ = dec
-            ds.append(d)
-            fs.append(f.astype(np.float64) * boost)
-        if not ds:
-            continue
-        d = np.concatenate(ds)
-        f = np.concatenate(fs)
-        ud, inv = np.unique(d, return_inverse=True)
-        uf = np.zeros(len(ud), dtype=np.float64)
-        np.add.at(uf, inv, f)
-        if sr.deleted is not None and len(sr.deleted):
-            keep = ~np.isin(ud, sr.deleted)
-            ud, uf = ud[keep], uf[keep]
-        dl = sr.doc_lens_for(ud).astype(np.float64)
-        sc = idf * uf / (uf + K1 * (1 - B + B * dl / avgdl))
-        parts_d.append(ud.astype(np.int64))
-        parts_s.append(sc)
-    docs = np.concatenate(parts_d)
-    scores = np.concatenate(parts_s)
+    scores = score64(freqs, reader.doc_lens(docs), idf64(df_b, n),
+                     reader.sum_total_term_freq / float(n))
     return _quantized_rank_table(docs, scores, k)
+
+
+def _weighted_freq_sum(postings) -> tuple[np.ndarray, np.ndarray]:
+    """Per-doc sum of ``weight * tf`` over ``(docs, freqs, weight)``
+    postings, docs ascending: the freq of a blended pseudo-term."""
+    ud, inv = np.unique(np.concatenate([d for d, _, _ in postings]),
+                        return_inverse=True)
+    uf = np.zeros(len(ud), dtype=np.float64)
+    np.add.at(uf, inv, np.concatenate(
+        [f.astype(np.float64) * w for _, f, w in postings]))
+    return ud, uf
 
 
 def _titled_docs(doc_path: str, n_title: int = 8) -> str:
@@ -1520,7 +1490,6 @@ def combined_field_topk(doc_path: str, terms: list[str],
     fields (:354-371). Runs over a derived (text, title) two-field
     index of the documents table."""
     from ..index.multi_field import build_multi_field_index
-    from ..search.bm25 import B, K1
 
     if weights is None:
         weights = {"text": 1.0, "title": 2.0}
@@ -1536,46 +1505,17 @@ def combined_field_topk(doc_path: str, terms: list[str],
     doc_count = max(r.doc_count for r in readers.values())
     sum_ttf = sum(w * readers[f].sum_total_term_freq
                   for f, w in weights.items())
-    avgdl = sum_ttf / float(doc_count)
-    df_b = 0
-    for f, r in readers.items():
-        st = r.term_stats(list(terms))
-        df_b = max([df_b] + [st[t][0] for t in terms if t in st])
-    if df_b == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    idf = np.log(1 + (doc_count - df_b + 0.5) / (df_b + 0.5))
-
+    df_b = max(r.term_stats(list(terms))[t][0]
+               for r in readers.values() for t in terms)
     # combined freq and combined length per GLOBAL doc id (the field
     # indexes share global docIDs by construction)
-    ds, fs = [], []
-    for f, w in weights.items():
-        for sr in readers[f].segments():
-            for t in terms:
-                dec = sr.get_decoded(t)
-                if dec is None:
-                    continue
-                d, fr, _ = dec
-                ds.append(d)
-                fs.append(fr.astype(np.float64) * w)
-    if not ds:
-        return pa.table({"doc_id": pa.array([], pa.int64()),
-                         "rank": pa.array([], pa.int64())})
-    d = np.concatenate(ds)
-    fr = np.concatenate(fs)
-    ud, inv = np.unique(d, return_inverse=True)
-    uf = np.zeros(len(ud), dtype=np.float64)
-    np.add.at(uf, inv, fr)
-    dl = np.zeros(len(ud), dtype=np.float64)
-    for f, w in weights.items():
-        for sr in readers[f].segments():
-            lo = np.searchsorted(ud, sr.doc_ids[0])
-            hi = np.searchsorted(ud, sr.doc_ids[-1], side="right")
-            if hi > lo:
-                dl[lo:hi] += w * sr.doc_lens_for(ud[lo:hi]) \
-                    .astype(np.float64)
-    sc = idf * uf / (uf + K1 * (1 - B + B * dl / avgdl))
-    return _quantized_rank_table(ud.astype(np.int64), sc, k)
+    docs, freqs = _weighted_freq_sum(
+        [(*readers[f].live_postings(t), w)
+         for f, w in weights.items() for t in terms])
+    dl = sum(w * readers[f].doc_lens(docs) for f, w in weights.items())
+    scores = score64(freqs, dl, idf64(df_b, doc_count),
+                     sum_ttf / float(doc_count))
+    return _quantized_rank_table(docs, scores, k)
 
 
 def phrase_wildcard_match(doc_path: str, phrase_terms: list[str]) -> pa.Table:
@@ -1755,13 +1695,13 @@ def fuzzy_like_this_topk(doc_path: str, query_terms: list[str],
     desc, term asc on ties — ScoreTermQueue order) form a SHOULD query
     whose term clauses score with ARTIFICIAL df=ttf=1 stats (:262-270),
     here exact64 BM25 with df=1. (doc_id, rank) on the quantized grid."""
-    from ..search.bm25 import B, K1
     from ..search.query import FuzzyQuery, _edit_distance, expand_terms, \
         expansion_range
 
+    from ..search.similarities import BlendedBM25Similarity
+
     reader = IndexReader(cached_index(doc_path))
     n = reader.doc_count
-    avgdl = reader.sum_total_term_freq / float(n)
 
     # variant selection (addTerms)
     scored_terms: list[tuple[float, str]] = []  # (st.score, variant)
@@ -1791,35 +1731,10 @@ def fuzzy_like_this_topk(doc_path: str, query_terms: list[str],
         return pa.table({"doc_id": pa.array([], pa.int64()),
                          "rank": pa.array([], pa.int64())})
 
-    # artificial df=1 stats: one idf for every clause
-    idf1 = np.log(1 + (n - 1 + 0.5) / (1 + 0.5))
-    parts_d, parts_s = [], []
-    for sr in reader.segments():
-        ds, ss = [], []
-        for tscore, v in kept:
-            dec = sr.get_decoded(v)
-            if dec is None:
-                continue
-            d, f, _ = dec
-            dl = sr.doc_lens_for(d).astype(np.float64)
-            f = f.astype(np.float64)
-            ss.append(tscore * idf1 * f /
-                      (f + K1 * (1 - B + B * dl / avgdl)))
-            ds.append(d)
-        if not ds:
-            continue
-        d = np.concatenate(ds)
-        s = np.concatenate(ss)
-        ud, inv = np.unique(d, return_inverse=True)
-        us = np.zeros(len(ud), dtype=np.float64)
-        np.add.at(us, inv, s)
-        if sr.deleted is not None and len(sr.deleted):
-            keep = ~np.isin(ud, sr.deleted)
-            ud, us = ud[keep], us[keep]
-        parts_d.append(ud.astype(np.int64))
-        parts_s.append(us)
-    docs = np.concatenate(parts_d)
-    scores = np.concatenate(parts_s)
+    # artificial df=1 stats: every clause scores as if its df were 1
+    s = Searcher(reader, similarity=BlendedBM25Similarity(1))
+    docs, scores = s.eval_complete(BooleanQuery(
+        should=tuple(TermQuery(v, tscore) for tscore, v in kept)))
     return _quantized_rank_table(docs, scores, k)
 
 
@@ -1861,45 +1776,17 @@ def search_quality(doc_path: str, query_terms: list[str],
     query's top-k BM25 ranking is judged against derived relevance
     (docs whose tf >= ``rel_tf``). INTEGER metric components per query
     — (n_rel_ret, n_ret, n_rel, first_rel_rank) — so p@k = n_rel_ret/
-    n_ret, recall = n_rel_ret/n_rel, RR = 1/first_rel_rank are exact."""
-    from ..search.bm25 import B, K1
-
+    n_ret, recall = n_rel_ret/n_rel, RR = 1/first_rel_rank are exact.
+    Ranked by the engine's exact64 term scores, whose df comes from the
+    generation's term stats (deleted docs count until a merge, as
+    Lucene's docFreq does); relevance counts live docs only."""
     reader = IndexReader(cached_index(doc_path))
-    n = reader.doc_count
-    avgdl = reader.sum_total_term_freq / float(n)
+    s = Searcher(reader, similarity="bm25_exact64")
     rows = []
     for qt in query_terms:
-        ds, fs = [], []
-        for sr in reader.segments():
-            dec = sr.get_decoded(qt)
-            if dec is None:
-                continue
-            d, f, _ = dec
-            if sr.deleted is not None and len(sr.deleted):
-                keep = ~np.isin(d, sr.deleted)
-                d, f = d[keep], f[keep]
-            ds.append(d)
-            fs.append(f.astype(np.int64))
-        if not ds:
-            rows.append((qt, 0, 0, 0, 0))
-            continue
-        docs = np.concatenate(ds)
-        tfs = np.concatenate(fs)
-        df = len(docs)
-        idf = np.log(1 + (n - df + 0.5) / (df + 0.5))
-        # doc lens per posting doc (segment-routed, same deleted mask)
-        dls = []
-        for sr in reader.segments():
-            dec = sr.get_decoded(qt)
-            if dec is None:
-                continue
-            d = dec.docs
-            if sr.deleted is not None and len(sr.deleted):
-                d = d[~np.isin(d, sr.deleted)]
-            dls.append(sr.doc_lens_for(d).astype(np.float64))
-        dl = np.concatenate(dls)
-        sc = idf * tfs / (tfs + K1 * (1 - B + B * dl / avgdl))
-        key = np.floor(sc * 1e9).astype(np.int64)
+        docs, scores = s.eval_complete(TermQuery(qt))
+        _, tfs = reader.live_postings(qt)  # the same docs, ascending
+        key = np.floor(scores * 1e9).astype(np.int64)
         order = np.lexsort((docs, -key))[:k]
         rel_mask_all = tfs >= rel_tf
         n_rel = int(rel_mask_all.sum())
@@ -1965,8 +1852,8 @@ def suggest_blended_infix(doc_path: str, token: str, k: int = 10,
             sc = w * (1.0 - 0.10 * first)
         else:
             raise ValueError(blender)
-        if sr.deleted is not None and len(sr.deleted):
-            keep = ~np.isin(docs, sr.deleted)
+        keep = sr.live_mask(docs)
+        if keep is not None:
             docs, sc = docs[keep], sc[keep]
         parts_d.append(docs.astype(np.int64))
         parts_s.append(sc)

@@ -274,9 +274,8 @@ def more_like_this(path: str, doc_id: int, *, max_query_terms: int = 8,
 
     Returns (doc_id, rank) under bm25_exact64 so the driver SQL oracle
     can reproduce scores exactly."""
-    import math
-
     from ..search import BooleanQuery, IndexReader, Searcher, TermQuery
+    from ..search.bm25 import idf64
     from .search_queries import cached_index
 
     idx = cached_index(path)
@@ -302,8 +301,7 @@ def more_like_this(path: str, doc_id: int, *, max_query_terms: int = 8,
         df = stats[term][0]
         if df < min_doc_freq:
             continue  # MoreLikeThis minDocFreq gate
-        idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
-        scored.append((f * idf, term))
+        scored.append((f * idf64(df, n), term))
     scored.sort(key=lambda x: (-x[0], x[1]))
     top_terms = tuple(tm for _, tm in scored[:max_query_terms])
     if not top_terms:

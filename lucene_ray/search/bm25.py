@@ -10,9 +10,22 @@
 Multi-term scores are summed in double then cast to float
 (DisjunctionSumScorer/ConjunctionScorer accumulate in double).
 
-A float64 "exact-dl" variant (no norm quantization) is provided for the
-SQL-oracle correctness gate, where DuckDB computes the same expression
-in double precision.
+``idf64`` and ``score64`` are the one double-precision BM25 formula
+(exact doc lengths, no norm quantization): the ``bm25_exact64``
+similarity, the SQL-oracle correctness gate (DuckDB computes the same
+expression in double precision) and every other float64 BM25 scorer
+call them; nothing else writes the expression out. ``score64`` takes a
+precomputed weight, and each caller passes its own:
+
+- ``Searcher`` exact64 term scoring and ``explain``: ``idf64(df, N)``
+  (term boosts are ignored, as the oracle has none);
+- exact64 phrases and spans: the sum of ``idf64`` over the terms;
+- ``BlendedBM25Similarity``: ``boost * idf64(df_blend, N)``;
+- ``MemoryIndex``: ``boost * idf64(1, 1)`` (or a phrase's idf sum);
+- the driver pseudo-terms (synonym, combined field): ``idf64`` of the
+  blended df.
+
+MoreLikeThis ranks its candidate terms by ``tf * idf64``.
 """
 
 from __future__ import annotations
@@ -27,8 +40,13 @@ K1 = 1.2
 B = 0.75
 
 
+def idf64(doc_freq: int, doc_count: int) -> float:
+    """``ln(1 + (N - df + 0.5) / (df + 0.5))`` in double (``math.log``)."""
+    return math.log(1 + (doc_count - doc_freq + 0.5) / (doc_freq + 0.5))
+
+
 def idf(doc_freq: int, doc_count: int) -> np.float32:
-    return np.float32(math.log(1 + (doc_count - doc_freq + 0.5) / (doc_freq + 0.5)))
+    return np.float32(idf64(doc_freq, doc_count))
 
 
 def avg_field_length(sum_total_term_freq: int, doc_count: int) -> np.float32:
@@ -77,12 +95,11 @@ def max_block_scores(imp_freqs: np.ndarray, imp_norms: np.ndarray,
 
 # --- float64 exact-dl variant (SQL-oracle mode) ---------------------------
 
-def score64(tf: np.ndarray, dl: np.ndarray, df: int, doc_count: int,
-            avgdl: float, k1: float = K1, b: float = B) -> np.ndarray:
-    """Double-precision BM25 with exact doc lengths (no norm byte), the
-    same expression an ANSI-SQL oracle computes:
-    ``ln(1 + (N-df+0.5)/(df+0.5)) * tf / (tf + k1*(1-b+b*dl/avgdl))``."""
-    w = math.log(1 + (doc_count - df + 0.5) / (df + 0.5))
+def score64(tf, dl, weight: float, avgdl: float, k1: float = K1,
+            b: float = B) -> np.ndarray:
+    """Double-precision BM25 with exact doc lengths (no norm byte):
+    ``weight * tf / (tf + k1 * (1 - b + b * dl / avgdl))``, where
+    ``weight`` is boost * ``idf64`` or a phrase's idf sum."""
     tf = np.asarray(tf, dtype=np.float64)
     dl = np.asarray(dl, dtype=np.float64)
-    return w * tf / (tf + k1 * (1 - b + b * dl / avgdl))
+    return weight * tf / (tf + k1 * (1 - b + b * dl / avgdl))

@@ -14,18 +14,16 @@ idf = ln(1 + 0.5/1.5) and the length norm is exactly 1.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .bm25 import B, K1, idf64, score64
 from .query import (
     BooleanQuery, BoostQuery, ConstantScoreQuery, DisjunctionMaxQuery,
     MatchAllDocsQuery, PhraseQuery, Query, SpanNearQuery, TermQuery,
 )
 from .monitor import matches_doc
 
-K1, B = 1.2, 0.75
-_IDF1 = math.log(1.0 + 0.5 / 1.5)  # idf with N=1, df=1
+_IDF1 = idf64(1, 1)
 
 
 class MemoryIndex:
@@ -51,8 +49,9 @@ class MemoryIndex:
     # --- scoring ----------------------------------------------------------
     def _tf_score(self, freq: float, boost: float = 1.0,
                   idf: float = _IDF1) -> float:
-        # dl == avgdl -> norm factor is exactly 1
-        return boost * idf * freq / (freq + self.k1)
+        # dl == avgdl: the length norm is 1
+        return float(score64(freq, self.dl, boost * idf, self.dl,
+                             self.k1, self.b))
 
     def _score(self, q: Query, boost: float = 1.0) -> tuple[bool, float]:
         """(matches, score)."""

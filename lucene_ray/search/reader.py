@@ -596,6 +596,45 @@ class IndexReader:
         for info in self.segment_infos:
             yield self.segment(info.seg_id)
 
+    def live_postings(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, freqs) of ``term`` over every segment, tombstoned docs
+        dropped, docs ascending."""
+        ds, fs = [], []
+        for sr in self.segments():
+            dec = sr.get_decoded(term)
+            if dec is None:
+                continue
+            d, f = dec.docs, dec.freqs
+            m = sr.live_mask(d)
+            if m is not None:
+                d, f = d[m], f[m]
+            ds.append(d)
+            fs.append(f)
+        if not ds:
+            return np.empty(0, np.int64), np.empty(0, np.int32)
+        docs, freqs = np.concatenate(ds), np.concatenate(fs)
+        if not np.all(docs[:-1] <= docs[1:]):  # overlapping segments
+            order = np.argsort(docs, kind="stable")
+            docs, freqs = docs[order], freqs[order]
+        return docs, freqs
+
+    def doc_lens(self, docs: np.ndarray) -> np.ndarray:
+        """Doc length per global docID, from the segment holding it live
+        (0 for a doc that no segment holds live)."""
+        docs = np.asarray(docs, dtype=np.int64)
+        out = np.zeros(len(docs), dtype=np.int64)
+        for sr in self.segments():
+            if not len(sr.doc_ids):
+                continue
+            pos = np.minimum(np.searchsorted(sr.doc_ids, docs),
+                             len(sr.doc_ids) - 1)
+            hit = sr.doc_ids[pos] == docs
+            live = sr.live_mask(docs)
+            if live is not None:
+                hit &= live
+            out[hit] = sr.doc_lens[pos[hit]]
+        return out
+
     # -- global term statistics (TermStates.build analog) -------------------
     def _open_stats(self) -> list[TermSortedFile]:
         """The generation's global (term, df, ttf) parts; a term lives in

@@ -29,7 +29,6 @@ instead, which only a single-term weight overrides to prune.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -123,10 +122,12 @@ class Searcher:
                  similarity: str = "lucene"):
         """similarity: 'lucene' = exact float32 norm-quantized reference
         formula; 'bm25_exact64' = double precision with exact doc lengths
-        (the Similarity plug point, SURVEY.md §2.10 — also what an
-        ANSI-SQL oracle computes); or a ``similarities.Similarity``
-        object (Classic TF-IDF / LMDirichlet / Boolean) which runs on
-        the exact-dl unpruned rails (BM25 impact bounds don't apply)."""
+        (``bm25.idf64``/``bm25.score64``; the Similarity plug point,
+        SURVEY.md §2.10 — also what an ANSI-SQL oracle computes), which
+        ignores term boosts as the oracle has none; or a
+        ``similarities.Similarity`` object (Classic TF-IDF / LMDirichlet /
+        Boolean) which runs on the exact-dl unpruned rails (BM25 impact
+        bounds don't apply)."""
         from .similarities import Similarity as _Sim
         self.reader = reader
         self.k1, self.b = k1, b
@@ -172,7 +173,8 @@ class Searcher:
                 freqs, norm_data, t.df, t.ttf, t.boost,
                 self.reader.doc_count, self.reader.sum_total_term_freq)
         if self.exact64:
-            return bm25.score64(freqs, norm_data, t.df, self.reader.doc_count,
+            return bm25.score64(freqs, norm_data,
+                                bm25.idf64(t.df, self.reader.doc_count),
                                 self.avgdl64, self.k1, self.b)
         return bm25.score_freqs(freqs, norm_data, t.weight, self.cache).astype(np.float64)
 
@@ -489,24 +491,15 @@ class Searcher:
                         "details": []}
             n = self.reader.doc_count
             df = self.reader.term_stats([q.term])[q.term][0]
-            idf_v = math.log(1 + (n - df + 0.5) / (df + 0.5))
-            tf = dl = None
-            for sr in self.reader.segments():
-                dec = sr.get_decoded(q.term)
-                if dec is None:
-                    continue
-                got = lookup(dec, np.array([doc_id]))
-                if got[0] > 0:
-                    tf = int(got[0])
-                    dl = float(sr.doc_lens_for(
-                        np.array([doc_id], np.int64))[0])
-                    break
+            tdocs, tfreqs = self.reader.live_postings(q.term)
+            tf = int(tfreqs[np.searchsorted(tdocs, doc_id)])
+            dl = float(self.reader.doc_lens(np.array([doc_id]))[0])
             return {
                 "value": float(scores[pos]),
                 "description": f"weight({q.term} in {doc_id}) "
                                "[BM25Similarity]",
                 "details": [
-                    {"value": idf_v,
+                    {"value": bm25.idf64(df, n),
                      "description": f"idf, n={n}, df={df}",
                      "details": []},
                     {"value": tf, "description": "freq", "details": []},
@@ -1372,8 +1365,7 @@ class _PhraseWeight(_Weight):
             idf_sum += float(bm25.idf(df, n))
         self.weight = np.float32(np.float32(q.boost) * np.float32(idf_sum))
         # exact64: the same sum over double-precision idfs
-        self.idf64 = sum(math.log(1 + (n - df + 0.5) / (df + 0.5))
-                         for df in dfs)
+        self.idf64 = sum(bm25.idf64(df, n) for df in dfs)
 
     def scores(self, sr):
         docs, freqs = self.freqs(sr)
@@ -1381,10 +1373,8 @@ class _PhraseWeight(_Weight):
             return None, None
         s = self.s
         if s.exact64:
-            dl = sr.doc_lens_for(docs).astype(np.float64)
-            tf = freqs.astype(np.float64)
-            return docs, self.idf64 * tf / (
-                tf + s.k1 * (1 - s.b + s.b * dl / s.avgdl64))
+            return docs, bm25.score64(freqs, sr.doc_lens_for(docs),
+                                      self.idf64, s.avgdl64, s.k1, s.b)
         return docs, bm25.score_freqs(freqs, sr.norms_for(docs),
                                       self.weight, s.cache)
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import bm25
+
 
 class Similarity:
     """Per-term vectorized scorer protocol.
@@ -97,18 +99,16 @@ class BlendedBM25Similarity(Similarity):
 
     name = "blended_bm25"
 
-    def __init__(self, df_blend: int, k1: float = 1.2, b: float = 0.75):
+    def __init__(self, df_blend: int, k1: float = bm25.K1,
+                 b: float = bm25.B):
         self.df_blend = int(df_blend)
         self.k1, self.b = float(k1), float(b)
 
     def term_score(self, freqs, dl, df, ttf, boost, doc_count, sum_ttf):
-        idf = np.log(1 + (doc_count - self.df_blend + 0.5)
-                     / (self.df_blend + 0.5))
-        avgdl = sum_ttf / float(max(doc_count, 1))
-        tf = freqs.astype(np.float64)
-        return boost * idf * tf / (
-            tf + self.k1 * (1 - self.b + self.b
-                            * dl.astype(np.float64) / avgdl))
+        return bm25.score64(freqs, dl,
+                            boost * bm25.idf64(self.df_blend, doc_count),
+                            sum_ttf / float(max(doc_count, 1)),
+                            self.k1, self.b)
 
 
 class LMJelinekMercerSimilarity(Similarity):

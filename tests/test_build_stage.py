@@ -121,3 +121,18 @@ def test_every_builder_commits_the_same_generation(ray_session, pages,
             assert got[:2] == (totals, segs), d
             assert got[2].equals(table), d
             assert got[3] == top, d
+
+
+def test_empty_build_commits(ray_session, tmp_path):
+    """A corpus with no rows commits a generation with no segments and
+    empty term stats; it validates and answers every query with no hits."""
+    from lucene_ray.index.validate import validate_index
+    src = str(tmp_path / "empty.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array([], pa.int64()),
+                             "text": pa.array([], pa.string())}), src)
+    idx = str(tmp_path / "idx")
+    m = build_index(src, idx)
+    assert m.segments == [] and m.num_docs == 0
+    assert validate_index(idx) == []
+    td = Searcher(IndexReader(idx)).search(TermQuery("data"), k=10)
+    assert len(td.doc_ids) == 0

@@ -14,6 +14,8 @@
 All verified brute-force over a synthetic corpus.
 """
 
+import math
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -347,6 +349,105 @@ def test_blended_infix_vs_brute(sbx_corpus, monkeypatch, tmp_path):
         order = np.lexsort((np.asarray(docs), -np.asarray(keys)))[:10]
         want = [docs[j] for j in order]
         assert got.column("doc_id").to_pylist() == want, blender
+
+
+def _brute_bm25(tf, dls, df, n, avgdl):
+    """exact64 BM25 of freq arrays (0 where tf == 0)."""
+    idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
+    m = tf > 0
+    sc = np.zeros(len(tf))
+    sc[m] = idf * tf[m] / (tf[m] + 1.2 * (1 - 0.75 + 0.75 * dls[m] / avgdl))
+    return sc
+
+
+def _brute_rank(sc, k):
+    """doc ids with sc > 0 by floor(sc*1e9) desc, doc_id asc."""
+    key = np.floor(sc * 1e9).astype(np.int64)
+    order = np.lexsort((np.arange(len(sc)), -key))
+    return [int(i) for i in order if sc[i] > 0][:k]
+
+
+def test_drivers_skip_deleted_docs(sbx_corpus, monkeypatch, tmp_path):
+    """With tombstones in the cached index, each driver returns only
+    live docs and equals the brute force over them, with df, docCount
+    and avgdl from the generation's stats (which still count deleted
+    docs, as Lucene's docFreq does until a merge)."""
+    from lucene_ray.index.deletes import apply_deletes
+    from lucene_ray.pipelines import search_queries as sq
+    from lucene_ray.search import IndexReader
+    from lucene_ray.search.query import _edit_distance
+    monkeypatch.setattr(sq, "_CACHE_ROOT", str(tmp_path))
+    path, texts, _ = sbx_corpus
+    idx = sq.cached_index(path)
+    dead = np.sort(np.random.default_rng(3).choice(400, 60, replace=False))
+    apply_deletes(idx, {s.seg_id: dead[(dead >= s.min_doc)
+                                       & (dead <= s.max_doc)]
+                        for s in IndexReader(idx).segment_infos})
+    reader = IndexReader(idx)
+    n = reader.doc_count
+    avgdl = reader.sum_total_term_freq / n
+    toks = _toks(texts)
+    live = np.ones(len(toks), dtype=bool)
+    live[dead] = False
+    dls = np.array([len(tk) for tk in toks], dtype=np.float64)
+
+    def tf(t):
+        return np.array([tk.count(t) if lv else 0
+                         for tk, lv in zip(toks, live)], dtype=np.float64)
+
+    def df(t):
+        return reader.term_stats([t])[t][0]
+
+    # SynonymQuery
+    terms, boosts = ["merge", "window", "spark"], [1.0, 0.5, 0.25]
+    f = sum(b * tf(t) for t, b in zip(terms, boosts))
+    want = _brute_rank(_brute_bm25(f, dls, max(map(df, terms)), n, avgdl),
+                       15)
+    got = sq.synonym_blended_topk(path, terms, boosts, k=15)
+    assert got.column("doc_id").to_pylist() == want
+
+    # FuzzyLikeThis: variants chosen on the generation's dfs, every
+    # clause scored with df = 1
+    vocab = sorted({t for tk in toks for t in tk})
+    scored_terms = []
+    for st in ["merge", "datq"]:
+        variants = [(v, _edit_distance(v, st, 1, True)) for v in vocab]
+        variants = [(v, d) for v, d in variants if d <= 1]
+        sdf = df(st) or sum(df(v) for v, _ in variants) // len(variants)
+        idf_src = np.log((n + 1) / (sdf + 1.0)) + 1.0
+        for v, d in variants:
+            boost = 1.0 - d / min(len(v), len(st))
+            scored_terms.append((boost * boost * idf_src, v))
+    scored_terms.sort(key=lambda x: (-x[0], x[1]))
+    sc = np.zeros(len(toks))
+    for tscore, v in scored_terms[:8]:
+        sc += tscore * _brute_bm25(tf(v), dls, 1, n, avgdl)
+    got = sq.fuzzy_like_this_topk(path, ["merge", "datq"], 8, 1, 15)
+    assert got.column("doc_id").to_pylist() == _brute_rank(sc, 15)
+
+    # search quality: ranking and relevance over live docs only
+    got = sq.search_quality(path, ["data", "merge"], k=10, rel_tf=2)
+    for i, qt in enumerate(["data", "merge"]):
+        f = tf(qt)
+        top = _brute_rank(_brute_bm25(f, dls, df(qt), n, avgdl), 10)
+        rel = f[top] >= 2
+        assert got.slice(i, 1).to_pylist()[0] == {
+            "query_term": qt, "n_rel_ret": int(rel.sum()),
+            "n_ret": len(top), "n_rel": int((f >= 2).sum()),
+            "first_rel_rank": int(np.argmax(rel)) + 1 if rel.any() else 0}
+
+    # bm25_topk (term): the tf and dl columns of live docs
+    f = tf("data")
+    top = _brute_rank(_brute_bm25(f, dls, df("data"), n, avgdl), 10)
+    got = sq.bm25_topk(path, ["data"], "term", k=10)
+    assert got.column("doc_id").to_pylist() == top
+    assert got.column("tf").to_pylist() == [int(f[d]) for d in top]
+    assert got.column("dl").to_pylist() == [int(dls[d]) for d in top]
+
+    # BlendedInfixSuggester filters with the live mask as well
+    got = sq.suggest_blended_infix(path, "merge", 400)
+    assert not set(got.column("doc_id").to_pylist()) & set(dead.tolist())
+    assert got.num_rows == int((tf("merge") > 0).sum())
 
 
 def test_group_msm_syntax():
