@@ -58,6 +58,14 @@ class PackedPostings(NamedTuple):
     chunk_occ_counts: np.ndarray = np.empty(0, np.int64)  # occurrences/chunk
 
 
+class DecodedPostings(NamedTuple):
+    """One term's postings in one segment, decoded and read-only."""
+
+    docs: np.ndarray  # int64, ascending
+    freqs: np.ndarray  # int32, aligned with docs
+    block_starts: np.ndarray  # int64[nblocks+1], block b's slice bounds
+
+
 # --- bit packing -----------------------------------------------------------
 
 def _pack_block(vals: np.ndarray, fmt: str = "for128") -> bytes:
@@ -422,6 +430,58 @@ def unpack_postings(p: PackedPostings) -> tuple[np.ndarray, np.ndarray]:
     freqs = _unpack_values(p.freqs, sizes,
                            layout=stream_layout(p, "freqs")).astype(np.int32)
     return _undelta(deltas, p.chunk_doc_counts), freqs
+
+
+def _flat_list(col) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets int64[n+1] from 0, flat values) of a large_list column."""
+    a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    off = a.offsets.to_numpy()
+    return off - off[0], a.flatten().to_numpy()
+
+
+def _decode_stream(t: pa.Table, name: str, sizes: np.ndarray,
+                   bb: np.ndarray | None = None) -> np.ndarray:
+    """Every block of the packed column ``name`` of ``t`` in one
+    ``_unpack_values`` call: Arrow keeps the rows' bytes back to back in
+    one buffer. ``bb`` (pack-time block byte lengths) gives the layout;
+    without it (positions) block headers are scanned."""
+    col = t.column(name)
+    a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    _, off, data = a.buffers()
+    offs = np.frombuffer(off, np.int64)[a.offset:a.offset + len(a) + 1]
+    buf = (np.empty(0, np.uint8) if data is None else
+           np.frombuffer(data, np.uint8)[offs[0]:offs[-1]])
+    return _unpack_values(buf, sizes, layout=None if bb is None
+                          else _bb_layout(buf, bb, len(sizes), name))
+
+
+def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
+    """Decode many packed rows at once, the inverse of
+    :func:`pack_postings_many` over the ``docs``, ``freqs``,
+    ``docs_bb``, ``freqs_bb`` and ``chunk_doc_counts`` columns of ``t``:
+    each stream in one :func:`_decode_stream` over every block of every
+    row. Each row's arrays are read-only views of the batch's; they
+    equal :func:`unpack_postings` per row."""
+    if len(t) == 0:
+        return []
+    chunk_off, counts = _flat_list(t.column("chunk_doc_counts"))
+    _, bsize, chunk_first = _blocks_of(_offsets(counts))
+    docs, freqs = (_decode_stream(t, s, bsize,
+                                  _flat_list(t.column(f"{s}_bb"))[1])
+                   for s in ("docs", "freqs"))
+    docs = _undelta(docs, counts)
+    freqs = freqs.astype(np.int32)
+    starts = _offsets(bsize)
+    for a in (docs, freqs, starts):
+        a.flags.writeable = False
+    fb = chunk_first[chunk_off].tolist()  # first block of each row
+    out = []
+    for r in range(len(t)):
+        lo, hi = int(starts[fb[r]]), int(starts[fb[r + 1]])
+        bs = starts[fb[r]:fb[r + 1] + 1] - lo
+        bs.flags.writeable = False
+        out.append(DecodedPostings(docs[lo:hi], freqs[lo:hi], bs))
+    return out
 
 
 # --- batch pack (vectorized across terms) ----------------------------------

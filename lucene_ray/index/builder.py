@@ -43,7 +43,6 @@ import ray.data
 from ..analysis import StandardAnalyzer, int_to_byte4_array
 from ..analysis.arrow_tokenize import _tokenize_batch_arrow
 from ..codecs.postings import POSTINGS_SCHEMA, pack_postings_many
-from ..util import term_hash64
 from .manifest import (
     POSTINGS_BUCKETS,
     IndexManifest,
@@ -53,7 +52,6 @@ from .manifest import (
     new_stats_dir,
     part_path,
     read_manifest,
-    termset_path,
     write_manifest,
 )
 
@@ -68,20 +66,18 @@ def _parquet_files(source) -> list[str]:
     return [source]
 
 
-# Terms per Parquet row group in postings files. Small row groups give
-# the reader fine-grained min/max term pruning (the FST/block-tree term
-# index analog): a query term materializes at most one row group.
+# Terms per Parquet row group in postings files: the unit a reader
+# reads a term's row in, found by row number from its resident term
+# dictionary, so a query term materializes one small row group.
 POSTINGS_ROW_GROUP = 256
 
 
 def write_postings_part(postings_dir: str, b: int, table: pa.Table) -> None:
-    """Write part ``b`` of a postings directory: its term-sorted rows and
-    the sorted term-hash fingerprint beside them, with which readers
-    skip the part for absent terms (the FST-presence role)."""
+    """Write part ``b`` of a postings directory: its term-sorted rows,
+    without column statistics (readers find rows by dictionary, not by
+    row-group min/max)."""
     pq.write_table(table, part_path(postings_dir, b),
-                   row_group_size=POSTINGS_ROW_GROUP)
-    np.sort(term_hash64(table.column("term").to_pylist())) \
-        .tofile(termset_path(postings_dir, b))
+                   row_group_size=POSTINGS_ROW_GROUP, write_statistics=False)
 
 
 class SegmentIndexer:
@@ -470,7 +466,7 @@ def _sum_stats_part(paths: list[str], out_path: str) -> None:
                          or [POSTINGS_SCHEMA.empty_table().select(cols)])
     g = t.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
     g = g.rename_columns(["term", "df", "ttf"]).sort_by("term")
-    pq.write_table(g, out_path, row_group_size=4096)
+    pq.write_table(g, out_path, row_group_size=4096, write_statistics=False)
 
 
 def compute_global_term_stats(index_dir: str, manifest: IndexManifest) -> None:

@@ -24,15 +24,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# Version 3: every segment's postings are POSTINGS_BUCKETS term-sorted
-# parts, postings.parquet/part-NNNNN.parquet, each with its
-# _part-NNNNN.termset (term-hash fingerprint); a term lives in part
-# bucket_of(term). Every committed generation N has global/
-# term_stats_gen{N}, the same POSTINGS_BUCKETS parts of (term, df, ttf).
-# Rows carry pack-time block byte lengths (docs_bb/freqs_bb). The
-# manifest stores no collection totals: num_docs, sum_doc_len and
-# field_doc_count are sums over its segments.
-FORMAT_VERSION = 3
+# Version 4: every segment's postings are POSTINGS_BUCKETS term-sorted
+# parts, postings.parquet/part-NNNNN.parquet, a term in part
+# bucket_of(term), with no sidecar files and no Parquet column
+# statistics: readers find a term through the term dictionary they
+# build from the part's term column. Every committed generation N has
+# global/term_stats_gen{N}, the same POSTINGS_BUCKETS parts of (term,
+# df, ttf), also without statistics. Rows carry pack-time block byte
+# lengths (docs_bb/freqs_bb). The manifest stores no collection totals:
+# num_docs, sum_doc_len and field_doc_count are sums over its segments.
+FORMAT_VERSION = 4
 
 # Parts per postings or term-stats directory: a format constant, so no
 # file count depends on the cluster that wrote it, and a merge reads
@@ -49,10 +50,6 @@ def bucket_of(terms) -> np.ndarray:
 
 def part_path(bucketed_dir: str, b: int) -> str:
     return os.path.join(bucketed_dir, f"part-{b:05d}.parquet")
-
-
-def termset_path(bucketed_dir: str, b: int) -> str:
-    return os.path.join(bucketed_dir, f"_part-{b:05d}.termset")
 
 
 @dataclass

@@ -41,11 +41,11 @@ import ray
 
 from ..codecs.postings import (
     POSTINGS_SCHEMA,
-    _bb_layout,
     _blocks_of,
+    _decode_stream,
+    _flat_list,
     _offsets,
     _undelta,
-    _unpack_values,
     pack_postings_many,
 )
 from .builder import commit, write_postings_part
@@ -99,14 +99,6 @@ def _bin_bufs(arr: pa.Array) -> tuple[np.ndarray, "pa.Buffer"]:
 def _list_parts(arr: pa.Array) -> tuple[np.ndarray, pa.Array]:
     return (arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64),
             arr.values)
-
-
-def _list_values(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(row offsets int64[n+1] from 0, flat int64 values) of a list
-    column."""
-    offs, vals = _list_parts(arr)
-    flat = vals.to_numpy(zero_copy_only=False)[offs[0]:offs[-1]]
-    return offs - offs[0], flat.astype(np.int64)
 
 
 def _term_starts(terms: pa.Array) -> np.ndarray:
@@ -184,22 +176,10 @@ def _merge_bucket_vec(group: pa.Table) -> pa.Table:
 REPACK_SLICE_POSTINGS = 1 << 18
 
 
-def _decode_stream(group: pa.Table, name: str, sizes: np.ndarray,
-                   bb: np.ndarray | None = None) -> np.ndarray:
-    """Every block of one packed column of the bucket in one
-    ``_unpack_values`` call: the rows' bytes are one contiguous buffer.
-    ``bb`` (pack-time block byte lengths) gives the layout; without it
-    (positions) block headers are scanned."""
-    offs, data = _bin_bufs(_col(group, name))
-    buf = np.frombuffer(data, dtype=np.uint8)[offs[0]:offs[-1]]
-    return _unpack_values(buf, sizes, layout=None if bb is None
-                          else _bb_layout(buf, bb, len(sizes), name))
-
-
 def _repack_bucket(group: pa.Table, norms_data,
                    deleted: np.ndarray | None) -> pa.Table:
     """Re-pack kernel over a whole term-sorted bucket: decode every row
-    (one ``_unpack_values`` call per stream), drop tombstoned postings
+    (one ``_decode_stream`` call per stream), drop tombstoned postings
     and their position runs, sort by (term, doc) and pack with the
     build's ``pack_postings_many``: one ``for128`` chunk per term, full
     128-doc blocks, impacts from the group's norms. Terms left without
@@ -207,13 +187,13 @@ def _repack_bucket(group: pa.Table, norms_data,
     terms = _col(group, "term")
     starts = _term_starts(terms)
     # every chunk of every row is blocked on its own (full 128s + tail)
-    chunk_offs, chunk_counts = _list_values(_col(group, "chunk_doc_counts"))
+    chunk_offs, chunk_counts = _flat_list(group.column("chunk_doc_counts"))
     _, sizes, _ = _blocks_of(_offsets(chunk_counts))
     docs = _undelta(_decode_stream(
-        group, "docs", sizes, _list_values(_col(group, "docs_bb"))[1]),
+        group, "docs", sizes, _flat_list(group.column("docs_bb"))[1]),
         chunk_counts)
     freqs = _decode_stream(
-        group, "freqs", sizes, _list_values(_col(group, "freqs_bb"))[1]) \
+        group, "freqs", sizes, _flat_list(group.column("freqs_bb"))[1]) \
         .astype(np.int64)
     # term of every posting: rows per term, postings per row
     row_term = np.repeat(np.arange(len(starts)),
@@ -224,7 +204,7 @@ def _repack_bucket(group: pa.Table, norms_data,
     pos = None
     pos_offs, _ = _bin_bufs(_col(group, "positions"))
     if pos_offs[-1] > pos_offs[0]:
-        _, occ_counts = _list_values(_col(group, "chunk_occ_counts"))
+        _, occ_counts = _flat_list(group.column("chunk_occ_counts"))
         _, psizes, _ = _blocks_of(_offsets(occ_counts))
         deltas = _decode_stream(group, "positions", psizes)
         if len(deltas) != occ[-1]:

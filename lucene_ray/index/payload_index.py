@@ -7,7 +7,8 @@ Layout (one directory): ``part-*.parquet`` files of rows
 ``(term: string, doc_id: int64, payloads: list<float32>)`` — one row
 per (term, doc) with that doc's payloads in occurrence order, each
 file sorted by term so term lookups prune on parquet row-group
-statistics (the same trick the main term dictionary uses). Build is a
+statistics (the main postings find rows through a term dictionary
+instead, and carry no statistics). Build is a
 single stateless map_batches pass (one output part per input batch,
 embarrassingly parallel, no shuffle); at query time only the files/row
 groups whose [min,max] term range covers the probe are read.

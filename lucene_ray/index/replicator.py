@@ -35,7 +35,6 @@ from .manifest import (
     latest_generation,
     part_path,
     read_manifest,
-    termset_path,
 )
 
 
@@ -57,7 +56,7 @@ def _segment_files(index_dir: str, m: IndexManifest) -> list[str]:
         seg_dir = f"segments/{s.seg_id}"
         postings = f"{seg_dir}/postings.parquet"
         for b in range(POSTINGS_BUCKETS):
-            out += [part_path(postings, b), termset_path(postings, b)]
+            out.append(part_path(postings, b))
         out.append(f"{seg_dir}/docs.parquet")
         if s.del_gen >= 0:
             out.append(f"{seg_dir}/deletes_gen{s.del_gen}.parquet")

@@ -7,15 +7,16 @@ Checks per segment:
 - block_last_docs match decoded block boundaries
 - impacts dominate every (freq, norm) pair in their block
 - docs table sorted by doc_id, unique
-- all ``POSTINGS_BUCKETS`` postings parts exist, each with its termset
-  sidecar equal to its vocabulary, and every row is in its term's part
-  (``bucket_of``): a row in another part is one no reader can find
+- all ``POSTINGS_BUCKETS`` postings parts exist, each with its terms
+  strictly ascending (the readers' term dictionaries bisect on that
+  order), and every row is in its term's part (``bucket_of``): a row in
+  another part is one no reader can find
 - docs table row count and doc lengths match the segment's entry
 - live-docs (tombstone) files exist and name docs of the segment
 Index-level: no docID is live in two segments (segment doc RANGES may
 overlap: a build from a Dataset allows it); the generation's global
-term stats have all their parts, every row in its term's part; a
-recorded index sort holds. Collection totals are sums over the
+term stats have all their parts, every row in its term's part, terms
+strictly ascending; a recorded index sort holds. Collection totals are sums over the
 segments, so there is no manifest total to check.
 """
 
@@ -25,20 +26,14 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data
 
 from ..codecs.postings import _block_sizes, unpack_postings
 from ..search.reader import _rows_to_postings
-from ..util import term_hash64
-from .manifest import (
-    POSTINGS_BUCKETS,
-    bucket_of,
-    part_path,
-    read_manifest,
-    termset_path,
-)
+from .manifest import POSTINGS_BUCKETS, bucket_of, part_path, read_manifest
 
 
 def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Table:
@@ -75,28 +70,23 @@ def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Tab
     return pa.table({"error": pa.array(errors, type=pa.string())})
 
 
-def _check_parts(d: str, name: str, termsets: bool) -> list[str]:
+def _check_parts(d: str, name: str) -> list[str]:
     """A bucketed dir (a segment's postings, a generation's term stats)
-    has every part, each row in its term's part; with ``termsets`` each
-    part's fingerprint equals its vocabulary."""
+    has every part, each row in its term's part, terms strictly
+    ascending."""
     errors = []
     for b in range(POSTINGS_BUCKETS):
         part = f"{name}/part-{b:05d}"
         if not os.path.isfile(part_path(d, b)):
             errors.append(f"{part}: missing part")
             continue
-        terms = pq.read_table(part_path(d, b), columns=["term"]) \
-            .column("term").to_pylist()
-        stray = int((bucket_of(terms) != b).sum())
+        col = pq.read_table(part_path(d, b), columns=["term"]).column("term")
+        stray = int((bucket_of(col.to_pylist()) != b).sum())
         if stray:
             errors.append(f"{part}: {stray} terms of another part")
-        if not termsets:
-            continue
-        if not os.path.isfile(termset_path(d, b)):
-            errors.append(f"{part}: missing termset")
-        elif not np.array_equal(np.sort(term_hash64(terms)), np.fromfile(
-                termset_path(d, b), dtype=np.uint64)):
-            errors.append(f"{part}: termset fingerprint mismatch")
+        if len(col) > 1 and not pc.all(pc.less(
+                col.slice(0, len(col) - 1), col.slice(1))).as_py():
+            errors.append(f"{part}: terms not strictly ascending")
     return errors
 
 
@@ -135,7 +125,7 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
         live.append(doc_ids)
 
         postings = os.path.join(seg_dir, "postings.parquet")
-        errors.extend(_check_parts(postings, s.seg_id, termsets=True))
+        errors.extend(_check_parts(postings, s.seg_id))
         ds = ray.data.read_parquet(postings)
         err_ds = ds.map_batches(
             _check_postings_batch, batch_format="pyarrow",
@@ -159,7 +149,7 @@ def validate_index(index_dir: str, generation: int | None = None) -> list[str]:
 
     stats = f"term_stats_gen{m.generation}"
     errors.extend(_check_parts(os.path.join(index_dir, "global", stats),
-                               stats, termsets=False))
+                               stats))
 
     # index sort (CheckIndex.testSort role): when the index records a
     # sort, stored rows must actually be ordered by (field, orig id)

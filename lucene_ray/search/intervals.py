@@ -496,11 +496,12 @@ class Extend(IntervalsSource):
 def interval_freqs(searcher, source: IntervalsSource):
     """(global_docs, freqs): per matching doc, the number of minimal
     intervals the source yields (IntervalQuery's freq input). One
-    positions read per leaf term per segment; candidate docs via numpy
+    positions read per segment for every leaf term; candidate docs via numpy
     set combines before any per-doc walk."""
     terms = sorted(source.leaf_terms())
     out_docs, out_freqs = [], []
     for sr in searcher.reader.segments():
+        sr.ensure_packed(terms)
         per_term = {}
         for t in terms:
             got = sr.get_positions(t)

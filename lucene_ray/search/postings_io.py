@@ -1,28 +1,24 @@
 """Query-time postings access over a term's decoded arrays.
 
-A segment reader decodes each resident term once (``SegmentReader.
-get_decoded``) into ascending docIDs, their freqs and the flat offset of
-every 128-doc block; scorers then slice those arrays instead of
-bit-unpacking FOR blocks per query. ``select_blocks`` is the skip-list /
+A segment reader decodes each term once, on the first touch, into
+ascending docIDs, their freqs and the flat offset of every 128-doc block
+(``codecs.postings.unpack_postings_many``, every loaded row in one
+pass); scorers then slice those arrays instead of bit-unpacking FOR
+blocks per query. ``decode`` is the same for one packed posting. ``select_blocks`` is the skip-list /
 ``ImpactsDISI.advanceTarget`` role (only the blocks a pruning decision
 kept); ``lookup`` is the conjunction leapfrog / exclusion probe.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from ..codecs.postings import PackedPostings, _block_sizes, unpack_postings
-
-
-class DecodedPostings(NamedTuple):
-    """One term's postings in one segment, decoded and read-only."""
-
-    docs: np.ndarray  # int64, ascending
-    freqs: np.ndarray  # int32, aligned with docs
-    block_starts: np.ndarray  # int64[nblocks+1], block b's slice bounds
+from ..codecs.postings import (
+    DecodedPostings,
+    PackedPostings,
+    _block_sizes,
+    unpack_postings,
+)
 
 
 def decode(p: PackedPostings) -> DecodedPostings:

@@ -1,192 +1,163 @@
 """Index readers: point-in-time snapshot over one manifest generation
 (DirectoryReader analog, ``index/StandardDirectoryReader.java``).
 
-Postings are read TERM-PRUNED: every segment's postings are
-``POSTINGS_BUCKETS`` term-sorted Parquet parts with small row groups,
-and a term lives in part ``bucket_of(term)``, so a query reads, per
-term, only the row groups of one part whose [min,max] term statistics
-cover it — the row-group min/max stats play the role of the
-reference's FST/block-tree term index (``codecs/lucene90/blocktree/
-Lucene90BlockTreeTermsReader.java``; SURVEY.md §1.2). Every part has a
-termset sidecar and every generation its global term stats, in parts
-bucketed the same way: the reader knows one format
-(``index.manifest.FORMAT_VERSION``) and raises on a file that lacks a
-part of it. Per-doc arrays
-(doc_id, doc_len, norm — ~13 bytes/doc) stay resident per segment;
-stored fields are read lazily with docID predicate pushdown.
+Every segment's postings are ``POSTINGS_BUCKETS`` term-sorted Parquet
+parts with small row groups, a term in part ``bucket_of(term)``; every
+generation's global (term, df, ttf) stats are parts bucketed the same
+way. The first lookup into a part reads its ``term`` column once and
+keeps it as an exact, resident term dictionary (``_TermDict``, the role
+of the reference's in-memory terms index, ``codecs/lucene90/blocktree/
+Lucene90BlockTreeTermsReader.java``; SURVEY.md §1.2): a term resolves
+to its row number, or to absent, without another read. A stats part is
+held whole (its df/ttf arrays beside its dictionary). The reader knows
+one format (``index.manifest.FORMAT_VERSION``) and raises on a file
+that lacks a part of it. Per-doc arrays (doc_id, doc_len, norm — ~13
+bytes/doc) stay resident per segment; stored fields are read lazily with
+docID predicate pushdown.
 
-A lookup runs read → select → materialize: read the pruned row groups
-as one Arrow table, keep the wanted rows with one vectorized Arrow step
-on the term column, and only then build Python values and
-``PackedPostings`` from the kept rows. The searcher prefetches a
-query's terms segment by segment on the calling thread.
-
-A resident term is decoded once, on first use (``get_decoded``): its
-docIDs, freqs and block offsets stay next to the packed row as
-read-only arrays, and leave the postings cache together with it, so
-scorers slice arrays instead of bit-unpacking blocks on every query.
+A query's first touch of a segment costs, per part its terms live in,
+one read of the row groups holding them with only the columns the
+decode needs, then one ``unpack_postings_many`` over every loaded row;
+absent terms cost no read. The decoded arrays (docIDs, freqs, block
+offsets) stay in the segment's postings LRU as read-only arrays, so
+scorers slice arrays instead of bit-unpacking blocks on every query. A
+term's packed row (impacts, block last docs, positions) is read by row
+number only for the callers that need it (``get_postings``,
+``get_positions``); positional weights load it with their first touch
+(``ensure_packed``).
 """
 
 from __future__ import annotations
 
-import bisect
 import os
 from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..codecs.postings import PackedPostings
+from ..codecs.postings import (
+    DecodedPostings,
+    PackedPostings,
+    _offsets,
+    unpack_postings_many,
+)
 from ..index.manifest import (
     POSTINGS_BUCKETS,
     IndexManifest,
     bucket_of,
     part_path,
     read_manifest,
-    termset_path,
 )
-from ..util import term_hash64
-from .postings_io import DecodedPostings, decode
 
-class TermSortedFile:
-    """A term-sorted Parquet file with row-group min/max pruning.
 
-    One instance per physical file; ``rgs_for_terms`` /
-    ``rgs_for_range`` map lookups to the (few) row groups whose term
-    bounds can contain them. Parquet drops a string statistic over
-    4,096 bytes (pyarrow reports ``''`` or no statistics), so an empty
-    or missing bound is never trusted: it is taken from the neighbouring
-    row groups, which the sort order bounds. A lookup may then read one
-    extra row group, but it never misses.
-    """
+class _TermDict:
+    """Exact dictionary of a term-sorted column: each term's first 8
+    UTF-8 bytes as a big-endian uint64 key (sorted like the terms), and
+    the column's bytes to confirm a hit. A lookup is a ``searchsorted``
+    over the keys, then a bisect over the (rarely several) rows that
+    share the term's key, so an absent term is never taken for a row."""
+
+    def __init__(self, col):
+        a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+        a = a.cast(pa.large_string())
+        self.n = n = len(a)
+        _, off, data = a.buffers()
+        self.off = (np.frombuffer(off, np.int64)[a.offset:a.offset + n + 1]
+                    if n else np.zeros(1, np.int64))
+        self.data = data.to_pybytes() if n else b""
+        raw = np.zeros(len(self.data) + 8, np.uint8)
+        raw[:len(self.data)] = np.frombuffer(self.data, np.uint8)
+        k = np.arange(8)
+        head = np.where(k < np.diff(self.off)[:, None],
+                        raw[self.off[:-1, None] + k], 0).astype(np.uint8)
+        self.keys = head.view(">u8").ravel().astype(np.uint64)
+
+    def _at(self, i: int) -> bytes:
+        return self.data[self.off[i]:self.off[i + 1]]
+
+    def _left(self, tbs: list[bytes]) -> list[int]:
+        """First row whose term is >= each of ``tbs`` (UTF-8 byte order,
+        which is code-point order)."""
+        ks = np.array([int.from_bytes(b[:8].ljust(8, b"\0"), "big")
+                       for b in tbs], np.uint64)
+        out = []
+        for tb, lo, hi in zip(tbs,
+                              np.searchsorted(self.keys, ks, "left").tolist(),
+                              np.searchsorted(self.keys, ks, "right").tolist()):
+            while lo < hi:  # rows sharing tb's key: bisect on the bytes
+                mid = (lo + hi) // 2
+                if self._at(mid) < tb:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            out.append(lo)
+        return out
+
+    def rows(self, terms) -> list[int]:
+        """Row of each term, -1 where the column lacks it."""
+        tbs = [t.encode() for t in terms]
+        return [i if i < self.n and self._at(i) == tb else -1
+                for tb, i in zip(tbs, self._left(tbs))]
+
+    def span(self, lo: str | None, hi: str | None) -> tuple[int, int]:
+        """Rows [start, stop) of the terms in [lo, hi] (inclusive; None
+        is unbounded)."""
+        a = 0 if lo is None else self._left([lo.encode()])[0]
+        b = self.n if hi is None else self._left([hi.encode() + b"\0"])[0]
+        return a, max(a, b)
+
+    def terms(self, start: int = 0, stop: int | None = None) -> list[str]:
+        stop = self.n if stop is None else stop
+        return [self._at(i).decode() for i in range(start, stop)]
+
+
+def _route(terms) -> dict[int, list[str]]:
+    """part -> the subset of ``terms`` that lives there."""
+    out: dict[int, list[str]] = {}
+    for t, b in zip(terms, bucket_of(terms).tolist()):
+        out.setdefault(b, []).append(t)
+    return out
+
+
+class _PostingsPart:
+    """One term-sorted postings part: its dictionary, and where each row
+    group starts."""
 
     def __init__(self, path: str):
         self.path = path
         self.pf = pq.ParquetFile(path)
         md = self.pf.metadata
-        self.num_rows = md.num_rows
-        ti = self.pf.schema_arrow.names.index("term")
-        # an empty file is one row group of 0 rows, without statistics
-        stats = [md.row_group(i).column(ti).statistics
-                 for i in range(md.num_row_groups if self.num_rows else 0)]
-        mins = [st.min if st is not None and st.has_min_max else ""
-                for st in stats]
-        maxs = [st.max if st is not None and st.has_min_max else ""
-                for st in stats]
-        # rg_mins[i] <= every term of row group i <= rg_maxs[i], both
-        # non-decreasing; None is an open upper bound
-        self.rg_mins: list[str] = []
-        for i, lo in enumerate(mins):
-            if not lo and i:
-                lo = maxs[i - 1] or self.rg_mins[i - 1]
-            self.rg_mins.append(lo)
-        self.rg_maxs: list[str | None] = [None] * len(maxs)
-        for i in reversed(range(len(maxs))):
-            hi = maxs[i]
-            if not hi and i + 1 < len(maxs):
-                hi = mins[i + 1] or self.rg_maxs[i + 1]
-            self.rg_maxs[i] = hi or None
+        self.rg_starts = _offsets([md.row_group(i).num_rows
+                                   for i in range(md.num_row_groups)])
+        self.dict = _TermDict(self.pf.read(columns=["term"],
+                                           use_threads=False).column(0))
 
-    @property
-    def num_row_groups(self) -> int:
-        return self.pf.metadata.num_row_groups
-
-    def rgs_for_terms(self, terms) -> list[int]:
-        out = set()
-        for t in terms:
-            # the candidates are a run ending at the last min <= t
-            i = bisect.bisect_right(self.rg_mins, t) - 1
-            while i >= 0 and (self.rg_maxs[i] is None
-                              or t <= self.rg_maxs[i]):
-                out.add(i)
-                i -= 1
-        return sorted(out)
-
-    def rgs_for_range(self, lo: str | None, hi: str | None) -> list[int]:
-        """Row groups overlapping [lo, hi] (inclusive; None = unbounded)."""
-        out = []
-        for i, (mn, mx) in enumerate(zip(self.rg_mins, self.rg_maxs)):
-            if hi is not None and mn > hi:
-                continue
-            if lo is not None and mx is not None and mx < lo:
-                continue
-            out.append(i)
-        return out
-
-    def read_rgs(self, rgs: list[int], columns=None) -> pa.Table | None:
-        if not rgs:
-            return None
+    def read_rows(self, rows: list[int], columns=None):
+        """(the given rows in order, row groups read, rows read): one
+        read of the row groups that hold them."""
+        rows = np.asarray(rows, np.int64)
+        rg = np.searchsorted(self.rg_starts, rows, "right") - 1
+        rgs = np.unique(rg)
         # use_threads=False: these are small point reads; Arrow's
         # internal pool costs more per call than it saves on them
-        return self.pf.read_row_groups(rgs, columns=columns,
-                                       use_threads=False)
-
-
-class _ShardedPostings:
-    """A segment's postings.parquet: ``POSTINGS_BUCKETS`` term-sorted
-    parts (``part-N.parquet``, each with its ``_part-N.termset``), a
-    term in part ``bucket_of(term)``; parts open on first use."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self._open: dict[int, TermSortedFile] = {}
-        self._termsets: dict[int, np.ndarray] = {}
-
-    def termset(self, b: int) -> np.ndarray:
-        """Sorted 64-bit term-hash fingerprint of part ``b`` (the
-        term-dictionary presence check) — lets absent terms skip the
-        part without opening its Parquet file."""
-        ts = self._termsets.get(b)
-        if ts is None:
-            ts = self._termsets[b] = np.fromfile(
-                termset_path(self.path, b), dtype=np.uint64)
-        return ts
-
-    def _file(self, b: int) -> TermSortedFile:
-        f = self._open.get(b)
-        if f is None:
-            f = self._open[b] = TermSortedFile(part_path(self.path, b))
-        return f
-
-    def files(self):
-        for b in range(POSTINGS_BUCKETS):
-            yield self._file(b)
-
-    @property
-    def num_rows(self) -> int:
-        return sum(f.num_rows for f in self.files())
-
-    def route(self, terms) -> dict[int, list[str]]:
-        """part -> the subset of ``terms`` that can live there."""
-        out: dict[int, list[str]] = {}
-        for t, b in zip(terms, bucket_of(terms).tolist()):
-            out.setdefault(b, []).append(t)
-        return out
-
-
-def _select_terms(t: pa.Table, terms) -> pa.Table:
-    """Rows of ``t`` whose term is in ``terms`` (one Arrow filter)."""
-    col = t.column("term")
-    return t.filter(pc.is_in(col, value_set=pa.array(terms, col.type)))
-
-
-def _select_range(t: pa.Table, lo: str | None, hi: str | None) -> list[str]:
-    """Terms of ``t`` in [lo, hi] (inclusive; None = unbounded). Arrow
-    compares UTF-8 bytes, which orders like Python's code points."""
-    col = t.column("term")
-    if lo is not None:
-        col = col.filter(pc.greater_equal(col, lo))
-    if hi is not None:
-        col = col.filter(pc.less_equal(col, hi))
-    return col.to_pylist()
+        t = self.pf.read_row_groups(rgs.tolist(), columns=columns,
+                                    use_threads=False)
+        base = _offsets(np.diff(self.rg_starts)[rgs])
+        idx = base[np.searchsorted(rgs, rg)] + rows - self.rg_starts[rg]
+        # one row (the common first touch) is a zero-copy slice
+        got = t.slice(int(idx[0]), 1) if len(idx) == 1 else t.take(idx)
+        return got, len(rgs), len(t)
 
 
 _LIST_DTYPES = {"block_last_docs": np.int32, "imp_freqs": np.int32,
                 "imp_norms": np.uint8, "imp_offsets": np.int64,
                 "chunk_doc_counts": np.int32, "chunk_occ_counts": np.int64,
                 "docs_bb": np.int32, "freqs_bb": np.int32}
+
+# what unpack_postings_many reads, and the term to confirm the row by
+_DECODE_COLUMNS = ["term", "docs", "freqs", "docs_bb", "freqs_bb",
+                   "chunk_doc_counts"]
 
 
 def _rows_to_postings(t: pa.Table) -> list[PackedPostings]:
@@ -209,8 +180,8 @@ class SegmentReader:
     def __init__(self, seg_dir: str, cache_size: int = 4096,
                  del_gen: int = -1, dvu_gen: int = -1):
         self._seg_dir = seg_dir
-        self._postings = _ShardedPostings(
-            os.path.join(seg_dir, "postings.parquet"))
+        self._postings_dir = os.path.join(seg_dir, "postings.parquet")
+        self._parts: dict[int, _PostingsPart] = {}
         self._docs_path = os.path.join(seg_dir, "docs.parquet")
         d = pq.read_table(self._docs_path,
                           columns=["doc_id", "doc_len", "norm"])
@@ -222,12 +193,11 @@ class SegmentReader:
         self._contiguous = bool(
             n and self.doc_ids[-1] - self.doc_ids[0] == n - 1)
         self._base = int(self.doc_ids[0]) if n else 0
-        # LRUQueryCache analog: term -> PackedPostings for loaded terms;
-        # _decoded holds the decoded arrays of resident terms only
-        self._cache: "OrderedDict[str, PackedPostings]" = OrderedDict()
-        self._decoded: dict[str, DecodedPostings] = {}
+        # LRUQueryCache analog: term -> decoded postings of loaded terms;
+        # _packed holds the packed rows read for resident terms only
+        self._cache: "OrderedDict[str, DecodedPostings]" = OrderedDict()
+        self._packed: dict[str, PackedPostings] = {}
         self._cache_size = cache_size
-        self._df: dict[str, int] = {}
         self._absent: set[str] = set()
         self._dv_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
         # live docs (Lucene90LiveDocsFormat analog): sorted deleted docIDs
@@ -282,81 +252,93 @@ class SegmentReader:
 
     @property
     def num_terms(self):
-        return self._postings.num_rows
+        return sum(pq.read_metadata(part_path(self._postings_dir, b)).num_rows
+                   for b in range(POSTINGS_BUCKETS))
+
+    def _part(self, b: int) -> _PostingsPart:
+        got = self._parts.get(b)
+        if got is None:
+            got = self._parts[b] = _PostingsPart(
+                part_path(self._postings_dir, b))
+        return got
 
     def terms(self):
-        """All terms in this segment (sorted). Vocabulary-sized scan of
-        the term column only — a tool/diagnostic path, not a query path."""
-        out = []
-        for f in self._postings.files():
-            t = f.pf.read(columns=["term"])
-            out.extend(t.column("term").to_pylist())
-        return iter(sorted(out))
+        """All terms in this segment (sorted): every part's dictionary,
+        a tool/diagnostic path, not a query path."""
+        return iter(sorted(t for b in range(POSTINGS_BUCKETS)
+                           for t in self._part(b).dict.terms()))
 
     def ensure_terms(self, terms) -> None:
-        """Load the given terms' posting rows (row-group pruned, one
-        batched read per part). Terms not in the segment are recorded
-        as absent; everything loaded lands in the LRU cache."""
-        missing = [t for t in dict.fromkeys(terms)
-                   if t not in self._cache and t not in self._absent]
+        """Load the given terms' decoded postings: each resolves in its
+        part's dictionary, the found rows' row groups are read once per
+        part with only the decode's columns, and every loaded row is
+        decoded in one pass. Absent terms are recorded, with no read;
+        everything loaded lands in the LRU cache."""
+        self._load([t for t in dict.fromkeys(terms)
+                    if t not in self._cache and t not in self._absent],
+                   packed=False)
+
+    def ensure_packed(self, terms) -> None:
+        """``ensure_terms``, reading whole rows: the terms' packed
+        postings (positions, impacts) load in the same read."""
+        self._load([t for t in dict.fromkeys(terms)
+                    if t not in self._packed and t not in self._absent],
+                   packed=True)
+
+    def _load(self, missing: list[str], packed: bool) -> None:
         if not missing:
             return
-        found = set()
-        for b, part_terms in self._postings.route(missing).items():
-            ts = self._postings.termset(b)
-            if not len(ts):
-                continue
-            h = term_hash64(part_terms)
-            member = ts[np.minimum(np.searchsorted(ts, h), len(ts) - 1)] == h
-            part_terms = [t for t, m in zip(part_terms, member) if m]
-            if not part_terms:
-                continue  # part never opened for absent terms
-            f = self._postings._file(b)
-            rgs = f.rgs_for_terms(part_terms)
-            t = f.read_rgs(rgs)
-            if t is None:
-                continue
+        for b, part_terms in _route(missing).items():
+            part = self._part(b)
+            rows = part.dict.rows(part_terms)
+            found = [t for t, r in zip(part_terms, rows) if r >= 0]
+            self._absent.update(t for t, r in zip(part_terms, rows) if r < 0)
+            if not found:
+                continue  # no read for absent terms
+            t, rgs, nrows = part.read_rows(
+                [r for r in rows if r >= 0],
+                None if packed else _DECODE_COLUMNS)
             # counters measure Parquet reads, before the selection
-            self.rg_reads += len(rgs)
-            self.rows_loaded += len(t)
-            t = _select_terms(t, part_terms)
-            for term, df, p in zip(t.column("term").to_pylist(),
-                                   t.column("df").to_pylist(),
-                                   _rows_to_postings(t)):
-                self._cache[term] = p
-                self._df[term] = df
-                found.add(term)
-        for t in missing:
-            if t not in found:
-                self._absent.add(t)
+            self.rg_reads += rgs
+            self.rows_loaded += nrows
+            if t.column("term").to_pylist() != found:
+                raise ValueError(f"{part.path}: rows do not hold the "
+                                 "terms its dictionary names")
+            if packed:
+                self._packed.update(zip(found, _rows_to_postings(t)))
+            new = np.array([term not in self._cache for term in found])
+            decoded = iter(unpack_postings_many(
+                t if new.all() else t.filter(new)))
+            for term, n in zip(found, new.tolist()):
+                if n:
+                    self._cache[term] = next(decoded)
         while len(self._cache) > self._cache_size:
             k, _ = self._cache.popitem(last=False)
-            self._df.pop(k, None)
-            self._decoded.pop(k, None)
-
-    def get_postings(self, term: str) -> PackedPostings | None:
-        cached = self._cache.get(term)
-        if cached is not None:
-            self._cache.move_to_end(term)
-            return cached
-        if term in self._absent:
-            return None
-        self.ensure_terms([term])
-        return self._cache.get(term)
+            self._packed.pop(k, None)
 
     def get_decoded(self, term: str) -> DecodedPostings | None:
         """The term's decoded (docs, freqs, block_starts), decoded on
         first use and kept while the term stays in the postings cache —
         the OS page-cache role for resident postings. None if absent."""
-        p = self.get_postings(term)
-        if p is None:
+        got = self._cache.get(term)
+        if got is not None:
+            self._cache.move_to_end(term)
+            return got
+        if term in self._absent:
             return None
-        got = self._decoded.get(term)
-        if got is None:
-            got = decode(p)
-            if term in self._cache:
-                self._decoded[term] = got
-        return got
+        self.ensure_terms([term])
+        return self._cache.get(term)
+
+    def get_postings(self, term: str) -> PackedPostings | None:
+        """The term's packed row, read by row number on first use."""
+        p = self._packed.get(term)
+        if p is not None:
+            self._cache.move_to_end(term)
+            return p
+        if term in self._absent:
+            return None
+        self.ensure_packed([term])
+        return self._packed.get(term)
 
     def get_positions(self, term: str):
         """(docs, freqs, flat positions) or None. Requires an index built
@@ -373,9 +355,8 @@ class SegmentReader:
         return docs, freqs, pos
 
     def df(self, term: str) -> int:
-        if self.get_postings(term) is None:
-            return 0
-        return self._df.get(term, 0)
+        dec = self.get_decoded(term)
+        return 0 if dec is None else len(dec.docs)
 
     def norms_for(self, docs: np.ndarray) -> np.ndarray:
         """Norm bytes for (sorted or unsorted) global docIDs in this segment."""
@@ -533,7 +514,7 @@ class IndexReader:
         self.segment_infos = segs
         self._readers: dict[str, SegmentReader] = {}
         self._ts_cache: dict[str, tuple[int, int]] = {}
-        self._stats_files: list[TermSortedFile] | None = None
+        self._stats: dict[int, tuple[_TermDict, np.ndarray, np.ndarray]] = {}
         self._vocab_cache: "OrderedDict[tuple, list[str]]" = OrderedDict()
 
     @property
@@ -636,65 +617,53 @@ class IndexReader:
         return out
 
     # -- global term statistics (TermStates.build analog) -------------------
-    def _open_stats(self) -> list[TermSortedFile]:
-        """The generation's global (term, df, ttf) parts; a term lives in
-        part ``bucket_of(term)``, as in every segment."""
-        if self._stats_files is None:
-            d = os.path.join(self.index_dir, "global",
-                             f"term_stats_gen{self.manifest.generation}")
-            self._stats_files = [TermSortedFile(part_path(d, b))
-                                 for b in range(POSTINGS_BUCKETS)]
-        return self._stats_files
+    def _stats_part(self, b: int) -> tuple[_TermDict, np.ndarray, np.ndarray]:
+        """Part ``b`` of the generation's global (term, df, ttf), read
+        whole on first use: its dictionary and its df and ttf arrays."""
+        got = self._stats.get(b)
+        if got is None:
+            t = pq.read_table(part_path(os.path.join(
+                self.index_dir, "global",
+                f"term_stats_gen{self.manifest.generation}"), b),
+                columns=["term", "df", "ttf"], use_threads=False)
+            got = self._stats[b] = (_TermDict(t.column("term")),
+                                    t.column("df").to_numpy(),
+                                    t.column("ttf").to_numpy())
+        return got
 
     def term_stats(self, terms: list[str]) -> dict[str, tuple[int, int]]:
-        """Global (df, ttf) per term, incrementally cached: only the
-        asked-for terms' row groups are read (never the whole vocab)."""
+        """Global (df, ttf) per term, from the resident stats parts; each
+        answer is memoized, so a repeated term is one dict lookup."""
         missing = [t for t in dict.fromkeys(terms) if t not in self._ts_cache]
-        if missing:
-            files = self._open_stats()
-            by_file: dict[int, list[str]] = {}
-            for t, b in zip(missing, bucket_of(missing).tolist()):
-                by_file.setdefault(b, []).append(t)
-            for i, sub in by_file.items():
-                f = files[i]
-                t = f.read_rgs(f.rgs_for_terms(sub),
-                               columns=["term", "df", "ttf"])
-                if t is None:
-                    continue
-                t = _select_terms(t, sub)
-                self._ts_cache.update(zip(
-                    t.column("term").to_pylist(),
-                    zip(t.column("df").to_pylist(),
-                        t.column("ttf").to_pylist())))
-            for t in missing:
-                self._ts_cache.setdefault(t, (0, 0))
-        return {t: self._ts_cache.get(t, (0, 0)) for t in terms}
+        for b, sub in _route(missing).items() if missing else ():
+            d, df, ttf = self._stats_part(b)
+            for t, r in zip(sub, d.rows(sub)):
+                self._ts_cache[t] = (int(df[r]), int(ttf[r])) if r >= 0 \
+                    else (0, 0)
+        return {t: self._ts_cache[t] for t in terms}
 
     def all_term_stats(self) -> dict[str, tuple[int, int]]:
         """FULL vocabulary (df, ttf) — a deliberate whole-vocab scan for
         tools/benchmarks, never on the query path."""
         stats: dict[str, tuple[int, int]] = {}
-        for f in self._open_stats():
-            t = f.pf.read(columns=["term", "df", "ttf"])
-            stats.update(zip(t.column("term").to_pylist(),
-                             zip(t.column("df").to_pylist(),
-                                 t.column("ttf").to_pylist())))
+        for b in range(POSTINGS_BUCKETS):
+            d, df, ttf = self._stats_part(b)
+            stats.update(zip(d.terms(), zip(df.tolist(), ttf.tolist())))
         return stats
 
     def vocab(self, lo: str | None = None, hi: str | None = None) -> list[str]:
-        """Sorted distinct terms in [lo, hi] (term column only, row-group
-        pruned) — the term-dictionary range scan multi-term queries
-        rewrite against (block-tree intersect analog)."""
+        """Sorted distinct terms in [lo, hi] — the term-dictionary range
+        scan multi-term queries rewrite against (block-tree intersect
+        analog), over the resident stats dictionaries."""
         key = (lo, hi)
         got = self._vocab_cache.get(key)
         if got is not None:
             self._vocab_cache.move_to_end(key)
             return got
-        terms: set[str] = set()
-        for f in self._open_stats():
-            t = f.read_rgs(f.rgs_for_range(lo, hi), columns=["term"])
-            if t is not None:
-                terms.update(_select_range(t, lo, hi))
+        terms: list[str] = []
+        for b in range(POSTINGS_BUCKETS):
+            d = self._stats_part(b)[0]
+            terms.extend(d.terms(*d.span(lo, hi)))
         out = sorted(terms)
         self._vocab_cache[key] = out
         if len(self._vocab_cache) > 16:

@@ -142,16 +142,18 @@ class Searcher:
         # repeated hot terms skip the skyline recompute
         self._ub_cache: dict[tuple, np.ndarray] = {}
 
-    def _block_ubs(self, sr: SegmentReader, p, term: str,
+    def _block_ubs(self, sr: SegmentReader, term: str,
                    weight: np.float32) -> np.ndarray:
         """Cached ``bm25.max_block_scores`` — the EXACT float32 output
         array (read-only by convention), so every pruning decision is
         bit-identical to the uncached path. Impacts are immutable per
         segment dir (deletes/dv-updates never touch skylines), so the
-        (segment, term, weight) key is stable."""
+        (segment, term, weight) key is stable. A miss reads the term's
+        packed row for its impacts."""
         key = (sr._seg_dir, term, float(weight))
         ub = self._ub_cache.get(key)
         if ub is None:
+            p = sr.get_postings(term)
             ub = bm25.max_block_scores(
                 np.asarray(p.imp_freqs), np.asarray(p.imp_norms),
                 np.asarray(p.imp_offsets), weight, self.cache)
@@ -350,7 +352,10 @@ class Searcher:
         terms = sorted(set(query_terms(q)))
         if terms:
             for sr in self.reader.segments():
-                sr.ensure_terms(terms)
+                if w.positional:
+                    sr.ensure_packed(terms)
+                else:
+                    sr.ensure_terms(terms)
         return w
 
     def search(self, q: Query, k: int = 10, *, threshold_cb=None,
@@ -936,16 +941,15 @@ class Searcher:
         """Single-term top-k with per-block impact pruning (ImpactsDISI):
         score the highest-bound blocks first to establish a threshold,
         then score only blocks whose impact bound can still compete."""
-        p = sr.get_postings(t.term)
-        if p is None:
-            return None, None
         dec = sr.get_decoded(t.term)
-        bounds = self._block_ubs(sr, p, t.term, t.weight)
-        nblocks = len(bounds)
+        if dec is None:
+            return None, None
+        nblocks = len(dec.block_starts) - 1
         if nblocks <= 8:
             docs, freqs = self._live(sr, dec.docs, dec.freqs)
             return docs, bm25.score_freqs(freqs, sr.norms_for(docs), t.weight,
                                           self.cache).astype(np.float64)
+        bounds = self._block_ubs(sr, t.term, t.weight)
         # process blocks in bound-descending batches; after each batch the
         # k-th collected score becomes the skip threshold for the rest
         order = np.argsort(-bounds, kind="stable")
@@ -992,17 +996,16 @@ class Searcher:
         # postings for required terms; any missing -> empty
         loaded = []
         for t, scores_q in required:
-            p = sr.get_postings(t.term)
-            if p is None:
+            dec = sr.get_decoded(t.term)
+            if dec is None:
                 return None, None
-            loaded.append((t, scores_q, p))
-        order = sorted(range(len(loaded)), key=lambda i: loaded[i][2].doc_count)
-        dec0 = sr.get_decoded(loaded[order[0]][0].term)
+            loaded.append((t, scores_q, dec))
+        order = sorted(range(len(loaded)), key=lambda i: len(loaded[i][2].docs))
+        dec0 = loaded[order[0]][2]
         cand, freqs0 = self._live(sr, dec0.docs, dec0.freqs)
         term_freqs: dict[int, np.ndarray] = {order[0]: freqs0}
         for oi in order[1:]:
-            t = loaded[oi][0]
-            f = lookup(sr.get_decoded(t.term), cand)
+            f = lookup(loaded[oi][2], cand)
             keep = f > 0
             cand = cand[keep]
             term_freqs = {i: ff[keep] for i, ff in term_freqs.items()}
@@ -1020,7 +1023,7 @@ class Searcher:
         if scoring:
             # accumulate in ORIGINAL clause order so scores are
             # bit-identical regardless of which term led the intersection
-            for i, (t, scores_q, _p) in enumerate(loaded):
+            for i, (t, scores_q, _dec) in enumerate(loaded):
                 if scores_q and self._scores_term(t):
                     sums += self._contrib(t, term_freqs[i], norms)
         # optional SHOULD clauses add score on the conjunction's matches;
@@ -1047,21 +1050,20 @@ class Searcher:
         """Exhaustive OR (DisjunctionSumScorer) with minShouldMatch. Both
         accumulators add each clause's float64 contribution per doc in
         clause order, so they give bit-identical scores."""
-        postings = [(t, p) for t in plan["should"]
-                    if (p := sr.get_postings(t.term)) is not None]
+        postings = [(t, dec) for t in plan["should"]
+                    if (dec := sr.get_decoded(t.term)) is not None]
         if not postings:
             return None, None
-        decoded = [self._live(sr, *sr.get_decoded(t.term)[:2])
-                   for t, _p in postings]
-        scored = [scoring and self._scores_term(t) for t, _p in postings]
-        if (sr._contiguous and sum(p.doc_count for _t, p in postings)
+        decoded = [self._live(sr, dec.docs, dec.freqs) for _t, dec in postings]
+        scored = [scoring and self._scores_term(t) for t, _dec in postings]
+        if (sr._contiguous and sum(len(dec.docs) for _t, dec in postings)
                 * _DENSE_OR_RATIO >= len(sr)):
             # dense segment-length accumulators (a term's docs are
             # unique, so fancy-indexed += is exact)
             n, base = len(sr), sr._base
             cnt = np.zeros(n, dtype=np.int32)
             sums_full = np.zeros(n, dtype=np.float64) if scoring else None
-            for (t, _p), (docs, freqs), sc in zip(postings, decoded, scored):
+            for (t, _dec), (docs, freqs), sc in zip(postings, decoded, scored):
                 idx = docs - base
                 cnt[idx] += 1
                 if sc:
@@ -1076,7 +1078,7 @@ class Searcher:
             counts = np.zeros(len(cand), dtype=np.int32)
             sums = np.zeros(len(cand), dtype=np.float64) if scoring else None
             norms_cand = self._norm_data(sr, cand) if scoring else None
-            for (t, _p), (docs, freqs), sc in zip(postings, decoded, scored):
+            for (t, _dec), (docs, freqs), sc in zip(postings, decoded, scored):
                 pos = np.searchsorted(cand, docs)
                 counts[pos] += 1
                 if sc:
@@ -1157,6 +1159,9 @@ class _Weight:
     and return COMPLETE, unpruned results. Only ``top``, which
     ``Searcher.search`` calls on the top-level weight, may prune."""
 
+    # scoring reads positions: the first touch loads packed rows too
+    positional = False
+
     def __init__(self, s: Searcher):
         self.s = s
         self.dt = np.float64 if s.exact64 else np.float32
@@ -1213,6 +1218,8 @@ class _NestedBoolWeight(_Weight):
         self.must_not = [_create_weight(s, c) for c in q.must_not]
         self.filter = [_create_weight(s, c) for c in q.filter]
         self.msm = q.min_should_match
+        self.positional = any(w.positional for w in (
+            *self.must, *self.should, *self.must_not, *self.filter))
 
     def scores(self, sr):
         def ev(w):
@@ -1241,6 +1248,7 @@ class _ConstWeight(_Weight):
     def __init__(self, s, q):
         super().__init__(s)
         self.inner = _create_weight(s, q.inner)
+        self.positional = self.inner.positional
         self.boost = np.float64(q.boost)
 
     def scores(self, sr):
@@ -1284,6 +1292,7 @@ class _DisMaxWeight(_Weight):
     def __init__(self, s, q):
         super().__init__(s)
         self.subs = [_create_weight(s, c) for c in q.disjuncts]
+        self.positional = any(w.positional for w in self.subs)
         self.tie_breaker = float(q.tie_breaker)
 
     def scores(self, sr):
@@ -1310,6 +1319,7 @@ class _CoveringWeight(_Weight):
         from .expressions import compile_expression
         super().__init__(s)
         self.subs = [_create_weight(s, c) for c in q.queries]
+        self.positional = any(w.positional for w in self.subs)
         self.expr = compile_expression(q.min_match)
 
     def scores(self, sr):
@@ -1343,6 +1353,8 @@ class _PhraseWeight(_Weight):
     segment, BM25-scored with the idf summed over every term (every
     alternative of a multi-phrase slot — MultiPhraseWeight collects all
     TermStatistics). Both idf sums are computed here, once."""
+
+    positional = True
 
     def __init__(self, s, q):
         super().__init__(s)
@@ -1393,6 +1405,7 @@ class _FunctionScoreWeight(_Weight):
         from .expressions import compile_expression
         super().__init__(s)
         self.inner = _create_weight(s, q.inner)
+        self.positional = self.inner.positional
         self.expr = compile_expression(q.expression)
         self.boost = q.boost
 

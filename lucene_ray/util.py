@@ -54,19 +54,6 @@ def stage_pool(concurrency=None):
     return (1, default_concurrency()) if concurrency is None else concurrency
 
 
-def term_hash64(terms) -> "np.ndarray":
-    """Stable 64-bit hashes for term-membership fingerprints (the
-    term-dictionary bloom/FST-presence role). blake2b-8 per term."""
-    import hashlib
-
-    import numpy as np
-    out = np.empty(len(terms), dtype=np.uint64)
-    for i, t in enumerate(terms):
-        out[i] = int.from_bytes(
-            hashlib.blake2b(t.encode(), digest_size=8).digest(), "little")
-    return out
-
-
 _CRC32_TABLE = None
 
 

@@ -15,7 +15,7 @@ from lucene_ray.index import (
     latest_generation,
     read_manifest,
 )
-from lucene_ray.index.manifest import POSTINGS_BUCKETS, part_path, termset_path
+from lucene_ray.index.manifest import POSTINGS_BUCKETS, part_path
 from lucene_ray.index.multi_field import build_multi_field_index
 from lucene_ray.index.resumable import build_index_resumable
 from lucene_ray.search import IndexReader, Searcher, TermQuery
@@ -57,11 +57,6 @@ def test_build_matches_direct_segment_indexer(ray_session, pages, tmp_path,
                 got = pq.read_table(os.path.join(_files(out, sid), name))
                 want = pq.read_table(os.path.join(_files(ref, sid), name))
                 assert got.equals(want), (conc, sid, name)
-            for b in range(POSTINGS_BUCKETS):
-                name = termset_path("postings.parquet", b)
-                with open(os.path.join(_files(out, sid), name), "rb") as x, \
-                        open(os.path.join(_files(ref, sid), name), "rb") as y:
-                    assert x.read() == y.read(), (conc, sid, name)
             if positions:
                 assert pq.read_table(os.path.join(
                     _files(out, sid), "postings.parquet"),

@@ -1,6 +1,6 @@
 """One on-disk format: the manifest names its version and readers refuse
 any other; every writer commits a generation together with its global
-term stats and sidecars, and ``validate_index`` reports a missing one."""
+term stats, and ``validate_index`` reports a missing or unordered part."""
 
 import json
 import os
@@ -26,7 +26,6 @@ from lucene_ray.index.manifest import (
     POSTINGS_BUCKETS,
     part_path,
     read_manifest,
-    termset_path,
 )
 from lucene_ray.index.merge import merge_segments
 from lucene_ray.index.validate import validate_index
@@ -68,8 +67,9 @@ def _segment_sums(reader):
     reader computed for a generation that had no global stats."""
     out: dict[str, tuple[int, int]] = {}
     for sr in reader.segments():
-        for f in sr._postings.files():
-            t = f.pf.read(columns=["term", "df", "ttf"])
+        for b in range(POSTINGS_BUCKETS):
+            t = pq.read_table(part_path(sr._postings_dir, b),
+                              columns=["term", "df", "ttf"])
             for term, df, ttf in zip(*(t.column(c).to_pylist()
                                        for c in ("term", "df", "ttf"))):
                 d0, f0 = out.get(term, (0, 0))
@@ -103,18 +103,42 @@ def test_unknown_format_version_is_refused(ray_session, tmp_path, version):
 
 
 def test_validate_reports_missing_sidecars(ray_session, tmp_path):
+    """A segment's live-docs file and a generation's stats part are the
+    files beside the postings parts; each missing one is one error."""
     idx = _build(tmp_path, "idx", 0, 300, seed=2, batch_size=60)
     merge_segments(idx, segs_per_tier=3)
-    assert validate_index(idx) == []
-    seg = next(s.seg_id for s in read_manifest(idx).segments
+    seg = next(s for s in read_manifest(idx).segments
                if s.seg_id.startswith("merged-"))
-    os.remove(termset_path(_postings_dir(idx, seg), 0))
-    errs = validate_index(idx)
-    assert errs == [f"{seg}/part-00000: missing termset"], errs
+    apply_deletes(idx, {seg.seg_id: np.array([seg.min_doc])})
+    assert validate_index(idx) == []
     gen = read_manifest(idx).generation
+    os.remove(os.path.join(idx, "segments", seg.seg_id,
+                           f"deletes_gen{gen}.parquet"))
+    errs = validate_index(idx)
+    assert errs == [f"{seg.seg_id}: missing deletes_gen{gen}"], errs
     os.remove(part_path(_stats_dir(idx, gen), 3))
     errs = validate_index(idx)
     assert errs[1:] == [f"term_stats_gen{gen}/part-00003: missing part"], errs
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "out_of_order"])
+def test_validate_reports_unordered_terms_once(ray_session, tmp_path, fault):
+    """The readers' term dictionaries bisect on each part's term order,
+    so a part whose terms are not strictly ascending is one error."""
+    idx = _build(tmp_path, "idx", 0, 300, seed=2, batch_size=60)
+    seg = read_manifest(idx).segments[0].seg_id
+    d = _postings_dir(idx, seg)
+    b = max(range(POSTINGS_BUCKETS),
+            key=lambda i: pq.read_metadata(part_path(d, i)).num_rows)
+    t = pq.read_table(part_path(d, b))
+    rows = list(range(len(t)))
+    if fault == "duplicate":
+        rows.insert(1, 1)
+    else:
+        rows[1], rows[2] = rows[2], rows[1]
+    write_postings_part(d, b, t.take(rows))
+    assert validate_index(idx) == [
+        f"{seg}/part-{b:05d}: terms not strictly ascending"]
 
 
 def test_validate_reports_a_missing_part_once(ray_session, tmp_path):
@@ -126,9 +150,8 @@ def test_validate_reports_a_missing_part_once(ray_session, tmp_path):
 
 def test_validate_reports_a_row_in_the_wrong_part_once(ray_session,
                                                        tmp_path):
-    """A row written into another part than its term's, with that part's
-    termset matching: no reader finds the term, and validation says so
-    once."""
+    """A row written into another part than its term's: no reader finds
+    the term, and validation says so once."""
     idx = _build(tmp_path, "idx", 0, 300, seed=2, batch_size=60)
     seg = read_manifest(idx).segments[0].seg_id
     d = _postings_dir(idx, seg)

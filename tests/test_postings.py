@@ -157,3 +157,80 @@ def test_roundtrip_hypothesis(gap_freq):
     d2, f2 = unpack_postings(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
+
+
+# -- batched decode: unpack_postings_many == per-term decode -----------------
+
+def _chunked_group(rng, n_chunks, fmts=("for128",)):
+    """Rows of terms a/b/c packed per chunk over disjoint doc ranges
+    (chunk 0 starts at docID 0, so a one-doc chunk there packs a width-0
+    docs block), sorted by term with each term's chunks in doc order —
+    a merge group. Returns (rows, norms of every docID)."""
+    norms = rng.integers(1, 255, 40_000).astype(np.uint8)
+    tables, base = [], 0
+    for c in range(n_chunks):
+        sizes = [1 if c == 0 else int(rng.integers(1, 300)),
+                 int(rng.integers(1, 400)), 128 * (c + 1)]
+        d, f, tb = [], [], [0]
+        for n in sizes:
+            d.append(base + np.sort(rng.choice(3 * n + 3, n, replace=False)))
+            f.append(rng.integers(1, 60, n))
+            tb.append(tb[-1] + n)
+        D = np.concatenate(d)
+        tables.append(pack_postings_many(
+            D, np.concatenate(f), norms[D], tb, terms=["a", "b", "c"],
+            postings_format=fmts[c % len(fmts)]))
+        base = int(D.max()) + 1 + int(rng.integers(0, 9))
+    rows = pa.concat_tables(tables).sort_by("term").combine_chunks()
+    return rows, norms
+
+
+def _packed_rows(kind, rng):
+    if kind == "built":
+        sizes = [1, 2, 127, 128, 129, 300, 1000]
+        d, f, tb = [], [], [0]
+        for n in sizes:
+            d.append(np.sort(rng.choice(3000, n, replace=False)))
+            f.append(rng.integers(1, 2**20, n))
+            tb.append(tb[-1] + n)
+        d[0][:] = 0  # one posting at docID 0: a width-0 docs block
+        D = np.concatenate(d)
+        t = pack_postings_many(D, np.concatenate(f),
+                               rng.integers(1, 255, len(D)), tb,
+                               terms=[f"t{i}" for i in range(len(sizes))])
+        assert t.column("docs")[0].as_py() == b"\x00"
+        return t
+    if kind in ("tagged_vint", "tagged_pfor"):
+        rows, _ = _chunked_group(rng, 1, fmts=(kind[len("tagged_"):],))
+        return rows
+    rows, norms = _chunked_group(
+        rng, 4, fmts=("for128", "vint") if kind == "mixed" else ("for128",))
+    if kind in ("concat", "mixed"):
+        return _merge_bucket_vec(rows)
+    deleted = None if kind == "repacked" else np.arange(0, len(norms), 7)
+    return _repack_bucket(rows, (np.arange(len(norms)), norms), deleted)
+
+
+@pytest.mark.parametrize("kind", ["built", "concat", "repacked",
+                                  "tombstoned", "tagged_vint",
+                                  "tagged_pfor", "mixed"])
+def test_unpack_postings_many_equals_per_term_decode(kind):
+    from lucene_ray.codecs.postings import unpack_postings_many
+    from lucene_ray.search.postings_io import decode
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    table = _packed_rows(kind, rng)
+    packed = _rows_to_postings(table)
+    if kind in ("concat", "mixed"):
+        assert all(len(p.chunk_doc_counts) == 4 for p in packed)
+    # whole table, a slice (Arrow offsets not at 0), rows out of order
+    n = len(table)
+    for t, ps in ((table, packed), (table.slice(1), packed[1:]),
+                  (table.take(list(range(n))[::-1]), packed[::-1])):
+        got = unpack_postings_many(t)
+        assert len(got) == len(ps)
+        for g, p in zip(got, ps):
+            for a, b in zip(g, decode(p)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not (g.docs.flags.writeable or g.freqs.flags.writeable
+                        or g.block_starts.flags.writeable)
+    assert unpack_postings_many(table.slice(0, 0)) == []

@@ -1,7 +1,8 @@
 """Term-pruned postings reads (VERDICT r1 item 1): the reader must not
 materialize whole postings tables — a query's bytes are bounded by its
-terms' row groups (row-group min/max term stats = the FST index analog,
-``codecs/lucene90/blocktree/Lucene90BlockTreeTermsReader.java``)."""
+terms' row groups, found through the resident term dictionary (the
+terms-index analog, ``codecs/lucene90/blocktree/
+Lucene90BlockTreeTermsReader.java``)."""
 
 import numpy as np
 import pyarrow as pa
@@ -20,7 +21,6 @@ from lucene_ray.search import (
     Searcher,
     TermQuery,
 )
-from lucene_ray.util import term_hash64
 
 
 @pytest.fixture(scope="module")
@@ -110,22 +110,33 @@ def test_term_stats_incremental(wide_vocab_index):
     assert st["nosuchterm"] == (0, 0)
     df = sum(1 for t in texts if "w00042" in t.split())
     assert st["w00042"][0] == df
-    # cache is incremental, not whole-vocab
-    assert len(reader._ts_cache) <= 8
+    # only the asked-for terms' stats parts are made resident
+    assert len(reader._stats) <= 3
+    assert len(reader._ts_cache) == 3
 
 
-def test_termset_skips_absent_terms(wide_vocab_index):
-    out, texts = wide_vocab_index
+def test_absent_terms_cost_no_parquet_reads(wide_vocab_index, monkeypatch):
+    out, _ = wide_vocab_index
     reader = IndexReader(out)
     sr = next(reader.segments())
-    # absent terms: fingerprint rejects without a single row-group read
-    sr.ensure_terms(["zz_not_there", "also_missing"])
-    assert sr.rg_reads == 0 and sr.rows_loaded == 0
-    assert sr.get_postings("zz_not_there") is None
-    # present terms still load
-    sr.ensure_terms(["anchor"])
-    assert sr.get_postings("anchor") is not None
-    assert sr.rg_reads >= 1
+    sr.ensure_terms(["anchor"])  # opens anchor's part's dictionary
+    assert sr.rg_reads == 1
+    b = int(bucket_of(["anchor"])[0])
+    # past the part's last term, and inside its term range
+    absent = [t for t in (f"{p}{i}" for p in ("zz_missing", "anchor~")
+                          for i in range(200))
+              if bucket_of([t])[0] == b][::40]
+    assert any(t.startswith("anchor~") for t in absent)
+
+    def no_read(*a, **kw):
+        raise AssertionError("absent term read Parquet")
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", no_read)
+    monkeypatch.setattr(pq.ParquetFile, "read", no_read)
+    sr.ensure_terms(absent)
+    assert all(sr.get_postings(t) is None and sr.get_decoded(t) is None
+               and sr.df(t) == 0 for t in absent)
+    assert sr._absent == set(absent)
+    assert sr.rg_reads == 1 and sr.rows_loaded <= POSTINGS_ROW_GROUP
 
 
 def _reference_postings(t, i):
@@ -160,43 +171,49 @@ def _row_group_edges(reader):
     """Part 0 of the first segment's postings (>= 3 row groups), its
     full-file table, and the first and last term of its row group 1."""
     sr = next(reader.segments())
-    f = sr._postings._file(0)
-    assert f.num_row_groups >= 3
-    return sr, f, pq.read_table(f.path), f.rg_mins[1], f.rg_maxs[1]
+    part = sr._part(0)
+    assert part.pf.metadata.num_row_groups >= 3
+    full = pq.read_table(part.path)
+    terms = full.column("term")
+    lo, hi = part.rg_starts[1], part.rg_starts[2] - 1
+    return sr, part, full, terms[lo].as_py(), terms[hi].as_py()
 
 
-def _absent_in_range(f, rg, b):
-    """A term of part ``b`` that is not in the file but inside row group
-    rg's [min, max] (term ids are fixed-width, so min + "~" + digits
+def _absent_between(first, last, b):
+    """A term of part ``b`` strictly between ``first`` and ``last`` that
+    no index holds (term ids are fixed-width, so first + "~" + digits
     sorts before the next term)."""
-    t = next(t for t in (f"{f.rg_mins[rg]}~{i}" for i in range(1000))
+    t = next(t for t in (f"{first}~{i}" for i in range(1000))
              if bucket_of([t])[0] == b)
-    assert f.rg_mins[rg] < t < f.rg_maxs[rg]
+    assert first < t < last
     return t
 
 
-@pytest.mark.parametrize("exact_termset", [True, False])
-def test_selected_rows_match_full_read(wide_vocab_index, exact_termset):
+@pytest.mark.parametrize("packed", [True, False])
+def test_selected_rows_match_full_read(wide_vocab_index, packed):
+    """One read of one row group serves a batch of terms, narrow
+    (decode columns) or whole rows; either way the decoded arrays and
+    packed rows equal the full file's, and the dictionary keeps an
+    absent term inside the row group's range from becoming a row."""
+    from lucene_ray.search.postings_io import decode
     out, _ = wide_vocab_index
-    sr, f, full, first, last = _row_group_edges(IndexReader(out))
-    absent = _absent_in_range(f, 1, 0)
-    if not exact_termset:
-        # a fingerprint false positive (64-bit hash collision): the
-        # termset admits the absent term, the row group is read, and
-        # the Arrow selection must still drop it
-        ts = sr._postings.termset(0)
-        sr._postings._termsets[0] = np.sort(
-            np.append(ts, term_hash64([absent])))
+    sr, part, full, first, last = _row_group_edges(IndexReader(out))
+    absent = _absent_between(first, last, 0)
     batch = [first, absent, last, first, last, absent]
-    sr.ensure_terms(batch)
+    (sr.ensure_packed if packed else sr.ensure_terms)(batch)
     # counters count what was read from Parquet, not the rows kept
     assert sr.rg_reads == 1
-    assert sr.rows_loaded == f.pf.metadata.row_group(1).num_rows
+    assert sr.rows_loaded == part.pf.metadata.row_group(1).num_rows
+    assert set(sr._packed) == ({first, last} if packed else set())
     row = {t: i for i, t in enumerate(full.column("term").to_pylist())}
     for term in (first, last):
-        _assert_postings_equal(sr.get_postings(term),
-                               _reference_postings(full, row[term]))
+        want = _reference_postings(full, row[term])
+        for got, ref in zip(sr.get_decoded(term), decode(want)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        _assert_postings_equal(sr.get_postings(term), want)
         assert sr.df(term) == full.column("df")[row[term]].as_py()
+    # without the packed columns, each packed row is one more read
+    assert sr.rg_reads == (1 if packed else 3)
     assert sr.get_postings(absent) is None
     assert absent in sr._absent
 
@@ -204,12 +221,10 @@ def test_selected_rows_match_full_read(wide_vocab_index, exact_termset):
 def test_term_stats_batch_matches_full_scan(wide_vocab_index):
     out, _ = wide_vocab_index
     reader = IndexReader(out)
-    files = reader._open_stats()
-    b = max(range(len(files)), key=lambda i: files[i].num_row_groups)
-    f = files[b]
-    rg = f.num_row_groups // 2
-    first, last = f.rg_mins[rg], f.rg_maxs[rg]
-    absent = _absent_in_range(f, rg, b)
+    b = 3
+    d = reader._stats_part(b)[0]
+    first, last = d.terms(d.n // 2, d.n // 2 + 2)
+    absent = _absent_between(first, last, b)
     batch = [first, absent, last, last, "anchor", absent, "zz_missing"]
     got = reader.term_stats(batch)
     full = reader.all_term_stats()
@@ -376,20 +391,19 @@ def test_decoded_arrays_leave_the_cache_with_their_term(merged_generations):
     a, b, c = vocab[0], vocab[1], vocab[2]
     dec_a = sr.get_decoded(a)
     assert sr.get_decoded(a) is dec_a  # decoded once, then reused
-    sr.get_decoded(b)
-    assert set(sr._decoded) == {a, b}
+    sr.get_postings(b)  # b's packed row is read beside its arrays
+    assert list(sr._cache) == [a, b] and set(sr._packed) == {b}
     sr.get_decoded(c)  # loads a 3rd term: a is least recently used
-    assert list(sr._cache) == [b, c] and set(sr._decoded) == {b, c}
+    assert list(sr._cache) == [b, c] and set(sr._packed) == {b}
+    sr.get_decoded(a)  # b leaves, and its packed row with it
+    assert list(sr._cache) == [c, a] and not sr._packed
     for arr in (dec_a.docs, dec_a.freqs, dec_a.block_starts):
         with pytest.raises(ValueError):
             arr[0] = 1
     assert sr.get_decoded("zz_absent") is None
 
 
-# -- terms too long for Parquet statistics ------------------------------------
-# Parquet drops a string statistic over 4,096 bytes: a row group that
-# ends with such a term reports max '', one that starts with it min '',
-# one with it at both ends no statistics at all.
+# -- the term dictionary ------------------------------------------------------
 
 def _long(prefix):
     return prefix + "x" * (5000 - len(prefix))
@@ -397,23 +411,59 @@ def _long(prefix):
 
 @pytest.mark.parametrize("where", ["start", "end", "both"])
 def test_long_term_bounds_in_term_sorted_file(tmp_path, where):
-    from lucene_ray.search.reader import TermSortedFile
+    """Terms over 4,096 bytes (longer than Parquet keeps a statistic
+    for) at the start, the end or both ends of a row group: the
+    dictionary finds each term's row, the row group read by that row
+    number holds it, and an absent term beside each is absent."""
+    from lucene_ray.search.reader import _PostingsPart
     terms = [f"t{i:02d}" for i in range(8)]  # row groups of 2 terms
     pos = {"start": [4], "end": [3], "both": [4, 5]}[where]
     for i in pos:
         terms[i] = _long(terms[i])
     path = str(tmp_path / "terms.parquet")
-    pq.write_table(pa.table({"term": terms}), path, row_group_size=2)
-    st = pq.ParquetFile(path).metadata.row_group(pos[0] // 2) \
-        .column(0).statistics
-    # the file really carries a dropped bound (else the test shows nothing)
-    assert st is None or not st.has_min_max or "" in (st.min, st.max)
-    f = TermSortedFile(path)
-    assert f.rg_mins == sorted(f.rg_mins)
+    pq.write_table(pa.table({"term": pa.array(terms, pa.large_string())}),
+                   path, row_group_size=2, write_statistics=False)
+    part = _PostingsPart(path)
+    assert part.rg_starts.tolist() == [0, 2, 4, 6, 8]
+    assert part.dict.rows(terms) == list(range(8))
+    assert part.dict.rows([t + "y" for t in terms] + [t[:-1] for t in terms]
+                          ) == [-1] * 16
     for i, t in enumerate(terms):
-        assert i // 2 in f.rgs_for_terms([t]), t
-        assert i // 2 in f.rgs_for_range(t, t), t
-    assert f.rgs_for_terms(["t00", "t07"]) == [0, 3]
+        got, rgs, nrows = part.read_rows([i], ["term"])
+        assert got.column("term").to_pylist() == [t]
+        assert (rgs, nrows) == (1, 2)
+        assert part.dict.span(t, t) == (i, i + 1)
+
+
+_DICT_TERMS = sorted({
+    "", "a", "abc", "abc\x00", "abc\x00\x00", "abcdefg", "abcdefgh",
+    "abcdefgh0", "abcdefgh1", "abcdefgh12", "abcdefghz", "abcdefgi",
+    "naïve", "nai", "über", "ö" * 10, "ö" * 11, "日本", "日本語", "日本語の",
+    "\U0001f600", "zz", _long("abcdefgh5"), _long("abcdefgh5") + "a"})
+_DICT_ABSENT = ["abcdefgh00", "abcdefgh11", "abcdefgh2", "abcdefgg",
+                "abc\x01", "ab", "naïf", "日", "日本語a", "ö" * 12,
+                _long("abcdefgh5")[:-1], _long("abcdefgh6"), "zzz", "\x00"]
+
+
+@pytest.mark.parametrize("n", [0, 1, len(_DICT_TERMS)])
+def test_term_dictionary_is_exact(n):
+    """Shared 8-byte prefixes (NUL-padded keys collide), non-ASCII,
+    a term over 4,096 bytes and absent terms inside the range: every
+    lookup is the exact row or -1, every range the brute-force one."""
+    from lucene_ray.search.reader import _TermDict
+    terms = _DICT_TERMS[-n:] if n else []
+    d = _TermDict(pa.chunked_array([pa.array(terms, pa.large_string())]))
+    assert d.n == n and d.terms() == terms
+    assert d.rows(terms) == list(range(n))
+    absent = [t for t in _DICT_ABSENT + _DICT_TERMS if t not in terms]
+    assert d.rows(absent) == [-1] * len(absent)
+    probes = [None, *_DICT_ABSENT, *_DICT_TERMS]
+    for lo in probes:
+        for hi in probes:
+            want = [t for t in terms if (lo is None or t >= lo)
+                    and (hi is None or t <= hi)]
+            a, b = d.span(lo, hi)
+            assert d.terms(a, b) == want, (lo, hi)
 
 
 def test_long_keyword_terms_are_found(ray_session, tmp_path):
@@ -448,3 +498,54 @@ def test_long_keyword_terms_are_found(ray_session, tmp_path):
         assert p is not None and p.doc_count == 2, t[:8]
         assert s.count(TermQuery(t)) == 2, t[:8]
         assert len(s.search(TermQuery(t), k=10).doc_ids) == 2, t[:8]
+
+
+def test_small_term_top_k_skips_block_bounds(merged_generations,
+                                             monkeypatch):
+    """A term of at most 8 blocks in a segment is scored whole: its
+    top-k never computes impact bounds, and keeps eval_complete's ids
+    and float32 score bits; a larger term still prunes by them."""
+    out, merged, _, vocab = merged_generations
+    reader = IndexReader(out, generation=merged)
+    s = Searcher(reader)
+    nblocks = {t: [len(sr.get_decoded(t).block_starts) - 1
+                   for sr in reader.segments()]
+               for t in vocab[:1] + vocab[150:154]}
+    small = [t for t in vocab[150:154] if max(nblocks[t]) <= 8]
+    assert small and max(nblocks[vocab[0]]) > 8
+    calls = []
+    orig = Searcher._block_ubs
+
+    def spy(self, sr, term, weight):
+        calls.append(term)
+        return orig(self, sr, term, weight)
+    monkeypatch.setattr(Searcher, "_block_ubs", spy)
+    for t in small + vocab[:1]:
+        docs, scores = s.eval_complete(TermQuery(t))
+        s32 = np.asarray(scores).astype(np.float32)
+        order = np.lexsort((docs, -s32.astype(np.float64)))[:10]
+        td = s.search(TermQuery(t), 10)
+        assert np.array_equal(td.doc_ids, np.asarray(docs)[order])
+        assert np.array_equal(td.scores.astype(np.float32).view(np.uint32),
+                              s32[order].view(np.uint32))
+    assert set(calls) == {vocab[0]}
+
+
+def test_batched_decode_of_every_part(merged_generations):
+    """Every row of every built and merged part decodes in one batch
+    exactly as the per-term decode does."""
+    from lucene_ray.codecs.postings import unpack_postings_many
+    from lucene_ray.search.postings_io import decode
+    from lucene_ray.search.reader import _rows_to_postings
+    out, merged, _, _ = merged_generations
+    rows = 0
+    for gen in (0, merged):
+        for sr in IndexReader(out, generation=gen).segments():
+            for b in range(8):
+                t = pq.read_table(sr._part(b).path)
+                got = unpack_postings_many(t)
+                for g, p in zip(got, _rows_to_postings(t), strict=True):
+                    for x, y in zip(g, decode(p)):
+                        assert x.dtype == y.dtype and np.array_equal(x, y)
+                rows += len(t)
+    assert rows > 1000

@@ -104,7 +104,7 @@ def test_gc_drops_unreferenced(src, tmp_path):
 
 def test_replicate_merged_index_with_deletes(ray_session, tmp_path):
     """A segment's postings.parquet is a directory of term-hash parts:
-    the revision lists every part file and its termset, so the replica
+    the revision lists every part file, so the replica
     of a merged, tombstoned index validates and ranks like the source."""
     from lucene_ray.index.deletes import apply_deletes
     from lucene_ray.index.merge import merge_segments

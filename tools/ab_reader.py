@@ -1,0 +1,192 @@
+"""Alternated A/B of the local query path on perfbench's layout.
+
+    python tools/ab_reader.py --a TREE_A --b TREE_B \
+        [--pairs 3] [--seconds 8] [--work DIR]
+
+``TREE_A``/``TREE_B`` are two source trees of this repository (for
+example a ``git archive`` of the parent commit and the working tree).
+The tool
+
+1. writes perfbench's corpus once (``perfbench.bench.make_corpus`` at the
+   ``full`` scale: 5,120 docs, 100,000-word vocabulary);
+2. builds one index per tree from that corpus with the tree's own
+   ``build_index`` + ``merge_segments`` (``perfbench.bench.ingest``: 10
+   segments of 512 docs merged at 8 per tier), since each tree reads
+   only the index format it writes, and reports its bytes per doc;
+3. runs ``--pairs`` pairs of closed loops per workload, ``query_hot``
+   and ``query_miss`` with perfbench's query lists and warm-up, each
+   run in a fresh process with ``PYTHONPATH=<tree>``; the side that
+   runs first flips every pair.
+
+Each run prints one JSON line: p50/p95 ms, qps, VmHWM MB over the timed
+loop, and ``host_probe_cpu_ms`` before and after it. The last line is
+the summary: per side and workload, the median and min-max over pairs.
+Every run first checks a sample of top-10 ids and float32 score bits
+against ``Searcher.eval_complete``; a mismatch is reported as a failure.
+perfbench's modules are only imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+SEED = 7
+K = 10
+CHECK_SAMPLE = 30
+
+
+def _cfg():
+    from perfbench.bench import SCALES
+    return SCALES["full"]
+
+
+def _child(args) -> dict:
+    """One step, run inside a process whose PYTHONPATH is one tree."""
+    import numpy as np
+
+    from perfbench import bench
+    cfg = _cfg()
+    corpus = os.path.join(args.work, "corpus")
+    if args.child == "corpus":
+        paths, n_docs = bench.make_corpus(args.work, SEED, cfg)
+        return {"paths": paths, "n_docs": n_docs}
+    paths = sorted(os.path.join(corpus, f) for f in os.listdir(corpus)
+                   if f.endswith(".parquet"))
+    ranked = bench.rank_terms(paths)
+    rng = np.random.default_rng([SEED, 1])
+    head, tail = ranked[:cfg["head"]], ranked[cfg["head"]:]
+    queries = {"query_hot": bench.make_queries(head, 8000, rng)}
+    warm = {"query_hot": bench.make_queries(head, cfg["warm_queries"], rng)}
+    queries["query_miss"] = bench.make_queries(tail, 4000, rng)
+    warm["query_miss"] = bench.make_queries(tail, 20, rng)
+    if args.child == "build":
+        import ray
+        ray.init(address="local", num_cpus=2, include_dashboard=False,
+                 log_to_driver=False, logging_level="ERROR",
+                 object_store_memory=bench.OBJECT_STORE_BYTES,
+                 runtime_env={"env_vars": {
+                     "PYTHONPATH": os.environ["PYTHONPATH"]}})
+        try:
+            probes = queries["query_hot"][:4] + queries["query_miss"][:4]
+            ing = bench.ingest(paths, cfg["segment_docs"] * cfg["segments"],
+                               cfg["segment_docs"], args.index, probes)
+        finally:
+            ray.shutdown()
+        return {"build_s": round(ing["build_s"], 3),
+                "merge_s": round(ing["merge_s"], 3),
+                "index_bytes_per_doc": round(
+                    ing["bytes"] / (cfg["segment_docs"] * cfg["segments"]), 1),
+                "failures": ing["failures"]}
+    return _loop(args, bench, head, queries[args.workload],
+                 warm[args.workload])
+
+
+def _loop(args, bench, head, queries, warm) -> dict:
+    """perfbench's warm-up, then a closed loop of ``search(q, 10)``."""
+    import numpy as np
+
+    from lucene_ray.search import IndexReader, Searcher, or_query
+    probe0 = bench.host_probe_cpu_ms()
+    searcher = Searcher(IndexReader(args.index))
+    if args.workload == "query_hot":
+        searcher.search(or_query(head), K)
+    for q in warm:
+        searcher.search(q, K)
+    bench.reset_peak_rss()
+    lat, results = [], []
+    t_start = time.monotonic()
+    i = 0
+    while (time.monotonic() - t_start < args.seconds
+           or i < _cfg()["min_queries"]):
+        q = queries[i % len(queries)]
+        t0 = time.monotonic()
+        td = searcher.search(q, K)
+        lat.append(time.monotonic() - t0)
+        results.append((q, td))
+        i += 1
+    wall = time.monotonic() - t_start
+    rss = bench.peak_rss_mb()
+    oracle = Searcher(IndexReader(args.index))
+    pick = np.random.default_rng([SEED, 2]).choice(
+        len(results), min(CHECK_SAMPLE, len(results)), replace=False)
+    bad = sum(not bench.same_topk((results[j][1].doc_ids,
+                                   results[j][1].scores),
+                                  bench.oracle_topk(oracle, results[j][0]))
+              for j in pick.tolist())
+    ms = sorted(1e3 * x for x in lat)
+    return {"query_p50_ms": round(statistics.median(ms), 4),
+            "query_p95_ms": round(bench.percentile(ms, 95), 4),
+            "query_qps": round(len(ms) / wall, 1),
+            "query_rss_mb": round(rss, 1), "queries": len(ms),
+            "check_failures": int(bad), "probe_cpu_ms_before": probe0,
+            "probe_cpu_ms_after": bench.host_probe_cpu_ms()}
+
+
+def _run(tree: str, step: str, work: str, **kw) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(tree))
+    env.setdefault("RAY_USAGE_STATS_ENABLED", "0")
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", step,
+           "--work", work]
+    for k, v in kw.items():
+        cmd += [f"--{k}", str(v)]
+    out = subprocess.run(cmd, env=env, cwd=os.path.abspath(tree),
+                         stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--a", help="source tree of side A")
+    ap.add_argument("--b", help="source tree of side B")
+    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--work", default=None,
+                    help="scratch dir (default: a new temp dir)")
+    ap.add_argument("--child", choices=("corpus", "build", "loop"))
+    ap.add_argument("--index")
+    ap.add_argument("--workload")
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(_child(args)), flush=True)
+        return 0
+    if not (args.a and args.b):
+        ap.error("--a and --b are required")
+    work = os.path.abspath(args.work or tempfile.mkdtemp(prefix="ab_reader"))
+    sides = {"A": args.a, "B": args.b}
+    _run(args.a, "corpus", work)
+    for side, tree in sides.items():
+        got = _run(tree, "build", work, index=os.path.join(work, f"idx{side}"))
+        print(json.dumps({"side": side, "step": "build", **got}), flush=True)
+    runs: dict = {}
+    for pair in range(args.pairs):
+        order = ["A", "B"] if pair % 2 == 0 else ["B", "A"]
+        for workload in ("query_hot", "query_miss"):
+            for side in order:
+                got = _run(sides[side], "loop", work,
+                           index=os.path.join(work, f"idx{side}"),
+                           workload=workload, seconds=args.seconds)
+                print(json.dumps({"side": side, "pair": pair,
+                                  "workload": workload, **got}), flush=True)
+                runs.setdefault((side, workload), []).append(got)
+    summary = {}
+    for (side, workload), rs in sorted(runs.items()):
+        summary[f"{side}.{workload}"] = {
+            m: {"median": statistics.median(r[m] for r in rs),
+                "min": min(r[m] for r in rs), "max": max(r[m] for r in rs)}
+            for m in ("query_p50_ms", "query_p95_ms", "query_qps",
+                      "query_rss_mb")}
+        summary[f"{side}.{workload}"]["check_failures"] = sum(
+            r["check_failures"] for r in rs)
+    print(json.dumps({"summary": summary}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
