@@ -439,20 +439,39 @@ def _flat_list(col) -> tuple[np.ndarray, np.ndarray]:
     return off - off[0], a.flatten().to_numpy()
 
 
-def _decode_stream(t: pa.Table, name: str, sizes: np.ndarray,
-                   bb: np.ndarray | None = None) -> np.ndarray:
-    """Every block of the packed column ``name`` of ``t`` in one
-    ``_unpack_values`` call: Arrow keeps the rows' bytes back to back in
-    one buffer. ``bb`` (pack-time block byte lengths) gives the layout;
-    without it (positions) block headers are scanned."""
-    col = t.column(name)
+def _binary_bytes(col) -> tuple[np.ndarray, np.ndarray]:
+    """(bytes, cell offsets int64[n+1] from 0) of a large_binary
+    column: Arrow keeps its cells back to back in one buffer."""
     a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
     _, off, data = a.buffers()
     offs = np.frombuffer(off, np.int64)[a.offset:a.offset + len(a) + 1]
     buf = (np.empty(0, np.uint8) if data is None else
            np.frombuffer(data, np.uint8)[offs[0]:offs[-1]])
+    return buf, offs - offs[0]
+
+
+def _decode_stream(t: pa.Table, name: str, sizes: np.ndarray,
+                   bb: np.ndarray | None = None) -> np.ndarray:
+    """Every block of the packed column ``name`` of ``t`` in one
+    ``_unpack_values`` call over the rows' bytes. ``bb`` (pack-time
+    block byte lengths) gives the layout; without it (positions) block
+    headers are scanned."""
+    buf, _ = _binary_bytes(t.column(name))
     return _unpack_values(buf, sizes, layout=None if bb is None
                           else _bb_layout(buf, bb, len(sizes), name))
+
+
+def unpack_singletons(docs) -> np.ndarray:
+    """DocIDs (int64) of one-posting rows from their packed ``docs``
+    cells. Such a row is one block of one value, the docID itself (a
+    chunk's first delta is absolute), and its cell's byte length is the
+    block's, so every row decodes in one ``_unpack_values`` call,
+    registered-format (tagged) blocks included."""
+    buf, offs = _binary_bytes(docs)
+    n = len(offs) - 1
+    return _unpack_values(buf, np.ones(n, np.int64),
+                          layout=_bb_layout(buf, np.diff(offs), n, "docs")
+                          ).astype(np.int64)
 
 
 def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:

@@ -15,16 +15,20 @@ that lacks a part of it. Per-doc arrays (doc_id, doc_len, norm — ~13
 bytes/doc) stay resident per segment; stored fields are read lazily with
 docID predicate pushdown.
 
-A query's first touch of a segment costs, per part its terms live in,
-one read of the row groups holding them with only the columns the
-decode needs, then one ``unpack_postings_many`` over every loaded row;
-absent terms cost no read. The decoded arrays (docIDs, freqs, block
-offsets) stay in the segment's postings LRU as read-only arrays, so
-scorers slice arrays instead of bit-unpacking blocks on every query. A
-term's packed row (impacts, block last docs, positions) is read by row
-number only for the callers that need it (``get_postings``,
-``get_positions``); positional weights load it with their first touch
-(``ensure_packed``).
+Opening a part also reads its ``df``, ``ttf`` and ``docs`` columns
+once and keeps the docID and freq of every df = 1 row (the reference's
+``singletonDocID`` in the term metadata, ``Lucene90PostingsWriter.
+finishTerm``; SURVEY.md §3.1): such a term's first touch reads nothing.
+Any other found term costs, per part its terms live in, one read of the
+row groups holding them with only the columns the decode needs; the
+rows read from every part are then decoded by one
+``unpack_postings_many``. Absent terms cost no read. The decoded arrays
+(docIDs, freqs, block offsets) stay in the segment's postings LRU as
+read-only arrays, so scorers slice arrays instead of bit-unpacking
+blocks on every query. A term's packed row (impacts, block last docs,
+positions) is read by row number only for the callers that need it
+(``get_postings``, ``get_positions``); positional weights load it with
+their first touch (``ensure_packed``).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from ..codecs.postings import (
     PackedPostings,
     _offsets,
     unpack_postings_many,
+    unpack_singletons,
 )
 from ..index.manifest import (
     POSTINGS_BUCKETS,
@@ -120,18 +125,41 @@ def _route(terms) -> dict[int, list[str]]:
     return out
 
 
+# block starts of a one-posting term, shared by every resident singleton
+_ONE_BLOCK = np.array([0, 1], np.int64)
+_ONE_BLOCK.flags.writeable = False
+
+
 class _PostingsPart:
-    """One term-sorted postings part: its dictionary, and where each row
-    group starts."""
+    """One term-sorted postings part: its dictionary, where each row
+    group starts, and per row the docID and freq of a df = 1 term
+    (``single_doc`` is -1 on every other row)."""
 
     def __init__(self, path: str):
         self.path = path
-        self.pf = pq.ParquetFile(path)
+        # pre_buffer=False: queries make point reads of one or two row
+        # groups, which Arrow's read coalescing only slows down
+        self.pf = pq.ParquetFile(path, pre_buffer=False)
         md = self.pf.metadata
         self.rg_starts = _offsets([md.row_group(i).num_rows
                                    for i in range(md.num_row_groups)])
-        self.dict = _TermDict(self.pf.read(columns=["term"],
-                                           use_threads=False).column(0))
+        t = self.pf.read(columns=["term", "df", "ttf", "docs"],
+                         use_threads=False)
+        self.dict = _TermDict(t.column("term"))
+        one = np.flatnonzero(t.column("df").to_numpy() == 1)
+        self.single_doc = np.full(len(t), -1, np.int64)
+        self.single_doc[one] = unpack_singletons(t.column("docs").take(one))
+        self.single_freq = np.zeros(len(t), np.int32)
+        self.single_freq[one] = t.column("ttf").to_numpy()[one]
+        self.single_doc.flags.writeable = False
+        self.single_freq.flags.writeable = False
+
+    def singleton(self, r: int) -> DecodedPostings | None:
+        """Row ``r``'s decoded postings if its term has df = 1."""
+        if self.single_doc[r] < 0:
+            return None
+        return DecodedPostings(self.single_doc[r:r + 1],
+                               self.single_freq[r:r + 1], _ONE_BLOCK)
 
     def read_rows(self, rows: list[int], columns=None):
         """(the given rows in order, row groups read, rows read): one
@@ -270,10 +298,11 @@ class SegmentReader:
 
     def ensure_terms(self, terms) -> None:
         """Load the given terms' decoded postings: each resolves in its
-        part's dictionary, the found rows' row groups are read once per
-        part with only the decode's columns, and every loaded row is
-        decoded in one pass. Absent terms are recorded, with no read;
-        everything loaded lands in the LRU cache."""
+        part's dictionary; a df = 1 term is served from the part's
+        resident singletons, the other found rows' row groups are read
+        once per part with only the decode's columns, and every row
+        read is decoded in one pass. Absent terms are recorded, with no
+        read; everything loaded lands in the LRU cache."""
         self._load([t for t in dict.fromkeys(terms)
                     if t not in self._cache and t not in self._absent],
                    packed=False)
@@ -288,24 +317,36 @@ class SegmentReader:
     def _load(self, missing: list[str], packed: bool) -> None:
         if not missing:
             return
+        found, tables = [], []
         for b, part_terms in _route(missing).items():
             part = self._part(b)
-            rows = part.dict.rows(part_terms)
-            found = [t for t, r in zip(part_terms, rows) if r >= 0]
-            self._absent.update(t for t, r in zip(part_terms, rows) if r < 0)
-            if not found:
-                continue  # no read for absent terms
+            want, rows = [], []
+            for term, r in zip(part_terms, part.dict.rows(part_terms)):
+                if r < 0:
+                    self._absent.add(term)
+                    continue
+                single = None if packed else part.singleton(r)
+                if single is None:
+                    want.append(term)
+                    rows.append(r)
+                else:
+                    self._cache[term] = single
+            if not rows:
+                continue  # no read for absent and df = 1 terms
             t, rgs, nrows = part.read_rows(
-                [r for r in rows if r >= 0],
-                None if packed else _DECODE_COLUMNS)
+                rows, None if packed else _DECODE_COLUMNS)
             # counters measure Parquet reads, before the selection
             self.rg_reads += rgs
             self.rows_loaded += nrows
-            if t.column("term").to_pylist() != found:
+            if t.column("term").to_pylist() != want:
                 raise ValueError(f"{part.path}: rows do not hold the "
                                  "terms its dictionary names")
             if packed:
-                self._packed.update(zip(found, _rows_to_postings(t)))
+                self._packed.update(zip(want, _rows_to_postings(t)))
+            found += want
+            tables.append(t)
+        if tables:
+            t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
             new = np.array([term not in self._cache for term in found])
             decoded = iter(unpack_postings_many(
                 t if new.all() else t.filter(new)))

@@ -415,15 +415,23 @@ def test_long_term_bounds_in_term_sorted_file(tmp_path, where):
     for) at the start, the end or both ends of a row group: the
     dictionary finds each term's row, the row group read by that row
     number holds it, and an absent term beside each is absent."""
+    from lucene_ray.codecs.postings import pack_postings_many
     from lucene_ray.search.reader import _PostingsPart
     terms = [f"t{i:02d}" for i in range(8)]  # row groups of 2 terms
     pos = {"start": [4], "end": [3], "both": [4, 5]}[where]
     for i in pos:
         terms[i] = _long(terms[i])
+    # df 1 and 2 alternate, so singleton and read rows both occur
+    bounds = np.cumsum([0] + [1 + i % 2 for i in range(8)])
+    docs = np.concatenate([np.arange(n) for n in np.diff(bounds)])
     path = str(tmp_path / "terms.parquet")
-    pq.write_table(pa.table({"term": pa.array(terms, pa.large_string())}),
+    pq.write_table(pack_postings_many(docs, np.ones(len(docs)),
+                                      np.ones(len(docs)), bounds,
+                                      terms=terms),
                    path, row_group_size=2, write_statistics=False)
     part = _PostingsPart(path)
+    assert [part.singleton(i) is not None for i in range(8)] == \
+        [i % 2 == 0 for i in range(8)]
     assert part.rg_starts.tolist() == [0, 2, 4, 6, 8]
     assert part.dict.rows(terms) == list(range(8))
     assert part.dict.rows([t + "y" for t in terms] + [t[:-1] for t in terms]
@@ -549,3 +557,141 @@ def test_batched_decode_of_every_part(merged_generations):
                         assert x.dtype == y.dtype and np.array_equal(x, y)
                 rows += len(t)
     assert rows > 1000
+
+
+# -- resident singletons: a df = 1 term's first touch reads nothing -----------
+
+@pytest.fixture(scope="module")
+def singleton_kinds(ray_session, tmp_path_factory):
+    """One corpus with many df = 1 terms (1,600 docs of 10 words from
+    8,000, each word 1-3 times) as four kinds of segment: built (4
+    segments of 400 docs), concat-merged, re-packed after 1%
+    tombstones, and built with the registered ``vint`` block format.
+    Returns kind -> index dir."""
+    import shutil
+    from lucene_ray.index.deletes import apply_deletes
+    rng = np.random.default_rng(31)
+    n = 1600
+    # each word 1-3 times, so a singleton's freq is not always 1
+    texts = [" ".join(f"s{int(x):04d}"
+                      for x in np.repeat(rng.integers(0, 8000, 10),
+                                         rng.integers(1, 4, 10)))
+             for _ in range(n)]
+    d = tmp_path_factory.mktemp("singletons")
+    path = str(d / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+        "text": pa.array(texts, pa.string())}), path)
+    out = {"built": str(d / "built"), "vint": str(d / "vint")}
+    build_index(path, out["built"], batch_size=400)
+    build_index(path, out["vint"], batch_size=400, postings_format="vint")
+    for kind in ("concat", "repacked"):
+        out[kind] = str(d / kind)
+        shutil.copytree(out["built"], out[kind], symlinks=True)
+    merge_segments(out["concat"])
+    dead = np.sort(rng.choice(n, n // 100, replace=False))
+    built = IndexReader(out["repacked"]).segment_infos
+    apply_deletes(out["repacked"], {
+        s.seg_id: dead[(dead >= s.min_doc) & (dead <= s.max_doc)]
+        for s in built})
+    merge_segments(out["repacked"])
+    return out
+
+
+def _part_terms(sr, b):
+    """(df = 1 terms, other terms) of part ``b`` of a segment."""
+    t = pq.read_table(sr._part(b).path, columns=["term", "df"])
+    df = t.column("df").to_numpy()
+    terms = np.asarray(t.column("term").to_pylist(), dtype=object)
+    return terms[df == 1].tolist(), terms[df > 1].tolist()
+
+
+@pytest.mark.parametrize("kind", ["built", "concat", "repacked", "vint"])
+def test_resident_singletons_equal_decoded_rows(singleton_kinds, kind):
+    """Every df = 1 row of every part is resident, and equals the
+    decode of its packed row in values, dtypes and read-only flags."""
+    from lucene_ray.search.postings_io import decode
+    reader = IndexReader(singleton_kinds[kind])
+    infos = reader.segment_infos
+    if kind in ("built", "vint"):
+        assert len(infos) == 4
+    else:
+        assert len(infos) == 1 and infos[0].seg_id.startswith("merged-")
+    checked, freqs = 0, set()
+    for sr in reader.segments():
+        for b in range(8):
+            singles, _ = _part_terms(sr, b)
+            sr.ensure_terms(singles)
+            for term in singles:
+                got = sr._cache[term]
+                want = decode(sr.get_postings(term))
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+                    assert not g.flags.writeable and not w.flags.writeable
+            checked += len(singles)
+            freqs.update(int(sr._cache[t].freqs[0]) for t in singles)
+    assert checked > 1000 and {1, 2, 3} <= freqs
+
+
+def test_singleton_first_touch_reads_no_parquet(singleton_kinds,
+                                                monkeypatch):
+    reader = IndexReader(singleton_kinds["built"])
+    sr = next(reader.segments())
+    singles = [t for b in range(8) for t in _part_terms(sr, b)[0][:20]]
+    for b in range(8):
+        sr._part(b)  # opening a part reads it; a lookup then reads nothing
+
+    def no_read(*a, **kw):
+        raise AssertionError("a df = 1 term read Parquet")
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", no_read)
+    monkeypatch.setattr(pq.ParquetFile, "read", no_read)
+    sr.ensure_terms(singles)
+    assert all(sr.df(t) == 1 and sr.get_decoded(t) is sr._cache[t]
+               for t in singles)
+    assert sr.rg_reads == 0 and sr.rows_loaded == 0
+
+
+def test_mixed_batch_is_one_read_per_part_and_one_decode(singleton_kinds,
+                                                         monkeypatch):
+    """Singletons from parts 1 and 2, other terms from parts 0 and 1,
+    absent terms of part 3: one read each of parts 0 and 1, nothing
+    from parts 2 and 3, and one decode of both parts' rows."""
+    from lucene_ray.search import reader as reader_mod
+    from lucene_ray.search.postings_io import decode
+    reader = IndexReader(singleton_kinds["concat"])
+    sr = next(reader.segments())
+    parts = {b: _part_terms(sr, b) for b in range(4)}
+    multi = [parts[0][1][5], parts[1][1][7]]
+    singles = parts[1][0][:3] + parts[2][0][:3]
+    absent = [t for t in (f"s{i:04d}~" for i in range(400))
+              if bucket_of([t])[0] == 3][:3]
+    assert len(absent) == 3
+    reads, decodes = [], []
+    orig_read = pq.ParquetFile.read_row_groups
+    orig_decode = reader_mod.unpack_postings_many
+
+    def read_spy(pf, rgs, *a, **kw):
+        reads.append(len(rgs))
+        return orig_read(pf, rgs, *a, **kw)
+
+    def decode_spy(t):
+        decodes.append(len(t))
+        return orig_decode(t)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", read_spy)
+    monkeypatch.setattr(reader_mod, "unpack_postings_many", decode_spy)
+    sr.ensure_terms(multi + singles + absent + multi)
+    assert reads == [1, 1] and decodes == [2]
+
+    def group_rows(b, term):  # rows of the row group holding term
+        starts = sr._part(b).rg_starts
+        g = np.searchsorted(starts, sr._part(b).dict.rows([term])[0],
+                            "right") - 1
+        return int(starts[g + 1] - starts[g])
+    assert sr.rg_reads == 2
+    assert sr.rows_loaded == group_rows(0, multi[0]) + group_rows(1, multi[1])
+    assert sr._absent == set(absent)
+    monkeypatch.undo()
+    for term in multi + singles:
+        want = decode(sr.get_postings(term))
+        for g, w in zip(sr.get_decoded(term), want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)

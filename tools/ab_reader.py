@@ -12,7 +12,9 @@ The tool
 2. builds one index per tree from that corpus with the tree's own
    ``build_index`` + ``merge_segments`` (``perfbench.bench.ingest``: 10
    segments of 512 docs merged at 8 per tier), since each tree reads
-   only the index format it writes, and reports its bytes per doc;
+   only the index format it writes, and reports its bytes per doc and
+   the ms to open every postings part of it in a fresh reader (median
+   of ``OPEN_REPS`` readers);
 3. runs ``--pairs`` pairs of closed loops per workload, ``query_hot``
    and ``query_miss`` with perfbench's query lists and warm-up, each
    run in a fresh process with ``PYTHONPATH=<tree>``; the side that
@@ -20,7 +22,9 @@ The tool
 
 Each run prints one JSON line: p50/p95 ms, qps, VmHWM MB over the timed
 loop, and ``host_probe_cpu_ms`` before and after it. The last line is
-the summary: per side and workload, the median and min-max over pairs.
+the summary: per side and workload, the median, quartiles and min-max
+over pairs, and per workload and metric the number of pairs side B
+wins (lower ms and RSS, higher qps).
 Every run first checks a sample of top-10 ids and float32 score bits
 against ``Searcher.eval_complete``; a mismatch is reported as a failure.
 perfbench's modules are only imported, never changed.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,6 +45,10 @@ import time
 SEED = 7
 K = 10
 CHECK_SAMPLE = 30
+OPEN_REPS = 5
+# metric -> True when a higher value is better
+METRICS = {"query_p50_ms": False, "query_p95_ms": False, "query_qps": True,
+           "query_rss_mb": False}
 
 
 def _cfg():
@@ -68,6 +77,9 @@ def _child(args) -> dict:
     warm["query_miss"] = bench.make_queries(tail, 20, rng)
     if args.child == "build":
         import ray
+        # a build appends to an index already there, and the overlap
+        # check refuses it: each run starts from an empty index dir
+        shutil.rmtree(args.index, ignore_errors=True)
         ray.init(address="local", num_cpus=2, include_dashboard=False,
                  log_to_driver=False, logging_level="ERROR",
                  object_store_memory=bench.OBJECT_STORE_BYTES,
@@ -80,12 +92,39 @@ def _child(args) -> dict:
         finally:
             ray.shutdown()
         return {"build_s": round(ing["build_s"], 3),
+                "open_parts_ms": _open_parts_ms(args.index),
                 "merge_s": round(ing["merge_s"], 3),
                 "index_bytes_per_doc": round(
                     ing["bytes"] / (cfg["segment_docs"] * cfg["segments"]), 1),
                 "failures": ing["failures"]}
     return _loop(args, bench, head, queries[args.workload],
                  warm[args.workload])
+
+
+def _open_parts_ms(index: str) -> dict:
+    """ms to open every postings part of ``index`` in a fresh reader:
+    the median and min over ``OPEN_REPS`` readers, and the part count."""
+    from lucene_ray.index.manifest import POSTINGS_BUCKETS
+    from lucene_ray.search import IndexReader
+    times = []
+    for _ in range(OPEN_REPS):
+        segs = list(IndexReader(index).segments())
+        t0 = time.monotonic()
+        for sr in segs:
+            for b in range(POSTINGS_BUCKETS):
+                sr._part(b)
+        times.append(1e3 * (time.monotonic() - t0))
+    return {"median": round(statistics.median(times), 2),
+            "min": round(min(times), 2),
+            "parts": len(segs) * POSTINGS_BUCKETS}
+
+
+def _spread(xs) -> dict:
+    """Median, quartiles (inclusive method) and min-max of ``xs``."""
+    q1, med, q3 = (statistics.quantiles(xs, n=4, method="inclusive")
+                   if len(xs) > 1 else (xs[0],) * 3)
+    return {"median": med, "q1": q1, "q3": q3,
+            "min": min(xs), "max": max(xs)}
 
 
 def _loop(args, bench, head, queries, warm) -> dict:
@@ -178,12 +217,15 @@ def main(argv=None) -> int:
     summary = {}
     for (side, workload), rs in sorted(runs.items()):
         summary[f"{side}.{workload}"] = {
-            m: {"median": statistics.median(r[m] for r in rs),
-                "min": min(r[m] for r in rs), "max": max(r[m] for r in rs)}
-            for m in ("query_p50_ms", "query_p95_ms", "query_qps",
-                      "query_rss_mb")}
+            m: _spread([r[m] for r in rs]) for m in METRICS}
         summary[f"{side}.{workload}"]["check_failures"] = sum(
             r["check_failures"] for r in rs)
+    for workload in ("query_hot", "query_miss"):
+        pairs = list(zip(runs[("A", workload)], runs[("B", workload)]))
+        wins = {m: sum((b[m] > a[m]) if up else (b[m] < a[m])
+                       for a, b in pairs) for m, up in METRICS.items()}
+        summary[f"B_wins.{workload}"] = {
+            m: f"{w}/{len(pairs)}" for m, w in wins.items()}
     print(json.dumps({"summary": summary}), flush=True)
     return 0
 
