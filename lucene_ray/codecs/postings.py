@@ -26,19 +26,20 @@ MAX_IMPACTS_PER_BLOCK = 8
 
 
 class PackedPostings(NamedTuple):
-    """One term's packed postings (possibly multiple concatenated chunks).
+    """One term's packed postings in one segment.
 
-    A *chunk* is an independently delta-packed run of docIDs (its first
-    delta is the absolute first docID), so chunks from disjoint doc
-    ranges can be concatenated without repacking: the merge's concat
-    kernel (``index/merge.py``) joins the source segments' chunks of a
-    term in doc order, and its re-pack kernel writes one chunk per term.
+    A term is one run of 128-doc blocks: ``df`` docIDs, delta-encoded
+    (the first delta is the absolute first docID) and blocked as full
+    128s plus one tail, so the block layout follows from ``df`` alone.
+    Every writer, the build and the merge alike, packs a term this way
+    (``pack_postings_many``).
 
-    ``positions``/``chunk_occ_counts`` are empty unless the index was
-    built with positions (the .pos stream for PhraseQuery).
+    ``positions`` is empty unless the index was built with positions
+    (the .pos stream for PhraseQuery): then it holds ``ttf`` position
+    deltas, one run of 128-value blocks.
     """
 
-    doc_count: int  # total docs across chunks (== df in this posting)
+    df: int  # docs in this posting
     ttf: int  # total term frequency
     docs: bytes  # packed doc deltas: per block [u8 width][packed bits]
     freqs: bytes  # packed freqs, same block structure
@@ -46,7 +47,6 @@ class PackedPostings(NamedTuple):
     imp_freqs: np.ndarray  # int32, flattened impact pairs
     imp_norms: np.ndarray  # uint8
     imp_offsets: np.ndarray  # int32[nblocks+1] prefix offsets into imp_*
-    chunk_doc_counts: np.ndarray  # int32[nchunks], docs per chunk
     # pack-time per-block byte lengths (incl. the header byte) of the
     # docs/freqs streams, one per block — readers compute every block's
     # byte offset with one cumsum instead of a per-block header scan
@@ -55,7 +55,6 @@ class PackedPostings(NamedTuple):
     docs_bb: np.ndarray  # int32[nblocks]
     freqs_bb: np.ndarray  # int32[nblocks]
     positions: bytes = b""  # packed position deltas (reset per posting)
-    chunk_occ_counts: np.ndarray = np.empty(0, np.int64)  # occurrences/chunk
 
 
 class DecodedPostings(NamedTuple):
@@ -85,15 +84,11 @@ def _pack_block(vals: np.ndarray, fmt: str = "for128") -> bytes:
     return bytes([width]) + packed.tobytes()
 
 
-def _block_sizes(chunk_doc_counts) -> list[int]:
-    """Block layout of a (possibly multi-chunk) posting: each chunk is
-    blocked independently (full 128s + its own tail)."""
-    sizes = []
-    for c in np.asarray(chunk_doc_counts, dtype=np.int64).tolist():
-        sizes.extend([BLOCK_SIZE] * (c // BLOCK_SIZE))
-        if c % BLOCK_SIZE:
-            sizes.append(c % BLOCK_SIZE)
-    return sizes
+def _block_sizes(n: int) -> np.ndarray:
+    """Block sizes of one run of ``n`` values: full 128s and a tail."""
+    n = int(n)
+    return np.minimum(BLOCK_SIZE, n - BLOCK_SIZE * np.arange(
+        -(-n // BLOCK_SIZE), dtype=np.int64))
 
 
 def _scan_block_offsets(buf: bytes, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +118,7 @@ def stream_layout(p: "PackedPostings",
     ``freqs`` stream of one posting (see :func:`_bb_layout`)."""
     return _bb_layout(p.docs if stream == "docs" else p.freqs,
                       p.docs_bb if stream == "docs" else p.freqs_bb,
-                      len(_block_sizes(p.chunk_doc_counts)), stream)
+                      -(-p.df // BLOCK_SIZE), stream)
 
 
 def _bb_layout(buf, bb, nblocks: int,
@@ -142,7 +137,7 @@ def _bb_layout(buf, bb, nblocks: int,
 def _undelta(deltas: np.ndarray, counts) -> np.ndarray:
     """Absolute int64 values of consecutive delta runs (``counts[j]``
     values each) whose first delta is absolute: one cumsum, rebased per
-    run. Chunks of docIDs and per-posting position runs are such runs."""
+    run. Terms' docIDs and per-posting position runs are such runs."""
     counts = np.asarray(counts, dtype=np.int64)
     cs = np.cumsum(deltas, dtype=np.int64)
     base = np.zeros(len(counts), dtype=np.int64)
@@ -359,7 +354,7 @@ def _pack_flat(D: np.ndarray, F: np.ndarray, norms, tb: np.ndarray,
     counts = np.diff(tb)
     if (counts <= 0).any():
         raise ValueError("empty posting")
-    # block_last_docs is int32 and each chunk's first delta is stored as
+    # block_last_docs is int32 and each term's first delta is stored as
     # uint32; a docID >= 2^31 would silently wrap and corrupt skip data
     if len(D) and (D[tb[1:] - 1].max() >= 2**31 or D[tb[:-1]].min() < 0):
         raise ValueError("docID out of int32 range")
@@ -389,7 +384,7 @@ def _pack_flat(D: np.ndarray, F: np.ndarray, norms, tb: np.ndarray,
 def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
                   norms: np.ndarray, postings_format: str = "for128",
                   positions: np.ndarray | None = None) -> PackedPostings:
-    """Pack one term's postings (one chunk): the kernel of
+    """Pack one term's postings: the kernel of
     :func:`pack_postings_many` over a single term.
 
     ``doc_ids`` must be strictly increasing int32/int64; ``freqs`` >= 1;
@@ -402,7 +397,7 @@ def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
     f = _pack_flat(doc_ids, freqs, norms, np.array([0, len(doc_ids)]),
                    postings_format)
     p = PackedPostings(
-        doc_count=len(doc_ids),
+        df=len(doc_ids),
         ttf=int(freqs.sum()),
         docs=f.docs.tobytes(),
         freqs=f.freqs.tobytes(),
@@ -412,24 +407,21 @@ def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
         imp_freqs=f.imp_f.astype(np.int32),
         imp_norms=f.imp_n,
         imp_offsets=f.imp_off.astype(np.int32),
-        chunk_doc_counts=np.array([len(doc_ids)], dtype=np.int32),
     )
     if positions is None:
         return p
-    n_pos = len(positions)
-    bufs = pack_positions_many(positions, np.array([0, n_pos]),
+    bufs = pack_positions_many(positions, np.array([0, len(positions)]),
                                _offsets(freqs)[:-1])
-    return p._replace(positions=bufs[0].as_py(),
-                      chunk_occ_counts=np.array([n_pos], np.int64))
+    return p._replace(positions=bufs[0].as_py())
 
 
 def unpack_postings(p: PackedPostings) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a (possibly multi-chunk) posting -> (doc_ids int64, freqs int32)."""
-    sizes = _block_sizes(p.chunk_doc_counts)
+    """Decode one posting -> (doc_ids int64, freqs int32)."""
+    sizes = _block_sizes(p.df)
     deltas = _unpack_values(p.docs, sizes, layout=stream_layout(p, "docs"))
     freqs = _unpack_values(p.freqs, sizes,
                            layout=stream_layout(p, "freqs")).astype(np.int32)
-    return _undelta(deltas, p.chunk_doc_counts), freqs
+    return np.cumsum(deltas, dtype=np.int64), freqs
 
 
 def _flat_list(col) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +456,7 @@ def _decode_stream(t: pa.Table, name: str, sizes: np.ndarray,
 def unpack_singletons(docs) -> np.ndarray:
     """DocIDs (int64) of one-posting rows from their packed ``docs``
     cells. Such a row is one block of one value, the docID itself (a
-    chunk's first delta is absolute), and its cell's byte length is the
+    term's first delta is absolute), and its cell's byte length is the
     block's, so every row decodes in one ``_unpack_values`` call,
     registered-format (tagged) blocks included."""
     buf, offs = _binary_bytes(docs)
@@ -476,15 +468,15 @@ def unpack_singletons(docs) -> np.ndarray:
 
 def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
     """Decode many packed rows at once, the inverse of
-    :func:`pack_postings_many` over the ``docs``, ``freqs``,
-    ``docs_bb``, ``freqs_bb`` and ``chunk_doc_counts`` columns of ``t``:
-    each stream in one :func:`_decode_stream` over every block of every
-    row. Each row's arrays are read-only views of the batch's; they
-    equal :func:`unpack_postings` per row."""
+    :func:`pack_postings_many` over the ``df``, ``docs``, ``freqs``,
+    ``docs_bb`` and ``freqs_bb`` columns of ``t``: each stream in one
+    :func:`_decode_stream` over every block of every row. Each row's
+    arrays are read-only views of the batch's; they equal
+    :func:`unpack_postings` per row."""
     if len(t) == 0:
         return []
-    chunk_off, counts = _flat_list(t.column("chunk_doc_counts"))
-    _, bsize, chunk_first = _blocks_of(_offsets(counts))
+    counts = t.column("df").to_numpy()
+    _, bsize, fb = _blocks_of(_offsets(counts))
     docs, freqs = (_decode_stream(t, s, bsize,
                                   _flat_list(t.column(f"{s}_bb"))[1])
                    for s in ("docs", "freqs"))
@@ -493,7 +485,7 @@ def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
     starts = _offsets(bsize)
     for a in (docs, freqs, starts):
         a.flags.writeable = False
-    fb = chunk_first[chunk_off].tolist()  # first block of each row
+    fb = fb.tolist()  # first block of each row
     out = []
     for r in range(len(t)):
         lo, hi = int(starts[fb[r]]), int(starts[fb[r + 1]])
@@ -509,7 +501,6 @@ POSTINGS_SCHEMA = pa.schema([
     ("term", pa.large_string()),
     ("df", pa.int64()),
     ("ttf", pa.int64()),
-    ("doc_count", pa.int64()),
     ("docs", pa.large_binary()),
     ("freqs", pa.large_binary()),
     ("block_last_docs", pa.large_list(pa.int32())),
@@ -518,9 +509,7 @@ POSTINGS_SCHEMA = pa.schema([
     ("imp_freqs", pa.large_list(pa.int32())),
     ("imp_norms", pa.large_list(pa.int32())),
     ("imp_offsets", pa.large_list(pa.int32())),
-    ("chunk_doc_counts", pa.large_list(pa.int32())),
     ("positions", pa.large_binary()),          # empty unless index_positions
-    ("chunk_occ_counts", pa.large_list(pa.int64())),
 ])
 
 
@@ -546,7 +535,7 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
     one global lexsort + segmented cummax, and every column is built
     from the flat buffers and offsets. ``terms`` fills the term column
     (null when omitted); ``positions`` (as in :func:`pack_postings`, all
-    terms concatenated) fills ``positions``/``chunk_occ_counts``.
+    terms concatenated) fills ``positions``.
     Rows are byte-identical to :func:`pack_postings` per term (tested).
     """
     D = np.ascontiguousarray(doc_ids, dtype=np.int64)
@@ -566,18 +555,12 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
         "imp_norms": (f.imp_off[fb], f.imp_n),
         "imp_offsets": (fb + np.arange(n + 1),
                         f.imp_off[at] - np.repeat(f.imp_off[fb[:-1]], reps)),
-        "chunk_doc_counts": (np.arange(n + 1), np.diff(tb)),
-        "chunk_occ_counts": ((np.zeros(n + 1, np.int64), np.empty(0))
-                             if positions is None else
-                             (np.arange(n + 1), np.diff(occ[tb]))),
     }
-    counts = pa.array(np.diff(tb))
     cols = {
         "term": (pa.nulls(n, pa.large_string()) if terms is None
                  else pa.array(terms, pa.large_string())),
-        "df": counts,
+        "df": pa.array(np.diff(tb)),
         "ttf": pa.array(np.diff(occ[tb])),
-        "doc_count": counts,
         "docs": _binary(f.docs, f.docs_offs[fb]),
         "freqs": _binary(f.freqs, f.freqs_offs[fb]),
         "positions": (_binary(np.empty(0, np.uint8), np.zeros(n + 1))
@@ -596,7 +579,8 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
 # --- positional postings (PhraseQuery support) -----------------------------
 # Layout per term: all occurrences ordered by (doc, position), positions
 # delta-encoded with a reset (absolute value) at each posting/doc
-# boundary, FOR-packed in 128-value blocks per term chunk. Mirrors the
+# boundary, FOR-packed as one run of 128-value blocks (ttf values) per
+# term. Mirrors the
 # role of the reference's .pos stream (Lucene90PostingsFormat.java:
 # 155-246) without its file format.
 
@@ -621,13 +605,12 @@ def pack_positions_many(pos_flat: np.ndarray, occ_bounds: np.ndarray,
     return _binary(data, offs[first])
 
 
-def unpack_positions(buf: bytes, chunk_occ_counts: np.ndarray,
-                     freqs: np.ndarray) -> np.ndarray:
+def unpack_positions(buf: bytes, freqs: np.ndarray) -> np.ndarray:
     """Decode one term's position stream.
 
-    ``chunk_occ_counts``: occurrences per chunk (blocking layout);
     ``freqs``: the term's per-posting freqs (posting boundaries = delta
-    resets). Returns absolute positions, flat (slice by cumsum(freqs)).
+    resets); the stream holds ``freqs.sum()`` (the term's ttf) values in
+    one run of blocks. Returns absolute positions, flat (slice by
+    cumsum(freqs)).
     """
-    return _undelta(_unpack_values(buf, _block_sizes(chunk_occ_counts)),
-                    freqs)
+    return _undelta(_unpack_values(buf, _block_sizes(np.sum(freqs))), freqs)

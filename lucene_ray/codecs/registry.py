@@ -8,9 +8,10 @@ Lucene90 ForUtil role) or a registered format tag (>= 64), followed by
 a u16 payload length (so header-only scans can skip blocks without
 decoding) and the format's payload. Because the tag travels with the
 data, readers need no side-channel: segments built with different
-per-field formats merge by chunk concat and decode transparently —
-exactly the property PerFieldPostingsFormat's per-field file suffixes
-buy the reference.
+per-field formats decode transparently — exactly the property
+PerFieldPostingsFormat's per-field file suffixes buy the reference. A
+merge decodes every source block, whatever its format, and writes the
+merged postings as ``for128``.
 
 Register a custom format with :func:`register_postings_format`; select
 it per build/field via ``build_index(postings_format=...)`` /

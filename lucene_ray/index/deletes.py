@@ -6,7 +6,8 @@ Mirrors the reference's live-docs design
 ``index/TestPerSegmentDeletes.java``): deletes never rewrite segment
 data — a generation-stamped ``deletes_gen<G>.parquet`` of tombstoned
 docIDs sits next to each segment and readers mask candidates against
-it. Merges reclaim tombstones (drop the docs and repack postings).
+it. Merges reclaim tombstones (they drop the docs, and the merge's
+re-pack drops their postings).
 
 Statistics semantics match the reference: df/ttf/avgdl keep counting
 tombstoned docs until a merge reclaims them.

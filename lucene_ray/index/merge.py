@@ -3,7 +3,9 @@
 Reference semantics (SURVEY.md §3.2): ``TieredMergePolicy.findMerges``
 (segsPerTier=10, merged-size cap — ``TieredMergePolicy.java:89-95,317``)
 selects groups of small segments; ``SegmentMerger`` k-way merges posting
-lists per term with docBase remapping (``SegmentMerger.java:104-158``).
+lists per term with docBase remapping (``SegmentMerger.java:104-158``)
+and writes every merged term through the postings writer, which
+re-packs full 128-doc FOR blocks and rebuilds their impacts.
 
 Ray-native design: every segment's postings are ``POSTINGS_BUCKETS``
 term-sorted parts, a term in part ``bucket_of(term)`` of every segment
@@ -14,19 +16,15 @@ once:
 - per group, one task writes the merged docs table (tombstones
   reclaimed, pending doc-values updates folded in) and leaves the
   group's norms in the object store;
-- per (group, part), one task reads part b of each source segment in
-  doc order, stable-sorts the rows by term and writes part b with one
-  of two kernels, picked per group by a rule over manifest fields:
-  - concat (``_merge_bucket_vec``): docIDs are global (data-derived),
-    so a term's chunks from live, doc-disjoint segments are joined in
-    doc order zero-copy — no decode, no re-encode;
-  - re-pack (``_repack_bucket``): when a group has tombstones, when its
-    segments' ``[min_doc, max_doc]`` ranges overlap (builds from an
-    unsorted Dataset), or under ``repack=True`` (forceMerge(1) analog),
-    the whole part is decoded in one pass per stream, tombstoned
-    postings and their positions are dropped, postings are sorted by
-    (term, doc) and packed into full 128-doc ``for128`` blocks with
-    fresh impacts from the group's norms.
+- per (group, part), one task reads part b of each source segment and
+  re-packs it with one kernel (``_repack_bucket``): the whole part is
+  decoded in one pass per stream, tombstoned postings and their
+  positions are dropped, postings are sorted by (term, doc) and packed
+  by the build's ``pack_postings_many`` into full 128-doc blocks with
+  fresh impacts from the group's norms. A merged term is one run of
+  blocks whatever its sources: doc-disjoint or overlapping segments
+  (a build from an unsorted Dataset), with or without tombstones.
+  Merges write ``for128``, also from ``vint``/``pfor`` sources.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ import ray
 
 from ..codecs.postings import (
     POSTINGS_SCHEMA,
+    _binary_bytes,
     _blocks_of,
     _decode_stream,
     _flat_list,
@@ -80,27 +79,6 @@ def plan_merges(segments: list[SegmentInfo], segs_per_tier: int = 10,
     return groups
 
 
-def _col(group: pa.Table, name: str) -> pa.Array:
-    a = group.column(name)
-    if isinstance(a, pa.ChunkedArray):
-        a = (a.chunk(0) if a.num_chunks == 1
-             else pa.concat_arrays(a.chunks))
-    return a
-
-
-def _bin_bufs(arr: pa.Array) -> tuple[np.ndarray, "pa.Buffer"]:
-    """(value offsets int64[n+1], data buffer) of a large_binary array
-    with offset 0 (post-combine_chunks)."""
-    bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=np.int64)[:len(arr) + 1]
-    return offs, bufs[2] if bufs[2] is not None else pa.py_buffer(b"")
-
-
-def _list_parts(arr: pa.Array) -> tuple[np.ndarray, pa.Array]:
-    return (arr.offsets.to_numpy(zero_copy_only=False).astype(np.int64),
-            arr.values)
-
-
 def _term_starts(terms: pa.Array) -> np.ndarray:
     """First row of each term in a term-sorted bucket: int64[nterms]."""
     import pyarrow.compute as pc
@@ -110,66 +88,6 @@ def _term_starts(terms: pa.Array) -> np.ndarray:
     return np.concatenate([[0], np.nonzero(neq)[0] + 1]).astype(np.int64)
 
 
-def _merge_bucket_vec(group: pa.Table) -> pa.Table:
-    """Concat kernel over a whole bucket of live, doc-disjoint chunks,
-    sorted by term and then doc: every per-term payload (packed docs/freqs/
-    positions bytes, block lists, impacts) is a CONTIGUOUS slice of the
-    sorted column buffers, so the merged columns are rebuilt zero-copy
-    from new offsets — no per-row Python objects at all."""
-    n = group.num_rows
-    terms = _col(group, "term")
-    starts = _term_starts(terms)
-    nt = len(starts)
-    bounds = np.append(starts, n)
-
-    out: dict = {}
-    out["term"] = terms.take(pa.array(starts))
-    df_np = _col(group, "df").to_numpy()
-    ttf_np = _col(group, "ttf").to_numpy()
-    out["df"] = pa.array(np.add.reduceat(df_np, starts), pa.int64())
-    out["ttf"] = pa.array(np.add.reduceat(ttf_np, starts), pa.int64())
-    out["doc_count"] = out["df"]
-
-    for name in ("docs", "freqs", "positions"):
-        arr = _col(group, name)
-        offs, data = _bin_bufs(arr)
-        new_offs = offs[bounds]
-        out[name] = pa.Array.from_buffers(
-            pa.large_binary(), nt,
-            [None, pa.py_buffer(new_offs.tobytes()), data])
-
-    for name, vt in (("block_last_docs", pa.int32()),
-                     ("imp_freqs", pa.int32()),
-                     ("imp_norms", pa.int32()),
-                     ("chunk_doc_counts", pa.int32()),
-                     ("chunk_occ_counts", pa.int64()),
-                     ("docs_bb", pa.int32()),
-                     ("freqs_bb", pa.int32())):
-        offs, vals = _list_parts(_col(group, name))
-        out[name] = pa.LargeListArray.from_arrays(
-            pa.array(offs[bounds], pa.int64()),
-            vals.cast(vt) if vals.type != vt else vals)
-
-    # imp_offsets rebase: merged = [0] ++ cumsum(within-row diffs), as
-    # one segmented cumsum over the whole bucket
-    io_offs, io_vals_arr = _list_parts(_col(group, "imp_offsets"))
-    io_vals = io_vals_arr.to_numpy(zero_copy_only=False).astype(np.int64)
-    d = np.diff(io_vals)
-    valid = np.ones(len(d), dtype=bool)
-    valid[io_offs[1:-1] - 1] = False  # diffs crossing row boundaries
-    cs = np.concatenate([[0], np.cumsum(d[valid])])
-    row_nb = np.diff(io_offs) - 1  # blocks per row
-    tbs = np.concatenate([[0], np.cumsum(np.add.reduceat(row_nb, starts))])
-    term_of = np.repeat(np.arange(nt), np.diff(tbs) + 1)
-    at = np.arange(tbs[-1] + nt) - term_of  # [0] ++ the term's blocks
-    out["imp_offsets"] = pa.LargeListArray.from_arrays(
-        pa.array(tbs + np.arange(nt + 1), pa.int64()),
-        pa.array((cs[at] - cs[tbs[term_of]]).astype(np.int32), pa.int32()))
-
-    return pa.Table.from_pydict({k: out[k] for k in POSTINGS_SCHEMA.names},
-                                schema=POSTINGS_SCHEMA)
-
-
 # Postings per ``pack_postings_many`` call of the re-pack kernel. Slices
 # end on term boundaries (a hotter term is packed alone), so the
 # packer's per-posting bit matrices stay bounded whatever the bucket.
@@ -177,35 +95,36 @@ REPACK_SLICE_POSTINGS = 1 << 18
 
 
 def _repack_bucket(group: pa.Table, norms_data,
-                   deleted: np.ndarray | None) -> pa.Table:
-    """Re-pack kernel over a whole term-sorted bucket: decode every row
-    (one ``_decode_stream`` call per stream), drop tombstoned postings
-    and their position runs, sort by (term, doc) and pack with the
-    build's ``pack_postings_many``: one ``for128`` chunk per term, full
-    128-doc blocks, impacts from the group's norms. Terms left without
-    postings vanish."""
-    terms = _col(group, "term")
+                   deleted: np.ndarray | None = None) -> pa.Table:
+    """Re-pack kernel over a whole bucket, the source segments' rows in
+    any order: decode every row (one ``_decode_stream`` call per
+    stream), drop tombstoned postings and their position runs, sort by
+    (term, doc) and pack with the build's ``pack_postings_many``: one
+    run of full 128-doc ``for128`` blocks per term, impacts from the
+    group's norms. Terms left without postings vanish."""
+    if group.num_rows == 0:
+        return POSTINGS_SCHEMA.empty_table()
+    group = group.sort_by("term").combine_chunks()
+    terms = group.column("term").combine_chunks()
     starts = _term_starts(terms)
-    # every chunk of every row is blocked on its own (full 128s + tail)
-    chunk_offs, chunk_counts = _flat_list(group.column("chunk_doc_counts"))
-    _, sizes, _ = _blocks_of(_offsets(chunk_counts))
+    # every row is one run of blocks (full 128s + tail): its df docs,
+    # and with positions its ttf position deltas
+    counts = group.column("df").to_numpy()
+    _, sizes, _ = _blocks_of(_offsets(counts))
     docs = _undelta(_decode_stream(
         group, "docs", sizes, _flat_list(group.column("docs_bb"))[1]),
-        chunk_counts)
+        counts)
     freqs = _decode_stream(
         group, "freqs", sizes, _flat_list(group.column("freqs_bb"))[1]) \
         .astype(np.int64)
     # term of every posting: rows per term, postings per row
     row_term = np.repeat(np.arange(len(starts)),
                          np.diff(np.append(starts, group.num_rows)))
-    term_id = np.repeat(row_term,
-                        np.diff(_offsets(chunk_counts)[chunk_offs]))
+    term_id = np.repeat(row_term, counts)
     occ = _offsets(freqs)
     pos = None
-    pos_offs, _ = _bin_bufs(_col(group, "positions"))
-    if pos_offs[-1] > pos_offs[0]:
-        _, occ_counts = _flat_list(group.column("chunk_occ_counts"))
-        _, psizes, _ = _blocks_of(_offsets(occ_counts))
+    if _binary_bytes(group.column("positions"))[1][-1]:
+        _, psizes, _ = _blocks_of(_offsets(group.column("ttf").to_numpy()))
         deltas = _decode_stream(group, "positions", psizes)
         if len(deltas) != occ[-1]:
             raise ValueError(f"positions stream has {len(deltas)} values "
@@ -224,8 +143,12 @@ def _repack_bucket(group: pa.Table, norms_data,
         return POSTINGS_SCHEMA.empty_table()
     tb = np.concatenate([[0], np.flatnonzero(np.diff(T)) + 1, [len(T)]])
     names = terms.take(pa.array(starts[T[tb[:-1]]])).to_pylist()
+    # norms of the group's live docs (sorted docIDs): contiguous docIDs
+    # index directly, as SegmentReader._idx_for does
     doc_ids_all, norms_all = norms_data
-    N = norms_all[np.searchsorted(doc_ids_all, D)]
+    base = int(doc_ids_all[0])
+    N = norms_all[D - base if doc_ids_all[-1] - base == len(doc_ids_all) - 1
+                  else np.searchsorted(doc_ids_all, D)]
     if pos is not None:
         # each kept posting's position run, in the kept order
         new_occ = _offsets(F)
@@ -244,33 +167,6 @@ def _repack_bucket(group: pa.Table, norms_data,
             else pos[new_occ[a]:new_occ[b]]))
         lo = hi
     return pa.concat_tables(tables)
-
-
-def _merge_bucket(group: pa.Table, norms_data, repack: bool,
-                  deleted: np.ndarray | None = None) -> pa.Table:
-    """Merge a whole bucket of terms -> merged posting rows (one/term)
-    with the kernel the group's rule picked.
-
-    ``group`` holds the source segments' rows in segment doc order, so
-    a stable sort by term leaves a term's doc-disjoint chunks in doc
-    order (the re-pack kernel sorts by doc anyway)."""
-    if group.num_rows == 0:
-        return POSTINGS_SCHEMA.empty_table()
-    group = group.sort_by("term").combine_chunks()
-    if repack:
-        return _repack_bucket(group, norms_data, deleted)
-    return _merge_bucket_vec(group)
-
-
-def _needs_repack(g: list[SegmentInfo]) -> bool:
-    """The concat kernel is exact only for live, doc-disjoint segments:
-    a group with tombstones, or whose ``[min_doc, max_doc]`` ranges
-    overlap (a build from an unsorted Dataset), is re-packed."""
-    if any(s.del_count for s in g):
-        return True
-    g = sorted(g, key=lambda s: s.min_doc)
-    reach = np.maximum.accumulate([s.max_doc for s in g])
-    return bool(any(s.min_doc <= r for s, r in zip(g[1:], reach)))
 
 
 @ray.remote(num_returns=2)
@@ -338,8 +234,8 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
         int(live_table.column("doc_id")[0].as_py()) if len(live_table) else 0,
         int(live_table.column("doc_id")[-1].as_py()) if len(live_table) else 0,
     )
-    # norms of the live docs: the re-pack kernel drops tombstoned
-    # postings before it looks norms up
+    # norms of the live docs: the part tasks drop tombstoned postings
+    # before they look norms up
     norms = (live_table.column("doc_id").to_numpy(),
              live_table.column("norm").to_numpy().astype(np.uint8),
              deleted)
@@ -347,21 +243,21 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
 
 
 @ray.remote
-def _merge_part(src_dirs: list[str], b: int, postings_dir: str, norms,
-                repack: bool) -> int:
+def _merge_part(src_dirs: list[str], b: int, postings_dir: str,
+                norms) -> int:
     """Part ``b`` of a merged segment from part b of each source postings
-    dir (in doc order); ``norms`` is the docs leg's tuple, needed by the
-    re-pack kernel only. Returns the part's term count."""
+    dir; ``norms`` is the docs leg's (live docIDs, norms, tombstones).
+    Returns the part's term count."""
     group = pa.concat_tables(pq.read_table(part_path(d, b)) for d in src_dirs)
-    ids, norms_all, deleted = norms or (None, None, None)
-    merged = _merge_bucket(group, (ids, norms_all), repack, deleted)
+    ids, norms_all, deleted = norms
+    merged = _repack_bucket(group, (ids, norms_all), deleted)
     write_postings_part(postings_dir, b, merged)
     return len(merged)
 
 
 def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
                    max_merged_docs: int = 10_000_000,
-                   repack: bool = False, min_group: int = 2) -> IndexManifest:
+                   min_group: int = 2) -> IndexManifest:
     """One round of tiered merging; returns the new manifest generation.
     Every group's tasks run at once: one for its docs table, one per
     postings part."""
@@ -387,15 +283,9 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
         norms, live = _merge_group_docs.remote(
             index_dir, [s.seg_id for s in g], [s.del_gen for s in g],
             seg_dir, [s.dvu_gen for s in g])
-        # the kernel rule, over manifest fields: re-pack a group with
-        # tombstones, with overlapping segment doc ranges, or on request
-        rp = repack or _needs_repack(g)
         src = [os.path.join(index_dir, "segments", s.seg_id,
                             "postings.parquet") for s in g]
-        # only the re-pack kernel reads norms: a concat group's part
-        # tasks run without waiting for the docs leg
-        parts = [_merge_part.remote(src, b, postings_dir,
-                                    norms if rp else None, rp)
+        parts = [_merge_part.remote(src, b, postings_dir, norms)
                  for b in range(POSTINGS_BUCKETS)]
         pending.append((g, seg_id, live, parts))
 

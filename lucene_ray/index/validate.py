@@ -2,8 +2,12 @@
 and re-verify invariants as a Ray Data job.
 
 Checks per segment:
+- each postings row is one run of 128-doc blocks: ``ceil(df/128)``
+  block lengths in ``docs_bb`` and ``freqs_bb`` covering their streams,
+  as many ``block_last_docs`` and impact ranges, and a non-empty
+  ``positions`` stream that holds exactly ``ttf`` values
 - posting docIDs strictly increasing, within [min_doc, max_doc]
-- df == decoded doc count; ttf == sum(freqs)
+- ttf == sum(freqs)
 - block_last_docs match decoded block boundaries
 - impacts dominate every (freq, norm) pair in their block
 - docs table sorted by doc_id, unique
@@ -31,30 +35,58 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from ..codecs.postings import _block_sizes, unpack_postings
+from ..codecs.postings import (
+    BLOCK_SIZE,
+    _block_sizes,
+    _scan_block_offsets,
+    unpack_postings,
+)
 from ..search.reader import _rows_to_postings
 from .manifest import POSTINGS_BUCKETS, bucket_of, part_path, read_manifest
 
 
+def _layout_error(p) -> str | None:
+    """Why a row's streams are not one run of blocks for its df (and,
+    with positions, for its ttf position deltas); None when they are."""
+    if p.df < 1:
+        return f"df {p.df}"
+    nb = -(-p.df // BLOCK_SIZE)
+    if not (len(p.docs_bb) == len(p.freqs_bb) == len(p.block_last_docs)
+            == len(p.imp_offsets) - 1 == nb):
+        return (f"{len(p.docs_bb)} docs and {len(p.freqs_bb)} freqs block "
+                f"lengths for df {p.df} ({nb} blocks)")
+    if int(p.docs_bb.sum()) != len(p.docs) or \
+            int(p.freqs_bb.sum()) != len(p.freqs):
+        return "block lengths do not cover the docs/freqs streams"
+    if len(p.positions):
+        try:
+            end = _scan_block_offsets(p.positions, _block_sizes(p.ttf))[0][-1]
+        except IndexError:  # the blocks' headers run past the stream
+            end = -1
+        if end != len(p.positions):
+            return f"positions stream does not hold ttf {p.ttf} values"
+    return None
+
+
 def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Table:
     errors = []
-    for r, p in zip(batch.select(["term", "df", "ttf"]).to_pylist(),
-                    _rows_to_postings(batch)):
-        term = r["term"]
-        docs, freqs = unpack_postings(p)
-        if len(docs) != r["df"]:
-            errors.append(f"{term}: df {r['df']} != {len(docs)}")
+    for term, p in zip(batch.column("term").to_pylist(),
+                       _rows_to_postings(batch)):
+        bad = _layout_error(p)
+        if bad:
+            errors.append(f"{term}: {bad}")
             continue
+        docs, freqs = unpack_postings(p)  # df docs: the layout holds
         if (np.diff(docs) <= 0).any():
             errors.append(f"{term}: docs not strictly increasing")
         if docs[0] < min_doc or docs[-1] > max_doc:
             errors.append(f"{term}: docs outside segment range")
-        if int(freqs.sum()) != r["ttf"]:
+        if int(freqs.sum()) != p.ttf:
             errors.append(f"{term}: ttf mismatch")
         if (freqs < 1).any():
             errors.append(f"{term}: freq < 1")
-        # block boundaries (per chunk layout)
-        sizes = _block_sizes(p.chunk_doc_counts)
+        # block boundaries: full 128s and a tail
+        sizes = _block_sizes(p.df)
         ends = np.cumsum(sizes) - 1
         if not np.array_equal(docs[ends], np.asarray(p.block_last_docs, dtype=np.int64)):
             errors.append(f"{term}: block_last_docs mismatch")

@@ -271,15 +271,15 @@ def benchmark_ngrams(path: str, width: int = 8,
 class ContaminationScreen:
     """Counts benchmark n-grams inside each document.
 
-    The benchmark gram set arrives as a ``ray.put`` object ref and is
-    resolved ONCE per actor here in ``__init__`` (broadcast, not
-    re-shipped per batch).
+    The benchmark gram set is one Arrow string array, broadcast as a
+    ``ray.put`` object ref and resolved ONCE per actor here in
+    ``__init__`` (not re-shipped per batch); ``pc.is_in`` takes it as
+    is, an exact membership test.
     """
 
-    def __init__(self, grams_ref, width: int):
-        value_set = ray.get(grams_ref) if isinstance(
-            grams_ref, ray.ObjectRef) else grams_ref
-        self.value_set = pa.array(value_set, pa.string())
+    def __init__(self, grams, width: int):
+        self.value_set = ray.get(grams) if isinstance(
+            grams, ray.ObjectRef) else grams
         self.width = width
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -308,9 +308,11 @@ def contamination(path: str, width: int = 8,
     for an eval corpus, which is small by definition) is materialized
     once and broadcast; the corpus side streams.
     """
-    bench = benchmark_ngrams(path, width, bench_mod)
-    gram_list = [r["gram"] for r in bench.take_all()]
-    ref = ray.put(gram_list)
+    bench = ray.get(benchmark_ngrams(path, width, bench_mod)
+                    .to_arrow_refs())
+    ref = ray.put(pa.concat_arrays(
+        [t.column("gram").combine_chunks().cast(pa.string()) for t in bench]
+        or [pa.array([], pa.string())]))
     return _read_docs(path).map_batches(
         ContaminationScreen, batch_format="pyarrow",
         fn_constructor_args=(ref, width), concurrency=stage_pool())

@@ -17,6 +17,7 @@ from ..codecs.postings import (
     DecodedPostings,
     PackedPostings,
     _block_sizes,
+    _offsets,
     unpack_postings,
 )
 
@@ -25,8 +26,7 @@ def decode(p: PackedPostings) -> DecodedPostings:
     """Decode every block of ``p`` once; the arrays come back read-only
     so a cached copy cannot be changed by a caller."""
     docs, freqs = unpack_postings(p)
-    starts = np.zeros(len(p.block_last_docs) + 1, dtype=np.int64)
-    np.cumsum(_block_sizes(p.chunk_doc_counts), out=starts[1:])
+    starts = _offsets(_block_sizes(p.df))
     for a in (docs, freqs, starts):
         a.flags.writeable = False
     return DecodedPostings(docs, freqs, starts)

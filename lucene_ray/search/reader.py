@@ -180,12 +180,10 @@ class _PostingsPart:
 
 _LIST_DTYPES = {"block_last_docs": np.int32, "imp_freqs": np.int32,
                 "imp_norms": np.uint8, "imp_offsets": np.int64,
-                "chunk_doc_counts": np.int32, "chunk_occ_counts": np.int64,
                 "docs_bb": np.int32, "freqs_bb": np.int32}
 
 # what unpack_postings_many reads, and the term to confirm the row by
-_DECODE_COLUMNS = ["term", "docs", "freqs", "docs_bb", "freqs_bb",
-                   "chunk_doc_counts"]
+_DECODE_COLUMNS = ["term", "df", "docs", "freqs", "docs_bb", "freqs_bb"]
 
 
 def _rows_to_postings(t: pa.Table) -> list[PackedPostings]:
@@ -194,7 +192,7 @@ def _rows_to_postings(t: pa.Table) -> list[PackedPostings]:
     offsets."""
     n = len(t)
     cols = {f: t.column(f).to_pylist()
-            for f in ("doc_count", "ttf", "docs", "freqs", "positions")}
+            for f in ("df", "ttf", "docs", "freqs", "positions")}
     for f, dtype in _LIST_DTYPES.items():
         a = t.column(f).combine_chunks()
         vals = np.asarray(a.values.to_numpy(), dtype=dtype)
@@ -392,7 +390,7 @@ class SegmentReader:
             raise ValueError(
                 "index was built without positions (index_positions=True)")
         docs, freqs, _ = self.get_decoded(term)
-        pos = unpack_positions(p.positions, p.chunk_occ_counts, freqs)
+        pos = unpack_positions(p.positions, freqs)
         return docs, freqs, pos
 
     def df(self, term: str) -> int:

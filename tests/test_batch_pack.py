@@ -102,7 +102,6 @@ def _reference_row(docs, freqs, norms, fmt):
         "imp_norms": np.concatenate([n for _, n in sky]).tolist(),
         "imp_offsets": np.concatenate(
             [[0], np.cumsum([len(f) for f, _ in sky])]).tolist(),
-        "chunk_doc_counts": [len(docs)],
     }
 
 
@@ -134,7 +133,7 @@ def test_batch_equals_scalar(skew):
         p = pack_postings(D[lo:hi], F[lo:hi], N[lo:hi], postings_format=fmt)
         assert many["docs"][j] == p.docs, j
         assert many["freqs"][j] == p.freqs, j
-        assert many["df"][j] == p.doc_count
+        assert many["df"][j] == p.df
         assert many["ttf"][j] == p.ttf
         np.testing.assert_array_equal(many["block_last_docs"][j], p.block_last_docs)
         np.testing.assert_array_equal(many["imp_freqs"][j], p.imp_freqs)
@@ -144,13 +143,12 @@ def test_batch_equals_scalar(skew):
         np.testing.assert_array_equal(many["docs_bb"][j], p.docs_bb)
         # roundtrip through the batch-packed bytes
         p2 = PackedPostings(
-            doc_count=many["df"][j], ttf=many["ttf"][j], docs=many["docs"][j],
+            df=many["df"][j], ttf=many["ttf"][j], docs=many["docs"][j],
             freqs=many["freqs"][j],
             block_last_docs=np.asarray(many["block_last_docs"][j]),
             imp_freqs=np.asarray(many["imp_freqs"][j]),
             imp_norms=np.asarray(many["imp_norms"][j], dtype=np.uint8),
             imp_offsets=np.asarray(many["imp_offsets"][j]),
-            chunk_doc_counts=np.asarray(many["chunk_doc_counts"][j]),
             docs_bb=np.asarray(many["docs_bb"][j], dtype=np.int32),
             freqs_bb=np.asarray(many["freqs_bb"][j], dtype=np.int32))
         d2, f2 = unpack_postings(p2)

@@ -1,6 +1,6 @@
 """Pack-time block byte lengths: stream_layout must equal the header
-scan, for single chunks, giant terms, batch packs, and concats — and a
-posting whose lengths do not cover its blocks is refused, not scanned.
+scan, for single terms, giant terms and batch packs — and a posting
+whose lengths do not cover its blocks is refused, not scanned.
 
 Reference role: ``Lucene90SkipWriter`` records posting-file pointers at
 write time so readers never scan block headers
@@ -9,7 +9,6 @@ Lucene90SkipWriter.java:76).
 """
 
 import numpy as np
-import pyarrow as pa
 import pytest
 
 from lucene_ray.codecs.postings import (
@@ -20,8 +19,6 @@ from lucene_ray.codecs.postings import (
     stream_layout,
     unpack_postings,
 )
-from lucene_ray.index.merge import _merge_bucket_vec
-from lucene_ray.search.reader import _rows_to_postings
 
 
 def _rand_posting(rng, n, start=0):
@@ -37,7 +34,7 @@ def test_layout_matches_scan(n):
     rng = np.random.default_rng(n)
     docs, freqs, norms = _rand_posting(rng, n)
     p = pack_postings(docs, freqs, norms)
-    sizes = np.asarray(_block_sizes(p.chunk_doc_counts), dtype=np.int64)
+    sizes = _block_sizes(p.df)
     assert len(p.docs_bb) == len(sizes)
     for stream, buf in (("docs", p.docs), ("freqs", p.freqs)):
         offs, widths = stream_layout(p, stream)
@@ -54,40 +51,6 @@ def test_layout_matches_scan(n):
             stream_layout(stripped, stream)
         with pytest.raises(ValueError, match="block lengths"):
             unpack_postings(stripped)
-
-
-def test_concat_preserves_lengths():
-    rng = np.random.default_rng(7)
-    chunks = []
-    start = 0
-    for _ in range(5):
-        docs, freqs, norms = _rand_posting(rng, int(rng.integers(1, 700)),
-                                           start)
-        start = int(docs[-1]) + 1
-        chunks.append(pack_postings_many(docs, freqs, norms, [0, len(docs)],
-                                         terms=["t"]))
-    rows = pa.concat_tables(chunks).combine_chunks()
-
-    def concat(rows):  # the merge's concat kernel, one term
-        return _rows_to_postings(_merge_bucket_vec(rows))[0]
-
-    c = concat(rows)
-    sizes = np.asarray(_block_sizes(c.chunk_doc_counts), dtype=np.int64)
-    assert len(c.docs_bb) == len(sizes)
-    offs, widths = stream_layout(c, "docs")
-    soffs, swidths = _scan_block_offsets(c.docs, sizes)
-    np.testing.assert_array_equal(offs, soffs)
-    np.testing.assert_array_equal(widths, swidths)
-    # one chunk without lengths -> the concat's lengths miss its blocks
-    # and decoding it raises instead of scanning headers
-    bb = rows.column("docs_bb").to_pylist()
-    bb[2] = []
-    rows = rows.set_column(rows.column_names.index("docs_bb"), "docs_bb",
-                           pa.array(bb, rows.schema.field("docs_bb").type))
-    c2 = concat(rows)
-    assert len(c2.docs_bb) < len(sizes)
-    with pytest.raises(ValueError, match="block lengths"):
-        unpack_postings(c2)
 
 
 def test_batch_pack_emits_lengths():
@@ -115,7 +78,7 @@ def test_giant_term_layout_is_not_scanned(benchmark=None):
     rng = np.random.default_rng(3)
     docs, freqs, norms = _rand_posting(rng, 2_000_000)
     p = pack_postings(docs, freqs, norms)
-    sizes = np.asarray(_block_sizes(p.chunk_doc_counts), dtype=np.int64)
+    sizes = _block_sizes(p.df)
     t0 = time.perf_counter()
     offs, widths = stream_layout(p, "docs")
     fast = time.perf_counter() - t0

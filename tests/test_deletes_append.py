@@ -159,7 +159,7 @@ def test_merge_reclaims_tombstones(base_index):
     for sr in reader.segments():
         assert sr.deleted is None
         p = sr.get_postings("w1")
-        assert p is None or p.doc_count == 0
+        assert p is None or p.df == 0
 
 
 def test_pruned_paths_identical_with_tombstones(base_index):

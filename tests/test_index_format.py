@@ -141,6 +141,38 @@ def test_validate_reports_unordered_terms_once(ray_session, tmp_path, fault):
         f"{seg}/part-{b:05d}: terms not strictly ascending"]
 
 
+@pytest.mark.parametrize("fault", ["docs_bb", "positions"])
+def test_validate_reports_a_bad_row_layout_once(ray_session, tmp_path,
+                                                fault):
+    """A postings row is one run of ceil(df/128) blocks, and with
+    positions indexed its positions stream holds ttf values: one row
+    with a block length too many, or a truncated positions stream, is
+    one error naming its term."""
+    src = _write_docs(str(tmp_path / "docs.parquet"), 0, 300, seed=2)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, batch_size=60, index_positions=True)
+    assert validate_index(idx) == []
+    seg = read_manifest(idx).segments[0].seg_id
+    d = _postings_dir(idx, seg)
+    b = max(range(POSTINGS_BUCKETS),
+            key=lambda i: pq.read_metadata(part_path(d, i)).num_rows)
+    t = pq.read_table(part_path(d, b))
+    col = t.column(fault).to_pylist()
+    if fault == "docs_bb":
+        col[0] = col[0] + col[0][-1:]
+    else:
+        col[0] = col[0][:-1]
+    i = t.schema.get_field_index(fault)
+    t = t.set_column(i, t.schema.field(i),
+                     pa.array(col, t.schema.field(i).type))
+    write_postings_part(d, b, t)
+    term, df, ttf = (t.column(c)[0].as_py() for c in ("term", "df", "ttf"))
+    want = (f"2 docs and 1 freqs block lengths for df {df} (1 blocks)"
+            if fault == "docs_bb"
+            else f"positions stream does not hold ttf {ttf} values")
+    assert validate_index(idx) == [f"{term}: {want}"]
+
+
 def test_validate_reports_a_missing_part_once(ray_session, tmp_path):
     idx = _build(tmp_path, "idx", 0, 300, seed=2, batch_size=60)
     seg = read_manifest(idx).segments[1].seg_id

@@ -4,9 +4,17 @@ A seeded 1,024-doc corpus is built at batch 256 (4 segments) and merged
 with ``segs_per_tier=4`` (one merged segment). Each segment's postings,
 built or merged, are read as one table (its parts concatenated and
 sorted by term, so the digest does not depend on how terms are split
-into parts) and hashed as Arrow IPC after ``combine_chunks()``. A code change that alters any
-postings byte (packing, impacts, column layout, term order) fails here;
-an intentional format change updates the digests in the same change.
+into parts) and hashed as Arrow IPC after ``combine_chunks()``. A code
+change that alters any postings byte (packing, impacts, column layout,
+term order) fails here; an intentional format change updates the
+digests in the same change.
+
+Recorded for format version 5, which dropped the ``doc_count``,
+``chunk_doc_counts`` and ``chunk_occ_counts`` columns (a term is one
+run of 128-doc blocks) and merges every group with the re-pack kernel.
+The digests were re-recorded only after the built tables equalled
+version 4's in every kept column and the merged table equalled version
+4's ``merge_segments(..., repack=True)`` output without those columns.
 """
 
 import hashlib
@@ -17,16 +25,16 @@ import pyarrow.parquet as pq
 
 GOLDEN_BUILT = {
     "seg-000000000000-000000000255-aaf0e58e3672":
-        "97262bd7f2f2c8eaaa9dbc8a1558ef44ea709659f5c11be46f090444e086f9d7",
+        "44dc99a6e5e0f2a3aa54edd47b09a70d31be7b88d43dde73010b91892a9f25e1",
     "seg-000000000256-000000000511-f649429bccd4":
-        "ed5dfb62b506efdd5888ea017712ad8ee134ad2b41fce5a37bf7a2135af84f21",
+        "ef9756fbb8b2ce45c7c56e2bc2cc73c062e167609bde4f40e4e1f7b9249f89d8",
     "seg-000000000512-000000000767-adc371fcc655":
-        "ea4a53ab37ac33d402db998ae450b9ff127ae599dbe24ad9846928091f85f368",
+        "89f1e082bd9d34ca4099b017f0a892e5fb133cf275c4c069d8bcf77fcbb9c356",
     "seg-000000000768-000000001023-5e438ffd31f6":
-        "4f0db38530f9cb136af1dc236349e510c1db0fd4752ecf570897a5b8f2771dc6",
+        "0889943d92a2f7101b665478a166cddd1f87063b0949459579ddf24a0a85e394",
 }
 GOLDEN_MERGED = \
-    "355d1980b5c2f577d230ed966304765624327664f00a219633a67020545d6306"
+    "efa23cc3434ea6a98718198ab952d7a5118846c9d92555ad047168109e1a6f48"
 
 
 def _digest(table: pa.Table) -> str:

@@ -1,5 +1,6 @@
 """Segment merge: results identical pre/post merge (FIXTURES.md F4b),
-index invariants hold (CheckIndex pattern), and the re-pack kernel (tombstones, overlapping segments, positions,
+index invariants hold (CheckIndex pattern), and the merge's re-pack
+kernel (clean groups, tombstones, overlapping segments, positions,
 registered formats) equal to a fresh pack of the same postings."""
 
 import os
@@ -14,7 +15,7 @@ from lucene_ray.codecs.postings import pack_postings_many
 from lucene_ray.index import build_index
 from lucene_ray.index import merge as merge_mod
 from lucene_ray.index.deletes import delete_by_query
-from lucene_ray.index.merge import _needs_repack, merge_segments, plan_merges
+from lucene_ray.index.merge import merge_segments, plan_merges
 from lucene_ray.index.validate import validate_index
 from lucene_ray.search import (
     IndexReader,
@@ -81,13 +82,14 @@ def test_merge_repack_equivalent(merged_setup, tmp_path_factory):
     for f in os.listdir(out3):
         if f.startswith("manifest_") and f != "manifest_0.json":
             os.remove(os.path.join(out3, f))
-    m = merge_segments(out3, segs_per_tier=100, repack=True)  # forceMerge(1)
+    m = merge_segments(out3, segs_per_tier=100)  # forceMerge(1)
     assert len(m.segments) == 1
-    # full 128-blocking: single chunk per term
+    # full 128-blocking: one run of blocks per term
     rr = IndexReader(out3)
     sr = rr.segment(m.segments[0].seg_id)
     some_term = next(iter(sr.terms()))
-    assert len(sr.get_postings(some_term).chunk_doc_counts) == 1
+    p = sr.get_postings(some_term)
+    assert len(p.block_last_docs) == -(-p.df // 128)
     after = _snapshot(Searcher(rr), qs)
     assert base == after
     assert validate_index(out3) == []
@@ -131,7 +133,9 @@ def unsorted_setup(ray_session, small_pages, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("idx_unsorted"))
     m = build_index(ray.data.from_arrow(t).repartition(8), out,
                     batch_size=250)
-    assert len(m.segments) == 8 and _needs_repack(m.segments)
+    assert len(m.segments) == 8
+    segs = sorted(m.segments, key=lambda s: s.min_doc)
+    assert any(b.min_doc <= a.max_doc for a, b in zip(segs, segs[1:]))
     return out
 
 
@@ -246,13 +250,14 @@ def _segment_rows(rng, seg_docs, terms, fmt, positions):
 
 
 @pytest.mark.parametrize("case", ["overlap", "tombstones", "positions",
-                                  "vint", "slices"])
+                                  "vint", "slices", "clean"])
 def test_repack_kernel_equals_fresh_pack(case, monkeypatch):
-    """``_repack_bucket`` over a bucket of chunk rows equals
+    """The merge of a bucket of its segments' rows equals
     ``pack_postings_many`` of each term's postings, sorted, without the
-    deleted docs: byte for byte, table-equal."""
+    deleted docs: byte for byte, table-equal. "clean" is the default
+    merge of live, doc-disjoint ``for128`` segments."""
     rng = np.random.default_rng(["overlap", "tombstones", "positions",
-                                 "vint", "slices"].index(case))
+                                 "vint", "slices", "clean"].index(case))
     n_docs = 3000
     norms = rng.integers(1, 255, n_docs).astype(np.uint8)
     seg_of = (rng.integers(0, 3, n_docs) if case == "overlap"
@@ -277,8 +282,8 @@ def test_repack_kernel_equals_fresh_pack(case, monkeypatch):
     if case == "slices":
         monkeypatch.setattr(merge_mod, "REPACK_SLICE_POSTINGS", 500)
 
-    got = merge_mod._merge_bucket(group, (np.arange(n_docs), norms), True,
-                                  deleted)
+    got = merge_mod._repack_bucket(group, (np.arange(n_docs), norms),
+                                   deleted)
 
     D, F, P, tb, names = [], [], [], [0], []
     for t in terms:

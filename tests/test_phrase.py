@@ -122,16 +122,16 @@ def test_phrase_in_boolean_and_merge(phrase_corpus, tmp_path_factory):
     out2 = str(tmp_path_factory.mktemp("phrase_merged"))
     shutil.copytree(out, out2, dirs_exist_ok=True)
     from lucene_ray.index.merge import merge_segments
-    m = merge_segments(out2, segs_per_tier=10, repack=False)
+    m = merge_segments(out2, segs_per_tier=10)
     s2 = Searcher(IndexReader(out2))
     after = s2.search(PhraseQuery(("alpha", "beta")), k=100)
     assert before.doc_ids.tolist() == after.doc_ids.tolist()
     assert before.scores.tolist() == after.scores.tolist()
 
-    # repack (forceMerge) also preserves positions
+    # forceMerge(1) also preserves positions
     out3 = str(tmp_path_factory.mktemp("phrase_repacked"))
     shutil.copytree(out, out3, dirs_exist_ok=True)
-    merge_segments(out3, segs_per_tier=100, repack=True)
+    merge_segments(out3, segs_per_tier=100)
     s3 = Searcher(IndexReader(out3))
     again = s3.search(PhraseQuery(("alpha", "beta")), k=100)
     assert before.doc_ids.tolist() == again.doc_ids.tolist()

@@ -14,20 +14,16 @@ from lucene_ray.codecs import (
     unpack_postings,
 )
 from lucene_ray.codecs.postings import pack_postings_many
-from lucene_ray.index.merge import _merge_bucket_vec, _repack_bucket
+from lucene_ray.index.merge import _repack_bucket
 from lucene_ray.search.reader import _rows_to_postings
 
 
 def _chunk_rows(parts):
-    """One postings-table row per (docs, freqs, norms) chunk of term "t"."""
+    """One postings-table row per (docs, freqs, norms) chunk of term "t"
+    (a term's rows in the segments of a merge group)."""
     return pa.concat_tables(
         pack_postings_many(d, f, n, [0, len(d)], terms=["t"])
         for d, f, n in parts).combine_chunks()
-
-
-def _concat(parts):
-    """The chunks of one term joined by the merge's concat kernel."""
-    return _rows_to_postings(_merge_bucket_vec(_chunk_rows(parts)))[0]
 
 
 def make_postings(rng, n, max_gap=1000, heavy_tail=False):
@@ -51,7 +47,7 @@ def test_roundtrip_sizes(n, heavy):
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
     assert p.ttf == freqs.sum()
-    assert p.doc_count == n
+    assert p.df == n
     # skip entries land on block boundaries
     nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
     assert len(p.block_last_docs) == nblocks
@@ -105,25 +101,6 @@ def test_impacts_dominate_all_pairs():
                 assert ((pf >= f) & (pn <= nn)).any(), (f, nn, pf, pn)
 
 
-def test_concat_chunks_roundtrip():
-    rng = np.random.default_rng(11)
-    base = 0
-    parts = []
-    for i in range(4):
-        n = int(rng.integers(1, 700))
-        docs, freqs, norms = make_postings(rng, n)
-        docs = docs + base
-        base = int(docs[-1]) + 1 + int(rng.integers(1, 100))
-        parts.append((docs, freqs, norms))
-    merged = _concat(parts)
-    d2, f2 = unpack_postings(merged)
-    np.testing.assert_array_equal(d2, np.concatenate([d for d, _, _ in parts]))
-    np.testing.assert_array_equal(f2, np.concatenate([f for _, f, _ in parts]))
-    assert merged.ttf == sum(int(f.sum()) for _, f, _ in parts)
-    # impacts survive concat with correct offsets
-    assert merged.imp_offsets[-1] == len(merged.imp_freqs)
-
-
 def test_repack_reblocks():
     rng = np.random.default_rng(5)
     norm_table = rng.integers(0, 256, size=1 << 21).astype(np.uint8)
@@ -137,11 +114,10 @@ def test_repack_reblocks():
     rows = _chunk_rows(parts)
     repacked = _rows_to_postings(_repack_bucket(
         rows, (np.arange(len(norm_table)), norm_table), None))[0]
-    d_m, f_m = unpack_postings(_concat(parts))
     d_r, f_r = unpack_postings(repacked)
-    np.testing.assert_array_equal(d_m, d_r)
-    np.testing.assert_array_equal(f_m, f_r)
-    assert len(repacked.chunk_doc_counts) == 1
+    np.testing.assert_array_equal(d_r, np.concatenate([d for d, _, _ in parts]))
+    np.testing.assert_array_equal(f_r, np.concatenate([f for _, f, _ in parts]))
+    assert repacked.df == 600
     assert len(repacked.block_last_docs) == (600 + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
@@ -164,8 +140,8 @@ def test_roundtrip_hypothesis(gap_freq):
 def _chunked_group(rng, n_chunks, fmts=("for128",)):
     """Rows of terms a/b/c packed per chunk over disjoint doc ranges
     (chunk 0 starts at docID 0, so a one-doc chunk there packs a width-0
-    docs block), sorted by term with each term's chunks in doc order —
-    a merge group. Returns (rows, norms of every docID)."""
+    docs block), in chunk order — the parts of a merge group's
+    segments. Returns (rows, norms of every docID)."""
     norms = rng.integers(1, 255, 40_000).astype(np.uint8)
     tables, base = [], 0
     for c in range(n_chunks):
@@ -181,8 +157,7 @@ def _chunked_group(rng, n_chunks, fmts=("for128",)):
             D, np.concatenate(f), norms[D], tb, terms=["a", "b", "c"],
             postings_format=fmts[c % len(fmts)]))
         base = int(D.max()) + 1 + int(rng.integers(0, 9))
-    rows = pa.concat_tables(tables).sort_by("term").combine_chunks()
-    return rows, norms
+    return pa.concat_tables(tables).combine_chunks(), norms
 
 
 def _packed_rows(kind, rng):
@@ -205,9 +180,9 @@ def _packed_rows(kind, rng):
         return rows
     rows, norms = _chunked_group(
         rng, 4, fmts=("for128", "vint") if kind == "mixed" else ("for128",))
-    if kind in ("concat", "mixed"):
-        return _merge_bucket_vec(rows)
-    deleted = None if kind == "repacked" else np.arange(0, len(norms), 7)
+    # the merge of doc-disjoint segments: clean ("concat", "repacked"),
+    # of for128 and vint sources ("mixed"), or with tombstones
+    deleted = np.arange(0, len(norms), 7) if kind == "tombstoned" else None
     return _repack_bucket(rows, (np.arange(len(norms)), norms), deleted)
 
 
@@ -220,8 +195,8 @@ def test_unpack_postings_many_equals_per_term_decode(kind):
     rng = np.random.default_rng(sum(map(ord, kind)))
     table = _packed_rows(kind, rng)
     packed = _rows_to_postings(table)
-    if kind in ("concat", "mixed"):
-        assert all(len(p.chunk_doc_counts) == 4 for p in packed)
+    # every row is one run of 128-doc blocks, also after a merge
+    assert all(len(p.docs_bb) == -(-p.df // BLOCK_SIZE) for p in packed)
     # whole table, a slice (Arrow offsets not at 0), rows out of order
     n = len(table)
     for t, ps in ((table, packed), (table.slice(1), packed[1:]),

@@ -1,21 +1,15 @@
 """Pluggable postings-encoder registry (PerFieldPostingsFormat /
 PostingsFormat SPI analog, codecs/perfield/PerFieldPostingsFormat.java:
-65,228): self-describing block tags, cross-format concat, per-field
-selection, end-to-end query equality, custom registration."""
+65,228): self-describing block tags, per-field selection, end-to-end
+query equality, custom registration."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_ray.codecs.postings import (
-    pack_postings,
-    pack_postings_many,
-    unpack_postings,
-)
+from lucene_ray.codecs.postings import pack_postings, unpack_postings
 from lucene_ray.codecs.registry import register_postings_format
-from lucene_ray.index.merge import _merge_bucket_vec
-from lucene_ray.search.reader import _rows_to_postings
 
 
 def _rand_posting(seed, fmt):
@@ -32,25 +26,6 @@ def test_roundtrip(fmt):
     docs, freqs, p = _rand_posting(1, fmt)
     d, f = unpack_postings(p)
     assert (d == docs).all() and (f == freqs).all()
-
-
-def test_cross_format_chunk_concat():
-    """Chunks encoded with DIFFERENT formats concatenate and decode —
-    the merge's concat kernel works across per-field format choices."""
-    rng = np.random.default_rng(2)
-    d1 = np.unique(rng.integers(0, 500_000, 700)).astype(np.int64)
-    f1 = rng.integers(1, 300, len(d1)).astype(np.int64)
-    d2 = np.unique(rng.integers(600_000, 900_000, 500)).astype(np.int64)
-    f2 = rng.integers(1, 50, len(d2)).astype(np.int64)
-    rows = pa.concat_tables(
-        pack_postings_many(d, f, np.full(len(d), 7, np.uint8), [0, len(d)],
-                           postings_format=fmt, terms=["t"])
-        for d, f, fmt in ((d1, f1, "for128"), (d2, f2, "vint")))
-    c = _rows_to_postings(_merge_bucket_vec(rows.combine_chunks()))[0]
-    assert len(c.chunk_doc_counts) == 2
-    d, f = unpack_postings(c)
-    assert (d == np.concatenate([d1, d2])).all()
-    assert (f == np.concatenate([f1, f2])).all()
 
 
 def test_pfor_exceptions_roundtrip_and_size():

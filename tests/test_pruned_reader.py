@@ -144,7 +144,7 @@ def _reference_postings(t, i):
     def arr(name, dtype):
         return np.asarray(t.column(name)[i].as_py() or [], dtype=dtype)
     return PackedPostings(
-        doc_count=t.column("doc_count")[i].as_py(),
+        df=t.column("df")[i].as_py(),
         ttf=t.column("ttf")[i].as_py(),
         docs=t.column("docs")[i].as_py(),
         freqs=t.column("freqs")[i].as_py(),
@@ -152,9 +152,7 @@ def _reference_postings(t, i):
         imp_freqs=arr("imp_freqs", np.int32),
         imp_norms=arr("imp_norms", np.uint8),
         imp_offsets=arr("imp_offsets", np.int64),
-        chunk_doc_counts=arr("chunk_doc_counts", np.int32),
         positions=t.column("positions")[i].as_py() or b"",
-        chunk_occ_counts=arr("chunk_occ_counts", np.int64),
         docs_bb=arr("docs_bb", np.int32),
         freqs_bb=arr("freqs_bb", np.int32))
 
@@ -245,42 +243,35 @@ def test_vocab_range_matches_full_scan(wide_vocab_index, lo, hi):
 
 # -- decoded postings: slicing helpers and the per-segment cache --------------
 
-CHUNK_SIZES = [(1,), (127,), (128,), (129,), (300,),
-               (1, 127, 128, 129, 300), (300, 1, 129)]
+RUN_SIZES = [(1,), (127,), (128,), (129,), (300,),
+             (1, 127, 128, 129, 300), (300, 1, 129)]
 
 
-def _multi_chunk(sizes, seed):
-    """One packed chunk per size over disjoint, increasing doc ranges,
-    joined by the merge's concat kernel; returns (packed, source docs,
-    source freqs)."""
-    import pyarrow as pa
-    from lucene_ray.codecs.postings import pack_postings_many
-    from lucene_ray.index.merge import _merge_bucket_vec
-    from lucene_ray.search.reader import _rows_to_postings
+def _packed(sizes, seed):
+    """One term packed over runs of ``sizes`` docs in disjoint,
+    increasing doc ranges; returns (packed, source docs, source freqs)."""
+    from lucene_ray.codecs.postings import pack_postings
     rng = np.random.default_rng(seed)
-    chunks, docs, freqs, base = [], [], [], 0
+    docs, freqs, base = [], [], 0
     for n in sizes:
         d = base + np.sort(rng.choice(3 * n + 5, n, replace=False))
-        f = rng.integers(1, 40, n)
-        chunks.append(pack_postings_many(d, f, rng.integers(1, 255, n),
-                                         [0, n], terms=["t"]))
         docs.append(d)
-        freqs.append(f)
+        freqs.append(rng.integers(1, 40, n))
         base = int(d[-1]) + 1 + int(rng.integers(0, 50))
-    rows = pa.concat_tables(chunks).combine_chunks()
-    return _rows_to_postings(_merge_bucket_vec(rows))[0], \
-        np.concatenate(docs), np.concatenate(freqs)
+    docs, freqs = np.concatenate(docs), np.concatenate(freqs)
+    return pack_postings(docs, freqs, rng.integers(1, 255, len(docs))), \
+        docs, freqs
 
 
-@pytest.mark.parametrize("sizes", CHUNK_SIZES)
+@pytest.mark.parametrize("sizes", RUN_SIZES)
 def test_select_blocks_and_lookup_match_reference(sizes):
     from lucene_ray.codecs.postings import _block_sizes, unpack_postings
     from lucene_ray.search.postings_io import decode, lookup, select_blocks
-    p, src_docs, src_freqs = _multi_chunk(sizes, seed=sum(sizes))
+    p, src_docs, src_freqs = _packed(sizes, seed=sum(sizes))
     ref_docs, ref_freqs = unpack_postings(p)
     np.testing.assert_array_equal(ref_docs, src_docs)
     np.testing.assert_array_equal(ref_freqs, src_freqs)
-    starts = np.concatenate([[0], np.cumsum(_block_sizes(p.chunk_doc_counts))])
+    starts = np.concatenate([[0], np.cumsum(_block_sizes(p.df))])
     dec = decode(p)
     assert dec.docs.dtype == np.int64 and dec.freqs.dtype == np.int32
     np.testing.assert_array_equal(dec.block_starts, starts)
@@ -308,8 +299,9 @@ def test_select_blocks_and_lookup_match_reference(sizes):
 
 @pytest.fixture(scope="module")
 def merged_generations(ray_session, tmp_path_factory):
-    """Zipf corpus in 5 segments of 700 docs (chunks end in tails),
-    merged into multi-chunk postings, then ~10% of docs deleted.
+    """Zipf corpus in 5 segments of 700 docs (each term's postings end
+    in a tail block), merged into one run of 128-doc blocks per term,
+    then ~10% of docs deleted.
     Returns (index dir, merged generation, deleted generation, terms
     by descending df)."""
     from lucene_ray.index.deletes import apply_deletes
@@ -328,8 +320,9 @@ def merged_generations(ray_session, tmp_path_factory):
     build_index(path, out, batch_size=700)
     merged = merge_segments(out).generation
     reader = IndexReader(out)
-    assert any(len(sr.get_postings(vocab[0]).chunk_doc_counts) > 1
-               for sr in reader.segments())
+    assert all(len(sr.get_postings(t).block_last_docs)
+               == -(-sr.df(t) // 128) for sr in reader.segments()
+               for t in vocab[:40])
     per_seg = {}
     for sr, info in zip(reader.segments(), reader.segment_infos):
         ids = sr.doc_ids.astype(np.int64)
@@ -503,7 +496,7 @@ def test_long_keyword_terms_are_found(ray_session, tmp_path):
     for t in want:
         assert stats[t] == (2, 2), t[:8]
         p = sr.get_postings(t)
-        assert p is not None and p.doc_count == 2, t[:8]
+        assert p is not None and p.df == 2, t[:8]
         assert s.count(TermQuery(t)) == 2, t[:8]
         assert len(s.search(TermQuery(t), k=10).doc_ids) == 2, t[:8]
 
@@ -565,8 +558,9 @@ def test_batched_decode_of_every_part(merged_generations):
 def singleton_kinds(ray_session, tmp_path_factory):
     """One corpus with many df = 1 terms (1,600 docs of 10 words from
     8,000, each word 1-3 times) as four kinds of segment: built (4
-    segments of 400 docs), concat-merged, re-packed after 1%
-    tombstones, and built with the registered ``vint`` block format.
+    segments of 400 docs), merged clean ("concat", the layout the
+    merge once concatenated), merged after 1% tombstones ("repacked"),
+    and built with the registered ``vint`` block format.
     Returns kind -> index dir."""
     import shutil
     from lucene_ray.index.deletes import apply_deletes

@@ -114,7 +114,7 @@ class TestContamination:
         clean = "one two three four five six seven eight nine ten"
         dirty = "xx " + bench + " yy"
         grams, _ = webtext._doc_ngrams(pa.array([bench]), 8)
-        screen = webtext.ContaminationScreen(grams.to_pylist(), 8)
+        screen = webtext.ContaminationScreen(grams, 8)
         out = screen(_tbl([clean, dirty, "short doc"])).to_pydict()
         assert out["contaminated"] == [0, 1, 0]
         assert out["n_contaminated"] == [0, 1, 0]
