@@ -6,7 +6,7 @@ engine (Apache Lucene's indexing/search path), built from scratch on
 Subpackages:
   analysis  — StandardAnalyzer-conformant tokenize / lowercase / stop /
               SmallFloat norms
-  codecs    — delta+FOR packed posting blocks, block-max impacts
+  codecs    — delta+FOR packed posting blocks (docIDs, freqs, positions)
   index     — segment build (map_batches), merge (groupby-on-term),
               manifest/checkpoint, collection stats
   search    — BM25 scoring, boolean queries, top-k (block-max pruning

@@ -1,9 +1,9 @@
-"""Posting-list codecs: delta+FOR bit-packed blocks + block-max impacts."""
+"""Posting-list codecs: delta+FOR bit-packed 128-doc blocks of docIDs and
+freqs (block score bounds are derived at read time, not stored)."""
 
 from .postings import (
     BLOCK_SIZE,
     PackedPostings,
-    compute_impacts,
     pack_postings,
     pack_positions_many,
     unpack_positions,
@@ -15,7 +15,6 @@ __all__ = [
     "PackedPostings",
     "pack_postings",
     "unpack_postings",
-    "compute_impacts",
     "pack_positions_many",
     "unpack_positions",
 ]

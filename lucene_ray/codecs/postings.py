@@ -1,14 +1,17 @@
-"""Delta + FOR (frame-of-reference) packed posting blocks with per-block
-block-max impact metadata.
+"""Delta + FOR (frame-of-reference) packed posting blocks.
 
 Mirrors the reference postings layout semantics — 128-doc blocks of
 delta-encoded docIDs bit-packed at the block's max bit width, freqs
-packed per block, per-block competitive (freq, norm) impact pairs —
-without replicating its on-disk file format:
+packed per block — without replicating its on-disk file format:
 
 - block size 128: ``codecs/lucene90/ForUtil.java:32``
-- impacts / competitive pairs: ``codecs/CompetitiveImpactAccumulator.java``
 - strictly-increasing docIDs enforced: ``Lucene90PostingsWriter.java:231-236``
+
+A row stores no skip data or impacts (the reference's
+``Lucene90SkipWriter`` and ``CompetitiveImpactAccumulator``): a reader
+decodes a term whole, once, and slices its blocks, and the searcher
+derives each block's score bound from the decoded freqs and the
+segment's norms (``Searcher._block_ubs``).
 
 All kernels are vectorized numpy; no per-element Python loops on the
 pack/unpack hot path.
@@ -22,7 +25,6 @@ import numpy as np
 import pyarrow as pa
 
 BLOCK_SIZE = 128
-MAX_IMPACTS_PER_BLOCK = 8
 
 
 class PackedPostings(NamedTuple):
@@ -43,10 +45,6 @@ class PackedPostings(NamedTuple):
     ttf: int  # total term frequency
     docs: bytes  # packed doc deltas: per block [u8 width][packed bits]
     freqs: bytes  # packed freqs, same block structure
-    block_last_docs: np.ndarray  # int32[nblocks], last docID per block
-    imp_freqs: np.ndarray  # int32, flattened impact pairs
-    imp_norms: np.ndarray  # uint8
-    imp_offsets: np.ndarray  # int32[nblocks+1] prefix offsets into imp_*
     # pack-time per-block byte lengths (incl. the header byte) of the
     # docs/freqs streams, one per block — readers compute every block's
     # byte offset with one cumsum instead of a per-block header scan
@@ -247,92 +245,6 @@ def _pack_stream(vals: np.ndarray, bstart: np.ndarray, bsize: np.ndarray,
     return packed, offs
 
 
-# --- impacts ---------------------------------------------------------------
-
-def _skyline(freqs: np.ndarray, norms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Competitive (freq, norm) pairs: no pair with freq>= and norm<=.
-
-    Returns (freqs asc, norms asc) — competitive pairs sorted by norm with
-    strictly increasing freq (CompetitiveImpactAccumulator semantics).
-    """
-    # max freq per distinct norm
-    order = np.lexsort((-freqs, norms))
-    n_sorted = norms[order]
-    f_sorted = freqs[order]
-    first = np.ones(len(n_sorted), dtype=bool)
-    first[1:] = n_sorted[1:] != n_sorted[:-1]
-    nu = n_sorted[first]
-    fu = f_sorted[first]  # max freq per norm (first after sort by -freq)
-    # keep pairs whose freq exceeds every smaller-norm pair's freq
-    cummax = np.maximum.accumulate(fu)
-    keep = np.ones(len(fu), dtype=bool)
-    keep[1:] = fu[1:] > cummax[:-1]
-    fu, nu = fu[keep], nu[keep]
-    if len(fu) > MAX_IMPACTS_PER_BLOCK:
-        # conservative downsample: per chunk keep (max freq, min norm),
-        # which dominates every pair in the chunk (upper bound stays safe)
-        idx = np.array_split(np.arange(len(fu)), MAX_IMPACTS_PER_BLOCK)
-        fu = np.array([fu[i].max() for i in idx], dtype=fu.dtype)
-        nu = np.array([nu[i].min() for i in idx], dtype=nu.dtype)
-        # re-skyline after merge (norm mins may now collide/dominate)
-        order2 = np.argsort(nu, kind="stable")
-        fu, nu = fu[order2], nu[order2]
-        cummax = np.maximum.accumulate(fu)
-        keep = np.ones(len(fu), dtype=bool)
-        keep[1:] = fu[1:] > cummax[:-1]
-        fu, nu = fu[keep], nu[keep]
-    return fu.astype(np.int32), nu.astype(np.uint8)
-
-
-def _impacts(F: np.ndarray, Nrm: np.ndarray, bstart: np.ndarray,
-             bsize: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Skylines of every block at once: one global lexsort and a
-    block-partitioned strict cummax. Only the blocks left with more
-    than MAX_IMPACTS_PER_BLOCK pairs are rebuilt, with the capped
-    :func:`_skyline`. Returns (freqs, norms, offsets int64[nblocks+1])."""
-    block_of_el = np.repeat(np.arange(len(bstart)), bsize)
-    order = np.lexsort((-F, Nrm, block_of_el))
-    bo, no, fo = block_of_el[order], Nrm[order], F[order]
-    first = np.ones(len(bo), dtype=bool)
-    first[1:] = (bo[1:] != bo[:-1]) | (no[1:] != no[:-1])
-    bo, no, fo = bo[first], no[first], fo[first]
-    key = (bo.astype(np.int64) << 32) | fo  # block-partitioned cummax
-    cm = np.maximum.accumulate(key)
-    keep = np.ones(len(key), dtype=bool)
-    keep[1:] = key[1:] > cm[:-1]
-    bo, no, fo = bo[keep], no[keep], fo[keep]
-    sizes = np.bincount(bo, minlength=len(bstart))
-    big = np.nonzero(sizes > MAX_IMPACTS_PER_BLOCK)[0]
-    if len(big) == 0:
-        return fo, no, _offsets(sizes)
-    capped = [_skyline(F[s:s + n], Nrm[s:s + n])
-              for s, n in zip(bstart[big].tolist(), bsize[big].tolist())]
-    new_sizes = sizes.copy()
-    new_sizes[big] = [len(f) for f, _ in capped]
-    new_off = _offsets(new_sizes)
-    small = np.repeat(sizes <= MAX_IMPACTS_PER_BLOCK, sizes)
-    dst = (np.arange(len(fo))
-           + np.repeat(new_off[:-1] - _offsets(sizes)[:-1], sizes))[small]
-    f_out = np.empty(new_off[-1], dtype=fo.dtype)
-    n_out = np.empty(new_off[-1], dtype=no.dtype)
-    f_out[dst], n_out[dst] = fo[small], no[small]
-    for b, (f, n) in zip(big.tolist(), capped):
-        f_out[new_off[b]:new_off[b + 1]] = f
-        n_out[new_off[b]:new_off[b + 1]] = n
-    return f_out, n_out, new_off
-
-
-def compute_impacts(freqs: np.ndarray, norms: np.ndarray):
-    """Per-128-block impact skylines over aligned (freq, norm) arrays.
-
-    Returns (imp_freqs, imp_norms, imp_offsets) flattened per block.
-    """
-    F = np.asarray(freqs, dtype=np.int64)
-    bstart, bsize, _ = _blocks_of([0, len(F)])
-    f, n, off = _impacts(F, np.asarray(norms, dtype=np.uint8), bstart, bsize)
-    return f.astype(np.int32), n, off.astype(np.int32)
-
-
 # --- public pack/unpack ----------------------------------------------------
 
 class _Flat(NamedTuple):
@@ -343,23 +255,20 @@ class _Flat(NamedTuple):
     docs_offs: np.ndarray  # int64[nblocks+1], byte offset of each block
     freqs: np.ndarray
     freqs_offs: np.ndarray
-    block_last: np.ndarray  # int32[nblocks]
-    imp_f: np.ndarray
-    imp_n: np.ndarray  # uint8
-    imp_off: np.ndarray  # int64[nblocks+1]
 
 
-def _pack_flat(D: np.ndarray, F: np.ndarray, norms, tb: np.ndarray,
+def _pack_flat(D: np.ndarray, F: np.ndarray, tb: np.ndarray,
                postings_format: str) -> _Flat:
     counts = np.diff(tb)
     if (counts <= 0).any():
         raise ValueError("empty posting")
-    # block_last_docs is int32 and each term's first delta is stored as
-    # uint32; a docID >= 2^31 would silently wrap and corrupt skip data
+    # each term's first delta is its absolute docID, packed as a uint32
+    # value: a negative docID would wrap to another doc. DocIDs are int32
+    # throughout the engine, so one >= 2^31 fails here, at write time
     if len(D) and (D[tb[1:] - 1].max() >= 2**31 or D[tb[:-1]].min() < 0):
         raise ValueError("docID out of int32 range")
-    # freqs read back as int32 (unpack_postings, imp_freqs): 2^31 and up
-    # would pack at width 32 and come back negative
+    # freqs read back as int32 (unpack_postings): 2^31 and up would
+    # pack at width 32 and come back negative
     if len(F) and F.max() >= 2**31:
         raise ValueError(f"term frequency {int(F.max())} out of int32 range")
     delta = D.copy()
@@ -375,26 +284,22 @@ def _pack_flat(D: np.ndarray, F: np.ndarray, norms, tb: np.ndarray,
                                    postings_format)
     freqs, freqs_offs = _pack_stream(F.astype(np.uint32), bstart, bsize,
                                      postings_format)
-    imp_f, imp_n, imp_off = _impacts(
-        F, np.ascontiguousarray(norms, dtype=np.uint8), bstart, bsize)
-    return _Flat(first, docs, docs_offs, freqs, freqs_offs,
-                 D[bstart + bsize - 1].astype(np.int32), imp_f, imp_n, imp_off)
+    return _Flat(first, docs, docs_offs, freqs, freqs_offs)
 
 
 def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
-                  norms: np.ndarray, postings_format: str = "for128",
+                  postings_format: str = "for128",
                   positions: np.ndarray | None = None) -> PackedPostings:
     """Pack one term's postings: the kernel of
     :func:`pack_postings_many` over a single term.
 
-    ``doc_ids`` must be strictly increasing int32/int64; ``freqs`` >= 1;
-    ``norms`` are the posting docs' norm bytes (for impacts).
+    ``doc_ids`` must be strictly increasing int32/int64; ``freqs`` >= 1.
     ``positions``: optional absolute positions, ``freqs[i]`` of them per
     posting, in doc order.
     """
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     freqs = np.asarray(freqs, dtype=np.int64)
-    f = _pack_flat(doc_ids, freqs, norms, np.array([0, len(doc_ids)]),
+    f = _pack_flat(doc_ids, freqs, np.array([0, len(doc_ids)]),
                    postings_format)
     p = PackedPostings(
         df=len(doc_ids),
@@ -403,10 +308,6 @@ def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
         freqs=f.freqs.tobytes(),
         docs_bb=np.diff(f.docs_offs).astype(np.int32),
         freqs_bb=np.diff(f.freqs_offs).astype(np.int32),
-        block_last_docs=f.block_last,
-        imp_freqs=f.imp_f.astype(np.int32),
-        imp_norms=f.imp_n,
-        imp_offsets=f.imp_off.astype(np.int32),
     )
     if positions is None:
         return p
@@ -503,12 +404,8 @@ POSTINGS_SCHEMA = pa.schema([
     ("ttf", pa.int64()),
     ("docs", pa.large_binary()),
     ("freqs", pa.large_binary()),
-    ("block_last_docs", pa.large_list(pa.int32())),
     ("docs_bb", pa.large_list(pa.int32())),   # per-block byte lengths
     ("freqs_bb", pa.large_list(pa.int32())),  # (skip-pointer analog)
-    ("imp_freqs", pa.large_list(pa.int32())),
-    ("imp_norms", pa.large_list(pa.int32())),
-    ("imp_offsets", pa.large_list(pa.int32())),
     ("positions", pa.large_binary()),          # empty unless index_positions
 ])
 
@@ -522,18 +419,17 @@ def _binary(data: np.ndarray, offsets: np.ndarray) -> pa.Array:
 
 
 def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
-                       norms: np.ndarray, term_bounds: np.ndarray,
+                       term_bounds: np.ndarray,
                        postings_format: str = "for128", terms=None,
                        positions: np.ndarray | None = None) -> pa.Table:
     """Pack MANY terms' postings in one vectorized pass -> a postings
     table (``POSTINGS_SCHEMA``, one row per term).
 
-    ``doc_ids``/``freqs``/``norms`` are the per-term posting arrays
-    concatenated (term j occupies ``term_bounds[j]:term_bounds[j+1]``,
-    docs strictly increasing within each term). Each stream is packed
-    in one pass over all blocks (full and tail), impact skylines with
-    one global lexsort + segmented cummax, and every column is built
-    from the flat buffers and offsets. ``terms`` fills the term column
+    ``doc_ids``/``freqs`` are the per-term posting arrays concatenated
+    (term j occupies ``term_bounds[j]:term_bounds[j+1]``, docs strictly
+    increasing within each term). Each stream is packed in one pass
+    over all blocks (full and tail), and every column is built from the
+    flat buffers and offsets. ``terms`` fills the term column
     (null when omitted); ``positions`` (as in :func:`pack_postings`, all
     terms concatenated) fills ``positions``.
     Rows are byte-identical to :func:`pack_postings` per term (tested).
@@ -541,21 +437,10 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
     D = np.ascontiguousarray(doc_ids, dtype=np.int64)
     F = np.ascontiguousarray(freqs, dtype=np.int64)
     tb = np.ascontiguousarray(term_bounds, dtype=np.int64)
-    f = _pack_flat(D, F, norms, tb, postings_format)
+    f = _pack_flat(D, F, tb, postings_format)
     n = len(tb) - 1
     fb = f.first_block
-    reps = np.diff(fb) + 1  # imp_offsets has nblocks+1 entries per term
-    at = np.arange(fb[-1] + n) - np.repeat(np.arange(n), reps)
     occ = _offsets(F)  # positions: occurrence bounds
-    lists = {  # name -> (offsets, values)
-        "block_last_docs": (fb, f.block_last),
-        "docs_bb": (fb, np.diff(f.docs_offs)),
-        "freqs_bb": (fb, np.diff(f.freqs_offs)),
-        "imp_freqs": (f.imp_off[fb], f.imp_f),
-        "imp_norms": (f.imp_off[fb], f.imp_n),
-        "imp_offsets": (fb + np.arange(n + 1),
-                        f.imp_off[at] - np.repeat(f.imp_off[fb[:-1]], reps)),
-    }
     cols = {
         "term": (pa.nulls(n, pa.large_string()) if terms is None
                  else pa.array(terms, pa.large_string())),
@@ -567,11 +452,9 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
                       if positions is None else
                       pack_positions_many(positions, occ[tb], occ[:-1])),
     }
-    for name, (offs, vals) in lists.items():
-        typ = POSTINGS_SCHEMA.field(name).type.value_type
-        cols[name] = pa.LargeListArray.from_arrays(
-            pa.array(offs, pa.int64()),
-            pa.array(np.asarray(vals).astype(f"i{typ.byte_width}"), typ))
+    for name, offs in (("docs_bb", f.docs_offs), ("freqs_bb", f.freqs_offs)):
+        cols[name] = pa.LargeListArray.from_arrays(  # one length per block
+            pa.array(fb, pa.int64()), pa.array(np.diff(offs).astype(np.int32)))
     return pa.Table.from_arrays([cols[k] for k in POSTINGS_SCHEMA.names],
                                 schema=POSTINGS_SCHEMA)
 

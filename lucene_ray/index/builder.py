@@ -218,7 +218,7 @@ class SegmentIndexer:
             t_rank = uk // n_docs
             d_idx = (uk % n_docs).astype(np.int64)
             postings_table = pack_postings_many(
-                doc_ids[d_idx], tf, norms[d_idx],
+                doc_ids[d_idx], tf,
                 np.searchsorted(t_rank, np.arange(n_terms + 1)),
                 postings_format=self.postings_format, terms=terms.tolist(),
                 positions=pos_s if self.index_positions else None)

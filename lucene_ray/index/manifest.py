@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-# Version 5: every segment's postings are POSTINGS_BUCKETS term-sorted
+# Version 6: every segment's postings are POSTINGS_BUCKETS term-sorted
 # parts, postings.parquet/part-NNNNN.parquet, a term in part
 # bucket_of(term), with no sidecar files and no Parquet column
 # statistics: readers find a term through the term dictionary they
@@ -33,10 +33,11 @@ import numpy as np
 # df, ttf), also without statistics. A row is one run of 128-doc
 # blocks, built or merged: its block layout follows from df (and its
 # positions' from ttf), and it carries pack-time block byte lengths
-# (docs_bb/freqs_bb) but no per-chunk counts. The manifest stores no
-# collection totals: num_docs, sum_doc_len and field_doc_count are sums
-# over its segments.
-FORMAT_VERSION = 5
+# (docs_bb/freqs_bb) but no per-chunk counts, block last docs or
+# impacts: readers derive block score bounds from the decoded postings
+# and the segment's norms. The manifest stores no collection totals:
+# num_docs, sum_doc_len and field_doc_count are sums over its segments.
+FORMAT_VERSION = 6
 
 # Parts per postings or term-stats directory: a format constant, so no
 # file count depends on the cluster that wrote it, and a merge reads

@@ -5,7 +5,7 @@ Reference semantics (SURVEY.md §3.2): ``TieredMergePolicy.findMerges``
 selects groups of small segments; ``SegmentMerger`` k-way merges posting
 lists per term with docBase remapping (``SegmentMerger.java:104-158``)
 and writes every merged term through the postings writer, which
-re-packs full 128-doc FOR blocks and rebuilds their impacts.
+re-packs full 128-doc FOR blocks.
 
 Ray-native design: every segment's postings are ``POSTINGS_BUCKETS``
 term-sorted parts, a term in part ``bucket_of(term)`` of every segment
@@ -14,17 +14,19 @@ of its sources — like ``SegmentMerger``, which merges term dictionaries
 that are already sorted, the merge exchanges nothing. All groups run at
 once:
 - per group, one task writes the merged docs table (tombstones
-  reclaimed, pending doc-values updates folded in) and leaves the
-  group's norms in the object store;
+  reclaimed, pending doc-values updates folded in) and returns the
+  group's live stats;
 - per (group, part), one task reads part b of each source segment and
-  re-packs it with one kernel (``_repack_bucket``): the whole part is
-  decoded in one pass per stream, tombstoned postings and their
-  positions are dropped, postings are sorted by (term, doc) and packed
-  by the build's ``pack_postings_many`` into full 128-doc blocks with
-  fresh impacts from the group's norms. A merged term is one run of
-  blocks whatever its sources: doc-disjoint or overlapping segments
-  (a build from an unsorted Dataset), with or without tombstones.
-  Merges write ``for128``, also from ``vint``/``pfor`` sources.
+  the sources' tombstones, and re-packs the part with one kernel
+  (``_repack_bucket``): the whole part is decoded in one pass per
+  stream, tombstoned postings and their positions are dropped,
+  postings are sorted by (term, doc) and packed by the build's
+  ``pack_postings_many`` into full 128-doc blocks. A merged term is
+  one run of blocks whatever its sources: doc-disjoint or overlapping
+  segments (a build from an unsorted Dataset), with or without
+  tombstones. Merges write ``for128``, also from ``vint``/``pfor``
+  sources. No part task waits on the docs task: a postings row holds
+  nothing that depends on the docs table.
 """
 
 from __future__ import annotations
@@ -94,14 +96,14 @@ def _term_starts(terms: pa.Array) -> np.ndarray:
 REPACK_SLICE_POSTINGS = 1 << 18
 
 
-def _repack_bucket(group: pa.Table, norms_data,
+def _repack_bucket(group: pa.Table,
                    deleted: np.ndarray | None = None) -> pa.Table:
     """Re-pack kernel over a whole bucket, the source segments' rows in
     any order: decode every row (one ``_decode_stream`` call per
-    stream), drop tombstoned postings and their position runs, sort by
-    (term, doc) and pack with the build's ``pack_postings_many``: one
-    run of full 128-doc ``for128`` blocks per term, impacts from the
-    group's norms. Terms left without postings vanish."""
+    stream), drop postings of the ``deleted`` docIDs (sorted) and their
+    position runs, sort by (term, doc) and pack with the build's
+    ``pack_postings_many``: one run of full 128-doc ``for128`` blocks
+    per term. Terms left without postings vanish."""
     if group.num_rows == 0:
         return POSTINGS_SCHEMA.empty_table()
     group = group.sort_by("term").combine_chunks()
@@ -143,12 +145,6 @@ def _repack_bucket(group: pa.Table, norms_data,
         return POSTINGS_SCHEMA.empty_table()
     tb = np.concatenate([[0], np.flatnonzero(np.diff(T)) + 1, [len(T)]])
     names = terms.take(pa.array(starts[T[tb[:-1]]])).to_pylist()
-    # norms of the group's live docs (sorted docIDs): contiguous docIDs
-    # index directly, as SegmentReader._idx_for does
-    doc_ids_all, norms_all = norms_data
-    base = int(doc_ids_all[0])
-    N = norms_all[D - base if doc_ids_all[-1] - base == len(doc_ids_all) - 1
-                  else np.searchsorted(doc_ids_all, D)]
     if pos is not None:
         # each kept posting's position run, in the kept order
         new_occ = _offsets(F)
@@ -162,14 +158,24 @@ def _repack_bucket(group: pa.Table, norms_data,
             tb, tb[lo] + REPACK_SLICE_POSTINGS, side="right")) - 1)
         a, b = tb[lo], tb[hi]
         tables.append(pack_postings_many(
-            D[a:b], F[a:b], N[a:b], tb[lo:hi + 1] - a, terms=names[lo:hi],
+            D[a:b], F[a:b], tb[lo:hi + 1] - a, terms=names[lo:hi],
             positions=None if pos is None
             else pos[new_occ[a]:new_occ[b]]))
         lo = hi
     return pa.concat_tables(tables)
 
 
-@ray.remote(num_returns=2)
+def _tombstones(index_dir: str, seg_ids: list[str],
+                del_gens: list[int]) -> np.ndarray | None:
+    """Sorted deleted docIDs of a merge group's segments, or None."""
+    dels = [pq.read_table(os.path.join(
+                index_dir, "segments", sid, f"deletes_gen{dg}.parquet"))
+            .column("doc_id").to_numpy()
+            for sid, dg in zip(seg_ids, del_gens) if dg >= 0]
+    return np.unique(np.concatenate(dels)) if dels else None
+
+
+@ray.remote
 def _merge_group_docs(index_dir: str, seg_ids: list[str],
                       del_gens: list[int], seg_dir: str,
                       dvu_gens: list[int] | None = None):
@@ -177,7 +183,7 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
     concat + sort the group's docs tables, FOLD pending numeric
     doc-values updates (the reference applies DV updates on merge too),
     reclaim tombstones, write the merged (live) docs.parquet, and
-    return the norms broadcast tuple + the group's live stats."""
+    return the group's live stats."""
     doc_tables = [pq.read_table(os.path.join(
         index_dir, "segments", sid, "docs.parquet")) for sid in seg_ids]
     docs_table = pa.concat_tables(doc_tables).sort_by("doc_id")
@@ -202,11 +208,7 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
             docs_table = docs_table.set_column(
                 docs_table.column_names.index(col), col,
                 pa.array(vals, type=base.type))
-    dels = [pq.read_table(os.path.join(
-                index_dir, "segments", sid, f"deletes_gen{dg}.parquet"))
-            .column("doc_id").to_numpy()
-            for sid, dg in zip(seg_ids, del_gens) if dg >= 0]
-    deleted = np.unique(np.concatenate(dels)) if dels else None
+    deleted = _tombstones(index_dir, seg_ids, del_gens)
     live_table = docs_table
     if deleted is not None and len(deleted):
         ids = docs_table.column("doc_id").to_numpy()
@@ -225,7 +227,7 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
                               ("doc_id", "ascending")])
                 pq.write_table(dv, os.path.join(seg_dir, f),
                                row_group_size=4096)
-    live_stats = (
+    return (
         len(live_table),
         int(live_table.column("doc_len").to_numpy().sum())
         if len(live_table) else 0,
@@ -234,23 +236,18 @@ def _merge_group_docs(index_dir: str, seg_ids: list[str],
         int(live_table.column("doc_id")[0].as_py()) if len(live_table) else 0,
         int(live_table.column("doc_id")[-1].as_py()) if len(live_table) else 0,
     )
-    # norms of the live docs: the part tasks drop tombstoned postings
-    # before they look norms up
-    norms = (live_table.column("doc_id").to_numpy(),
-             live_table.column("norm").to_numpy().astype(np.uint8),
-             deleted)
-    return norms, live_stats
 
 
 @ray.remote
-def _merge_part(src_dirs: list[str], b: int, postings_dir: str,
-                norms) -> int:
-    """Part ``b`` of a merged segment from part b of each source postings
-    dir; ``norms`` is the docs leg's (live docIDs, norms, tombstones).
-    Returns the part's term count."""
-    group = pa.concat_tables(pq.read_table(part_path(d, b)) for d in src_dirs)
-    ids, norms_all, deleted = norms
-    merged = _repack_bucket(group, (ids, norms_all), deleted)
+def _merge_part(index_dir: str, seg_ids: list[str], del_gens: list[int],
+                b: int, postings_dir: str) -> int:
+    """Part ``b`` of a merged segment from part b of each source
+    segment's postings, their tombstones dropped. Returns the part's
+    term count."""
+    group = pa.concat_tables(pq.read_table(part_path(os.path.join(
+        index_dir, "segments", sid, "postings.parquet"), b))
+        for sid in seg_ids)
+    merged = _repack_bucket(group, _tombstones(index_dir, seg_ids, del_gens))
     write_postings_part(postings_dir, b, merged)
     return len(merged)
 
@@ -278,14 +275,11 @@ def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
         seg_dir = os.path.join(index_dir, "segments", seg_id)
         postings_dir = os.path.join(seg_dir, "postings.parquet")
         os.makedirs(postings_dir, exist_ok=True)
-        # the docs leg keeps the norms in the object store; only their
-        # ref and the tiny live stats reach the driver
-        norms, live = _merge_group_docs.remote(
-            index_dir, [s.seg_id for s in g], [s.del_gen for s in g],
-            seg_dir, [s.dvu_gen for s in g])
-        src = [os.path.join(index_dir, "segments", s.seg_id,
-                            "postings.parquet") for s in g]
-        parts = [_merge_part.remote(src, b, postings_dir, norms)
+        seg_ids, del_gens = [s.seg_id for s in g], [s.del_gen for s in g]
+        live = _merge_group_docs.remote(index_dir, seg_ids, del_gens,
+                                        seg_dir, [s.dvu_gen for s in g])
+        parts = [_merge_part.remote(index_dir, seg_ids, del_gens, b,
+                                    postings_dir)
                  for b in range(POSTINGS_BUCKETS)]
         pending.append((g, seg_id, live, parts))
 

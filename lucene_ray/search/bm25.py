@@ -74,25 +74,6 @@ def score_freqs(freqs: np.ndarray, norm_bytes: np.ndarray, weight: np.float32,
     return (weight - weight / (one + f * norm_inv)).astype(np.float32)
 
 
-def max_block_scores(imp_freqs: np.ndarray, imp_norms: np.ndarray,
-                     imp_offsets: np.ndarray, weight: np.float32,
-                     cache: np.ndarray) -> np.ndarray:
-    """Per-block score upper bounds from impact skylines
-    (MaxScoreCache.java:60-130 semantics): max over competitive
-    (freq, norm) pairs of the float32 score."""
-    if len(imp_freqs) == 0:
-        return np.empty(0, dtype=np.float32)
-    pair_scores = score_freqs(imp_freqs, imp_norms, weight, cache)
-    offs = np.asarray(imp_offsets)
-    # segment max per block; guard empty blocks (offsets may repeat)
-    valid = offs[:-1] < offs[1:]
-    out = np.zeros(len(offs) - 1, dtype=np.float32)
-    if valid.any():
-        red = np.maximum.reduceat(pair_scores, offs[:-1][valid])
-        out[valid] = red
-    return out
-
-
 # --- float64 exact-dl variant (SQL-oracle mode) ---------------------------
 
 def score64(tf, dl, weight: float, avgdl: float, k1: float = K1,

@@ -4,9 +4,12 @@ A segment reader decodes each term once, on the first touch, into
 ascending docIDs, their freqs and the flat offset of every 128-doc block
 (``codecs.postings.unpack_postings_many``, every loaded row in one
 pass); scorers then slice those arrays instead of bit-unpacking FOR
-blocks per query. ``decode`` is the same for one packed posting. ``select_blocks`` is the skip-list /
-``ImpactsDISI.advanceTarget`` role (only the blocks a pruning decision
-kept); ``lookup`` is the conjunction leapfrog / exclusion probe.
+blocks per query. ``decode`` is the same for one packed posting.
+``select_blocks`` is the skip-list / ``ImpactsDISI.advanceTarget`` role
+(only the blocks a pruning decision kept): the block offsets replace
+stored skip data, and the searcher takes each block's score bound from
+the same arrays (``Searcher._block_ubs``). ``lookup`` is the
+conjunction leapfrog / exclusion probe.
 """
 
 from __future__ import annotations

@@ -25,10 +25,11 @@ rows read from every part are then decoded by one
 ``unpack_postings_many``. Absent terms cost no read. The decoded arrays
 (docIDs, freqs, block offsets) stay in the segment's postings LRU as
 read-only arrays, so scorers slice arrays instead of bit-unpacking
-blocks on every query. A term's packed row (impacts, block last docs,
-positions) is read by row number only for the callers that need it
-(``get_postings``, ``get_positions``); positional weights load it with
-their first touch (``ensure_packed``).
+blocks on every query, and the searcher derives a term's block score
+bounds from them (with the resident norms) rather than from the file.
+A term's packed row (its positions) is read by row number only for
+the callers that need it (``get_postings``, ``get_positions``);
+positional weights load it with their first touch (``ensure_packed``).
 """
 
 from __future__ import annotations
@@ -178,9 +179,7 @@ class _PostingsPart:
         return got, len(rgs), len(t)
 
 
-_LIST_DTYPES = {"block_last_docs": np.int32, "imp_freqs": np.int32,
-                "imp_norms": np.uint8, "imp_offsets": np.int64,
-                "docs_bb": np.int32, "freqs_bb": np.int32}
+_LIST_DTYPES = {"docs_bb": np.int32, "freqs_bb": np.int32}
 
 # what unpack_postings_many reads, and the term to confirm the row by
 _DECODE_COLUMNS = ["term", "df", "docs", "freqs", "docs_bb", "freqs_bb"]
@@ -307,7 +306,7 @@ class SegmentReader:
 
     def ensure_packed(self, terms) -> None:
         """``ensure_terms``, reading whole rows: the terms' packed
-        postings (positions, impacts) load in the same read."""
+        postings (with their positions) load in the same read."""
         self._load([t for t in dict.fromkeys(terms)
                     if t not in self._packed and t not in self._absent],
                    packed=True)

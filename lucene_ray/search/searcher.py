@@ -3,8 +3,10 @@
 Mirrors the reference query path (SURVEY.md §3.3):
 - global stats computed once per query (TermStates / CollectionStatistics)
 - per-segment scorers over each term's decoded doc/freq arrays: a
-  top-level single-term query scores blocks in impact-bound order and
-  skips those that cannot beat the live threshold (ImpactsDISI role);
+  top-level single-term query scores blocks in block-max order and
+  skips those that cannot beat the live threshold (ImpactsDISI role;
+  each block's bound is its exact maximum score, taken from the decoded
+  freqs and the segment's norms);
   conjunctions lead with the rarest term and look the others up
   (ConjunctionDISI leapfrog); disjunctions accumulate every clause
   exhaustively, into segment-length arrays or a sorted union of their
@@ -126,7 +128,7 @@ class Searcher:
         SURVEY.md §2.10 — also what an ANSI-SQL oracle computes), which
         ignores term boosts as the oracle has none; or a
         ``similarities.Similarity`` object (Classic TF-IDF / LMDirichlet /
-        Boolean) which runs on the exact-dl unpruned rails (BM25 impact
+        Boolean) which runs on the exact-dl unpruned rails (BM25 block
         bounds don't apply)."""
         from .similarities import Similarity as _Sim
         self.reader = reader
@@ -138,25 +140,26 @@ class Searcher:
         self.avgdl64 = max(reader.sum_total_term_freq, 1) / float(n)
         self.cache = bm25.norm_inverse_cache(self.avgdl, k1, b)
         # MaxScoreCache role (search/MaxScoreCache.java:34): per-block
-        # impact upper bounds memoized per (segment, term, weight) so
-        # repeated hot terms skip the skyline recompute
+        # score upper bounds memoized per (segment, term, weight) so
+        # repeated hot terms skip the recompute
         self._ub_cache: dict[tuple, np.ndarray] = {}
 
     def _block_ubs(self, sr: SegmentReader, term: str,
                    weight: np.float32) -> np.ndarray:
-        """Cached ``bm25.max_block_scores`` — the EXACT float32 output
-        array (read-only by convention), so every pruning decision is
-        bit-identical to the uncached path. Impacts are immutable per
-        segment dir (deletes/dv-updates never touch skylines), so the
-        (segment, term, weight) key is stable. A miss reads the term's
-        packed row for its impacts."""
+        """Each block's exact maximum float32 score, over the term's
+        decoded postings and the segment's norms; cached, so every
+        pruning decision is bit-identical to the uncached path. Tombstoned
+        docs count, so a bound holds for the live docs whatever the
+        deletes; the decoded arrays and norms are immutable per segment
+        dir, so the (segment, term, weight) key is stable. A miss reads
+        nothing: the term was loaded by ``ensure_terms``."""
         key = (sr._seg_dir, term, float(weight))
         ub = self._ub_cache.get(key)
         if ub is None:
-            p = sr.get_postings(term)
-            ub = bm25.max_block_scores(
-                np.asarray(p.imp_freqs), np.asarray(p.imp_norms),
-                np.asarray(p.imp_offsets), weight, self.cache)
+            dec = sr.get_decoded(term)
+            ub = np.maximum.reduceat(bm25.score_freqs(
+                dec.freqs, sr.norms_for(dec.docs), weight, self.cache),
+                dec.block_starts[:-1])
             if len(self._ub_cache) >= 65536:
                 self._ub_cache.clear()
             self._ub_cache[key] = ub
@@ -395,7 +398,7 @@ class Searcher:
         the top k hits strictly after the (score, docID) anchor in the
         global (score desc, docID asc) order. Baseline implementation
         over the COMPLETE unpruned evaluation (deep paging rarely
-        benefits from impact pruning; the anchor is an exact
+        benefits from block-max pruning; the anchor is an exact
         (score, doc) pair from the previous page)."""
         if after is None:
             return self.search(q, k)
@@ -938,9 +941,10 @@ class Searcher:
 
     def _term_topk_pruned(self, sr: SegmentReader, t: "_TermPlan",
                           k: int, threshold: float):
-        """Single-term top-k with per-block impact pruning (ImpactsDISI):
-        score the highest-bound blocks first to establish a threshold,
-        then score only blocks whose impact bound can still compete."""
+        """Single-term top-k with block-max pruning (ImpactsDISI): score
+        the highest-bound blocks first to establish a threshold, then
+        score only blocks whose bound (``_block_ubs``) can still
+        compete."""
         dec = sr.get_decoded(t.term)
         if dec is None:
             return None, None
@@ -1197,7 +1201,7 @@ class _TermBoolWeight(_Weight):
     def top(self, sr, k, threshold):
         if self.term is None:
             return self.scores(sr)
-        # a single scoring term: per-block impact pruning is safe (only
+        # a single scoring term: block-max pruning is safe (only
         # the final top-k is consumed, pruned blocks are strictly below
         # the threshold)
         docs, scores = self.s._term_topk_pruned(sr, self.term, k, threshold)

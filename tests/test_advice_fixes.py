@@ -118,11 +118,10 @@ def test_filter_plus_should_optional(zipf_index):
 def test_docid_int32_overflow_rejected():
     with pytest.raises(ValueError, match="int32"):
         pack_postings(np.array([5, 2**31], dtype=np.int64),
-                      np.array([1, 1]), np.array([1, 1], dtype=np.uint8))
+                      np.array([1, 1]))
     with pytest.raises(ValueError, match="int32"):
         pack_postings_many(np.array([5, 2**31], dtype=np.int64),
                            np.array([1, 1], dtype=np.int64),
-                           np.array([1, 1], dtype=np.uint8),
                            np.array([0, 2], dtype=np.int64))
 
 

@@ -25,15 +25,14 @@ def _rand_posting(rng, n, start=0):
     gaps = rng.integers(1, 50, n)
     docs = start + np.cumsum(gaps)
     freqs = rng.integers(1, 200, n)
-    norms = rng.integers(1, 255, n).astype(np.uint8)
-    return docs, freqs, norms
+    return docs, freqs
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 100_000])
 def test_layout_matches_scan(n):
     rng = np.random.default_rng(n)
-    docs, freqs, norms = _rand_posting(rng, n)
-    p = pack_postings(docs, freqs, norms)
+    docs, freqs = _rand_posting(rng, n)
+    p = pack_postings(docs, freqs)
     sizes = _block_sizes(p.df)
     assert len(p.docs_bb) == len(sizes)
     for stream, buf in (("docs", p.docs), ("freqs", p.freqs)):
@@ -55,18 +54,17 @@ def test_layout_matches_scan(n):
 
 def test_batch_pack_emits_lengths():
     rng = np.random.default_rng(11)
-    D, F, N, tb = [], [], [], [0]
+    D, F, tb = [], [], [0]
     for _ in range(20):
-        docs, freqs, norms = _rand_posting(rng, int(rng.integers(1, 400)))
+        docs, freqs = _rand_posting(rng, int(rng.integers(1, 400)))
         D.append(docs)
         F.append(freqs)
-        N.append(norms)
         tb.append(tb[-1] + len(docs))
-    D, F, N = map(np.concatenate, (D, F, N))
-    many = pack_postings_many(D, F, N, np.asarray(tb)).to_pydict()
+    D, F = map(np.concatenate, (D, F))
+    many = pack_postings_many(D, F, np.asarray(tb)).to_pydict()
     for j in range(20):
         lo, hi = tb[j], tb[j + 1]
-        p = pack_postings(D[lo:hi], F[lo:hi], N[lo:hi])
+        p = pack_postings(D[lo:hi], F[lo:hi])
         np.testing.assert_array_equal(many["docs_bb"][j], p.docs_bb)
         np.testing.assert_array_equal(many["freqs_bb"][j], p.freqs_bb)
 
@@ -76,8 +74,8 @@ def test_giant_term_layout_is_not_scanned(benchmark=None):
     exact and much cheaper than the header scan (no per-block Python)."""
     import time
     rng = np.random.default_rng(3)
-    docs, freqs, norms = _rand_posting(rng, 2_000_000)
-    p = pack_postings(docs, freqs, norms)
+    docs, freqs = _rand_posting(rng, 2_000_000)
+    p = pack_postings(docs, freqs)
     sizes = _block_sizes(p.df)
     t0 = time.perf_counter()
     offs, widths = stream_layout(p, "docs")

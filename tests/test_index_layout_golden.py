@@ -5,16 +5,16 @@ with ``segs_per_tier=4`` (one merged segment). Each segment's postings,
 built or merged, are read as one table (its parts concatenated and
 sorted by term, so the digest does not depend on how terms are split
 into parts) and hashed as Arrow IPC after ``combine_chunks()``. A code
-change that alters any postings byte (packing, impacts, column layout,
+change that alters any postings byte (packing, column layout,
 term order) fails here; an intentional format change updates the
 digests in the same change.
 
-Recorded for format version 5, which dropped the ``doc_count``,
-``chunk_doc_counts`` and ``chunk_occ_counts`` columns (a term is one
-run of 128-doc blocks) and merges every group with the re-pack kernel.
-The digests were re-recorded only after the built tables equalled
-version 4's in every kept column and the merged table equalled version
-4's ``merge_segments(..., repack=True)`` output without those columns.
+Recorded for format version 6, which dropped the ``block_last_docs``,
+``imp_freqs``, ``imp_norms`` and ``imp_offsets`` columns (block score
+bounds are derived from the decoded postings at read time). The
+digests were re-recorded only after the built tables equalled version
+5's in every kept column and the merged table equalled version 5's
+without those four columns.
 """
 
 import hashlib
@@ -25,16 +25,16 @@ import pyarrow.parquet as pq
 
 GOLDEN_BUILT = {
     "seg-000000000000-000000000255-aaf0e58e3672":
-        "44dc99a6e5e0f2a3aa54edd47b09a70d31be7b88d43dde73010b91892a9f25e1",
+        "4f0e1737853fbadfa442da4793851aef794857b614b7f6ce9b1ee070681433ae",
     "seg-000000000256-000000000511-f649429bccd4":
-        "ef9756fbb8b2ce45c7c56e2bc2cc73c062e167609bde4f40e4e1f7b9249f89d8",
+        "916710c80749c78f256ea2d6381456bc768d3ec72559d2130d7b1b4fcf04d403",
     "seg-000000000512-000000000767-adc371fcc655":
-        "89f1e082bd9d34ca4099b017f0a892e5fb133cf275c4c069d8bcf77fcbb9c356",
+        "97b008000a82b2b57f0d3cdf1d63bce0e034decb56225c26980bc3514d42c05f",
     "seg-000000000768-000000001023-5e438ffd31f6":
-        "0889943d92a2f7101b665478a166cddd1f87063b0949459579ddf24a0a85e394",
+        "898307527c67392c4185c56fecebb57255c3774307167abf1b24b6b28a836054",
 }
 GOLDEN_MERGED = \
-    "efa23cc3434ea6a98718198ab952d7a5118846c9d92555ad047168109e1a6f48"
+    "439beda821638ebe1278a893dd388d50027f6b4f36e61f0974b357746ac71565"
 
 
 def _digest(table: pa.Table) -> str:

@@ -89,7 +89,7 @@ def test_merge_repack_equivalent(merged_setup, tmp_path_factory):
     sr = rr.segment(m.segments[0].seg_id)
     some_term = next(iter(sr.terms()))
     p = sr.get_postings(some_term)
-    assert len(p.block_last_docs) == -(-p.df // 128)
+    assert len(p.docs_bb) == -(-p.df // 128)
     after = _snapshot(Searcher(rr), qs)
     assert base == after
     assert validate_index(out3) == []
@@ -243,8 +243,8 @@ def _segment_rows(rng, seg_docs, terms, fmt, positions):
         names.append(t)
         src[t] = (docs, freqs, pos)
     D = np.concatenate(D)
-    t = pack_postings_many(D, np.concatenate(F), np.zeros(len(D), np.uint8),
-                           np.asarray(tb), fmt, terms=names,
+    t = pack_postings_many(D, np.concatenate(F), np.asarray(tb), fmt,
+                           terms=names,
                            positions=np.concatenate(P) if positions else None)
     return t, src
 
@@ -259,7 +259,6 @@ def test_repack_kernel_equals_fresh_pack(case, monkeypatch):
     rng = np.random.default_rng(["overlap", "tombstones", "positions",
                                  "vint", "slices", "clean"].index(case))
     n_docs = 3000
-    norms = rng.integers(1, 255, n_docs).astype(np.uint8)
     seg_of = (rng.integers(0, 3, n_docs) if case == "overlap"
               else np.arange(n_docs) // 1000)
     terms = sorted(f"t{i:02d}" for i in range(30))
@@ -282,8 +281,7 @@ def test_repack_kernel_equals_fresh_pack(case, monkeypatch):
     if case == "slices":
         monkeypatch.setattr(merge_mod, "REPACK_SLICE_POSTINGS", 500)
 
-    got = merge_mod._repack_bucket(group, (np.arange(n_docs), norms),
-                                   deleted)
+    got = merge_mod._repack_bucket(group, deleted)
 
     D, F, P, tb, names = [], [], [], [0], []
     for t in terms:
@@ -304,7 +302,7 @@ def test_repack_kernel_equals_fresh_pack(case, monkeypatch):
         tb.append(tb[-1] + len(keep))
         names.append(t)
     D = np.concatenate(D)
-    want = pack_postings_many(D, np.concatenate(F), norms[D], np.asarray(tb),
+    want = pack_postings_many(D, np.concatenate(F), np.asarray(tb),
                               terms=names,
                               positions=np.concatenate(P) if positions
                               else None)

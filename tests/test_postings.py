@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lucene_ray.codecs import (
     BLOCK_SIZE,
-    compute_impacts,
     pack_postings,
     unpack_postings,
 )
@@ -19,11 +18,11 @@ from lucene_ray.search.reader import _rows_to_postings
 
 
 def _chunk_rows(parts):
-    """One postings-table row per (docs, freqs, norms) chunk of term "t"
-    (a term's rows in the segments of a merge group)."""
+    """One postings-table row per (docs, freqs) chunk of term "t" (a
+    term's rows in the segments of a merge group)."""
     return pa.concat_tables(
-        pack_postings_many(d, f, n, [0, len(d)], terms=["t"])
-        for d, f, n in parts).combine_chunks()
+        pack_postings_many(d, f, [0, len(d)], terms=["t"])
+        for d, f in parts).combine_chunks()
 
 
 def make_postings(rng, n, max_gap=1000, heavy_tail=False):
@@ -33,92 +32,163 @@ def make_postings(rng, n, max_gap=1000, heavy_tail=False):
         gaps[big] = rng.integers(1, 2**20, size=big.sum())
     docs = np.cumsum(gaps) - 1
     freqs = rng.integers(1, 50, size=n).astype(np.int64)
-    norms = rng.integers(0, 256, size=n).astype(np.uint8)
-    return docs, freqs, norms
+    return docs, freqs
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 256, 10_000])
 @pytest.mark.parametrize("heavy", [False, True])
 def test_roundtrip_sizes(n, heavy):
     rng = np.random.default_rng(42 + n)
-    docs, freqs, norms = make_postings(rng, n, heavy_tail=heavy)
-    p = pack_postings(docs, freqs, norms)
+    docs, freqs = make_postings(rng, n, heavy_tail=heavy)
+    p = pack_postings(docs, freqs)
     d2, f2 = unpack_postings(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
     assert p.ttf == freqs.sum()
     assert p.df == n
-    # skip entries land on block boundaries
+    # one block length per 128-doc block, in each stream
     nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    assert len(p.block_last_docs) == nblocks
-    for b in range(nblocks):
-        last = min((b + 1) * BLOCK_SIZE, n) - 1
-        assert p.block_last_docs[b] == docs[last]
+    assert len(p.docs_bb) == len(p.freqs_bb) == nblocks
 
 
 def test_all_equal_gaps_block():
     # all-equal deltas exercise the minimal-width path
     docs = np.arange(0, 256 * 7, 7)
     freqs = np.ones(len(docs), dtype=np.int64)
-    norms = np.full(len(docs), 17, dtype=np.uint8)
-    p = pack_postings(docs, freqs, norms)
+    p = pack_postings(docs, freqs)
     d2, f2 = unpack_postings(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
 
 
 def test_singleton():
-    p = pack_postings(np.array([12345]), np.array([3]), np.array([9], dtype=np.uint8))
+    p = pack_postings(np.array([12345]), np.array([3]))
     d2, f2 = unpack_postings(p)
     assert d2.tolist() == [12345] and f2.tolist() == [3]
 
 
 def test_out_of_order_rejected():
     with pytest.raises(ValueError):
-        pack_postings(np.array([5, 5]), np.array([1, 1]), np.zeros(2, dtype=np.uint8))
+        pack_postings(np.array([5, 5]), np.array([1, 1]))
     with pytest.raises(ValueError):
-        pack_postings(np.array([9, 3]), np.array([1, 1]), np.zeros(2, dtype=np.uint8))
+        pack_postings(np.array([9, 3]), np.array([1, 1]))
 
 
-def test_impacts_dominate_all_pairs():
-    # per-level impacts must dominate every (freq, norm) in their range
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(1, 400))
-        freqs = rng.integers(1, 1000, size=n)
-        norms = rng.integers(0, 256, size=n).astype(np.uint8)
-        imp_f, imp_n, imp_off = compute_impacts(freqs, norms)
-        nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-        assert len(imp_off) == nblocks + 1
-        for b in range(nblocks):
-            sl = slice(b * BLOCK_SIZE, min((b + 1) * BLOCK_SIZE, n))
-            bf, bn = freqs[sl], norms[sl]
-            pf = imp_f[imp_off[b]:imp_off[b + 1]]
-            pn = imp_n[imp_off[b]:imp_off[b + 1]]
-            assert len(pf) <= 8
-            # every true pair is dominated by some impact pair
-            for f, nn in zip(bf, bn):
-                assert ((pf >= f) & (pn <= nn)).any(), (f, nn, pf, pn)
+@pytest.fixture(scope="module")
+def bound_readers(ray_session, tmp_path_factory):
+    """A Zipf corpus of 6,000 docs of 5-60 words (so norms vary) as four
+    kinds of segment: built (4 x 1,500 docs), the same with ~10% of
+    docs tombstoned, those segments merged into one (its head terms
+    span more than 32 blocks, more than the pruned top-k's first batch
+    scores), and built with ``vint`` postings. Returns ({kind:
+    IndexReader}, terms by descending df)."""
+    import pyarrow.parquet as pq
+
+    from lucene_ray.index import build_index
+    from lucene_ray.index.deletes import apply_deletes
+    from lucene_ray.index.manifest import read_manifest
+    from lucene_ray.index.merge import merge_segments
+    from lucene_ray.search import IndexReader
+    rng = np.random.default_rng(31)
+    vocab = [f"v{i:03d}" for i in range(200)]
+    p = 1.0 / np.arange(1, len(vocab) + 1)
+    texts = [" ".join(rng.choice(vocab, int(rng.integers(5, 60)),
+                                 p=p / p.sum())) for _ in range(6000)]
+    d = tmp_path_factory.mktemp("bounds")
+    path = str(d / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": np.arange(len(texts)),
+                             "text": texts}), path)
+    out, vint = str(d / "idx"), str(d / "vint")
+    build_index(path, out, batch_size=1500)
+    build_index(path, vint, batch_size=1500, postings_format="vint")
+    built = read_manifest(out).generation
+    r = IndexReader(out)
+    tomb = apply_deletes(out, {
+        i.seg_id: sr.doc_ids[rng.random(len(sr.doc_ids)) < 0.1]
+        for sr, i in zip(r.segments(), r.segment_infos)}).generation
+    merged = merge_segments(out).generation
+    return {"built": IndexReader(out, generation=built),
+            "tombstoned": IndexReader(out, generation=tomb),
+            "merged": IndexReader(out, generation=merged),
+            "vint": IndexReader(vint)}, vocab
+
+
+@pytest.mark.parametrize("kind", ["built", "tombstoned", "merged", "vint"])
+def test_block_bounds_are_block_maxima(bound_readers, kind):
+    """Every block's bound (``Searcher._block_ubs``) is at least the
+    float32 score of every posting in the block, tombstoned postings
+    included, and equals one of them. The reference scores each
+    posting from the segment's norm bytes and cuts fixed 128-posting
+    blocks."""
+    from lucene_ray.search import Searcher, bm25
+    readers, vocab = bound_readers
+    reader = readers[kind]
+    s = Searcher(reader)
+    one = np.float32(1)
+    most = 0
+    for sr in reader.segments():
+        norm = dict(zip(sr.doc_ids.tolist(), sr.norms.tolist()))
+        for t in vocab[:60]:
+            dec = sr.get_decoded(t)
+            if dec is None:
+                continue
+            w = bm25.term_weight(1.0, reader.term_stats([t])[t][0],
+                                 reader.doc_count)
+            ub = s._block_ubs(sr, t, w)
+            nb = -(-len(dec.docs) // BLOCK_SIZE)
+            assert ub.dtype == np.float32 and len(ub) == nb
+            x = dec.freqs.astype(np.float32) * s.cache[
+                [norm[doc] for doc in dec.docs.tolist()]]
+            sc = w - w / (one + x)
+            for b in range(nb):
+                blk = sc[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
+                assert ub[b] >= blk.max(), (t, b)
+                assert (blk.view(np.uint32)
+                        == ub[b:b + 1].view(np.uint32)).any(), (t, b)
+            most = max(most, nb)
+    assert most >= 4
+
+
+@pytest.mark.parametrize("kind", ["built", "tombstoned", "merged", "vint"])
+def test_pruned_top_k_matches_eval_complete(bound_readers, kind):
+    """The pruned single-term top-k keeps eval_complete's ids and float32
+    score bits, also where a term has more blocks than the first batch
+    scores, so its later blocks are skipped by their bounds."""
+    from lucene_ray.search import Searcher, TermQuery
+    readers, vocab = bound_readers
+    reader = readers[kind]
+    s = Searcher(reader)
+    most = max(len(sr.get_decoded(vocab[0]).block_starts) - 1
+               for sr in reader.segments())
+    assert most > (32 if kind == "merged" else 8)
+    for t in vocab[:20]:
+        docs, scores = s.eval_complete(TermQuery(t))
+        s32 = np.asarray(scores).astype(np.float32)
+        for k in (1, 10, 100):
+            order = np.lexsort((docs, -s32.astype(np.float64)))[:k]
+            td = s.search(TermQuery(t), k)
+            assert np.array_equal(td.doc_ids, np.asarray(docs)[order]), (t, k)
+            assert np.array_equal(
+                td.scores.astype(np.float32).view(np.uint32),
+                s32[order].view(np.uint32)), (t, k)
 
 
 def test_repack_reblocks():
     rng = np.random.default_rng(5)
-    norm_table = rng.integers(0, 256, size=1 << 21).astype(np.uint8)
     parts = []
     base = 0
     for i in range(3):
-        docs, freqs, _ = make_postings(rng, 200)
+        docs, freqs = make_postings(rng, 200)
         docs = docs + base
         base = int(docs[-1]) + 7
-        parts.append((docs, freqs, norm_table[docs]))
+        parts.append((docs, freqs))
     rows = _chunk_rows(parts)
-    repacked = _rows_to_postings(_repack_bucket(
-        rows, (np.arange(len(norm_table)), norm_table), None))[0]
+    repacked = _rows_to_postings(_repack_bucket(rows, None))[0]
     d_r, f_r = unpack_postings(repacked)
-    np.testing.assert_array_equal(d_r, np.concatenate([d for d, _, _ in parts]))
-    np.testing.assert_array_equal(f_r, np.concatenate([f for _, f, _ in parts]))
+    np.testing.assert_array_equal(d_r, np.concatenate([d for d, _ in parts]))
+    np.testing.assert_array_equal(f_r, np.concatenate([f for _, f in parts]))
     assert repacked.df == 600
-    assert len(repacked.block_last_docs) == (600 + BLOCK_SIZE - 1) // BLOCK_SIZE
+    assert len(repacked.docs_bb) == (600 + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,8 +198,7 @@ def test_roundtrip_hypothesis(gap_freq):
     gaps = np.array([g for g, _ in gap_freq], dtype=np.int64)
     freqs = np.array([f for _, f in gap_freq], dtype=np.int64)
     docs = np.cumsum(gaps) - 1
-    norms = (docs % 251).astype(np.uint8)
-    p = pack_postings(docs, freqs, norms)
+    p = pack_postings(docs, freqs)
     d2, f2 = unpack_postings(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
@@ -141,8 +210,7 @@ def _chunked_group(rng, n_chunks, fmts=("for128",)):
     """Rows of terms a/b/c packed per chunk over disjoint doc ranges
     (chunk 0 starts at docID 0, so a one-doc chunk there packs a width-0
     docs block), in chunk order — the parts of a merge group's
-    segments. Returns (rows, norms of every docID)."""
-    norms = rng.integers(1, 255, 40_000).astype(np.uint8)
+    segments. Returns (rows, the docID bound of every chunk)."""
     tables, base = [], 0
     for c in range(n_chunks):
         sizes = [1 if c == 0 else int(rng.integers(1, 300)),
@@ -154,10 +222,10 @@ def _chunked_group(rng, n_chunks, fmts=("for128",)):
             tb.append(tb[-1] + n)
         D = np.concatenate(d)
         tables.append(pack_postings_many(
-            D, np.concatenate(f), norms[D], tb, terms=["a", "b", "c"],
+            D, np.concatenate(f), tb, terms=["a", "b", "c"],
             postings_format=fmts[c % len(fmts)]))
         base = int(D.max()) + 1 + int(rng.integers(0, 9))
-    return pa.concat_tables(tables).combine_chunks(), norms
+    return pa.concat_tables(tables).combine_chunks(), base
 
 
 def _packed_rows(kind, rng):
@@ -170,20 +238,19 @@ def _packed_rows(kind, rng):
             tb.append(tb[-1] + n)
         d[0][:] = 0  # one posting at docID 0: a width-0 docs block
         D = np.concatenate(d)
-        t = pack_postings_many(D, np.concatenate(f),
-                               rng.integers(1, 255, len(D)), tb,
+        t = pack_postings_many(D, np.concatenate(f), tb,
                                terms=[f"t{i}" for i in range(len(sizes))])
         assert t.column("docs")[0].as_py() == b"\x00"
         return t
     if kind in ("tagged_vint", "tagged_pfor"):
         rows, _ = _chunked_group(rng, 1, fmts=(kind[len("tagged_"):],))
         return rows
-    rows, norms = _chunked_group(
+    rows, n_docs = _chunked_group(
         rng, 4, fmts=("for128", "vint") if kind == "mixed" else ("for128",))
     # the merge of doc-disjoint segments: clean ("concat", "repacked"),
     # of for128 and vint sources ("mixed"), or with tombstones
-    deleted = np.arange(0, len(norms), 7) if kind == "tombstoned" else None
-    return _repack_bucket(rows, (np.arange(len(norms)), norms), deleted)
+    deleted = np.arange(0, n_docs, 7) if kind == "tombstoned" else None
+    return _repack_bucket(rows, deleted)
 
 
 @pytest.mark.parametrize("kind", ["built", "concat", "repacked",

@@ -16,9 +16,7 @@ def _rand_posting(seed, fmt):
     rng = np.random.default_rng(seed)
     docs = np.unique(rng.integers(0, 500_000, 700)).astype(np.int64)
     freqs = rng.integers(1, 300, len(docs)).astype(np.int64)
-    norms = rng.integers(1, 255, len(docs)).astype(np.uint8)
-    return docs, freqs, pack_postings(docs, freqs, norms,
-                                      postings_format=fmt)
+    return docs, freqs, pack_postings(docs, freqs, postings_format=fmt)
 
 
 @pytest.mark.parametrize("fmt", ["for128", "vint", "pfor"])

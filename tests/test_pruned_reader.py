@@ -148,10 +148,6 @@ def _reference_postings(t, i):
         ttf=t.column("ttf")[i].as_py(),
         docs=t.column("docs")[i].as_py(),
         freqs=t.column("freqs")[i].as_py(),
-        block_last_docs=arr("block_last_docs", np.int32),
-        imp_freqs=arr("imp_freqs", np.int32),
-        imp_norms=arr("imp_norms", np.uint8),
-        imp_offsets=arr("imp_offsets", np.int64),
         positions=t.column("positions")[i].as_py() or b"",
         docs_bb=arr("docs_bb", np.int32),
         freqs_bb=arr("freqs_bb", np.int32))
@@ -259,8 +255,7 @@ def _packed(sizes, seed):
         freqs.append(rng.integers(1, 40, n))
         base = int(d[-1]) + 1 + int(rng.integers(0, 50))
     docs, freqs = np.concatenate(docs), np.concatenate(freqs)
-    return pack_postings(docs, freqs, rng.integers(1, 255, len(docs))), \
-        docs, freqs
+    return pack_postings(docs, freqs), docs, freqs
 
 
 @pytest.mark.parametrize("sizes", RUN_SIZES)
@@ -320,7 +315,7 @@ def merged_generations(ray_session, tmp_path_factory):
     build_index(path, out, batch_size=700)
     merged = merge_segments(out).generation
     reader = IndexReader(out)
-    assert all(len(sr.get_postings(t).block_last_docs)
+    assert all(len(sr.get_postings(t).docs_bb)
                == -(-sr.df(t) // 128) for sr in reader.segments()
                for t in vocab[:40])
     per_seg = {}
@@ -418,8 +413,7 @@ def test_long_term_bounds_in_term_sorted_file(tmp_path, where):
     bounds = np.cumsum([0] + [1 + i % 2 for i in range(8)])
     docs = np.concatenate([np.arange(n) for n in np.diff(bounds)])
     path = str(tmp_path / "terms.parquet")
-    pq.write_table(pack_postings_many(docs, np.ones(len(docs)),
-                                      np.ones(len(docs)), bounds,
+    pq.write_table(pack_postings_many(docs, np.ones(len(docs)), bounds,
                                       terms=terms),
                    path, row_group_size=2, write_statistics=False)
     part = _PostingsPart(path)
@@ -504,7 +498,7 @@ def test_long_keyword_terms_are_found(ray_session, tmp_path):
 def test_small_term_top_k_skips_block_bounds(merged_generations,
                                              monkeypatch):
     """A term of at most 8 blocks in a segment is scored whole: its
-    top-k never computes impact bounds, and keeps eval_complete's ids
+    top-k never computes block bounds, and keeps eval_complete's ids
     and float32 score bits; a larger term still prunes by them."""
     out, merged, _, vocab = merged_generations
     reader = IndexReader(out, generation=merged)
@@ -530,6 +524,27 @@ def test_small_term_top_k_skips_block_bounds(merged_generations,
         assert np.array_equal(td.scores.astype(np.float32).view(np.uint32),
                               s32[order].view(np.uint32))
     assert set(calls) == {vocab[0]}
+
+
+def test_pruned_term_search_reads_no_packed_row(merged_generations):
+    """A term of more than 8 blocks takes the pruned top-k, whose block
+    bounds come from the decoded postings: once ``ensure_terms`` has
+    loaded the term, the search reads no Parquet row group and no
+    packed row."""
+    out, merged, _, vocab = merged_generations
+    for gen in (merged, None):  # the merge, and its tombstoned successor
+        reader = IndexReader(out, generation=gen)
+        s = Searcher(reader)
+        t = vocab[0]
+        for sr in reader.segments():
+            sr.ensure_terms([t])
+            assert len(sr.get_decoded(t).block_starts) - 1 > 8
+        before = [(sr.rg_reads, sr.rows_loaded) for sr in reader.segments()]
+        td = s.search(TermQuery(t), 10)
+        assert len(td.doc_ids) == 10
+        assert [(sr.rg_reads, sr.rows_loaded)
+                for sr in reader.segments()] == before
+        assert all(not sr._packed for sr in reader.segments())
 
 
 def test_batched_decode_of_every_part(merged_generations):
