@@ -1,20 +1,19 @@
 """Posting-list codecs: delta+FOR bit-packed 128-doc blocks of docIDs and
-freqs (block score bounds are derived at read time, not stored)."""
+freqs (block score bounds are derived at read time, not stored), packed
+and decoded many terms at a time."""
 
 from .postings import (
     BLOCK_SIZE,
-    PackedPostings,
-    pack_postings,
     pack_positions_many,
+    pack_postings_many,
     unpack_positions,
-    unpack_postings,
+    unpack_postings_many,
 )
 
 __all__ = [
     "BLOCK_SIZE",
-    "PackedPostings",
-    "pack_postings",
-    "unpack_postings",
+    "pack_postings_many",
+    "unpack_postings_many",
     "pack_positions_many",
     "unpack_positions",
 ]

@@ -7,6 +7,19 @@ packed per block — without replicating its on-disk file format:
 - block size 128: ``codecs/lucene90/ForUtil.java:32``
 - strictly-increasing docIDs enforced: ``Lucene90PostingsWriter.java:231-236``
 
+A term is one row of a postings table (``POSTINGS_SCHEMA``): ``df``
+docIDs, delta-encoded (the first delta is the absolute first docID)
+and blocked as full 128s plus one tail, so block ``b`` holds postings
+``[128·b, min(128·(b+1), df))``; ``freqs`` in the same blocks; the
+pack-time byte length of every block of both streams (``docs_bb``,
+``freqs_bb``: a reader finds each block with one cumsum instead of a
+header scan, the role of ``Lucene90SkipWriter``'s file pointers); and,
+for an index built with positions, ``positions``, the term's ``ttf``
+position deltas as one run of 128-value blocks.
+
+``pack_postings_many`` packs many terms into such rows and
+``unpack_postings_many`` decodes many rows into ``DecodedPostings``
+(docIDs and freqs), each in one vectorized pass over every block.
 A row stores no skip data or impacts (the reference's
 ``Lucene90SkipWriter`` and ``CompetitiveImpactAccumulator``): a reader
 decodes a term whole, once, and slices its blocks, and the searcher
@@ -27,40 +40,11 @@ import pyarrow as pa
 BLOCK_SIZE = 128
 
 
-class PackedPostings(NamedTuple):
-    """One term's packed postings in one segment.
-
-    A term is one run of 128-doc blocks: ``df`` docIDs, delta-encoded
-    (the first delta is the absolute first docID) and blocked as full
-    128s plus one tail, so the block layout follows from ``df`` alone.
-    Every writer, the build and the merge alike, packs a term this way
-    (``pack_postings_many``).
-
-    ``positions`` is empty unless the index was built with positions
-    (the .pos stream for PhraseQuery): then it holds ``ttf`` position
-    deltas, one run of 128-value blocks.
-    """
-
-    df: int  # docs in this posting
-    ttf: int  # total term frequency
-    docs: bytes  # packed doc deltas: per block [u8 width][packed bits]
-    freqs: bytes  # packed freqs, same block structure
-    # pack-time per-block byte lengths (incl. the header byte) of the
-    # docs/freqs streams, one per block — readers compute every block's
-    # byte offset with one cumsum instead of a per-block header scan
-    # (Lucene90SkipWriter stores the analogous file pointers at write
-    # time); ``stream_layout`` raises when they miss a block
-    docs_bb: np.ndarray  # int32[nblocks]
-    freqs_bb: np.ndarray  # int32[nblocks]
-    positions: bytes = b""  # packed position deltas (reset per posting)
-
-
 class DecodedPostings(NamedTuple):
     """One term's postings in one segment, decoded and read-only."""
 
     docs: np.ndarray  # int64, ascending
     freqs: np.ndarray  # int32, aligned with docs
-    block_starts: np.ndarray  # int64[nblocks+1], block b's slice bounds
 
 
 # --- bit packing -----------------------------------------------------------
@@ -108,15 +92,6 @@ def _scan_block_offsets(buf: bytes, sizes) -> tuple[np.ndarray, np.ndarray]:
             pos += 1 + (m * w + 7) // 8
     offs[n] = pos
     return offs, widths
-
-
-def stream_layout(p: "PackedPostings",
-                  stream: str) -> tuple[np.ndarray, np.ndarray]:
-    """(byte_offsets int64[n+1], widths int64[n]) of the ``docs`` or
-    ``freqs`` stream of one posting (see :func:`_bb_layout`)."""
-    return _bb_layout(p.docs if stream == "docs" else p.freqs,
-                      p.docs_bb if stream == "docs" else p.freqs_bb,
-                      -(-p.df // BLOCK_SIZE), stream)
 
 
 def _bb_layout(buf, bb, nblocks: int,
@@ -267,7 +242,7 @@ def _pack_flat(D: np.ndarray, F: np.ndarray, tb: np.ndarray,
     # throughout the engine, so one >= 2^31 fails here, at write time
     if len(D) and (D[tb[1:] - 1].max() >= 2**31 or D[tb[:-1]].min() < 0):
         raise ValueError("docID out of int32 range")
-    # freqs read back as int32 (unpack_postings): 2^31 and up would
+    # freqs read back as int32 (unpack_postings_many): 2^31 and up would
     # pack at width 32 and come back negative
     if len(F) and F.max() >= 2**31:
         raise ValueError(f"term frequency {int(F.max())} out of int32 range")
@@ -285,44 +260,6 @@ def _pack_flat(D: np.ndarray, F: np.ndarray, tb: np.ndarray,
     freqs, freqs_offs = _pack_stream(F.astype(np.uint32), bstart, bsize,
                                      postings_format)
     return _Flat(first, docs, docs_offs, freqs, freqs_offs)
-
-
-def pack_postings(doc_ids: np.ndarray, freqs: np.ndarray,
-                  postings_format: str = "for128",
-                  positions: np.ndarray | None = None) -> PackedPostings:
-    """Pack one term's postings: the kernel of
-    :func:`pack_postings_many` over a single term.
-
-    ``doc_ids`` must be strictly increasing int32/int64; ``freqs`` >= 1.
-    ``positions``: optional absolute positions, ``freqs[i]`` of them per
-    posting, in doc order.
-    """
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    freqs = np.asarray(freqs, dtype=np.int64)
-    f = _pack_flat(doc_ids, freqs, np.array([0, len(doc_ids)]),
-                   postings_format)
-    p = PackedPostings(
-        df=len(doc_ids),
-        ttf=int(freqs.sum()),
-        docs=f.docs.tobytes(),
-        freqs=f.freqs.tobytes(),
-        docs_bb=np.diff(f.docs_offs).astype(np.int32),
-        freqs_bb=np.diff(f.freqs_offs).astype(np.int32),
-    )
-    if positions is None:
-        return p
-    bufs = pack_positions_many(positions, np.array([0, len(positions)]),
-                               _offsets(freqs)[:-1])
-    return p._replace(positions=bufs[0].as_py())
-
-
-def unpack_postings(p: PackedPostings) -> tuple[np.ndarray, np.ndarray]:
-    """Decode one posting -> (doc_ids int64, freqs int32)."""
-    sizes = _block_sizes(p.df)
-    deltas = _unpack_values(p.docs, sizes, layout=stream_layout(p, "docs"))
-    freqs = _unpack_values(p.freqs, sizes,
-                           layout=stream_layout(p, "freqs")).astype(np.int32)
-    return np.cumsum(deltas, dtype=np.int64), freqs
 
 
 def _flat_list(col) -> tuple[np.ndarray, np.ndarray]:
@@ -367,33 +304,32 @@ def unpack_singletons(docs) -> np.ndarray:
                           ).astype(np.int64)
 
 
-def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
-    """Decode many packed rows at once, the inverse of
-    :func:`pack_postings_many` over the ``df``, ``docs``, ``freqs``,
-    ``docs_bb`` and ``freqs_bb`` columns of ``t``: each stream in one
-    :func:`_decode_stream` over every block of every row. Each row's
-    arrays are read-only views of the batch's; they equal
-    :func:`unpack_postings` per row."""
-    if len(t) == 0:
-        return []
+def _decode_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's docIDs (int64) and freqs (int32), concatenated in row
+    order: each stream of ``t`` in one :func:`_decode_stream` over every
+    block of every row."""
     counts = t.column("df").to_numpy()
-    _, bsize, fb = _blocks_of(_offsets(counts))
+    _, bsize, _ = _blocks_of(_offsets(counts))
     docs, freqs = (_decode_stream(t, s, bsize,
                                   _flat_list(t.column(f"{s}_bb"))[1])
                    for s in ("docs", "freqs"))
-    docs = _undelta(docs, counts)
-    freqs = freqs.astype(np.int32)
-    starts = _offsets(bsize)
-    for a in (docs, freqs, starts):
+    return _undelta(docs, counts), freqs.astype(np.int32)
+
+
+def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
+    """Decode many packed rows at once, the inverse of
+    :func:`pack_postings_many` over the ``df``, ``docs``, ``freqs``,
+    ``docs_bb`` and ``freqs_bb`` columns of ``t``. Each row's arrays
+    are read-only views of the batch's, and a row decodes the same in
+    any batch (one row alone included)."""
+    if len(t) == 0:
+        return []
+    docs, freqs = _decode_rows(t)
+    for a in (docs, freqs):
         a.flags.writeable = False
-    fb = fb.tolist()  # first block of each row
-    out = []
-    for r in range(len(t)):
-        lo, hi = int(starts[fb[r]]), int(starts[fb[r + 1]])
-        bs = starts[fb[r]:fb[r + 1] + 1] - lo
-        bs.flags.writeable = False
-        out.append(DecodedPostings(docs[lo:hi], freqs[lo:hi], bs))
-    return out
+    bounds = _offsets(t.column("df").to_numpy()).tolist()
+    return [DecodedPostings(docs[lo:hi], freqs[lo:hi])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 # --- batch pack (vectorized across terms) ----------------------------------
@@ -430,9 +366,10 @@ def pack_postings_many(doc_ids: np.ndarray, freqs: np.ndarray,
     increasing within each term). Each stream is packed in one pass
     over all blocks (full and tail), and every column is built from the
     flat buffers and offsets. ``terms`` fills the term column
-    (null when omitted); ``positions`` (as in :func:`pack_postings`, all
-    terms concatenated) fills ``positions``.
-    Rows are byte-identical to :func:`pack_postings` per term (tested).
+    (null when omitted); ``positions`` (absolute positions, ``freqs[i]``
+    of them per posting in doc order, all terms concatenated) fills
+    ``positions``. A term's row does not depend on the other terms of
+    the batch: it is byte-identical to ``_pack_block`` per block (tested).
     """
     D = np.ascontiguousarray(doc_ids, dtype=np.int64)
     F = np.ascontiguousarray(freqs, dtype=np.int64)

@@ -43,8 +43,8 @@ from ..codecs.postings import (
     POSTINGS_SCHEMA,
     _binary_bytes,
     _blocks_of,
+    _decode_rows,
     _decode_stream,
-    _flat_list,
     _offsets,
     _undelta,
     pack_postings_many,
@@ -99,7 +99,7 @@ REPACK_SLICE_POSTINGS = 1 << 18
 def _repack_bucket(group: pa.Table,
                    deleted: np.ndarray | None = None) -> pa.Table:
     """Re-pack kernel over a whole bucket, the source segments' rows in
-    any order: decode every row (one ``_decode_stream`` call per
+    any order: decode every row (``_decode_rows``, one pass per
     stream), drop postings of the ``deleted`` docIDs (sorted) and their
     position runs, sort by (term, doc) and pack with the build's
     ``pack_postings_many``: one run of full 128-doc ``for128`` blocks
@@ -112,13 +112,8 @@ def _repack_bucket(group: pa.Table,
     # every row is one run of blocks (full 128s + tail): its df docs,
     # and with positions its ttf position deltas
     counts = group.column("df").to_numpy()
-    _, sizes, _ = _blocks_of(_offsets(counts))
-    docs = _undelta(_decode_stream(
-        group, "docs", sizes, _flat_list(group.column("docs_bb"))[1]),
-        counts)
-    freqs = _decode_stream(
-        group, "freqs", sizes, _flat_list(group.column("freqs_bb"))[1]) \
-        .astype(np.int64)
+    docs, freqs = _decode_rows(group)
+    freqs = freqs.astype(np.int64)
     # term of every posting: rows per term, postings per row
     row_term = np.repeat(np.arange(len(starts)),
                          np.diff(np.append(starts, group.num_rows)))

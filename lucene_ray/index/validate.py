@@ -34,50 +34,71 @@ import ray.data
 
 from ..codecs.postings import (
     BLOCK_SIZE,
+    _binary_bytes,
     _block_sizes,
+    _flat_list,
+    _offsets,
     _scan_block_offsets,
-    unpack_postings,
+    unpack_postings_many,
 )
-from ..search.reader import _rows_to_postings
 from .manifest import POSTINGS_BUCKETS, bucket_of, part_path, read_manifest
 
 
-def _layout_error(p) -> str | None:
-    """Why a row's streams are not one run of blocks for its df (and,
-    with positions, for its ttf position deltas); None when they are."""
-    if p.df < 1:
-        return f"df {p.df}"
-    nb = -(-p.df // BLOCK_SIZE)
-    if not len(p.docs_bb) == len(p.freqs_bb) == nb:
-        return (f"{len(p.docs_bb)} docs and {len(p.freqs_bb)} freqs block "
-                f"lengths for df {p.df} ({nb} blocks)")
-    if int(p.docs_bb.sum()) != len(p.docs) or \
-            int(p.freqs_bb.sum()) != len(p.freqs):
-        return "block lengths do not cover the docs/freqs streams"
-    if len(p.positions):
-        try:
-            end = _scan_block_offsets(p.positions, _block_sizes(p.ttf))[0][-1]
-        except IndexError:  # the blocks' headers run past the stream
-            end = -1
-        if end != len(p.positions):
-            return f"positions stream does not hold ttf {p.ttf} values"
-    return None
+def _layout_errors(batch: pa.Table) -> dict[int, str]:
+    """Row -> why its streams are not one run of blocks for its df (and,
+    with positions, for its ttf position deltas), from the batch's own
+    columns; rows that are such a run are absent."""
+    df, ttf = (batch.column(c).to_numpy() for c in ("df", "ttf"))
+    nb = -(-df // BLOCK_SIZE)
+    count, covered = {}, {}
+    for s in ("docs", "freqs"):
+        off, bb = _flat_list(batch.column(f"{s}_bb"))
+        count[s] = np.diff(off)
+        covered[s] = (np.diff(_offsets(bb)[off])
+                      == np.diff(_binary_bytes(batch.column(s))[1]))
+    pos, pos_off = _binary_bytes(batch.column("positions"))
+    bad = ((df < 1) | (count["docs"] != nb) | (count["freqs"] != nb)
+           | ~covered["docs"] | ~covered["freqs"])
+    errors = {}
+    for r in np.flatnonzero(bad | (np.diff(pos_off) > 0)).tolist():
+        if df[r] < 1:
+            errors[r] = f"df {df[r]}"
+        elif not count["docs"][r] == count["freqs"][r] == nb[r]:
+            errors[r] = (f"{count['docs'][r]} docs and {count['freqs'][r]} "
+                         f"freqs block lengths for df {df[r]} "
+                         f"({nb[r]} blocks)")
+        elif bad[r]:
+            errors[r] = "block lengths do not cover the docs/freqs streams"
+        else:
+            stream = pos[pos_off[r]:pos_off[r + 1]].tobytes()
+            try:
+                end = _scan_block_offsets(stream, _block_sizes(ttf[r]))[0][-1]
+            except IndexError:  # the blocks' headers run past the stream
+                end = -1
+            if end != len(stream):
+                errors[r] = (f"positions stream does not hold ttf {ttf[r]} "
+                             "values")
+    return errors
 
 
 def _check_postings_batch(batch: pa.Table, min_doc: int, max_doc: int) -> pa.Table:
+    bad = _layout_errors(batch)
+    ok = np.ones(len(batch), bool)
+    ok[list(bad)] = False
+    # one decode of every row whose layout holds (df docs in each)
+    decoded = iter(unpack_postings_many(batch.filter(ok)))
+    ttf = batch.column("ttf").to_numpy()
     errors = []
-    for term, p in zip(batch.column("term").to_pylist(),
-                       _rows_to_postings(batch)):
-        bad = _layout_error(p)
-        if bad:
-            errors.append(f"{term}: {bad}")
+    for r, term in enumerate(batch.column("term").to_pylist()):
+        if r in bad:
+            errors.append(f"{term}: {bad[r]}")
             continue
-        docs, freqs = unpack_postings(p)  # df docs: the layout holds
+        docs, freqs = next(decoded)
         if (np.diff(docs) <= 0).any():
             errors.append(f"{term}: docs not strictly increasing")
         if docs[0] < min_doc or docs[-1] > max_doc:
             errors.append(f"{term}: docs outside segment range")
-        if int(freqs.sum()) != p.ttf:
+        if int(freqs.sum()) != ttf[r]:
             errors.append(f"{term}: ttf mismatch")
         if (freqs < 1).any():
             errors.append(f"{term}: freq < 1")

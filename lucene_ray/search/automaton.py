@@ -110,7 +110,7 @@ def term_automaton_docs(searcher, q: TermAutomatonQuery) -> np.ndarray:
         q.finish()
     out = []
     for sr in searcher.reader.segments():
-        sr.ensure_packed(q.terms)
+        sr.ensure_positions(q.terms)
         per_term = {}
         cand = None
         for t in q.terms:

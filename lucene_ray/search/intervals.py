@@ -501,7 +501,7 @@ def interval_freqs(searcher, source: IntervalsSource):
     terms = sorted(source.leaf_terms())
     out_docs, out_freqs = [], []
     for sr in searcher.reader.segments():
-        sr.ensure_packed(terms)
+        sr.ensure_positions(terms)
         per_term = {}
         for t in terms:
             got = sr.get_positions(t)

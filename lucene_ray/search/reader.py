@@ -23,13 +23,15 @@ Any other found term costs, per part its terms live in, one read of the
 row groups holding them with only the columns the decode needs; the
 rows read from every part are then decoded by one
 ``unpack_postings_many``. Absent terms cost no read. The decoded arrays
-(docIDs, freqs, block offsets) stay in the segment's postings LRU as
-read-only arrays, so scorers slice arrays instead of bit-unpacking
-blocks on every query, and the searcher derives a term's block score
-bounds from them (with the resident norms) rather than from the file.
-A term's packed row (its positions) is read by row number only for
-the callers that need it (``get_postings``, ``get_positions``);
-positional weights load it with their first touch (``ensure_packed``).
+(docIDs and freqs, ``DecodedPostings``) are the one in-memory form of
+a term: they stay in the segment's postings LRU as read-only arrays,
+so scorers slice arrays instead of bit-unpacking blocks on every query,
+and the searcher derives a term's block score bounds from them (with
+the resident norms) rather than from the file. A term's packed
+positions stream is read only for the callers that need it
+(``get_positions``): positional weights load it with their first touch
+(``ensure_positions``), in the same one read per part and the same
+decode.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import pyarrow.parquet as pq
 
 from ..codecs.postings import (
     DecodedPostings,
-    PackedPostings,
     _offsets,
     unpack_postings_many,
     unpack_singletons,
@@ -126,11 +127,6 @@ def _route(terms) -> dict[int, list[str]]:
     return out
 
 
-# block starts of a one-posting term, shared by every resident singleton
-_ONE_BLOCK = np.array([0, 1], np.int64)
-_ONE_BLOCK.flags.writeable = False
-
-
 class _PostingsPart:
     """One term-sorted postings part: its dictionary, where each row
     group starts, and per row the docID and freq of a df = 1 term
@@ -160,7 +156,7 @@ class _PostingsPart:
         if self.single_doc[r] < 0:
             return None
         return DecodedPostings(self.single_doc[r:r + 1],
-                               self.single_freq[r:r + 1], _ONE_BLOCK)
+                               self.single_freq[r:r + 1])
 
     def read_rows(self, rows: list[int], columns=None):
         """(the given rows in order, row groups read, rows read): one
@@ -179,26 +175,8 @@ class _PostingsPart:
         return got, len(rgs), len(t)
 
 
-_LIST_DTYPES = {"docs_bb": np.int32, "freqs_bb": np.int32}
-
 # what unpack_postings_many reads, and the term to confirm the row by
 _DECODE_COLUMNS = ["term", "df", "docs", "freqs", "docs_bb", "freqs_bb"]
-
-
-def _rows_to_postings(t: pa.Table) -> list[PackedPostings]:
-    """One PackedPostings per row of an already-selected table: each
-    list column becomes flat numpy values once, sliced per row by its
-    offsets."""
-    n = len(t)
-    cols = {f: t.column(f).to_pylist()
-            for f in ("df", "ttf", "docs", "freqs", "positions")}
-    for f, dtype in _LIST_DTYPES.items():
-        a = t.column(f).combine_chunks()
-        vals = np.asarray(a.values.to_numpy(), dtype=dtype)
-        off = a.offsets.to_numpy()
-        cols[f] = [vals[off[i]:off[i + 1]] for i in range(n)]
-    return [PackedPostings(*row)
-            for row in zip(*(cols[f] for f in PackedPostings._fields))]
 
 
 class SegmentReader:
@@ -219,9 +197,9 @@ class SegmentReader:
             n and self.doc_ids[-1] - self.doc_ids[0] == n - 1)
         self._base = int(self.doc_ids[0]) if n else 0
         # LRUQueryCache analog: term -> decoded postings of loaded terms;
-        # _packed holds the packed rows read for resident terms only
+        # _positions holds the packed positions of resident terms only
         self._cache: "OrderedDict[str, DecodedPostings]" = OrderedDict()
-        self._packed: dict[str, PackedPostings] = {}
+        self._positions: dict[str, bytes] = {}
         self._cache_size = cache_size
         self._absent: set[str] = set()
         self._dv_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
@@ -302,19 +280,21 @@ class SegmentReader:
         read; everything loaded lands in the LRU cache."""
         self._load([t for t in dict.fromkeys(terms)
                     if t not in self._cache and t not in self._absent],
-                   packed=False)
+                   positions=False)
 
-    def ensure_packed(self, terms) -> None:
-        """``ensure_terms``, reading whole rows: the terms' packed
-        postings (with their positions) load in the same read."""
+    def ensure_positions(self, terms) -> None:
+        """``ensure_terms``, with the ``positions`` column in the same
+        one read per part (df = 1 terms are read too): the terms'
+        packed positions stay beside their decoded postings."""
         self._load([t for t in dict.fromkeys(terms)
-                    if t not in self._packed and t not in self._absent],
-                   packed=True)
+                    if t not in self._positions and t not in self._absent],
+                   positions=True)
 
-    def _load(self, missing: list[str], packed: bool) -> None:
+    def _load(self, missing: list[str], positions: bool) -> None:
         if not missing:
             return
         found, tables = [], []
+        loaded = 0  # found terms of this call, kept at the LRU's end
         for b, part_terms in _route(missing).items():
             part = self._part(b)
             want, rows = [], []
@@ -322,24 +302,27 @@ class SegmentReader:
                 if r < 0:
                     self._absent.add(term)
                     continue
-                single = None if packed else part.singleton(r)
+                single = None if positions else part.singleton(r)
                 if single is None:
                     want.append(term)
                     rows.append(r)
                 else:
                     self._cache[term] = single
+                    loaded += 1
             if not rows:
                 continue  # no read for absent and df = 1 terms
             t, rgs, nrows = part.read_rows(
-                rows, None if packed else _DECODE_COLUMNS)
+                rows, _DECODE_COLUMNS + ["positions"] if positions
+                else _DECODE_COLUMNS)
             # counters measure Parquet reads, before the selection
             self.rg_reads += rgs
             self.rows_loaded += nrows
             if t.column("term").to_pylist() != want:
                 raise ValueError(f"{part.path}: rows do not hold the "
                                  "terms its dictionary names")
-            if packed:
-                self._packed.update(zip(want, _rows_to_postings(t)))
+            if positions:
+                self._positions.update(
+                    zip(want, t.column("positions").to_pylist()))
             found += want
             tables.append(t)
         if tables:
@@ -350,14 +333,19 @@ class SegmentReader:
             for term, n in zip(found, new.tolist()):
                 if n:
                     self._cache[term] = next(decoded)
-        while len(self._cache) > self._cache_size:
+                else:
+                    self._cache.move_to_end(term)
+            loaded += len(found)
+        # evict least recently used terms, never one this call loaded:
+        # its scorer would read it again, one row at a time
+        while len(self._cache) > max(self._cache_size, loaded):
             k, _ = self._cache.popitem(last=False)
-            self._packed.pop(k, None)
+            self._positions.pop(k, None)
 
     def get_decoded(self, term: str) -> DecodedPostings | None:
-        """The term's decoded (docs, freqs, block_starts), decoded on
-        first use and kept while the term stays in the postings cache —
-        the OS page-cache role for resident postings. None if absent."""
+        """The term's decoded (docs, freqs), decoded on first use and
+        kept while the term stays in the postings cache — the OS
+        page-cache role for resident postings. None if absent."""
         got = self._cache.get(term)
         if got is not None:
             self._cache.move_to_end(term)
@@ -367,30 +355,20 @@ class SegmentReader:
         self.ensure_terms([term])
         return self._cache.get(term)
 
-    def get_postings(self, term: str) -> PackedPostings | None:
-        """The term's packed row, read by row number on first use."""
-        p = self._packed.get(term)
-        if p is not None:
-            self._cache.move_to_end(term)
-            return p
-        if term in self._absent:
-            return None
-        self.ensure_packed([term])
-        return self._packed.get(term)
-
     def get_positions(self, term: str):
         """(docs, freqs, flat positions) or None. Requires an index built
         with ``index_positions=True``."""
         from ..codecs.postings import unpack_positions
-        p = self.get_postings(term)
-        if p is None:
+        if term not in self._positions and term not in self._absent:
+            self.ensure_positions([term])
+        buf = self._positions.get(term)
+        if buf is None:
             return None
-        if not len(p.positions):
+        if not buf:
             raise ValueError(
                 "index was built without positions (index_positions=True)")
-        docs, freqs, _ = self.get_decoded(term)
-        pos = unpack_positions(p.positions, freqs)
-        return docs, freqs, pos
+        docs, freqs = self.get_decoded(term)
+        return docs, freqs, unpack_positions(buf, freqs)
 
     def df(self, term: str) -> int:
         dec = self.get_decoded(term)

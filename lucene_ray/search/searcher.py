@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..codecs.postings import BLOCK_SIZE
 from . import bm25
 from .postings_io import lookup, select_blocks
 from .query import (
@@ -159,7 +160,7 @@ class Searcher:
             dec = sr.get_decoded(term)
             ub = np.maximum.reduceat(bm25.score_freqs(
                 dec.freqs, sr.norms_for(dec.docs), weight, self.cache),
-                dec.block_starts[:-1])
+                np.arange(0, len(dec.docs), BLOCK_SIZE))
             if len(self._ub_cache) >= 65536:
                 self._ub_cache.clear()
             self._ub_cache[key] = ub
@@ -356,7 +357,7 @@ class Searcher:
         if terms:
             for sr in self.reader.segments():
                 if w.positional:
-                    sr.ensure_packed(terms)
+                    sr.ensure_positions(terms)
                 else:
                     sr.ensure_terms(terms)
         return w
@@ -863,42 +864,6 @@ class Searcher:
                 freq += 1.0 / (1 + gaps)
         return freq
 
-    @staticmethod
-    def _best_distinct_span(slots, terms, slop):
-        """Min adjusted span over occurrence tuples with pairwise-distinct
-        source positions for repeated terms; None if no tuple fits in
-        ``slop``. Pruned DFS — branching is bounded by the slop window."""
-        n = len(slots)
-        order = sorted(range(n), key=lambda i: len(slots[i]))
-        best = None
-
-        def dfs(k, used, mn, mx):
-            nonlocal best
-            if mx - mn > slop:
-                return
-            if k == n:
-                if best is None or mx - mn < best:
-                    best = mx - mn
-                return
-            i = order[k]
-            for v in slots[i]:
-                v = int(v)
-                src = v + i
-                if src in used:
-                    continue
-                nmn = v if v < mn else mn
-                nmx = v if v > mx else mx
-                if nmx - nmn > slop:
-                    continue
-                used.add(src)
-                dfs(k + 1, used, nmn, nmx)
-                used.remove(src)
-                if best == 0:
-                    return
-
-        dfs(0, set(), 10**15, -10**15)
-        return best
-
     # -- per-segment --------------------------------------------------------
     @staticmethod
     def _live(sr: SegmentReader, docs: np.ndarray, *arrs):
@@ -948,7 +913,7 @@ class Searcher:
         dec = sr.get_decoded(t.term)
         if dec is None:
             return None, None
-        nblocks = len(dec.block_starts) - 1
+        nblocks = -(-len(dec.docs) // BLOCK_SIZE)
         if nblocks <= 8:
             docs, freqs = self._live(sr, dec.docs, dec.freqs)
             return docs, bm25.score_freqs(freqs, sr.norms_for(docs), t.weight,

@@ -12,7 +12,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_ray.codecs.postings import pack_postings, pack_postings_many
+from lucene_ray.codecs.postings import pack_postings_many
 from lucene_ray.index import build_index
 from lucene_ray.search import (
     BooleanQuery,
@@ -117,8 +117,8 @@ def test_filter_plus_should_optional(zipf_index):
 
 def test_docid_int32_overflow_rejected():
     with pytest.raises(ValueError, match="int32"):
-        pack_postings(np.array([5, 2**31], dtype=np.int64),
-                      np.array([1, 1]))
+        pack_postings_many(np.array([5, 2**31], dtype=np.int64),
+                           np.array([1, 1]), [0, 2])
     with pytest.raises(ValueError, match="int32"):
         pack_postings_many(np.array([5, 2**31], dtype=np.int64),
                            np.array([1, 1], dtype=np.int64),

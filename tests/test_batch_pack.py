@@ -1,5 +1,6 @@
-"""pack_postings_many must be bit-identical to per-term pack_postings,
-and both to a per-block ``_pack_block`` reference."""
+"""pack_postings_many over many terms must be bit-identical to the same
+kernel over each term alone, and both to a per-block ``_pack_block``
+reference."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ import pytest
 from lucene_ray.codecs.postings import (
     BLOCK_SIZE,
     _pack_block,
-    pack_postings,
     pack_postings_many,
-    unpack_postings,
-    PackedPostings,
+    unpack_postings_many,
 )
+
+
+def _pack_one(docs, freqs, **kw):
+    """One term's postings row: ``pack_postings_many`` over one term."""
+    return pack_postings_many(docs, freqs, [0, len(docs)], **kw)
 
 
 def _rand_terms(rng, n_terms, skew=False):
@@ -101,28 +105,24 @@ def test_batch_equals_scalar(skew):
             pack_postings_many(D, F, tb, postings_format=fmt)
         F[150] = 1  # 2^31 alone is already out of range
         with pytest.raises(ValueError, match="frequency 2147483648 out of"):
-            pack_postings(D[:tb[1]], F[:tb[1]], postings_format=fmt)
+            _pack_one(D[:tb[1]], F[:tb[1]], postings_format=fmt)
         return
-    many = pack_postings_many(D, F, tb, postings_format=fmt).to_pydict()
+    table = pack_postings_many(D, F, tb, postings_format=fmt)
+    many = table.to_pydict()
     assert len(many["docs"]) == len(tb) - 1
     for j in range(len(tb) - 1):
         lo, hi = tb[j], tb[j + 1]
         ref = _reference_row(D[lo:hi], F[lo:hi], fmt)
         for col, want in ref.items():
             assert many[col][j] == want, (col, j)
-        p = pack_postings(D[lo:hi], F[lo:hi], postings_format=fmt)
-        assert many["docs"][j] == p.docs, j
-        assert many["freqs"][j] == p.freqs, j
-        assert many["df"][j] == p.df
-        assert many["ttf"][j] == p.ttf
-        np.testing.assert_array_equal(many["docs_bb"][j], p.docs_bb)
-        # roundtrip through the batch-packed bytes
-        p2 = PackedPostings(
-            df=many["df"][j], ttf=many["ttf"][j], docs=many["docs"][j],
-            freqs=many["freqs"][j],
-            docs_bb=np.asarray(many["docs_bb"][j], dtype=np.int32),
-            freqs_bb=np.asarray(many["freqs_bb"][j], dtype=np.int32))
-        d2, f2 = unpack_postings(p2)
+        p = _pack_one(D[lo:hi], F[lo:hi], postings_format=fmt).to_pydict()
+        assert many["docs"][j] == p["docs"][0], j
+        assert many["freqs"][j] == p["freqs"][0], j
+        assert many["df"][j] == p["df"][0]
+        assert many["ttf"][j] == p["ttf"][0]
+        np.testing.assert_array_equal(many["docs_bb"][j], p["docs_bb"][0])
+        # roundtrip through the batch-packed bytes, the row alone
+        d2, f2 = unpack_postings_many(table.slice(j, 1))[0]
         np.testing.assert_array_equal(d2, D[lo:hi])
         np.testing.assert_array_equal(f2, F[lo:hi])
 

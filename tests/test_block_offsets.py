@@ -1,6 +1,7 @@
-"""Pack-time block byte lengths: stream_layout must equal the header
-scan, for single terms, giant terms and batch packs — and a posting
-whose lengths do not cover its blocks is refused, not scanned.
+"""Pack-time block byte lengths: the layout they give (``_bb_layout``)
+must equal the header scan, for single terms, giant terms and batch
+packs — and a posting whose lengths do not cover its blocks is refused,
+not scanned.
 
 Reference role: ``Lucene90SkipWriter`` records posting-file pointers at
 write time so readers never scan block headers
@@ -9,16 +10,29 @@ Lucene90SkipWriter.java:76).
 """
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from lucene_ray.codecs.postings import (
+    _bb_layout,
     _block_sizes,
     _scan_block_offsets,
-    pack_postings,
     pack_postings_many,
-    stream_layout,
-    unpack_postings,
+    unpack_postings_many,
 )
+
+
+def _pack_one(docs, freqs):
+    """One term's postings row: ``pack_postings_many`` over one term."""
+    return pack_postings_many(docs, freqs, [0, len(docs)])
+
+
+def _stream_layout(row, stream):
+    """(byte offsets, widths) of the ``docs`` or ``freqs`` stream of a
+    one-row postings table, from its pack-time block lengths."""
+    bb = np.asarray(row.column(f"{stream}_bb")[0].as_py(), np.int32)
+    return _bb_layout(row.column(stream)[0].as_py(), bb,
+                      -(-row.column("df")[0].as_py() // 128), stream)
 
 
 def _rand_posting(rng, n, start=0):
@@ -32,24 +46,28 @@ def _rand_posting(rng, n, start=0):
 def test_layout_matches_scan(n):
     rng = np.random.default_rng(n)
     docs, freqs = _rand_posting(rng, n)
-    p = pack_postings(docs, freqs)
-    sizes = _block_sizes(p.df)
-    assert len(p.docs_bb) == len(sizes)
-    for stream, buf in (("docs", p.docs), ("freqs", p.freqs)):
-        offs, widths = stream_layout(p, stream)
-        soffs, swidths = _scan_block_offsets(buf, sizes)
+    p = _pack_one(docs, freqs)
+    sizes = _block_sizes(p.column("df")[0].as_py())
+    assert len(p.column("docs_bb")[0]) == len(sizes)
+    for stream in ("docs", "freqs"):
+        offs, widths = _stream_layout(p, stream)
+        soffs, swidths = _scan_block_offsets(p.column(stream)[0].as_py(),
+                                             sizes)
         np.testing.assert_array_equal(offs, soffs)
         np.testing.assert_array_equal(widths, swidths)
-    d1, f1 = unpack_postings(p)
+    d1, f1 = unpack_postings_many(p)[0]
     np.testing.assert_array_equal(d1, docs)
     np.testing.assert_array_equal(f1, freqs)
     # a row without pack-time lengths is not this format: refused
     for stream in ("docs", "freqs"):
-        stripped = p._replace(**{f"{stream}_bb": np.empty(0, np.int32)})
+        col = f"{stream}_bb"
+        i = p.schema.get_field_index(col)
+        stripped = p.set_column(i, p.schema.field(i),
+                                pa.array([[]], p.schema.field(i).type))
         with pytest.raises(ValueError, match="block lengths"):
-            stream_layout(stripped, stream)
+            _stream_layout(stripped, stream)
         with pytest.raises(ValueError, match="block lengths"):
-            unpack_postings(stripped)
+            unpack_postings_many(stripped)
 
 
 def test_batch_pack_emits_lengths():
@@ -64,9 +82,9 @@ def test_batch_pack_emits_lengths():
     many = pack_postings_many(D, F, np.asarray(tb)).to_pydict()
     for j in range(20):
         lo, hi = tb[j], tb[j + 1]
-        p = pack_postings(D[lo:hi], F[lo:hi])
-        np.testing.assert_array_equal(many["docs_bb"][j], p.docs_bb)
-        np.testing.assert_array_equal(many["freqs_bb"][j], p.freqs_bb)
+        p = _pack_one(D[lo:hi], F[lo:hi]).to_pydict()
+        np.testing.assert_array_equal(many["docs_bb"][j], p["docs_bb"][0])
+        np.testing.assert_array_equal(many["freqs_bb"][j], p["freqs_bb"][0])
 
 
 def test_giant_term_layout_is_not_scanned(benchmark=None):
@@ -75,13 +93,15 @@ def test_giant_term_layout_is_not_scanned(benchmark=None):
     import time
     rng = np.random.default_rng(3)
     docs, freqs = _rand_posting(rng, 2_000_000)
-    p = pack_postings(docs, freqs)
-    sizes = _block_sizes(p.df)
+    p = _pack_one(docs, freqs)
+    sizes = _block_sizes(len(docs))
+    buf = p.column("docs")[0].as_py()
+    bb = np.asarray(p.column("docs_bb")[0].as_py(), np.int32)
     t0 = time.perf_counter()
-    offs, widths = stream_layout(p, "docs")
+    offs, widths = _bb_layout(buf, bb, len(sizes), "docs")
     fast = time.perf_counter() - t0
     t0 = time.perf_counter()
-    soffs, swidths = _scan_block_offsets(p.docs, sizes)
+    soffs, swidths = _scan_block_offsets(buf, sizes)
     slow = time.perf_counter() - t0
     np.testing.assert_array_equal(offs, soffs)
     np.testing.assert_array_equal(widths, swidths)

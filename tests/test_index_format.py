@@ -195,7 +195,7 @@ def test_validate_reports_a_row_in_the_wrong_part_once(ray_session,
     write_postings_part(d, src, a.slice(1))
     write_postings_part(d, dst, pa.concat_tables([b, a.slice(0, 1)])
                         .sort_by("term"))
-    assert IndexReader(idx).segment(seg).get_postings(term) is None
+    assert IndexReader(idx).segment(seg).get_decoded(term) is None
     assert validate_index(idx) == [
         f"{seg}/part-{dst:05d}: 1 terms of another part"]
 

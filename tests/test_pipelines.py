@@ -209,7 +209,7 @@ def test_distributed_pruned_term_path_matches_local(ray_session,
     head = [t for t, _ in by_df[:6]]
     for sr in reader.segments():
         for t in head:
-            assert sr.get_postings(t).df > 1024
+            assert sr.df(t) > 1024
     local = Searcher(reader)
     dist = RaySearcher(out, num_workers=2)
     assert len(dist.workers) == 2

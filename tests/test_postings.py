@@ -9,12 +9,24 @@ from hypothesis import strategies as st
 
 from lucene_ray.codecs import (
     BLOCK_SIZE,
-    pack_postings,
-    unpack_postings,
+    pack_postings_many,
+    unpack_postings_many,
 )
-from lucene_ray.codecs.postings import pack_postings_many
 from lucene_ray.index.merge import _repack_bucket
-from lucene_ray.search.reader import _rows_to_postings
+
+
+def _pack_one(docs, freqs, **kw):
+    """One term's postings row: ``pack_postings_many`` over one term."""
+    return pack_postings_many(docs, freqs, [0, len(docs)], **kw)
+
+
+def _unpack_one(row):
+    """(docs, freqs) of a one-row postings table."""
+    return tuple(unpack_postings_many(row)[0])
+
+
+def _cell(row, col):
+    return row.column(col)[0].as_py()
 
 
 def _chunk_rows(parts):
@@ -40,38 +52,38 @@ def make_postings(rng, n, max_gap=1000, heavy_tail=False):
 def test_roundtrip_sizes(n, heavy):
     rng = np.random.default_rng(42 + n)
     docs, freqs = make_postings(rng, n, heavy_tail=heavy)
-    p = pack_postings(docs, freqs)
-    d2, f2 = unpack_postings(p)
+    p = _pack_one(docs, freqs)
+    d2, f2 = _unpack_one(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
-    assert p.ttf == freqs.sum()
-    assert p.df == n
+    assert _cell(p, "ttf") == freqs.sum()
+    assert _cell(p, "df") == n
     # one block length per 128-doc block, in each stream
     nblocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    assert len(p.docs_bb) == len(p.freqs_bb) == nblocks
+    assert len(_cell(p, "docs_bb")) == len(_cell(p, "freqs_bb")) == nblocks
 
 
 def test_all_equal_gaps_block():
     # all-equal deltas exercise the minimal-width path
     docs = np.arange(0, 256 * 7, 7)
     freqs = np.ones(len(docs), dtype=np.int64)
-    p = pack_postings(docs, freqs)
-    d2, f2 = unpack_postings(p)
+    p = _pack_one(docs, freqs)
+    d2, f2 = _unpack_one(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
 
 
 def test_singleton():
-    p = pack_postings(np.array([12345]), np.array([3]))
-    d2, f2 = unpack_postings(p)
+    p = _pack_one(np.array([12345]), np.array([3]))
+    d2, f2 = _unpack_one(p)
     assert d2.tolist() == [12345] and f2.tolist() == [3]
 
 
 def test_out_of_order_rejected():
     with pytest.raises(ValueError):
-        pack_postings(np.array([5, 5]), np.array([1, 1]))
+        _pack_one(np.array([5, 5]), np.array([1, 1]))
     with pytest.raises(ValueError):
-        pack_postings(np.array([9, 3]), np.array([1, 1]))
+        _pack_one(np.array([9, 3]), np.array([1, 1]))
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +170,7 @@ def test_pruned_top_k_matches_eval_complete(bound_readers, kind):
     readers, vocab = bound_readers
     reader = readers[kind]
     s = Searcher(reader)
-    most = max(len(sr.get_decoded(vocab[0]).block_starts) - 1
+    most = max(-(-len(sr.get_decoded(vocab[0]).docs) // BLOCK_SIZE)
                for sr in reader.segments())
     assert most > (32 if kind == "merged" else 8)
     for t in vocab[:20]:
@@ -183,12 +195,13 @@ def test_repack_reblocks():
         base = int(docs[-1]) + 7
         parts.append((docs, freqs))
     rows = _chunk_rows(parts)
-    repacked = _rows_to_postings(_repack_bucket(rows, None))[0]
-    d_r, f_r = unpack_postings(repacked)
+    repacked = _repack_bucket(rows, None)
+    d_r, f_r = _unpack_one(repacked)
     np.testing.assert_array_equal(d_r, np.concatenate([d for d, _ in parts]))
     np.testing.assert_array_equal(f_r, np.concatenate([f for _, f in parts]))
-    assert repacked.df == 600
-    assert len(repacked.docs_bb) == (600 + BLOCK_SIZE - 1) // BLOCK_SIZE
+    assert len(repacked) == 1 and _cell(repacked, "df") == 600
+    assert len(_cell(repacked, "docs_bb")) == \
+        (600 + BLOCK_SIZE - 1) // BLOCK_SIZE
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,13 +211,13 @@ def test_roundtrip_hypothesis(gap_freq):
     gaps = np.array([g for g, _ in gap_freq], dtype=np.int64)
     freqs = np.array([f for _, f in gap_freq], dtype=np.int64)
     docs = np.cumsum(gaps) - 1
-    p = pack_postings(docs, freqs)
-    d2, f2 = unpack_postings(p)
+    p = _pack_one(docs, freqs)
+    d2, f2 = _unpack_one(p)
     np.testing.assert_array_equal(d2, docs)
     np.testing.assert_array_equal(f2, freqs)
 
 
-# -- batched decode: unpack_postings_many == per-term decode -----------------
+# -- batched decode: unpack_postings_many == one-row decode ------------------
 
 def _chunked_group(rng, n_chunks, fmts=("for128",)):
     """Rows of terms a/b/c packed per chunk over disjoint doc ranges
@@ -257,22 +270,20 @@ def _packed_rows(kind, rng):
                                   "tombstoned", "tagged_vint",
                                   "tagged_pfor", "mixed"])
 def test_unpack_postings_many_equals_per_term_decode(kind):
-    from lucene_ray.codecs.postings import unpack_postings_many
-    from lucene_ray.search.postings_io import decode
     rng = np.random.default_rng(sum(map(ord, kind)))
     table = _packed_rows(kind, rng)
-    packed = _rows_to_postings(table)
-    # every row is one run of 128-doc blocks, also after a merge
-    assert all(len(p.docs_bb) == -(-p.df // BLOCK_SIZE) for p in packed)
-    # whole table, a slice (Arrow offsets not at 0), rows out of order
     n = len(table)
+    packed = [table.slice(i, 1) for i in range(n)]  # one row alone
+    # every row is one run of 128-doc blocks, also after a merge
+    assert all(len(_cell(p, "docs_bb")) == -(-_cell(p, "df") // BLOCK_SIZE)
+               for p in packed)
+    # whole table, a slice (Arrow offsets not at 0), rows out of order
     for t, ps in ((table, packed), (table.slice(1), packed[1:]),
                   (table.take(list(range(n))[::-1]), packed[::-1])):
         got = unpack_postings_many(t)
         assert len(got) == len(ps)
         for g, p in zip(got, ps):
-            for a, b in zip(g, decode(p)):
+            for a, b in zip(g, unpack_postings_many(p)[0]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert not (g.docs.flags.writeable or g.freqs.flags.writeable
-                        or g.block_starts.flags.writeable)
+            assert not (g.docs.flags.writeable or g.freqs.flags.writeable)
     assert unpack_postings_many(table.slice(0, 0)) == []

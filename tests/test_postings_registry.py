@@ -8,21 +8,23 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_ray.codecs.postings import pack_postings, unpack_postings
+from lucene_ray.codecs.postings import pack_postings_many, unpack_postings_many
 from lucene_ray.codecs.registry import register_postings_format
 
 
 def _rand_posting(seed, fmt):
+    """(docs, freqs, their one-term postings row)."""
     rng = np.random.default_rng(seed)
     docs = np.unique(rng.integers(0, 500_000, 700)).astype(np.int64)
     freqs = rng.integers(1, 300, len(docs)).astype(np.int64)
-    return docs, freqs, pack_postings(docs, freqs, postings_format=fmt)
+    return docs, freqs, pack_postings_many(docs, freqs, [0, len(docs)],
+                                           postings_format=fmt)
 
 
 @pytest.mark.parametrize("fmt", ["for128", "vint", "pfor"])
 def test_roundtrip(fmt):
     docs, freqs, p = _rand_posting(1, fmt)
-    d, f = unpack_postings(p)
+    d, f = unpack_postings_many(p)[0]
     assert (d == docs).all() and (f == freqs).all()
 
 
@@ -55,7 +57,7 @@ def test_custom_format_registration():
 
     register_postings_format("raw32", 66, enc, dec)
     docs, freqs, p = _rand_posting(4, "raw32")
-    d, f = unpack_postings(p)
+    d, f = unpack_postings_many(p)[0]
     assert (d == docs).all() and (f == freqs).all()
     with pytest.raises(ValueError):
         register_postings_format("other", 66, enc, dec)  # tag taken

@@ -6,14 +6,15 @@ Lucene90BlockTreeTermsReader.java``)."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
-from lucene_ray.codecs.postings import PackedPostings
+from lucene_ray.codecs.postings import unpack_postings_many
 from lucene_ray.index import build_index
 from lucene_ray.index.merge import merge_segments
 from lucene_ray.index.builder import POSTINGS_ROW_GROUP
-from lucene_ray.index.manifest import bucket_of
+from lucene_ray.index.manifest import bucket_of, part_path
 from lucene_ray.search import (
     BooleanQuery,
     IndexReader,
@@ -133,32 +134,27 @@ def test_absent_terms_cost_no_parquet_reads(wide_vocab_index, monkeypatch):
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups", no_read)
     monkeypatch.setattr(pq.ParquetFile, "read", no_read)
     sr.ensure_terms(absent)
-    assert all(sr.get_postings(t) is None and sr.get_decoded(t) is None
+    assert all(sr.get_positions(t) is None and sr.get_decoded(t) is None
                and sr.df(t) == 0 for t in absent)
     assert sr._absent == set(absent)
     assert sr.rg_reads == 1 and sr.rows_loaded <= POSTINGS_ROW_GROUP
 
 
-def _reference_postings(t, i):
-    """Per-cell ``as_py`` reference for one row of a full-file read."""
-    def arr(name, dtype):
-        return np.asarray(t.column(name)[i].as_py() or [], dtype=dtype)
-    return PackedPostings(
-        df=t.column("df")[i].as_py(),
-        ttf=t.column("ttf")[i].as_py(),
-        docs=t.column("docs")[i].as_py(),
-        freqs=t.column("freqs")[i].as_py(),
-        positions=t.column("positions")[i].as_py() or b"",
-        docs_bb=arr("docs_bb", np.int32),
-        freqs_bb=arr("freqs_bb", np.int32))
+def _assert_decoded_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def _assert_postings_equal(got, want):
-    for name, a, b in zip(PackedPostings._fields, got, want):
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:
-            assert a == b, name
+def _part_table(sr, term):
+    """The whole part file holding ``term``, read by pyarrow alone."""
+    return pq.read_table(part_path(sr._postings_dir,
+                                   int(bucket_of([term])[0])))
+
+
+def _direct_decode(table, term):
+    """``term``'s row of a part table, decoded alone."""
+    i = pc.index(table.column("term"), term).as_py()
+    return unpack_postings_many(table.slice(i, 1))[0]
 
 
 def _row_group_edges(reader):
@@ -183,32 +179,32 @@ def _absent_between(first, last, b):
     return t
 
 
-@pytest.mark.parametrize("packed", [True, False])
-def test_selected_rows_match_full_read(wide_vocab_index, packed):
-    """One read of one row group serves a batch of terms, narrow
-    (decode columns) or whole rows; either way the decoded arrays and
-    packed rows equal the full file's, and the dictionary keeps an
+@pytest.mark.parametrize("positions", [True, False])
+def test_selected_rows_match_full_read(wide_vocab_index, positions):
+    """One read of one row group serves a batch of terms, with or
+    without the positions column; either way the decoded arrays and
+    positions equal the full file's, and the dictionary keeps an
     absent term inside the row group's range from becoming a row."""
-    from lucene_ray.search.postings_io import decode
     out, _ = wide_vocab_index
     sr, part, full, first, last = _row_group_edges(IndexReader(out))
     absent = _absent_between(first, last, 0)
     batch = [first, absent, last, first, last, absent]
-    (sr.ensure_packed if packed else sr.ensure_terms)(batch)
+    (sr.ensure_positions if positions else sr.ensure_terms)(batch)
     # counters count what was read from Parquet, not the rows kept
     assert sr.rg_reads == 1
     assert sr.rows_loaded == part.pf.metadata.row_group(1).num_rows
-    assert set(sr._packed) == ({first, last} if packed else set())
+    assert set(sr._positions) == ({first, last} if positions else set())
     row = {t: i for i, t in enumerate(full.column("term").to_pylist())}
     for term in (first, last):
-        want = _reference_postings(full, row[term])
-        for got, ref in zip(sr.get_decoded(term), decode(want)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        _assert_postings_equal(sr.get_postings(term), want)
+        _assert_decoded_equal(sr.get_decoded(term),
+                              _direct_decode(full, term))
+        sr.ensure_positions([term])
+        assert sr._positions[term] == \
+            full.column("positions")[row[term]].as_py()
         assert sr.df(term) == full.column("df")[row[term]].as_py()
-    # without the packed columns, each packed row is one more read
-    assert sr.rg_reads == (1 if packed else 3)
-    assert sr.get_postings(absent) is None
+    # without the positions column, each term's positions are one more read
+    assert sr.rg_reads == (1 if positions else 3)
+    assert sr.get_positions(absent) is None
     assert absent in sr._absent
 
 
@@ -245,8 +241,9 @@ RUN_SIZES = [(1,), (127,), (128,), (129,), (300,),
 
 def _packed(sizes, seed):
     """One term packed over runs of ``sizes`` docs in disjoint,
-    increasing doc ranges; returns (packed, source docs, source freqs)."""
-    from lucene_ray.codecs.postings import pack_postings
+    increasing doc ranges; returns (its one-row postings table, source
+    docs, source freqs)."""
+    from lucene_ray.codecs.postings import pack_postings_many
     rng = np.random.default_rng(seed)
     docs, freqs, base = [], [], 0
     for n in sizes:
@@ -255,21 +252,22 @@ def _packed(sizes, seed):
         freqs.append(rng.integers(1, 40, n))
         base = int(d[-1]) + 1 + int(rng.integers(0, 50))
     docs, freqs = np.concatenate(docs), np.concatenate(freqs)
-    return pack_postings(docs, freqs), docs, freqs
+    return pack_postings_many(docs, freqs, [0, len(docs)]), docs, freqs
 
 
 @pytest.mark.parametrize("sizes", RUN_SIZES)
 def test_select_blocks_and_lookup_match_reference(sizes):
-    from lucene_ray.codecs.postings import _block_sizes, unpack_postings
-    from lucene_ray.search.postings_io import decode, lookup, select_blocks
+    from lucene_ray.codecs.postings import _block_sizes
+    from lucene_ray.search.postings_io import lookup, select_blocks
     p, src_docs, src_freqs = _packed(sizes, seed=sum(sizes))
-    ref_docs, ref_freqs = unpack_postings(p)
+    dec = unpack_postings_many(p)[0]
+    ref_docs, ref_freqs = dec
     np.testing.assert_array_equal(ref_docs, src_docs)
     np.testing.assert_array_equal(ref_freqs, src_freqs)
-    starts = np.concatenate([[0], np.cumsum(_block_sizes(p.df))])
-    dec = decode(p)
+    starts = np.concatenate([[0], np.cumsum(_block_sizes(len(src_docs)))])
     assert dec.docs.dtype == np.int64 and dec.freqs.dtype == np.int32
-    np.testing.assert_array_equal(dec.block_starts, starts)
+    # the row's blocks are the 128-doc blocks select_blocks cuts
+    assert len(p.column("docs_bb")[0]) == len(starts) - 1
     nblocks = len(starts) - 1
     rng = np.random.default_rng(nblocks)
     sels = [np.arange(nblocks), np.array([0]), np.array([nblocks - 1])]
@@ -315,9 +313,11 @@ def merged_generations(ray_session, tmp_path_factory):
     build_index(path, out, batch_size=700)
     merged = merge_segments(out).generation
     reader = IndexReader(out)
-    assert all(len(sr.get_postings(t).docs_bb)
-               == -(-sr.df(t) // 128) for sr in reader.segments()
-               for t in vocab[:40])
+    for sr in reader.segments():
+        t = pq.read_table(sr._postings_dir, columns=["term", "docs_bb"])
+        nb = dict(zip(t.column("term").to_pylist(),
+                      map(len, t.column("docs_bb").to_pylist())))
+        assert all(nb[t] == -(-sr.df(t) // 128) for t in vocab[:40])
     per_seg = {}
     for sr, info in zip(reader.segments(), reader.segment_infos):
         ids = sr.doc_ids.astype(np.int64)
@@ -379,13 +379,13 @@ def test_decoded_arrays_leave_the_cache_with_their_term(merged_generations):
     a, b, c = vocab[0], vocab[1], vocab[2]
     dec_a = sr.get_decoded(a)
     assert sr.get_decoded(a) is dec_a  # decoded once, then reused
-    sr.get_postings(b)  # b's packed row is read beside its arrays
-    assert list(sr._cache) == [a, b] and set(sr._packed) == {b}
+    sr.ensure_positions([b])  # b's positions are read beside its arrays
+    assert list(sr._cache) == [a, b] and set(sr._positions) == {b}
     sr.get_decoded(c)  # loads a 3rd term: a is least recently used
-    assert list(sr._cache) == [b, c] and set(sr._packed) == {b}
-    sr.get_decoded(a)  # b leaves, and its packed row with it
-    assert list(sr._cache) == [c, a] and not sr._packed
-    for arr in (dec_a.docs, dec_a.freqs, dec_a.block_starts):
+    assert list(sr._cache) == [b, c] and set(sr._positions) == {b}
+    sr.get_decoded(a)  # b leaves, and its positions with it
+    assert list(sr._cache) == [c, a] and not sr._positions
+    for arr in (dec_a.docs, dec_a.freqs):
         with pytest.raises(ValueError):
             arr[0] = 1
     assert sr.get_decoded("zz_absent") is None
@@ -465,7 +465,7 @@ def test_long_keyword_terms_are_found(ray_session, tmp_path):
     """A keyword index whose sorted terms put a 5,000-char term at the
     start, the end and both ends of postings row groups, and at both
     ends of the global term-stats file: each long term and each term
-    beside it is found by term_stats, get_postings and a TermQuery."""
+    beside it is found by term_stats, get_decoded and a TermQuery."""
     from lucene_ray.analysis import KeywordAnalyzer
     n = 4 * POSTINGS_ROW_GROUP
     terms = [f"k{i:04d}" for i in range(n)]
@@ -489,8 +489,8 @@ def test_long_keyword_terms_are_found(ray_session, tmp_path):
     s = Searcher(reader)
     for t in want:
         assert stats[t] == (2, 2), t[:8]
-        p = sr.get_postings(t)
-        assert p is not None and p.df == 2, t[:8]
+        dec = sr.get_decoded(t)
+        assert dec is not None and len(dec.docs) == 2, t[:8]
         assert s.count(TermQuery(t)) == 2, t[:8]
         assert len(s.search(TermQuery(t), k=10).doc_ids) == 2, t[:8]
 
@@ -503,7 +503,7 @@ def test_small_term_top_k_skips_block_bounds(merged_generations,
     out, merged, _, vocab = merged_generations
     reader = IndexReader(out, generation=merged)
     s = Searcher(reader)
-    nblocks = {t: [len(sr.get_decoded(t).block_starts) - 1
+    nblocks = {t: [-(-len(sr.get_decoded(t).docs) // 128)
                    for sr in reader.segments()]
                for t in vocab[:1] + vocab[150:154]}
     small = [t for t in vocab[150:154] if max(nblocks[t]) <= 8]
@@ -530,7 +530,7 @@ def test_pruned_term_search_reads_no_packed_row(merged_generations):
     """A term of more than 8 blocks takes the pruned top-k, whose block
     bounds come from the decoded postings: once ``ensure_terms`` has
     loaded the term, the search reads no Parquet row group and no
-    packed row."""
+    positions."""
     out, merged, _, vocab = merged_generations
     for gen in (merged, None):  # the merge, and its tombstoned successor
         reader = IndexReader(out, generation=gen)
@@ -538,21 +538,18 @@ def test_pruned_term_search_reads_no_packed_row(merged_generations):
         t = vocab[0]
         for sr in reader.segments():
             sr.ensure_terms([t])
-            assert len(sr.get_decoded(t).block_starts) - 1 > 8
+            assert len(sr.get_decoded(t).docs) > 8 * 128
         before = [(sr.rg_reads, sr.rows_loaded) for sr in reader.segments()]
         td = s.search(TermQuery(t), 10)
         assert len(td.doc_ids) == 10
         assert [(sr.rg_reads, sr.rows_loaded)
                 for sr in reader.segments()] == before
-        assert all(not sr._packed for sr in reader.segments())
+        assert all(not sr._positions for sr in reader.segments())
 
 
 def test_batched_decode_of_every_part(merged_generations):
     """Every row of every built and merged part decodes in one batch
-    exactly as the per-term decode does."""
-    from lucene_ray.codecs.postings import unpack_postings_many
-    from lucene_ray.search.postings_io import decode
-    from lucene_ray.search.reader import _rows_to_postings
+    exactly as it decodes alone."""
     out, merged, _, _ = merged_generations
     rows = 0
     for gen in (0, merged):
@@ -560,9 +557,10 @@ def test_batched_decode_of_every_part(merged_generations):
             for b in range(8):
                 t = pq.read_table(sr._part(b).path)
                 got = unpack_postings_many(t)
-                for g, p in zip(got, _rows_to_postings(t), strict=True):
-                    for x, y in zip(g, decode(p)):
-                        assert x.dtype == y.dtype and np.array_equal(x, y)
+                assert len(got) == len(t)
+                for i, g in enumerate(got):
+                    _assert_decoded_equal(
+                        g, unpack_postings_many(t.slice(i, 1))[0])
                 rows += len(t)
     assert rows > 1000
 
@@ -619,7 +617,6 @@ def _part_terms(sr, b):
 def test_resident_singletons_equal_decoded_rows(singleton_kinds, kind):
     """Every df = 1 row of every part is resident, and equals the
     decode of its packed row in values, dtypes and read-only flags."""
-    from lucene_ray.search.postings_io import decode
     reader = IndexReader(singleton_kinds[kind])
     infos = reader.segment_infos
     if kind in ("built", "vint"):
@@ -631,10 +628,11 @@ def test_resident_singletons_equal_decoded_rows(singleton_kinds, kind):
         for b in range(8):
             singles, _ = _part_terms(sr, b)
             sr.ensure_terms(singles)
+            full = pq.read_table(sr._part(b).path)
             for term in singles:
                 got = sr._cache[term]
-                want = decode(sr.get_postings(term))
-                for g, w in zip(got, want):
+                want = _direct_decode(full, term)
+                for g, w in zip(got, want, strict=True):
                     assert g.dtype == w.dtype and np.array_equal(g, w)
                     assert not g.flags.writeable and not w.flags.writeable
             checked += len(singles)
@@ -666,7 +664,6 @@ def test_mixed_batch_is_one_read_per_part_and_one_decode(singleton_kinds,
     absent terms of part 3: one read each of parts 0 and 1, nothing
     from parts 2 and 3, and one decode of both parts' rows."""
     from lucene_ray.search import reader as reader_mod
-    from lucene_ray.search.postings_io import decode
     reader = IndexReader(singleton_kinds["concat"])
     sr = next(reader.segments())
     parts = {b: _part_terms(sr, b) for b in range(4)}
@@ -701,6 +698,141 @@ def test_mixed_batch_is_one_read_per_part_and_one_decode(singleton_kinds,
     assert sr._absent == set(absent)
     monkeypatch.undo()
     for term in multi + singles:
-        want = decode(sr.get_postings(term))
-        for g, w in zip(sr.get_decoded(term), want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+        _assert_decoded_equal(sr.get_decoded(term),
+                              _direct_decode(_part_table(sr, term), term))
+
+
+# -- positions: read beside the decode, only for positional callers -----------
+
+@pytest.fixture(scope="module")
+def positional_generations(ray_session, tmp_path_factory):
+    """A positional index of 1,200 docs, each a Zipf draw of 6-20 words
+    from 200 plus one word of its own (``u`` and its docID: a df = 1
+    term), as three generations: built (4 segments of 300 docs), ~5% of
+    docs tombstoned, and those segments merged. Returns (index dir,
+    {kind: generation}, texts)."""
+    from lucene_ray.index.deletes import apply_deletes
+    from lucene_ray.index.manifest import read_manifest
+    rng = np.random.default_rng(47)
+    vocab = [f"p{i:03d}" for i in range(200)]
+    w = 1.0 / np.arange(1, len(vocab) + 1)
+    texts = []
+    for i in range(1200):
+        words = list(rng.choice(vocab, int(rng.integers(6, 20)),
+                                p=w / w.sum()))
+        words.insert(int(rng.integers(0, len(words) + 1)), f"u{i:04d}")
+        texts.append(" ".join(words))
+    d = tmp_path_factory.mktemp("positional")
+    path = str(d / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+        "text": pa.array(texts, pa.string())}), path)
+    out = str(d / "idx")
+    build_index(path, out, batch_size=300, index_positions=True)
+    gens = {"built": read_manifest(out).generation}
+    r = IndexReader(out)
+    gens["tombstoned"] = apply_deletes(out, {
+        i.seg_id: sr.doc_ids[rng.random(len(sr.doc_ids)) < 0.05]
+        for sr, i in zip(r.segments(), r.segment_infos)}).generation
+    gens["merged"] = merge_segments(out).generation
+    assert all(i.seg_id.startswith("merged-") for i in
+               IndexReader(out, generation=gens["merged"]).segment_infos)
+    return out, gens, texts
+
+
+@pytest.mark.parametrize("kind", ["built", "tombstoned", "merged"])
+def test_positions_equal_a_direct_read(positional_generations, kind):
+    """``get_positions`` of every term of every part, df = 1 terms
+    included, equals the term's row read straight from its part by
+    pyarrow and decoded alone (``unpack_postings_many``, then
+    ``unpack_positions``); a df = 1 term's position is its word's
+    place in the doc's text."""
+    from lucene_ray.codecs.postings import unpack_positions
+    out, gens, texts = positional_generations
+    reader = IndexReader(out, generation=gens[kind])
+    singles = 0
+    for sr in reader.segments():
+        for b in range(8):
+            full = pq.read_table(sr._part(b).path)
+            terms = full.column("term").to_pylist()
+            sr.ensure_positions(terms)
+            for i, term in enumerate(terms):
+                docs, freqs = unpack_postings_many(full.slice(i, 1))[0]
+                pos = unpack_positions(full.column("positions")[i].as_py(),
+                                       freqs)
+                _assert_decoded_equal(sr.get_positions(term),
+                                      (docs, freqs, pos))
+                if term.startswith("u"):
+                    assert docs.tolist() == [int(term[1:])]
+                    assert pos.tolist() == [
+                        texts[docs[0]].split().index(term)]
+                    singles += 1
+    assert singles > 1000
+
+
+def test_first_positional_touch_is_one_read_per_part(positional_generations,
+                                                     monkeypatch):
+    """A positional first touch of a batch (df = 1 and other terms from
+    three parts, and absent terms): one row-group read per part that
+    holds a found term and one decode; ``get_positions`` then reads
+    nothing more."""
+    from lucene_ray.search import reader as reader_mod
+    out, gens, _ = positional_generations
+    sr = next(IndexReader(out, generation=gens["built"]).segments())
+    batch = []
+    for b in range(3):
+        t = pq.read_table(sr._part(b).path, columns=["term", "df"])
+        df = t.column("df").to_numpy()
+        terms = np.asarray(t.column("term").to_pylist(), dtype=object)
+        batch += terms[df == 1][:2].tolist() + terms[df > 1][[0, -1]].tolist()
+    absent = [f"p{i:03d}~" for i in range(3)]
+    reads, decodes = [], []
+    orig_read = pq.ParquetFile.read_row_groups
+    orig_decode = reader_mod.unpack_postings_many
+
+    def read_spy(pf, rgs, *a, **kw):
+        reads.append(len(rgs))
+        return orig_read(pf, rgs, *a, **kw)
+
+    def decode_spy(t):
+        decodes.append(len(t))
+        return orig_decode(t)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", read_spy)
+    monkeypatch.setattr(reader_mod, "unpack_postings_many", decode_spy)
+    sr.ensure_positions(batch + absent + batch)
+    assert len(reads) == 3 and decodes == [len(batch)]
+    assert sr.rg_reads == sum(reads) and set(sr._positions) == set(batch)
+    got = [sr.get_positions(t) for t in batch + absent]
+    assert all(g is not None for g in got[:len(batch)])
+    assert got[len(batch):] == [None] * len(absent)
+    assert len(reads) == 3 and sr.rg_reads == sum(reads)
+
+
+def test_term_set_beyond_the_postings_cache_is_read_once(ray_session,
+                                                         tmp_path):
+    """A ``TermInSetQuery`` (exempt from ``MAX_CLAUSE_COUNT``) over more
+    terms than a segment's postings LRU holds: the batched first touch
+    evicts none of the terms it loads, so scoring reads nothing more,
+    and the results equal those at the default cache size."""
+    from lucene_ray.search import TermInSetQuery
+    rng = np.random.default_rng(5)
+    n = 400
+    texts = [" ".join(f"q{int(x):03d}" for x in rng.integers(0, 300, 12))
+             for _ in range(n)]
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(n, dtype=np.int64)),
+        "text": pa.array(texts, pa.string())}), path)
+    out = str(tmp_path / "idx")
+    build_index(path, out, batch_size=n)
+    q = TermInSetQuery(tuple(f"q{i:03d}" for i in range(300)))
+    got = {}
+    for cache_size in (4096, 50):
+        reader = IndexReader(out)
+        (sr,) = reader.segments()
+        sr._cache_size = cache_size
+        td = Searcher(reader).search(q, k=n)
+        got[cache_size] = (td.doc_ids.tolist(), td.scores.tolist(),
+                           sr.rg_reads, sr.rows_loaded)
+    assert got[4096][3] == 300  # every term read, one row each
+    assert got[50] == got[4096]

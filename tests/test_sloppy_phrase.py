@@ -149,9 +149,43 @@ def test_repeat_freq_exact_values():
     assert abs(_freq(("b", "a"), "a b", 2) - 1.0 / 3) < 1e-12
 
 
+def _best_distinct_span(slots, terms, slop):
+    """Min adjusted span over occurrence tuples with pairwise-distinct
+    source positions for repeated terms; None if no tuple fits in
+    ``slop``. Pruned DFS — branching is bounded by the slop window."""
+    n = len(slots)
+    order = sorted(range(n), key=lambda i: len(slots[i]))
+    best = None
+
+    def dfs(k, used, mn, mx):
+        nonlocal best
+        if mx - mn > slop:
+            return
+        if k == n:
+            if best is None or mx - mn < best:
+                best = mx - mn
+            return
+        i = order[k]
+        for v in slots[i]:
+            v = int(v)
+            src = v + i
+            if src in used:
+                continue
+            nmn = v if v < mn else mn
+            nmx = v if v > mx else mx
+            if nmx - nmn > slop:
+                continue
+            used.add(src)
+            dfs(k + 1, used, nmn, nmx)
+            used.remove(src)
+            if best == 0:
+                return
+
+    dfs(0, set(), 10**15, -10**15)
+    return best
+
+
 def test_repeat_match_decision_matches_distinct_tuple_oracle():
-    import numpy as np
-    from lucene_ray.search.searcher import Searcher
     rng = np.random.default_rng(11)
     vocab = list("abc")
     checked = 0
@@ -171,6 +205,6 @@ def test_repeat_match_decision_matches_distinct_tuple_oracle():
             continue
         checked += 1
         f = _freq(terms, text, slop)
-        best = Searcher._best_distinct_span(slots, terms, slop)
+        best = _best_distinct_span(slots, terms, slop)
         assert (best is not None) == (f > 0), (terms, text, slop, f, best)
     assert checked > 500
