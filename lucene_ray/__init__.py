@@ -9,8 +9,8 @@ Subpackages:
   codecs    — delta+FOR packed posting blocks (docIDs, freqs, positions)
   index     — segment build (map_batches), merge (groupby-on-term),
               manifest/checkpoint, collection stats
-  search    — BM25 scoring, boolean queries, top-k (block-max pruning
-              for single terms, exhaustive boolean accumulation)
+  search    — BM25 scoring, boolean queries, top-k (a score-ordered
+              walk for single terms, exhaustive boolean accumulation)
   pipelines — training-data ops: dedup, similarity search, text analysis
 """
 

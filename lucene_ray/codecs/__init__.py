@@ -1,6 +1,6 @@
 """Posting-list codecs: delta+FOR bit-packed 128-doc blocks of docIDs and
-freqs (block score bounds are derived at read time, not stored), packed
-and decoded many terms at a time."""
+freqs (no score bounds are stored), packed and decoded many terms at a
+time."""
 
 from .postings import (
     BLOCK_SIZE,

@@ -22,9 +22,9 @@ position deltas as one run of 128-value blocks.
 (docIDs and freqs), each in one vectorized pass over every block.
 A row stores no skip data or impacts (the reference's
 ``Lucene90SkipWriter`` and ``CompetitiveImpactAccumulator``): a reader
-decodes a term whole, once, and slices its blocks, and the searcher
-derives each block's score bound from the decoded freqs and the
-segment's norms (``Searcher._block_ubs``).
+decodes a term whole, once, and a single-term top-k walks the decoded
+postings in score order, sorted from the freqs and the segment's norms
+(``Searcher._term_top``).
 
 All kernels are vectorized numpy; no per-element Python loops on the
 pack/unpack hot path.

@@ -19,7 +19,7 @@ import ray
 
 from .query import Query
 from .reader import IndexReader
-from .searcher import Searcher, TopDocs, merge_top_docs
+from .searcher import Searcher, TopDocs, _check_k, merge_top_docs
 
 
 @ray.remote
@@ -79,6 +79,7 @@ class RaySearcher:
         return sum(ray.get([w.count.remote(q) for w in self.workers]))
 
     def search_batch(self, queries: list[Query], k: int = 10) -> list[TopDocs]:
+        k = _check_k(k)
         futs = [[w.search.remote(q, k) for w in self.workers]
                 for q in queries]
         out = []

@@ -3,10 +3,9 @@
 Mirrors the reference query path (SURVEY.md §3.3):
 - global stats computed once per query (TermStates / CollectionStatistics)
 - per-segment scorers over each term's decoded doc/freq arrays: a
-  top-level single-term query scores blocks in block-max order and
-  skips those that cannot beat the live threshold (ImpactsDISI role;
-  each block's bound is its exact maximum score, taken from the decoded
-  freqs and the segment's norms);
+  top-level single-term query walks the term's postings in score order
+  and stops after its k-th live score (the ImpactsDISI role, with no
+  stored impacts: the order is one cached sort, ``_term_top``);
   conjunctions lead with the rarest term and look the others up
   (ConjunctionDISI leapfrog); disjunctions accumulate every clause
   exhaustively, into segment-length arrays or a sorted union of their
@@ -16,7 +15,7 @@ Mirrors the reference query path (SURVEY.md §3.3):
 - top-k ties break toward the lower global docID (HitQueue.java:78-81);
   cross-segment merge = sort by (-score, doc_id) (TopDocs.merge)
 - scores: float32 per term, summed in double, cast to float
-  (DisjunctionSumScorer semantics); the pruned term path is
+  (DisjunctionSumScorer semantics); the score-ordered term path is
   bit-identical to the exhaustive evaluation
 
 Every entry point (search, collect, eval_complete, count, match_docs,
@@ -36,9 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..codecs.postings import BLOCK_SIZE
+from ..codecs.postings import DecodedPostings
 from . import bm25
-from .postings_io import lookup, select_blocks
 from .query import (
     MAX_CLAUSE_COUNT,
     BooleanQuery,
@@ -80,6 +78,19 @@ _MULTI_TERM = (PrefixQuery, WildcardQuery, RegexpQuery, TermRangeQuery,
 # segment took the sorted path and ran 1.5x slower; at 8 and at 32
 # every pool ran within noise of the faster of the two accumulators.
 _DENSE_OR_RATIO = 8
+
+
+def _check_k(k) -> int:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an int >= 1, got {k!r}")
+    return int(k)
+
+
+def lookup(dec: DecodedPostings, targets: np.ndarray) -> np.ndarray:
+    """freq per target docID in a term's decoded postings; 0 where the
+    doc is absent (the conjunction leapfrog / exclusion probe)."""
+    pos = np.minimum(np.searchsorted(dec.docs, targets), len(dec.docs) - 1)
+    return np.where(dec.docs[pos] == targets, dec.freqs[pos], np.int32(0))
 
 
 class TopDocs(NamedTuple):
@@ -129,8 +140,7 @@ class Searcher:
         SURVEY.md §2.10 — also what an ANSI-SQL oracle computes), which
         ignores term boosts as the oracle has none; or a
         ``similarities.Similarity`` object (Classic TF-IDF / LMDirichlet /
-        Boolean) which runs on the exact-dl unpruned rails (BM25 block
-        bounds don't apply)."""
+        Boolean) which runs on the exact-dl rails, every match scored."""
         from .similarities import Similarity as _Sim
         self.reader = reader
         self.k1, self.b = k1, b
@@ -140,31 +150,8 @@ class Searcher:
         self.avgdl = bm25.avg_field_length(max(reader.sum_total_term_freq, 1), n)
         self.avgdl64 = max(reader.sum_total_term_freq, 1) / float(n)
         self.cache = bm25.norm_inverse_cache(self.avgdl, k1, b)
-        # MaxScoreCache role (search/MaxScoreCache.java:34): per-block
-        # score upper bounds memoized per (segment, term, weight) so
-        # repeated hot terms skip the recompute
-        self._ub_cache: dict[tuple, np.ndarray] = {}
-
-    def _block_ubs(self, sr: SegmentReader, term: str,
-                   weight: np.float32) -> np.ndarray:
-        """Each block's exact maximum float32 score, over the term's
-        decoded postings and the segment's norms; cached, so every
-        pruning decision is bit-identical to the uncached path. Tombstoned
-        docs count, so a bound holds for the live docs whatever the
-        deletes; the decoded arrays and norms are immutable per segment
-        dir, so the (segment, term, weight) key is stable. A miss reads
-        nothing: the term was loaded by ``ensure_terms``."""
-        key = (sr._seg_dir, term, float(weight))
-        ub = self._ub_cache.get(key)
-        if ub is None:
-            dec = sr.get_decoded(term)
-            ub = np.maximum.reduceat(bm25.score_freqs(
-                dec.freqs, sr.norms_for(dec.docs), weight, self.cache),
-                np.arange(0, len(dec.docs), BLOCK_SIZE))
-            if len(self._ub_cache) >= 65536:
-                self._ub_cache.clear()
-            self._ub_cache[key] = ub
-        return ub
+        # each queried term's postings in score order, per (segment, term)
+        self._orders: dict[tuple, np.ndarray] = {}
 
     def _norm_data(self, sr: SegmentReader, cand: np.ndarray) -> np.ndarray:
         return sr.doc_lens_for(cand) if self.exact64 else sr.norms_for(cand)
@@ -364,11 +351,12 @@ class Searcher:
 
     def search(self, q: Query, k: int = 10, *, threshold_cb=None,
                publish_cb=None) -> TopDocs:
-        """Top-k search. The k-th best score so far is carried from
-        segment to segment as the pruning threshold. ``threshold_cb``
-        (called before each segment; a higher value it returns raises
-        the threshold) and ``publish_cb`` (called with each new
-        threshold) let a caller observe or feed that threshold."""
+        """Top-k search (``k`` an int >= 1). The k-th best score so far is
+        carried from segment to segment as the pruning threshold.
+        ``threshold_cb`` (called before each segment; a higher value it
+        returns raises the threshold) and ``publish_cb`` (called with each
+        new threshold) let a caller observe or feed that threshold."""
+        k = _check_k(k)
         w = self.weight(q)
         parts = []
         threshold = -np.inf
@@ -397,10 +385,10 @@ class Searcher:
                      after: tuple | None = None) -> TopDocs:
         """Paging — ``IndexSearcher.searchAfter(ScoreDoc, Query, n)``:
         the top k hits strictly after the (score, docID) anchor in the
-        global (score desc, docID asc) order. Baseline implementation
-        over the COMPLETE unpruned evaluation (deep paging rarely
-        benefits from block-max pruning; the anchor is an exact
-        (score, doc) pair from the previous page)."""
+        global (score desc, docID asc) order, over the COMPLETE
+        evaluation (the anchor is an exact (score, doc) pair from the
+        previous page)."""
+        k = _check_k(k)
         if after is None:
             return self.search(q, k)
         a_score, a_doc = after
@@ -904,58 +892,49 @@ class Searcher:
             return cand, None
         return cand, (sums if self.exact64 else sums.astype(np.float32))
 
-    def _term_topk_pruned(self, sr: SegmentReader, t: "_TermPlan",
-                          k: int, threshold: float):
-        """Single-term top-k with block-max pruning (ImpactsDISI): score
-        the highest-bound blocks first to establish a threshold, then
-        score only blocks whose bound (``_block_ubs``) can still
-        compete."""
+    def _term_top(self, sr: SegmentReader, t: "_TermPlan", k: int,
+                  threshold: float):
+        """Single-term top-k candidates (ImpactsDISI role, no impacts).
+        For a weight w > 0 each float32 step of ``w - w / (1 + x)``,
+        ``x = freq * normInverse[norm]``, is monotone, so one order of
+        the term's postings by (x desc, doc asc), cached per (segment,
+        term), orders their scores for every weight. A prefix of it is
+        scored, doubling, until it holds k live postings and ends below
+        the k-th live score, so every tie of the k-th is in (HitQueue
+        breaks equal scores by docID; unequal x can round to equal
+        scores). Scores below ``threshold`` are dropped. A term of at
+        most k postings is all of its own top k: scored whole, unsorted."""
         dec = sr.get_decoded(t.term)
         if dec is None:
             return None, None
-        nblocks = -(-len(dec.docs) // BLOCK_SIZE)
-        if nblocks <= 8:
+        if len(dec.docs) <= k:
             docs, freqs = self._live(sr, dec.docs, dec.freqs)
             return docs, bm25.score_freqs(freqs, sr.norms_for(docs), t.weight,
-                                          self.cache).astype(np.float64)
-        bounds = self._block_ubs(sr, t.term, t.weight)
-        # process blocks in bound-descending batches; after each batch the
-        # k-th collected score becomes the skip threshold for the rest
-        order = np.argsort(-bounds, kind="stable")
-        theta = threshold
-        batch = max(32, (8 * k) // 128 + 1)
-        docs_parts, score_parts = [], []
-        n_collected = 0
-        i = 0
-        while i < nblocks:
-            # prune strictly below theta only: a block whose bound EQUALS
-            # theta can still hold an equal-score doc with a lower docID,
-            # which wins the tie (HitQueue order)
-            if np.isfinite(theta) and bounds[order[i]] < np.float32(theta):
-                break  # all remaining bounds are < theta (desc order)
-            j = i + batch
-            take = order[i:j]
-            if np.isfinite(theta):
-                take = take[bounds[take] >= np.float32(theta)]
-            if len(take):
-                d, f = self._live(sr, *select_blocks(dec, np.sort(take)))
-                sc = bm25.score_freqs(f, sr.norms_for(d), t.weight, self.cache)
-                docs_parts.append(d)
-                score_parts.append(sc)
-                n_collected += len(d)
-                if n_collected >= k:
-                    allsc = (np.concatenate(score_parts)
-                             if len(score_parts) > 1 else score_parts[0])
-                    kth = float(np.partition(allsc, len(allsc) - k)
-                                [len(allsc) - k])
-                    theta = max(theta, kth)
-            i = j
-            batch = min(batch * 4, 4096)  # geometric ramp-up
-        if not docs_parts:
-            return None, None
-        docs = np.concatenate(docs_parts)
-        scores = np.concatenate(score_parts)
-        return docs, scores.astype(np.float64)
+                                          self.cache)
+        order = self._orders.get((sr._seg_dir, t.term))
+        if order is None:
+            # one sort of uint64 keys: NOT of x's float32 bits (x > 0, so
+            # they order as the values) above the posting index; tombstoned
+            # postings stay in, so the order holds across deletes
+            x = dec.freqs.astype(np.float32) * self.cache[sr.norms_for(dec.docs)]
+            key = (~x.view(np.uint32)).astype(np.uint64) << np.uint64(32)
+            order = np.sort(key | np.arange(len(x), dtype=np.uint64)
+                            ).astype(np.uint32).view(np.int32)
+            if len(self._orders) >= 65536:
+                self._orders.clear()
+            self._orders[(sr._seg_dir, t.term)] = order
+        n = k + 1
+        while True:
+            idx = order[:n]
+            sc = bm25.score_freqs(dec.freqs[idx], sr.norms_for(dec.docs[idx]),
+                                  t.weight, self.cache)
+            docs, live = self._live(sr, dec.docs[idx], sc)
+            if len(live) >= k:
+                threshold = max(threshold, float(live[k - 1]))
+            if n >= len(order) or sc[-1] < threshold:
+                keep = live >= np.float32(threshold)
+                return docs[keep], live[keep]
+            n *= 2
 
     def _conjunction(self, sr: SegmentReader, plan: dict, scoring: bool):
         """Lead with the rarest required term; look the rest up in their
@@ -1166,11 +1145,8 @@ class _TermBoolWeight(_Weight):
     def top(self, sr, k, threshold):
         if self.term is None:
             return self.scores(sr)
-        # a single scoring term: block-max pruning is safe (only
-        # the final top-k is consumed, pruned blocks are strictly below
-        # the threshold)
-        docs, scores = self.s._term_topk_pruned(sr, self.term, k, threshold)
-        return docs, (None if docs is None else scores.astype(np.float32))
+        # a single scoring term: only the final top k is consumed
+        return self.s._term_top(sr, self.term, k, threshold)
 
     def matches(self, sr):
         return self.s._match_and_score(sr, self.plan, scoring=False)[0]

@@ -18,10 +18,9 @@ Each similarity is a stateless float64 scorer over vectorized
 (freqs, dl) arrays; a ``Searcher(reader, similarity=obj)`` runs it on
 the exact-doc-length (exhaustive, unpruned) evaluation path — the same
 rails the ``bm25_exact64`` oracle mode uses — so results are
-deterministic and ANSI-SQL-expressible. BM25-specific block-max pruning
-(the single-term block-max skip) stays off for custom models: their
-score bounds are not tf-monotone in general (LMDirichlet contributions
-clamp at 0).
+deterministic and ANSI-SQL-expressible. The BM25 single-term walk in
+score order stays off for custom models: their scores are not
+tf-monotone in general (LMDirichlet contributions clamp at 0).
 """
 
 from __future__ import annotations

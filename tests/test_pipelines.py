@@ -185,14 +185,15 @@ def test_distributed_searcher_matches_local(ray_session, small_pages,
 
 def test_distributed_pruned_term_path_matches_local(ray_session,
                                                     tmp_path_factory):
-    """Head terms with more than 1,024 postings (over 8 blocks) in every
-    segment, so a single-term query takes the impact-pruned kernel, and
-    2 segments per worker, so each worker carries a threshold from one
-    segment to the next: RaySearcher.search, search_batch and a local
-    Searcher give the same ids and float32 score bits for term, AND and
-    OR queries. A local search fed the true k-th score through
+    """Head terms with more than 1,024 postings in every segment, so a
+    single-term query walks a long score order and stops early in it,
+    and 2 segments per worker, so each worker carries a threshold from
+    one segment to the next: RaySearcher.search, search_batch and a
+    local Searcher give the same ids and float32 score bits for term,
+    AND and OR queries. A local search fed the true k-th score through
     ``threshold_cb`` (and observed through ``publish_cb``) gives the
-    same result too."""
+    same result too. A ``k`` that is not an int >= 1 is refused before
+    any worker runs."""
     from lucene_ray.index import build_index
     from lucene_ray.search import (IndexReader, Searcher, TermQuery,
                                    and_query, or_query)
@@ -236,6 +237,11 @@ def test_distributed_pruned_term_path_matches_local(ray_session,
                                      publish_cb=published.append)) == want
             assert published and published == sorted(set(published))
             assert published[-1] <= kth
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            dist.search_batch(queries, bad)
+        with pytest.raises(ValueError, match="k must be an int >= 1"):
+            dist.search(queries[-1], bad)
 
 
 def test_knn_merge_is_block_count_independent(ray_session, tmp_path_factory):

@@ -91,9 +91,8 @@ def bound_readers(ray_session, tmp_path_factory):
     """A Zipf corpus of 6,000 docs of 5-60 words (so norms vary) as four
     kinds of segment: built (4 x 1,500 docs), the same with ~10% of
     docs tombstoned, those segments merged into one (its head terms
-    span more than 32 blocks, more than the pruned top-k's first batch
-    scores), and built with ``vint`` postings. Returns ({kind:
-    IndexReader}, terms by descending df)."""
+    span more than 32 blocks), and built with ``vint`` postings.
+    Returns ({kind: IndexReader}, terms by descending df)."""
     import pyarrow.parquet as pq
 
     from lucene_ray.index import build_index
@@ -125,47 +124,102 @@ def bound_readers(ray_session, tmp_path_factory):
             "vint": IndexReader(vint)}, vocab
 
 
+def _x(s, sr, dec):
+    """float32 ``freq * normInverse[norm]`` of each posting, from the
+    segment's norm bytes (the reference's per-posting score input)."""
+    norm = dict(zip(sr.doc_ids.tolist(), sr.norms.tolist()))
+    return dec.freqs.astype(np.float32) * s.cache[
+        [norm[doc] for doc in dec.docs.tolist()]]
+
+
 @pytest.mark.parametrize("kind", ["built", "tombstoned", "merged", "vint"])
-def test_block_bounds_are_block_maxima(bound_readers, kind):
-    """Every block's bound (``Searcher._block_ubs``) is at least the
-    float32 score of every posting in the block, tombstoned postings
-    included, and equals one of them. The reference scores each
-    posting from the segment's norm bytes and cuts fixed 128-posting
-    blocks."""
-    from lucene_ray.search import Searcher, bm25
+def test_score_orders_are_monotone(bound_readers, kind):
+    """Each term of more than k postings that a top-k has walked has a
+    cached score order (``Searcher._term_top``): a permutation of its
+    postings, tombstoned ones included, along which x never increases,
+    docs ascend within a run of equal x, and float32 scores never
+    increase, for a normal, a large and a subnormal weight."""
+    from lucene_ray.search import Searcher, TermQuery, bm25
     readers, vocab = bound_readers
     reader = readers[kind]
     s = Searcher(reader)
     one = np.float32(1)
-    most = 0
+    for t in vocab[:60]:
+        s.search(TermQuery(t), 10)
+    checked = 0
     for sr in reader.segments():
-        norm = dict(zip(sr.doc_ids.tolist(), sr.norms.tolist()))
         for t in vocab[:60]:
             dec = sr.get_decoded(t)
-            if dec is None:
+            order = s._orders.get((sr._seg_dir, t))
+            if dec is None or len(dec.docs) <= 10:
+                assert order is None, t
                 continue
-            w = bm25.term_weight(1.0, reader.term_stats([t])[t][0],
-                                 reader.doc_count)
-            ub = s._block_ubs(sr, t, w)
-            nb = -(-len(dec.docs) // BLOCK_SIZE)
-            assert ub.dtype == np.float32 and len(ub) == nb
-            x = dec.freqs.astype(np.float32) * s.cache[
-                [norm[doc] for doc in dec.docs.tolist()]]
-            sc = w - w / (one + x)
-            for b in range(nb):
-                blk = sc[b * BLOCK_SIZE:(b + 1) * BLOCK_SIZE]
-                assert ub[b] >= blk.max(), (t, b)
-                assert (blk.view(np.uint32)
-                        == ub[b:b + 1].view(np.uint32)).any(), (t, b)
-            most = max(most, nb)
-    assert most >= 4
+            assert order.dtype == np.int32
+            assert np.array_equal(np.sort(order), np.arange(len(dec.docs)))
+            x, docs = _x(s, sr, dec)[order], dec.docs[order]
+            assert (x[1:] <= x[:-1]).all(), t
+            tie = x[1:] == x[:-1]
+            assert (docs[1:][tie] > docs[:-1][tie]).all(), t
+            df = reader.term_stats([t])[t][0]
+            for boost in (1.0, 1e6, 1e-42):
+                w = bm25.term_weight(boost, df, reader.doc_count)
+                assert w > 0
+                sc = w - w / (one + x)
+                assert (sc[1:] <= sc[:-1]).all(), (t, boost)
+            checked += 1
+    assert checked >= 60
+
+
+@pytest.mark.parametrize("kind", ["built", "tombstoned", "merged"])
+def test_subnormal_boost_ties_match_eval_complete(bound_readers, kind):
+    """A boost of 1e-42 makes the weight a positive subnormal float32,
+    so scores collapse onto few values and unequal x give equal scores:
+    for some (term, segment) the first 10 live postings by x are not the
+    top 10 by (score desc, doc asc), and the top-k still keeps
+    eval_complete's ids and float32 score bits. A boost of 0 scores
+    every match 0, so docID order decides."""
+    from lucene_ray.search import Searcher, TermQuery, bm25
+    readers, vocab = bound_readers
+    reader = readers[kind]
+    s = Searcher(reader)
+    reordered = 0
+    for t in vocab[:20]:
+        w = bm25.term_weight(1e-42, reader.term_stats([t])[t][0],
+                             reader.doc_count)
+        assert 0 < w < np.finfo(np.float32).tiny
+        s.search(TermQuery(t, 1e-42), 10)
+        for sr in reader.segments():
+            dec = sr.get_decoded(t)
+            live = sr.live_mask(dec.docs)
+            live = np.ones(len(dec.docs), bool) if live is None else live
+            docs, x = dec.docs[live], _x(s, sr, dec)[live]
+            sc = bm25.score_freqs(dec.freqs[live], sr.norms_for(docs), w,
+                                  s.cache)
+            by_x = docs[np.lexsort((docs, -x.astype(np.float64)))[:10]]
+            by_score = docs[np.lexsort((docs, -sc.astype(np.float64)))[:10]]
+            reordered += set(by_x.tolist()) != set(by_score.tolist())
+    assert reordered >= 1
+    for t in vocab[:20]:
+        for boost in (1e-42, 0.0):
+            docs, scores = s.eval_complete(TermQuery(t, boost))
+            s32 = np.asarray(scores).astype(np.float32)
+            if boost == 0.0:
+                assert not s32.any()
+            for k in (1, 10, 100):
+                order = np.lexsort((docs, -s32.astype(np.float64)))[:k]
+                td = s.search(TermQuery(t, boost), k)
+                assert np.array_equal(td.doc_ids, np.asarray(docs)[order]), \
+                    (t, boost, k)
+                assert np.array_equal(
+                    td.scores.astype(np.float32).view(np.uint32),
+                    s32[order].view(np.uint32)), (t, boost, k)
 
 
 @pytest.mark.parametrize("kind", ["built", "tombstoned", "merged", "vint"])
 def test_pruned_top_k_matches_eval_complete(bound_readers, kind):
-    """The pruned single-term top-k keeps eval_complete's ids and float32
-    score bits, also where a term has more blocks than the first batch
-    scores, so its later blocks are skipped by their bounds."""
+    """The score-ordered single-term top-k keeps eval_complete's ids and
+    float32 score bits, also on terms of many blocks, whose walk stops
+    far before their last posting."""
     from lucene_ray.search import Searcher, TermQuery
     readers, vocab = bound_readers
     reader = readers[kind]

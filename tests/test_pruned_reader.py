@@ -70,6 +70,22 @@ def test_two_term_query_materializes_bounded_rows(wide_vocab_index):
     assert total_rows < total_terms / 2, (total_rows, total_terms)
 
 
+def test_search_rejects_bad_k(wide_vocab_index):
+    """``search`` and ``search_after`` take only an int k >= 1, for a
+    term and an OR query alike, whatever the number of candidates (the
+    term has 4,000 postings, the OR more)."""
+    out, _ = wide_vocab_index
+    s = Searcher(IndexReader(out))
+    for q in (TermQuery("anchor"), BooleanQuery(
+            should=(TermQuery("anchor"), TermQuery("w00042")))):
+        for bad in (0, -1, 2.5, True, "10", None):
+            with pytest.raises(ValueError, match="k must be an int >= 1"):
+                s.search(q, bad)
+            with pytest.raises(ValueError, match="k must be an int >= 1"):
+                s.search_after(q, bad, after=(1.0, 5))
+        assert len(s.search(q, np.int64(3)).doc_ids) == 3
+
+
 def test_pruning_after_merge_bucket_routing(ray_session, wide_vocab_index,
                                             tmp_path_factory):
     out, texts = wide_vocab_index
@@ -257,30 +273,21 @@ def _packed(sizes, seed):
 
 @pytest.mark.parametrize("sizes", RUN_SIZES)
 def test_select_blocks_and_lookup_match_reference(sizes):
+    """A term packed over runs of 128-doc blocks decodes to its source
+    postings, and ``lookup`` (the conjunction and exclusion probe over
+    them) finds each target's freq, 0 where the doc is absent. (The
+    name is older than the scope: block selection left with the
+    block-max kernel.)"""
     from lucene_ray.codecs.postings import _block_sizes
-    from lucene_ray.search.postings_io import lookup, select_blocks
+    from lucene_ray.search.searcher import lookup
     p, src_docs, src_freqs = _packed(sizes, seed=sum(sizes))
     dec = unpack_postings_many(p)[0]
     ref_docs, ref_freqs = dec
     np.testing.assert_array_equal(ref_docs, src_docs)
     np.testing.assert_array_equal(ref_freqs, src_freqs)
-    starts = np.concatenate([[0], np.cumsum(_block_sizes(len(src_docs)))])
     assert dec.docs.dtype == np.int64 and dec.freqs.dtype == np.int32
-    # the row's blocks are the 128-doc blocks select_blocks cuts
-    assert len(p.column("docs_bb")[0]) == len(starts) - 1
-    nblocks = len(starts) - 1
-    rng = np.random.default_rng(nblocks)
-    sels = [np.arange(nblocks), np.array([0]), np.array([nblocks - 1])]
-    sels += [np.sort(rng.choice(nblocks, int(rng.integers(1, nblocks + 1)),
-                                replace=False)) for _ in range(8)]
-    for sel in sels:
-        want_d = np.concatenate([ref_docs[starts[b]:starts[b + 1]]
-                                 for b in sel])
-        want_f = np.concatenate([ref_freqs[starts[b]:starts[b + 1]]
-                                 for b in sel])
-        got_d, got_f = select_blocks(dec, sel)
-        np.testing.assert_array_equal(got_d, want_d)
-        np.testing.assert_array_equal(got_f, want_f)
+    # the row's blocks are 128-doc blocks
+    assert len(p.column("docs_bb")[0]) == len(_block_sizes(len(src_docs)))
     # targets: every posting, the gaps between them, and both ends
     targets = np.unique(np.concatenate(
         [ref_docs, ref_docs + 1, ref_docs - 1, [-5, ref_docs[-1] + 1000]]))
@@ -495,42 +502,33 @@ def test_long_keyword_terms_are_found(ray_session, tmp_path):
         assert len(s.search(TermQuery(t), k=10).doc_ids) == 2, t[:8]
 
 
-def test_small_term_top_k_skips_block_bounds(merged_generations,
-                                             monkeypatch):
-    """A term of at most 8 blocks in a segment is scored whole: its
-    top-k never computes block bounds, and keeps eval_complete's ids
-    and float32 score bits; a larger term still prunes by them."""
+def test_small_term_top_k_sorts_nothing(merged_generations):
+    """A term of at most k postings in a segment is all of its own top
+    k there: its top-k caches no score order, and keeps eval_complete's
+    ids and float32 score bits; a larger term gets an order."""
     out, merged, _, vocab = merged_generations
     reader = IndexReader(out, generation=merged)
+    sr, = reader.segments()
     s = Searcher(reader)
-    nblocks = {t: [-(-len(sr.get_decoded(t).docs) // 128)
-                   for sr in reader.segments()]
-               for t in vocab[:1] + vocab[150:154]}
-    small = [t for t in vocab[150:154] if max(nblocks[t]) <= 8]
-    assert small and max(nblocks[vocab[0]]) > 8
-    calls = []
-    orig = Searcher._block_ubs
-
-    def spy(self, sr, term, weight):
-        calls.append(term)
-        return orig(self, sr, term, weight)
-    monkeypatch.setattr(Searcher, "_block_ubs", spy)
+    k = 100
+    small = [t for t in vocab[100:] if len(sr.get_decoded(t).docs) <= k][:4]
+    assert small and len(sr.get_decoded(vocab[0]).docs) > k
     for t in small + vocab[:1]:
         docs, scores = s.eval_complete(TermQuery(t))
         s32 = np.asarray(scores).astype(np.float32)
-        order = np.lexsort((docs, -s32.astype(np.float64)))[:10]
-        td = s.search(TermQuery(t), 10)
+        order = np.lexsort((docs, -s32.astype(np.float64)))[:k]
+        td = s.search(TermQuery(t), k)
         assert np.array_equal(td.doc_ids, np.asarray(docs)[order])
         assert np.array_equal(td.scores.astype(np.float32).view(np.uint32),
                               s32[order].view(np.uint32))
-    assert set(calls) == {vocab[0]}
+    assert set(s._orders) == {(sr._seg_dir, vocab[0])}
 
 
 def test_pruned_term_search_reads_no_packed_row(merged_generations):
-    """A term of more than 8 blocks takes the pruned top-k, whose block
-    bounds come from the decoded postings: once ``ensure_terms`` has
-    loaded the term, the search reads no Parquet row group and no
-    positions."""
+    """A single-term top-k walks the term's decoded postings in a score
+    order sorted from them and the segment's norms: once
+    ``ensure_terms`` has loaded the term, the search reads no Parquet
+    row group and no positions."""
     out, merged, _, vocab = merged_generations
     for gen in (merged, None):  # the merge, and its tombstoned successor
         reader = IndexReader(out, generation=gen)
