@@ -34,8 +34,8 @@ import numpy as np
 # blocks, built or merged: its block layout follows from df (and its
 # positions' from ttf), and it carries pack-time block byte lengths
 # (docs_bb/freqs_bb) but no per-chunk counts, block last docs or
-# impacts: readers derive block score bounds from the decoded postings
-# and the segment's norms. The manifest stores no collection totals:
+# impacts: nothing on disk bounds a score; readers order a term's
+# scores from its decoded postings and the segment's norms. The manifest stores no collection totals:
 # num_docs, sum_doc_len and field_doc_count are sums over its segments.
 FORMAT_VERSION = 6
 

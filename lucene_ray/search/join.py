@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 
 from .query import NumericRangeQuery, Query
-from .searcher import Searcher, TopDocs, _top_k
+from .searcher import Searcher, TopDocs, _check_k, _top_k
 
 
 def block_join_parents(searcher: Searcher, child_query: Query,
@@ -75,6 +75,7 @@ def block_join_parents(searcher: Searcher, child_query: Query,
 
 def block_join_topk(searcher: Searcher, child_query: Query, k: int = 10,
                     score_mode: str = "total") -> TopDocs:
+    k = _check_k(k)
     docs, scores = block_join_parents(searcher, child_query, score_mode)
     return _top_k(docs, scores, k)
 

@@ -6,11 +6,11 @@ per-field BM25 stats/norms); boolean/dismax trees combine the COMPLETE
 per-leaf (docs, scores) on global docIDs — the BooleanWeight-over-
 fields analog (``index/FieldInfos.java`` gives the reference per-field
 postings inside one segment; here each field is its own index sharing
-docIDs). Trees combine in ``searcher._combine_bool`` /
-``_combine_dismax``, the combiners of the single-field nested-boolean
-and dismax weights: scores sum in double, FILTER matches without
-scoring, minShouldMatch gates SHOULD, DisMax = max + tie_breaker *
-rest.
+docIDs). Booleans combine in ``_combine_bool`` below, with the rules of
+the single-field boolean weight (scores sum in double, MUST then
+SHOULD, FILTER matches without scoring, minShouldMatch gates SHOULD),
+and dismax trees in ``searcher._combine_dismax`` (max + tie_breaker *
+rest).
 """
 
 from __future__ import annotations
@@ -33,10 +33,43 @@ from .reader import IndexReader
 from .searcher import (
     Searcher,
     TopDocs,
-    _combine_bool,
+    _check_k,
     _combine_dismax,
     _top_k,
+    lookup,
 )
+
+
+def _combine_bool(m_parts, f_parts, s_parts, msm, must_nots):
+    """BooleanWeight over complete per-field results: MUST and FILTER
+    intersect, scores sum MUST then SHOULD (DisjunctionSumScorer),
+    minShouldMatch gates SHOULD, MUST_NOT excludes. ``m_parts`` and
+    ``s_parts`` are (docs sorted, float64 scores); ``f_parts`` and the
+    lazily consumed ``must_nots`` are doc arrays. Returns (docs,
+    float64 sums)."""
+    req = [d for d, _ in m_parts] + list(f_parts)
+    if req:
+        cand = req[0]
+        for d in req[1:]:
+            cand = cand[np.isin(cand, d, assume_unique=True)]
+    else:
+        msm = max(msm, 1)
+        cand = np.unique(np.concatenate(
+            [d for d, _ in s_parts] + [np.empty(0, np.int64)]))
+    sums = np.zeros(len(cand), np.float64)
+    counts = np.zeros(len(cand), np.int64)
+    for i, (d, s) in enumerate(m_parts + s_parts):
+        if len(d) and len(cand):
+            hit, vals = lookup(d, s, cand)
+            sums[hit] += vals
+            if i >= len(m_parts):
+                counts += hit
+    keep = counts >= (msm if s_parts else 0)
+    for d in must_nots:
+        if not keep.any():
+            break
+        keep &= ~np.isin(cand, d, assume_unique=True)
+    return cand[keep], sums[keep]
 
 
 class MultiFieldSearcher:
@@ -87,6 +120,7 @@ class MultiFieldSearcher:
 
     # -- public API ----------------------------------------------------------
     def search(self, q: Query, k: int = 10) -> TopDocs:
+        k = _check_k(k)
         docs, scores = self._evaluate(q)
         if len(docs) == 0:
             return TopDocs(np.empty(0, np.int64), np.empty(0, np.float32))

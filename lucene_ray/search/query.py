@@ -175,9 +175,9 @@ class FunctionScoreQuery(Query):
     ``expressions`` module roles (DoubleValuesSource over an
     expression; ``TestFunctionScoreQuery.java``). The expression is
     compiled once to a vectorized numpy closure
-    (``search/expressions.py``); scores are opaque to the pruning
-    machinery, so evaluation is complete (unpruned), as in the
-    reference where function scores defeat block-max bounds."""
+    (``search/expressions.py``); nothing bounds an expression's
+    scores, so evaluation is complete (unpruned), as in the reference
+    where function scores defeat impact-based pruning."""
     inner: Query = None
     expression: str = "_score"
     boost: float = 1.0

@@ -26,8 +26,8 @@ rows read from every part are then decoded by one
 (docIDs and freqs, ``DecodedPostings``) are the one in-memory form of
 a term: they stay in the segment's postings LRU as read-only arrays,
 so scorers slice arrays instead of bit-unpacking blocks on every query,
-and the searcher derives a term's block score bounds from them (with
-the resident norms) rather than from the file. A term's packed
+and the searcher sorts a term's score order from them (with the
+resident norms); the file holds no score bounds. A term's packed
 positions stream is read only for the callers that need it
 (``get_positions``): positional weights load it with their first touch
 (``ensure_positions``), in the same one read per part and the same

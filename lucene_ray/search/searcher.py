@@ -5,18 +5,19 @@ Mirrors the reference query path (SURVEY.md §3.3):
 - per-segment scorers over each term's decoded doc/freq arrays: a
   top-level single-term query walks the term's postings in score order
   and stops after its k-th live score (the ImpactsDISI role, with no
-  stored impacts: the order is one cached sort, ``_term_top``);
-  conjunctions lead with the rarest term and look the others up
+  stored impacts: the order is one cached sort, ``_term_top``)
+- one boolean weight over child weights of any kind: conjunctions lead
+  with the clause of fewest docs and look the others up
   (ConjunctionDISI leapfrog); disjunctions accumulate every clause
-  exhaustively, into segment-length arrays or a sorted union of their
-  docs by a Σdf-against-segment-size rule (``_DENSE_OR_RATIO``)
+  into segment-length arrays or a sorted union of their docs
+  (``_DENSE_OR_RATIO``)
 - tombstoned docs are masked at every candidate-formation point, so
   pruning thresholds never rise from deleted docs
 - top-k ties break toward the lower global docID (HitQueue.java:78-81);
   cross-segment merge = sort by (-score, doc_id) (TopDocs.merge)
-- scores: float32 per term, summed in double, cast to float
-  (DisjunctionSumScorer semantics); the score-ordered term path is
-  bit-identical to the exhaustive evaluation
+- scores: float32 per clause, summed in double (MUST then SHOULD, each
+  in clause order), cast to float (DisjunctionSumScorer semantics); the
+  score-ordered term path is bit-identical to the exhaustive evaluation
 
 Every entry point (search, collect, eval_complete, count, match_docs,
 explain, the facet/join/sort/delete helpers) goes through
@@ -25,7 +26,7 @@ one batched postings read per segment, then one weight object per node
 (``_WEIGHTS`` maps each rewritten query class to its weight class).
 A weight's ``scores(sr)`` and ``matches(sr)`` run per segment;
 ``search`` asks the top-level weight for ``top(sr, k, threshold)``
-instead, which only a single-term weight overrides to prune.
+instead, which only the term weight overrides to prune.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..codecs.postings import DecodedPostings
 from . import bm25
 from .query import (
     MAX_CLAUSE_COUNT,
@@ -86,11 +86,13 @@ def _check_k(k) -> int:
     return int(k)
 
 
-def lookup(dec: DecodedPostings, targets: np.ndarray) -> np.ndarray:
-    """freq per target docID in a term's decoded postings; 0 where the
-    doc is absent (the conjunction leapfrog / exclusion probe)."""
-    pos = np.minimum(np.searchsorted(dec.docs, targets), len(dec.docs) - 1)
-    return np.where(dec.docs[pos] == targets, dec.freqs[pos], np.int32(0))
+def lookup(docs: np.ndarray, vals: np.ndarray | None, targets: np.ndarray):
+    """The clause probe (conjunction leapfrog, optional SHOULD,
+    exclusion): which ``targets`` a clause's sorted, non-empty ``docs``
+    hold, and the clause's ``vals`` at those hits (None without vals)."""
+    pos = np.minimum(np.searchsorted(docs, targets), len(docs) - 1)
+    hit = docs[pos] == targets
+    return hit, (None if vals is None else vals[pos[hit]])
 
 
 class TopDocs(NamedTuple):
@@ -121,14 +123,6 @@ def merge_top_docs(parts: list[TopDocs], k: int) -> TopDocs:
     return TopDocs(docs[order], scores[order])
 
 
-class _TermPlan(NamedTuple):
-    term: str
-    weight: np.float32  # boost * idf (0 df -> weight computed but no postings)
-    df: int
-    ttf: int = 0       # global total term freq (custom Similarity models)
-    boost: float = 1.0
-
-
 class Searcher:
     """Searches one IndexReader (all or a subset of its segments)."""
 
@@ -156,46 +150,6 @@ class Searcher:
     def _norm_data(self, sr: SegmentReader, cand: np.ndarray) -> np.ndarray:
         return sr.doc_lens_for(cand) if self.exact64 else sr.norms_for(cand)
 
-    def _scores_term(self, t: "_TermPlan") -> bool:
-        return t.df > 0 if self.exact64 else t.weight > 0
-
-    def _contrib(self, t: "_TermPlan", freqs: np.ndarray,
-                 norm_data: np.ndarray) -> np.ndarray:
-        if self.sim is not None:
-            return self.sim.term_score(
-                freqs, norm_data, t.df, t.ttf, t.boost,
-                self.reader.doc_count, self.reader.sum_total_term_freq)
-        if self.exact64:
-            return bm25.score64(freqs, norm_data,
-                                bm25.idf64(t.df, self.reader.doc_count),
-                                self.avgdl64, self.k1, self.b)
-        return bm25.score_freqs(freqs, norm_data, t.weight, self.cache).astype(np.float64)
-
-    # -- weights ------------------------------------------------------------
-    def _plan(self, q: Query) -> dict:
-        terms = sorted(set(query_terms(q)))
-        stats = self.reader.term_stats(terms)
-        n = self.reader.doc_count
-
-        def tp(tq: TermQuery) -> _TermPlan:
-            df, ttf = stats[tq.term]
-            w = bm25.term_weight(tq.boost, df, n) if df > 0 else np.float32(0)
-            return _TermPlan(tq.term, w, df, ttf, tq.boost)
-
-        if isinstance(q, TermQuery):
-            return {"must": [tp(q)], "should": [], "must_not": [], "filter": [],
-                    "msm": 0}
-        assert isinstance(q, BooleanQuery)
-        return {
-            "must": [tp(t) for t in q.must],
-            "should": [tp(t) for t in q.should],
-            "must_not": [_TermPlan(t.term, np.float32(0), stats[t.term][0])
-                         for t in q.must_not],
-            "filter": [_TermPlan(t.term, np.float32(0), stats[t.term][0])
-                       for t in q.filter],
-            "msm": q.min_should_match,
-        }
-
     # -- rewrite (Query.rewrite fixpoint, SURVEY §3.3 step 2) ---------------
     # querying a field the index doesn't have matches nothing (Lucene
     # semantics for absent fields): rewrite to an impossible term
@@ -222,9 +176,15 @@ class Searcher:
         if isinstance(q, TermQuery):
             return TermQuery(q.term, q.boost * boost)
         if isinstance(q, BooleanQuery):
+            must = tuple(self.rewrite(s, boost) for s in q.must)
+            should = tuple(self.rewrite(s, boost) for s in q.should)
+            if not (q.must_not or q.filter) and len(must) + len(should) == 1 \
+                    and q.min_should_match <= (1 if should else 0):
+                # a lone MUST, or a lone SHOULD it takes to match, is the
+                # clause itself (BooleanQuery.rewrite's single-clause case)
+                return (must or should)[0]
             return BooleanQuery(
-                must=tuple(self.rewrite(s, boost) for s in q.must),
-                should=tuple(self.rewrite(s, boost) for s in q.should),
+                must=must, should=should,
                 must_not=tuple(self.rewrite(s) for s in q.must_not),
                 filter=tuple(self.rewrite(s) for s in q.filter),
                 min_should_match=q.min_should_match)
@@ -339,8 +299,9 @@ class Searcher:
         query term's posting rows with one batched read per segment.
         The returned weight scores or matches one segment at a time."""
         q = self.rewrite(q)
-        w = _create_weight(self, q)
         terms = sorted(set(query_terms(q)))
+        self.reader.term_stats(terms)  # one batched read; weights hit its memo
+        w = _create_weight(self, q)
         if terms:
             for sr in self.reader.segments():
                 if w.positional:
@@ -418,18 +379,15 @@ class Searcher:
         query matches (unchanged otherwise), re-ranked score desc /
         docID asc. The second query is evaluated complete and joined to
         the candidate set — only candidate docs contribute."""
-        if k is None:
-            k = len(top.doc_ids)
+        k = len(top.doc_ids) if k is None else _check_k(k)
         if len(top.doc_ids) == 0:
             return top
         cand = np.asarray(top.doc_ids, dtype=np.int64)
         d2, s2 = self.eval_complete(second_q)
         second = np.zeros(len(cand), dtype=np.float64)
         if len(d2):
-            idx = np.searchsorted(d2, cand)
-            ok = idx < len(d2)
-            ok[ok] &= d2[idx[ok]] == cand[ok]
-            second[ok] = s2[idx[ok]]
+            hit, vals = lookup(d2, s2, cand)
+            second[hit] = vals
         new = np.asarray(top.scores, dtype=np.float64) + weight * second
         return _top_k(cand, new, k)
 
@@ -861,38 +819,9 @@ class Searcher:
         m = sr.live_mask(docs)
         if m is None:
             return (docs, *arrs)
-        return (docs[m], *[a[m] for a in arrs])
+        return (docs[m], *[a if a is None else a[m] for a in arrs])
 
-    def _match_and_score(self, sr: SegmentReader, plan: dict, *,
-                         scoring: bool):
-        empty = (np.empty(0, np.int64), np.empty(0, np.float32))
-        if plan["must"] or plan["filter"]:
-            cand, sums = self._conjunction(sr, plan, scoring)
-        elif plan["should"]:
-            cand, sums = self._disjunction(sr, plan, scoring)
-        else:
-            return empty
-        if cand is None or len(cand) == 0:
-            return empty
-
-        # MUST_NOT exclusion (ReqExclScorer)
-        for t in plan["must_not"]:
-            if len(cand) == 0:
-                break
-            dec = sr.get_decoded(t.term)
-            if dec is None:
-                continue
-            keep = lookup(dec, cand) == 0
-            cand = cand[keep]
-            if sums is not None:
-                sums = sums[keep]
-        if len(cand) == 0:
-            return empty
-        if not scoring:
-            return cand, None
-        return cand, (sums if self.exact64 else sums.astype(np.float32))
-
-    def _term_top(self, sr: SegmentReader, t: "_TermPlan", k: int,
+    def _term_top(self, sr: SegmentReader, t: "_TermWeight", k: int,
                   threshold: float):
         """Single-term top-k candidates (ImpactsDISI role, no impacts).
         For a weight w > 0 each float32 step of ``w - w / (1 + x)``,
@@ -936,150 +865,42 @@ class Searcher:
                 return docs[keep], live[keep]
             n *= 2
 
-    def _conjunction(self, sr: SegmentReader, plan: dict, scoring: bool):
-        """Lead with the rarest required term; look the rest up in their
-        decoded arrays (ConjunctionDISI leapfrog role)."""
-        must, flt, should = plan["must"], plan["filter"], plan["should"]
-        required = [(t, True) for t in must] + [(t, False) for t in flt]
-        # postings for required terms; any missing -> empty
-        loaded = []
-        for t, scores_q in required:
-            dec = sr.get_decoded(t.term)
-            if dec is None:
-                return None, None
-            loaded.append((t, scores_q, dec))
-        order = sorted(range(len(loaded)), key=lambda i: len(loaded[i][2].docs))
-        dec0 = loaded[order[0]][2]
-        cand, freqs0 = self._live(sr, dec0.docs, dec0.freqs)
-        term_freqs: dict[int, np.ndarray] = {order[0]: freqs0}
-        for oi in order[1:]:
-            f = lookup(loaded[oi][2], cand)
-            keep = f > 0
-            cand = cand[keep]
-            term_freqs = {i: ff[keep] for i, ff in term_freqs.items()}
-            term_freqs[oi] = f[keep]
-            if len(cand) == 0:
-                return cand, np.empty(0, np.float64)
-        # required = MUST + FILTER (Boolean2ScorerSupplier): this path
-        # always has >=1 required clause, so SHOULD clauses stay purely
-        # optional (ReqOptSumScorer) unless minShouldMatch asks otherwise
-        msm = plan["msm"]
-        if not scoring and (msm <= 0 or not should):
-            return cand, None
-        norms = self._norm_data(sr, cand) if scoring else None
-        sums = np.zeros(len(cand), dtype=np.float64) if scoring else None
+
+# -- clause accumulators (one doc space; sums in double, in clause order) ---
+
+def _union_sum(s: Searcher, sr: SegmentReader, clauses: list, scoring: bool):
+    """DisjunctionSumScorer over ``clauses``, (weight, (docs, vals))
+    of the clauses that match in ``sr``: the union of their live docs,
+    each doc's count of matching clauses and, when scoring, the float64
+    sum of their scores in clause order (else None). It accumulates
+    into segment-length arrays when the clauses' summed doc counts
+    times ``_DENSE_OR_RATIO`` reach the segment size, and into a sorted
+    union of their docs otherwise (cost follows the postings, not the
+    segment); a clause's docs are unique, so fancy-indexed += is exact
+    and both give bit-identical sums."""
+    live = [(w, *s._live(sr, *c)) for w, c in clauses]
+    dense = sr._contiguous and (sum(len(c[0]) for _w, c in clauses)
+                                * _DENSE_OR_RATIO >= len(sr))
+    if dense:
+        cand = None
+        slots = [docs - sr._base for _w, docs, _v in live]
+    else:
+        cand = np.unique(np.concatenate([docs for _w, docs, _v in live]))
+        slots = [np.searchsorted(cand, docs) for _w, docs, _v in live]
+    n = len(sr) if dense else len(cand)
+    counts = np.zeros(n, dtype=np.int32)
+    sums = np.zeros(n, dtype=np.float64) if scoring else None
+    for (w, docs, vals), idx in zip(live, slots):
+        counts[idx] += 1
         if scoring:
-            # accumulate in ORIGINAL clause order so scores are
-            # bit-identical regardless of which term led the intersection
-            for i, (t, scores_q, _dec) in enumerate(loaded):
-                if scores_q and self._scores_term(t):
-                    sums += self._contrib(t, term_freqs[i], norms)
-        # optional SHOULD clauses add score on the conjunction's matches;
-        # with minShouldMatch > 0 they also gate the match (the reference
-        # applies minimumNumberShouldMatch even alongside MUST clauses)
-        n_should = np.zeros(len(cand), dtype=np.int64)
-        for t in should:
-            dec = sr.get_decoded(t.term)
-            if dec is None:
-                continue
-            f = lookup(dec, cand)
-            hit = f > 0
-            n_should += hit.astype(np.int64)
-            if scoring and self._scores_term(t) and hit.any():
-                sums[hit] += self._contrib(t, f[hit], norms[hit])
-        if should and msm > 0:
-            keep = n_should >= msm
-            cand = cand[keep]
-            if sums is not None:
-                sums = sums[keep]
-        return cand, sums
-
-    def _disjunction(self, sr: SegmentReader, plan: dict, scoring: bool):
-        """Exhaustive OR (DisjunctionSumScorer) with minShouldMatch. Both
-        accumulators add each clause's float64 contribution per doc in
-        clause order, so they give bit-identical scores."""
-        postings = [(t, dec) for t in plan["should"]
-                    if (dec := sr.get_decoded(t.term)) is not None]
-        if not postings:
-            return None, None
-        decoded = [self._live(sr, dec.docs, dec.freqs) for _t, dec in postings]
-        scored = [scoring and self._scores_term(t) for t, _dec in postings]
-        if (sr._contiguous and sum(len(dec.docs) for _t, dec in postings)
-                * _DENSE_OR_RATIO >= len(sr)):
-            # dense segment-length accumulators (a term's docs are
-            # unique, so fancy-indexed += is exact)
-            n, base = len(sr), sr._base
-            cnt = np.zeros(n, dtype=np.int32)
-            sums_full = np.zeros(n, dtype=np.float64) if scoring else None
-            for (t, _dec), (docs, freqs), sc in zip(postings, decoded, scored):
-                idx = docs - base
-                cnt[idx] += 1
-                if sc:
-                    sums_full[idx] += self._contrib(
-                        t, freqs, self._norm_data(sr, docs))
-            cand_idx = np.nonzero(cnt)[0]
-            cand, counts = cand_idx + base, cnt[cand_idx]
-            sums = sums_full[cand_idx] if scoring else None
-        else:
-            # sorted union: cost follows the postings, not the segment
-            cand = np.unique(np.concatenate([d for d, _ in decoded]))
-            counts = np.zeros(len(cand), dtype=np.int32)
-            sums = np.zeros(len(cand), dtype=np.float64) if scoring else None
-            norms_cand = self._norm_data(sr, cand) if scoring else None
-            for (t, _dec), (docs, freqs), sc in zip(postings, decoded, scored):
-                pos = np.searchsorted(cand, docs)
-                counts[pos] += 1
-                if sc:
-                    sums[pos] += self._contrib(t, freqs, norms_cand[pos])
-        if plan["msm"] > 1:
-            keep = counts >= plan["msm"]
-            cand = cand[keep]
-            if sums is not None:
-                sums = sums[keep]
-        return cand, sums
-
-
-# -- combiners over complete (docs, scores) on one doc space ----------------
-# Shared by the nested-boolean and dismax weights and by
-# ``MultiFieldSearcher``; sums run in double in clause order, so every
-# caller gets bit-identical scores.
-
-def _combine_bool(m_parts, f_parts, s_parts, msm, must_nots):
-    """BooleanWeight over non-term clauses: MUST and FILTER intersect,
-    scores sum MUST then SHOULD (DisjunctionSumScorer), minShouldMatch
-    gates SHOULD, MUST_NOT excludes. ``m_parts``/``s_parts`` are
-    (docs sorted, float64 scores); ``f_parts`` and the lazily consumed
-    ``must_nots`` are doc arrays. Returns (docs, float64 sums)."""
-    empty = (np.empty(0, np.int64), np.empty(0, np.float64))
-    cand = None
-    for d in [d for d, _ in m_parts] + list(f_parts):
-        cand = d if cand is None else cand[np.isin(cand, d,
-                                                   assume_unique=True)]
-    if cand is None:
-        parts = [d for d, _ in s_parts if len(d)]
-        if not parts:
-            return empty
-        msm = max(msm, 1)
-        cand = np.unique(np.concatenate(parts))
-    if len(cand) == 0:
-        return empty
-    sums = np.zeros(len(cand), np.float64)
-    counts = np.zeros(len(cand), np.int64)
-    for i, (d, s) in enumerate(m_parts + s_parts):
-        idx = np.searchsorted(cand, d)
-        ok = (idx < len(cand)) & (cand[np.minimum(idx, len(cand) - 1)] == d)
-        sums[idx[ok]] += s[ok]
-        if i >= len(m_parts):
-            counts[idx[ok]] += 1
-    if s_parts and msm > 0:
-        keep = counts >= msm
-        cand, sums = cand[keep], sums[keep]
-    for d in must_nots:
-        if len(cand) == 0:
-            break
-        keep = ~np.isin(cand, d, assume_unique=True)
-        cand, sums = cand[keep], sums[keep]
-    return cand, sums
+            add = w.contrib(vals, s._norm_data(sr, docs)
+                            if w.reads_norms else None)
+            if add is not None:
+                sums[idx] += add
+    if not dense:
+        return cand, counts, sums
+    hit = np.nonzero(counts)[0]
+    return hit + sr._base, counts[hit], (sums[hit] if scoring else None)
 
 
 def _combine_dismax(per, tie_breaker: float):
@@ -1115,7 +936,7 @@ class _Weight:
         self.dt = np.float64 if s.exact64 else np.float32
 
     def scores(self, sr: SegmentReader):
-        """(docs, scores) of one segment, or (None, None)."""
+        """(docs ascending, scores) of one segment, or (None, None)."""
         raise NotImplementedError
 
     def matches(self, sr: SegmentReader) -> np.ndarray:
@@ -1128,63 +949,183 @@ class _Weight:
         enter a top k whose k-th score is already ``threshold``."""
         return self.scores(sr)
 
+    # -- as a boolean clause -------------------------------------------------
+    # computing its scores reads the candidates' norms (a scoring term)
+    reads_norms = False
 
-class _TermBoolWeight(_Weight):
-    """A term, or a boolean of term clauses: the term kernels."""
+    def clause(self, sr: SegmentReader, scoring: bool):
+        """(live docs ascending, vals) of this clause in ``sr``, or None
+        when it matches nothing there; vals are the complete float64
+        scores, or None when not scoring."""
+        if not scoring:
+            docs = self.matches(sr)
+            return (docs, None) if len(docs) else None
+        docs, vals = self.scores(sr)
+        if docs is None or len(docs) == 0:
+            return None
+        return docs, vals.astype(np.float64)
+
+    def contrib(self, vals: np.ndarray, norms):
+        """float64 scores added to a boolean's sums from this clause's
+        ``vals`` at its matching candidates (None adds nothing)."""
+        return vals
+
+
+class _TermWeight(_Weight):
+    """TermQuery (TermWeight): the term's global df and ttf and its BM25
+    weight, boost x idf. As a boolean clause it gives its decoded docs
+    and freqs, tombstones included, and is scored (``contrib``) only on
+    the candidates that survive."""
 
     def __init__(self, s, q):
         super().__init__(s)
-        self.plan = p = s._plan(q)
-        self.term = (p["must"][0] if len(p["must"]) == 1 and not s.exact64
-                     and not (p["filter"] or p["should"] or p["must_not"])
-                     and s._scores_term(p["must"][0]) else None)
+        self.term, self.boost = q.term, q.boost
+        self.df, self.ttf = s.reader.term_stats([q.term])[q.term]
+        self.weight = (bm25.term_weight(q.boost, self.df, s.reader.doc_count)
+                       if self.df > 0 else np.float32(0))
+        # whether the term adds to scores (a 0 float32 weight does not)
+        self.reads_norms = self.df > 0 if s.exact64 else self.weight > 0
 
     def scores(self, sr):
-        return self.s._match_and_score(sr, self.plan, scoring=True)
-
-    def top(self, sr, k, threshold):
-        if self.term is None:
-            return self.scores(sr)
-        # a single scoring term: only the final top k is consumed
-        return self.s._term_top(sr, self.term, k, threshold)
+        dec = sr.get_decoded(self.term)
+        if dec is None:
+            return None, None
+        docs, freqs = self.s._live(sr, dec.docs, dec.freqs)
+        if len(docs) == 0:
+            return None, None
+        sums = np.zeros(len(docs), dtype=np.float64)
+        if self.reads_norms:
+            sums += self.contrib(freqs, self.s._norm_data(sr, docs))
+        return docs, sums.astype(self.dt)
 
     def matches(self, sr):
-        return self.s._match_and_score(sr, self.plan, scoring=False)[0]
+        dec = sr.get_decoded(self.term)
+        return np.empty(0, np.int64) if dec is None else \
+            self.s._live(sr, dec.docs)[0]
+
+    def top(self, sr, k, threshold):
+        if self.s.exact64 or not self.reads_norms:
+            return self.scores(sr)
+        # a positive float32 weight: only the final top k is consumed
+        return self.s._term_top(sr, self, k, threshold)
+
+    def clause(self, sr, scoring):
+        dec = sr.get_decoded(self.term)
+        return None if dec is None else (dec.docs, dec.freqs)
+
+    def contrib(self, freqs, norms):
+        """float64 scores from freqs and norms (exact doc lengths on the
+        exact64 rails), or None for a term that adds nothing."""
+        s = self.s
+        if not self.reads_norms:
+            return None
+        if s.sim is not None:
+            return s.sim.term_score(
+                freqs, norms, self.df, self.ttf, self.boost,
+                s.reader.doc_count, s.reader.sum_total_term_freq)
+        if s.exact64:
+            return bm25.score64(freqs, norms,
+                                bm25.idf64(self.df, s.reader.doc_count),
+                                s.avgdl64, s.k1, s.b)
+        return bm25.score_freqs(freqs, norms, self.weight,
+                                s.cache).astype(np.float64)
 
 
-class _NestedBoolWeight(_Weight):
-    """A boolean with non-term clauses (query-parser groups): children
-    run unpruned and combine in ``_combine_bool``."""
+class _BoolWeight(_Weight):
+    """BooleanQuery (BooleanWeight, Boolean2ScorerSupplier): every clause
+    is a child weight. MUST and FILTER intersect, led by the clause of
+    fewest docs (ConjunctionDISI); SHOULD alone is a union
+    (DisjunctionSumScorer) and beside required clauses only adds score
+    (ReqOptSumScorer); minShouldMatch gates SHOULD; MUST_NOT excludes
+    (ReqExclScorer). Scores sum in double, MUST then SHOULD, each in
+    clause order, so a clause's kind never changes a sum's bits."""
 
     def __init__(self, s, q):
         super().__init__(s)
-        self.must = [_create_weight(s, c) for c in q.must]
-        self.should = [_create_weight(s, c) for c in q.should]
-        self.must_not = [_create_weight(s, c) for c in q.must_not]
-        self.filter = [_create_weight(s, c) for c in q.filter]
+        self.must, self.should, self.must_not, self.filter = (
+            [_create_weight(s, c) for c in group]
+            for group in (q.must, q.should, q.must_not, q.filter))
         self.msm = q.min_should_match
         self.positional = any(w.positional for w in (
             *self.must, *self.should, *self.must_not, *self.filter))
 
     def scores(self, sr):
-        def ev(w):
-            d, sc = w.scores(sr)
-            if d is None or len(d) == 0:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-            sc = sc.astype(np.float64)
-            if not np.all(d[:-1] <= d[1:]):
-                order = np.argsort(d, kind="stable")
-                d, sc = d[order], sc[order]
-            return d, sc
+        return self._run(sr, True)
 
-        m_parts = [ev(w) for w in self.must]
-        f_parts = [ev(w)[0] for w in self.filter]
-        s_parts = [ev(w) for w in self.should]
-        cand, sums = _combine_bool(m_parts, f_parts, s_parts, self.msm,
-                                   (ev(w)[0] for w in self.must_not))
+    def matches(self, sr):
+        docs = self._run(sr, False)[0]
+        return docs if docs is not None else np.empty(0, np.int64)
+
+    def _run(self, sr, scoring):
+        got = (self._conjunction if self.must or self.filter
+               else self._disjunction)(sr, scoring)
+        if got is None:
+            return None, None
+        cand, n_should, sums = got
+        # minShouldMatch gates SHOULD (beside MUST clauses too); MUST_NOT
+        # excludes by lookup
+        keep = [n_should >= self.msm] if self.should and self.msm > 0 else []
+        keep += [~lookup(c[0], None, cand)[0] for w in self.must_not
+                 if (c := w.clause(sr, False)) is not None]
+        if keep:
+            m = np.logical_and.reduce(keep)
+            cand, sums = cand[m], (None if sums is None else sums[m])
         if len(cand) == 0:
             return None, None
-        return cand, sums.astype(self.dt)
+        return cand, (sums.astype(self.dt) if scoring else None)
+
+    def _conjunction(self, sr, scoring):
+        """Lead with the required clause of fewest docs; look the others
+        up (ConjunctionDISI leapfrog), then the SHOULD clauses."""
+        req = []
+        for w, scored in ([(w, scoring) for w in self.must]
+                          + [(w, False) for w in self.filter]):
+            c = w.clause(sr, scored)
+            if c is None:
+                return None
+            req.append(c)
+        order = sorted(range(len(req)), key=lambda i: len(req[i][0]))
+        cand, vals = self.s._live(sr, *req[order[0]])
+        at = {order[0]: vals}
+        for i in order[1:]:
+            hit, vals = lookup(*req[i], cand)
+            cand = cand[hit]
+            if len(cand) == 0:
+                return None
+            at = {j: a if a is None else a[hit] for j, a in at.items()}
+            at[i] = vals
+        # beside required clauses SHOULD only scores, unless
+        # minShouldMatch counts it
+        if not scoring and (self.msm <= 0 or not self.should):
+            return cand, None, None
+        sums = norms = None
+        if scoring:
+            if any(w.reads_norms for w in (*self.must, *self.should)):
+                norms = self.s._norm_data(sr, cand)
+            # in clause order, whichever clause led the intersection
+            sums = np.zeros(len(cand), dtype=np.float64)
+            for i, w in enumerate(self.must):
+                add = w.contrib(at[i], norms)
+                if add is not None:
+                    sums += add
+        n_should = np.zeros(len(cand), dtype=np.int64)
+        for w in self.should:
+            c = w.clause(sr, scoring)
+            if c is None:
+                continue
+            hit, vals = lookup(*c, cand)
+            n_should += hit
+            if scoring and hit.any():
+                add = w.contrib(vals, None if norms is None else norms[hit])
+                if add is not None:
+                    sums[hit] += add
+        return cand, n_should, sums
+
+    def _disjunction(self, sr, scoring):
+        """Exhaustive OR (DisjunctionSumScorer)."""
+        clauses = [(w, c) for w in self.should
+                   if (c := w.clause(sr, scoring)) is not None]
+        return _union_sum(self.s, sr, clauses, scoring) if clauses else None
 
 
 class _ConstWeight(_Weight):
@@ -1257,8 +1198,8 @@ class _DisMaxWeight(_Weight):
 class _CoveringWeight(_Weight):
     """CoveringScorer: candidates = union of sub matches; keep docs whose
     match COUNT >= max(1, minMatch(doc)); score = sum of the matching
-    subs' scores (complete, unpruned — the per-doc minimum defeats
-    block-max bounds)."""
+    subs' scores (the boolean's disjunction accumulator, ``_union_sum``).
+    Complete and unpruned: nothing bounds a per-doc minimum."""
 
     def __init__(self, s, q):
         from .expressions import compile_expression
@@ -1268,17 +1209,11 @@ class _CoveringWeight(_Weight):
         self.expr = compile_expression(q.min_match)
 
     def scores(self, sr):
-        per = [w.scores(sr) for w in self.subs]
-        per = [(d, s) for d, s in per if d is not None and len(d)]
-        if not per:
+        clauses = [(w, c) for w in self.subs
+                   if (c := w.clause(sr, True)) is not None]
+        if not clauses:
             return None, None
-        cand = np.unique(np.concatenate([d for d, _ in per]))
-        total = np.zeros(len(cand), dtype=np.float64)
-        cnt = np.zeros(len(cand), dtype=np.int64)
-        for d, s in per:
-            pos = np.searchsorted(cand, d)
-            total[pos] += s.astype(np.float64)
-            cnt[pos] += 1
+        cand, cnt, total = _union_sum(self.s, sr, clauses, True)
         variables = {}
         for col in sorted(self.expr.variables):
             got = sr.stored(cand, col)
@@ -1295,9 +1230,10 @@ class _CoveringWeight(_Weight):
 
 class _PhraseWeight(_Weight):
     """Phrase, span-near and multi-phrase: a positional freq kernel per
-    segment, BM25-scored with the idf summed over every term (every
+    segment, scored over the statistics of every term (every
     alternative of a multi-phrase slot — MultiPhraseWeight collects all
-    TermStatistics). Both idf sums are computed here, once."""
+    TermStatistics): BM25 with the idf summed over them (both idf sums
+    are computed here, once), or a ``Similarity``'s ``phrase_score``."""
 
     positional = True
 
@@ -1315,7 +1251,10 @@ class _PhraseWeight(_Weight):
             self.freqs = lambda sr: s._phrase_freqs(sr, q.terms, q.slop)
         stats = s.reader.term_stats(terms)
         n = s.reader.doc_count
-        dfs = [stats[t][0] for t in terms if stats[t][0] > 0]
+        # (df, ttf) of each term with postings, repeats included
+        self.stats = [stats[t] for t in terms if stats[t][0] > 0]
+        self.boost = q.boost
+        dfs = [df for df, _ttf in self.stats]
         # idf summed in double then cast (BM25Similarity.idfExplain)
         idf_sum = 0.0
         for df in dfs:
@@ -1329,6 +1268,10 @@ class _PhraseWeight(_Weight):
         if docs is None or len(docs) == 0:
             return None, None
         s = self.s
+        if s.sim is not None:
+            return docs, s.sim.phrase_score(
+                freqs, sr.doc_lens_for(docs), self.stats, self.boost,
+                s.reader.doc_count, s.reader.sum_total_term_freq)
         if s.exact64:
             return docs, bm25.score64(freqs, sr.doc_lens_for(docs),
                                       self.idf64, s.avgdl64, s.k1, s.b)
@@ -1343,8 +1286,8 @@ class _PhraseWeight(_Weight):
 class _FunctionScoreWeight(_Weight):
     """FunctionScoreQuery: the inner query's complete scores, rescored
     per segment by the compiled expression over the segment's stored
-    numeric columns (missing values are NaN). Unpruned by design —
-    expression scores are opaque to block-max bounds."""
+    numeric columns (missing values are NaN). Unpruned by design:
+    nothing bounds an expression's scores."""
 
     def __init__(self, s, q):
         from .expressions import compile_expression
@@ -1373,8 +1316,8 @@ class _FunctionScoreWeight(_Weight):
 
 
 _WEIGHTS = {
-    TermQuery: _TermBoolWeight,
-    BooleanQuery: _TermBoolWeight,
+    TermQuery: _TermWeight,
+    BooleanQuery: _BoolWeight,
     ConstantScoreQuery: _ConstWeight,
     MatchAllDocsQuery: _DocSetWeight,
     NumericRangeQuery: _DocSetWeight,
@@ -1393,8 +1336,4 @@ def _create_weight(s: Searcher, q: Query) -> _Weight:
     cls = _WEIGHTS.get(type(q))
     if cls is None:
         raise TypeError(f"unsupported query {type(q)}")
-    if cls is _TermBoolWeight and isinstance(q, BooleanQuery) and any(
-            not isinstance(c, TermQuery)
-            for c in (*q.must, *q.should, *q.must_not, *q.filter)):
-        cls = _NestedBoolWeight
     return cls(s, q)

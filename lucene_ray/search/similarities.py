@@ -47,6 +47,19 @@ class Similarity:
                    sum_ttf: int) -> np.ndarray:
         raise NotImplementedError
 
+    def phrase_score(self, freqs: np.ndarray, dl: np.ndarray, stats: list,
+                     boost: float, doc_count: int,
+                     sum_ttf: int) -> np.ndarray:
+        """A phrase, span or multi-phrase score from its per-doc phrase
+        freqs and the (df, ttf) of each of its terms: the sum of
+        ``term_score`` over the terms (SimilarityBase's MultiSimScorer;
+        TF-IDF's summed idf gives the same sum)."""
+        out = np.zeros(len(freqs), dtype=np.float64)
+        for df, ttf in stats:
+            out += self.term_score(freqs, dl, df, ttf, boost, doc_count,
+                                   sum_ttf)
+        return out
+
 
 class ClassicSimilarity(Similarity):
     """TF-IDF: ``boost * (ln((n+1)/(df+1))+1) * sqrt(tf) / sqrt(dl)``."""
@@ -85,6 +98,9 @@ class BooleanSimilarity(Similarity):
 
     def term_score(self, freqs, dl, df, ttf, boost, doc_count, sum_ttf):
         return np.full(len(freqs), float(boost), dtype=np.float64)
+
+    def phrase_score(self, freqs, dl, stats, boost, doc_count, sum_ttf):
+        return self.term_score(freqs, dl, 0, 0, boost, doc_count, sum_ttf)
 
 
 class BlendedBM25Similarity(Similarity):

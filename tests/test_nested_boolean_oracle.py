@@ -1,6 +1,7 @@
 """Randomized NESTED boolean trees vs a recursive brute-force float32
-oracle — hardens the nested-boolean weight (`_combine_bool`, shared
-with the cross-field `MultiFieldSearcher` the parser feeds)."""
+oracle — hardens the boolean weight (`_BoolWeight`) on trees whose
+clauses mix term and boolean children, the shapes the query parser's
+groups produce."""
 
 import numpy as np
 import pyarrow as pa

@@ -86,6 +86,35 @@ def test_search_rejects_bad_k(wide_vocab_index):
         assert len(s.search(q, np.int64(3)).doc_ids) == 3
 
 
+def test_top_k_helpers_reject_bad_k(wide_vocab_index, tmp_path_factory):
+    """``rescore``, ``MultiFieldSearcher.search`` and ``block_join_topk``
+    take only an int k >= 1 too, below and above the 2,048 candidates
+    where ``_top_k`` starts to partition (its ``np.partition`` raised
+    "kth out of bounds" for k=0 there, and k=0 returned nothing below)."""
+    import os
+    from lucene_ray.index.multi_field import build_multi_field_index
+    from lucene_ray.search.join import block_join_topk
+    from lucene_ray.search.multi_field import MultiFieldSearcher
+    out, _ = wide_vocab_index
+    mf = str(tmp_path_factory.mktemp("mf") / "idx")
+    build_multi_field_index(os.path.join(os.path.dirname(out), "docs.parquet"),
+                            mf, {"text": None}, batch_size=1000)
+    s = Searcher(IndexReader(out))
+    m = MultiFieldSearcher(mf)
+    for q in (TermQuery("w00042"), TermQuery("anchor")):
+        top = s.search(q, 4000)
+        calls = (lambda k: s.rescore(top, TermQuery("w00042"), k=k),
+                 lambda k: m.search(q, k),
+                 lambda k: block_join_topk(s, q, k))
+        for call in calls:
+            for bad in (0, -1, 2.5, True, "10"):
+                with pytest.raises(ValueError, match="k must be an int >= 1"):
+                    call(bad)
+        assert len(s.rescore(top, TermQuery("w00042"), k=np.int64(3))
+                   .doc_ids) == 3
+        assert len(m.search(q, 3).doc_ids) == 3
+
+
 def test_pruning_after_merge_bucket_routing(ray_session, wide_vocab_index,
                                             tmp_path_factory):
     out, texts = wide_vocab_index
@@ -274,10 +303,10 @@ def _packed(sizes, seed):
 @pytest.mark.parametrize("sizes", RUN_SIZES)
 def test_select_blocks_and_lookup_match_reference(sizes):
     """A term packed over runs of 128-doc blocks decodes to its source
-    postings, and ``lookup`` (the conjunction and exclusion probe over
-    them) finds each target's freq, 0 where the doc is absent. (The
-    name is older than the scope: block selection left with the
-    block-max kernel.)"""
+    postings, and ``lookup`` (the boolean clause probe over them) finds
+    which targets the term holds and each hit's freq. (The name is
+    older than the scope: block selection left with the block-max
+    kernel.)"""
     from lucene_ray.codecs.postings import _block_sizes
     from lucene_ray.search.searcher import lookup
     p, src_docs, src_freqs = _packed(sizes, seed=sum(sizes))
@@ -292,9 +321,12 @@ def test_select_blocks_and_lookup_match_reference(sizes):
     targets = np.unique(np.concatenate(
         [ref_docs, ref_docs + 1, ref_docs - 1, [-5, ref_docs[-1] + 1000]]))
     want = dict(zip(ref_docs.tolist(), ref_freqs.tolist()))
-    got = lookup(dec, targets)
+    hit, got = lookup(dec.docs, dec.freqs, targets)
+    assert hit.tolist() == [t in want for t in targets.tolist()]
     assert got.dtype == np.int32
-    assert got.tolist() == [want.get(t, 0) for t in targets.tolist()]
+    assert got.tolist() == [want[t] for t in targets[hit].tolist()]
+    hit_only, none = lookup(dec.docs, None, targets)
+    assert none is None and np.array_equal(hit_only, hit)
 
 
 @pytest.fixture(scope="module")

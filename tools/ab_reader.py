@@ -21,11 +21,16 @@ The tool
    runs first flips every pair.
 
 Each run prints one JSON line: p50/p95 ms, qps, VmHWM MB over the timed
-loop, and ``host_probe_cpu_ms`` before and after it. The last line is
+loop, ``host_probe_cpu_ms`` before and after it, and ``ranking_sha256``,
+a sha256 over the top-10 ids and float32 score bits of every query of
+the workload's list, in list order (the loop's first pass; queries the
+loop did not reach are answered after it, untimed). The last line is
 the summary: per side and workload, the median, quartiles and min-max
-over pairs, and per workload and metric the number of pairs side B
-wins (lower ms and RSS, higher qps).
-Every run first checks a sample of top-10 ids and float32 score bits
+over pairs; per workload and metric the number of pairs side B wins
+(lower ms and RSS, higher qps); and per workload ``same_ranking``,
+true when every run of both sides gave one ``ranking_sha256``, so the
+two trees ranked every query identically.
+Every run also checks a sample of top-10 ids and float32 score bits
 against ``Searcher.eval_complete``; a mismatch is reported as a failure.
 perfbench's modules are only imported, never changed.
 """
@@ -33,6 +38,7 @@ perfbench's modules are only imported, never changed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -152,6 +158,12 @@ def _loop(args, bench, head, queries, warm) -> dict:
         i += 1
     wall = time.monotonic() - t_start
     rss = bench.peak_rss_mb()
+    ranking = hashlib.sha256()
+    for j, q in enumerate(queries):
+        td = results[j][1] if j < len(results) else searcher.search(q, K)
+        ranking.update(np.asarray(td.doc_ids, np.int64).tobytes())
+        ranking.update(np.asarray(td.scores).astype(np.float32)
+                       .view(np.uint32).tobytes())
     oracle = Searcher(IndexReader(args.index))
     pick = np.random.default_rng([SEED, 2]).choice(
         len(results), min(CHECK_SAMPLE, len(results)), replace=False)
@@ -164,7 +176,9 @@ def _loop(args, bench, head, queries, warm) -> dict:
             "query_p95_ms": round(bench.percentile(ms, 95), 4),
             "query_qps": round(len(ms) / wall, 1),
             "query_rss_mb": round(rss, 1), "queries": len(ms),
-            "check_failures": int(bad), "probe_cpu_ms_before": probe0,
+            "check_failures": int(bad),
+            "ranking_sha256": ranking.hexdigest(),
+            "probe_cpu_ms_before": probe0,
             "probe_cpu_ms_after": bench.host_probe_cpu_ms()}
 
 
@@ -226,6 +240,9 @@ def main(argv=None) -> int:
                        for a, b in pairs) for m, up in METRICS.items()}
         summary[f"B_wins.{workload}"] = {
             m: f"{w}/{len(pairs)}" for m, w in wins.items()}
+        summary[f"same_ranking.{workload}"] = len(
+            {r["ranking_sha256"] for side in sides
+             for r in runs[(side, workload)]}) == 1
     print(json.dumps({"summary": summary}), flush=True)
     return 0
 
