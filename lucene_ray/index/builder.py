@@ -72,12 +72,42 @@ def _parquet_files(source) -> list[str]:
 POSTINGS_ROW_GROUP = 256
 
 
+# The columns of a term-sorted part that Parquet dictionary-encodes:
+# small counts and block byte lengths, whose values repeat. A list
+# column's leaf is named by its full path (``docs_bb`` alone turns the
+# leaf's dictionary off). ``docs`` and ``positions`` cells are unique
+# bit-packed bytes, where a dictionary only adds an index stream.
+# ``freqs`` cells repeat (a df = 1 term's is one of a few 2-byte
+# values), but stay plain until a dictionary's decode cost on a first
+# touch is measured.
+_DICTIONARY_COLUMNS = ["df", "ttf", "docs_bb.list.element",
+                       "freqs_bb.list.element"]
+
+
+def write_term_part(path: str, table: pa.Table, row_group_size: int) -> None:
+    """Write one term-sorted Parquet part: a segment's postings part or
+    a generation's global stats part. No other code writes either.
+
+    Each column gets the encoding its own values call for. ``term`` is
+    front-coded (``DELTA_BYTE_ARRAY``): each value stores only the
+    suffix left after the prefix it shares with the previous term, as
+    the reference's block-tree terms dictionary does
+    (``Lucene90BlockTreeTermsWriter``). Only ``_DICTIONARY_COLUMNS``
+    are dictionary-encoded; every other column is plain. Readers see
+    the same Arrow table either way. No column statistics are written:
+    readers find rows by their resident term dictionary, not by
+    row-group min/max."""
+    pq.write_table(table, path, row_group_size=row_group_size,
+                   write_statistics=False,
+                   use_dictionary=_DICTIONARY_COLUMNS,
+                   column_encoding={"term": "DELTA_BYTE_ARRAY"})
+
+
 def write_postings_part(postings_dir: str, b: int, table: pa.Table) -> None:
-    """Write part ``b`` of a postings directory: its term-sorted rows,
-    without column statistics (readers find rows by dictionary, not by
-    row-group min/max)."""
-    pq.write_table(table, part_path(postings_dir, b),
-                   row_group_size=POSTINGS_ROW_GROUP, write_statistics=False)
+    """Write part ``b`` of a postings directory (built or merged): its
+    term-sorted rows in row groups of ``POSTINGS_ROW_GROUP`` terms,
+    through ``write_term_part``."""
+    write_term_part(part_path(postings_dir, b), table, POSTINGS_ROW_GROUP)
 
 
 class SegmentIndexer:
@@ -466,7 +496,7 @@ def _sum_stats_part(paths: list[str], out_path: str) -> None:
                          or [POSTINGS_SCHEMA.empty_table().select(cols)])
     g = t.group_by("term").aggregate([("df", "sum"), ("ttf", "sum")])
     g = g.rename_columns(["term", "df", "ttf"]).sort_by("term")
-    pq.write_table(g, out_path, row_group_size=4096, write_statistics=False)
+    write_term_part(out_path, g, row_group_size=4096)
 
 
 def compute_global_term_stats(index_dir: str, manifest: IndexManifest) -> None:

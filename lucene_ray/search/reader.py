@@ -8,7 +8,10 @@ way. The first lookup into a part reads its ``term`` column once and
 keeps it as an exact, resident term dictionary (``_TermDict``, the role
 of the reference's in-memory terms index, ``codecs/lucene90/blocktree/
 Lucene90BlockTreeTermsReader.java``; SURVEY.md §1.2): a term resolves
-to its row number, or to absent, without another read. A stats part is
+to its row number, or to absent, without another read. On disk the
+column is front-coded (``index.builder.write_term_part``: each term
+stores only its suffix after the prefix it shares with the previous
+one); Parquet decodes it to the same Arrow strings. A stats part is
 held whole (its df/ttf arrays beside its dictionary). The reader knows
 one format (``index.manifest.FORMAT_VERSION``) and raises on a file
 that lacks a part of it. Per-doc arrays (doc_id, doc_len, norm — ~13

@@ -437,20 +437,29 @@ class Searcher:
         exact64 BM25 factors (idf, tf, dl, avgdl) the way
         ``BM25Similarity.explain`` does."""
         q = self.rewrite(q)
-        if isinstance(q, TermQuery):
-            docs, scores = self.eval_complete(q)
-            pos = np.searchsorted(docs, doc_id)
-            if pos >= len(docs) or docs[pos] != doc_id:
-                return {"value": 0.0,
-                        "description": f"no matching term {q.term!r}",
+        if isinstance(q, ConstantScoreQuery):
+            if doc_id not in self.match_docs(q):
+                return {"value": 0.0, "description": "no match",
                         "details": []}
+            return {"value": float(q.boost),
+                    "description": "ConstantScore",
+                    "details": [self.explain(q.inner, doc_id)]}
+        # any other node's root value is the doc's complete score, so it
+        # carries the rails' rounding (a boolean's clause values, summed
+        # here in double, would not)
+        docs, scores = self.eval_complete(q)
+        pos = np.searchsorted(docs, doc_id)
+        if pos >= len(docs) or docs[pos] != doc_id:
+            return {"value": 0.0, "description": "no match", "details": []}
+        value = float(scores[pos])
+        if isinstance(q, TermQuery):
             n = self.reader.doc_count
             df = self.reader.term_stats([q.term])[q.term][0]
             tdocs, tfreqs = self.reader.live_postings(q.term)
             tf = int(tfreqs[np.searchsorted(tdocs, doc_id)])
             dl = float(self.reader.doc_lens(np.array([doc_id]))[0])
             return {
-                "value": float(scores[pos]),
+                "value": value,
                 "description": f"weight({q.term} in {doc_id}) "
                                "[BM25Similarity]",
                 "details": [
@@ -463,38 +472,19 @@ class Searcher:
                      "description": "avgdl", "details": []},
                 ],
             }
-        if isinstance(q, ConstantScoreQuery):
-            if doc_id not in self.match_docs(q):
-                return {"value": 0.0, "description": "no match",
-                        "details": []}
-            return {"value": float(q.boost),
-                    "description": "ConstantScore",
-                    "details": [self.explain(q.inner, doc_id)]}
         if isinstance(q, BooleanQuery):
             details = []
-            total = 0.0
-            if doc_id not in self.match_docs(q):
-                return {"value": 0.0,
-                        "description": "no match (boolean)", "details": []}
             for group, name in ((q.must, "must"), (q.should, "should")):
                 for sub in group:
                     e = self.explain(sub, doc_id)
-                    if e["value"] != 0.0 or e["details"]:
-                        if e["value"]:
-                            e = dict(e)
-                            e["description"] += f" [{name}]"
-                            details.append(e)
-                            total += e["value"]
-            return {"value": total,
+                    if e["value"]:
+                        details.append(dict(
+                            e, description=e["description"] + f" [{name}]"))
+            return {"value": value,
                     "description": "sum of matching clauses",
                     "details": details}
-        # generic fallback: complete eval, no factor breakdown
-        docs, scores = self.eval_complete(q)
-        pos = np.searchsorted(docs, doc_id)
-        if pos >= len(docs) or docs[pos] != doc_id:
-            return {"value": 0.0, "description": "no match", "details": []}
-        return {"value": float(scores[pos]),
-                "description": type(q).__name__, "details": []}
+        return {"value": value, "description": type(q).__name__,
+                "details": []}
 
     def count(self, q: Query) -> int:
         w = self.weight(q)

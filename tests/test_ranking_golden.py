@@ -171,3 +171,24 @@ def test_ranking_digest(indexes):
                 h.update(np.asarray(scores, np.float64).tobytes())
                 h.update(str(s.count(q)).encode())
     assert h.hexdigest() == GOLDEN
+
+
+@pytest.mark.parametrize("sim", ["lucene", "bm25_exact64"])
+@pytest.mark.parametrize("q", [
+    BooleanQuery(should=(TermQuery("t0"), TermQuery("t7"), TermQuery("t11"))),
+    BooleanQuery(must=(TermQuery("t0"),),
+                 should=(TermQuery("t7"), TermQuery("t11", 2.0))),
+], ids=["or", "must_should"])
+def test_boolean_explain_root_is_the_score(indexes, sim, q):
+    """A boolean's explanation carries the doc's score bits at its root
+    (under the float32 ``lucene`` rails too, where the double sum of
+    its clauses' values differs) and one detail per matching scoring
+    clause."""
+    s = Searcher(IndexReader(indexes[0]), similarity=sim)
+    docs, scores = s.eval_complete(q)
+    assert len(docs) >= 300
+    clause_docs = [set(s.match_docs(c).tolist()) for c in q.must + q.should]
+    for d, score in zip(docs[:300].tolist(), scores[:300]):
+        e = s.explain(q, d)
+        assert np.float64(e["value"]).tobytes() == score.tobytes(), d
+        assert len(e["details"]) == sum(d in c for c in clause_docs)

@@ -12,13 +12,14 @@ The tool
 2. builds one index per tree from that corpus with the tree's own
    ``build_index`` + ``merge_segments`` (``perfbench.bench.ingest``: 10
    segments of 512 docs merged at 8 per tier), since each tree reads
-   only the index format it writes, and reports its bytes per doc and
-   the ms to open every postings part of it in a fresh reader (median
-   of ``OPEN_REPS`` readers);
+   only the index format it writes, and reports its bytes per doc, the
+   same bytes by kind of file and by Parquet column (``column_bytes``),
+   and the ms to open every postings part of it in a fresh reader
+   (median of ``OPEN_REPS`` readers);
 3. runs ``--pairs`` pairs of closed loops per workload, ``query_hot``
    and ``query_miss`` with perfbench's query lists and warm-up, each
    run in a fresh process with ``PYTHONPATH=<tree>``; the side that
-   runs first flips every pair.
+   runs first flips every pair. ``--pairs 0`` stops after the builds.
 
 Each run prints one JSON line: p50/p95 ms, qps, VmHWM MB over the timed
 loop, ``host_probe_cpu_ms`` before and after it, and ``ranking_sha256``,
@@ -99,6 +100,7 @@ def _child(args) -> dict:
             ray.shutdown()
         return {"build_s": round(ing["build_s"], 3),
                 "open_parts_ms": _open_parts_ms(args.index),
+                "column_bytes": _column_bytes(bench, args.index),
                 "merge_s": round(ing["merge_s"], 3),
                 "index_bytes_per_doc": round(
                     ing["bytes"] / (cfg["segment_docs"] * cfg["segments"]), 1),
@@ -123,6 +125,48 @@ def _open_parts_ms(index: str) -> dict:
     return {"median": round(statistics.median(times), 2),
             "min": round(min(times), 2),
             "parts": len(segs) * POSTINGS_BUCKETS}
+
+
+def _column_bytes(bench, index: str) -> dict:
+    """The bytes perfbench's ``index_bytes`` counts for ``index``, by
+    kind of file (``postings`` parts, global ``stats`` parts, and each
+    other Parquet file by name, such as ``docs``) and by Parquet column
+    (column-chunk bytes, summed over row groups and files).
+    ``(footer+overhead)`` is the rest of those files: footers, magic
+    and page indexes. ``other`` is every file that is not Parquet (the
+    manifest). ``total`` equals ``index_bytes``."""
+    from collections import Counter, defaultdict
+
+    import pyarrow.parquet as pq
+
+    from lucene_ray.index.manifest import read_manifest
+    m = read_manifest(index)
+    out: dict = defaultdict(Counter)
+    other = os.path.getsize(os.path.join(index,
+                                         f"manifest_{m.generation}.json"))
+    stats = os.path.join(index, "global", f"term_stats_gen{m.generation}")
+    for root in [os.path.join(index, "segments", s.seg_id)
+                 for s in m.segments] + [stats]:
+        for d, _, files in os.walk(os.path.realpath(root)):
+            for f in files:
+                path = os.path.join(d, f)
+                if not f.endswith(".parquet"):
+                    other += os.path.getsize(path)
+                    continue
+                cols = out["postings" if d.endswith("postings.parquet")
+                           else "stats" if root == stats
+                           else f[:-len(".parquet")]]
+                md = pq.read_metadata(path)
+                chunks = [md.row_group(r).column(i)
+                          for r in range(md.num_row_groups)
+                          for i in range(md.num_columns)]
+                for c in chunks:
+                    cols[c.path_in_schema] += c.total_compressed_size
+                cols["(footer+overhead)"] += os.path.getsize(path) - sum(
+                    c.total_compressed_size for c in chunks)
+    total = other + sum(sum(c.values()) for c in out.values())
+    assert total == bench.index_bytes(index, m), (total, out)
+    return {**out, "other": other, "total": total}
 
 
 def _spread(xs) -> dict:
@@ -198,7 +242,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--a", help="source tree of side A")
     ap.add_argument("--b", help="source tree of side B")
-    ap.add_argument("--pairs", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=3,
+                    help="alternated loop pairs (0: builds only)")
     ap.add_argument("--seconds", type=float, default=8.0)
     ap.add_argument("--work", default=None,
                     help="scratch dir (default: a new temp dir)")
@@ -228,6 +273,8 @@ def main(argv=None) -> int:
                 print(json.dumps({"side": side, "pair": pair,
                                   "workload": workload, **got}), flush=True)
                 runs.setdefault((side, workload), []).append(got)
+    if not runs:
+        return 0
     summary = {}
     for (side, workload), rs in sorted(runs.items()):
         summary[f"{side}.{workload}"] = {
