@@ -16,8 +16,8 @@ Evaluation per segment: candidate docs come from the posting lists of
 the automaton's terms (ANY never widens the candidate set on its own —
 as in the reference, an automaton of only-ANY transitions is
 rejected); per candidate doc a BFS over (state, position) runs on the
-term→positions sets (numpy membership per step). Positions are read
-once per (segment, term) through the same cache the phrase walks use.
+term→position sets, cut per doc by ``Searcher._per_doc`` from one
+positions read per (segment, term), as the phrase walks are.
 """
 
 from __future__ import annotations
@@ -111,36 +111,19 @@ def term_automaton_docs(searcher, q: TermAutomatonQuery) -> np.ndarray:
     out = []
     for sr in searcher.reader.segments():
         sr.ensure_positions(q.terms)
-        per_term = {}
-        cand = None
-        for t in q.terms:
-            got = sr.get_positions(t)
-            if got is None:
-                continue
-            docs, freqs, pos = got
-            per_term[t] = (docs, freqs, pos)
-            cand = docs if cand is None else np.union1d(cand, docs)
-        if cand is None or len(cand) == 0:
+        per_term = {t: got for t in q.terms
+                    if (got := sr.get_positions(t)) is not None}
+        if not per_term:
             continue
-        cand, = searcher._live(sr, cand)
+        cand, = searcher._live(sr, np.unique(np.concatenate(
+            [docs for docs, _f, _p in per_term.values()])))
         if len(cand) == 0:
             continue
-        dls = sr.doc_lens_for(cand)
-        # per-candidate position sets (python dict of small sets —
-        # candidates are already postings-pruned)
-        split: dict[str, dict[int, set]] = {}
-        for t, (docs, freqs, pos) in per_term.items():
-            offs = np.concatenate(([0], np.cumsum(freqs)))
-            idx = np.searchsorted(docs, cand)
-            m = {}
-            for j, d in enumerate(cand):
-                k = idx[j]
-                if k < len(docs) and docs[k] == d:
-                    m[int(d)] = set(
-                        int(x) for x in pos[offs[k]:offs[k + 1]])
-            split[t] = m
-        for j, d in enumerate(cand):
-            pbt = {t: split[t].get(int(d), set()) for t in split}
-            if _doc_matches(q, pbt, int(dls[j])):
-                out.append(int(d))
+        for d, dl, slices in zip(cand.tolist(),
+                                 sr.doc_lens_for(cand).tolist(),
+                                 searcher._per_doc(cand,
+                                                   list(per_term.values()))):
+            if _doc_matches(q, {t: set(p.tolist())
+                                for t, p in zip(per_term, slices)}, dl):
+                out.append(d)
     return np.array(sorted(out), dtype=np.int64)

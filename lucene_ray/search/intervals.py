@@ -15,7 +15,9 @@ containment combinators exploit for O(log n) probes.
 Per-segment evaluation reads each leaf term's positions once
 (zero-copy from the postings cache) and combines candidate doc sets
 with numpy set ops before any per-doc interval walk; only candidate
-docs (the conjunction/union the node semantics imply) pay the walk.
+docs (the conjunction/union the node semantics imply) pay the walk,
+on position slices cut by ``Searcher._per_doc`` (the phrase and span
+freqs' cutter).
 """
 
 from __future__ import annotations
@@ -502,43 +504,18 @@ def interval_freqs(searcher, source: IntervalsSource):
     out_docs, out_freqs = [], []
     for sr in searcher.reader.segments():
         sr.ensure_positions(terms)
-        per_term = {}
-        for t in terms:
-            got = sr.get_positions(t)
-            per_term[t] = got  # None when absent
-        term_docs = {t: (per_term[t][0] if per_term[t] is not None
-                         else np.empty(0, np.int64)) for t in terms}
-        cand = source.candidate_docs(term_docs)
+        empty = np.empty(0, np.int64)
+        per_term = [sr.get_positions(t) or (empty, empty, empty)
+                    for t in terms]
+        cand = source.candidate_docs(
+            {t: docs for t, (docs, _f, _p) in zip(terms, per_term)})
         cand, = searcher._live(sr, cand)
         if len(cand) == 0:
             continue
-        # per-term slices: doc -> positions (offset arithmetic, no copy)
-        slices = {}
-        for t in terms:
-            got = per_term[t]
-            if got is None:
-                slices[t] = None
-                continue
-            docs, freqs, pos = got
-            offs = np.concatenate([[0], np.cumsum(freqs)])
-            idx = np.searchsorted(docs, cand)
-            ok = (idx < len(docs))
-            ok[ok] &= docs[np.minimum(idx, len(docs) - 1)][ok] == cand[ok]
-            slices[t] = (idx, ok, offs, pos)
-        freqs_out = np.zeros(len(cand), dtype=np.int64)
-        empty = np.empty(0, np.int64)
-        for ci in range(len(cand)):
-            pos_map = {}
-            for t in terms:
-                sl = slices[t]
-                if sl is None or not sl[1][ci]:
-                    pos_map[t] = empty
-                else:
-                    idx, ok, offs, pos = sl
-                    j = idx[ci]
-                    pos_map[t] = pos[offs[j]:offs[j + 1]]
-            iv = source.intervals(pos_map)
-            freqs_out[ci] = len(iv)
+        freqs_out = np.array(
+            [len(source.intervals(dict(zip(terms, slices))))
+             for slices in searcher._per_doc(cand, per_term)],
+            dtype=np.int64)
         hit = freqs_out > 0
         if hit.any():
             # postings carry source doc_ids (already global)

@@ -5,11 +5,11 @@ document once, then run any number of queries against it, each
 returning the BM25 score the document would get in a real one-doc
 index (the reference's percolation / "would this doc match?" tool).
 
-Matching reuses the monitor module's exact per-doc walks
-(``monitor.matches_doc`` — same phrase/span machinery as the
-searcher); scoring applies the exact64 BM25 with single-doc collection
-stats: N = 1, df(t) = 1 for present terms, avgdl = dl, so
-idf = ln(1 + 0.5/1.5) and the length norm is exactly 1.
+Matching and positional freqs reuse the monitor's ``matches_doc`` and
+``positional_freq`` (the searcher's own slot kernel); scoring applies
+the exact64 BM25 with single-doc collection stats: N = 1, df(t) = 1 for
+present terms, avgdl = dl, so idf = ln(1 + 0.5/1.5) and the length
+norm is exactly 1.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ import numpy as np
 from .bm25 import B, K1, idf64, score64
 from .query import (
     BooleanQuery, BoostQuery, ConstantScoreQuery, DisjunctionMaxQuery,
-    MatchAllDocsQuery, PhraseQuery, Query, SpanNearQuery, TermQuery,
+    MatchAllDocsQuery, MultiPhraseQuery, PhraseQuery, Query, SpanNearQuery,
+    TermQuery, query_terms,
 )
-from .monitor import matches_doc
+from .monitor import matches_doc, positional_freq
 
 _IDF1 = idf64(1, 1)
 
@@ -86,40 +87,12 @@ class MemoryIndex:
                 if ok:
                     total += s
             return True, total  # filter/must_not contribute no score
-        if isinstance(q, PhraseQuery):
-            if not matches_doc(q, self.pos, self.numerics):
+        if isinstance(q, (PhraseQuery, MultiPhraseQuery, SpanNearQuery)):
+            freq = positional_freq(q, self.pos)
+            if freq <= 0:
                 return False, 0.0
-            from .searcher import Searcher
-            slots = [self.pos[t] - i for i, t in enumerate(q.terms)]
-            if len(slots) == 1:
-                freq = float(len(slots[0]))
-            elif q.slop == 0:
-                base = slots[0]
-                for s in slots[1:]:
-                    base = base[np.isin(base, s)]
-                freq = float(len(base))
-            else:
-                rpt = Searcher._repeat_groups(q.terms)
-                freq = Searcher._sloppy_freq_doc(
-                    slots, rpt, q.slop, len(set(q.terms)) < len(q.terms))
-            idf_sum = _IDF1 * len(q.terms)
-            return True, self._tf_score(freq, boost * q.boost, idf_sum)
-        if isinstance(q, SpanNearQuery):
-            if not matches_doc(q, self.pos, self.numerics):
-                return False, 0.0
-            from .searcher import Searcher
-            slots = [self.pos[t] for t in q.terms]
-            n = len(slots)
-            if n == 1:
-                freq = float(len(slots[0]))
-            elif q.in_order:
-                freq = Searcher._ordered_span_freq(slots, q.slop)
-            else:
-                rpt = Searcher._repeat_groups(q.terms)
-                freq = Searcher._sloppy_freq_doc(
-                    slots, rpt, q.slop, len(set(q.terms)) < n,
-                    offsets=[0] * n, span_offset=n - 1)
-            idf_sum = _IDF1 * len(q.terms)
+            # df = 1 for each term held (MultiPhraseWeight: all alternatives)
+            idf_sum = _IDF1 * sum(t in self.pos for t in query_terms(q))
             return True, self._tf_score(freq, boost * q.boost, idf_sum)
         # multi-term / numeric etc.: constant-score on match
         if matches_doc(q, self.pos, self.numerics):

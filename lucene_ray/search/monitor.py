@@ -14,7 +14,9 @@ union of its children; queries with no extractable terms fall back to
 an ANYTOKEN bucket that every document is checked against). Documents
 are tokenized, the posting lists of their distinct terms are unioned to
 select CANDIDATE queries, and only the candidates are exact-matched
-against the document.
+against the document. Phrase, multi-phrase and span-near nodes match
+through the searcher's own slot gather and freq kernel, read from the
+document's term -> positions dict (``positional_freq``).
 
 Ray mapping (original design, not a translation): the registered-query
 index is tiny relative to the corpus, so it is broadcast ONCE via
@@ -50,6 +52,7 @@ from .query import (
     DisjunctionMaxQuery,
     FuzzyQuery,
     MatchAllDocsQuery,
+    MultiPhraseQuery,
     NumericRangeQuery,
     PhraseQuery,
     PrefixQuery,
@@ -61,6 +64,7 @@ from .query import (
     WildcardQuery,
     expand_terms,
 )
+from .searcher import _PhraseWeight
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,10 @@ def _union(sets) -> frozenset | None:
 
 def needs_positions(q: Query) -> bool:
     """True when exact matching of ``q`` needs token positions (some
-    Phrase/SpanNear node); position-free docs can then skip the
-    ordered (Python) analyzer pass entirely."""
-    if isinstance(q, (PhraseQuery, SpanNearQuery)):
-        return len(q.terms) > 1
+    Phrase/MultiPhrase/SpanNear node); position-free docs can then skip
+    the ordered (Python) analyzer pass entirely."""
+    if isinstance(q, (PhraseQuery, MultiPhraseQuery, SpanNearQuery)):
+        return len(_PhraseWeight.positional_node(q)[0]) > 1
     if isinstance(q, (ConstantScoreQuery, BoostQuery)):
         return needs_positions(q.inner)
     if isinstance(q, DisjunctionMaxQuery):
@@ -155,14 +159,62 @@ def needs_positions(q: Query) -> bool:
 
 # --- exact per-document matching -------------------------------------------
 
+class _Docs:
+    """Docs' term -> sorted positions dicts as one segment for the
+    searcher's positional gather (doc i = ``rows[i]``, none deleted).
+    Each positional node is matched once over all of them (the reference
+    Monitor's DocumentBatch role): a batch pays per node, not per doc."""
+
+    def __init__(self, rows: list):
+        self.rows, self._freqs = rows, {}
+
+    def add(self, pos: dict) -> "_Row":
+        row = _Row(pos)
+        row.docs, row.i = self, len(self.rows)
+        self.rows.append(row)
+        return row
+
+    def get_positions(self, term: str):
+        hold = [i for i, p in enumerate(self.rows) if term in p]
+        if not hold:
+            return None
+        pos = [self.rows[i][term] for i in hold]
+        return (np.asarray(hold, dtype=np.int64),
+                np.array([len(p) for p in pos]), np.concatenate(pos))
+
+    def live_mask(self, docs):
+        return None
+
+    def freqs(self, q: Query) -> dict:
+        """doc -> freq of a positional ``q``, for the docs it matches."""
+        f = self._freqs.get(q)
+        if f is None:
+            docs, freqs = _PhraseWeight.node_freqs(
+                self, _PhraseWeight.positional_node(q))
+            f = self._freqs[q] = ({} if docs is None else
+                                  dict(zip(docs.tolist(), freqs.tolist())))
+        return f
+
+
+class _Row(dict):
+    """One doc of a ``_Docs`` batch: its term -> positions dict, and the
+    batch (``docs``, index ``i``) that matches its positional nodes."""
+    __slots__ = ("docs", "i")
+
+
+def positional_freq(q: Query, pos: dict) -> float:
+    """The freq of a phrase, multi-phrase or span-near ``q`` in one doc
+    (0.0: no match), from the searcher's own kernel over the doc (over
+    its whole batch for a ``_Row``), so it matches as a built index."""
+    docs, i = (pos.docs, pos.i) if isinstance(pos, _Row) else (_Docs([pos]), 0)
+    return docs.freqs(q).get(i, 0.0)
+
+
 def matches_doc(q: Query, pos: dict, numerics: dict | None = None) -> bool:
     """Exact match of ``q`` against one document given its
     term -> sorted positions array (and optional numeric columns).
-    Phrase/span semantics reuse the searcher's per-doc walks
-    (``Searcher._sloppy_freq_doc`` / ``_ordered_span_freq``) so the
-    monitor matches exactly what a built index would."""
-    from .searcher import Searcher
-
+    Phrase, multi-phrase and span-near nodes match on a positive
+    ``positional_freq``."""
     if isinstance(q, TermQuery):
         return q.term in pos
     if isinstance(q, MatchAllDocsQuery):
@@ -188,42 +240,8 @@ def matches_doc(q: Query, pos: dict, numerics: dict | None = None) -> bool:
         elif need > 0 and not q.should:
             return False
         return True
-    if isinstance(q, PhraseQuery):
-        slots = []
-        for i, t in enumerate(q.terms):
-            p = pos.get(t)
-            if p is None:
-                return False
-            slots.append(p - i)  # adjusted positions
-        if len(slots) == 1:
-            return True
-        if q.slop == 0:
-            base = slots[0]
-            for s in slots[1:]:
-                base = base[np.isin(base, s, assume_unique=False)]
-                if len(base) == 0:
-                    return False
-            return True
-        rpt = Searcher._repeat_groups(q.terms)
-        has_rpt = len(set(q.terms)) < len(q.terms)
-        return Searcher._sloppy_freq_doc(slots, rpt, q.slop, has_rpt) > 0
-    if isinstance(q, SpanNearQuery):
-        slots = []
-        for t in q.terms:
-            p = pos.get(t)
-            if p is None:
-                return False
-            slots.append(p)
-        n = len(slots)
-        if n == 1:
-            return True
-        if q.in_order:
-            return Searcher._ordered_span_freq(slots, q.slop) > 0
-        rpt = Searcher._repeat_groups(q.terms)
-        has_rpt = len(set(q.terms)) < n
-        return Searcher._sloppy_freq_doc(
-            slots, rpt, q.slop, has_rpt,
-            offsets=[0] * n, span_offset=n - 1) > 0
+    if isinstance(q, (PhraseQuery, MultiPhraseQuery, SpanNearQuery)):
+        return positional_freq(q, pos) > 0
     if isinstance(q, NumericRangeQuery):
         if not numerics or q.column not in numerics:
             return False
@@ -335,7 +353,8 @@ class Monitor:
                     if pa.types.is_integer(batch.schema.field(c).type)
                     or pa.types.is_floating(batch.schema.field(c).type)}
         num_cols.pop(id_col, None)
-        out_doc, out_q = [], []
+        docs = _Docs([])  # the positional rows, matched node by node
+        rows = []
         for r in range(n):
             row_toks = toks[bounds[r]:bounds[r + 1]]
             cand = self.candidates(set(row_toks))
@@ -353,6 +372,10 @@ class Monitor:
                     pos.setdefault(t, []).append(i)
             pos = {t: np.asarray(v, dtype=np.int64)
                    for t, v in pos.items()}
+            rows.append((r, cand, docs.add(pos) if cand & self._positional
+                         else pos))
+        out_doc, out_q = [], []
+        for r, cand, pos in rows:
             numerics = {c: a[r] for c, a in num_cols.items()}
             for qid in self._match_candidates(cand, pos, numerics,
                                               filt_vals[r]):

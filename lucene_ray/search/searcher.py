@@ -11,6 +11,10 @@ Mirrors the reference query path (SURVEY.md §3.3):
   (ConjunctionDISI leapfrog); disjunctions accumulate every clause
   into segment-length arrays or a sorted union of their docs
   (``_DENSE_OR_RATIO``)
+- phrase, multi-phrase and span-near share one path (also the
+  monitor's, MemoryIndex's, intervals' and the term automaton's):
+  ``_gather`` picks the slots' candidates, ``_slot_freqs`` verifies them
+  (vectorized exact phrase, else per-doc walks on ``_per_doc`` slices)
 - tombstoned docs are masked at every candidate-formation point, so
   pruning thresholds never rise from deleted docs
 - top-k ties break toward the lower global docID (HitQueue.java:78-81);
@@ -497,130 +501,90 @@ class Searcher:
                if len(d)]
         return np.sort(np.concatenate(out)) if out else np.empty(0, np.int64)
 
-    def _phrase_freqs(self, sr: SegmentReader, terms: tuple, slop: int = 0):
-        """(docs, phrase_freq) for a phrase in one segment.
-
-        slop == 0 — vectorized ExactPhraseMatcher (``_exact_phrase``).
-        slop > 0 — SloppyPhraseMatcher pq walk per candidate doc."""
-        if slop > 0:
-            return self._sloppy_freqs(sr, terms, slop)
-        got = self._phrase_cand(sr, terms)
-        if got is None:
-            return None, None
-        per_term, cand = got
-        return self._exact_phrase(cand, [(np.repeat(docs, freqs), pos)
-                                         for docs, freqs, pos in per_term])
-
-    def _mphrase_freqs(self, sr: SegmentReader, positions: tuple):
-        """(docs, phrase_freq) for a MultiPhraseQuery in one segment:
-        each slot's occurrence set is the UNION of its alternatives'
-        (doc, pos) pairs (MultiPhraseQuery.UnionPostingsEnum role), then
-        the exact-phrase key intersection runs unchanged."""
-        slot_occ = []
-        for alts in positions:
-            docs_l, pos_l = [], []
-            for t in dict.fromkeys(alts):
-                got = sr.get_positions(t)
-                if got is None:
-                    continue
-                docs, freqs, pos = got
-                docs_l.append(np.repeat(docs, freqs))
-                pos_l.append(pos)
-            if not docs_l:
-                return None, None  # a slot with no postings kills the phrase
-            slot_occ.append((np.concatenate(docs_l), np.concatenate(pos_l)))
-        cand = np.unique(slot_occ[0][0])
-        cand, = self._live(sr, cand)
-        for od, _ in slot_occ[1:]:
-            cand = cand[np.isin(cand, od)]
+    @staticmethod
+    def _gather(sr, slots):
+        """(live docs with an occurrence in every slot, each slot's (docs,
+        freqs, positions)), or None. ``sr`` is a segment or the monitor's
+        docs. A slot of several terms takes the (doc, pos)-sorted union
+        of their occurrences (UnionPostingsEnum role)."""
+        cand, per_slot = None, []
+        for alts in slots:
+            got = [g for t in dict.fromkeys(alts)
+                   if (g := sr.get_positions(t)) is not None]
+            if not got:
+                return None
+            if len(got) > 1:  # merge sorted runs of (doc ordinal, pos) keys
+                docs = np.unique(np.concatenate([d for d, _, _ in got]))
+                key = np.sort(np.concatenate(
+                    [(np.repeat(docs.searchsorted(d), f) << 32) | p
+                     for d, f, p in got]), kind="stable")
+                got = [(docs, np.bincount(key >> 32, minlength=len(docs)),
+                        key & 0xFFFFFFFF)]
+            per_slot.append(got[0])
+            cand = (Searcher._live(sr, got[0][0])[0] if cand is None else
+                    cand[lookup(got[0][0], None, cand)[0]])
             if len(cand) == 0:
-                return None, None
-        return self._exact_phrase(cand, slot_occ)
+                return None
+        return (cand, per_slot) if per_slot else None
 
     @staticmethod
-    def _exact_phrase(cand: np.ndarray, slot_occ: list):
-        """Exact-phrase freqs of the ``cand`` docs from each slot's
-        occurrences (occ_doc, pos): occurrences become keys
-        ``doc_ord * 2^32 + (pos - slot)``; intersecting the key sets
-        across slots leaves one key per phrase start."""
+    def _slot_freqs(cand, per_slot, slots, slop: int, kind: str):
+        """(docs, freqs) of a ``positional_node`` over ``_gather``'s
+        output, or (None, None). Sloppy phrase: SloppyPhraseMatcher's pq
+        walk on ADJUSTED positions (pos - slot); unordered near: the same
+        walk on RAW positions, window ``(max-min) - (n-1) <= slop``
+        (NearSpansUnordered); ordered near: NearSpansOrdered. Each
+        minimal window adds ``1/(1+span)``."""
+        if kind == "phrase" and slop == 0:
+            return Searcher._exact_phrase(cand, per_slot)
+        n = len(slots)
+        grp, rpt = Searcher._repeat_groups(slots), len(set(slots)) < n
+        if kind == "phrase":
+            per_slot = [(d, f, p - i) for i, (d, f, p) in enumerate(per_slot)]
+        off, span = ([0] * n, n - 1) if kind == "unordered" else (None, 0)
+        out = []
+        for d, s in zip(cand.tolist(), Searcher._per_doc(cand, per_slot)):
+            f = (Searcher._ordered_span_freq(s, slop) if kind == "ordered"
+                 else Searcher._sloppy_freq_doc(s, grp, slop, rpt, off, span))
+            if f > 0:
+                out.append((d, f))
+        if not out:
+            return None, None
+        docs, freqs = zip(*out)
+        return np.asarray(docs, np.int64), np.asarray(freqs, np.float64)
+
+    @staticmethod
+    def _exact_phrase(cand: np.ndarray, per_slot: list):
+        """Exact-phrase freqs of the ``cand`` docs: each slot's
+        occurrences in them become keys ``doc_ord * 2^32 + (pos - slot)``;
+        intersecting the key sets across slots leaves one key per phrase
+        start. Every slot occurs in a ``cand`` doc, so no key set is empty."""
         keys = None
-        off = len(slot_occ)  # keeps (pos - i + off) >= 0 within the ord block
-        for i, (od, op) in enumerate(slot_occ):
-            sel = np.isin(od, cand)
-            k = (np.searchsorted(cand, od[sel]).astype(np.int64) << 32) \
-                + (op[sel] - i + off)
-            k = np.unique(k)  # assume_unique below relies on it
-            keys = k if keys is None else keys[np.isin(keys, k,
-                                                       assume_unique=True)]
+        off = len(per_slot)  # keeps (pos - i + off) >= 0 within the ord block
+        for i, (d, f, p) in enumerate(per_slot):
+            od = np.repeat(d, f)
+            at = np.minimum(np.searchsorted(cand, od), len(cand) - 1)
+            sel = cand[at] == od
+            k = np.unique((at[sel] << 32) + (p[sel] - i + off))  # sorted
+            keys = k if keys is None else keys[lookup(k, None, keys)[0]]
             if len(keys) == 0:
                 return None, None
-        doc_ord = (keys >> 32).astype(np.int64)
-        pfreq = np.bincount(doc_ord, minlength=len(cand))
+        pfreq = np.bincount(keys >> 32, minlength=len(cand))
         hit = pfreq > 0
         return cand[hit], pfreq[hit].astype(np.int32)
 
-    def _phrase_cand(self, sr: SegmentReader, terms: tuple):
-        """(per-term positional postings, live docs holding every term),
-        or None when a term is absent or no doc holds them all."""
-        per_term = []
-        for t in terms:
-            got = sr.get_positions(t)
-            if got is None:
-                return None
-            per_term.append(got)
-        cand, = self._live(sr, per_term[0][0])
-        for docs, _f, _p in per_term[1:]:
-            cand = cand[np.isin(cand, docs, assume_unique=True)]
-        return (per_term, cand) if len(cand) else None
-
     @staticmethod
-    def _per_doc_freqs(per_term: list, cand: np.ndarray, shift: int,
-                       freq_of):
-        """Cut each slot's occurrences in the ``cand`` docs (positions
-        minus ``shift * slot``) into per-doc position arrays; keep the
-        docs where ``freq_of(slots)`` is positive."""
-        slot_pos: list[np.ndarray] = []
-        slot_bounds: list[np.ndarray] = []
-        for i, (docs, freqs, pos) in enumerate(per_term):
-            occ_doc = np.repeat(docs, freqs)
-            sel = np.isin(occ_doc, cand)
-            slot_pos.append(pos[sel] - i * shift)
-            # occ_doc is sorted (docs sorted, repeat preserves order)
-            slot_bounds.append(np.searchsorted(occ_doc[sel], cand))
-        out_docs, out_freqs = [], []
+    def _per_doc(cand: np.ndarray, per_slot: list):
+        """Per ``cand`` doc, its positions in each (docs, freqs,
+        positions) slot: a list of views, empty where it lacks the slot
+        (its left and right insertion points in ``docs`` coincide)."""
+        cuts = []
+        for docs, freqs, pos in per_slot:
+            starts = np.concatenate(([0], np.cumsum(freqs)))
+            cuts.append((pos, starts[np.searchsorted(docs, cand)].tolist(),
+                         starts[np.searchsorted(docs, cand, "right")].tolist()))
         for j in range(len(cand)):
-            slots = [p[b[j]:(b[j + 1] if j + 1 < len(cand) else len(p))]
-                     for p, b in zip(slot_pos, slot_bounds)]
-            freq = freq_of(slots)
-            if freq > 0:
-                out_docs.append(cand[j])
-                out_freqs.append(freq)
-        if not out_docs:
-            return None, None
-        return (np.asarray(out_docs, dtype=np.int64),
-                np.asarray(out_freqs, dtype=np.float64))
-
-    def _sloppy_freqs(self, sr: SegmentReader, terms: tuple, slop: int):
-        """SloppyPhraseMatcher analog (search/SloppyPhraseMatcher.java,
-        TestSloppyPhraseQuery.java semantics): per candidate doc, walk a
-        priority queue over each phrase slot's ADJUSTED positions
-        (pos - slot); every state whose adjusted span fits in ``slop``
-        is a match contributing ``1/(1+span)`` to the phrase freq
-        (PhraseScorer sloppyWeight). Advancing the minimum slot
-        enumerates every minimal window, so match(doc) == "some
-        occurrence tuple spans <= slop" exactly. Repeating phrase terms
-        use the same walk with a distinct-source check per state (the
-        reference's repeats machinery, SloppyPhraseMatcher.java:180-260,
-        is approximated)."""
-        got = self._phrase_cand(sr, terms)
-        if got is None:
-            return None, None
-        rpt_grp = self._repeat_groups(terms)
-        has_repeats = len(set(terms)) < len(terms)
-        return self._per_doc_freqs(
-            *got, 1,
-            lambda slots: self._sloppy_freq_doc(slots, rpt_grp, slop,
-                                                has_repeats))
+            yield [p[lo[j]:hi[j]] for p, lo, hi in cuts]
 
     @staticmethod
     def _repeat_groups(terms: tuple) -> list[int]:
@@ -739,34 +703,6 @@ class Searcher:
         if match_length - span_offset <= slop:
             freq += 1.0 / (1 + match_length - span_offset)
         return freq
-
-    def _span_freqs(self, sr: SegmentReader, terms: tuple, slop: int,
-                    in_order: bool):
-        """(docs, freqs) for a SpanNearQuery in one segment — spans /
-        intervals matching on the positional postings
-        (search/spans/NearSpansOrdered.java, NearSpansUnordered.java;
-        Intervals.maxgaps semantics for single-term clauses).
-
-        unordered: the sloppy pq walk over RAW positions (offsets all 0,
-        so repeated clauses collide on equal source positions) with the
-        window criterion ``(max-min) - (n-1) <= slop``.
-        ordered: per-start greedy minimal chain (each later clause takes
-        its first position strictly after the previous clause's).
-        freq accumulates sloppyWeight(gaps) per minimal window
-        (SpanScorer analog)."""
-        got = self._phrase_cand(sr, terms)
-        if got is None:
-            return None, None
-        n = len(terms)
-        has_repeats = len(set(terms)) < n
-        rpt_grp = self._repeat_groups(terms)
-
-        def freq_of(slots):
-            if in_order:
-                return self._ordered_span_freq(slots, slop)
-            return self._sloppy_freq_doc(slots, rpt_grp, slop, has_repeats,
-                                         offsets=[0] * n, span_offset=n - 1)
-        return self._per_doc_freqs(*got, 0, freq_of)  # RAW positions
 
     @staticmethod
     def _ordered_span_freq(slots, slop: int) -> float:
@@ -1229,16 +1165,8 @@ class _PhraseWeight(_Weight):
 
     def __init__(self, s, q):
         super().__init__(s)
-        if isinstance(q, MultiPhraseQuery):
-            terms = [t for alts in q.positions for t in alts]
-            self.freqs = lambda sr: s._mphrase_freqs(sr, q.positions)
-        elif isinstance(q, SpanNearQuery):
-            terms = list(q.terms)
-            self.freqs = lambda sr: s._span_freqs(sr, q.terms, q.slop,
-                                                  q.in_order)
-        else:
-            terms = list(q.terms)
-            self.freqs = lambda sr: s._phrase_freqs(sr, q.terms, q.slop)
+        self.node = self.positional_node(q)
+        terms = [t for alts in self.node[0] for t in alts]
         stats = s.reader.term_stats(terms)
         n = s.reader.doc_count
         # (df, ttf) of each term with postings, repeats included
@@ -1253,8 +1181,28 @@ class _PhraseWeight(_Weight):
         # exact64: the same sum over double-precision idfs
         self.idf64 = sum(bm25.idf64(df, n) for df in dfs)
 
+    @staticmethod
+    def positional_node(q):
+        """(slots, slop, kind): a slot is a tuple of alternative terms
+        (a multi-phrase's positions, else one term each); kind is
+        "phrase", "ordered" or "unordered"."""
+        if isinstance(q, MultiPhraseQuery):
+            return q.positions, 0, "phrase"
+        slots = tuple((t,) for t in q.terms)
+        if isinstance(q, SpanNearQuery):
+            return slots, q.slop, "ordered" if q.in_order else "unordered"
+        return slots, q.slop, "phrase"
+
+    @staticmethod
+    def node_freqs(src, node):
+        """(docs, freqs) of a node over a segment (or the monitor's docs)."""
+        got = Searcher._gather(src, node[0])
+        if got is None:
+            return None, None
+        return Searcher._slot_freqs(*got, *node)
+
     def scores(self, sr):
-        docs, freqs = self.freqs(sr)
+        docs, freqs = self.node_freqs(sr, self.node)
         if docs is None or len(docs) == 0:
             return None, None
         s = self.s
@@ -1269,7 +1217,7 @@ class _PhraseWeight(_Weight):
                                       self.weight, s.cache)
 
     def matches(self, sr):
-        docs, _ = self.freqs(sr)
+        docs, _ = self.node_freqs(sr, self.node)
         return docs if docs is not None else np.empty(0, np.int64)
 
 

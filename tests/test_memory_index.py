@@ -9,8 +9,8 @@ import pytest
 from lucene_ray.index import build_index
 from lucene_ray.search import (
     BooleanQuery, BoostQuery, ConstantScoreQuery, DisjunctionMaxQuery,
-    IndexReader, MatchAllDocsQuery, PhraseQuery, PrefixQuery, Searcher,
-    SpanNearQuery, TermQuery,
+    IndexReader, MatchAllDocsQuery, MultiPhraseQuery, PhraseQuery,
+    PrefixQuery, Searcher, SpanNearQuery, TermQuery,
 )
 from lucene_ray.search.memory import MemoryIndex
 
@@ -32,6 +32,9 @@ QUERIES = [
     PhraseQuery(("merge", "data"), slop=3),
     SpanNearQuery(("data", "window"), slop=3, in_order=True),
     SpanNearQuery(("window", "data"), slop=2, in_order=False),
+    SpanNearQuery(("data", "merge", "data"), slop=3, in_order=False),
+    MultiPhraseQuery((("data",), ("merge", "window"))),
+    MultiPhraseQuery((("merge", "block"), ("data", "window"))),
     ConstantScoreQuery(TermQuery("data"), boost=1.5),
     DisjunctionMaxQuery((TermQuery("data"), TermQuery("merge")),
                         tie_breaker=0.3),

@@ -18,6 +18,7 @@ from lucene_ray.search import (
     FuzzyQuery,
     IndexReader,
     MatchAllDocsQuery,
+    MultiPhraseQuery,
     PhraseQuery,
     PrefixQuery,
     Searcher,
@@ -76,6 +77,8 @@ QUERY_BATTERY = [
     PhraseQuery(("alpha", "w3", "alpha"), slop=3),
     SpanNearQuery(("alpha", "gamma"), slop=4, in_order=True),
     SpanNearQuery(("alpha", "gamma"), slop=4, in_order=False),
+    SpanNearQuery(("alpha", "w3", "alpha"), slop=3, in_order=False),
+    MultiPhraseQuery((("alpha",), ("beta", "gamma"))),
     DisjunctionMaxQuery((TermQuery("needle"), PhraseQuery(("alpha",
                                                            "beta")))),
     PrefixQuery("ma"),

@@ -62,7 +62,9 @@ def test_phrase_freqs_match_brute_force(idx):
     positions = (("data",), ("merge", "window"))
     got = {}
     for sr in s.reader.segments():
-        docs, freqs = s._mphrase_freqs(sr, positions)
+        cand = s._gather(sr, positions)
+        docs, freqs = (s._slot_freqs(*cand, positions, 0, "phrase")
+                       if cand is not None else (None, None))
         if docs is not None:
             for d, f in zip(docs.tolist(), freqs.tolist()):
                 got[d] = got.get(d, 0) + f

@@ -69,10 +69,13 @@ def test_phrase_match_and_freq(phrase_corpus):
     got_docs = s.match_docs(PhraseQuery(("alpha", "beta")))
     assert got_docs.tolist() == sorted(want)
     assert s.count(PhraseQuery(("alpha", "beta"))) == len(want)
-    # per-segment freqs via _phrase_freqs
+    # per-segment freqs via the slot gather and freq kernel
+    slots = (("alpha",), ("beta",))
     total = {}
     for sr in s.reader.segments():
-        docs, freqs = s._phrase_freqs(sr, ("alpha", "beta"))
+        got = s._gather(sr, slots)
+        docs, freqs = (s._slot_freqs(*got, slots, 0, "phrase")
+                       if got is not None else (None, None))
         if docs is not None:
             for d, f in zip(docs.tolist(), freqs.tolist()):
                 total[d] = f

@@ -101,7 +101,8 @@ def test_sloppy_freq_values(ray_session, tmp_path_factory):
     texts = ["a b", "b a", "a x b a b"]
     s = _index(tmp_path_factory, texts, "slop_freq")
     sr = s.reader.segment(s.reader.segment_infos[0].seg_id)
-    docs, freqs = s._sloppy_freqs(sr, ("a", "b"), 2)
+    slots = (("a",), ("b",))
+    docs, freqs = s._slot_freqs(*s._gather(sr, slots), slots, 2, "phrase")
     got = dict(zip(docs.tolist(), freqs.tolist()))
     assert got[0] == 1.0            # adjacent: span 0 -> 1/(1+0)
     assert got[1] == pytest.approx(1 / 3)  # transposed: span 2 -> 1/3
