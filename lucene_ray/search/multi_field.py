@@ -47,6 +47,8 @@ def _combine_bool(m_parts, f_parts, s_parts, msm, must_nots):
     ``s_parts`` are (docs sorted, float64 scores); ``f_parts`` and the
     lazily consumed ``must_nots`` are doc arrays. Returns (docs,
     float64 sums)."""
+    if msm > len(s_parts):  # fewer SHOULD than minShouldMatch: no match
+        return np.empty(0, np.int64), np.empty(0, np.float64)
     req = [d for d, _ in m_parts] + list(f_parts)
     if req:
         cand = req[0]
@@ -64,7 +66,7 @@ def _combine_bool(m_parts, f_parts, s_parts, msm, must_nots):
             sums[hit] += vals
             if i >= len(m_parts):
                 counts += hit
-    keep = counts >= (msm if s_parts else 0)
+    keep = counts >= msm
     for d in must_nots:
         if not keep.any():
             break

@@ -962,9 +962,10 @@ class _BoolWeight(_Weight):
     is a child weight. MUST and FILTER intersect, led by the clause of
     fewest docs (ConjunctionDISI); SHOULD alone is a union
     (DisjunctionSumScorer) and beside required clauses only adds score
-    (ReqOptSumScorer); minShouldMatch gates SHOULD; MUST_NOT excludes
-    (ReqExclScorer). Scores sum in double, MUST then SHOULD, each in
-    clause order, so a clause's kind never changes a sum's bits."""
+    (ReqOptSumScorer); minShouldMatch gates SHOULD (above their count, no
+    doc matches); MUST_NOT excludes (ReqExclScorer). Scores sum in
+    double, MUST then SHOULD, each in clause order, so a clause's kind
+    never changes a sum's bits."""
 
     def __init__(self, s, q):
         super().__init__(s)
@@ -983,6 +984,8 @@ class _BoolWeight(_Weight):
         return docs if docs is not None else np.empty(0, np.int64)
 
     def _run(self, sr, scoring):
+        if self.msm > len(self.should):
+            return None, None  # fewer SHOULD than minShouldMatch: no scorer
         got = (self._conjunction if self.must or self.filter
                else self._disjunction)(sr, scoring)
         if got is None:
@@ -990,7 +993,7 @@ class _BoolWeight(_Weight):
         cand, n_should, sums = got
         # minShouldMatch gates SHOULD (beside MUST clauses too); MUST_NOT
         # excludes by lookup
-        keep = [n_should >= self.msm] if self.should and self.msm > 0 else []
+        keep = [n_should >= self.msm] if self.msm > 0 else []
         keep += [~lookup(c[0], None, cand)[0] for w in self.must_not
                  if (c := w.clause(sr, False)) is not None]
         if keep:
@@ -1022,7 +1025,7 @@ class _BoolWeight(_Weight):
             at[i] = vals
         # beside required clauses SHOULD only scores, unless
         # minShouldMatch counts it
-        if not scoring and (self.msm <= 0 or not self.should):
+        if not scoring and self.msm <= 0:
             return cand, None, None
         sums = norms = None
         if scoring:

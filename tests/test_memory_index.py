@@ -27,6 +27,7 @@ QUERIES = [
                  must_not=(TermQuery("spark"),)),
     BooleanQuery(should=(TermQuery("data"), TermQuery("spark"),
                          TermQuery("block")), min_should_match=2),
+    BooleanQuery(must=(TermQuery("data"),), min_should_match=2),
     PhraseQuery(("data", "merge")),
     PhraseQuery(("data", "merge"), slop=2),
     PhraseQuery(("merge", "data"), slop=3),

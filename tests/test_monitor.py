@@ -69,6 +69,8 @@ QUERY_BATTERY = [
                          TermQuery("gamma")), min_should_match=2),
     BooleanQuery(must=(TermQuery("alpha"),),
                  must_not=(TermQuery("gamma"),)),
+    # fewer SHOULD clauses than minShouldMatch: matches nothing
+    BooleanQuery(must=(TermQuery("alpha"),), min_should_match=2),
     BooleanQuery(must=(BooleanQuery(should=(TermQuery("w1"),
                                             TermQuery("w2"))),),
                  should=(TermQuery("merge"),)),

@@ -72,6 +72,13 @@ def test_cross_field_boolean(mf_index):
             if "data" in bodies[i].split() and langs[i] == "de"
             and "alpha" not in titles[i].split()}
     assert set(s.match_docs(q).tolist()) == want
+    # fewer SHOULD clauses than minShouldMatch: BooleanWeight builds no
+    # scorer, beside MUST clauses too
+    assert s.count(BooleanQuery(must=(TermQuery("data"),),
+                                min_should_match=2)) == 0
+    assert s.count(BooleanQuery(must=(TermQuery("data"),),
+                                should=(TermQuery("de", field="lang"),),
+                                min_should_match=2)) == 0
 
 
 def test_parser_to_multi_field(mf_index):

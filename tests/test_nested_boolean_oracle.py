@@ -42,7 +42,8 @@ def _oracle_eval(oracle, q):
         if any(d in part for part in n):
             continue
         ns = sum(1 for part in s if d in part)
-        if s and ns < msm:
+        # with no SHOULD clause too: BooleanWeight builds no scorer
+        if ns < msm:
             continue
         total = 0.0
         for part in m:

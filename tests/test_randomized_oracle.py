@@ -62,7 +62,9 @@ class Oracle:
             if any(t.term not in counts for t in q.filter):
                 continue
             n_should = sum(1 for t in q.should if t.term in counts)
-            if q.should and n_should < msm:
+            # fewer SHOULD hits than minShouldMatch (no SHOULD clause
+            # included): BooleanWeight builds no scorer
+            if n_should < msm:
                 continue
             if not q.must and not q.filter and not q.should:
                 continue

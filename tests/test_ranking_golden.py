@@ -14,8 +14,14 @@ their float32 score bits, ``count`` and the complete
 ``GOLDEN`` was recorded before the boolean weights were unified into
 one weight (term and non-term clauses through the same conjunction and
 disjunction kernels) and passed unchanged after it: a change that
-must keep every ranking bit-identical keeps this digest. This is the
-seed of ROADMAP direction 3 (the layout-invariance harness).
+must keep every ranking bit-identical keeps this digest. It passed
+unchanged again after phrase, multi-phrase and span-near were merged
+onto one slot kernel. It was re-recorded once, when a boolean with
+fewer SHOULD clauses than minShouldMatch stopped matching (the
+reference's BooleanWeight builds no scorer for it): 33 of the 69 trees
+holding such a MUST/FILTER boolean changed, and every other tree kept
+its ids and score bits. This is the seed of ROADMAP direction 3 (the
+layout-invariance harness).
 """
 
 import hashlib
@@ -44,7 +50,7 @@ from lucene_ray.search import (
 )
 from lucene_ray.search.query import BoostQuery, NumericRangeQuery
 
-GOLDEN = "2105fbf0b2c869cb5ca11d256e766d3a53092e38ce347f07af8113fd5f8144a8"
+GOLDEN = "0d614b3742460032874370712abc078eaf92ff71cd8e56cb6c96056489566d0e"
 
 N_DOCS = 3000
 N_TREES = 300
