@@ -331,7 +331,9 @@ class Monitor:
         Arrow kernel produces per-doc term MULTISETS (order-free) for
         candidate selection and for matching every position-free
         candidate; the ordered posInc-aware Python analyzer runs ONLY
-        for docs whose candidate set contains a phrase/span query."""
+        for docs whose candidate set contains a phrase/span query. Those
+        docs form one ``_Docs``, so each positional node runs the
+        searcher's slot kernel once per batch."""
         from ..analysis.arrow_tokenize import _tokenize_batch_arrow
 
         flat, didx = _tokenize_batch_arrow(batch.column(text_col),

@@ -513,7 +513,7 @@ class Searcher:
                    if (g := sr.get_positions(t)) is not None]
             if not got:
                 return None
-            if len(got) > 1:  # merge sorted runs of (doc ordinal, pos) keys
+            if len(got) > 1:  # merge runs of (doc ordinal, pos < 2^32) keys
                 docs = np.unique(np.concatenate([d for d, _, _ in got]))
                 key = np.sort(np.concatenate(
                     [(np.repeat(docs.searchsorted(d), f) << 32) | p
