@@ -3,6 +3,7 @@ reference ``index/FieldInfos.java`` per-field postings). Per-field
 analyzers (Standard vs Keyword), per-field BM25 stats, boolean trees
 across fields, and the query parser's field syntax end-to-end."""
 
+import hashlib
 import json
 import os
 
@@ -16,7 +17,14 @@ from lucene_ray.index import build_index, latest_generation
 from lucene_ray.index.multi_field import build_multi_field_index
 from lucene_ray.search import BooleanQuery, IndexReader, Searcher, TermQuery
 from lucene_ray.search.multi_field import MultiFieldSearcher
-from lucene_ray.search.query import PhraseQuery
+from lucene_ray.search.query import (
+    BoostQuery,
+    ConstantScoreQuery,
+    DisjunctionMaxQuery,
+    MatchAllDocsQuery,
+    PhraseQuery,
+    PrefixQuery,
+)
 from lucene_ray.search.queryparser import parse_query
 
 
@@ -162,3 +170,80 @@ def test_append_of_the_same_corpus_is_refused(ray_session, tmp_path):
     for f in fields:
         assert latest_generation(os.path.join(out, "fields", f)) == 0
     assert MultiFieldSearcher(out).count(TermQuery("data")) == n
+
+
+# -- seeded digest over cross-field query trees ------------------------------
+
+MF_GOLDEN = "9f2b9c4f9d8d2dcfd859f3df4d03ece4738228a33a990afd69251ead363368c1"
+
+MF_WORDS = {"body": ["data", "merge", "window", "spark", "shuffle", "batch"],
+            "title": ["alpha", "beta", "gamma"],
+            "lang": ["en", "de", "fr"]}
+MF_PREFIXES = {"body": ["s", "ba", "w", "zz"], "title": ["a", "g"]}
+
+
+def _mf_leaf(rng):
+    field = str(rng.choice(list(MF_WORDS)))
+    words = MF_WORDS[field]
+    # the default field is body: a None field routes there too
+    fld = None if field == "body" and rng.random() < 0.5 else field
+    r = rng.random()
+    if r < 0.55:
+        return TermQuery(str(rng.choice(words)),
+                         float(rng.choice((1.0, 1.0, 0.5, 2.0))), field=fld)
+    if r < 0.75:
+        terms = tuple(str(rng.choice(words))
+                      for _ in range(int(rng.integers(2, 4))))
+        return PhraseQuery(terms, 1.0, int(rng.integers(0, 2)), field=fld)
+    if r < 0.9:
+        pf = str(rng.choice(list(MF_PREFIXES)))
+        return PrefixQuery(str(rng.choice(MF_PREFIXES[pf])), field=pf)
+    return MatchAllDocsQuery(float(rng.choice((1.0, 2.5))))
+
+
+def _mf_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return _mf_leaf(rng)
+    r = rng.random()
+    if r < 0.55:
+        def group(hi):
+            return tuple(_mf_tree(rng, depth - 1)
+                         for _ in range(int(rng.integers(0, hi + 1))))
+        return BooleanQuery(must=group(2), should=group(3),
+                            must_not=group(1) if rng.random() < 0.4 else (),
+                            filter=group(1) if rng.random() < 0.3 else (),
+                            min_should_match=int(rng.integers(0, 4)))
+    subs = tuple(_mf_tree(rng, depth - 1)
+                 for _ in range(int(rng.integers(1, 4))))
+    if r < 0.7:
+        return DisjunctionMaxQuery(subs, float(rng.choice((0.0, 0.3))))
+    if r < 0.85:
+        return ConstantScoreQuery(subs[0], float(rng.choice((1.0, 2.5))))
+    return BoostQuery(subs[0], float(rng.choice((0.1, 0.5, 3.0))))
+
+
+def test_cross_field_digest(mf_index):
+    """One sha256 over 200 seeded cross-field trees (depth up to 3)
+    under both similarities: per tree the ids and float32 score bits of
+    ``search(k=20)`` and the ``match_docs`` ids. A change that must keep
+    every cross-field result bit-identical keeps ``MF_GOLDEN``. It was
+    recorded while booleans, dismax, constant-score and boosts over
+    fields still had their own combiner in ``multi_field.py``."""
+    out = mf_index[0]
+    rng = np.random.default_rng(27)
+    trees = [_mf_tree(rng, 3) for _ in range(200)]
+    h = hashlib.sha256()
+    n_hits = 0
+    for sim in ("lucene", "bm25_exact64"):
+        s = MultiFieldSearcher(out, similarity=sim)
+        for q in trees:
+            td = s.search(q, k=20)
+            h.update(np.asarray(td.doc_ids, np.int64).tobytes())
+            h.update(np.asarray(td.scores).astype(np.float32)
+                     .view(np.uint32).tobytes())
+            docs = s.match_docs(q)
+            h.update(np.asarray(docs, np.int64).tobytes())
+            n_hits += len(docs) > 0
+    # most trees match something, so the digest covers real scores
+    assert n_hits > 200
+    assert h.hexdigest() == MF_GOLDEN
