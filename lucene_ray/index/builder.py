@@ -120,7 +120,7 @@ class SegmentIndexer:
 
     def __init__(self, out_dir: str, text_col: str, id_col: str,
                  stored_cols: tuple, stop_words: frozenset,
-                 arrow_fast_path: bool = True, index_positions: bool = False,
+                 index_positions: bool = False,
                  analyzer=None, doc_value_cols: tuple = (),
                  postings_format: str = "for128",
                  term_vectors: bool = False,
@@ -141,8 +141,7 @@ class SegmentIndexer:
         # positions need per-doc ordered tokens -> Python analyzer path;
         # the Arrow kernel path encodes StandardAnalyzer semantics only
         self.index_positions = index_positions
-        self.arrow_fast_path = (arrow_fast_path and not index_positions
-                                and not custom)
+        self.arrow_fast_path = not index_positions and not custom
         # PostingsFormat SPI slot (codecs/registry.py): blocks are
         # self-describing, so mixed-format segments read transparently
         self.postings_format = postings_format

@@ -1,22 +1,21 @@
 """Cross-field search over a multi-field index
 (``index/multi_field.build_multi_field_index`` layout).
 
-Leaf queries route to their field's single-field Searcher (exact
-per-field BM25 stats/norms); boolean/dismax trees combine the COMPLETE
-per-leaf (docs, scores) on global docIDs — the BooleanWeight-over-
-fields analog (``index/FieldInfos.java`` gives the reference per-field
-postings inside one segment; here each field is its own index sharing
-docIDs). Booleans combine in ``_combine_bool`` below, with the rules of
-the single-field boolean weight (scores sum in double, MUST then
-SHOULD, FILTER matches without scoring, minShouldMatch gates SHOULD),
-and dismax trees in ``searcher._combine_dismax`` (max + tie_breaker *
-rest).
+Each field is its own index sharing docIDs (``index/FieldInfos.java``
+gives the reference per-field postings inside one segment). A query
+tree runs through the searcher's own combinator weights — boolean,
+dismax, constant-score, function-score and covering, built through the
+``_weight_of`` hook — over one pseudo-segment spanning the whole docID
+space (no tombstones, stored values read from the default field). Every
+other node is a leaf that its field's single-field Searcher evaluates
+whole (exact per-field BM25 stats/norms); a ``BoostQuery`` is a
+function score ``_score * boost``. The combinators run on the float64
+rails; ``search`` casts to float32 once.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,56 +24,81 @@ from .query import (
     BooleanQuery,
     BoostQuery,
     ConstantScoreQuery,
+    CoveringQuery,
     DisjunctionMaxQuery,
-    MatchAllDocsQuery,
+    FunctionScoreQuery,
     Query,
 )
 from .reader import IndexReader
 from .searcher import (
     Searcher,
     TopDocs,
+    _BoolWeight,
     _check_k,
-    _combine_dismax,
+    _ConstWeight,
+    _CoveringWeight,
+    _DisMaxWeight,
+    _FunctionScoreWeight,
     _top_k,
-    lookup,
+    _Weight,
 )
 
+_COMBINATORS = {
+    BooleanQuery: _BoolWeight,
+    DisjunctionMaxQuery: _DisMaxWeight,
+    ConstantScoreQuery: _ConstWeight,
+    FunctionScoreQuery: _FunctionScoreWeight,
+    CoveringQuery: _CoveringWeight,
+}
 
-def _combine_bool(m_parts, f_parts, s_parts, msm, must_nots):
-    """BooleanWeight over complete per-field results: MUST and FILTER
-    intersect, scores sum MUST then SHOULD (DisjunctionSumScorer),
-    minShouldMatch gates SHOULD, MUST_NOT excludes. ``m_parts`` and
-    ``s_parts`` are (docs sorted, float64 scores); ``f_parts`` and the
-    lazily consumed ``must_nots`` are doc arrays. Returns (docs,
-    float64 sums)."""
-    if msm > len(s_parts):  # fewer SHOULD than minShouldMatch: no match
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    req = [d for d, _ in m_parts] + list(f_parts)
-    if req:
-        cand = req[0]
-        for d in req[1:]:
-            cand = cand[np.isin(cand, d, assume_unique=True)]
-    else:
-        msm = max(msm, 1)
-        cand = np.unique(np.concatenate(
-            [d for d, _ in s_parts] + [np.empty(0, np.int64)]))
-    sums = np.zeros(len(cand), np.float64)
-    counts = np.zeros(len(cand), np.int64)
-    for i, (d, s) in enumerate(m_parts + s_parts):
-        if len(d) and len(cand):
-            hit, vals = lookup(d, s, cand)
-            sums[hit] += vals
-            if i >= len(m_parts):
-                counts += hit
-    keep = counts >= msm
-    for d in must_nots:
-        if not keep.any():
-            break
-        keep &= ~np.isin(cand, d, assume_unique=True)
-    return cand[keep], sums[keep]
+
+class _AllDocs:
+    """The whole docID space as one segment: no tombstones, docIDs not
+    contiguous, stored values read from the default field's segments."""
+
+    _contiguous = False
+
+    def __init__(self, reader: IndexReader):
+        self.reader = reader
+
+    @staticmethod
+    def live_mask(docs):
+        return None
+
+    def stored(self, docs: np.ndarray, col: str):
+        out = [None] * len(docs)
+        for sr in self.reader.segments():
+            idx = np.nonzero(np.isin(docs, sr.doc_ids))[0]
+            if len(idx):
+                for j, v in zip(idx, sr.stored(docs[idx], col)):
+                    out[j] = v
+        return out
+
+
+class _FieldLeaf(_Weight):
+    """A leaf: its field's Searcher evaluates it whole, complete float64
+    scores on global docIDs. An absent field goes to the default
+    field's Searcher, whose rewrite matches it to nothing."""
+
+    def __init__(self, s, q):
+        super().__init__(s, q)
+        self.q = q
+        self.searcher = s.searchers.get(getattr(q, "field", None),
+                                        s.searchers[s.default_field])
+
+    def scores(self, sr):
+        docs, scores = self.searcher.eval_complete(self.q)
+        return (docs, scores) if len(docs) else (None, None)
+
+    def matches(self, sr):
+        return self.searcher.match_docs(self.q)
 
 
 class MultiFieldSearcher:
+    # the combinators sum and scale on the float64 rails
+    exact64 = True
+    _live = staticmethod(Searcher._live)
+
     def __init__(self, out_dir: str, similarity: str = "lucene"):
         meta = read_multi_field_meta(out_dir)
         self.default_field = meta["default_field"]
@@ -83,55 +107,25 @@ class MultiFieldSearcher:
             f: Searcher(IndexReader(os.path.join(out_dir, "fields", f)),
                         similarity=similarity)
             for f in self.fields}
-        self.exact64 = similarity == "bm25_exact64"
+        self._float32 = similarity != "bm25_exact64"
+        self._docs = _AllDocs(self.searchers[self.default_field].reader)
 
-    # -- evaluation ----------------------------------------------------------
-    def _leaf(self, q: Query):
-        fld = getattr(q, "field", None) or self.default_field
-        s = self.searchers.get(fld)
-        if s is None:  # absent field matches nothing (Lucene semantics)
-            return np.empty(0, np.int64), np.empty(0, np.float64)
-        if getattr(q, "field", None) is not None:
-            q = replace(q, field=None)
-        return s.eval_complete(q)
-
-    def _evaluate(self, q: Query):
+    def _weight_of(self, q: Query) -> _Weight:
         if isinstance(q, BoostQuery):
-            d, s = self._evaluate(q.inner)
-            return d, s * np.float64(q.boost)
-        if isinstance(q, ConstantScoreQuery):
-            d, _ = self._evaluate(q.inner)
-            return d, np.full(len(d), np.float64(q.boost))
-        if isinstance(q, MatchAllDocsQuery):
-            parts = [sr.doc_ids.astype(np.int64)
-                     for sr in self.searchers[self.default_field]
-                     .reader.segments()]
-            docs = (np.sort(np.concatenate(parts)) if parts
-                    else np.empty(0, np.int64))
-            return docs, np.full(len(docs), np.float64(q.boost))
-        if isinstance(q, DisjunctionMaxQuery):
-            return _combine_dismax([self._evaluate(s) for s in q.disjuncts],
-                                   q.tie_breaker)
-        if isinstance(q, BooleanQuery):
-            return _combine_bool(
-                [self._evaluate(c) for c in q.must],
-                [self._evaluate(c)[0] for c in q.filter],
-                [self._evaluate(c) for c in q.should], q.min_should_match,
-                (self._evaluate(c)[0] for c in q.must_not))
-        return self._leaf(q)
+            q = FunctionScoreQuery(q.inner, "_score", q.boost)
+        return _COMBINATORS.get(type(q), _FieldLeaf)(self, q)
 
     # -- public API ----------------------------------------------------------
     def search(self, q: Query, k: int = 10) -> TopDocs:
         k = _check_k(k)
-        docs, scores = self._evaluate(q)
-        if len(docs) == 0:
+        docs, scores = self._weight_of(q).scores(self._docs)
+        if docs is None:
             return TopDocs(np.empty(0, np.int64), np.empty(0, np.float32))
-        sc = scores if self.exact64 else scores.astype(np.float32)
-        return _top_k(docs, sc, k)
+        return _top_k(docs, scores.astype(np.float32) if self._float32
+                      else scores, k)
 
     def match_docs(self, q: Query) -> np.ndarray:
-        docs, _ = self._evaluate(q)
-        return docs
+        return self._weight_of(q).matches(self._docs)
 
     def count(self, q: Query) -> int:
         return len(self.match_docs(q))

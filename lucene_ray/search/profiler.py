@@ -1,14 +1,18 @@
 """QueryProfiler role — the sandbox profiler surface
 (``sandbox/search/QueryProfilerIndexSearcher.java``,
-``QueryProfilerBreakdown.java``, ``ProfilerCollector.java``): run a
-query and report a per-node breakdown tree. Each node carries
+``QueryProfilerBreakdown.java``, ``ProfilerCollector.java``): build the
+query's weight tree once (``Searcher.weight``) and report a per-node
+breakdown of that tree. As in the reference, the rows describe the
+REWRITTEN query (a boost pushed into its clauses, a one-clause boolean
+folded into its clause, a prefix expanded). Each node carries
 
 - ``node``: path-qualified label (``root``, ``root.must[0]``, ...)
-- ``type``: query class name (TermQuery, BooleanQuery, ...)
-- ``n_matches``: the node's standalone match count (deterministic —
-  the oracle-checkable column)
-- ``wall_ns``: wall time spent evaluating the node standalone
-  (diagnostic only; never compared)
+- ``type``: the rewritten node's query class name (TermQuery,
+  BooleanQuery, ...)
+- ``n_matches``: the node's own match count over every segment
+  (deterministic — the oracle-checkable column)
+- ``wall_ns``: wall time of that count (diagnostic only; never
+  compared)
 
 The reference breaks timing down by phase (create_weight / build_
 scorer / next_doc ...); a vectorized engine has no per-doc iterator
@@ -19,33 +23,9 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pyarrow as pa
 
-from .query import (
-    BooleanQuery,
-    BoostQuery,
-    ConstantScoreQuery,
-    CoveringQuery,
-    DisjunctionMaxQuery,
-    FunctionScoreQuery,
-    Query,
-)
-
-
-def _children(q: Query):
-    if isinstance(q, BooleanQuery):
-        for name in ("must", "should", "must_not", "filter"):
-            for i, c in enumerate(getattr(q, name)):
-                yield f"{name}[{i}]", c
-    elif isinstance(q, (BoostQuery, ConstantScoreQuery, FunctionScoreQuery)):
-        yield "inner", q.inner
-    elif isinstance(q, DisjunctionMaxQuery):
-        for i, c in enumerate(q.disjuncts):
-            yield f"disjuncts[{i}]", c
-    elif isinstance(q, CoveringQuery):
-        for i, c in enumerate(q.queries):
-            yield f"queries[{i}]", c
+from .query import Query
 
 
 def profile_query(searcher, q: Query) -> pa.Table:
@@ -53,17 +33,19 @@ def profile_query(searcher, q: Query) -> pa.Table:
     ``must_not`` child is the child's OWN match count (what the
     exclusion iterator consumes), as in the reference's per-weight
     breakdown."""
+    w = searcher.weight(q)
+    segments = list(searcher.reader.segments())
     rows = []
 
-    def walk(path: str, node: Query):
+    def walk(path: str, w):
         t0 = time.perf_counter_ns()
-        n = len(searcher.match_docs(node))
+        n = sum(len(w.matches(sr)) for sr in segments)
         dt = time.perf_counter_ns() - t0
-        rows.append((path, type(node).__name__, n, dt))
-        for label, child in _children(node):
+        rows.append((path, w.name, n, dt))
+        for label, child in w.children():
             walk(f"{path}.{label}", child)
 
-    walk("root", q)
+    walk("root", w)
     return pa.table({
         "node": pa.array([r[0] for r in rows], pa.large_string()),
         "type": pa.array([r[1] for r in rows], pa.large_string()),

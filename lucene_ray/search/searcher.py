@@ -24,13 +24,18 @@ Mirrors the reference query path (SURVEY.md §3.3):
   score-ordered term path is bit-identical to the exhaustive evaluation
 
 Every entry point (search, collect, eval_complete, count, match_docs,
-explain, the facet/join/sort/delete helpers) goes through
+explain, the profiler, the facet/join/sort/delete helpers) goes through
 ``Searcher.weight(q)``: rewrite, global term stats once per query node,
 one batched postings read per segment, then one weight object per node
-(``_WEIGHTS`` maps each rewritten query class to its weight class).
-A weight's ``scores(sr)`` and ``matches(sr)`` run per segment;
-``search`` asks the top-level weight for ``top(sr, k, threshold)``
-instead, which only the term weight overrides to prune.
+(``Searcher._weight_of``, the hook every combinator builds its children
+through, maps each rewritten query class to its weight class in
+``_WEIGHTS``). A weight's ``scores(sr)`` and ``matches(sr)`` run per
+segment; ``search`` asks the top-level weight for ``top(sr, k,
+threshold)`` instead, which only the term weight overrides to prune.
+``explain`` and ``profiler.profile_query`` build that one tree and walk
+it (``children()``, labelled as the query's fields), so they describe
+the execution ``search`` runs; ``MultiFieldSearcher`` runs the
+combinator weights across fields.
 """
 
 from __future__ import annotations
@@ -305,14 +310,23 @@ class Searcher:
         q = self.rewrite(q)
         terms = sorted(set(query_terms(q)))
         self.reader.term_stats(terms)  # one batched read; weights hit its memo
-        w = _create_weight(self, q)
+        w = self._weight_of(q)
         if terms:
+            positional = w.positional
             for sr in self.reader.segments():
-                if w.positional:
+                if positional:
                     sr.ensure_positions(terms)
                 else:
                     sr.ensure_terms(terms)
         return w
+
+    def _weight_of(self, q: Query) -> "_Weight":
+        """The weight of one rewritten query node; every combinator
+        builds its children through this hook."""
+        cls = _WEIGHTS.get(type(q))
+        if cls is None:
+            raise TypeError(f"unsupported query {type(q)}")
+        return cls(self, q)
 
     def search(self, q: Query, k: int = 10, *, threshold_cb=None,
                publish_cb=None) -> TopDocs:
@@ -435,60 +449,21 @@ class Searcher:
 
     def explain(self, q: Query, doc_id: int) -> dict:
         """``IndexSearcher.explain(Query, doc)`` role: an Explanation
-        tree ``{value, description, details: [...]}`` whose root value
-        equals the doc's score under this searcher (0 / "no match" when
-        the doc doesn't match). Term clauses break down into the
-        exact64 BM25 factors (idf, tf, dl, avgdl) the way
-        ``BM25Similarity.explain`` does."""
-        q = self.rewrite(q)
-        if isinstance(q, ConstantScoreQuery):
-            if doc_id not in self.match_docs(q):
-                return {"value": 0.0, "description": "no match",
-                        "details": []}
-            return {"value": float(q.boost),
-                    "description": "ConstantScore",
-                    "details": [self.explain(q.inner, doc_id)]}
-        # any other node's root value is the doc's complete score, so it
-        # carries the rails' rounding (a boolean's clause values, summed
-        # here in double, would not)
-        docs, scores = self.eval_complete(q)
-        pos = np.searchsorted(docs, doc_id)
-        if pos >= len(docs) or docs[pos] != doc_id:
-            return {"value": 0.0, "description": "no match", "details": []}
-        value = float(scores[pos])
-        if isinstance(q, TermQuery):
-            n = self.reader.doc_count
-            df = self.reader.term_stats([q.term])[q.term][0]
-            tdocs, tfreqs = self.reader.live_postings(q.term)
-            tf = int(tfreqs[np.searchsorted(tdocs, doc_id)])
-            dl = float(self.reader.doc_lens(np.array([doc_id]))[0])
-            return {
-                "value": value,
-                "description": f"weight({q.term} in {doc_id}) "
-                               "[BM25Similarity]",
-                "details": [
-                    {"value": bm25.idf64(df, n),
-                     "description": f"idf, n={n}, df={df}",
-                     "details": []},
-                    {"value": tf, "description": "freq", "details": []},
-                    {"value": dl, "description": "dl", "details": []},
-                    {"value": float(self.avgdl64),
-                     "description": "avgdl", "details": []},
-                ],
-            }
-        if isinstance(q, BooleanQuery):
-            details = []
-            for group, name in ((q.must, "must"), (q.should, "should")):
-                for sub in group:
-                    e = self.explain(sub, doc_id)
-                    if e["value"]:
-                        details.append(dict(
-                            e, description=e["description"] + f" [{name}]"))
-            return {"value": value,
-                    "description": "sum of matching clauses",
-                    "details": details}
-        return {"value": value, "description": type(q).__name__,
-                "details": []}
+        tree ``{value, description, details: [...]}`` of the weight tree
+        ``search`` runs. Each node's value is its ``scores`` at the doc
+        in the segment that holds it live, so the root has the bits of
+        the doc's score (0 / "no match" when the doc doesn't match).
+        Term nodes break down into the exact64 BM25 factors (idf, tf,
+        dl, avgdl) the way ``BM25Similarity.explain`` does."""
+        w = self.weight(q)
+        doc = np.array([doc_id], np.int64)
+        for sr in self.reader.segments():
+            if len(sr) and lookup(sr.doc_ids, None, doc)[0][0]:
+                if len(self._live(sr, doc)[0]) and (
+                        e := w.explain(sr, doc_id)):
+                    return e
+                break
+        return {"value": 0.0, "description": "no match", "details": []}
 
     def count(self, q: Query) -> int:
         w = self.weight(q)
@@ -829,37 +804,29 @@ def _union_sum(s: Searcher, sr: SegmentReader, clauses: list, scoring: bool):
     return hit + sr._base, counts[hit], (sums[hit] if scoring else None)
 
 
-def _combine_dismax(per, tie_breaker: float):
-    """DisjunctionMaxQuery: max + tie_breaker * (sum - max) over the
-    parts that matched, in double. Returns (docs, float64 scores)."""
-    per = [(d, s) for d, s in per if d is not None and len(d)]
-    if not per:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    cand = np.unique(np.concatenate([d for d, _ in per]))
-    mx = np.full(len(cand), -np.inf)
-    total = np.zeros(len(cand), dtype=np.float64)
-    for d, s in per:
-        pos = np.searchsorted(cand, d)
-        s64 = s.astype(np.float64)
-        np.maximum.at(mx, pos, s64)
-        total[pos] += s64
-    return cand, mx + tie_breaker * (total - mx)
-
-
 # -- weights (Weight/Scorer, SURVEY §3.3 steps 3 and 5) ----------------------
 
 class _Weight:
     """One rewritten query node. Global statistics are gathered when
     the weight is created; ``scores``/``matches`` then run per segment
     and return COMPLETE, unpruned results. Only ``top``, which
-    ``Searcher.search`` calls on the top-level weight, may prune."""
+    ``Searcher.search`` calls on the top-level weight, may prune.
+    ``name`` (the node's query class) and ``children()`` describe the
+    tree to ``explain`` and the profiler."""
 
-    # scoring reads positions: the first touch loads packed rows too
-    positional = False
-
-    def __init__(self, s: Searcher):
+    def __init__(self, s: Searcher, q: Query):
         self.s = s
+        self.name = type(q).__name__
         self.dt = np.float64 if s.exact64 else np.float32
+
+    def children(self):
+        """(label, child weight) pairs of a combinator, in clause order."""
+        return ()
+
+    @property
+    def positional(self) -> bool:
+        """Scoring reads positions: the first touch loads packed rows too."""
+        return any(w.positional for _label, w in self.children())
 
     def scores(self, sr: SegmentReader):
         """(docs ascending, scores) of one segment, or (None, None)."""
@@ -874,6 +841,23 @@ class _Weight:
         """``scores(sr)``, of which a weight may drop docs that cannot
         enter a top k whose k-th score is already ``threshold``."""
         return self.scores(sr)
+
+    def explain(self, sr: SegmentReader, doc: int) -> dict | None:
+        """This node's Explanation at ``doc`` of ``sr``, or None when the
+        node does not match it; the value is ``scores(sr)`` at the doc."""
+        docs, scores = self.scores(sr)
+        if docs is None or len(docs) == 0:
+            return None
+        hit, val = lookup(docs, scores, np.array([doc], np.int64))
+        if not hit[0]:
+            return None
+        description, details = self.describe(sr, doc)
+        return {"value": float(val[0]), "description": description,
+                "details": details}
+
+    def describe(self, sr: SegmentReader, doc: int):
+        """(description, details) of the explanation at a matching doc."""
+        return self.name, []
 
     # -- as a boolean clause -------------------------------------------------
     # computing its scores reads the candidates' norms (a scoring term)
@@ -904,7 +888,7 @@ class _TermWeight(_Weight):
     the candidates that survive."""
 
     def __init__(self, s, q):
-        super().__init__(s)
+        super().__init__(s, q)
         self.term, self.boost = q.term, q.boost
         self.df, self.ttf = s.reader.term_stats([q.term])[q.term]
         self.weight = (bm25.term_weight(q.boost, self.df, s.reader.doc_count)
@@ -939,6 +923,17 @@ class _TermWeight(_Weight):
         dec = sr.get_decoded(self.term)
         return None if dec is None else (dec.docs, dec.freqs)
 
+    def describe(self, sr, doc):
+        """The exact64 BM25 factors, as ``BM25Similarity.explain``."""
+        n, dec = self.s.reader.doc_count, sr.get_decoded(self.term)
+        factors = (
+            (bm25.idf64(self.df, n), f"idf, n={n}, df={self.df}"),
+            (int(dec.freqs[np.searchsorted(dec.docs, doc)]), "freq"),
+            (float(sr.doc_lens_for(np.array([doc], np.int64))[0]), "dl"),
+            (float(self.s.avgdl64), "avgdl"))
+        return f"weight({self.term} in {doc}) [BM25Similarity]", [
+            {"value": v, "description": d, "details": []} for v, d in factors]
+
     def contrib(self, freqs, norms):
         """float64 scores from freqs and norms (exact doc lengths on the
         exact64 rails), or None for a term that adds nothing."""
@@ -968,13 +963,23 @@ class _BoolWeight(_Weight):
     never changes a sum's bits."""
 
     def __init__(self, s, q):
-        super().__init__(s)
+        super().__init__(s, q)
         self.must, self.should, self.must_not, self.filter = (
-            [_create_weight(s, c) for c in group]
+            [s._weight_of(c) for c in group]
             for group in (q.must, q.should, q.must_not, q.filter))
         self.msm = q.min_should_match
-        self.positional = any(w.positional for w in (
-            *self.must, *self.should, *self.must_not, *self.filter))
+
+    def children(self):
+        for kind in ("must", "should", "must_not", "filter"):
+            for i, w in enumerate(getattr(self, kind)):
+                yield f"{kind}[{i}]", w
+
+    def describe(self, sr, doc):
+        details = [dict(e, description=e["description"] + f" [{kind}]")
+                   for kind in ("must", "should")
+                   for w in getattr(self, kind)
+                   if (e := w.explain(sr, doc)) is not None]
+        return "sum of matching clauses", details
 
     def scores(self, sr):
         return self._run(sr, True)
@@ -1061,10 +1066,15 @@ class _ConstWeight(_Weight):
     """ConstantScoreQuery: the inner query's matches, scored ``boost``."""
 
     def __init__(self, s, q):
-        super().__init__(s)
-        self.inner = _create_weight(s, q.inner)
-        self.positional = self.inner.positional
+        super().__init__(s, q)
+        self.inner = s._weight_of(q.inner)
         self.boost = np.float64(q.boost)
+
+    def children(self):
+        return [("inner", self.inner)]
+
+    def describe(self, sr, doc):
+        return "ConstantScore", [self.inner.explain(sr, doc)]
 
     def scores(self, sr):
         docs = self.inner.matches(sr)
@@ -1081,7 +1091,7 @@ class _DocSetWeight(_Weight):
     from the segment, every live doc scored ``boost``."""
 
     def __init__(self, s, q):
-        super().__init__(s)
+        super().__init__(s, q)
         self.q = q
 
     def scores(self, sr):
@@ -1102,21 +1112,31 @@ class _DocSetWeight(_Weight):
 
 
 class _DisMaxWeight(_Weight):
-    """DisjunctionMaxQuery over complete disjunct results."""
+    """DisjunctionMaxQuery over complete disjunct results: max +
+    tie_breaker * (sum - max) over the disjuncts that match, in double."""
 
     def __init__(self, s, q):
-        super().__init__(s)
-        self.subs = [_create_weight(s, c) for c in q.disjuncts]
-        self.positional = any(w.positional for w in self.subs)
+        super().__init__(s, q)
+        self.subs = [s._weight_of(c) for c in q.disjuncts]
         self.tie_breaker = float(q.tie_breaker)
 
+    def children(self):
+        return [(f"disjuncts[{i}]", w) for i, w in enumerate(self.subs)]
+
     def scores(self, sr):
-        cand, sc = _combine_dismax(
-            [w.scores(sr) for w in self.subs],
-            self.tie_breaker)
-        if len(cand) == 0:
+        per = [(d, sc) for d, sc in (w.scores(sr) for w in self.subs)
+               if d is not None and len(d)]
+        if not per:
             return None, None
-        return cand, sc.astype(self.dt)
+        cand = np.unique(np.concatenate([d for d, _ in per]))
+        mx = np.full(len(cand), -np.inf)
+        total = np.zeros(len(cand), dtype=np.float64)
+        for d, sc in per:
+            pos = np.searchsorted(cand, d)
+            s64 = sc.astype(np.float64)
+            np.maximum.at(mx, pos, s64)
+            total[pos] += s64
+        return cand, (mx + self.tie_breaker * (total - mx)).astype(self.dt)
 
     def matches(self, sr):
         parts = [d for d in (w.matches(sr) for w in self.subs) if len(d)]
@@ -1132,10 +1152,12 @@ class _CoveringWeight(_Weight):
 
     def __init__(self, s, q):
         from .expressions import compile_expression
-        super().__init__(s)
-        self.subs = [_create_weight(s, c) for c in q.queries]
-        self.positional = any(w.positional for w in self.subs)
+        super().__init__(s, q)
+        self.subs = [s._weight_of(c) for c in q.queries]
         self.expr = compile_expression(q.min_match)
+
+    def children(self):
+        return [(f"queries[{i}]", w) for i, w in enumerate(self.subs)]
 
     def scores(self, sr):
         clauses = [(w, c) for w in self.subs
@@ -1167,7 +1189,7 @@ class _PhraseWeight(_Weight):
     positional = True
 
     def __init__(self, s, q):
-        super().__init__(s)
+        super().__init__(s, q)
         self.node = self.positional_node(q)
         terms = [t for alts in self.node[0] for t in alts]
         stats = s.reader.term_stats(terms)
@@ -1232,11 +1254,13 @@ class _FunctionScoreWeight(_Weight):
 
     def __init__(self, s, q):
         from .expressions import compile_expression
-        super().__init__(s)
-        self.inner = _create_weight(s, q.inner)
-        self.positional = self.inner.positional
+        super().__init__(s, q)
+        self.inner = s._weight_of(q.inner)
         self.expr = compile_expression(q.expression)
         self.boost = q.boost
+
+    def children(self):
+        return [("inner", self.inner)]
 
     def scores(self, sr):
         docs, sc = self.inner.scores(sr)
@@ -1270,11 +1294,3 @@ _WEIGHTS = {
     MultiPhraseQuery: _PhraseWeight,
     FunctionScoreQuery: _FunctionScoreWeight,
 }
-
-
-def _create_weight(s: Searcher, q: Query) -> _Weight:
-    """The weight of one rewritten query node."""
-    cls = _WEIGHTS.get(type(q))
-    if cls is None:
-        raise TypeError(f"unsupported query {type(q)}")
-    return cls(s, q)

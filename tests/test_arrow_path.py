@@ -49,9 +49,9 @@ def test_indexes_identical_between_paths(ray_session, small_pages, tmp_path_fact
         out = str(tmp_path_factory.mktemp(f"arrowpath_{arrow}"))
         build_index(paths, out, batch_size=500,
                     concurrency=2) if arrow else None
-        # need the flag plumbed: rebuild via SegmentIndexer kwargs
+        # the Python-path index is built below, segment by segment
         outs[arrow] = out
-    # build python-path index via direct flag
+    # build the python-path index through a StandardAnalyzer subclass
     from lucene_ray.index.builder import SegmentIndexer
     import lucene_ray.index.builder as B
     out_py = outs[False]
@@ -61,12 +61,17 @@ def test_indexes_identical_between_paths(ray_session, small_pages, tmp_path_fact
     total = sum(pq.read_metadata(f).num_rows for f in files)
     ds = ray.data.read_parquet(files, columns=cols,
                                override_num_blocks=max(1, total // 500))
+
+    class PythonPathAnalyzer(StandardAnalyzer):
+        """StandardAnalyzer itself; only that exact class takes the
+        Arrow kernels, so a subclass builds on the Python path."""
+
     meta = ds.map_batches(
         SegmentIndexer,
         fn_constructor_kwargs=dict(out_dir=out_py, text_col="text",
                                    id_col="doc_id", stored_cols=(),
                                    stop_words=frozenset(),
-                                   arrow_fast_path=False),
+                                   analyzer=PythonPathAnalyzer()),
         batch_format="pyarrow", batch_size=None, concurrency=2)
     rows = meta.take_all()
 

@@ -20,7 +20,9 @@ from lucene_ray.search.multi_field import MultiFieldSearcher
 from lucene_ray.search.query import (
     BoostQuery,
     ConstantScoreQuery,
+    CoveringQuery,
     DisjunctionMaxQuery,
+    FunctionScoreQuery,
     MatchAllDocsQuery,
     PhraseQuery,
     PrefixQuery,
@@ -247,3 +249,43 @@ def test_cross_field_digest(mf_index):
     # most trees match something, so the digest covers real scores
     assert n_hits > 200
     assert h.hexdigest() == MF_GOLDEN
+
+
+def test_function_score_and_covering_route_their_leaves(ray_session,
+                                                        tmp_path):
+    """A function score or a covering query over fields combines leaves
+    that each route to their own field (they used to run whole on the
+    default field, where a title leaf matches nothing)."""
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(6, dtype=np.int64)),
+        "body": ["data x", "data", "merge", "spark", "data", "window"],
+        "title": ["alpha", "beta", "alpha", "gamma", "alpha beta", "beta"],
+        "n": pa.array([3, 1, 4, 1, 5, 9], pa.int64()),
+    }), path)
+    out = str(tmp_path / "mfidx")
+    build_multi_field_index(path, out, {"body": None, "title": None},
+                            stored_cols=("n",), batch_size=3)
+    s = MultiFieldSearcher(out, similarity="bm25_exact64")
+    title = s.searchers["title"]
+    alpha, data = TermQuery("alpha", field="title"), TermQuery("data")
+    d_alpha, s_alpha = title.eval_complete(TermQuery("alpha"))
+    d_data, s_data = s.searchers["body"].eval_complete(data)
+    assert d_alpha.tolist() == [0, 2, 4] and d_data.tolist() == [0, 1, 4]
+
+    fs = FunctionScoreQuery(alpha, "_score * 2 + n")
+    assert s.match_docs(fs).tolist() == [0, 2, 4]
+    td = s.search(fs, k=6)
+    want = dict(zip(d_alpha.tolist(), s_alpha * 2 + np.array([3, 4, 5])))
+    assert {d: want[d] for d in td.doc_ids.tolist()} == \
+        dict(zip(td.doc_ids.tolist(), td.scores.tolist()))
+
+    cov = CoveringQuery((alpha, data), "1")
+    assert s.match_docs(cov).tolist() == [0, 1, 2, 4]
+    td = s.search(cov, k=6)
+    want = {0: s_alpha[0] + s_data[0], 1: s_data[1], 2: s_alpha[1],
+            4: s_alpha[2] + s_data[2]}
+    assert dict(zip(td.doc_ids.tolist(), td.scores.tolist())) == want
+    # the per-doc minimum reads the stored column: n odd needs both
+    assert s.match_docs(CoveringQuery((alpha, data), "1 + n % 2")
+                        ).tolist() == [0, 2, 4]

@@ -509,6 +509,17 @@ def test_profiler_breakdown(sbx_corpus, monkeypatch, tmp_path):
     assert dm_rows == {"root": sum(("data" in tk or "merge" in tk)
                                    for tk in toks),
                        "root.disjuncts[0]": nd, "root.disjuncts[1]": nm}
+    # the rows describe the rewritten tree: the boost is pushed into the
+    # OR's clauses, so no BoostQuery row remains
+    from lucene_ray.search.query import BoostQuery
+    bq = profile_query(s, BoostQuery(BooleanQuery(
+        should=(TermQuery("merge"), TermQuery("spark"))), 2.0))
+    assert list(zip(bq.column("node").to_pylist(),
+                    bq.column("type").to_pylist(),
+                    bq.column("n_matches").to_pylist())) == [
+        ("root", "BooleanQuery", no),
+        ("root.should[0]", "TermQuery", nm),
+        ("root.should[1]", "TermQuery", ns)]
 
 
 def test_jaro_winkler_matches_duckdb():

@@ -121,6 +121,8 @@ def test_entry_points_agree(searcher, name, nest):
         np.asarray(td.scores).astype(np.float32), want_s)
     hit = searcher.explain(q, int(docs[0]))
     assert set(hit) >= {"value", "description", "details"}
+    # the root is the doc's complete score, bit for bit
+    assert np.float64(hit["value"]).tobytes() == scores[0].tobytes()
     miss = int(np.setdiff1d(np.arange(300), docs)[0]) \
         if len(docs) < 300 else None
     if miss is not None:
@@ -138,3 +140,43 @@ def test_function_score_ranks_by_expression(searcher):
     got_d, got_s = searcher.eval_complete(q)
     np.testing.assert_array_equal(got_d, d)
     np.testing.assert_array_equal(got_s, want.astype(np.float64))
+
+
+def test_explain_and_profile_build_one_weight_tree(searcher, monkeypatch):
+    """``explain`` and ``profile_query`` each build the query's weight
+    tree once and walk it."""
+    from lucene_ray.search.profiler import profile_query
+    calls = []
+    weight = Searcher.weight
+
+    def counted(self, q):
+        calls.append(q)
+        return weight(self, q)
+
+    monkeypatch.setattr(Searcher, "weight", counted)
+    q = NESTINGS["in_const"](BASE["nested_bool"])
+    doc = int(searcher.match_docs(q)[0])
+    calls.clear()
+    searcher.explain(q, doc)
+    assert len(calls) == 1
+    calls.clear()
+    profile_query(searcher, q)
+    assert len(calls) == 1
+
+
+def test_tombstoned_doc_explains_as_no_match(ray_session, index_dir,
+                                             tmp_path):
+    import shutil
+
+    from lucene_ray.index.deletes import apply_deletes
+    out = str(tmp_path / "idx")
+    shutil.copytree(index_dir, out, symlinks=True)
+    q = BASE["term_bool"]
+    s = Searcher(IndexReader(out))
+    doc = int(s.match_docs(q)[0])
+    assert s.explain(q, doc)["value"] > 0
+    seg = next(info.seg_id for info in s.reader.segment_infos
+               if doc in s.reader.segment(info.seg_id).doc_ids)
+    apply_deletes(out, {seg: np.array([doc], np.int64)})
+    assert Searcher(IndexReader(out)).explain(q, doc) == {
+        "value": 0.0, "description": "no match", "details": []}
