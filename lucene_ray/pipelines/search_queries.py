@@ -445,12 +445,8 @@ def facet_lang_counts(doc_path: str, term: str, col: str = "lang") -> pa.Table:
     over a stored keyword column."""
     from ..search.facets import facet_counts
 
-    key = hashlib.md5(("facet:" + doc_path).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"facetidx-{key}")
-    if not os.path.exists(os.path.join(out, "manifest_0.json")):
-        build_index(doc_path, out, batch_size=2048,
-                    stored_cols=("lang", "source", "text"))
-    s = Searcher(IndexReader(out), similarity="bm25_exact64")
+    s = Searcher(IndexReader(_facet_index(doc_path)),
+                 similarity="bm25_exact64")
     return facet_counts(s, TermQuery(term), col)
 
 
@@ -462,12 +458,8 @@ def diversified_or_topk(doc_path: str, terms: list[str], col: str = "lang",
     key column)."""
     from ..search.facets import diversified_topk
 
-    key = hashlib.md5(("facet:" + doc_path).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"facetidx-{key}")
-    if not os.path.exists(os.path.join(out, "manifest_0.json")):
-        build_index(doc_path, out, batch_size=2048,
-                    stored_cols=("lang", "source", "text"))
-    s = Searcher(IndexReader(out), similarity="bm25_exact64")
+    s = Searcher(IndexReader(_facet_index(doc_path)),
+                 similarity="bm25_exact64")
     return diversified_topk(s, _query("or", terms), col, max_per_key, k)
 
 
@@ -476,12 +468,8 @@ def highlight_top(doc_path: str, term: str, k: int = 5) -> pa.Table:
     the facet-cache index (stores text)."""
     from ..search.highlight import highlight_topk
 
-    key = hashlib.md5(("facet:" + doc_path).encode()).hexdigest()[:12]
-    out = os.path.join(_CACHE_ROOT, f"facetidx-{key}")
-    if not os.path.exists(os.path.join(out, "manifest_0.json")):
-        build_index(doc_path, out, batch_size=2048,
-                    stored_cols=("lang", "source", "text"))
-    s = Searcher(IndexReader(out), similarity="bm25_exact64")
+    s = Searcher(IndexReader(_facet_index(doc_path)),
+                 similarity="bm25_exact64")
     return highlight_topk(s, TermQuery(term), k=k)
 
 

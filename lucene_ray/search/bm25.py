@@ -21,7 +21,8 @@ precomputed weight, and each caller passes its own:
   (term boosts are ignored, as the oracle has none);
 - exact64 phrases and spans: the sum of ``idf64`` over the terms;
 - ``BlendedBM25Similarity``: ``boost * idf64(df_blend, N)``;
-- ``MemoryIndex``: ``boost * idf64(1, 1)`` (or a phrase's idf sum);
+- ``MemoryIndex``: a ``BlendedBM25Similarity(1)`` searcher over its
+  one-doc reader, so ``boost * idf64(1, 1)`` per term;
 - the driver pseudo-terms (synonym, combined field): ``idf64`` of the
   blended df.
 

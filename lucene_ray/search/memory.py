@@ -1,30 +1,147 @@
-"""MemoryIndex: a single-document in-memory index — the memory module
-(``lucene/memory/src/java/org/apache/lucene/index/memory/
-MemoryIndex.java``, tests ``TestMemoryIndex.java``): analyze one
-document once, then run any number of queries against it, each
-returning the BM25 score the document would get in a real one-doc
-index (the reference's percolation / "would this doc match?" tool).
+"""In-memory index — the memory module (``lucene/memory/src/java/org/
+apache/lucene/index/memory/MemoryIndex.java``, tests
+``TestMemoryIndex.java``).
 
-Matching and positional freqs reuse the monitor's ``matches_doc`` and
-``positional_freq`` (the searcher's own slot kernel); scoring applies
-the exact64 BM25 with single-doc collection stats: N = 1, df(t) = 1 for
-present terms, avgdl = dl, so idf = ln(1 + 0.5/1.5) and the length
-norm is exactly 1.
+``MemoryReader`` holds analyzed docs in memory as one segment and
+implements the reader and segment surface that ``Searcher`` and its
+weights read, so a query over it runs the searcher's own rewrite and
+weights, as over a built index of the same docs. The monitor matches a
+document batch over one (the reference Monitor's ``DocumentBatch``).
+``MemoryIndex`` is one analyzed doc that answers any number of queries
+with the score it would get in a real one-doc index: a top-1 search
+with ``BlendedBM25Similarity(1)``, i.e. exact64 BM25 with term boosts,
+every held term at df 1.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from .bm25 import B, K1, idf64, score64
-from .query import (
-    BooleanQuery, BoostQuery, ConstantScoreQuery, DisjunctionMaxQuery,
-    MatchAllDocsQuery, MultiPhraseQuery, PhraseQuery, Query, SpanNearQuery,
-    TermQuery, query_terms,
-)
-from .monitor import matches_doc, positional_freq
+from ..analysis.analyzer import StandardAnalyzer
+from ..codecs.postings import DecodedPostings
+from .bm25 import B, K1
+from .query import Query
+from .searcher import Searcher
+from .similarities import BlendedBM25Similarity
 
-_IDF1 = idf64(1, 1)
+
+class MemoryReader:
+    """Docs in memory as a reader that is its own one segment. Token
+    occurrence j is term ``terms[j]`` at ``positions[j]`` of doc
+    ``docs[j]`` (docIDs 0 .. n_docs-1, none deleted); one doc's
+    occurrences come in position order. ``numerics`` maps a column to
+    its n_docs values (None or NaN: missing). The postings are built in
+    one pass: one stable sort of the occurrences by (term, doc)."""
+
+    _contiguous, _base = True, 0
+
+    def __init__(self, terms, docs, positions, n_docs: int,
+                 numerics: dict | None = None, field: str = "text"):
+        enc = pc.dictionary_encode(pa.array(terms, pa.string())
+                                   if isinstance(terms, list) else terms)
+        rank = pc.array_sort_indices(enc.dictionary).to_numpy()
+        self._vocab = enc.dictionary.take(rank).to_pylist()  # sorted
+        tid = np.empty(len(rank), np.int64)
+        tid[rank] = np.arange(len(rank))
+        m = max(n_docs, 1)
+        docs = np.asarray(docs, np.int64)
+        key = tid[enc.indices.to_numpy(zero_copy_only=False)] * m + docs
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        self._pos = np.asarray(positions, np.int64)[order]
+        # one posting per (term, doc) run of the sorted keys, whose
+        # occurrences are [_ends[i], _ends[i + 1])
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        self._ends = np.r_[first, len(key)]
+        self._docs = key[first] % m
+        self._freqs = np.diff(self._ends).astype(np.int32)
+        # term i's postings are [_start[i], _start[i + 1])
+        self._start = np.searchsorted(key[first] // m,
+                                      np.arange(len(rank) + 1))
+        self.doc_ids = np.arange(n_docs, dtype=np.int64)
+        self._dl = np.bincount(docs, minlength=n_docs)
+        self.doc_count = self.num_docs = n_docs
+        self.sum_total_term_freq = len(key)
+        self.numerics = {c: np.asarray(v, np.float64)  # None -> NaN
+                         for c, v in (numerics or {}).items()}
+        self.field = field
+
+    def segments(self):
+        return (self,)
+
+    def __len__(self):
+        return len(self.doc_ids)
+
+    def _range(self, term: str):
+        """Term ``term``'s postings range, or None when absent."""
+        i = bisect_left(self._vocab, term)
+        if i == len(self._vocab) or self._vocab[i] != term:
+            return None
+        return self._start[i], self._start[i + 1]
+
+    def term_stats(self, terms) -> dict[str, tuple[int, int]]:
+        return {t: (0, 0) if (r := self._range(t)) is None else
+                (int(r[1] - r[0]), int(self._ends[r[1]] - self._ends[r[0]]))
+                for t in terms}
+
+    def vocab(self, lo: str | None = None, hi: str | None = None) -> list[str]:
+        """Sorted terms in [lo, hi] (None is unbounded)."""
+        v = self._vocab
+        return v[0 if lo is None else bisect_left(v, lo):
+                 len(v) if hi is None else bisect_right(v, hi)]
+
+    def live_mask(self, docs):  # none deleted; also the no-op loads
+        return None
+
+    ensure_terms = ensure_positions = live_mask
+
+    def live_doc_ids(self) -> np.ndarray:
+        return self.doc_ids
+
+    def get_positions(self, term: str):
+        """(docs, freqs, flat positions) or None."""
+        if (r := self._range(term)) is None:
+            return None
+        a, b = r
+        return (self._docs[a:b], self._freqs[a:b],
+                self._pos[self._ends[a]:self._ends[b]])
+
+    def get_decoded(self, term: str) -> DecodedPostings | None:
+        got = self.get_positions(term)
+        return None if got is None else DecodedPostings(*got[:2])
+
+    def doc_lens_for(self, docs: np.ndarray) -> np.ndarray:
+        return self._dl[docs]
+
+    def _values(self, col: str) -> np.ndarray:
+        return self.numerics.get(col, np.full(len(self), np.nan))
+
+    def numeric_range_docs(self, col: str, lower, upper,
+                           include_lower: bool = True,
+                           include_upper: bool = True) -> np.ndarray:
+        v = self._values(col)  # a missing (NaN) value is in no range
+        lo = -np.inf if lower is None else lower
+        hi = np.inf if upper is None else upper
+        return np.flatnonzero(((v >= lo) if include_lower else (v > lo))
+                              & ((v <= hi) if include_upper else (v < hi)))
+
+    def dv_terms_docs(self, col: str, values) -> np.ndarray:
+        return np.flatnonzero(np.isin(self._values(col), list(values)))
+
+    def stored(self, docs: np.ndarray, col: str):
+        return [None if x != x else x
+                for x in self._values(col)[docs].tolist()]
+
+
+def one_doc(terms, positions, numerics: dict | None = None) -> MemoryReader:
+    """A one-doc reader from its tokens' terms and positions and its
+    column -> numeric value dict."""
+    return MemoryReader(terms, np.zeros(len(terms), np.int64), positions, 1,
+                        {c: [v] for c, v in (numerics or {}).items()})
 
 
 class MemoryIndex:
@@ -33,72 +150,11 @@ class MemoryIndex:
 
     def __init__(self, text: str, analyzer=None, numerics=None,
                  k1: float = K1, b: float = B):
-        if analyzer is None:
-            from ..analysis.analyzer import StandardAnalyzer
-            analyzer = StandardAnalyzer()
-        toks = analyzer(text)
-        self.dl = len(toks)
-        self.pos: dict[str, np.ndarray] = {}
-        for i, t in enumerate(toks):
-            self.pos.setdefault(t, []).append(i)
-        self.pos = {t: np.asarray(p, dtype=np.int64)
-                    for t, p in self.pos.items()}
-        self.numerics = numerics or {}
-        self.k1 = k1
-        self.b = b
-
-    # --- scoring ----------------------------------------------------------
-    def _tf_score(self, freq: float, boost: float = 1.0,
-                  idf: float = _IDF1) -> float:
-        # dl == avgdl: the length norm is 1
-        return float(score64(freq, self.dl, boost * idf, self.dl,
-                             self.k1, self.b))
-
-    def _score(self, q: Query, boost: float = 1.0) -> tuple[bool, float]:
-        """(matches, score)."""
-        if isinstance(q, TermQuery):
-            p = self.pos.get(q.term)
-            if p is None:
-                return False, 0.0
-            return True, self._tf_score(float(len(p)), boost * q.boost)
-        if isinstance(q, MatchAllDocsQuery):
-            return True, boost * q.boost
-        if isinstance(q, BoostQuery):
-            return self._score(q.inner, boost * q.boost)
-        if isinstance(q, ConstantScoreQuery):
-            if matches_doc(q.inner, self.pos, self.numerics):
-                return True, boost * q.boost
-            return False, 0.0
-        if isinstance(q, DisjunctionMaxQuery):
-            parts = [self._score(d, boost) for d in q.disjuncts]
-            hits = [s for ok, s in parts if ok]
-            if not hits:
-                return False, 0.0
-            mx = max(hits)
-            return True, mx + q.tie_breaker * (sum(hits) - mx)
-        if isinstance(q, BooleanQuery):
-            if not matches_doc(q, self.pos, self.numerics):
-                return False, 0.0
-            total = 0.0
-            for c in q.must:
-                total += self._score(c, boost)[1]
-            for c in q.should:
-                ok, s = self._score(c, boost)
-                if ok:
-                    total += s
-            return True, total  # filter/must_not contribute no score
-        if isinstance(q, (PhraseQuery, MultiPhraseQuery, SpanNearQuery)):
-            freq = positional_freq(q, self.pos)
-            if freq <= 0:
-                return False, 0.0
-            # df = 1 for each term held (MultiPhraseWeight: all alternatives)
-            idf_sum = _IDF1 * sum(t in self.pos for t in query_terms(q))
-            return True, self._tf_score(freq, boost * q.boost, idf_sum)
-        # multi-term / numeric etc.: constant-score on match
-        if matches_doc(q, self.pos, self.numerics):
-            return True, boost * getattr(q, "boost", 1.0)
-        return False, 0.0
+        toks = (analyzer or StandardAnalyzer()).tokens(text)
+        self.searcher = Searcher(
+            one_doc([t.term for t in toks], [t.position for t in toks],
+                    numerics), similarity=BlendedBM25Similarity(1, k1, b))
 
     def search(self, q: Query) -> float:
-        ok, s = self._score(q)
-        return s if ok else 0.0
+        td = self.searcher.search(q, 1)
+        return float(td.scores[0]) if len(td.doc_ids) else 0.0

@@ -11,20 +11,21 @@ a set of terms such that any matching document must contain at least
 one of them (``QueryTree`` semantics: a conjunction node may be
 represented by its single "best" child, a disjunction node needs the
 union of its children; queries with no extractable terms fall back to
-an ANYTOKEN bucket that every document is checked against). Documents
-are tokenized, the posting lists of their distinct terms are unioned to
-select CANDIDATE queries, and only the candidates are exact-matched
-against the document. Phrase, multi-phrase and span-near nodes match
-through the searcher's own slot gather and freq kernel, read from the
-document's term -> positions dict (``positional_freq``).
+an ANYTOKEN bucket that every document is checked against). A doc's
+distinct terms select its CANDIDATE queries. Exact matching is the
+searcher's own: a batch's candidate docs form one ``MemoryReader``
+(the reference's ``DocumentBatch``; its field is the text column),
+each candidate query runs ``Searcher.match_docs`` once over it, and a
+(doc, query) pair is kept where the query was the doc's candidate.
+Multi-term queries expand against the batch's vocabulary, so
+``MAX_CLAUSE_COUNT`` applies to it as to a built index's dictionary.
 
 Ray mapping (original design, not a translation): the registered-query
 index is tiny relative to the corpus, so it is broadcast ONCE via
 ``ray.put`` and read once per actor in ``__init__``; documents stream
 through an actor-pool ``map_batches`` stage (``match_stream``) that
-tokenizes each batch with the shared vectorized Arrow kernel and emits
-(doc_id, query_id) match rows. Nothing about the document stream is
-materialized; per-batch work is bounded by candidates x doc terms.
+emits (doc_id, query_id) match rows. Nothing about the document stream
+is materialized.
 
 The SIMPLE matcher (``QueryMatch.SIMPLE_MATCHER``) is implemented:
 match rows only. Reference scoring matchers score against the
@@ -39,32 +40,29 @@ lexicographically for determinism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
 
 from ..analysis.analyzer import StandardAnalyzer
+from ..analysis.arrow_tokenize import _tokenize_batch_arrow
+from .memory import MemoryReader, one_doc
 from .query import (
     BooleanQuery,
     BoostQuery,
+    ComplexPhraseQuery,
     ConstantScoreQuery,
+    CoveringQuery,
     DisjunctionMaxQuery,
-    FuzzyQuery,
-    MatchAllDocsQuery,
+    FunctionScoreQuery,
     MultiPhraseQuery,
-    NumericRangeQuery,
     PhraseQuery,
-    PrefixQuery,
     Query,
-    RegexpQuery,
     SpanNearQuery,
     TermQuery,
-    TermRangeQuery,
-    WildcardQuery,
-    expand_terms,
 )
-from .searcher import _PhraseWeight
+from .searcher import Searcher, _PhraseWeight
 
 
 @dataclass(frozen=True)
@@ -142,14 +140,19 @@ def _union(sets) -> frozenset | None:
 
 def needs_positions(q: Query) -> bool:
     """True when exact matching of ``q`` needs token positions (some
-    Phrase/MultiPhrase/SpanNear node); position-free docs can then skip
-    the ordered (Python) analyzer pass entirely."""
+    Phrase/MultiPhrase/SpanNear node, or a complex phrase, of several
+    slots); position-free docs can then skip the ordered (Python)
+    analyzer pass entirely."""
     if isinstance(q, (PhraseQuery, MultiPhraseQuery, SpanNearQuery)):
         return len(_PhraseWeight.positional_node(q)[0]) > 1
-    if isinstance(q, (ConstantScoreQuery, BoostQuery)):
+    if isinstance(q, ComplexPhraseQuery):
+        return len(q.positions) > 1
+    if isinstance(q, (ConstantScoreQuery, BoostQuery, FunctionScoreQuery)):
         return needs_positions(q.inner)
     if isinstance(q, DisjunctionMaxQuery):
         return any(needs_positions(d) for d in q.disjuncts)
+    if isinstance(q, CoveringQuery):
+        return any(needs_positions(d) for d in q.queries)
     if isinstance(q, BooleanQuery):
         return any(needs_positions(c) for c in
                    tuple(q.must) + tuple(q.filter) + tuple(q.should)
@@ -157,107 +160,20 @@ def needs_positions(q: Query) -> bool:
     return False
 
 
-# --- exact per-document matching -------------------------------------------
+# --- exact matching -------------------------------------------------------
 
-class _Docs:
-    """Docs' term -> sorted positions dicts as one segment for the
-    searcher's positional gather (doc i = ``rows[i]``, none deleted).
-    Each positional node is matched once over all of them (the reference
-    Monitor's DocumentBatch role): a batch pays per node, not per doc."""
-
-    def __init__(self, rows: list):
-        self.rows, self._freqs = rows, {}
-
-    def add(self, pos: dict) -> "_Row":
-        row = _Row(pos)
-        row.docs, row.i = self, len(self.rows)
-        self.rows.append(row)
-        return row
-
-    def get_positions(self, term: str):
-        hold = [i for i, p in enumerate(self.rows) if term in p]
-        if not hold:
-            return None
-        pos = [self.rows[i][term] for i in hold]
-        return (np.asarray(hold, dtype=np.int64),
-                np.array([len(p) for p in pos]), np.concatenate(pos))
-
-    def live_mask(self, docs):
-        return None
-
-    def freqs(self, q: Query) -> dict:
-        """doc -> freq of a positional ``q``, for the docs it matches."""
-        f = self._freqs.get(q)
-        if f is None:
-            docs, freqs = _PhraseWeight.node_freqs(
-                self, _PhraseWeight.positional_node(q))
-            f = self._freqs[q] = ({} if docs is None else
-                                  dict(zip(docs.tolist(), freqs.tolist())))
-        return f
-
-
-class _Row(dict):
-    """One doc of a ``_Docs`` batch: its term -> positions dict, and the
-    batch (``docs``, index ``i``) that matches its positional nodes."""
-    __slots__ = ("docs", "i")
-
-
-def positional_freq(q: Query, pos: dict) -> float:
-    """The freq of a phrase, multi-phrase or span-near ``q`` in one doc
-    (0.0: no match), from the searcher's own kernel over the doc (over
-    its whole batch for a ``_Row``), so it matches as a built index."""
-    docs, i = (pos.docs, pos.i) if isinstance(pos, _Row) else (_Docs([pos]), 0)
-    return docs.freqs(q).get(i, 0.0)
+def _one_doc(pos: dict, numerics: dict | None) -> MemoryReader:
+    """A one-doc reader from a term -> sorted positions dict."""
+    return one_doc([t for t, p in pos.items() for _ in p],
+                   [x for p in pos.values() for x in p], numerics)
 
 
 def matches_doc(q: Query, pos: dict, numerics: dict | None = None) -> bool:
     """Exact match of ``q`` against one document given its
-    term -> sorted positions array (and optional numeric columns).
-    Phrase, multi-phrase and span-near nodes match on a positive
-    ``positional_freq``."""
-    if isinstance(q, TermQuery):
-        return q.term in pos
-    if isinstance(q, MatchAllDocsQuery):
-        return True
-    if isinstance(q, (ConstantScoreQuery, BoostQuery)):
-        return matches_doc(q.inner, pos, numerics)
-    if isinstance(q, DisjunctionMaxQuery):
-        return any(matches_doc(d, pos, numerics) for d in q.disjuncts)
-    if isinstance(q, BooleanQuery):
-        for c in tuple(q.must) + tuple(q.filter):
-            if not matches_doc(c, pos, numerics):
-                return False
-        for c in q.must_not:
-            if matches_doc(c, pos, numerics):
-                return False
-        need = q.min_should_match
-        if not (q.must or q.filter):
-            need = max(need, 1)
-        if q.should and need > 0:
-            hits = sum(matches_doc(c, pos, numerics) for c in q.should)
-            if hits < need:
-                return False
-        elif need > 0 and not q.should:
-            return False
-        return True
-    if isinstance(q, (PhraseQuery, MultiPhraseQuery, SpanNearQuery)):
-        return positional_freq(q, pos) > 0
-    if isinstance(q, NumericRangeQuery):
-        if not numerics or q.column not in numerics:
-            return False
-        v = numerics[q.column]
-        if v is None:
-            return False
-        lo_ok = (q.lower is None or
-                 (v >= q.lower if q.include_lower else v > q.lower))
-        hi_ok = (q.upper is None or
-                 (v <= q.upper if q.include_upper else v < q.upper))
-        return lo_ok and hi_ok
-    if isinstance(q, (PrefixQuery, WildcardQuery, RegexpQuery,
-                      TermRangeQuery, FuzzyQuery)):
-        # rewrite against the DOCUMENT's own (tiny) vocabulary
-        return bool(expand_terms(q, sorted(pos.keys())))
-    raise TypeError(f"monitor cannot match query type {type(q).__name__}")
+    term -> sorted positions array (and optional numeric columns): the
+    searcher's ``match_docs`` over a one-doc ``MemoryReader``."""
+    return len(Searcher(_one_doc(pos, numerics),
+                        similarity="bm25_exact64").match_docs(q)) > 0
 
 
 class Monitor:
@@ -308,96 +224,74 @@ class Monitor:
     def candidates(self, terms) -> set:
         """Presearcher: query ids that could match a doc with these
         distinct terms (union of posting lists + ANYTOKEN bucket)."""
-        out = set(self._anytoken)
-        post = self._postings
-        for t in terms:
-            s = post.get(t)
-            if s:
-                out |= s
-        return out
+        return self._anytoken.union(*(self._postings.get(t, ())
+                                      for t in terms))
 
     def match_doc(self, pos: dict, numerics: dict | None = None,
                   filter_value=None) -> list:
         """Matching query ids for one doc (sorted)."""
-        return self._match_candidates(self.candidates(pos.keys()), pos,
-                                      numerics, filter_value)
+        return [qid for _r, qid in self._pairs(
+            _one_doc(pos, numerics), [self.candidates(pos.keys())],
+            [filter_value])]
 
     def match_batch(self, batch: pa.Table, text_col: str = "text",
                     id_col: str = "doc_id") -> pa.Table:
-        """(doc_id, query_id) match rows for one Arrow batch.
-
-        Two-tier tokenization, mirroring the reference's DocumentBatch
-        -> presearcher-disjunction -> exact-match flow: the vectorized
-        Arrow kernel produces per-doc term MULTISETS (order-free) for
-        candidate selection and for matching every position-free
-        candidate; the ordered posInc-aware Python analyzer runs ONLY
-        for docs whose candidate set contains a phrase/span query. Those
-        docs form one ``_Docs``, so each positional node runs the
-        searcher's slot kernel once per batch."""
-        from ..analysis.arrow_tokenize import _tokenize_batch_arrow
-
+        """(doc_id, query_id) match rows for one Arrow batch. The
+        vectorized Arrow kernel gives each doc's term MULTISET for
+        candidate selection; the ordered posInc-aware Python analyzer
+        runs ONLY for docs with a positional candidate. The candidate
+        rows form one ``MemoryReader`` (docID = row; a multiset row's
+        positions are its occurrence slots)."""
         flat, didx = _tokenize_batch_arrow(batch.column(text_col),
                                            self.analyzer)
         n = len(batch)
-        # group multiset tokens per doc (didx is not ordered across the
-        # kernel's refinement legs -> stable sort first)
+        # didx is not ordered across the kernel's legs: stable sort first
         order = np.argsort(didx, kind="stable")
-        toks = flat.take(pa.array(order)).to_pylist()
-        bounds = np.searchsorted(didx[order], np.arange(n + 1))
+        flat, didx = flat.take(pa.array(order)), didx[order]
+        toks = flat.to_pylist()
+        bounds = np.searchsorted(didx, np.arange(n + 1))
+        cands = [self.candidates(set(toks[bounds[r]:bounds[r + 1]]))
+                 for r in range(n)]
+        pos_rows = np.array([bool(c & self._positional) for c in cands], bool)
+        keep = (np.array([bool(c) for c in cands], bool) & ~pos_rows)[didx]
+        terms, docs = [flat.filter(pa.array(keep))], [didx[keep]]
+        slots = [(np.arange(len(didx)) - bounds[didx])[keep]]
+        if pos_rows.any():  # real positions (keeping no token objects)
+            texts = batch.column(text_col).to_pylist()
+            rows, lens, pterms, pslots = np.flatnonzero(pos_rows), [], [], []
+            for r in rows.tolist():
+                ats = self.analyzer.tokens(texts[r] or "")
+                lens.append(len(ats))
+                pterms += [at.term for at in ats]
+                pslots += [at.position for at in ats]
+            terms.append(pa.array(pterms, flat.type))
+            docs.append(np.repeat(rows, lens))
+            slots.append(np.asarray(pslots, np.int64))
+        num_cols = {f.name: batch.column(f.name) for f in batch.schema
+                    if f.name != id_col and (pa.types.is_integer(f.type)
+                                             or pa.types.is_floating(f.type))}
+        reader = MemoryReader(pa.concat_arrays(terms), np.concatenate(docs),
+                              np.concatenate(slots), n, num_cols, text_col)
+        f = self.filter_field
+        pairs = self._pairs(reader, cands, batch.column(f).to_pylist()
+                            if f in batch.column_names else [None] * n)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        texts = None  # lazy: only fetched when a positional doc appears
-        filt_vals = (batch.column(self.filter_field)
-                     .to_pylist() if self.filter_field is not None
-                     and self.filter_field in batch.column_names
-                     else [None] * n)
-        num_cols = {c: batch.column(c).to_numpy(zero_copy_only=False)
-                    for c in batch.column_names
-                    if pa.types.is_integer(batch.schema.field(c).type)
-                    or pa.types.is_floating(batch.schema.field(c).type)}
-        num_cols.pop(id_col, None)
-        docs = _Docs([])  # the positional rows, matched node by node
-        rows = []
-        for r in range(n):
-            row_toks = toks[bounds[r]:bounds[r + 1]]
-            cand = self.candidates(set(row_toks))
-            if not cand:
-                continue
-            if cand & self._positional:
-                if texts is None:
-                    texts = batch.column(text_col).to_pylist()
-                pos: dict = {}
-                for at in self.analyzer.tokens(texts[r] or ""):
-                    pos.setdefault(at.term, []).append(at.position)
-            else:  # multiset suffices; synthesize occurrence slots
-                pos = {}
-                for i, t in enumerate(row_toks):
-                    pos.setdefault(t, []).append(i)
-            pos = {t: np.asarray(v, dtype=np.int64)
-                   for t, v in pos.items()}
-            rows.append((r, cand, docs.add(pos) if cand & self._positional
-                         else pos))
-        out_doc, out_q = [], []
-        for r, cand, pos in rows:
-            numerics = {c: a[r] for c, a in num_cols.items()}
-            for qid in self._match_candidates(cand, pos, numerics,
-                                              filt_vals[r]):
-                out_doc.append(ids[r])
-                out_q.append(qid)
         return pa.table({
-            id_col: pa.array(out_doc, pa.int64()),
-            "query_id": pa.array(out_q, pa.string()),
+            id_col: pa.array([ids[r] for r, _q in pairs], pa.int64()),
+            "query_id": pa.array([q for _r, q in pairs], pa.string()),
         })
 
-    def _match_candidates(self, cand, pos, numerics, filter_value) -> list:
+    def _pairs(self, reader, cands: list, filter_values: list) -> list:
+        """Sorted (doc, query_id) pairs: every candidate query runs once
+        over ``reader``; a pair is kept where the query is a candidate of
+        the doc (``cands[doc]``) and its metadata filter passes."""
+        s = Searcher(reader, similarity="bm25_exact64")
         out = []
-        for qid in cand:
+        for qid in set().union(*cands):
             mq = self.queries[qid]
-            if self.filter_field is not None and mq.metadata:
-                want = dict(mq.metadata).get(self.filter_field)
-                if want is not None and want != filter_value:
-                    continue
-            if matches_doc(mq.query, pos, numerics):
-                out.append(qid)
+            want = dict(mq.metadata).get(self.filter_field)
+            out += [(r, qid) for r in s.match_docs(mq.query).tolist()
+                    if qid in cands[r] and want in (None, filter_values[r])]
         return sorted(out)
 
 

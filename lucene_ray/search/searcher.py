@@ -11,8 +11,8 @@ Mirrors the reference query path (SURVEY.md §3.3):
   (ConjunctionDISI leapfrog); disjunctions accumulate every clause
   into segment-length arrays or a sorted union of their docs
   (``_DENSE_OR_RATIO``)
-- phrase, multi-phrase and span-near share one path (also the
-  monitor's, MemoryIndex's, intervals' and the term automaton's):
+- phrase, multi-phrase and span-near share one path (intervals and
+  the term automaton reuse its ``_per_doc`` slices):
   ``_gather`` picks the slots' candidates, ``_slot_freqs`` verifies them
   (vectorized exact phrase, else per-doc walks on ``_per_doc`` slices)
 - tombstoned docs are masked at every candidate-formation point, so
@@ -479,9 +479,9 @@ class Searcher:
     @staticmethod
     def _gather(sr, slots):
         """(live docs with an occurrence in every slot, each slot's (docs,
-        freqs, positions)), or None. ``sr`` is a segment or the monitor's
-        docs. A slot of several terms takes the (doc, pos)-sorted union
-        of their occurrences (UnionPostingsEnum role)."""
+        freqs, positions)) in segment ``sr``, or None. A slot of several
+        terms takes the (doc, pos)-sorted union of their occurrences
+        (UnionPostingsEnum role)."""
         cand, per_slot = None, []
         for alts in slots:
             got = [g for t in dict.fromkeys(alts)
@@ -1220,7 +1220,7 @@ class _PhraseWeight(_Weight):
 
     @staticmethod
     def node_freqs(src, node):
-        """(docs, freqs) of a node over a segment (or the monitor's docs)."""
+        """(docs, freqs) of a node over a segment."""
         got = Searcher._gather(src, node[0])
         if got is None:
             return None, None

@@ -9,8 +9,9 @@ import pytest
 from lucene_ray.index import build_index
 from lucene_ray.search import (
     BooleanQuery, BoostQuery, ConstantScoreQuery, DisjunctionMaxQuery,
-    IndexReader, MatchAllDocsQuery, MultiPhraseQuery, PhraseQuery,
-    PrefixQuery, Searcher, SpanNearQuery, TermQuery,
+    DocValuesTermsQuery, FuzzyQuery, IndexReader, MatchAllDocsQuery,
+    MultiPhraseQuery, PhraseQuery, PrefixQuery, Query, Searcher,
+    SpanNearQuery, TermInSetQuery, TermQuery,
 )
 from lucene_ray.search.memory import MemoryIndex
 
@@ -41,6 +42,11 @@ QUERIES = [
                         tie_breaker=0.3),
     MatchAllDocsQuery(),
     PrefixQuery("mer"),
+    FuzzyQuery("merge", max_edits=1),
+    TermInSetQuery(("data", "spark")),
+    # a field the index does not have matches nothing
+    TermQuery("data", field="title"),
+    TermQuery("data", field="text"),
 ]
 
 # exact64 ignores term boosts (oracle parity) — boosted queries compare
@@ -92,3 +98,21 @@ def test_memory_index_numerics():
     assert mi.search(q) == 2.0
     q2 = NumericRangeQuery("n_chars", 600, 900, True, True)
     assert mi.search(q2) == 0.0
+
+
+def test_memory_index_doc_values_terms():
+    mi = MemoryIndex("data merge", numerics={"n_chars": 500, "n": None})
+    assert mi.search(DocValuesTermsQuery("n_chars", (7, 500),
+                                         boost=3.0)) == 3.0
+    assert mi.search(DocValuesTermsQuery("n_chars", (7,))) == 0.0
+    # a missing value (None) or column holds no value of any set
+    assert mi.search(DocValuesTermsQuery("n", (0,))) == 0.0
+    assert mi.search(DocValuesTermsQuery("absent", (500,))) == 0.0
+
+
+def test_memory_index_unknown_query_type():
+    class Custom(Query):
+        pass
+
+    with pytest.raises(TypeError, match="Custom"):
+        MemoryIndex("data merge").search(Custom())

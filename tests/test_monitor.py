@@ -14,13 +14,18 @@ from lucene_ray.analysis import StandardAnalyzer
 from lucene_ray.index import build_index
 from lucene_ray.search import (
     BooleanQuery,
+    ComplexPhraseQuery,
+    CoveringQuery,
     DisjunctionMaxQuery,
+    DocValuesTermsQuery,
+    FunctionScoreQuery,
     FuzzyQuery,
     IndexReader,
     MatchAllDocsQuery,
     MultiPhraseQuery,
     PhraseQuery,
     PrefixQuery,
+    Query,
     Searcher,
     SpanNearQuery,
     TermQuery,
@@ -38,9 +43,9 @@ from lucene_ray.search.monitor import (
 ANALYZER = StandardAnalyzer()
 
 
-def doc_positions(text):
+def doc_positions(text, analyzer=ANALYZER):
     pos = {}
-    for at in ANALYZER.tokens(text):
+    for at in analyzer.tokens(text):
         pos.setdefault(at.term, []).append(at.position)
     return {t: np.asarray(v, dtype=np.int64) for t, v in pos.items()}
 
@@ -238,3 +243,90 @@ def test_numeric_range_in_monitor():
     out = m.match_batch(batch)
     got = set(zip(out["doc_id"].to_pylist(), out["query_id"].to_pylist()))
     assert got == {(1, "q_num")}
+
+
+# positional nodes under other combinators: each needs the row's real
+# positions, so ``needs_positions`` must see through them
+NESTED_POSITIONAL = [
+    ComplexPhraseQuery((("alpha",), (PrefixQuery("be"), "gamma"))),
+    ComplexPhraseQuery((("alpha",), ("w3", "beta")), slop=2),
+    FunctionScoreQuery(PhraseQuery(("alpha", "beta"))),
+    CoveringQuery((PhraseQuery(("alpha", "beta")), TermQuery("gamma")),
+                  min_match="2"),
+]
+
+
+@pytest.mark.parametrize("filtered", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 7, 250])
+def test_match_batch_equals_per_doc(batch_size, filtered):
+    """``match_batch`` over a batch reader returns exactly the pairs
+    ``matches_doc`` gives doc by doc (real analyzer positions each)."""
+    texts = make_corpus()
+    langs = ["en" if i % 3 else "de" for i in range(len(texts))]
+    queries = QUERY_BATTERY + NESTED_POSITIONAL
+    m = Monitor(filter_field="lang")
+    meta = [{"lang": "de"} if filtered and i % 2 else {}
+            for i in range(len(queries))]
+    m.register(*(MonitorQuery(f"q{i}", q, meta[i])
+                 for i, q in enumerate(queries)))
+    t = pa.table({
+        "doc_id": pa.array(np.arange(len(texts), dtype=np.int64) + 100),
+        "text": pa.array(texts, pa.string()),
+        "lang": pa.array(langs, pa.string()),
+    })
+    got = set()
+    for at in range(0, len(texts), batch_size):
+        out = m.match_batch(t.slice(at, batch_size))
+        got |= set(zip(out["doc_id"].to_pylist(),
+                       out["query_id"].to_pylist()))
+    want = {(d + 100, f"q{i}")
+            for d, text in enumerate(texts)
+            for i, q in enumerate(queries)
+            if meta[i].get("lang", langs[d]) == langs[d]
+            and matches_doc(q, doc_positions(text))}
+    assert got == want
+    # not vacuous: every query but the two that match nothing has pairs
+    assert filtered or len({q for _d, q in want}) == len(queries) - 2
+
+
+@pytest.mark.parametrize("qi", range(len(NESTED_POSITIONAL)))
+def test_nested_positional_queries_get_real_positions(qi):
+    """A stop word leaves a position gap that a row's occurrence slots
+    would close: a row whose candidate is a positional node under
+    another combinator must be analyzed for its real positions."""
+    q = NESTED_POSITIONAL[qi]
+    analyzer = StandardAnalyzer(stop_words={"the"})
+    texts = ["alpha the beta", "alpha beta", "alpha the beta gamma",
+             "alpha beta gamma", "alpha the the the beta", "alpha w3"]
+    m = Monitor(analyzer)
+    m.register(MonitorQuery("q", q))
+    out = m.match_batch(pa.table({
+        "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+        "text": pa.array(texts, pa.string())}))
+    want = [d for d, t in enumerate(texts)
+            if matches_doc(q, doc_positions(t, analyzer))]
+    assert want and out["doc_id"].to_pylist() == want
+
+
+def test_monitor_doc_values_terms_and_unknown_type():
+    """A doc-values terms query matches over the batch's numeric
+    columns; a query type the searcher has no weight for raises a
+    TypeError that names it."""
+    m = Monitor()
+    m.register(MonitorQuery("q_dv", DocValuesTermsQuery("n", (3, 5))))
+    batch = pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": pa.array(["alpha", "beta", ""], pa.string()),
+        "n": pa.array([3, 4, 5], pa.int64()),
+    })
+    out = m.match_batch(batch)
+    assert out["doc_id"].to_pylist() == [1, 3]
+
+    class Custom(Query):
+        pass
+
+    m.register(MonitorQuery("q_custom", Custom()))
+    with pytest.raises(TypeError, match="Custom"):
+        m.match_batch(batch)
+    with pytest.raises(TypeError, match="Custom"):
+        matches_doc(Custom(), doc_positions("alpha"))
