@@ -17,10 +17,14 @@ header scan, the role of ``Lucene90SkipWriter``'s file pointers); and,
 for an index built with positions, ``positions``, the term's ``ttf``
 position deltas as one run of 128-value blocks.
 
-``pack_postings_many`` packs many terms into such rows and
-``unpack_postings_many`` decodes many rows into ``DecodedPostings``
-(docIDs and freqs), each in one vectorized pass over every block.
-A row stores no skip data or impacts (the reference's
+``pack_postings_many`` packs many terms into such rows, each stream in
+one vectorized pass over every block. ``packed_rows`` keeps rows'
+``docs`` and ``freqs`` streams packed and resident (each in one padded
+buffer, with every block's offset and width), and ``decode_rows``
+decodes any of those rows into docIDs and freqs (``DecodedPostings``)
+with one ``_unpack_values`` per stream, the one decode kernel; a reader
+keeps its parts that way, and ``unpack_postings_many`` decodes a
+table. A row stores no skip data or impacts (the reference's
 ``Lucene90SkipWriter`` and ``CompetitiveImpactAccumulator``): a reader
 decodes a term whole, once, and a single-term top-k walks the decoded
 postings in score order, sorted from the freqs and the segment's norms
@@ -118,27 +122,34 @@ def _undelta(deltas: np.ndarray, counts) -> np.ndarray:
     return cs - np.repeat(base, counts)
 
 
-def _unpack_values(buf: bytes, sizes,
+def _padded(buf) -> np.ndarray:
+    """``buf``'s bytes and 8 zero bytes, as ``_unpack_values`` reads."""
+    return np.concatenate([np.frombuffer(buf, np.uint8), np.zeros(8, np.uint8)])
+
+
+def _unpack_values(buf: np.ndarray, sizes,
                    layout: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> np.ndarray:
-    """Decode every block of a stream, concatenated. ``for128`` blocks,
-    full and tail alike, decode in one vectorized pass: value ``i`` of a
-    width-``w`` block at byte ``o`` starts at bit ``(o + 1) * 8 + i * w``,
-    so one unaligned big-endian 8-byte window per value, shifted left
-    past the bits before it and right to its width, is the value.
-    Registered-format (tagged) blocks decode per block."""
+    """Decode blocks of a ``_padded`` stream, concatenated: those of
+    ``layout`` (each block's byte offset and width, -1 if tagged; any
+    blocks, in any order), or else every block, its headers scanned.
+    ``for128`` blocks, full and tail alike, decode in one vectorized
+    pass: value ``i`` of a width-``w`` block at byte ``o`` starts at bit
+    ``(o + 1) * 8 + i * w``, so one unaligned big-endian 8-byte window
+    per value, shifted left past the bits before it and right to its
+    width, is the value. Registered-format (tagged) blocks decode per
+    block."""
     sizes = np.asarray(sizes, dtype=np.int64)
     offs, widths = layout if layout is not None \
         else _scan_block_offsets(buf, sizes)
+    offs = offs[:len(sizes)].astype(np.int64)
     w = np.maximum(widths, 0)  # tagged blocks decode as zeros first
     wv = np.repeat(w, sizes)
     first = _offsets(sizes)
-    bit = np.repeat((offs[:-1] + 1) * 8 - first[:-1] * w, sizes) \
+    bit = np.repeat((offs + 1) * 8 - first[:-1] * w, sizes) \
         + np.arange(first[-1]) * wv
-    nb = len(buf)
-    padded = np.zeros(nb + 8, dtype=np.uint8)
-    padded[:nb] = np.frombuffer(buf, dtype=np.uint8)
-    window = np.ndarray((nb + 1,), dtype=">u8", buffer=padded, strides=(1,))
+    window = np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf,
+                        strides=(1,))
     # a shift by 64 gives 0 in numpy, so width-0 values come out 0
     out = ((window[bit >> 3] << (bit & 7).astype(np.uint64))
            >> (np.uint64(64) - wv.astype(np.uint64))).astype(np.uint32)
@@ -147,9 +158,9 @@ def _unpack_values(buf: bytes, sizes,
         from .registry import get_decoder
         for b in tagged.tolist():
             o = int(offs[b])
-            n = int(padded[o + 1]) | (int(padded[o + 2]) << 8)
-            out[first[b]:first[b + 1]] = get_decoder(int(padded[o]))(
-                bytes(buf[o + 3:o + 3 + n]), int(sizes[b]))
+            n = int(buf[o + 1]) | (int(buf[o + 2]) << 8)
+            out[first[b]:first[b + 1]] = get_decoder(int(buf[o]))(
+                buf[o + 3:o + 3 + n].tobytes(), int(sizes[b]))
     return out
 
 
@@ -280,56 +291,81 @@ def _binary_bytes(col) -> tuple[np.ndarray, np.ndarray]:
     return buf, offs - offs[0]
 
 
-def _decode_stream(t: pa.Table, name: str, sizes: np.ndarray,
-                   bb: np.ndarray | None = None) -> np.ndarray:
-    """Every block of the packed column ``name`` of ``t`` in one
-    ``_unpack_values`` call over the rows' bytes. ``bb`` (pack-time
-    block byte lengths) gives the layout; without it (positions) block
-    headers are scanned."""
-    buf, _ = _binary_bytes(t.column(name))
-    return _unpack_values(buf, sizes, layout=None if bb is None
-                          else _bb_layout(buf, bb, len(sizes), name))
+class _Stream(NamedTuple):
+    """Many rows' blocks of one stream: their ``_padded`` bytes, and
+    per block its byte offset (uint32; int64 past 4 GiB) and width."""
+
+    buf: np.ndarray
+    offs: np.ndarray
+    widths: np.ndarray
 
 
-def unpack_singletons(docs) -> np.ndarray:
-    """DocIDs (int64) of one-posting rows from their packed ``docs``
-    cells. Such a row is one block of one value, the docID itself (a
-    term's first delta is absolute), and its cell's byte length is the
-    block's, so every row decodes in one ``_unpack_values`` call,
-    registered-format (tagged) blocks included."""
-    buf, offs = _binary_bytes(docs)
-    n = len(offs) - 1
-    return _unpack_values(buf, np.ones(n, np.int64),
-                          layout=_bb_layout(buf, np.diff(offs), n, "docs")
-                          ).astype(np.int64)
+class PackedRows(NamedTuple):
+    """Postings rows kept packed to decode any of them: per row its df
+    and first block (int32), and the ``docs`` and ``freqs`` streams."""
+
+    df: np.ndarray
+    first_block: np.ndarray  # [nrows + 1]
+    docs: _Stream
+    freqs: _Stream
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.df, self.first_block,
+                                      *self.docs, *self.freqs))
 
 
-def _decode_rows(t: pa.Table) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's docIDs (int64) and freqs (int32), concatenated in row
-    order: each stream of ``t`` in one :func:`_decode_stream` over every
-    block of every row."""
-    counts = t.column("df").to_numpy()
-    _, bsize, _ = _blocks_of(_offsets(counts))
-    docs, freqs = (_decode_stream(t, s, bsize,
-                                  _flat_list(t.column(f"{s}_bb"))[1])
-                   for s in ("docs", "freqs"))
+def packed_rows(t: pa.Table) -> PackedRows:
+    """The rows of ``t`` (``df``, ``docs``, ``freqs``, ``docs_bb``,
+    ``freqs_bb``) as :class:`PackedRows`; raises where a row's block
+    lengths do not match its df and its cell."""
+    df = t.column("df").to_numpy()
+    first = _offsets(-(-df // BLOCK_SIZE))
+    streams = []
+    for s in ("docs", "freqs"):
+        off, bb = _flat_list(t.column(f"{s}_bb"))
+        buf, cells = _binary_bytes(t.column(s))
+        offs, widths = _bb_layout(buf, bb, first[-1], s)
+        if not (np.array_equal(off, first)
+                and np.array_equal(offs[first], cells)):
+            raise ValueError(f"{s} stream: block lengths do not match rows")
+        streams.append(_Stream(
+            _padded(buf), offs[:-1].astype(
+                np.uint32 if offs[-1] < 2**32 else np.int64),
+            widths.astype(np.int8)))
+    return PackedRows(df.astype(np.int32), first.astype(np.int32), *streams)
+
+
+def decode_rows(p: PackedRows, rows) -> tuple[np.ndarray, np.ndarray]:
+    """DocIDs (int64) and freqs (int32) of ``rows`` of ``p``, in any
+    order, concatenated: one ``_unpack_values`` per stream."""
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = p.df[rows].astype(np.int64)
+    _, bsize, first = _blocks_of(_offsets(counts))
+    blk = np.repeat(p.first_block[rows] - first[:-1], np.diff(first)) \
+        + np.arange(first[-1])
+    docs, freqs = (_unpack_values(s.buf, bsize, layout=(s.offs[blk],
+                                                         s.widths[blk]))
+                   for s in (p.docs, p.freqs))
     return _undelta(docs, counts), freqs.astype(np.int32)
 
 
-def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
-    """Decode many packed rows at once, the inverse of
-    :func:`pack_postings_many` over the ``df``, ``docs``, ``freqs``,
-    ``docs_bb`` and ``freqs_bb`` columns of ``t``. Each row's arrays
-    are read-only views of the batch's, and a row decodes the same in
-    any batch (one row alone included)."""
-    if len(t) == 0:
+def unpack_rows(p: PackedRows, rows) -> list[DecodedPostings]:
+    """:func:`decode_rows` split per row into read-only views; a row
+    decodes the same in any batch (one row alone included)."""
+    if len(rows) == 0:
         return []
-    docs, freqs = _decode_rows(t)
+    docs, freqs = decode_rows(p, rows)
     for a in (docs, freqs):
         a.flags.writeable = False
-    bounds = _offsets(t.column("df").to_numpy()).tolist()
+    bounds = _offsets(p.df[np.asarray(rows, dtype=np.int64)]).tolist()
     return [DecodedPostings(docs[lo:hi], freqs[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def unpack_postings_many(t: pa.Table) -> list[DecodedPostings]:
+    """Every row of ``t`` decoded: the inverse of ``pack_postings_many``."""
+    return unpack_rows(packed_rows(t), np.arange(len(t)))
 
 
 # --- batch pack (vectorized across terms) ----------------------------------
@@ -433,4 +469,5 @@ def unpack_positions(buf: bytes, freqs: np.ndarray) -> np.ndarray:
     one run of blocks. Returns absolute positions, flat (slice by
     cumsum(freqs)).
     """
-    return _undelta(_unpack_values(buf, _block_sizes(np.sum(freqs))), freqs)
+    return _undelta(_unpack_values(_padded(buf), _block_sizes(np.sum(freqs))),
+                    freqs)

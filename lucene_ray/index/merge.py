@@ -43,11 +43,13 @@ from ..codecs.postings import (
     POSTINGS_SCHEMA,
     _binary_bytes,
     _blocks_of,
-    _decode_rows,
-    _decode_stream,
     _offsets,
+    _padded,
     _undelta,
+    _unpack_values,
+    decode_rows,
     pack_postings_many,
+    packed_rows,
 )
 from .builder import commit, write_postings_part
 from .manifest import (
@@ -99,7 +101,7 @@ REPACK_SLICE_POSTINGS = 1 << 18
 def _repack_bucket(group: pa.Table,
                    deleted: np.ndarray | None = None) -> pa.Table:
     """Re-pack kernel over a whole bucket, the source segments' rows in
-    any order: decode every row (``_decode_rows``, one pass per
+    any order: decode every row (``decode_rows``, one pass per
     stream), drop postings of the ``deleted`` docIDs (sorted) and their
     position runs, sort by (term, doc) and pack with the build's
     ``pack_postings_many``: one run of full 128-doc ``for128`` blocks
@@ -112,7 +114,7 @@ def _repack_bucket(group: pa.Table,
     # every row is one run of blocks (full 128s + tail): its df docs,
     # and with positions its ttf position deltas
     counts = group.column("df").to_numpy()
-    docs, freqs = _decode_rows(group)
+    docs, freqs = decode_rows(packed_rows(group), np.arange(len(group)))
     freqs = freqs.astype(np.int64)
     # term of every posting: rows per term, postings per row
     row_term = np.repeat(np.arange(len(starts)),
@@ -122,7 +124,8 @@ def _repack_bucket(group: pa.Table,
     pos = None
     if _binary_bytes(group.column("positions"))[1][-1]:
         _, psizes, _ = _blocks_of(_offsets(group.column("ttf").to_numpy()))
-        deltas = _decode_stream(group, "positions", psizes)
+        deltas = _unpack_values(  # no stored block lengths: scanned
+            _padded(_binary_bytes(group.column("positions"))[0]), psizes)
         if len(deltas) != occ[-1]:
             raise ValueError(f"positions stream has {len(deltas)} values "
                              f"for {occ[-1]} occurrences")

@@ -33,14 +33,17 @@ class MemoryReader:
     """Docs in memory as a reader that is its own one segment. Token
     occurrence j is term ``terms[j]`` at ``positions[j]`` of doc
     ``docs[j]`` (docIDs 0 .. n_docs-1, none deleted); one doc's
-    occurrences come in position order. ``numerics`` maps a column to
-    its n_docs values (None or NaN: missing). The postings are built in
-    one pass: one stable sort of the occurrences by (term, doc)."""
+    occurrences come in position order. ``columns`` maps a column to
+    its n_docs values (None: missing), held as float64 (NaN: missing)
+    when they are numbers and as objects otherwise (converted on first
+    use), so doc-values terms and stored reads see every column and
+    numeric ranges only numeric ones. The postings are built in one pass: one stable sort of the
+    occurrences by (term, doc)."""
 
     _contiguous, _base = True, 0
 
     def __init__(self, terms, docs, positions, n_docs: int,
-                 numerics: dict | None = None, field: str = "text"):
+                 columns: dict | None = None, field: str = "text"):
         enc = pc.dictionary_encode(pa.array(terms, pa.string())
                                    if isinstance(terms, list) else terms)
         rank = pc.array_sort_indices(enc.dictionary).to_numpy()
@@ -66,8 +69,7 @@ class MemoryReader:
         self._dl = np.bincount(docs, minlength=n_docs)
         self.doc_count = self.num_docs = n_docs
         self.sum_total_term_freq = len(key)
-        self.numerics = {c: np.asarray(v, np.float64)  # None -> NaN
-                         for c, v in (numerics or {}).items()}
+        self._raw, self._cols = dict(columns or {}), {}
         self.field = field
 
     def segments(self):
@@ -118,28 +120,50 @@ class MemoryReader:
         return self._dl[docs]
 
     def _values(self, col: str) -> np.ndarray:
-        return self.numerics.get(col, np.full(len(self), np.nan))
+        """Column ``col`` (all NaN when absent), converted on first use."""
+        got = self._cols.get(col)
+        if got is None:
+            raw = self._raw.get(col)
+            got = self._cols[col] = (np.full(len(self), np.nan) if raw is None
+                                     else _column(raw))
+        return got
 
     def numeric_range_docs(self, col: str, lower, upper,
                            include_lower: bool = True,
                            include_upper: bool = True) -> np.ndarray:
         v = self._values(col)  # a missing (NaN) value is in no range
+        if v.dtype == object:
+            raise ValueError(f"column {col!r} is not numeric")
         lo = -np.inf if lower is None else lower
         hi = np.inf if upper is None else upper
         return np.flatnonzero(((v >= lo) if include_lower else (v > lo))
                               & ((v <= hi) if include_upper else (v < hi)))
 
     def dv_terms_docs(self, col: str, values) -> np.ndarray:
-        return np.flatnonzero(np.isin(self._values(col), list(values)))
+        want = set(values)
+        return np.flatnonzero([x in want for x in self._values(col).tolist()])
 
     def stored(self, docs: np.ndarray, col: str):
-        return [None if x != x else x
+        return [None if x is None or x != x else x
                 for x in self._values(col)[docs].tolist()]
+
+
+def _column(values) -> np.ndarray:
+    """A column's values: float64 (None -> NaN) when every present one
+    is a number (bool is not), else objects."""
+    vals = (values.to_pylist() if isinstance(values, (pa.Array,
+                                                      pa.ChunkedArray))
+            else list(values))
+    numeric = all(isinstance(x, (int, float, np.number))
+                  and not isinstance(x, (bool, np.bool_))
+                  for x in vals if x is not None)
+    return (np.array(vals, np.float64) if numeric
+            else np.fromiter(vals, object, len(vals)))
 
 
 def one_doc(terms, positions, numerics: dict | None = None) -> MemoryReader:
     """A one-doc reader from its tokens' terms and positions and its
-    column -> numeric value dict."""
+    column -> value dict."""
     return MemoryReader(terms, np.zeros(len(terms), np.int64), positions, 1,
                         {c: [v] for c, v in (numerics or {}).items()})
 

@@ -267,11 +267,10 @@ class Monitor:
             terms.append(pa.array(pterms, flat.type))
             docs.append(np.repeat(rows, lens))
             slots.append(np.asarray(pslots, np.int64))
-        num_cols = {f.name: batch.column(f.name) for f in batch.schema
-                    if f.name != id_col and (pa.types.is_integer(f.type)
-                                             or pa.types.is_floating(f.type))}
+        cols = {c: batch.column(c) for c in batch.column_names
+                if c not in (id_col, text_col)}
         reader = MemoryReader(pa.concat_arrays(terms), np.concatenate(docs),
-                              np.concatenate(slots), n, num_cols, text_col)
+                              np.concatenate(slots), n, cols, text_col)
         f = self.filter_field
         pairs = self._pairs(reader, cands, batch.column(f).to_pylist()
                             if f in batch.column_names else [None] * n)

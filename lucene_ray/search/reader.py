@@ -18,14 +18,17 @@ that lacks a part of it. Per-doc arrays (doc_id, doc_len, norm — ~13
 bytes/doc) stay resident per segment; stored fields are read lazily with
 docID predicate pushdown.
 
-Opening a part also reads its ``df``, ``ttf`` and ``docs`` columns
-once and keeps the docID and freq of every df = 1 row (the reference's
+Opening a part reads its ``term``, ``df``, ``docs``, ``freqs`` and
+block-length columns once, across every row group. Beside the
+dictionary it keeps the rows' ``docs`` and ``freqs`` streams packed
+(``codecs.postings.PackedRows``, the role of the reference's
+memory-mapped postings file; SURVEY.md §1.2) and, decoded from them,
+the docID and freq of every df = 1 row (the reference's
 ``singletonDocID`` in the term metadata, ``Lucene90PostingsWriter.
-finishTerm``; SURVEY.md §3.1): such a term's first touch reads nothing.
-Any other found term costs, per part its terms live in, one read of the
-row groups holding them with only the columns the decode needs; the
-rows read from every part are then decoded by one
-``unpack_postings_many``. Absent terms cost no read. The decoded arrays
+finishTerm``; SURVEY.md §3.1). A term's first touch then reads
+nothing: a df = 1 term comes from the singletons, a part's other found
+terms are decoded from its packed streams by one ``decode_rows`` per
+call, and absent terms cost nothing. The decoded arrays
 (docIDs and freqs, ``DecodedPostings``) are the one in-memory form of
 a term: they stay in the segment's postings LRU as read-only arrays,
 so scorers slice arrays instead of bit-unpacking blocks on every query,
@@ -33,8 +36,9 @@ and the searcher sorts a term's score order from them (with the
 resident norms); the file holds no score bounds. A term's packed
 positions stream is read only for the callers that need it
 (``get_positions``): positional weights load it with their first touch
-(``ensure_positions``), in the same one read per part and the same
-decode.
+(``ensure_positions``), one read per part and call of the row groups
+holding the terms, ``term`` and ``positions`` only, which ``rg_reads``
+and ``rows_loaded`` count.
 """
 
 from __future__ import annotations
@@ -49,8 +53,9 @@ import pyarrow.parquet as pq
 from ..codecs.postings import (
     DecodedPostings,
     _offsets,
-    unpack_postings_many,
-    unpack_singletons,
+    decode_rows,
+    packed_rows,
+    unpack_rows,
 )
 from ..index.manifest import (
     POSTINGS_BUCKETS,
@@ -131,35 +136,54 @@ def _route(terms) -> dict[int, list[str]]:
 
 
 class _PostingsPart:
-    """One term-sorted postings part: its dictionary, where each row
-    group starts, and per row the docID and freq of a df = 1 term
-    (``single_doc`` is -1 on every other row)."""
+    """One term-sorted postings part, resident from its open: its
+    dictionary, where each row group starts, every row's packed docs
+    and freqs (``packed``), and per row the docID (int32) and freq of a
+    df = 1 term (``single_doc`` is -1 on every other row)."""
 
     def __init__(self, path: str):
         self.path = path
-        # pre_buffer=False: queries make point reads of one or two row
-        # groups, which Arrow's read coalescing only slows down
+        # pre_buffer=False: positional loads make point reads of one or
+        # two row groups, which Arrow's read coalescing only slows down
         self.pf = pq.ParquetFile(path, pre_buffer=False)
         md = self.pf.metadata
         self.rg_starts = _offsets([md.row_group(i).num_rows
                                    for i in range(md.num_row_groups)])
-        t = self.pf.read(columns=["term", "df", "ttf", "docs"],
-                         use_threads=False)
+        t = self.pf.read(columns=["term", "df", "docs", "freqs", "docs_bb",
+                                  "freqs_bb"], use_threads=False)
         self.dict = _TermDict(t.column("term"))
-        one = np.flatnonzero(t.column("df").to_numpy() == 1)
-        self.single_doc = np.full(len(t), -1, np.int64)
-        self.single_doc[one] = unpack_singletons(t.column("docs").take(one))
+        self.packed = packed_rows(t)
+        one = np.flatnonzero(self.packed.df == 1)
+        self.single_doc = np.full(len(t), -1, np.int32)
         self.single_freq = np.zeros(len(t), np.int32)
-        self.single_freq[one] = t.column("ttf").to_numpy()[one]
-        self.single_doc.flags.writeable = False
+        self.single_doc[one], self.single_freq[one] = decode_rows(
+            self.packed, one)
         self.single_freq.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the part keeps."""
+        d = self.dict
+        return (self.rg_starts.nbytes + d.off.nbytes + d.keys.nbytes
+                + len(d.data) + self.packed.nbytes
+                + self.single_doc.nbytes + self.single_freq.nbytes)
 
     def singleton(self, r: int) -> DecodedPostings | None:
         """Row ``r``'s decoded postings if its term has df = 1."""
-        if self.single_doc[r] < 0:
+        d = self.single_doc[r]
+        if d < 0:
             return None
-        return DecodedPostings(self.single_doc[r:r + 1],
-                               self.single_freq[r:r + 1])
+        docs = np.array([d], np.int64)
+        docs.flags.writeable = False
+        return DecodedPostings(docs, self.single_freq[r:r + 1])
+
+    def postings(self, rows: list[int]) -> list[DecodedPostings]:
+        """Decoded postings of ``rows``: a df = 1 row from the
+        singletons, the others in one decode of the packed streams."""
+        got = [self.singleton(r) for r in rows]
+        decoded = iter(unpack_rows(
+            self.packed, [r for r, g in zip(rows, got) if g is None]))
+        return [next(decoded) if g is None else g for g in got]
 
     def read_rows(self, rows: list[int], columns=None):
         """(the given rows in order, row groups read, rows read): one
@@ -176,10 +200,6 @@ class _PostingsPart:
         # one row (the common first touch) is a zero-copy slice
         got = t.slice(int(idx[0]), 1) if len(idx) == 1 else t.take(idx)
         return got, len(rgs), len(t)
-
-
-# what unpack_postings_many reads, and the term to confirm the row by
-_DECODE_COLUMNS = ["term", "df", "docs", "freqs", "docs_bb", "freqs_bb"]
 
 
 class SegmentReader:
@@ -226,7 +246,7 @@ class SegmentReader:
                 m = cols == c
                 order = np.argsort(ud[m])
                 self._dvu[str(c)] = (ud[m][order], uv[m][order])
-        # observability: rows/row-groups materialized from postings files
+        # observability: rows/row-groups that positional loads read
         self.rows_loaded = 0
         self.rg_reads = 0
 
@@ -274,20 +294,24 @@ class SegmentReader:
         return iter(sorted(t for b in range(POSTINGS_BUCKETS)
                            for t in self._part(b).dict.terms()))
 
+    def resident_bytes(self) -> int:
+        """Bytes of the arrays its open postings parts keep: their term
+        dictionaries, packed streams and singletons."""
+        return sum(p.nbytes for p in self._parts.values())
+
     def ensure_terms(self, terms) -> None:
         """Load the given terms' decoded postings: each resolves in its
         part's dictionary; a df = 1 term is served from the part's
-        resident singletons, the other found rows' row groups are read
-        once per part with only the decode's columns, and every row
-        read is decoded in one pass. Absent terms are recorded, with no
-        read; everything loaded lands in the LRU cache."""
+        resident singletons, and a part's other found terms are decoded
+        in one pass from its packed streams, with no read. Absent terms
+        are recorded; everything loaded lands in the LRU cache."""
         self._load([t for t in dict.fromkeys(terms)
                     if t not in self._cache and t not in self._absent],
                    positions=False)
 
     def ensure_positions(self, terms) -> None:
-        """``ensure_terms``, with the ``positions`` column in the same
-        one read per part (df = 1 terms are read too): the terms'
+        """``ensure_terms``, plus one read per part of the row groups
+        holding the found terms (``term`` and ``positions`` only): their
         packed positions stay beside their decoded postings."""
         self._load([t for t in dict.fromkeys(terms)
                     if t not in self._positions and t not in self._absent],
@@ -296,51 +320,29 @@ class SegmentReader:
     def _load(self, missing: list[str], positions: bool) -> None:
         if not missing:
             return
-        found, tables = [], []
         loaded = 0  # found terms of this call, kept at the LRU's end
         for b, part_terms in _route(missing).items():
             part = self._part(b)
-            want, rows = [], []
-            for term, r in zip(part_terms, part.dict.rows(part_terms)):
-                if r < 0:
-                    self._absent.add(term)
-                    continue
-                single = None if positions else part.singleton(r)
-                if single is None:
-                    want.append(term)
-                    rows.append(r)
-                else:
-                    self._cache[term] = single
-                    loaded += 1
-            if not rows:
-                continue  # no read for absent and df = 1 terms
-            t, rgs, nrows = part.read_rows(
-                rows, _DECODE_COLUMNS + ["positions"] if positions
-                else _DECODE_COLUMNS)
-            # counters measure Parquet reads, before the selection
-            self.rg_reads += rgs
-            self.rows_loaded += nrows
-            if t.column("term").to_pylist() != want:
-                raise ValueError(f"{part.path}: rows do not hold the "
-                                 "terms its dictionary names")
-            if positions:
+            rows = part.dict.rows(part_terms)
+            self._absent.update(t for t, r in zip(part_terms, rows) if r < 0)
+            found = {t: r for t, r in zip(part_terms, rows) if r >= 0}
+            if positions and found:
+                got, rgs, nrows = part.read_rows(list(found.values()),
+                                                 ["term", "positions"])
+                self.rg_reads += rgs  # Parquet reads, before the selection
+                self.rows_loaded += nrows
+                if got.column("term").to_pylist() != list(found):
+                    raise ValueError(f"{part.path}: rows do not hold the "
+                                     "terms its dictionary names")
                 self._positions.update(
-                    zip(want, t.column("positions").to_pylist()))
-            found += want
-            tables.append(t)
-        if tables:
-            t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-            new = np.array([term not in self._cache for term in found])
-            decoded = iter(unpack_postings_many(
-                t if new.all() else t.filter(new)))
-            for term, n in zip(found, new.tolist()):
-                if n:
-                    self._cache[term] = next(decoded)
-                else:
-                    self._cache.move_to_end(term)
+                    zip(found, got.column("positions").to_pylist()))
+            new = [t for t in found if t not in self._cache]
+            self._cache.update(zip(new, part.postings([found[t] for t in new])))
+            for term in found:
+                self._cache.move_to_end(term)
             loaded += len(found)
         # evict least recently used terms, never one this call loaded:
-        # its scorer would read it again, one row at a time
+        # its scorer would decode it again, one row at a time
         while len(self._cache) > max(self._cache_size, loaded):
             k, _ = self._cache.popitem(last=False)
             self._positions.pop(k, None)

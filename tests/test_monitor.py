@@ -245,6 +245,33 @@ def test_numeric_range_in_monitor():
     assert got == {(1, "q_num")}
 
 
+@pytest.mark.parametrize("langs,want", [(["en", "fr"], "en"), ([1, 2], 1)])
+def test_doc_values_terms_on_any_column(langs, want):
+    """A doc-values terms filter matches over a string column of the
+    batch as over an int one (the control); a numeric range over a
+    string column raises rather than matching nothing."""
+    from lucene_ray.search.query import NumericRangeQuery
+    m = Monitor()
+    m.register(MonitorQuery("q_dv", BooleanQuery(
+        must=(TermQuery("alpha"),),
+        filter=(DocValuesTermsQuery("lang", (want,)),))))
+    batch = pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": pa.array(["alpha beta", "alpha gamma"], pa.string()),
+        "lang": pa.array(langs),
+    })
+    out = m.match_batch(batch)
+    assert out["doc_id"].to_pylist() == [1]
+    assert out["query_id"].to_pylist() == ["q_dv"]
+    m.register(MonitorQuery("q_range", NumericRangeQuery(
+        column="lang", lower=0, upper=5)))
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match="not numeric"):
+            m.match_batch(batch)
+    else:
+        assert len(m.match_batch(batch)) == 3
+
+
 # positional nodes under other combinators: each needs the row's real
 # positions, so ``needs_positions`` must see through them
 NESTED_POSITIONAL = [

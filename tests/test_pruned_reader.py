@@ -1,8 +1,9 @@
-"""Term-pruned postings reads (VERDICT r1 item 1): the reader must not
-materialize whole postings tables — a query's bytes are bounded by its
-terms' row groups, found through the resident term dictionary (the
-terms-index analog, ``codecs/lucene90/blocktree/
-Lucene90BlockTreeTermsReader.java``)."""
+"""Term-pruned postings reads (VERDICT r1 item 1): a term resolves in
+the resident term dictionary (the terms-index analog,
+``codecs/lucene90/blocktree/Lucene90BlockTreeTermsReader.java``); once
+its part is open, a first touch decodes from the part's resident packed
+streams with no Parquet read, and a positional one reads only the row
+groups that hold its terms."""
 
 import numpy as np
 import pyarrow as pa
@@ -165,8 +166,8 @@ def test_absent_terms_cost_no_parquet_reads(wide_vocab_index, monkeypatch):
     out, _ = wide_vocab_index
     reader = IndexReader(out)
     sr = next(reader.segments())
-    sr.ensure_terms(["anchor"])  # opens anchor's part's dictionary
-    assert sr.rg_reads == 1
+    sr.ensure_terms(["anchor"])  # opens anchor's part; the load reads nothing
+    assert sr.rg_reads == 0 and sr.rows_loaded == 0
     b = int(bucket_of(["anchor"])[0])
     # past the part's last term, and inside its term range
     absent = [t for t in (f"{p}{i}" for p in ("zz_missing", "anchor~")
@@ -182,7 +183,7 @@ def test_absent_terms_cost_no_parquet_reads(wide_vocab_index, monkeypatch):
     assert all(sr.get_positions(t) is None and sr.get_decoded(t) is None
                and sr.df(t) == 0 for t in absent)
     assert sr._absent == set(absent)
-    assert sr.rg_reads == 1 and sr.rows_loaded <= POSTINGS_ROW_GROUP
+    assert sr.rg_reads == 0 and sr.rows_loaded == 0
 
 
 def _assert_decoded_equal(got, want):
@@ -226,18 +227,20 @@ def _absent_between(first, last, b):
 
 @pytest.mark.parametrize("positions", [True, False])
 def test_selected_rows_match_full_read(wide_vocab_index, positions):
-    """One read of one row group serves a batch of terms, with or
-    without the positions column; either way the decoded arrays and
-    positions equal the full file's, and the dictionary keeps an
-    absent term inside the row group's range from becoming a row."""
+    """A batch of terms of one row group loads with no read, and a
+    positional batch with one read of that row group; either way the
+    decoded arrays and positions equal the full file's, and the
+    dictionary keeps an absent term inside the row group's range from
+    becoming a row."""
     out, _ = wide_vocab_index
     sr, part, full, first, last = _row_group_edges(IndexReader(out))
     absent = _absent_between(first, last, 0)
     batch = [first, absent, last, first, last, absent]
     (sr.ensure_positions if positions else sr.ensure_terms)(batch)
     # counters count what was read from Parquet, not the rows kept
-    assert sr.rg_reads == 1
-    assert sr.rows_loaded == part.pf.metadata.row_group(1).num_rows
+    assert sr.rg_reads == (1 if positions else 0)
+    assert sr.rows_loaded == (part.pf.metadata.row_group(1).num_rows
+                              if positions else 0)
     assert set(sr._positions) == ({first, last} if positions else set())
     row = {t: i for i, t in enumerate(full.column("term").to_pylist())}
     for term in (first, last):
@@ -247,8 +250,8 @@ def test_selected_rows_match_full_read(wide_vocab_index, positions):
         assert sr._positions[term] == \
             full.column("positions")[row[term]].as_py()
         assert sr.df(term) == full.column("df")[row[term]].as_py()
-    # without the positions column, each term's positions are one more read
-    assert sr.rg_reads == (1 if positions else 3)
+    # loaded without positions, each term's positions are one more read
+    assert sr.rg_reads == (1 if positions else 2)
     assert sr.get_positions(absent) is None
     assert absent in sr._absent
 
@@ -688,12 +691,12 @@ def test_singleton_first_touch_reads_no_parquet(singleton_kinds,
     assert sr.rg_reads == 0 and sr.rows_loaded == 0
 
 
-def test_mixed_batch_is_one_read_per_part_and_one_decode(singleton_kinds,
-                                                         monkeypatch):
+def test_mixed_batch_reads_nothing_and_decodes_once_per_part(
+        singleton_kinds, monkeypatch):
     """Singletons from parts 1 and 2, other terms from parts 0 and 1,
-    absent terms of part 3: one read each of parts 0 and 1, nothing
-    from parts 2 and 3, and one decode of both parts' rows."""
-    from lucene_ray.search import reader as reader_mod
+    absent terms of part 3, every part open: no Parquet read, and one
+    decode each of parts 0's and 1's other rows."""
+    from lucene_ray.codecs import postings as codecs_postings
     reader = IndexReader(singleton_kinds["concat"])
     sr = next(reader.segments())
     parts = {b: _part_terms(sr, b) for b in range(4)}
@@ -702,29 +705,21 @@ def test_mixed_batch_is_one_read_per_part_and_one_decode(singleton_kinds,
     absent = [t for t in (f"s{i:04d}~" for i in range(400))
               if bucket_of([t])[0] == 3][:3]
     assert len(absent) == 3
-    reads, decodes = [], []
-    orig_read = pq.ParquetFile.read_row_groups
-    orig_decode = reader_mod.unpack_postings_many
+    decodes = []
+    orig_decode = codecs_postings.decode_rows
 
-    def read_spy(pf, rgs, *a, **kw):
-        reads.append(len(rgs))
-        return orig_read(pf, rgs, *a, **kw)
+    def no_read(*a, **kw):
+        raise AssertionError("a first touch read Parquet")
 
-    def decode_spy(t):
-        decodes.append(len(t))
-        return orig_decode(t)
-    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", read_spy)
-    monkeypatch.setattr(reader_mod, "unpack_postings_many", decode_spy)
+    def decode_spy(p, rows):
+        decodes.append(len(rows))
+        return orig_decode(p, rows)
+    monkeypatch.setattr(pq.ParquetFile, "read_row_groups", no_read)
+    monkeypatch.setattr(pq.ParquetFile, "read", no_read)
+    monkeypatch.setattr(codecs_postings, "decode_rows", decode_spy)
     sr.ensure_terms(multi + singles + absent + multi)
-    assert reads == [1, 1] and decodes == [2]
-
-    def group_rows(b, term):  # rows of the row group holding term
-        starts = sr._part(b).rg_starts
-        g = np.searchsorted(starts, sr._part(b).dict.rows([term])[0],
-                            "right") - 1
-        return int(starts[g + 1] - starts[g])
-    assert sr.rg_reads == 2
-    assert sr.rows_loaded == group_rows(0, multi[0]) + group_rows(1, multi[1])
+    assert decodes == [1, 1]
+    assert sr.rg_reads == 0 and sr.rows_loaded == 0
     assert sr._absent == set(absent)
     monkeypatch.undo()
     for term in multi + singles:
@@ -804,9 +799,9 @@ def test_first_positional_touch_is_one_read_per_part(positional_generations,
                                                      monkeypatch):
     """A positional first touch of a batch (df = 1 and other terms from
     three parts, and absent terms): one row-group read per part that
-    holds a found term and one decode; ``get_positions`` then reads
-    nothing more."""
-    from lucene_ray.search import reader as reader_mod
+    holds a found term, and one decode of each part's other rows from
+    its packed streams; ``get_positions`` then reads nothing more."""
+    from lucene_ray.codecs import postings as codecs_postings
     out, gens, _ = positional_generations
     sr = next(IndexReader(out, generation=gens["built"]).segments())
     batch = []
@@ -818,19 +813,19 @@ def test_first_positional_touch_is_one_read_per_part(positional_generations,
     absent = [f"p{i:03d}~" for i in range(3)]
     reads, decodes = [], []
     orig_read = pq.ParquetFile.read_row_groups
-    orig_decode = reader_mod.unpack_postings_many
+    orig_decode = codecs_postings.decode_rows
 
     def read_spy(pf, rgs, *a, **kw):
         reads.append(len(rgs))
         return orig_read(pf, rgs, *a, **kw)
 
-    def decode_spy(t):
-        decodes.append(len(t))
-        return orig_decode(t)
+    def decode_spy(p, rows):
+        decodes.append(len(rows))
+        return orig_decode(p, rows)
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups", read_spy)
-    monkeypatch.setattr(reader_mod, "unpack_postings_many", decode_spy)
+    monkeypatch.setattr(codecs_postings, "decode_rows", decode_spy)
     sr.ensure_positions(batch + absent + batch)
-    assert len(reads) == 3 and decodes == [len(batch)]
+    assert len(reads) == 3 and decodes == [2, 2, 2]
     assert sr.rg_reads == sum(reads) and set(sr._positions) == set(batch)
     got = [sr.get_positions(t) for t in batch + absent]
     assert all(g is not None for g in got[:len(batch)])
@@ -839,11 +834,14 @@ def test_first_positional_touch_is_one_read_per_part(positional_generations,
 
 
 def test_term_set_beyond_the_postings_cache_is_read_once(ray_session,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         monkeypatch):
     """A ``TermInSetQuery`` (exempt from ``MAX_CLAUSE_COUNT``) over more
     terms than a segment's postings LRU holds: the batched first touch
-    evicts none of the terms it loads, so scoring reads nothing more,
-    and the results equal those at the default cache size."""
+    evicts none of the terms it loads, so scoring decodes nothing more,
+    no Parquet read is made, and the results equal those at the default
+    cache size."""
+    from lucene_ray.codecs import postings as codecs_postings
     from lucene_ray.search import TermInSetQuery
     rng = np.random.default_rng(5)
     n = 400
@@ -857,12 +855,21 @@ def test_term_set_beyond_the_postings_cache_is_read_once(ray_session,
     build_index(path, out, batch_size=n)
     q = TermInSetQuery(tuple(f"q{i:03d}" for i in range(300)))
     got = {}
+    orig_decode = codecs_postings.decode_rows
     for cache_size in (4096, 50):
         reader = IndexReader(out)
         (sr,) = reader.segments()
         sr._cache_size = cache_size
+        decoded = []
+        monkeypatch.setattr(codecs_postings, "decode_rows", lambda p, rows: (
+            decoded.append(len(rows)) or orig_decode(p, rows)))
         td = Searcher(reader).search(q, k=n)
+        monkeypatch.undo()
+        # df = 1 rows were decoded at the parts' open, the rest here
+        singles = sum(int((p.single_doc >= 0).sum())
+                      for p in sr._parts.values())
         got[cache_size] = (td.doc_ids.tolist(), td.scores.tolist(),
-                           sr.rg_reads, sr.rows_loaded)
-    assert got[4096][3] == 300  # every term read, one row each
+                           sr.rg_reads, sr.rows_loaded,
+                           sum(decoded) + singles)
+    assert got[4096][2:] == (0, 0, 300)  # no read, every term decoded once
     assert got[50] == got[4096]

@@ -14,8 +14,9 @@ The tool
    segments of 512 docs merged at 8 per tier), since each tree reads
    only the index format it writes, and reports its bytes per doc, the
    same bytes by kind of file and by Parquet column (``column_bytes``),
-   and the ms to open every postings part of it in a fresh reader
-   (median of ``OPEN_REPS`` readers);
+   and, in a fresh process, what opening every postings part of it
+   costs (``open_parts``): the ms (median of ``OPEN_REPS`` readers),
+   the bytes of the arrays the parts keep, and the VmRSS they add;
 3. runs ``--pairs`` pairs of closed loops per workload, ``query_hot``
    and ``query_miss`` with perfbench's query lists and warm-up, each
    run in a fresh process with ``PYTHONPATH=<tree>``; the side that
@@ -73,6 +74,8 @@ def _child(args) -> dict:
     if args.child == "corpus":
         paths, n_docs = bench.make_corpus(args.work, SEED, cfg)
         return {"paths": paths, "n_docs": n_docs}
+    if args.child == "open":
+        return {"open_parts": _open_parts(args.index)}
     paths = sorted(os.path.join(corpus, f) for f in os.listdir(corpus)
                    if f.endswith(".parquet"))
     ranked = bench.rank_terms(paths)
@@ -99,7 +102,6 @@ def _child(args) -> dict:
         finally:
             ray.shutdown()
         return {"build_s": round(ing["build_s"], 3),
-                "open_parts_ms": _open_parts_ms(args.index),
                 "column_bytes": _column_bytes(bench, args.index),
                 "merge_s": round(ing["merge_s"], 3),
                 "index_bytes_per_doc": round(
@@ -109,22 +111,49 @@ def _child(args) -> dict:
                  warm[args.workload])
 
 
-def _open_parts_ms(index: str) -> dict:
-    """ms to open every postings part of ``index`` in a fresh reader:
-    the median and min over ``OPEN_REPS`` readers, and the part count."""
+def _vmrss_mb() -> float:
+    with open("/proc/self/status") as f:
+        kb = next(line.split()[1] for line in f
+                  if line.startswith("VmRSS:"))
+    return int(kb) / 1024
+
+
+def _resident_bytes(sr) -> int:
+    """``SegmentReader.resident_bytes``; for a tree without it, the
+    bytes of every array (and ``bytes``) held by its open parts and
+    their term dictionaries."""
+    import numpy as np
+    if hasattr(sr, "resident_bytes"):
+        return sr.resident_bytes()
+    objs = [o for p in sr._parts.values() for o in (p, p.dict)]
+    return sum(v.nbytes if hasattr(v, "nbytes") else len(v)
+               for o in objs for v in vars(o).values()
+               if isinstance(v, (np.ndarray, bytes)))
+
+
+def _open_parts(index: str) -> dict:
+    """Opening every postings part of ``index``, in this fresh process:
+    the resident array bytes of the first reader's parts and the VmRSS
+    (MB) that opening them added, then the ms to open them in a fresh
+    reader (median and min over ``OPEN_REPS`` readers) and the part
+    count."""
     from lucene_ray.index.manifest import POSTINGS_BUCKETS
     from lucene_ray.search import IndexReader
-    times = []
+    times, out = [], {}
     for _ in range(OPEN_REPS):
         segs = list(IndexReader(index).segments())
+        rss0 = _vmrss_mb()
         t0 = time.monotonic()
         for sr in segs:
             for b in range(POSTINGS_BUCKETS):
                 sr._part(b)
         times.append(1e3 * (time.monotonic() - t0))
-    return {"median": round(statistics.median(times), 2),
-            "min": round(min(times), 2),
-            "parts": len(segs) * POSTINGS_BUCKETS}
+        if not out:
+            out = {"resident_bytes": sum(map(_resident_bytes, segs)),
+                   "rss_growth_mb": round(_vmrss_mb() - rss0, 2)}
+    return {"ms": {"median": round(statistics.median(times), 2),
+                   "min": round(min(times), 2)},
+            **out, "parts": len(segs) * POSTINGS_BUCKETS}
 
 
 def _column_bytes(bench, index: str) -> dict:
@@ -247,7 +276,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=8.0)
     ap.add_argument("--work", default=None,
                     help="scratch dir (default: a new temp dir)")
-    ap.add_argument("--child", choices=("corpus", "build", "loop"))
+    ap.add_argument("--child", choices=("corpus", "build", "open", "loop"))
     ap.add_argument("--index")
     ap.add_argument("--workload")
     args = ap.parse_args(argv)
@@ -260,7 +289,9 @@ def main(argv=None) -> int:
     sides = {"A": args.a, "B": args.b}
     _run(args.a, "corpus", work)
     for side, tree in sides.items():
-        got = _run(tree, "build", work, index=os.path.join(work, f"idx{side}"))
+        index = os.path.join(work, f"idx{side}")
+        got = _run(tree, "build", work, index=index)
+        got.update(_run(tree, "open", work, index=index))
         print(json.dumps({"side": side, "step": "build", **got}), flush=True)
     runs: dict = {}
     for pair in range(args.pairs):
