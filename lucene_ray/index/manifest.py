@@ -75,10 +75,6 @@ class SegmentInfo:
     # segments/<id>/dv_updates_gen<dvu_gen>.parquet; -1 = none
     dvu_gen: int = -1
 
-    @property
-    def live_docs(self) -> int:
-        return self.num_docs - self.del_count
-
     @classmethod
     def from_row(cls, row) -> "SegmentInfo":
         """A new segment's entry from its build metadata row: a build
@@ -115,17 +111,6 @@ class IndexManifest:
     @property
     def num_deleted(self) -> int:
         return sum(s.del_count for s in self.segments)
-
-    @property
-    def live_docs(self) -> int:
-        return self.num_docs - self.num_deleted
-
-    @property
-    def avgdl_stats(self):
-        # docCount counts docs that actually contain the field
-        # (CollectionStatistics semantics, BM25Similarity.java:110)
-        return {"doc_count": self.field_doc_count,
-                "sum_total_term_freq": self.sum_doc_len}
 
     def to_json(self) -> str:
         d = asdict(self)

@@ -251,18 +251,17 @@ def _merge_part(index_dir: str, seg_ids: list[str], del_gens: list[int],
 
 
 def merge_segments(index_dir: str, *, segs_per_tier: int = 10,
-                   max_merged_docs: int = 10_000_000,
-                   min_group: int = 2) -> IndexManifest:
+                   max_merged_docs: int = 10_000_000) -> IndexManifest:
     """One round of tiered merging; returns the new manifest generation.
     Every group's tasks run at once: one for its docs table, one per
     postings part."""
     m = read_manifest(index_dir)
     groups = plan_merges(m.segments, segs_per_tier, max_merged_docs)
-    # singleton segments with tombstones still merge (reclaim deletes)
+    # a group of one segment merges only to reclaim its tombstones
     merge_jobs = [g for g in groups
-                  if len(g) >= min_group or any(s.del_count for s in g)]
+                  if len(g) > 1 or any(s.del_count for s in g)]
     new_segments = [s for g in groups
-                    if not (len(g) >= min_group or any(s.del_count for s in g))
+                    if not (len(g) > 1 or any(s.del_count for s in g))
                     for s in g]
     gen = m.generation + 1
 

@@ -507,10 +507,6 @@ def _edit_distance(a: str, b: str, cap: int, transpositions: bool) -> int:
     return prev[lb]
 
 
-def term_query(t: str) -> TermQuery:
-    return TermQuery(t)
-
-
 def common_terms_query(terms, df_by_term: dict, max_doc: int,
                        max_term_frequency: float = 0.01,
                        low_freq_occur: str = "should",

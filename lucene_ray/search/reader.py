@@ -30,15 +30,15 @@ nothing: a df = 1 term comes from the singletons, a part's other found
 terms are decoded from its packed streams by one ``decode_rows`` per
 call, and absent terms cost nothing. The decoded arrays
 (docIDs and freqs, ``DecodedPostings``) are the one in-memory form of
-a term: they stay in the segment's postings LRU as read-only arrays,
-so scorers slice arrays instead of bit-unpacking blocks on every query,
-and the searcher sorts a term's score order from them (with the
-resident norms); the file holds no score bounds. A term's packed
-positions stream is read only for the callers that need it
-(``get_positions``): positional weights load it with their first touch
-(``ensure_positions``), one read per part and call of the row groups
+a term: read-only, so scorers slice arrays instead of bit-unpacking
+blocks on every query. A term's entry in the segment's postings LRU
+(``_Resident``) holds all the reader keeps of it: those arrays, its
+packed positions once a positional kernel loads them
+(``ensure_positions``: one read per part and call of the row groups
 holding the terms, ``term`` and ``positions`` only, which ``rg_reads``
-and ``rows_loaded`` count.
+and ``rows_loaded`` count), and its score order once a top-k asks for
+it (``score_order``, sorted from the freqs and the resident norms; the
+file holds no score bounds). One eviction drops all three.
 """
 
 from __future__ import annotations
@@ -78,8 +78,10 @@ class _TermDict:
         a = a.cast(pa.large_string())
         self.n = n = len(a)
         _, off, data = a.buffers()
-        self.off = (np.frombuffer(off, np.int64)[a.offset:a.offset + n + 1]
-                    if n else np.zeros(1, np.int64))
+        off = (np.frombuffer(off, np.int64)[a.offset:a.offset + n + 1]
+               if n else np.zeros(1, np.int64))
+        # a copy, so an open part does not pin the column's Arrow buffers
+        self.off = off.astype(np.int32 if off[-1] < 2**31 else np.int64)
         self.data = data.to_pybytes() if n else b""
         raw = np.zeros(len(self.data) + 8, np.uint8)
         raw[:len(self.data)] = np.frombuffer(self.data, np.uint8)
@@ -202,6 +204,19 @@ class _PostingsPart:
         return got, len(rgs), len(t)
 
 
+class _Resident:
+    """A term's entry in its segment's postings LRU: its decoded
+    postings, its packed positions once a positional caller loaded them,
+    and its score order once a top-k sorted it, with the norm-inverse
+    table it was sorted by. Evicting the entry drops all three."""
+
+    __slots__ = ("postings", "positions", "order", "table")
+
+    def __init__(self, postings: DecodedPostings):
+        self.postings = postings
+        self.positions = self.order = self.table = None
+
+
 class SegmentReader:
     def __init__(self, seg_dir: str, cache_size: int = 4096,
                  del_gen: int = -1, dvu_gen: int = -1):
@@ -219,10 +234,8 @@ class SegmentReader:
         self._contiguous = bool(
             n and self.doc_ids[-1] - self.doc_ids[0] == n - 1)
         self._base = int(self.doc_ids[0]) if n else 0
-        # LRUQueryCache analog: term -> decoded postings of loaded terms;
-        # _positions holds the packed positions of resident terms only
-        self._cache: "OrderedDict[str, DecodedPostings]" = OrderedDict()
-        self._positions: dict[str, bytes] = {}
+        # LRUQueryCache analog: term -> everything resident of the term
+        self._cache: "OrderedDict[str, _Resident]" = OrderedDict()
         self._cache_size = cache_size
         self._absent: set[str] = set()
         self._dv_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
@@ -249,11 +262,6 @@ class SegmentReader:
         # observability: rows/row-groups that positional loads read
         self.rows_loaded = 0
         self.rg_reads = 0
-
-    @property
-    def live_count(self) -> int:
-        return len(self.doc_ids) - (len(self.deleted)
-                                    if self.deleted is not None else 0)
 
     def live_mask(self, docs: np.ndarray) -> np.ndarray | None:
         """Boolean live mask for global docIDs, or None when no deletes."""
@@ -312,9 +320,10 @@ class SegmentReader:
     def ensure_positions(self, terms) -> None:
         """``ensure_terms``, plus one read per part of the row groups
         holding the found terms (``term`` and ``positions`` only): their
-        packed positions stay beside their decoded postings."""
-        self._load([t for t in dict.fromkeys(terms)
-                    if t not in self._positions and t not in self._absent],
+        packed positions join their LRU entries."""
+        self._load([t for t in dict.fromkeys(terms) if t not in self._absent
+                    and (t not in self._cache
+                         or self._cache[t].positions is None)],
                    positions=True)
 
     def _load(self, missing: list[str], positions: bool) -> None:
@@ -326,6 +335,11 @@ class SegmentReader:
             rows = part.dict.rows(part_terms)
             self._absent.update(t for t, r in zip(part_terms, rows) if r < 0)
             found = {t: r for t, r in zip(part_terms, rows) if r >= 0}
+            new = [t for t in found if t not in self._cache]
+            self._cache.update(zip(new, map(_Resident, part.postings(
+                [found[t] for t in new]))))
+            for term in found:
+                self._cache.move_to_end(term)
             if positions and found:
                 got, rgs, nrows = part.read_rows(list(found.values()),
                                                  ["term", "positions"])
@@ -334,46 +348,67 @@ class SegmentReader:
                 if got.column("term").to_pylist() != list(found):
                     raise ValueError(f"{part.path}: rows do not hold the "
                                      "terms its dictionary names")
-                self._positions.update(
-                    zip(found, got.column("positions").to_pylist()))
-            new = [t for t in found if t not in self._cache]
-            self._cache.update(zip(new, part.postings([found[t] for t in new])))
-            for term in found:
-                self._cache.move_to_end(term)
+                for t, buf in zip(found, got.column("positions").to_pylist()):
+                    self._cache[t].positions = buf
             loaded += len(found)
         # evict least recently used terms, never one this call loaded:
         # its scorer would decode it again, one row at a time
         while len(self._cache) > max(self._cache_size, loaded):
-            k, _ = self._cache.popitem(last=False)
-            self._positions.pop(k, None)
+            self._cache.popitem(last=False)
+
+    def _entry(self, term: str) -> _Resident | None:
+        """The term's LRU entry, loaded on a miss and made the most
+        recent; None if absent."""
+        got = self._cache.get(term)
+        if got is not None:
+            self._cache.move_to_end(term)
+        elif term not in self._absent:
+            self.ensure_terms([term])
+            got = self._cache.get(term)
+        return got
 
     def get_decoded(self, term: str) -> DecodedPostings | None:
         """The term's decoded (docs, freqs), decoded on first use and
         kept while the term stays in the postings cache — the OS
         page-cache role for resident postings. None if absent."""
-        got = self._cache.get(term)
-        if got is not None:
-            self._cache.move_to_end(term)
-            return got
-        if term in self._absent:
-            return None
-        self.ensure_terms([term])
-        return self._cache.get(term)
+        got = self._entry(term)
+        return None if got is None else got.postings
 
     def get_positions(self, term: str):
         """(docs, freqs, flat positions) or None. Requires an index built
         with ``index_positions=True``."""
         from ..codecs.postings import unpack_positions
-        if term not in self._positions and term not in self._absent:
-            self.ensure_positions([term])
-        buf = self._positions.get(term)
-        if buf is None:
+        self.ensure_positions([term])
+        got = self._entry(term)
+        if got is None:
             return None
-        if not buf:
+        if not got.positions:
             raise ValueError(
                 "index was built without positions (index_positions=True)")
-        docs, freqs = self.get_decoded(term)
-        return docs, freqs, unpack_positions(buf, freqs)
+        docs, freqs = got.postings
+        return docs, freqs, unpack_positions(got.positions, freqs)
+
+    def score_order(self, term: str, norm_inverse: np.ndarray):
+        """The term's postings in score order under a searcher's
+        float32[256] norm-inverse table: int32 posting indexes by
+        (x desc, doc asc), ``x = freq * norm_inverse[norm]``; None if the
+        term is absent. Sorted on first use and kept in the term's LRU
+        entry, keyed by the table, so it leaves with the postings."""
+        got = self._entry(term)
+        if got is None:
+            return None
+        if got.order is None or not (got.table is norm_inverse or
+                                     np.array_equal(got.table, norm_inverse)):
+            # one sort of uint64 keys: NOT of x's float32 bits (x > 0, so
+            # they order as the values) above the posting index; tombstoned
+            # postings stay in, so the order holds across deletes
+            docs, freqs = got.postings
+            x = freqs.astype(np.float32) * norm_inverse[self.norms_for(docs)]
+            key = (~x.view(np.uint32)).astype(np.uint64) << np.uint64(32)
+            got.order = np.sort(key | np.arange(len(x), dtype=np.uint64)
+                                ).astype(np.uint32).view(np.int32)
+            got.table = norm_inverse
+        return got.order
 
     def df(self, term: str) -> int:
         dec = self.get_decoded(term)
@@ -461,27 +496,23 @@ class SegmentReader:
         getTermVector`` role): (term, tf) of one doc, term-sorted —
         a doc_id-pushdown read of the segment's ``tv.parquet``.
         Requires the index to be built with ``term_vectors=True``."""
-        tv_path = os.path.join(self._seg_dir, "tv.parquet")
-        if not os.path.isfile(tv_path):
-            raise ValueError("index built without term_vectors=True")
-        t = pq.read_table(tv_path, columns=["term", "tf"],
-                          filters=[("doc_id", "==", int(doc_id))])
-        return t.sort_by([("term", "ascending")])
+        return self._tv(doc_id, ["term", "tf"])
 
     def term_vector_offsets(self, doc_id: int) -> pa.Table:
         """(term, tf, positions, starts, ends) of one doc — the
         withTermVectorOffsets payload FastVectorHighlighter consumes
         (codecs/.../Lucene90TermVectorsFormat offsets flag). Requires a
         build with ``term_vector_offsets=True``."""
+        return self._tv(doc_id, ["term", "tf", "positions", "starts", "ends"])
+
+    def _tv(self, doc_id: int, columns: list[str]) -> pa.Table:
         tv_path = os.path.join(self._seg_dir, "tv.parquet")
         if not os.path.isfile(tv_path):
             raise ValueError("index built without term_vectors=True")
-        schema_names = pq.read_schema(tv_path).names
-        if "starts" not in schema_names:
+        if "starts" in columns and \
+                "starts" not in pq.read_schema(tv_path).names:
             raise ValueError("index built without term_vector_offsets=True")
-        t = pq.read_table(tv_path,
-                          columns=["term", "tf", "positions", "starts",
-                                   "ends"],
+        t = pq.read_table(tv_path, columns=columns,
                           filters=[("doc_id", "==", int(doc_id))])
         return t.sort_by([("term", "ascending")])
 
@@ -557,28 +588,23 @@ class IndexReader:
     def term_vector(self, doc_id: int) -> pa.Table:
         """(term, tf) forward index of one doc — routed to the owning
         segment by doc range (IndexReader.getTermVector role)."""
-        for info in self.segment_infos:
-            if info.min_doc <= doc_id <= info.max_doc:
-                sr = self.segment(info.seg_id)
-                t = sr.term_vector(doc_id)
-                if len(t):
-                    return t
-        return pa.table({"term": pa.array([], pa.large_string()),
-                         "tf": pa.array([], pa.int64())})
+        return self._tv(doc_id, "term_vector", {"tf": pa.int64()})
 
     def term_vector_offsets(self, doc_id: int) -> pa.Table:
         """Offsets-bearing term vector of one doc (FVH source)."""
+        lists = pa.list_(pa.int64())
+        return self._tv(doc_id, "term_vector_offsets", {
+            "tf": pa.int64(), "positions": lists, "starts": lists,
+            "ends": lists})
+
+    def _tv(self, doc_id: int, method: str, types: dict) -> pa.Table:
         for info in self.segment_infos:
             if info.min_doc <= doc_id <= info.max_doc:
-                sr = self.segment(info.seg_id)
-                t = sr.term_vector_offsets(doc_id)
+                t = getattr(self.segment(info.seg_id), method)(doc_id)
                 if len(t):
                     return t
         return pa.table({"term": pa.array([], pa.large_string()),
-                         "tf": pa.array([], pa.int64()),
-                         "positions": pa.array([], pa.list_(pa.int64())),
-                         "starts": pa.array([], pa.list_(pa.int64())),
-                         "ends": pa.array([], pa.list_(pa.int64()))})
+                         **{c: pa.array([], ty) for c, ty in types.items()}})
 
     def segment(self, seg_id: str) -> SegmentReader:
         r = self._readers.get(seg_id)

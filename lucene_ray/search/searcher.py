@@ -5,7 +5,9 @@ Mirrors the reference query path (SURVEY.md §3.3):
 - per-segment scorers over each term's decoded doc/freq arrays: a
   top-level single-term query walks the term's postings in score order
   and stops after its k-th live score (the ImpactsDISI role, with no
-  stored impacts: the order is one cached sort, ``_term_top``)
+  stored impacts: the order is one sort the segment reader keeps with
+  the term's postings, ``SegmentReader.score_order``); the searcher
+  keeps no per-term state
 - one boolean weight over child weights of any kind: conjunctions lead
   with the clause of fewest docs and look the others up
   (ConjunctionDISI leapfrog); disjunctions accumulate every clause
@@ -13,7 +15,8 @@ Mirrors the reference query path (SURVEY.md §3.3):
   (``_DENSE_OR_RATIO``)
 - phrase, multi-phrase and span-near share one path (intervals and
   the term automaton reuse its ``_per_doc`` slices):
-  ``_gather`` picks the slots' candidates, ``_slot_freqs`` verifies them
+  ``_gather`` loads the slots' positions and picks their candidates,
+  ``_slot_freqs`` verifies them
   (vectorized exact phrase, else per-doc walks on ``_per_doc`` slices)
 - tombstoned docs are masked at every candidate-formation point, so
   pruning thresholds never rise from deleted docs
@@ -26,7 +29,7 @@ Mirrors the reference query path (SURVEY.md §3.3):
 Every entry point (search, collect, eval_complete, count, match_docs,
 explain, the profiler, the facet/join/sort/delete helpers) goes through
 ``Searcher.weight(q)``: rewrite, global term stats once per query node,
-one batched postings read per segment, then one weight object per node
+one batched postings load per segment, then one weight object per node
 (``Searcher._weight_of``, the hook every combinator builds its children
 through, maps each rewritten query class to its weight class in
 ``_WEIGHTS``). A weight's ``scores(sr)`` and ``matches(sr)`` run per
@@ -40,6 +43,7 @@ combinator weights across fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -153,8 +157,6 @@ class Searcher:
         self.avgdl = bm25.avg_field_length(max(reader.sum_total_term_freq, 1), n)
         self.avgdl64 = max(reader.sum_total_term_freq, 1) / float(n)
         self.cache = bm25.norm_inverse_cache(self.avgdl, k1, b)
-        # each queried term's postings in score order, per (segment, term)
-        self._orders: dict[tuple, np.ndarray] = {}
 
     def _norm_data(self, sr: SegmentReader, cand: np.ndarray) -> np.ndarray:
         return sr.doc_lens_for(cand) if self.exact64 else sr.norms_for(cand)
@@ -241,18 +243,12 @@ class Searcher:
             if q.slop == 0:
                 return self.rewrite(
                     MultiPhraseQuery(tuple(slots), q.boost), boost)
-            if all(len(s) == 1 for s in slots):
-                return self.rewrite(
-                    PhraseQuery(tuple(s[0] for s in slots), q.boost,
-                                q.slop), boost)
-            # sloppy with alternatives: capped disjunction of ORDERED
-            # span variants (ComplexPhraseQueryParser.java:335 builds
-            # SpanNearQuery with inOrder=true by default, so "a b*"~2
-            # must NOT match reversed-order docs)
+            # sloppy: capped disjunction of ORDERED span variants, however
+            # many terms each slot expanded to (ComplexPhraseQueryParser.
+            # java:335 builds SpanNearQuery with inOrder=true by default,
+            # so "a b*"~2 must NOT match reversed-order docs)
             import itertools
-            n_var = 1
-            for s in slots:
-                n_var *= len(s)
+            n_var = math.prod(len(s) for s in slots)
             if n_var > MAX_CLAUSE_COUNT:
                 raise ValueError(
                     f"complex phrase expands to {n_var} variants "
@@ -305,19 +301,16 @@ class Searcher:
     def weight(self, q: Query) -> "_Weight":
         """``IndexSearcher.createWeight`` (SURVEY §3.3 steps 2-3): rewrite,
         gather the global term stats once per query node, then load every
-        query term's posting rows with one batched read per segment.
+        query term's decoded postings with one batched load per segment
+        (a phrase kernel loads its own terms' positions, ``_gather``).
         The returned weight scores or matches one segment at a time."""
         q = self.rewrite(q)
         terms = sorted(set(query_terms(q)))
         self.reader.term_stats(terms)  # one batched read; weights hit its memo
         w = self._weight_of(q)
         if terms:
-            positional = w.positional
             for sr in self.reader.segments():
-                if positional:
-                    sr.ensure_positions(terms)
-                else:
-                    sr.ensure_terms(terms)
+                sr.ensure_terms(terms)
         return w
 
     def _weight_of(self, q: Query) -> "_Weight":
@@ -481,7 +474,9 @@ class Searcher:
         """(live docs with an occurrence in every slot, each slot's (docs,
         freqs, positions)) in segment ``sr``, or None. A slot of several
         terms takes the (doc, pos)-sorted union of their occurrences
-        (UnionPostingsEnum role)."""
+        (UnionPostingsEnum role). The slots' positions load in one
+        batched read per part."""
+        sr.ensure_positions([t for alts in slots for t in alts])
         cand, per_slot = None, []
         for alts in slots:
             got = [g for t in dict.fromkeys(alts)
@@ -565,16 +560,8 @@ class Searcher:
     def _repeat_groups(terms: tuple) -> list[int]:
         """Slot -> repeat-group id (-1 for non-repeating terms) —
         SloppyPhraseMatcher's rptGroups."""
-        first: dict = {}
-        grp = [-1] * len(terms)
-        gid = 0
-        for i, t in enumerate(terms):
-            if terms.count(t) > 1:
-                if t not in first:
-                    first[t] = gid
-                    gid += 1
-                grp[i] = first[t]
-        return grp
+        rpt = [t for t in dict.fromkeys(terms) if terms.count(t) > 1]
+        return [rpt.index(t) if t in rpt else -1 for t in terms]
 
     @staticmethod
     def _sloppy_freq_doc(slots, rpt_grp, slop: int, has_repeats: bool,
@@ -727,13 +714,14 @@ class Searcher:
         """Single-term top-k candidates (ImpactsDISI role, no impacts).
         For a weight w > 0 each float32 step of ``w - w / (1 + x)``,
         ``x = freq * normInverse[norm]``, is monotone, so one order of
-        the term's postings by (x desc, doc asc), cached per (segment,
-        term), orders their scores for every weight. A prefix of it is
-        scored, doubling, until it holds k live postings and ends below
-        the k-th live score, so every tie of the k-th is in (HitQueue
-        breaks equal scores by docID; unequal x can round to equal
-        scores). Scores below ``threshold`` are dropped. A term of at
-        most k postings is all of its own top k: scored whole, unsorted."""
+        the term's postings by (x desc, doc asc), which the segment
+        reader keeps beside them (``score_order``), orders their scores
+        for every weight. A prefix of it is scored, doubling, until it
+        holds k live postings and ends below the k-th live score, so
+        every tie of the k-th is in (HitQueue breaks equal scores by
+        docID; unequal x can round to equal scores). Scores below
+        ``threshold`` are dropped. A term of at most k postings is all
+        of its own top k: scored whole, unsorted."""
         dec = sr.get_decoded(t.term)
         if dec is None:
             return None, None
@@ -741,18 +729,7 @@ class Searcher:
             docs, freqs = self._live(sr, dec.docs, dec.freqs)
             return docs, bm25.score_freqs(freqs, sr.norms_for(docs), t.weight,
                                           self.cache)
-        order = self._orders.get((sr._seg_dir, t.term))
-        if order is None:
-            # one sort of uint64 keys: NOT of x's float32 bits (x > 0, so
-            # they order as the values) above the posting index; tombstoned
-            # postings stay in, so the order holds across deletes
-            x = dec.freqs.astype(np.float32) * self.cache[sr.norms_for(dec.docs)]
-            key = (~x.view(np.uint32)).astype(np.uint64) << np.uint64(32)
-            order = np.sort(key | np.arange(len(x), dtype=np.uint64)
-                            ).astype(np.uint32).view(np.int32)
-            if len(self._orders) >= 65536:
-                self._orders.clear()
-            self._orders[(sr._seg_dir, t.term)] = order
+        order = sr.score_order(t.term, self.cache)
         n = k + 1
         while True:
             idx = order[:n]
@@ -822,11 +799,6 @@ class _Weight:
     def children(self):
         """(label, child weight) pairs of a combinator, in clause order."""
         return ()
-
-    @property
-    def positional(self) -> bool:
-        """Scoring reads positions: the first touch loads packed rows too."""
-        return any(w.positional for _label, w in self.children())
 
     def scores(self, sr: SegmentReader):
         """(docs ascending, scores) of one segment, or (None, None)."""
@@ -1185,8 +1157,6 @@ class _PhraseWeight(_Weight):
     alternative of a multi-phrase slot — MultiPhraseWeight collects all
     TermStatistics): BM25 with the idf summed over them (both idf sums
     are computed here, once), or a ``Similarity``'s ``phrase_score``."""
-
-    positional = True
 
     def __init__(self, s, q):
         super().__init__(s, q)

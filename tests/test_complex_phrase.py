@@ -119,3 +119,23 @@ class TestSearch:
         big = tuple(tuple(f"t{i}{j}" for j in range(40)) for i in range(3))
         with pytest.raises(ValueError):
             s.rewrite(ComplexPhraseQuery(big, slop=1))
+
+
+def test_sloppy_lowering_does_not_depend_on_the_vocabulary():
+    """With slop > 0 a complex phrase lowers to ORDERED span variants
+    however many terms its slots expand to, so a doc matches over a
+    reader that holds it alone as over one that also holds a slot's
+    prefix expansion ("beta" for "be*")."""
+    from lucene_ray.search.memory import MemoryReader
+
+    def reader(*texts):
+        occ = [(w, d, p) for d, text in enumerate(texts)
+               for p, w in enumerate(text.split())]
+        terms, docs, pos = zip(*occ)
+        return MemoryReader(list(terms), docs, pos, len(texts))
+
+    q = ComplexPhraseQuery((("alpha",), ("w3", PrefixQuery("be"))), slop=2)
+    for text, want in (("x w3 alpha y", []), ("x alpha y w3", [0])):
+        alone = Searcher(reader(text)).match_docs(q).tolist()
+        beside = Searcher(reader(text, "beta")).match_docs(q).tolist()
+        assert alone == beside == want, text

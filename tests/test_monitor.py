@@ -277,6 +277,9 @@ def test_doc_values_terms_on_any_column(langs, want):
 NESTED_POSITIONAL = [
     ComplexPhraseQuery((("alpha",), (PrefixQuery("be"), "gamma"))),
     ComplexPhraseQuery((("alpha",), ("w3", "beta")), slop=2),
+    # sloppy with a prefix slot: lowers alike over a one-doc reader and
+    # over a batch whose vocabulary holds "be*" terms
+    ComplexPhraseQuery((("alpha",), ("w3", PrefixQuery("be"))), slop=2),
     FunctionScoreQuery(PhraseQuery(("alpha", "beta"))),
     CoveringQuery((PhraseQuery(("alpha", "beta")), TermQuery("gamma")),
                   min_match="2"),

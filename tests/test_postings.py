@@ -135,10 +135,12 @@ def _x(s, sr, dec):
 @pytest.mark.parametrize("kind", ["built", "tombstoned", "merged", "vint"])
 def test_score_orders_are_monotone(bound_readers, kind):
     """Each term of more than k postings that a top-k has walked has a
-    cached score order (``Searcher._term_top``): a permutation of its
-    postings, tombstoned ones included, along which x never increases,
-    docs ascend within a run of equal x, and float32 scores never
-    increase, for a normal, a large and a subnormal weight."""
+    score order in its segment reader's LRU entry, sorted under the
+    searcher's norm-inverse table (``SegmentReader.score_order``): a
+    permutation of its postings, tombstoned ones included, along which
+    x never increases, docs ascend within a run of equal x, and float32
+    scores never increase, for a normal, a large and a subnormal
+    weight."""
     from lucene_ray.search import Searcher, TermQuery, bm25
     readers, vocab = bound_readers
     reader = readers[kind]
@@ -150,11 +152,12 @@ def test_score_orders_are_monotone(bound_readers, kind):
     for sr in reader.segments():
         for t in vocab[:60]:
             dec = sr.get_decoded(t)
-            order = s._orders.get((sr._seg_dir, t))
+            entry = sr._cache.get(t)
+            order = None if entry is None else entry.order
             if dec is None or len(dec.docs) <= 10:
                 assert order is None, t
                 continue
-            assert order.dtype == np.int32
+            assert entry.table is s.cache and order.dtype == np.int32
             assert np.array_equal(np.sort(order), np.arange(len(dec.docs)))
             x, docs = _x(s, sr, dec)[order], dec.docs[order]
             assert (x[1:] <= x[:-1]).all(), t

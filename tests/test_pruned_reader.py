@@ -19,6 +19,7 @@ from lucene_ray.index.manifest import bucket_of, part_path
 from lucene_ray.search import (
     BooleanQuery,
     IndexReader,
+    PhraseQuery,
     PrefixQuery,
     Searcher,
     TermQuery,
@@ -44,6 +45,11 @@ def wide_vocab_index(ray_session, tmp_path_factory):
     out = str(d / "idx")
     build_index(path, out, batch_size=1000)
     return out, texts
+
+
+def _with_positions(sr):
+    """The terms whose LRU entry holds their packed positions."""
+    return {t for t, e in sr._cache.items() if e.positions is not None}
 
 
 def _brute_count(texts, terms, mode):
@@ -241,13 +247,13 @@ def test_selected_rows_match_full_read(wide_vocab_index, positions):
     assert sr.rg_reads == (1 if positions else 0)
     assert sr.rows_loaded == (part.pf.metadata.row_group(1).num_rows
                               if positions else 0)
-    assert set(sr._positions) == ({first, last} if positions else set())
+    assert _with_positions(sr) == ({first, last} if positions else set())
     row = {t: i for i, t in enumerate(full.column("term").to_pylist())}
     for term in (first, last):
         _assert_decoded_equal(sr.get_decoded(term),
                               _direct_decode(full, term))
         sr.ensure_positions([term])
-        assert sr._positions[term] == \
+        assert sr._cache[term].positions == \
             full.column("positions")[row[term]].as_py()
         assert sr.df(term) == full.column("df")[row[term]].as_py()
     # loaded without positions, each term's positions are one more read
@@ -422,15 +428,76 @@ def test_decoded_arrays_leave_the_cache_with_their_term(merged_generations):
     dec_a = sr.get_decoded(a)
     assert sr.get_decoded(a) is dec_a  # decoded once, then reused
     sr.ensure_positions([b])  # b's positions are read beside its arrays
-    assert list(sr._cache) == [a, b] and set(sr._positions) == {b}
+    assert list(sr._cache) == [a, b] and _with_positions(sr) == {b}
     sr.get_decoded(c)  # loads a 3rd term: a is least recently used
-    assert list(sr._cache) == [b, c] and set(sr._positions) == {b}
+    assert list(sr._cache) == [b, c] and _with_positions(sr) == {b}
     sr.get_decoded(a)  # b leaves, and its positions with it
-    assert list(sr._cache) == [c, a] and not sr._positions
+    assert list(sr._cache) == [c, a] and not _with_positions(sr)
     for arr in (dec_a.docs, dec_a.freqs):
         with pytest.raises(ValueError):
             arr[0] = 1
     assert sr.get_decoded("zz_absent") is None
+
+
+def test_score_order_leaves_the_cache_with_its_term(merged_generations):
+    """A term's score order lives in its LRU entry, keyed by the
+    searcher's norm-inverse table: with ``cache_size=2`` it is evicted
+    with the term's postings and, when the term returns, sorted again
+    identically; the top-k it drives keeps its ids and score bits."""
+    from lucene_ray.search.reader import SegmentReader
+    out, merged, _, vocab = merged_generations
+    reader = IndexReader(out, generation=merged)
+    info, = reader.segment_infos
+    sr = reader._readers[info.seg_id] = SegmentReader(
+        f"{out}/segments/{info.seg_id}", cache_size=2)
+    s = Searcher(reader)
+    a, b, c = vocab[:3]
+    first = s.search(TermQuery(a), 10)
+    order = sr._cache[a].order
+    assert order is not None and sr._cache[a].table is s.cache
+    assert sr.score_order(a, s.cache) is order  # sorted once, then kept
+    assert sr.score_order(a, s.cache.copy()) is order  # an equal table
+    for t in (b, c):
+        s.search(TermQuery(t), 10)
+    assert list(sr._cache) == [b, c]  # a left, and its order with it
+    again = s.search(TermQuery(a), 10)
+    assert sr._cache[a].order is not order
+    assert np.array_equal(sr._cache[a].order, order)
+    assert np.array_equal(again.doc_ids, first.doc_ids)
+    assert np.array_equal(again.scores.view(np.uint32),
+                          first.scores.view(np.uint32))
+    # another table sorts the term again, under that table
+    other = Searcher(reader, k1=0.5)
+    sr.score_order(a, other.cache)
+    assert sr._cache[a].table is other.cache
+
+
+def test_phrase_clause_loads_only_its_own_positions(ray_session, tmp_path):
+    """A phrase beside term clauses loads positions for its own terms
+    only (``Searcher._gather``); the term clauses load decoded postings
+    and read nothing."""
+    rng = np.random.default_rng(5)
+    words = ["alpha", "beta", "gamma", "delta", "epsilon"]
+    texts = [" ".join(rng.choice(words, 12)) for _ in range(200)]
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({
+        "doc_id": pa.array(np.arange(len(texts), dtype=np.int64)),
+        "text": pa.array(texts, pa.string())}), path)
+    out = str(tmp_path / "idx")
+    build_index(path, out, batch_size=len(texts), index_positions=True)
+    reader = IndexReader(out)
+    sr, = reader.segments()
+    q = BooleanQuery(must=(PhraseQuery(("alpha", "beta")),),
+                     should=(TermQuery("gamma"), TermQuery("epsilon")))
+    td = Searcher(reader).search(q, 10)
+    assert len(td.doc_ids) == 10
+    assert set(sr._cache) == {"alpha", "beta", "gamma", "epsilon"}
+    assert _with_positions(sr) == {"alpha", "beta"}
+    assert sr.rg_reads == len(set(bucket_of(["alpha", "beta"]).tolist()))
+    docs, scores = Searcher(reader).eval_complete(q)
+    top = np.lexsort((docs, -scores))[:10]
+    assert np.array_equal(td.doc_ids, docs[top])
+    assert np.array_equal(td.scores, scores[top].astype(np.float32))
 
 
 # -- the term dictionary ------------------------------------------------------
@@ -503,6 +570,22 @@ def test_term_dictionary_is_exact(n):
             assert d.terms(a, b) == want, (lo, hi)
 
 
+def test_term_dictionary_owns_its_arrays():
+    """A dictionary keeps copies, not views of the column's Arrow
+    buffers, so an open part pins none: once the column is dropped,
+    Arrow's pool holds what it held before the column was made."""
+    from lucene_ray.search.reader import _TermDict
+    terms = [f"t{i:05d}" for i in range(5000)]
+    before = pa.total_allocated_bytes()
+    col = pa.chunked_array([pa.array(terms, pa.string())])
+    d = _TermDict(col)
+    del col
+    assert pa.total_allocated_bytes() == before
+    assert d.off.dtype == np.int32  # the term bytes fit in int32 offsets
+    assert d.off.flags.owndata and d.keys.flags.owndata
+    assert d.rows(terms[::7]) == list(range(0, 5000, 7))
+
+
 def test_long_keyword_terms_are_found(ray_session, tmp_path):
     """A keyword index whose sorted terms put a 5,000-char term at the
     start, the end and both ends of postings row groups, and at both
@@ -556,7 +639,8 @@ def test_small_term_top_k_sorts_nothing(merged_generations):
         assert np.array_equal(td.doc_ids, np.asarray(docs)[order])
         assert np.array_equal(td.scores.astype(np.float32).view(np.uint32),
                               s32[order].view(np.uint32))
-    assert set(s._orders) == {(sr._seg_dir, vocab[0])}
+    assert [t for t, e in sr._cache.items() if e.order is not None] == \
+        [vocab[0]]
 
 
 def test_pruned_term_search_reads_no_packed_row(merged_generations):
@@ -577,7 +661,7 @@ def test_pruned_term_search_reads_no_packed_row(merged_generations):
         assert len(td.doc_ids) == 10
         assert [(sr.rg_reads, sr.rows_loaded)
                 for sr in reader.segments()] == before
-        assert all(not sr._positions for sr in reader.segments())
+        assert all(not _with_positions(sr) for sr in reader.segments())
 
 
 def test_batched_decode_of_every_part(merged_generations):
@@ -663,13 +747,14 @@ def test_resident_singletons_equal_decoded_rows(singleton_kinds, kind):
             sr.ensure_terms(singles)
             full = pq.read_table(sr._part(b).path)
             for term in singles:
-                got = sr._cache[term]
+                got = sr._cache[term].postings
                 want = _direct_decode(full, term)
                 for g, w in zip(got, want, strict=True):
                     assert g.dtype == w.dtype and np.array_equal(g, w)
                     assert not g.flags.writeable and not w.flags.writeable
             checked += len(singles)
-            freqs.update(int(sr._cache[t].freqs[0]) for t in singles)
+            freqs.update(int(sr._cache[t].postings.freqs[0])
+                         for t in singles)
     assert checked > 1000 and {1, 2, 3} <= freqs
 
 
@@ -686,7 +771,7 @@ def test_singleton_first_touch_reads_no_parquet(singleton_kinds,
     monkeypatch.setattr(pq.ParquetFile, "read_row_groups", no_read)
     monkeypatch.setattr(pq.ParquetFile, "read", no_read)
     sr.ensure_terms(singles)
-    assert all(sr.df(t) == 1 and sr.get_decoded(t) is sr._cache[t]
+    assert all(sr.df(t) == 1 and sr.get_decoded(t) is sr._cache[t].postings
                for t in singles)
     assert sr.rg_reads == 0 and sr.rows_loaded == 0
 
@@ -826,7 +911,7 @@ def test_first_positional_touch_is_one_read_per_part(positional_generations,
     monkeypatch.setattr(codecs_postings, "decode_rows", decode_spy)
     sr.ensure_positions(batch + absent + batch)
     assert len(reads) == 3 and decodes == [2, 2, 2]
-    assert sr.rg_reads == sum(reads) and set(sr._positions) == set(batch)
+    assert sr.rg_reads == sum(reads) and _with_positions(sr) == set(batch)
     got = [sr.get_positions(t) for t in batch + absent]
     assert all(g is not None for g in got[:len(batch)])
     assert got[len(batch):] == [None] * len(absent)
